@@ -46,13 +46,14 @@ cover:
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 
 # Deterministic performance counters for the serving layer (codec, store,
-# queries) plus the matrix/BGP hot paths. Fixed -benchtime keeps iteration
-# counts reproducible; itm-bench drops wall-clock metrics, so the committed
-# BENCH_serve.json only changes when allocation behavior or the codec's
-# output actually change.
+# queries) plus the matrix/BGP hot paths and the cache-probing campaigns.
+# Fixed -benchtime keeps iteration counts reproducible; itm-bench drops
+# wall-clock metrics, so the committed BENCH_serve.json only changes when
+# allocation behavior, probe counts or the codec's output actually change.
 bench:
 	@{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 8x ./internal/mapstore/ && \
-	   $(GO) test -run '^$$' -bench 'BenchmarkBuildMatrix$$|BenchmarkBuildMatrixSerial$$|BenchmarkComputeAll$$' -benchmem -benchtime 4x . ; } \
+	   $(GO) test -run '^$$' -bench 'BenchmarkBuildMatrix$$|BenchmarkBuildMatrixSerial$$|BenchmarkComputeAll$$' -benchmem -benchtime 4x . && \
+	   $(GO) test -run '^$$' -bench 'BenchmarkMeasureHitRates$$|BenchmarkDiscoverPrefixes$$' -benchmem -benchtime 4x ./internal/measure/cacheprobe/ ; } \
 	| tee bench_serve.out
 	$(GO) run ./cmd/itm-bench -campaign -loadgen -overload -mesh -slo -o BENCH_serve.json < bench_serve.out
 	@rm -f bench_serve.out

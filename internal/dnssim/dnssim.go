@@ -30,6 +30,7 @@ import (
 	"itmap/internal/services"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
+	"itmap/internal/users"
 )
 
 // PoP is one public-resolver point of presence.
@@ -42,10 +43,39 @@ type PoP struct {
 // RateSource supplies client DNS query rates. The traffic model implements
 // it; dnssim stays independent of demand modelling.
 type RateSource interface {
-	// PublicResolverQueryRate returns the rate (queries per simulated
-	// hour) at which clients in the /24 scope query the public resolver
-	// for domain, at time t.
-	PublicResolverQueryRate(domain string, scope topology.PrefixID, t simtime.Time) float64
+	// QueryRate resolves everything about the rate at which clients in the
+	// /24 scope query the public resolver for domain that does not depend
+	// on time; QueryRate.At then prices one instant.
+	QueryRate(domain string, scope topology.PrefixID) QueryRate
+}
+
+// QueryRate is the time-invariant half of one ⟨domain, scope⟩ client query
+// rate: a day-mean rate and the diurnal curve that modulates it.
+type QueryRate struct {
+	// PerHour is the day-mean rate in queries per simulated hour.
+	PerHour float64
+	// Flat marks a source with no diurnal cycle (automation never sleeps).
+	Flat bool
+	// Activity is the scope's population curve; the rate follows it,
+	// normalized to mean 1.
+	Activity users.Activity
+}
+
+// At returns the rate (queries per simulated hour) at time t.
+func (q QueryRate) At(t simtime.Time) float64 {
+	return q.PerHour * q.diurnal(t)
+}
+
+// diurnal is the instantaneous activity multiplier (mean 1 over a day).
+func (q QueryRate) diurnal(t simtime.Time) float64 {
+	if q.Flat {
+		return 1
+	}
+	u := q.Activity.Users
+	if u == 0 {
+		return 0
+	}
+	return q.Activity.At(t) / u / users.DiurnalMean
 }
 
 // PublicResolver models the public DNS service ("GPDNS" in comments).
@@ -171,9 +201,11 @@ func (pr *PublicResolver) AdoptionShare(countryCode string) float64 {
 // is cached there. Probes do not populate the cache. For ECS-supporting
 // services the cache entry is scoped to the /24; for others the scope
 // collapses to the whole PoP and per-prefix attribution is impossible —
-// exactly the limitation the paper notes.
+// exactly the limitation the paper notes. Campaigns that probe one
+// ⟨domain, prefix⟩ at many times Prepare once and call Probe.At per sample.
 func (pr *PublicResolver) ProbeCache(popID int, domain string, ecs topology.PrefixID, t simtime.Time) (bool, error) {
-	return pr.ProbeCacheOpts(popID, domain, ecs, t, ProbeOpts{})
+	p := pr.Prepare(popID, domain, ecs)
+	return p.At(t, ProbeOpts{})
 }
 
 // ProbeOpts identifies one probe to the fault layer.
@@ -186,23 +218,84 @@ type ProbeOpts struct {
 	Attempt int
 }
 
-// ProbeCacheOpts is ProbeCache with an explicit probe identity. With a fault
-// plan set it can return the typed transient errors faults.ErrTimeout,
-// faults.ErrServfail, and faults.ErrThrottled instead of answering.
-func (pr *PublicResolver) ProbeCacheOpts(popID int, domain string, ecs topology.PrefixID, t simtime.Time, opt ProbeOpts) (bool, error) {
+// Probe is a cache probe of one ⟨PoP, domain, ECS /24⟩ with everything that
+// does not depend on time already resolved: the record's TTL, whether the
+// PoP is the prefix's home, the fault-layer key, the hash inputs, and the
+// client query rate's time-invariant half. Anything constant per
+// ⟨domain, prefix⟩ belongs in Prepare; At pays only for what moves with t.
+// A Probe is a snapshot: Prepare again after SetRateSource or SetFaultPlan.
+type Probe struct {
+	seed   uint64
+	faults *faults.Plan
+	pop    int
+	ecs    topology.PrefixID
+
+	// early is reported before the fault roll (a probe that cannot be
+	// addressed never reaches the network), late after it.
+	early, late error
+
+	home    bool   // pop is ecs's home PoP, the only place the entry exists
+	key     uint64 // fault-layer identity of ⟨domain, ecs⟩
+	domHash uint64
+	ttl     simtime.Time
+	rate    QueryRate
+
+	// Counter handles, resolved on the first answered lookup and the first
+	// hit: a series must not appear in the exposition before its first
+	// increment would have created it.
+	answered, hits *obs.Counter
+}
+
+// Prepare resolves the time-invariant half of probing domain with the given
+// ECS prefix against a PoP. It never fails: what is wrong with the probe
+// (no rate source, unknown PoP, NXDOMAIN, a domain without per-prefix ECS
+// scoping) is reported by every At.
+func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixID) Probe {
+	p := Probe{seed: pr.seed, faults: pr.faults, pop: popID, ecs: ecs}
 	if pr.rates == nil {
-		return false, fmt.Errorf("dnssim: no rate source wired")
+		p.early = fmt.Errorf("dnssim: no rate source wired")
+		p.late = p.early // the fault-free lookup reports it too
+		return p
 	}
 	if popID < 0 || popID >= len(pr.PoPs) {
-		return false, fmt.Errorf("dnssim: unknown PoP %d", popID)
+		p.early = fmt.Errorf("dnssim: unknown PoP %d", popID)
 	}
-	if err := pr.faults.ProbeFault(popID, opt.Source, probeKey(domain, ecs), opt.Attempt, t); err != nil {
+	p.domHash = hashString(domain)
+	p.key = randx.Hash64(p.domHash, uint64(ecs))
+	svc, ok := pr.cat.ByDomain(domain)
+	if !ok {
+		p.late = fmt.Errorf("dnssim: NXDOMAIN %s", domain)
+		return p
+	}
+	if !svc.ECS || svc.Kind == services.Anycast {
+		p.late = fmt.Errorf("dnssim: %s does not support per-prefix ECS scoping", domain)
+		return p
+	}
+	// The entry exists only at the clients' home PoP.
+	if home := pr.HomePoP(ecs); home == nil || home.ID != popID {
+		return p
+	}
+	p.home = true
+	p.ttl = simtime.Seconds(float64(svc.TTLSeconds))
+	p.rate = pr.rates.QueryRate(domain, ecs)
+	return p
+}
+
+// At issues the probe at time t. With a fault plan set it can return the
+// typed transient errors faults.ErrTimeout, faults.ErrServfail, and
+// faults.ErrThrottled instead of answering; opt identifies the datagram to
+// the fault layer.
+func (p *Probe) At(t simtime.Time, opt ProbeOpts) (bool, error) {
+	if p.early != nil {
+		return false, p.early
+	}
+	if err := p.faults.ProbeFault(p.pop, opt.Source, p.key, opt.Attempt, t); err != nil {
 		obs.C("itm_dns_probe_errors_total",
 			"Cache probes answered with an injected transient fault, by kind.",
 			obs.L("kind", faultKind(err))).Inc()
 		return false, err
 	}
-	return pr.cacheLookup(popID, domain, ecs, t)
+	return p.lookup(t)
 }
 
 // faultKind names a transient fault for the error-kind metric label.
@@ -218,32 +311,28 @@ func faultKind(err error) string {
 	return "other"
 }
 
-// cacheLookup is the fault-free cache-occupancy check. The wire front end
-// calls it directly: it evaluates faults itself, with per-datagram entropy,
-// before consulting the cache.
-func (pr *PublicResolver) cacheLookup(popID int, domain string, ecs topology.PrefixID, t simtime.Time) (bool, error) {
-	if pr.rates == nil {
-		return false, fmt.Errorf("dnssim: no rate source wired")
+// lookup is the fault-free cache-occupancy check. The wire front end calls
+// it directly: it evaluates faults itself, with per-datagram entropy, before
+// consulting the cache.
+func (p *Probe) lookup(t simtime.Time) (bool, error) {
+	if p.late != nil {
+		return false, p.late
 	}
-	svc, ok := pr.cat.ByDomain(domain)
-	if !ok {
-		return false, fmt.Errorf("dnssim: NXDOMAIN %s", domain)
-	}
-	if !svc.ECS || svc.Kind == services.Anycast {
-		return false, fmt.Errorf("dnssim: %s does not support per-prefix ECS scoping", domain)
-	}
-	// The entry exists only at the clients' home PoP.
-	if home := pr.HomePoP(ecs); home == nil || home.ID != popID {
+	if !p.home {
 		return false, nil
 	}
-	ttl := simtime.Seconds(float64(svc.TTLSeconds))
-	rate := pr.rates.PublicResolverQueryRate(domain, ecs, t)
-	p := 1 - math.Exp(-rate*float64(ttl))
-	window := uint64(math.Floor(float64(t / ttl)))
-	hit := randx.HashBool(p, pr.seed, 0xcac4e, uint64(popID), hashString(domain), uint64(ecs), window)
-	obs.C("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).").Inc()
+	occupancy := 1 - math.Exp(-p.rate.At(t)*float64(p.ttl))
+	window := uint64(math.Floor(float64(t / p.ttl)))
+	hit := randx.HashBool(occupancy, p.seed, 0xcac4e, uint64(p.pop), p.domHash, uint64(p.ecs), window)
+	if p.answered == nil {
+		p.answered = obs.C("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).")
+	}
+	p.answered.Inc()
 	if hit {
-		obs.C("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.").Inc()
+		if p.hits == nil {
+			p.hits = obs.C("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.")
+		}
+		p.hits.Inc()
 	}
 	return hit, nil
 }
@@ -257,11 +346,6 @@ func ResolverOfAS(top *topology.Topology, asn topology.ASN) (topology.PrefixID, 
 		return 0, false
 	}
 	return a.Prefixes[0], true
-}
-
-// probeKey identifies a (domain, target) pair to the fault layer.
-func probeKey(domain string, ecs topology.PrefixID) uint64 {
-	return randx.Hash64(hashString(domain), uint64(ecs))
 }
 
 func hashString(s string) uint64 {

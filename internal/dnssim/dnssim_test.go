@@ -26,8 +26,8 @@ type constRate struct {
 	rates map[string]map[topology.PrefixID]float64
 }
 
-func (c *constRate) PublicResolverQueryRate(domain string, scope topology.PrefixID, _ simtime.Time) float64 {
-	return c.rates[domain][scope]
+func (c *constRate) QueryRate(domain string, scope topology.PrefixID) QueryRate {
+	return QueryRate{PerHour: c.rates[domain][scope], Flat: true}
 }
 
 func ecsDomain(t *testing.T, cat *services.Catalog) *services.Service {

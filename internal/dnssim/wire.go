@@ -94,7 +94,8 @@ func (fe *WireFrontend) Handle(query []byte, t simtime.Time) []byte {
 			resp.Rcode = dnswire.RcodeRefused
 			return mustEncode(resp)
 		}
-		hit, err := fe.PR.cacheLookup(fe.PoP, q.QName, ecsPrefix, t)
+		probe := fe.PR.Prepare(fe.PoP, q.QName, ecsPrefix)
+		hit, err := probe.lookup(t)
 		if err != nil {
 			resp.Rcode = dnswire.RcodeRefused
 			return mustEncode(resp)

@@ -139,14 +139,24 @@ func Countries() []Country {
 	return out
 }
 
+// countryIndex maps a country code to its row in countries. Per-probe
+// callers (diurnal phase, PoP placement) look countries up far more often
+// than the table has rows, so the lookup must not scan it.
+var countryIndex = func() map[string]int {
+	idx := make(map[string]int, len(countries))
+	for i := range countries {
+		idx[countries[i].Code] = i
+	}
+	return idx
+}()
+
 // CountryByCode returns the country with the given code.
 func CountryByCode(code string) (Country, error) {
-	for _, c := range countries {
-		if c.Code == code {
-			return c, nil
-		}
+	i, ok := countryIndex[code]
+	if !ok {
+		return Country{}, fmt.Errorf("geo: unknown country code %q", code)
 	}
-	return Country{}, fmt.Errorf("geo: unknown country code %q", code)
+	return countries[i], nil
 }
 
 // TotalInternetUsersM returns the sum of Internet users (millions) across

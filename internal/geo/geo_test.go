@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -74,8 +75,22 @@ func TestCountryByCode(t *testing.T) {
 	if err != nil || fr.Name != "France" {
 		t.Fatalf("FR lookup: %v %v", fr, err)
 	}
-	if _, err := CountryByCode("XX"); err == nil {
-		t.Error("expected error for unknown code")
+	// Every table row round-trips through the code index, whole.
+	for _, want := range Countries() {
+		got, err := CountryByCode(want.Code)
+		if err != nil || got != want {
+			t.Errorf("CountryByCode(%q) = %+v, %v; want %+v", want.Code, got, err, want)
+		}
+	}
+	for _, code := range []string{"XX", "", "fr", "ZZ"} {
+		c, err := CountryByCode(code)
+		if err == nil || c != (Country{}) {
+			t.Errorf("CountryByCode(%q) = %+v, %v; want zero country and an error", code, c, err)
+			continue
+		}
+		if want := fmt.Sprintf("geo: unknown country code %q", code); err.Error() != want {
+			t.Errorf("CountryByCode(%q) error = %q, want %q", code, err, want)
+		}
 	}
 }
 

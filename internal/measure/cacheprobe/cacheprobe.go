@@ -62,6 +62,7 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 		FoundASes: map[topology.ASN]bool{},
 		ByPoP:     map[int]int{},
 	}
+	opts := dnssim.ProbeOpts{Source: pb.Source}
 	for _, p := range prefixes {
 		pop := pb.PR.HomePoP(p)
 		if pop == nil {
@@ -69,9 +70,10 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 		}
 	domains:
 		for _, dom := range pb.Domains {
+			probe := pb.PR.Prepare(pop.ID, dom, p)
 			for r := 0; r < rounds; r++ {
 				at := start + simtime.Time(24*float64(r)/float64(rounds))
-				hit, err := pb.PR.ProbeCacheOpts(pop.ID, dom, p, at, dnssim.ProbeOpts{Source: pb.Source})
+				hit, err := probe.At(at, opts)
 				if err != nil {
 					if faults.IsTransient(err) {
 						d.Probes++
@@ -159,6 +161,13 @@ func RateFromHitRate(hitRate float64, probes int, ttlSeconds int) float64 {
 	return -mathLog(1-hitRate) / ttlHours
 }
 
+// probesPerDay is how many probes a campaign sampling every interval issues
+// per prefix across one simulated day: at least one, so an interval longer
+// than the day still measures something instead of dividing by zero.
+func probesPerDay(interval simtime.Time) int {
+	return max(int(24/float64(interval)), 1)
+}
+
 // MeasureHitRates probes one domain for every prefix every interval across
 // one simulated day and reports hit rates. The intuition under test
 // (§3.1.3): prefixes with more active users populate caches more often, so
@@ -171,19 +180,21 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 		ByPrefix: map[topology.PrefixID]float64{},
 		ByAS:     map[topology.ASN]float64{},
 	}
-	probesPer := int(24 / float64(interval))
+	probesPer := probesPerDay(interval)
 	hr.ProbesPerPrefix = probesPer
 	probes := 0
+	opts := dnssim.ProbeOpts{Source: pb.Source}
 	for _, p := range prefixes {
 		pop := pb.PR.HomePoP(p)
 		if pop == nil {
 			continue
 		}
+		probe := pb.PR.Prepare(pop.ID, domain, p)
 		hits := 0
 		for r := 0; r < probesPer; r++ {
 			at := start + simtime.Time(float64(r))*interval
 			probes++
-			hit, err := pb.PR.ProbeCacheOpts(pop.ID, domain, p, at, dnssim.ProbeOpts{Source: pb.Source})
+			hit, err := probe.At(at, opts)
 			if err != nil {
 				if faults.IsTransient(err) {
 					hr.Failed++

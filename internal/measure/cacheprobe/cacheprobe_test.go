@@ -155,6 +155,44 @@ func TestHitRateZeroForIdle(t *testing.T) {
 	}
 }
 
+// TestIntervalLongerThanDayStillProbesOnce: an interval above 24 h used to
+// truncate to zero probes per prefix and publish 0/0 = NaN hit rates.
+func TestIntervalLongerThanDayStillProbesOnce(t *testing.T) {
+	w := world.Build(world.Tiny(6))
+	domain := w.Cat.ECSDomains()[0]
+	prefixes := w.Top.AllPrefixes()[:300]
+	pb := &Prober{PR: w.PR}
+	rp := &ResilientProber{PR: w.PR, Shards: 4}
+	for _, interval := range []simtime.Time{25, 48, 1000} {
+		hr, err := pb.MeasureHitRates(w.Top, prefixes, domain, 0, interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhr, _, err := rp.MeasureHitRates(w.Top, prefixes, domain, 0, interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, got := range map[string]*HitRates{"naive": hr, "resilient": rhr} {
+			if got.ProbesPerPrefix != 1 || len(got.ByPrefix) != len(prefixes) {
+				t.Errorf("%s interval %v: %d probes per prefix over %d prefixes, want 1 over %d",
+					name, interval, got.ProbesPerPrefix, len(got.ByPrefix), len(prefixes))
+			}
+			for p, rate := range got.ByPrefix {
+				if rate != 0 && rate != 1 {
+					t.Fatalf("%s interval %v: prefix %v hit rate %v from one probe", name, interval, p, rate)
+				}
+			}
+		}
+		hp, err := pb.MeasureHourlyProfile(w.Top, prefixes, domain, 0, interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hp.Probes[0] != len(prefixes) {
+			t.Errorf("hourly interval %v: %d probes in hour 0, want %d", interval, hp.Probes[0], len(prefixes))
+		}
+	}
+}
+
 func TestRateFromHitRateInversion(t *testing.T) {
 	// Inverting p = 1 - exp(-rate*TTL) recovers the rate across regimes.
 	for _, rate := range []float64{0.5, 5, 60, 600} { // queries/hour

@@ -30,13 +30,15 @@ func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topolo
 		interval = 15 * simtime.Minute
 	}
 	hp := &HourlyProfile{}
+	opts := dnssim.ProbeOpts{Source: pb.Source}
 	for _, p := range prefixes {
 		pop := pb.PR.HomePoP(p)
 		if pop == nil {
 			continue
 		}
+		probe := pb.PR.Prepare(pop.ID, domain, p)
 		for at := start; at < start+24; at += interval {
-			hit, err := pb.PR.ProbeCacheOpts(pop.ID, domain, p, at, dnssim.ProbeOpts{Source: pb.Source})
+			hit, err := probe.At(at, opts)
 			h := int(at.UTCHour())
 			if err != nil {
 				if faults.IsTransient(err) {

@@ -2,8 +2,8 @@ package cacheprobe
 
 import (
 	"runtime"
-	"sync"
 
+	"itmap/internal/parallel"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 )
@@ -16,12 +16,19 @@ import (
 // Workers returns the worker count for parallel sweeps (GOMAXPROCS).
 func workers() int { return runtime.GOMAXPROCS(0) }
 
+// shardRange returns the bounds of shard i when total items are cut into n
+// contiguous chunks; trailing shards are empty (lo >= hi) when n does not
+// divide the work.
+func shardRange(i, n, total int) (lo, hi int) {
+	chunk := (total + n - 1) / n
+	lo = i * chunk
+	return lo, min(lo+chunk, total)
+}
+
 // DiscoverPrefixesParallel is DiscoverPrefixes fanned out over worker
-// goroutines. Results are identical to the serial sweep.
+// goroutines. Results — and the error, if any shard hits one — are
+// identical to the serial sweep's.
 func (pb *Prober) DiscoverPrefixesParallel(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
 	n := workers()
 	if n < 2 || len(prefixes) < 256 {
 		return pb.DiscoverPrefixes(top, prefixes, start, rounds)
@@ -31,33 +38,25 @@ func (pb *Prober) DiscoverPrefixesParallel(top *topology.Topology, prefixes []to
 		err error
 	}
 	shards := make([]shard, n)
-	var wg sync.WaitGroup
-	chunk := (len(prefixes) + n - 1) / n
-	for w := 0; w < n; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(prefixes))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+	parallel.ForEach(n, n, func(w int) {
+		if lo, hi := shardRange(w, n, len(prefixes)); lo < hi {
 			d, err := pb.DiscoverPrefixes(top, prefixes[lo:hi], start, rounds)
 			shards[w] = shard{d, err}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	out := &Discovery{
 		Found:     map[topology.PrefixID]bool{},
 		FoundASes: map[topology.ASN]bool{},
 		ByPoP:     map[int]int{},
 	}
 	for _, s := range shards {
-		if s.d == nil {
-			continue
-		}
+		// Shards run in prefix order, so the first failed shard holds the
+		// error the serial sweep would have stopped at.
 		if s.err != nil {
 			return nil, s.err
+		}
+		if s.d == nil {
+			continue
 		}
 		for p := range s.d.Found {
 			out.Found[p] = true
@@ -75,7 +74,7 @@ func (pb *Prober) DiscoverPrefixesParallel(top *topology.Topology, prefixes []to
 }
 
 // MeasureHitRatesParallel is MeasureHitRates fanned out over workers, with
-// identical results.
+// identical results and errors.
 func (pb *Prober) MeasureHitRatesParallel(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HitRates, error) {
 	n := workers()
 	if n < 2 || len(prefixes) < 256 {
@@ -86,32 +85,22 @@ func (pb *Prober) MeasureHitRatesParallel(top *topology.Topology, prefixes []top
 		err error
 	}
 	shards := make([]shard, n)
-	var wg sync.WaitGroup
-	chunk := (len(prefixes) + n - 1) / n
-	for w := 0; w < n; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(prefixes))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
+	parallel.ForEach(n, n, func(w int) {
+		if lo, hi := shardRange(w, n, len(prefixes)); lo < hi {
 			hr, err := pb.MeasureHitRates(top, prefixes[lo:hi], domain, start, interval)
 			shards[w] = shard{hr, err}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+	})
 	out := &HitRates{
 		ByPrefix: map[topology.PrefixID]float64{},
 		ByAS:     map[topology.ASN]float64{},
 	}
 	for _, s := range shards {
-		if s.hr == nil {
-			continue
-		}
 		if s.err != nil {
 			return nil, s.err
+		}
+		if s.hr == nil {
+			continue
 		}
 		out.ProbesPerPrefix = s.hr.ProbesPerPrefix
 		out.Failed += s.hr.Failed

@@ -1,6 +1,7 @@
 package cacheprobe
 
 import (
+	"runtime"
 	"testing"
 
 	"itmap/internal/simtime"
@@ -73,5 +74,41 @@ func TestParallelSmallInputFallsBack(t *testing.T) {
 	}
 	if d.Probes == 0 {
 		t.Error("small input not probed")
+	}
+}
+
+// TestParallelSurfacesShardErrors: a permanent error in any shard must reach
+// the caller exactly as the serial sweep reports it, never a partial result
+// with a nil error.
+func TestParallelSurfacesShardErrors(t *testing.T) {
+	// The fan-out only engages with at least two workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	w := world.Build(world.Tiny(34))
+	prefixes := w.Top.AllPrefixes()
+	if len(prefixes) < 256 {
+		t.Fatalf("only %d prefixes: parallel sweeps would fall back to serial", len(prefixes))
+	}
+	nonECS := ""
+	for _, s := range w.Cat.Services {
+		if !s.ECS {
+			nonECS = s.Domain
+			break
+		}
+	}
+	if nonECS == "" {
+		t.Fatal("catalog has no non-ECS domain")
+	}
+	for _, domain := range []string{nonECS, "nxdomain.example"} {
+		pb := &Prober{PR: w.PR, Domains: []string{domain}}
+		_, serialErr := pb.DiscoverPrefixes(w.Top, prefixes, 0, 2)
+		d, err := pb.DiscoverPrefixesParallel(w.Top, prefixes, 0, 2)
+		if serialErr == nil || err == nil || err.Error() != serialErr.Error() || d != nil {
+			t.Errorf("discovery of %s: parallel = (%v, %v), serial error %v", domain, d, err, serialErr)
+		}
+		_, serialErr = pb.MeasureHitRates(w.Top, prefixes, domain, 0, simtime.Hour)
+		hr, err := pb.MeasureHitRatesParallel(w.Top, prefixes, domain, 0, simtime.Hour)
+		if serialErr == nil || err == nil || err.Error() != serialErr.Error() || hr != nil {
+			t.Errorf("hit rates of %s: parallel = (%v, %v), serial error %v", domain, hr, err, serialErr)
+		}
 	}
 }

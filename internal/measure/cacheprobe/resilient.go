@@ -212,7 +212,7 @@ func (ss *shardState) breaker(pop int, cfg resilience.BreakerConfig, st *SweepSt
 // retries then advance through backoff, sliding out of ban windows and
 // outages. One target's retries never delay another target — a real
 // prober multiplexes its outstanding probes.
-func (rp *ResilientProber) probe(ss *shardState, st *SweepStats, pop int, dom string, p topology.PrefixID, sched simtime.Time) (bool, bool, int) {
+func (rp *ResilientProber) probe(ss *shardState, st *SweepStats, pop int, pp *dnssim.Probe, p topology.PrefixID, sched simtime.Time) (bool, bool, int) {
 	br := ss.breaker(pop, rp.Breaker, st)
 	var hit bool
 	sent := 0
@@ -231,7 +231,7 @@ func (rp *ResilientProber) probe(ss *shardState, st *SweepStats, pop int, dom st
 		if sent > 1 {
 			st.Retries++
 		}
-		h, err := rp.PR.ProbeCacheOpts(pop, dom, p, at, dnssim.ProbeOpts{Source: ss.source, Attempt: attempt})
+		h, err := pp.At(at, dnssim.ProbeOpts{Source: ss.source, Attempt: attempt})
 		// Only timeouts feed the breaker: silence is the dead-PoP signal.
 		// A throttle is the source's problem (backoff handles it) and a
 		// SERVFAIL is a per-query flake; tripping the PoP breaker on
@@ -271,10 +271,8 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 		st *SweepStats
 	}
 	results := make([]shardResult, n)
-	chunk := (len(prefixes) + n - 1) / n
 	parallel.ForEach(n, rp.Workers, func(i int) {
-		lo := i * chunk
-		hi := min(lo+chunk, len(prefixes))
+		lo, hi := shardRange(i, n, len(prefixes))
 		if lo >= hi {
 			return
 		}
@@ -295,9 +293,10 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 			attempts := 0
 		domains:
 			for _, dom := range rp.Domains {
+				pp := rp.PR.Prepare(pop.ID, dom, p)
 				for r := 0; r < rounds; r++ {
 					sched := start + simtime.Time(24*float64(r)/float64(rounds))
-					hit, ok, att := rp.probe(ss, st, pop.ID, dom, p, sched)
+					hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, sched)
 					attempts += att
 					if !ok {
 						continue
@@ -386,7 +385,7 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 	if retryable == nil {
 		rp.Retry.Retryable = faults.IsTransient
 	}
-	probesPer := int(24 / float64(interval))
+	probesPer := probesPerDay(interval)
 	n := rp.shards()
 	root := obs.StartSpan("cacheprobe.hitrates", start).
 		SetAttrInt("targets", int64(len(prefixes))).
@@ -397,10 +396,8 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 		st *SweepStats
 	}
 	results := make([]shardResult, n)
-	chunk := (len(prefixes) + n - 1) / n
 	parallel.ForEach(n, rp.Workers, func(i int) {
-		lo := i * chunk
-		hi := min(lo+chunk, len(prefixes))
+		lo, hi := shardRange(i, n, len(prefixes))
 		if lo >= hi {
 			return
 		}
@@ -417,10 +414,11 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 			if pop == nil {
 				continue
 			}
+			pp := rp.PR.Prepare(pop.ID, domain, p)
 			hits, answered, attempts := 0, 0, 0
 			for r := 0; r < probesPer; r++ {
 				sched := start + simtime.Time(float64(r))*interval
-				hit, ok, att := rp.probe(ss, st, pop.ID, domain, p, sched)
+				hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, sched)
 				attempts += att
 				if !ok {
 					continue

@@ -24,9 +24,6 @@ import (
 // counterMod is the IP-ID space size.
 const counterMod = 65536
 
-// diurnalMean is the day-average of users.DiurnalFactor.
-const diurnalMean = 0.65
-
 // Meter models every AS border router's IP-ID counter. A router's counter
 // advances proportionally to the AS's forwarded traffic, phased by the AS's
 // local time, plus a small constant background rate.
@@ -71,7 +68,7 @@ func NewMeter(top *topology.Topology, mx *traffic.Matrix, seed int64) *Meter {
 		}
 	}
 	if maxHourly > 0 {
-		m.scale = targetPeakRate / (maxHourly / diurnalMean)
+		m.scale = targetPeakRate / (maxHourly / users.DiurnalMean)
 	}
 	return m
 }
@@ -81,7 +78,7 @@ func NewMeter(top *topology.Topology, mx *traffic.Matrix, seed int64) *Meter {
 func (m *Meter) TrueHourlyRate(asn topology.ASN, t simtime.Time) float64 {
 	local := t.UTCHour() + m.offset[asn]
 	f := users.DiurnalFactor(math.Mod(local+48, 24))
-	return m.BackgroundRate + m.scale*m.load[asn]/24*f/diurnalMean
+	return m.BackgroundRate + m.scale*m.load[asn]/24*f/users.DiurnalMean
 }
 
 // cumDiurnal is the antiderivative of DiurnalFactor over continuous local
@@ -95,7 +92,7 @@ func cumDiurnal(h float64) float64 {
 func (m *Meter) CounterAt(asn topology.ASN, t simtime.Time) uint16 {
 	local := float64(t) + m.offset[asn]
 	cum := m.BackgroundRate*float64(t) +
-		m.scale*m.load[asn]/24*(cumDiurnal(local)-cumDiurnal(m.offset[asn]))/diurnalMean
+		m.scale*m.load[asn]/24*(cumDiurnal(local)-cumDiurnal(m.offset[asn]))/users.DiurnalMean
 	base := float64(randx.Hash64(m.seed, 0x1b1d, uint64(asn)) % counterMod)
 	return uint16(int64(base+cum) % counterMod)
 }

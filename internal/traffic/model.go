@@ -17,7 +17,6 @@ import (
 	"itmap/internal/dnssim"
 	"itmap/internal/randx"
 	"itmap/internal/services"
-	"itmap/internal/simtime"
 	"itmap/internal/topology"
 	"itmap/internal/users"
 )
@@ -25,9 +24,6 @@ import (
 // QueriesPerUserPerDay is the total DNS-visible interactions one user makes
 // per day, split across services by popularity.
 const QueriesPerUserPerDay = 120.0
-
-// diurnalMean is the day-average of users.DiurnalFactor.
-const diurnalMean = 0.65
 
 // Model computes demand, assigns flows to sites, and feeds the DNS
 // simulator. It implements dnssim.RateSource and dnssim.ChromiumSource.
@@ -141,20 +137,6 @@ func (m *Model) IsBotPrefix(p topology.PrefixID) bool {
 	return randx.HashBool(BotFarmProb, m.seed, 0xb07, uint64(p))
 }
 
-// diurnalAt returns the instantaneous activity multiplier (mean 1) for a
-// prefix at time t. Bot prefixes are flat: automation does not sleep.
-func (m *Model) diurnalAt(p topology.PrefixID, t simtime.Time) float64 {
-	if m.IsBotPrefix(p) {
-		return 1
-	}
-	a := m.Users.ActivityAt(p, t)
-	u := m.Users.UsersIn(p)
-	if u == 0 {
-		return 0
-	}
-	return a / u / diurnalMean
-}
-
 // PublicDNSOptOutProb is the chance a prefix's network blocks or simply
 // never uses the public resolver (enterprise policy, ISP hijacking, etc.).
 // Opted-out prefixes are invisible to cache probing no matter how active
@@ -167,22 +149,27 @@ func (m *Model) UsesPublicResolver(p topology.PrefixID) bool {
 	return !randx.HashBool(PublicDNSOptOutProb, m.seed, 0x90d5, uint64(p))
 }
 
-// PublicResolverQueryRate implements dnssim.RateSource: queries/hour for
-// domain from clients in scope that use the public resolver.
-func (m *Model) PublicResolverQueryRate(domain string, scope topology.PrefixID, t simtime.Time) float64 {
+// QueryRate implements dnssim.RateSource: the time-invariant half of the
+// rate at which clients in scope that use the public resolver query domain.
+// Bot prefixes are flat: automation does not sleep.
+func (m *Model) QueryRate(domain string, scope topology.PrefixID) dnssim.QueryRate {
 	svc, ok := m.Cat.ByDomain(domain)
 	if !ok {
-		return 0
+		return dnssim.QueryRate{}
 	}
 	city, ok := m.Top.PrefixCity[scope]
 	if !ok {
-		return 0
+		return dnssim.QueryRate{}
 	}
 	if !m.UsesPublicResolver(scope) {
-		return 0
+		return dnssim.QueryRate{}
 	}
 	share := m.PR.AdoptionShare(city.Country)
-	return m.QueriesPerDay(scope, svc) / 24 * share * m.diurnalAt(scope, t)
+	return dnssim.QueryRate{
+		PerHour:  m.QueriesPerDay(scope, svc) / 24 * share,
+		Flat:     m.IsBotPrefix(scope),
+		Activity: m.Users.Activity(scope),
+	}
 }
 
 // OutsourcesResolver reports whether an AS runs no resolver of its own and

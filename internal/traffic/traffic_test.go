@@ -76,10 +76,11 @@ func TestQueryRateDiurnal(t *testing.T) {
 	// Rate integrates to roughly daily count × adoption share.
 	city := m.Top.PrefixCity[p]
 	want := m.QueriesPerDay(p, svc) * m.PR.AdoptionShare(city.Country)
+	rate := m.QueryRate(svc.Domain, p)
 	got := 0.0
 	const step = 0.25
 	simtime.Range(0, 24, step, func(tm simtime.Time) {
-		got += m.PublicResolverQueryRate(svc.Domain, p, tm) * step
+		got += rate.At(tm) * step
 	})
 	if math.Abs(got-want) > 0.02*want {
 		t.Errorf("integrated rate %.1f vs daily %.1f", got, want)
@@ -87,7 +88,7 @@ func TestQueryRateDiurnal(t *testing.T) {
 	// And it varies over the day.
 	lo, hi := math.Inf(1), 0.0
 	simtime.Range(0, 24, 1, func(tm simtime.Time) {
-		r := m.PublicResolverQueryRate(svc.Domain, p, tm)
+		r := rate.At(tm)
 		lo = math.Min(lo, r)
 		hi = math.Max(hi, r)
 	})

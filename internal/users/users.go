@@ -119,19 +119,47 @@ func DiurnalFactor(localHour float64) float64 {
 	return 0.3 + 0.7*s
 }
 
+// DiurnalMean is the day-average of DiurnalFactor.
+const DiurnalMean = 0.65
+
+// Activity is the time-invariant half of one prefix's activity curve: its
+// population and the country whose timezone phases it. Campaigns that sample
+// a prefix at many times resolve it once and call At per sample.
+type Activity struct {
+	// Users is the prefix's population.
+	Users float64
+
+	country geo.Country
+	local   bool // country resolved; otherwise the curve runs on UTC
+}
+
+// Activity resolves a prefix's population and timezone.
+func (m *Model) Activity(p topology.PrefixID) Activity {
+	u := m.PrefixUsers[p]
+	if u == 0 {
+		return Activity{}
+	}
+	c, err := geo.CountryByCode(m.top.PrefixCity[p].Country)
+	return Activity{Users: u, country: c, local: err == nil}
+}
+
+// At returns the instantaneous activity level (active users) at simulated
+// time t.
+func (a Activity) At(t simtime.Time) float64 {
+	if a.Users == 0 {
+		return 0
+	}
+	h := t.UTCHour()
+	if a.local {
+		h = geo.LocalHourAt(a.country, h)
+	}
+	return a.Users * DiurnalFactor(h)
+}
+
 // ActivityAt returns the instantaneous activity level (active users) of a
 // prefix at simulated time t, phased by the prefix's country timezone.
 func (m *Model) ActivityAt(p topology.PrefixID, t simtime.Time) float64 {
-	u := m.PrefixUsers[p]
-	if u == 0 {
-		return 0
-	}
-	city := m.top.PrefixCity[p]
-	c, err := geo.CountryByCode(city.Country)
-	if err != nil {
-		return u * DiurnalFactor(t.UTCHour())
-	}
-	return u * DiurnalFactor(geo.LocalHourAt(c, t.UTCHour()))
+	return m.Activity(p).At(t)
 }
 
 // CountryUsers sums users over each country code.
