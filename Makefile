@@ -14,9 +14,14 @@ vet:
 
 # Project-specific determinism & safety analyzers (internal/analysis).
 # Exit 0 clean, 1 on any diagnostic, 2 on load failure. `-json` emits the
-# same findings as a sorted JSON array (see cmd/itm-lint doc).
+# same findings as a sorted JSON array (see cmd/itm-lint doc). Then the
+# gofmt gate: any file gofmt would rewrite fails the target. testdata/ is
+# exempt — the analyzer fixtures' goldens pin line numbers that gofmt's doc
+# comment reflow would shift.
 lint:
 	$(GO) run ./cmd/itm-lint ./...
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/' || true); \
+	test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 
 # Prove the analyzers still fire: plant one violation per analyzer (all
 # nine) in a throwaway module and assert itm-lint exits 1 with each
@@ -46,10 +51,11 @@ cover:
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 
 # Deterministic performance counters for the serving layer (codec, store,
-# queries) plus the matrix/BGP hot paths and the cache-probing campaigns.
-# Fixed -benchtime keeps iteration counts reproducible; itm-bench drops
-# wall-clock metrics, so the committed BENCH_serve.json only changes when
-# allocation behavior, probe counts or the codec's output actually change.
+# WAL recovery, queries) plus the matrix/BGP hot paths and the cache-probing
+# campaigns. Fixed -benchtime keeps iteration counts reproducible; itm-bench
+# drops wall-clock metrics (those live in benchmark/), so the committed
+# BENCH_serve.json only changes when allocation behavior, probe counts or
+# the codec's output actually change.
 bench:
 	@{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 8x ./internal/mapstore/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkBuildMatrix$$|BenchmarkBuildMatrixSerial$$|BenchmarkComputeAll$$' -benchmem -benchtime 4x . && \
@@ -149,7 +155,9 @@ loadgen-smoke:
 # Crash smoke: boot itm-serve with a WAL, capture the served surface, SIGKILL
 # it, smash a torn tail onto the journal as a power cut would, and verify the
 # restarted server recovers from the journal alone — no world rebuild — with
-# byte-identical epoch listings, map bodies, and ETags. Then saturate the
+# byte-identical epoch listings, map bodies, and ETags. The restart asks for
+# a mesh, which recovery cannot restore: it must say so
+# (serve.mesh_not_recovered), not drop it silently. Then saturate the
 # recovered server (1 slot, no queue) with an unpaced loadgen burst to prove
 # the admission valve sheds visibly, SIGTERM it, and confirm a third boot
 # finds a journal ending exactly on a record boundary.
@@ -167,12 +175,13 @@ crash-smoke:
 	curl -sf -D crash-smoke/h1a.txt 'http://127.0.0.1:8414/v1/map/1?format=binary' -o crash-smoke/map1a.itmb; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
 	printf 'TORNTAIL' >> crash-smoke/wal/journal.itwl; \
-	crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/wal -max-inflight 1 -max-queue 0 2>crash-smoke/events2.log & \
+	crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/wal -mesh-agents 24 -max-inflight 1 -max-queue 0 2>crash-smoke/events2.log & \
 	pid=$$!; \
 	for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8414/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	grep -q 'event=serve.recovered' crash-smoke/events2.log; \
 	grep -q 'truncated_tail_bytes=8' crash-smoke/events2.log; \
 	! grep -q 'event=serve.building' crash-smoke/events2.log; \
+	grep -q 'event=serve.mesh_not_recovered' crash-smoke/events*.log || { echo "crash-smoke: mesh dropped at recovery without a warning"; exit 1; }; \
 	curl -sf http://127.0.0.1:8414/v1/epochs > crash-smoke/epochs2.json; \
 	cmp -s crash-smoke/epochs1.json crash-smoke/epochs2.json || { echo "crash-smoke: /v1/epochs diverged after recovery"; exit 1; }; \
 	curl -sf -D crash-smoke/h0b.txt http://127.0.0.1:8414/v1/map/0 -o crash-smoke/map0b.json; \

@@ -14,9 +14,8 @@
 // With -loadgen it also replays a seeded itm-loadgen mix in-process against
 // a freshly built store and records the client-side deterministic ledger
 // ("Loadgen/counters") plus the server-side response-cache families
-// ("Loadgen/obs", the itm_cache_* counters). The replay's wall-clock ledger
-// (QPS, p50/p99) lands under "Perf/loadgen" — machine-dependent by nature,
-// excluded from CI's byte-identity diff (see the 0_header block).
+// ("Loadgen/obs", the itm_cache_* counters). Wall-clock figures are not
+// this file's business: they are measured by benchmark/ (BENCHMARK.json).
 //
 // With -mesh it builds a mesh-enabled store (vantage fleet campaigns per
 // epoch), replays the user↔user mesh mix against /v1/path + /v1/latency,
@@ -64,11 +63,9 @@ import (
 // makes it sort first under encoding/json's byte-wise key ordering, so the
 // contract reads as a header comment.
 var benchHeader = map[string]string{
-	"_1": "Deterministic bench counters distilled by cmd/itm-bench. Every section except Perf/*",
+	"_1": "Deterministic bench counters distilled by cmd/itm-bench. Every section",
 	"_2": "is a pure function of (code, seeds, -benchtime): allocation counts, campaign/serving/SLO",
 	"_3": "counters, client ledgers. CI regenerates the file and diffs it against this baseline.",
-	"_4": "Perf/* sections are the machine-dependent wall-clock ledgers (QPS, p50/p99 latency) —",
-	"_5": "recorded for trend-watching, explicitly excluded from the CI byte-identity diff.",
 }
 
 // swapFresh isolates one in-process scenario: a fresh observability set and
@@ -164,16 +161,16 @@ func campaignCounters(seed int64) (map[string]float64, error) {
 // the server-side itm_cache_* families. Both are pure functions of (world
 // seed, plan seed, request count): key-affinity sharding keeps them
 // worker-count-invariant.
-func loadgenCounters(seed int64) (client, server map[string]float64, perf loadgen.Perf, err error) {
+func loadgenCounters(seed int64) (client, server map[string]float64, err error) {
 	defer swapFresh()()
 	st, err := experiments.BuildEpochStore(world.Build(world.Tiny(seed)), 3, 0)
 	if err != nil {
-		return nil, nil, perf, err
+		return nil, nil, err
 	}
 	res, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 2000, Workers: 4},
 		loadgen.HandlerDoer{Handler: mapstore.NewHandler(st)})
 	if err != nil {
-		return nil, nil, perf, err
+		return nil, nil, err
 	}
 	server = map[string]float64{}
 	obs.Metrics().Visit(func(name string, labels []obs.Label, value float64) {
@@ -186,7 +183,7 @@ func loadgenCounters(seed int64) (client, server map[string]float64, perf loadge
 		}
 		server[key] = value
 	})
-	return res.Counters.Flat(), server, res.Perf, nil
+	return res.Counters.Flat(), server, nil
 }
 
 // meshCounters builds a mesh-enabled store in-process, replays the mesh
@@ -330,20 +327,13 @@ func main() {
 		results["Campaign/obs"] = vals
 	}
 	if *loadgenRun {
-		client, server, perf, err := loadgenCounters(*loadgenSeed)
+		client, server, err := loadgenCounters(*loadgenSeed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "itm-bench:", err)
 			os.Exit(1)
 		}
 		results["Loadgen/counters"] = client
 		results["Loadgen/obs"] = server
-		// Wall-clock ledger: machine-dependent, excluded from the CI diff.
-		results["Perf/loadgen"] = map[string]float64{
-			"seconds": perf.Seconds,
-			"qps":     perf.QPS,
-			"p50_ms":  perf.P50ms,
-			"p99_ms":  perf.P99ms,
-		}
 	}
 	if *overloadRun {
 		results["Overload/obs"] = overloadCounters()

@@ -39,7 +39,8 @@
 // campaign (agents seeded into eyeball ASes probing each other) and the
 // epoch carries user↔user path/latency sections served at /v1/path and
 // /v1/latency. Mesh sections are not WAL-journaled: a recovered store
-// serves the map routes only.
+// serves the map routes only, and a recovering boot that asked for a mesh
+// says so in a serve.mesh_not_recovered warning.
 package main
 
 import (
@@ -164,11 +165,17 @@ func openStore(o options) (*mapstore.Store, *wal.WAL, error) {
 	if len(rec.Records) > 0 {
 		st, err := mapstore.RecoverStore(w, rec)
 		if err != nil {
+			_ = w.Close() // nothing was appended; the recovery error is the one to report
 			return nil, nil, err
 		}
 		obs.Event(obs.Info, "serve.recovered", "wal", o.walDir,
 			"epochs", len(rec.Records), "snapshot_epochs", rec.SnapshotRecords,
 			"journal_epochs", rec.JournalRecords, "truncated_tail_bytes", rec.TruncatedBytes)
+		if o.meshAgents > 0 {
+			// Mesh sections are not journaled: the recovered store serves the
+			// map routes only, and says so.
+			obs.Event(obs.Warn, "serve.mesh_not_recovered", "agents", o.meshAgents)
+		}
 		return st, w, nil
 	}
 	st := mapstore.NewStore()

@@ -55,10 +55,10 @@ func runSyncAck(p *Pass) {
 type nodeKind int
 
 const (
-	nodePlain nodeKind = iota
-	nodeWrite           // journal write: starts the obligation
-	nodeSync            // fsync: discharges it
-	nodeNilReturn       // nil-error return: must not be reached un-synced
+	nodePlain     nodeKind = iota
+	nodeWrite              // journal write: starts the obligation
+	nodeSync               // fsync: discharges it
+	nodeNilReturn          // nil-error return: must not be reached un-synced
 )
 
 func (p *Pass) checkSyncAck(body *ast.BlockStmt, fileLike *types.Interface) {

@@ -132,7 +132,7 @@ func (m *TrafficMap) Export(w io.Writer) error {
 // the binary codec): required maps are non-nil, optional maps
 // (Coverage/ASConfidence) are nil when empty — matching their omitempty
 // export — and slices are sorted (prefixes numerically where parseable,
-// servers by prefix then host AS, mappings by domain then client AS).
+// servers by LessServer, mappings by domain then client AS).
 func (doc *MapDocument) Normalize() {
 	if doc.PrefixHitRates == nil {
 		doc.PrefixHitRates = map[string]float64{}
@@ -153,14 +153,7 @@ func (doc *MapDocument) Normalize() {
 		return prefixLess(doc.ActivePrefixes[i], doc.ActivePrefixes[j])
 	})
 	sort.Slice(doc.Servers, func(i, j int) bool {
-		a, b := &doc.Servers[i], &doc.Servers[j]
-		if a.Prefix != b.Prefix {
-			return prefixLess(a.Prefix, b.Prefix)
-		}
-		if a.HostAS != b.HostAS {
-			return a.HostAS < b.HostAS
-		}
-		return a.Org < b.Org
+		return LessServer(&doc.Servers[i], &doc.Servers[j])
 	})
 	sort.Slice(doc.Mappings, func(i, j int) bool {
 		a, b := &doc.Mappings[i], &doc.Mappings[j]
@@ -169,6 +162,30 @@ func (doc *MapDocument) Normalize() {
 		}
 		return a.ClientAS < b.ClientAS
 	})
+}
+
+// LessServer is the one canonical server order: the full field tuple
+// (prefix numerically, host AS, owner AS, org, city, country). Normalize
+// sorts by it and the binary codec both encodes in it and rejects input
+// that departs from it, so a decoded document is a Normalize fixed point.
+// Only fully equal servers tie, which is why an unstable sort suffices.
+func LessServer(a, b *ServerDocument) bool {
+	if a.Prefix != b.Prefix {
+		return prefixLess(a.Prefix, b.Prefix)
+	}
+	if a.HostAS != b.HostAS {
+		return a.HostAS < b.HostAS
+	}
+	if a.OwnerAS != b.OwnerAS {
+		return a.OwnerAS < b.OwnerAS
+	}
+	if a.Org != b.Org {
+		return a.Org < b.Org
+	}
+	if a.City != b.City {
+		return a.City < b.City
+	}
+	return a.Country < b.Country
 }
 
 // prefixLess orders CIDR strings by numeric prefix ID where both parse

@@ -201,6 +201,7 @@ func DialWireClient(addr string) (*WireClient, error) {
 // Close releases the client socket. It deliberately skips c.mu: Close
 // must be able to interrupt a roundTrip blocked in conn.Read (which holds
 // the lock), and net.Conn's Close is specified safe for concurrent use.
+//
 //itmlint:allow lockguard Close interrupts a blocked read; net.Conn.Close is concurrency-safe
 func (c *WireClient) Close() error { return c.conn.Close() }
 

@@ -13,7 +13,7 @@ import (
 func withRawOpt(base, rdata []byte) []byte {
 	out := append([]byte(nil), base...)
 	binary.BigEndian.PutUint16(out[10:], binary.BigEndian.Uint16(out[10:])+1)
-	out = append(out, 0)                   // root owner name
+	out = append(out, 0)                          // root owner name
 	out = append(out, 0, 41, 0x10, 0, 0, 0, 0, 0) // TYPE=OPT, class/ttl
 	out = append(out, byte(len(rdata)>>8), byte(len(rdata)))
 	return append(out, rdata...)
@@ -24,7 +24,7 @@ func withRawOpt(base, rdata []byte) []byte {
 // than the family allows.
 func badECSOptions() [][]byte {
 	return [][]byte{
-		{0, 8, 0, 10, 0, 1},               // truncated: olen 10, 2 bytes present
+		{0, 8, 0, 10, 0, 1},                    // truncated: olen 10, 2 bytes present
 		{0, 8, 0, 8, 0, 1, 132, 0, 1, 2, 3, 4}, // oversized: 132 bits of IPv4
 	}
 }

@@ -80,7 +80,7 @@ func TestAdmissionPriorityHandoff(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	enqueue("cold", false)       // arrives first, low lane
+	enqueue("cold", false)        // arrives first, low lane
 	enqueue("revalidation", true) // arrives second, high lane
 
 	close(gate) // slot holder finishes; handoff begins

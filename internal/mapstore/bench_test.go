@@ -3,10 +3,12 @@ package mapstore
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"itmap/internal/core"
+	"itmap/internal/mapstore/wal"
 	"itmap/internal/simtime"
 )
 
@@ -102,6 +104,56 @@ func BenchmarkStoreAppend(b *testing.B) {
 		if _, err := s.Append(0, doc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRecoverStore replays a journal of 16 consecutive-day epochs of
+// the bench world (the wal_recover workload's shape) from an in-memory
+// wal.FS. Decoding runs on one worker, and the collector is off while the
+// clock runs (a collection empties the sync.Pools under fmt and the obs
+// history, which moves allocs/op by a handful — here across a rounding step
+// of the ledger), so allocs/op repeats exactly.
+func BenchmarkRecoverStore(b *testing.B) {
+	const epochs = 16
+	mem := wal.NewMemFS()
+	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: -1}
+	w, _, err := wal.Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewStore()
+	s.AttachWAL(w)
+	for d := 0; d < epochs; d++ {
+		doc := benchDoc(benchPrefixes)
+		doc.ASActivity["64500"] += float64(d)
+		if _, err := s.Append(simtime.Time(d)*simtime.Day, doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w, rec, err := wal.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		s, err := recoverStore(w, rec, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if s.Len() != epochs {
+			b.Fatalf("recovered %d epochs, want %d", s.Len(), epochs)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }
 

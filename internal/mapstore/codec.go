@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"itmap/internal/core"
@@ -37,9 +38,12 @@ import (
 //	          sorted by (domain, client AS)
 //
 // Every section is sorted and every string interned through one sorted
-// table, so the encoding of a document is a pure function of its content:
-// decode followed by re-encode is byte-identical, which the store relies
-// on for structural sharing and E25 relies on for cross-worker parity.
+// table, so the encoding of a document is a pure function of its content,
+// and the decoder accepts nothing but that encoding: decode followed by
+// re-encode is byte-identical. The store relies on it to compare sections
+// of consecutive epochs by their bytes and to adopt journaled bytes at
+// recovery without re-encoding them; E25 relies on it for cross-worker
+// parity.
 
 // Magic identifies an encoded map document.
 var Magic = [4]byte{'I', 'T', 'M', 'B'}
@@ -82,10 +86,48 @@ func codeOf(table []string, s string) (byte, bool) {
 
 const maxPrefixID = 1<<24 - 1
 
+// Wire sections, in the order they follow the header.
+const (
+	wireStrings = iota
+	wireActives
+	wireHitRates
+	wireActivity
+	wireSources
+	wireCoverage
+	wireConfidence
+	wireServers
+	wireMappings
+
+	wireSections
+)
+
+// sectionOffsets records where each wire section starts in an encoded
+// document. Both codec directions walk the sections anyway and note the
+// offsets as they go; the store compares sections of consecutive epochs
+// through them (see shareSections).
+type sectionOffsets [wireSections]int
+
+// span returns the bytes of wire section i of enc: from its offset to the
+// next section's, the last one running to the end of the document.
+func (o *sectionOffsets) span(enc []byte, i int) []byte {
+	end := len(enc)
+	if i+1 < wireSections {
+		end = o[i+1]
+	}
+	return enc[o[i]:end]
+}
+
+// encoding is a document's canonical ITMB bytes with their section offsets.
+type encoding struct {
+	bytes []byte
+	off   sectionOffsets
+}
+
 // --- encoding ---------------------------------------------------------------
 
 type encoder struct {
 	buf []byte
+	off sectionOffsets
 
 	// Reusable scratch (pooled): sort staging for every section plus the
 	// interned string table. Encoding a steady stream of epochs allocates
@@ -127,6 +169,9 @@ func (e *encoder) float(f float64) {
 }
 func (e *encoder) raw(b []byte) { e.buf = append(e.buf, b...) }
 
+// begin records that wire section i starts at the current output position.
+func (e *encoder) begin(i int) { e.off[i] = len(e.buf) }
+
 // prefixEntry is one (prefix, payload) pair of a prefix-keyed section.
 type prefixEntry struct {
 	p topology.PrefixID
@@ -162,8 +207,14 @@ func parseDocPrefix(s string) (topology.PrefixID, error) {
 // encoding, so the output bytes are a pure function of the document's
 // content.
 func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
+	enc, err := encodeDocument(doc)
+	return enc.bytes, err
+}
+
+// encodeDocument is EncodeDocument keeping the section offsets.
+func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	if doc == nil {
-		return nil, fmt.Errorf("%w: nil document", ErrEncode)
+		return encoding{}, fmt.Errorf("%w: nil document", ErrEncode)
 	}
 	e := encPool.Get().(*encoder)
 	defer encPool.Put(e)
@@ -171,13 +222,14 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 	e.raw(Magic[:])
 	e.uvarint(CodecVersion)
 	if doc.Version < 0 {
-		return nil, fmt.Errorf("%w: negative document version", ErrEncode)
+		return encoding{}, fmt.Errorf("%w: negative document version", ErrEncode)
 	}
 	e.uvarint(uint64(doc.Version))
 
 	// String table: every server org/city/country and mapping domain,
 	// deduplicated and sorted. seen and table are pooled and pre-sized by
 	// reuse, so steady-state interning allocates nothing.
+	e.begin(wireStrings)
 	seen := e.seen
 	for i := range doc.Servers {
 		seen[doc.Servers[i].Org] = true
@@ -207,6 +259,7 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 	}
 
 	// Active prefixes.
+	e.begin(wireActives)
 	if cap(e.actives) < len(doc.ActivePrefixes) {
 		e.actives = make([]topology.PrefixID, 0, len(doc.ActivePrefixes))
 	}
@@ -214,7 +267,7 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 	for _, s := range doc.ActivePrefixes {
 		p, err := parseDocPrefix(s)
 		if err != nil {
-			return nil, err
+			return encoding{}, err
 		}
 		actives = append(actives, p)
 	}
@@ -222,7 +275,7 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 	e.actives = actives
 	for i := 1; i < len(actives); i++ {
 		if actives[i] == actives[i-1] {
-			return nil, fmt.Errorf("%w: duplicate active prefix %v", ErrEncode, actives[i])
+			return encoding{}, fmt.Errorf("%w: duplicate active prefix %v", ErrEncode, actives[i])
 		}
 	}
 	e.uvarint(uint64(len(actives)))
@@ -236,38 +289,44 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 		prev = p
 	}
 
-	// Prefix-keyed float and code sections.
+	// Prefix- and ASN-keyed float and code sections.
+	e.begin(wireHitRates)
 	if err := e.prefixFloats(doc.PrefixHitRates); err != nil {
-		return nil, err
+		return encoding{}, err
 	}
+	e.begin(wireActivity)
 	if err := e.asnFloats(doc.ASActivity); err != nil {
-		return nil, err
+		return encoding{}, err
 	}
+	e.begin(wireSources)
 	if err := e.asnCodes(doc.Sources, sourceCodes, "source"); err != nil {
-		return nil, err
+		return encoding{}, err
 	}
+	e.begin(wireCoverage)
 	if err := e.prefixCodes(doc.Coverage, coverageCodes, "coverage"); err != nil {
-		return nil, err
+		return encoding{}, err
 	}
+	e.begin(wireConfidence)
 	if err := e.asnFloats(doc.ASConfidence); err != nil {
-		return nil, err
+		return encoding{}, err
 	}
 
-	// Servers, sorted by the full field tuple so ties on prefix still
-	// have one canonical order.
+	// Servers, in core.LessServer order: the full field tuple, so ties on
+	// prefix still have one canonical order.
+	e.begin(wireServers)
 	if cap(e.servers) < len(doc.Servers) {
 		e.servers = make([]core.ServerDocument, len(doc.Servers))
 	}
 	servers := e.servers[:len(doc.Servers)]
 	copy(servers, doc.Servers)
-	sort.Slice(servers, func(i, j int) bool { return serverTupleLess(&servers[i], &servers[j]) })
+	sort.Slice(servers, func(i, j int) bool { return core.LessServer(&servers[i], &servers[j]) })
 	e.servers = servers
 	e.uvarint(uint64(len(servers)))
 	for i := range servers {
 		s := &servers[i]
 		p, err := parseDocPrefix(s.Prefix)
 		if err != nil {
-			return nil, err
+			return encoding{}, err
 		}
 		e.uvarint(uint64(p))
 		e.uvarint(uint64(s.HostAS))
@@ -279,6 +338,7 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 
 	// Mappings, sorted by (domain, client AS); the key is unique, so
 	// canonical order is strictly ascending.
+	e.begin(wireMappings)
 	if cap(e.mappings) < len(doc.Mappings) {
 		e.mappings = make([]core.MappingDocument, len(doc.Mappings))
 	}
@@ -293,7 +353,7 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 	})
 	for i := 1; i < len(mappings); i++ {
 		if mappings[i].Domain == mappings[i-1].Domain && mappings[i].ClientAS == mappings[i-1].ClientAS {
-			return nil, fmt.Errorf("%w: duplicate mapping key (%s, %d)", ErrEncode, mappings[i].Domain, mappings[i].ClientAS)
+			return encoding{}, fmt.Errorf("%w: duplicate mapping key (%s, %d)", ErrEncode, mappings[i].Domain, mappings[i].ClientAS)
 		}
 	}
 	e.uvarint(uint64(len(mappings)))
@@ -301,7 +361,7 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 		m := &mappings[i]
 		p, err := parseDocPrefix(m.Serving)
 		if err != nil {
-			return nil, err
+			return encoding{}, err
 		}
 		e.uvarint(ref[m.Domain])
 		e.uvarint(uint64(m.ClientAS))
@@ -311,33 +371,9 @@ func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
 	obs.C("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.").Add(uint64(len(e.buf)))
 	// Exact-size clone: the pooled buffer stays with the encoder; callers
 	// retain only their own bytes.
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
+	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off}
+	copy(out.bytes, e.buf)
 	return out, nil
-}
-
-func serverTupleLess(a, b *core.ServerDocument) bool {
-	if a.Prefix != b.Prefix {
-		pa, ea := core.ParsePrefix(a.Prefix)
-		pb, eb := core.ParsePrefix(b.Prefix)
-		if ea == nil && eb == nil {
-			return pa < pb
-		}
-		return a.Prefix < b.Prefix
-	}
-	if a.HostAS != b.HostAS {
-		return a.HostAS < b.HostAS
-	}
-	if a.OwnerAS != b.OwnerAS {
-		return a.OwnerAS < b.OwnerAS
-	}
-	if a.Org != b.Org {
-		return a.Org < b.Org
-	}
-	if a.City != b.City {
-		return a.City < b.City
-	}
-	return a.Country < b.Country
 }
 
 // prefixScratch returns the pooled prefix-entry staging slice, emptied and
@@ -542,7 +578,7 @@ func (d *decoder) str(what string) (string, error) {
 
 // deltaSeq reads a strictly ascending prefix/ASN sequence: first value
 // absolute, then positive deltas. max bounds the final values.
-func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(i int, v uint64) error) error {
+func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) error) error {
 	var cur uint64
 	for i := 0; i < n; i++ {
 		v, err := d.uvarint(what)
@@ -560,125 +596,212 @@ func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(i int, v u
 		if cur > max {
 			return fmt.Errorf("%w: %s value %d out of range", ErrCorrupt, what, cur)
 		}
-		if err := visit(i, cur); err != nil {
+		if err := visit(cur); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// keyArena renders the "a.b.c.0/24" and decimal-ASN keys a document carries
+// into chunks of shared backing text and hands out substrings of them, so
+// decoding allocates per chunk rather than per key. A full chunk is simply
+// left to the keys cut from it.
+type keyArena struct {
+	text  strings.Builder
+	chunk int
+}
+
+const (
+	maxPrefixKeyLen = len("255.255.255.0/24")
+	maxASNKeyLen    = len("4294967295")
+	maxArenaChunk   = 64 << 10
+)
+
+// newKeyArena sizes the chunks for a document of inputLen encoded bytes:
+// about the input's own size, so a small document does not pin a large
+// chunk, up to a cap that keeps the unused tail of a large one's last chunk
+// small next to the document.
+func newKeyArena(inputLen int) keyArena {
+	return keyArena{chunk: min(max(inputLen, maxPrefixKeyLen), maxArenaChunk)}
+}
+
+func (a *keyArena) cut(b []byte) string {
+	if a.text.Cap()-a.text.Len() < len(b) {
+		a.text = strings.Builder{}
+		a.text.Grow(a.chunk)
+	}
+	start := a.text.Len()
+	a.text.Write(b)
+	return a.text.String()[start:]
+}
+
+// prefix renders a prefix ID as topology.PrefixID.String does, into the
+// arena instead of a string of its own.
+func (a *keyArena) prefix(p uint64) string {
+	var tmp [maxPrefixKeyLen]byte
+	return a.cut(topology.PrefixID(p).Prefix().AppendTo(tmp[:0]))
+}
+
+// asn renders an ASN exactly as strconv.FormatUint(v, 10) does.
+func (a *keyArena) asn(v uint64) string {
+	var tmp [maxASNKeyLen]byte
+	return a.cut(strconv.AppendUint(tmp[:0], v, 10))
+}
+
 // DecodeDocument parses ITMB bytes back into a map document. The result is
-// canonical (sorted sections, nil empty optional maps), so re-encoding it
-// reproduces the input bytes exactly. Corrupted, truncated, or oversized
-// inputs return a typed error; decoding never panics.
+// canonical (sorted sections, nil empty optional maps): re-encoding it
+// reproduces the input bytes exactly and Normalize leaves it unchanged.
+// Corrupted, truncated, or oversized inputs return a typed error; decoding
+// never panics. The input is not retained.
 func DecodeDocument(data []byte) (*core.MapDocument, error) {
-	d := &decoder{buf: data}
+	doc, _, err := decodeDocument(data)
+	return doc, err
+}
+
+// decodeDocument is DecodeDocument keeping the section offsets; the
+// returned encoding aliases data.
+func decodeDocument(data []byte) (*core.MapDocument, encoding, error) {
+	doc, enc := &core.MapDocument{}, encoding{bytes: data}
+	if err := decodeInto(doc, &enc); err != nil {
+		return nil, encoding{}, err
+	}
+	return doc, enc, nil
+}
+
+func decodeInto(doc *core.MapDocument, enc *encoding) error {
+	d := &decoder{buf: enc.bytes}
 	if d.remaining() < len(Magic) {
-		return nil, fmt.Errorf("%w: input shorter than magic", ErrTruncated)
+		return fmt.Errorf("%w: input shorter than magic", ErrTruncated)
 	}
 	if string(d.buf[:len(Magic)]) != string(Magic[:]) {
-		return nil, ErrMagic
+		return ErrMagic
 	}
 	d.pos = len(Magic)
 	cv, err := d.uvarint("codec version")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if cv != CodecVersion {
-		return nil, fmt.Errorf("%w: codec version %d", ErrVersion, cv)
+		return fmt.Errorf("%w: codec version %d", ErrVersion, cv)
 	}
 	dv, err := d.uvarint("document version")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if dv > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: document version %d", ErrVersion, dv)
+		return fmt.Errorf("%w: document version %d", ErrVersion, dv)
 	}
-	doc := &core.MapDocument{
-		Version:        int(dv),
-		PrefixHitRates: map[string]float64{},
-		ASActivity:     map[string]float64{},
-		Sources:        map[string]string{},
-	}
+	doc.Version = int(dv)
 
 	// String table.
+	enc.off[wireStrings] = d.pos
 	nStr, err := d.count("string table", 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	table := make([]string, nStr)
 	for i := range table {
 		s, err := d.str("string table entry")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if i > 0 && s <= table[i-1] {
-			return nil, fmt.Errorf("%w: string table not strictly sorted", ErrCorrupt)
+			return fmt.Errorf("%w: string table not strictly sorted", ErrCorrupt)
 		}
 		table[i] = s
 	}
 	used := make([]bool, len(table))
-	lookup := func(what string, idx uint64) (string, error) {
+	// ref reads one string-table reference.
+	ref := func(what string) (uint64, string, error) {
+		idx, err := d.uvarint(what)
+		if err != nil {
+			return 0, "", err
+		}
 		if idx >= uint64(len(table)) {
-			return "", fmt.Errorf("%w: %s string ref %d out of table", ErrCorrupt, what, idx)
+			return 0, "", fmt.Errorf("%w: %s string ref %d out of table", ErrCorrupt, what, idx)
 		}
 		used[idx] = true
-		return table[idx], nil
+		return idx, table[idx], nil
 	}
+	keys := newKeyArena(len(enc.bytes))
 
 	// Active prefixes.
+	enc.off[wireActives] = d.pos
 	n, err := d.count("active prefixes", 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if n > 0 {
 		doc.ActivePrefixes = make([]string, 0, n)
 	}
-	err = d.deltaSeq("active prefix", n, maxPrefixID, func(_ int, v uint64) error {
-		doc.ActivePrefixes = append(doc.ActivePrefixes, topology.PrefixID(v).String())
+	activeIDs := make([]uint32, 0, n)
+	err = d.deltaSeq("active prefix", n, maxPrefixID, func(v uint64) error {
+		activeIDs = append(activeIDs, uint32(v))
+		doc.ActivePrefixes = append(doc.ActivePrefixes, keys.prefix(v))
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
+	}
+	// prefixKey is the key for the next prefix of a prefix-keyed section.
+	// Those sections are keyed by (mostly) active prefixes and ascend as the
+	// actives do, so a cursor finds the active prefix's own string to reuse;
+	// any other prefix gets fresh arena text.
+	cursor := 0
+	prefixKey := func(v uint64) string {
+		for cursor < len(activeIDs) && uint64(activeIDs[cursor]) < v {
+			cursor++
+		}
+		if cursor < len(activeIDs) && uint64(activeIDs[cursor]) == v {
+			return doc.ActivePrefixes[cursor]
+		}
+		return keys.prefix(v)
 	}
 
 	// Prefix hit rates.
+	enc.off[wireHitRates] = d.pos
 	if n, err = d.count("prefix hit rates", 9); err != nil {
-		return nil, err
+		return err
 	}
-	err = d.deltaSeq("hit-rate prefix", n, maxPrefixID, func(_ int, v uint64) error {
+	doc.PrefixHitRates = make(map[string]float64, n)
+	err = d.deltaSeq("hit-rate prefix", n, maxPrefixID, func(v uint64) error {
 		f, err := d.float("hit-rate value")
 		if err != nil {
 			return err
 		}
-		doc.PrefixHitRates[topology.PrefixID(v).String()] = f
+		doc.PrefixHitRates[prefixKey(v)] = f
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// AS activity.
+	enc.off[wireActivity] = d.pos
 	if n, err = d.count("AS activity", 9); err != nil {
-		return nil, err
+		return err
 	}
-	err = d.deltaSeq("activity ASN", n, math.MaxUint32, func(_ int, v uint64) error {
+	doc.ASActivity = make(map[string]float64, n)
+	err = d.deltaSeq("activity ASN", n, math.MaxUint32, func(v uint64) error {
 		f, err := d.float("activity value")
 		if err != nil {
 			return err
 		}
-		doc.ASActivity[strconv.FormatUint(v, 10)] = f
+		doc.ASActivity[keys.asn(v)] = f
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Sources.
+	enc.off[wireSources] = d.pos
 	if n, err = d.count("sources", 2); err != nil {
-		return nil, err
+		return err
 	}
-	err = d.deltaSeq("source ASN", n, math.MaxUint32, func(_ int, v uint64) error {
+	doc.Sources = make(map[string]string, n)
+	err = d.deltaSeq("source ASN", n, math.MaxUint32, func(v uint64) error {
 		c, err := d.byteVal("source code")
 		if err != nil {
 			return err
@@ -686,21 +809,23 @@ func DecodeDocument(data []byte) (*core.MapDocument, error) {
 		if int(c) >= len(sourceCodes) {
 			return fmt.Errorf("%w: source code %d", ErrCorrupt, c)
 		}
-		doc.Sources[strconv.FormatUint(v, 10)] = sourceCodes[c]
+		doc.Sources[keys.asn(v)] = sourceCodes[c]
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Coverage.
+	enc.off[wireCoverage] = d.pos
 	if n, err = d.count("coverage", 2); err != nil {
-		return nil, err
+		return err
 	}
 	if n > 0 {
 		doc.Coverage = make(map[string]string, n)
 	}
-	err = d.deltaSeq("coverage prefix", n, maxPrefixID, func(_ int, v uint64) error {
+	cursor = 0
+	err = d.deltaSeq("coverage prefix", n, maxPrefixID, func(v uint64) error {
 		c, err := d.byteVal("coverage code")
 		if err != nil {
 			return err
@@ -708,134 +833,126 @@ func DecodeDocument(data []byte) (*core.MapDocument, error) {
 		if int(c) >= len(coverageCodes) {
 			return fmt.Errorf("%w: coverage code %d", ErrCorrupt, c)
 		}
-		doc.Coverage[topology.PrefixID(v).String()] = coverageCodes[c]
+		doc.Coverage[prefixKey(v)] = coverageCodes[c]
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// AS confidence.
+	enc.off[wireConfidence] = d.pos
 	if n, err = d.count("AS confidence", 9); err != nil {
-		return nil, err
+		return err
 	}
 	if n > 0 {
 		doc.ASConfidence = make(map[string]float64, n)
 	}
-	err = d.deltaSeq("confidence ASN", n, math.MaxUint32, func(_ int, v uint64) error {
+	err = d.deltaSeq("confidence ASN", n, math.MaxUint32, func(v uint64) error {
 		f, err := d.float("confidence value")
 		if err != nil {
 			return err
 		}
-		doc.ASConfidence[strconv.FormatUint(v, 10)] = f
+		doc.ASConfidence[keys.asn(v)] = f
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Servers.
+	enc.off[wireServers] = d.pos
 	if n, err = d.count("servers", 6); err != nil {
-		return nil, err
+		return err
 	}
 	if n > 0 {
-		doc.Servers = make([]core.ServerDocument, 0, n)
+		doc.Servers = make([]core.ServerDocument, n)
 	}
-	for i := 0; i < n; i++ {
-		var s core.ServerDocument
+	for i := range doc.Servers {
+		s := &doc.Servers[i]
 		p, err := d.uvarint("server prefix")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if p > maxPrefixID {
-			return nil, fmt.Errorf("%w: server prefix %d out of range", ErrCorrupt, p)
+			return fmt.Errorf("%w: server prefix %d out of range", ErrCorrupt, p)
 		}
-		s.Prefix = topology.PrefixID(p).String()
+		s.Prefix = keys.prefix(p)
 		host, err := d.uvarint("server host AS")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		owner, err := d.uvarint("server owner AS")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if host > math.MaxUint32 || owner > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: server AS out of range", ErrCorrupt)
+			return fmt.Errorf("%w: server AS out of range", ErrCorrupt)
 		}
 		s.HostAS, s.OwnerAS = uint32(host), uint32(owner)
-		for _, f := range []struct {
-			what string
-			dst  *string
-		}{{"server org", &s.Org}, {"server city", &s.City}, {"server country", &s.Country}} {
-			idx, err := d.uvarint(f.what)
-			if err != nil {
-				return nil, err
-			}
-			if *f.dst, err = lookup(f.what, idx); err != nil {
-				return nil, err
-			}
+		if _, s.Org, err = ref("server org"); err != nil {
+			return err
 		}
-		if i > 0 {
-			prev := &doc.Servers[i-1]
-			if serverTupleLess(&s, prev) {
-				return nil, fmt.Errorf("%w: servers not in canonical order", ErrCorrupt)
-			}
+		if _, s.City, err = ref("server city"); err != nil {
+			return err
 		}
-		doc.Servers = append(doc.Servers, s)
+		if _, s.Country, err = ref("server country"); err != nil {
+			return err
+		}
+		if i > 0 && core.LessServer(s, &doc.Servers[i-1]) {
+			return fmt.Errorf("%w: servers not in canonical order", ErrCorrupt)
+		}
 	}
 
 	// Mappings.
+	enc.off[wireMappings] = d.pos
 	if n, err = d.count("mappings", 3); err != nil {
-		return nil, err
+		return err
 	}
 	if n > 0 {
-		doc.Mappings = make([]core.MappingDocument, 0, n)
+		doc.Mappings = make([]core.MappingDocument, n)
 	}
 	var prevDom uint64
 	var prevAS uint32
-	for i := 0; i < n; i++ {
-		var m core.MappingDocument
-		dom, err := d.uvarint("mapping domain")
-		if err != nil {
-			return nil, err
-		}
-		if m.Domain, err = lookup("mapping domain", dom); err != nil {
-			return nil, err
+	for i := range doc.Mappings {
+		m := &doc.Mappings[i]
+		var dom uint64
+		if dom, m.Domain, err = ref("mapping domain"); err != nil {
+			return err
 		}
 		cas, err := d.uvarint("mapping client AS")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cas > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: mapping client AS out of range", ErrCorrupt)
+			return fmt.Errorf("%w: mapping client AS out of range", ErrCorrupt)
 		}
 		m.ClientAS = uint32(cas)
 		p, err := d.uvarint("mapping serving prefix")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if p > maxPrefixID {
-			return nil, fmt.Errorf("%w: mapping serving prefix out of range", ErrCorrupt)
+			return fmt.Errorf("%w: mapping serving prefix out of range", ErrCorrupt)
 		}
-		m.Serving = topology.PrefixID(p).String()
+		m.Serving = keys.prefix(p)
 		if i > 0 && (dom < prevDom || (dom == prevDom && m.ClientAS <= prevAS)) {
-			return nil, fmt.Errorf("%w: mappings not in canonical order", ErrCorrupt)
+			return fmt.Errorf("%w: mappings not in canonical order", ErrCorrupt)
 		}
 		prevDom, prevAS = dom, m.ClientAS
-		doc.Mappings = append(doc.Mappings, m)
 	}
 
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
-	// An unreferenced table entry would vanish on re-encode, breaking the
-	// decode→re-encode byte-identity the store's sharing checks rely on —
-	// canonical inputs never carry one.
+	// An unreferenced table entry would vanish on re-encode, so the input
+	// would not be the canonical encoding of the document it decodes to —
+	// and recovery adopts accepted input as exactly that.
 	for i, u := range used {
 		if !u {
-			return nil, fmt.Errorf("%w: unreferenced string table entry %d", ErrCorrupt, i)
+			return fmt.Errorf("%w: unreferenced string table entry %d", ErrCorrupt, i)
 		}
 	}
-	obs.C("itm_codec_decoded_bytes_total", "ITMB bytes consumed by successful document decodes.").Add(uint64(len(data)))
-	return doc, nil
+	obs.C("itm_codec_decoded_bytes_total", "ITMB bytes consumed by successful document decodes.").Add(uint64(len(enc.bytes)))
+	return nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"itmap/internal/core"
+	"itmap/internal/topology"
 )
 
 // sampleDoc builds a small hand-written document covering every section.
@@ -170,5 +172,64 @@ func TestCodecSmallerThanJSON(t *testing.T) {
 	}
 	if len(enc) >= js.Len() {
 		t.Errorf("binary %dB not smaller than JSON %dB", len(enc), js.Len())
+	}
+}
+
+// TestDecodeIsNormalizeFixedPoint pins the property that licenses skipping
+// Normalize on adopted bytes: what the decoder returns, Normalize leaves
+// deep-equal. The tie case is the one that used to break it — 32 servers
+// agreeing on (prefix, host AS, org), which Normalize once sorted by alone,
+// unstably, while the codec ordered them by the full tuple.
+func TestDecodeIsNormalizeFixedPoint(t *testing.T) {
+	tied := sampleDoc()
+	for i := 0; i < 32; i++ {
+		tied.Servers = append(tied.Servers, core.ServerDocument{
+			Prefix: "9.9.7.0/24", HostAS: 64500, OwnerAS: uint32(64600 - i), Org: "HyperGiant",
+			City: []string{"Paris", "Lagos"}[i%2], Country: []string{"FR", "NG"}[i%2],
+		})
+	}
+	for name, doc := range map[string]*core.MapDocument{
+		"sample": sampleDoc(), "empty": {Version: 1}, "bench": benchDoc(2000), "tied servers": tied,
+	} {
+		enc, err := EncodeDocument(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := DecodeDocument(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := DecodeDocument(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got.Normalize()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Normalize changed a decoded document", name)
+		}
+		// And Normalize alone reaches the codec's order from any input order.
+		doc.Normalize()
+		if !reflect.DeepEqual(doc.Servers, want.Servers) && len(want.Servers) > 0 {
+			t.Errorf("%s: Normalize and the codec order servers differently", name)
+		}
+	}
+}
+
+// TestKeyArenaMatchesStdlib holds the arena-backed keys to the stdlib
+// renderings they stand in for, at the digit-count edges. The arena is
+// sized for a tiny input, so it rolls over to a fresh chunk every key or
+// two, and the keys are read back only at the end: a rollover must leave
+// the keys already cut intact.
+func TestKeyArenaMatchesStdlib(t *testing.T) {
+	keys := newKeyArena(0)
+	var got, want []string
+	for _, p := range []uint64{0, 9, 10, 99, 100, 255, 256, 1 << 16, maxPrefixID} {
+		got, want = append(got, keys.prefix(p)), append(want, topology.PrefixID(p).String())
+	}
+	for _, v := range []uint64{0, 9, 10, 64500, 99999, 100000, 1<<32 - 1} {
+		got, want = append(got, keys.asn(v)), append(want, strconv.FormatUint(v, 10))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("arena keys %q, want %q", got, want)
 	}
 }

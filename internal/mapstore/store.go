@@ -1,8 +1,8 @@
 package mapstore
 
 import (
+	"bytes"
 	"fmt"
-	"maps"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -30,8 +30,11 @@ type Epoch struct {
 	// epoch's are shared structurally (same backing arrays), so a stable
 	// infrastructure costs nothing per epoch.
 	Doc *core.MapDocument
-	// Encoded is the document in the ITMB binary format. The binary API
-	// route serves this slice directly — zero copies, zero re-encodes.
+	// Encoded is the document in the ITMB binary format: what EncodeDocument
+	// produced at ingest, or, for an epoch recovered from the WAL, the
+	// journaled record payload itself (adopted, not re-encoded; it aliases
+	// the file image the WAL holds). The binary API route serves this slice
+	// directly — zero copies, zero re-encodes.
 	Encoded []byte
 	// ETag is the strong entity tag for responses scoped to this epoch,
 	// derived from the canonical encoding (so it is byte-identical across
@@ -52,6 +55,10 @@ type Epoch struct {
 	MeshEncoded []byte
 	MeshETag    string
 	MeshShared  bool
+
+	// off locates the wire sections inside Encoded; the next append
+	// compares its own sections against them (see shareSections).
+	off sectionOffsets
 
 	// mx optionally carries the ground-truth matrix snapshot for
 	// link-load queries (dense views preferred), and top the topology
@@ -189,41 +196,47 @@ func (s *Store) Latest() *Epoch {
 // the ground-truth matrix snapshot enabling link-load queries (the matrix's
 // link index must come from m.Top's dense AS index).
 func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix) (*Epoch, error) {
-	return s.append(at, m.Document(), mx, m.Top, nil)
+	return s.append(at, m.Document(), nil, mx, m.Top, nil)
 }
 
 // AppendMapMesh is AppendMap plus the epoch's user↔user mesh matrix, as
 // produced by a vantage campaign. The mesh is normalized; the caller must
 // not mutate it afterwards.
 func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix, mesh *core.MeshDocument) (*Epoch, error) {
-	return s.append(at, m.Document(), mx, m.Top, mesh)
+	return s.append(at, m.Document(), nil, mx, m.Top, mesh)
 }
 
 // Append ingests a serialized map document (e.g. an imported JSON export or
 // a decoded ITMB blob). The document is normalized; the caller must not
 // mutate it afterwards.
 func (s *Store) Append(at simtime.Time, doc *core.MapDocument) (*Epoch, error) {
-	return s.append(at, doc, nil, nil, nil)
+	return s.append(at, doc, nil, nil, nil, nil)
 }
 
 // AppendMesh ingests a serialized map document together with a mesh matrix
 // (decoded ITMB blobs, tests).
 func (s *Store) AppendMesh(at simtime.Time, doc *core.MapDocument, mesh *core.MeshDocument) (*Epoch, error) {
-	return s.append(at, doc, nil, nil, mesh)
+	return s.append(at, doc, nil, nil, nil, mesh)
 }
 
-func (s *Store) append(at simtime.Time, doc *core.MapDocument, mx *traffic.Matrix, top *topology.Topology, mesh *core.MeshDocument) (*Epoch, error) {
+// append is the one ingest path. canon, when non-nil, is the encoding doc
+// was just strictly decoded from (recovery): the decoder only accepts the
+// canonical encoding of the document it returns — a Normalize fixed point
+// that re-encodes to the same bytes — so the bytes in hand are adopted and
+// neither step is repeated. Every other caller passes nil.
+func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, mx *traffic.Matrix, top *topology.Topology, mesh *core.MeshDocument) (*Epoch, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("mapstore: nil document")
 	}
-	doc.Normalize()
+	if canon == nil {
+		doc.Normalize()
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
 	e := &Epoch{ID: len(old.epochs), At: at, Doc: doc, mx: mx, top: top, cache: newResponseCache()}
 	var prev *Epoch
-	var shared uint
 	if len(old.epochs) > 0 {
 		// Epoch times must advance strictly: a sweep re-ingested at the
 		// same simulated time is a caller bug, not a new epoch.
@@ -231,19 +244,23 @@ func (s *Store) append(at simtime.Time, doc *core.MapDocument, mx *traffic.Matri
 		if !prev.At.Before(at) {
 			return nil, fmt.Errorf("mapstore: epoch time %v does not advance past %v", at, prev.At)
 		}
-		shared = shareSections(doc, prev.Doc)
-		e.SharedSections = bits.OnesCount(shared)
 	}
-	if shared == secAll {
-		// Identical re-ingest: the canonical encoding is a pure function of
-		// the document, so the previous epoch's bytes serve verbatim.
-		e.Encoded = prev.Encoded
-	} else {
-		enc, err := EncodeDocument(doc)
+	if canon == nil {
+		enc, err := encodeDocument(doc)
 		if err != nil {
 			return nil, err
 		}
-		e.Encoded = enc
+		canon = &enc
+	}
+	e.Encoded, e.off = canon.bytes, canon.off
+	var shared uint
+	if prev != nil {
+		shared = shareSections(e, prev)
+		e.SharedSections = bits.OnesCount(shared)
+		if bytes.Equal(e.Encoded, prev.Encoded) {
+			// Identical re-ingest: one copy of the bytes serves both epochs.
+			e.Encoded = prev.Encoded
+		}
 	}
 	e.ETag = epochETag(e.ID, e.Encoded)
 	if shared&secUsers == secUsers {
@@ -333,42 +350,53 @@ func (e *Epoch) prebake(prev *Epoch) {
 // epochBytesBuckets spans tiny test worlds through full-scale documents.
 var epochBytesBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 
-// shareSections replaces sections of doc that are equal to prev's with
-// prev's backing arrays/maps, so consecutive epochs of a stable map share
-// storage. Returns the bitmask of shared sections; ingest uses it to reuse
-// the derived indexes whose inputs did not change.
-func shareSections(doc, prev *core.MapDocument) uint {
+// shareSections replaces the sections of e's document that are equal to
+// prev's with prev's backing arrays/maps, so consecutive epochs of a stable
+// map share storage. Returns the bitmask of shared sections; ingest uses it
+// to reuse the derived indexes whose inputs did not change.
+//
+// Equality is defined on the canonical encoding. The six numeric sections
+// hold nothing but sorted keys and payloads, and each has exactly one
+// canonical encoding, so two of them are equal iff their byte spans are.
+// Servers and mappings refer into the document's string table by index:
+// their spans mean nothing apart from the table, so they compare as
+// decoded values.
+func shareSections(e, prev *Epoch) uint {
+	doc, pdoc := e.Doc, prev.Doc
+	same := func(wire int) bool {
+		return bytes.Equal(e.off.span(e.Encoded, wire), prev.off.span(prev.Encoded, wire))
+	}
 	var shared uint
-	if slices.Equal(doc.ActivePrefixes, prev.ActivePrefixes) {
-		doc.ActivePrefixes = prev.ActivePrefixes
+	if same(wireActives) {
+		doc.ActivePrefixes = pdoc.ActivePrefixes
 		shared |= secActives
 	}
-	if maps.Equal(doc.PrefixHitRates, prev.PrefixHitRates) {
-		doc.PrefixHitRates = prev.PrefixHitRates
+	if same(wireHitRates) {
+		doc.PrefixHitRates = pdoc.PrefixHitRates
 		shared |= secHitRates
 	}
-	if maps.Equal(doc.ASActivity, prev.ASActivity) {
-		doc.ASActivity = prev.ASActivity
+	if same(wireActivity) {
+		doc.ASActivity = pdoc.ASActivity
 		shared |= secActivity
 	}
-	if maps.Equal(doc.Sources, prev.Sources) {
-		doc.Sources = prev.Sources
+	if same(wireSources) {
+		doc.Sources = pdoc.Sources
 		shared |= secSources
 	}
-	if maps.Equal(doc.Coverage, prev.Coverage) {
-		doc.Coverage = prev.Coverage
+	if same(wireCoverage) {
+		doc.Coverage = pdoc.Coverage
 		shared |= secCoverage
 	}
-	if maps.Equal(doc.ASConfidence, prev.ASConfidence) {
-		doc.ASConfidence = prev.ASConfidence
+	if same(wireConfidence) {
+		doc.ASConfidence = pdoc.ASConfidence
 		shared |= secConfidence
 	}
-	if slices.Equal(doc.Servers, prev.Servers) {
-		doc.Servers = prev.Servers
+	if slices.Equal(doc.Servers, pdoc.Servers) {
+		doc.Servers = pdoc.Servers
 		shared |= secServers
 	}
-	if slices.Equal(doc.Mappings, prev.Mappings) {
-		doc.Mappings = prev.Mappings
+	if slices.Equal(doc.Mappings, pdoc.Mappings) {
+		doc.Mappings = pdoc.Mappings
 		shared |= secMappings
 	}
 	return shared

@@ -60,9 +60,9 @@ func (OSFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 }
 
-func (OSFS) Rename(oldname, newname string) error     { return os.Rename(oldname, newname) }
-func (OSFS) Truncate(name string, size int64) error   { return os.Truncate(name, size) }
-func (OSFS) Remove(name string) error                 { return os.Remove(name) }
+func (OSFS) Rename(oldname, newname string) error   { return os.Rename(oldname, newname) }
+func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
+func (OSFS) Remove(name string) error               { return os.Remove(name) }
 
 func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(filepath.Clean(dir))
@@ -107,6 +107,7 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 }
 
 // file returns (creating on demand) the named file's record.
+//
 //itm:locked mu
 func (m *MemFS) file(name string, truncate bool) *memFile {
 	f := m.files[name]

@@ -314,6 +314,7 @@ func Open(opts Options) (*WAL, *Recovery, error) {
 // openJournal (re)opens the append handle, writing the file header when the
 // journal is empty (or was truncated below a whole header). The caller
 // guarantees exclusive access: Open owns the still-unshared WAL.
+//
 //itm:locked mu
 func (w *WAL) openJournal(needHeader bool) error {
 	if needHeader && w.journalSize < int64(headerSize) {
@@ -402,6 +403,7 @@ func (w *WAL) Append(at simtime.Time, payload []byte) error {
 // last whole record and the handle reopened, so the torn bytes the failed
 // write may have landed can never replay. An unrepairable rollback poisons
 // the WAL — better no appends than silent divergence.
+//
 //itm:locked mu
 func (w *WAL) rollback(cause error) error {
 	_ = w.journal.Close()

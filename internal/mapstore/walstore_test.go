@@ -52,13 +52,15 @@ func driveFixedRequests(t *testing.T, s *Store) map[string]string {
 // stripWALLines removes the replay-only families from a stable exposition.
 // They are the legitimate divergences across a crash: the original process
 // counted journal appends where the recovered one counts replays, and
-// replay decodes each journaled document where the original encoded them.
-// Everything else — mapstore, cache, admission, HTTP counters — must match
-// exactly.
+// replay decodes each journaled document where the original encoded them —
+// the recovered process adopts the journaled bytes, encodes nothing, and
+// must not claim it did. Everything else — mapstore, cache, admission, HTTP
+// counters — must match exactly.
 func stripWALLines(exposition string) string {
 	var b strings.Builder
 	for _, line := range strings.Split(exposition, "\n") {
-		if strings.Contains(line, "itm_wal_") || strings.Contains(line, "itm_codec_decoded_bytes_total") {
+		if strings.Contains(line, "itm_wal_") || strings.Contains(line, "itm_codec_decoded_bytes_total") ||
+			strings.Contains(line, "itm_codec_encoded_bytes_total") {
 			continue
 		}
 		b.WriteString(line)
@@ -136,6 +138,9 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 		if after[p] != want {
 			t.Errorf("response identity broken for %s:\n pre-crash: %.120q\n recovered: %.120q", p, want, after[p])
 		}
+	}
+	if n := obs.C("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.").Value(); n != 0 {
+		t.Errorf("recovered process reports %d encoded bytes; it adopts the journaled bytes and encodes nothing", n)
 	}
 	stableAfter := stripWALLines(obs.Metrics().StableExposition())
 	if stableAfter != stableBefore {

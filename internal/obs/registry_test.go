@@ -67,9 +67,9 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", "h.", []float64{1, 2})
 	h.Observe(0.5)
-	h.Observe(1)   // le="1" is inclusive
+	h.Observe(1) // le="1" is inclusive
 	h.Observe(1.5)
-	h.Observe(3)   // +Inf bucket
+	h.Observe(3) // +Inf bucket
 	if h.Count() != 4 {
 		t.Fatalf("count = %d, want 4", h.Count())
 	}

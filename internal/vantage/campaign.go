@@ -235,12 +235,12 @@ type shardState struct {
 
 // Metric help strings.
 const (
-	helpAgents    = "Mesh agents placed into eyeball ASes across campaigns."
-	helpScheduled = "Per-round mesh agent activations scheduled."
-	helpCompleted = "Per-round mesh agent activations completed."
-	helpRounds    = "Mesh campaign rounds run."
-	helpPings     = "Mesh RTT pings issued, by outcome."
-	helpTraces    = "Mesh traceroutes issued (including retries)."
+	helpAgents     = "Mesh agents placed into eyeball ASes across campaigns."
+	helpScheduled  = "Per-round mesh agent activations scheduled."
+	helpCompleted  = "Per-round mesh agent activations completed."
+	helpRounds     = "Mesh campaign rounds run."
+	helpPings      = "Mesh RTT pings issued, by outcome."
+	helpTraces     = "Mesh traceroutes issued (including retries)."
 	helpPairs      = "AS pairs materialized into mesh matrices."
 	helpIncomplete = "AS pairs materialized without a complete traceroute path."
 )
