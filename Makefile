@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-selftest test race cover bench bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
+.PHONY: all build vet lint lint-selftest test race cover bench bench-build bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
 
 all: build vet lint lint-selftest test crash-smoke
 
@@ -63,6 +63,15 @@ bench:
 	| tee bench_serve.out
 	$(GO) run ./cmd/itm-bench -campaign -loadgen -overload -mesh -slo -o BENCH_serve.json < bench_serve.out
 	@rm -f bench_serve.out
+
+# benchmark/ is a module of its own, outside `go build ./...`: vet it, run
+# its unit tests and compile its in-process tracer, which calls into
+# internal/... and is otherwise only built by a `--trace 1` benchmark run —
+# so a signature change that breaks it fails here, not in a traced session.
+# Offline: the module's only dependency is the `replace`d root.
+bench-build:
+	cd benchmark && $(GO) vet . ./clock ./compare ./spans ./stats && \
+		$(GO) test -short ./... && $(GO) build -o /dev/null ./_tracer
 
 # The full benchmark suite (every paper artifact + substrate + ablations).
 bench-all:

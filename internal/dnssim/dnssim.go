@@ -68,14 +68,27 @@ func (q QueryRate) At(t simtime.Time) float64 {
 
 // diurnal is the instantaneous activity multiplier (mean 1 over a day).
 func (q QueryRate) diurnal(t simtime.Time) float64 {
-	if q.Flat {
-		return 1
+	if m, ok := q.steady(); ok {
+		return m
 	}
-	u := q.Activity.Users
-	if u == 0 {
-		return 0
+	return q.swing(q.Activity.At(t))
+}
+
+// steady reports whether the multiplier is the same at every instant — a
+// flat source, or a scope nobody lives in — and if so, its value.
+func (q QueryRate) steady() (float64, bool) {
+	switch {
+	case q.Flat:
+		return 1, true
+	case q.Activity.Users == 0:
+		return 0, true
 	}
-	return q.Activity.At(t) / u / users.DiurnalMean
+	return 0, false
+}
+
+// swing normalizes an activity level of the scope to the multiplier.
+func (q QueryRate) swing(active float64) float64 {
+	return active / q.Activity.Users / users.DiurnalMean
 }
 
 // PublicResolver models the public DNS service ("GPDNS" in comments).
@@ -93,7 +106,7 @@ type PublicResolver struct {
 
 	homeMu sync.RWMutex
 	//itm:guardedby homeMu
-	home map[topology.PrefixID]int // prefix -> PoP ID
+	home map[geo.Coord]int // city coordinate -> nearest PoP's ID
 }
 
 // NewPublicResolver places PoPs at every region hub and in every country
@@ -104,7 +117,7 @@ func NewPublicResolver(top *topology.Topology, cat *services.Catalog, owner topo
 		cat:   cat,
 		seed:  uint64(seed),
 		Owner: owner,
-		home:  map[topology.PrefixID]int{},
+		home:  map[geo.Coord]int{},
 	}
 	seen := map[string]bool{}
 	addPoP := func(city geo.City) {
@@ -161,18 +174,21 @@ func (pr *PublicResolver) FaultPlan() *faults.Plan { return pr.faults }
 func (pr *PublicResolver) Catalog() *services.Catalog { return pr.cat }
 
 // HomePoP returns the PoP that serves clients in the given prefix (the
-// nearest PoP; clients reach the resolver via anycast). Safe for concurrent
-// use: probing campaigns fan out across goroutines.
+// nearest PoP; clients reach the resolver via anycast), or nil for a prefix
+// the topology places nowhere. The answer depends only on where the prefix
+// is, so it is memoized per city coordinate: a world's prefixes sit in a few
+// dozen cities, and the PoP list is fixed at construction. Safe for
+// concurrent use: probing campaigns fan out across goroutines.
 func (pr *PublicResolver) HomePoP(p topology.PrefixID) *PoP {
-	pr.homeMu.RLock()
-	id, ok := pr.home[p]
-	pr.homeMu.RUnlock()
-	if ok {
-		return pr.PoPs[id]
-	}
 	city, ok := pr.top.PrefixCity[p]
 	if !ok {
 		return nil
+	}
+	pr.homeMu.RLock()
+	id, ok := pr.home[city.Coord]
+	pr.homeMu.RUnlock()
+	if ok {
+		return pr.PoPs[id]
 	}
 	best, bestDist := 0, math.Inf(1)
 	for _, pop := range pr.PoPs {
@@ -182,7 +198,7 @@ func (pr *PublicResolver) HomePoP(p topology.PrefixID) *PoP {
 		}
 	}
 	pr.homeMu.Lock()
-	pr.home[p] = best
+	pr.home[city.Coord] = best
 	pr.homeMu.Unlock()
 	return pr.PoPs[best]
 }
@@ -202,7 +218,8 @@ func (pr *PublicResolver) AdoptionShare(countryCode string) float64 {
 // services the cache entry is scoped to the /24; for others the scope
 // collapses to the whole PoP and per-prefix attribution is impossible —
 // exactly the limitation the paper notes. Campaigns that probe one
-// ⟨domain, prefix⟩ at many times Prepare once and call Probe.At per sample.
+// ⟨domain, prefix⟩ at many times Prepare once, put the probe Over their
+// sampling grid and call Probe.AtSlot per sample (Probe.At off the grid).
 func (pr *PublicResolver) ProbeCache(popID int, domain string, ecs topology.PrefixID, t simtime.Time) (bool, error) {
 	p := pr.Prepare(popID, domain, ecs)
 	return p.At(t, ProbeOpts{})
@@ -220,30 +237,40 @@ type ProbeOpts struct {
 
 // Probe is a cache probe of one ⟨PoP, domain, ECS /24⟩ with everything that
 // does not depend on time already resolved: the record's TTL, whether the
-// PoP is the prefix's home, the fault-layer key, the hash inputs, and the
-// client query rate's time-invariant half. Anything constant per
-// ⟨domain, prefix⟩ belongs in Prepare; At pays only for what moves with t.
-// A Probe is a snapshot: Prepare again after SetRateSource or SetFaultPlan.
+// PoP is the prefix's home, the fault-layer key, the draw's hash folded over
+// every input but the TTL window, and the client query rate's time-invariant
+// half. The rule has three tiers: what is constant per ⟨domain, prefix⟩
+// belongs in Prepare; what is constant per ⟨timezone, instant⟩ belongs on
+// the campaign's users.Grid (Over, then AtSlot); what is constant per city
+// is memoized behind HomePoP and services.Catalog.NearestSiteTo. At pays
+// only for what moves with both prefix and time. A Probe is a snapshot:
+// Prepare again after SetRateSource or SetFaultPlan.
 type Probe struct {
-	seed   uint64
 	faults *faults.Plan
 	pop    int
-	ecs    topology.PrefixID
 
 	// early is reported before the fault roll (a probe that cannot be
 	// addressed never reaches the network), late after it.
 	early, late error
 
-	home    bool   // pop is ecs's home PoP, the only place the entry exists
-	key     uint64 // fault-layer identity of ⟨domain, ecs⟩
-	domHash uint64
-	ttl     simtime.Time
-	rate    QueryRate
+	home bool   // pop is ecs's home PoP, the only place the entry exists
+	key  uint64 // fault-layer identity of ⟨domain, ecs⟩
+	draw uint64 // Hash64(seed, 0xcac4e, pop, domain, ecs): one Fold short of the draw
+	ttl  simtime.Time
+	rate QueryRate
 
-	// Counter handles, resolved on the first answered lookup and the first
+	// Set by Over: the sampling grid, the rate's multiplier when it is the
+	// same at every instant, and otherwise the timezone's row of the grid.
+	grid    *users.Grid
+	steady  float64
+	factors []float64
+
+	// Lookups answered and hits found since the last Flush, and the counter
+	// handles, resolved on the first flushed lookup and the first flushed
 	// hit: a series must not appear in the exposition before its first
 	// increment would have created it.
-	answered, hits *obs.Counter
+	nAnswered, nHits uint64
+	answered, hits   *obs.Counter
 }
 
 // Prepare resolves the time-invariant half of probing domain with the given
@@ -251,7 +278,7 @@ type Probe struct {
 // (no rate source, unknown PoP, NXDOMAIN, a domain without per-prefix ECS
 // scoping) is reported by every At.
 func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixID) Probe {
-	p := Probe{seed: pr.seed, faults: pr.faults, pop: popID, ecs: ecs}
+	p := Probe{faults: pr.faults, pop: popID}
 	if pr.rates == nil {
 		p.early = fmt.Errorf("dnssim: no rate source wired")
 		p.late = p.early // the fault-free lookup reports it too
@@ -260,8 +287,8 @@ func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixI
 	if popID < 0 || popID >= len(pr.PoPs) {
 		p.early = fmt.Errorf("dnssim: unknown PoP %d", popID)
 	}
-	p.domHash = hashString(domain)
-	p.key = randx.Hash64(p.domHash, uint64(ecs))
+	domHash := hashString(domain)
+	p.key = randx.Hash64(domHash, uint64(ecs))
 	svc, ok := pr.cat.ByDomain(domain)
 	if !ok {
 		p.late = fmt.Errorf("dnssim: NXDOMAIN %s", domain)
@@ -276,6 +303,7 @@ func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixI
 		return p
 	}
 	p.home = true
+	p.draw = randx.Hash64(pr.seed, 0xcac4e, uint64(popID), domHash, uint64(ecs))
 	p.ttl = simtime.Seconds(float64(svc.TTLSeconds))
 	p.rate = pr.rates.QueryRate(domain, ecs)
 	return p
@@ -286,16 +314,76 @@ func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixI
 // faults.ErrThrottled instead of answering; opt identifies the datagram to
 // the fault layer.
 func (p *Probe) At(t simtime.Time, opt ProbeOpts) (bool, error) {
-	if p.early != nil {
-		return false, p.early
-	}
-	if err := p.faults.ProbeFault(p.pop, opt.Source, p.key, opt.Attempt, t); err != nil {
-		obs.C("itm_dns_probe_errors_total",
-			"Cache probes answered with an injected transient fault, by kind.",
-			obs.L("kind", faultKind(err))).Inc()
+	if err := p.undelivered(t, opt); err != nil {
 		return false, err
 	}
 	return p.lookup(t)
+}
+
+// Over puts the probe on a campaign's sampling grid, for AtSlot. The grid
+// belongs to one goroutine (see users.Grid), and so does a probe on it.
+func (p *Probe) Over(g *users.Grid) {
+	p.grid = g
+	var ok bool
+	if p.steady, ok = p.rate.steady(); !ok {
+		p.factors = p.rate.Activity.Factors(g)
+	}
+}
+
+// AtSlot is At(g.Time(r), opt) for the grid g given to Over — the same
+// fault roll, the same decision, the same answer — with the diurnal factor
+// read from the grid instead of recomputed, and the two lookup counters
+// left to Flush.
+func (p *Probe) AtSlot(r int, opt ProbeOpts) (bool, error) {
+	t := p.grid.Time(r)
+	if err := p.undelivered(t, opt); err != nil {
+		return false, err
+	}
+	return p.occupied(t, p.slotDiurnal(r))
+}
+
+// slotDiurnal is p.rate.diurnal(p.grid.Time(r)), off the grid.
+func (p *Probe) slotDiurnal(r int) float64 {
+	if p.factors == nil {
+		return p.steady
+	}
+	return p.rate.swing(p.rate.Activity.Users * p.factors[r])
+}
+
+// Flush adds the lookups answered since the last Flush to the process
+// counters. At and ProbeCache flush as they answer; AtSlot leaves it to the
+// sweep, which calls Flush when it is done with the probe — one Add per
+// swept prefix instead of two per probe.
+func (p *Probe) Flush() {
+	if p.nAnswered > 0 {
+		if p.answered == nil {
+			p.answered = obs.C("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).")
+		}
+		p.answered.Add(p.nAnswered)
+		p.nAnswered = 0
+	}
+	if p.nHits > 0 {
+		if p.hits == nil {
+			p.hits = obs.C("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.")
+		}
+		p.hits.Add(p.nHits)
+		p.nHits = 0
+	}
+}
+
+// undelivered reports why the probe sent at t gets no answer from the cache:
+// it cannot be addressed, or the fault layer ate it.
+func (p *Probe) undelivered(t simtime.Time, opt ProbeOpts) error {
+	if p.early != nil {
+		return p.early
+	}
+	err := p.faults.ProbeFault(p.pop, opt.Source, p.key, opt.Attempt, t)
+	if err != nil {
+		obs.C("itm_dns_probe_errors_total",
+			"Cache probes answered with an injected transient fault, by kind.",
+			obs.L("kind", faultKind(err))).Inc()
+	}
+	return err
 }
 
 // faultKind names a transient fault for the error-kind metric label.
@@ -311,28 +399,30 @@ func faultKind(err error) string {
 	return "other"
 }
 
-// lookup is the fault-free cache-occupancy check. The wire front end calls
-// it directly: it evaluates faults itself, with per-datagram entropy, before
-// consulting the cache.
+// lookup is the fault-free cache-occupancy check at an arbitrary instant.
+// The wire front end calls it directly: it evaluates faults itself, with
+// per-datagram entropy, before consulting the cache.
 func (p *Probe) lookup(t simtime.Time) (bool, error) {
-	if p.late != nil {
+	hit, err := p.occupied(t, p.rate.diurnal(t))
+	p.Flush()
+	return hit, err
+}
+
+// occupied is the occupancy law, the one place a probe becomes a hit or a
+// miss: is the entry cached at t, given the client rate's diurnal multiplier
+// at t? An entry exists only at the home PoP of a prefix-scoped record; there
+// it is present with probability 1 − exp(−rate·TTL), drawn once per TTL
+// window.
+func (p *Probe) occupied(t simtime.Time, diurnal float64) (bool, error) {
+	if !p.home || p.late != nil {
 		return false, p.late
 	}
-	if !p.home {
-		return false, nil
-	}
-	occupancy := 1 - math.Exp(-p.rate.At(t)*float64(p.ttl))
+	x := p.rate.PerHour * diurnal * float64(p.ttl)
 	window := uint64(math.Floor(float64(t / p.ttl)))
-	hit := randx.HashBool(occupancy, p.seed, 0xcac4e, uint64(p.pop), p.domHash, uint64(p.ecs), window)
-	if p.answered == nil {
-		p.answered = obs.C("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).")
-	}
-	p.answered.Inc()
+	hit := randx.Unit(randx.Fold(p.draw, window)) < 1-math.Exp(-x)
+	p.nAnswered++
 	if hit {
-		if p.hits == nil {
-			p.hits = obs.C("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.")
-		}
-		p.hits.Inc()
+		p.nHits++
 	}
 	return hit, nil
 }

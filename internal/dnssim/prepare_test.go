@@ -32,9 +32,24 @@ func (d diurnalRate) QueryRate(domain string, scope topology.PrefixID) QueryRate
 	return q
 }
 
-// referenceProbe is the one-shot probe as it stood before Prepare/At: every
-// check, key, hash and counter lookup redone per probe, in the original
-// order. Prepared probes must agree with it on every answer and leave every
+// referenceDiurnal is QueryRate.diurnal as it stood before sampling grids:
+// the mod and the cos behind Activity.At paid for every probe.
+func referenceDiurnal(q QueryRate, t simtime.Time) float64 {
+	if q.Flat {
+		return 1
+	}
+	u := q.Activity.Users
+	if u == 0 {
+		return 0
+	}
+	return q.Activity.At(t) / u / users.DiurnalMean
+}
+
+// referenceProbe is the one-shot probe as it stood before Prepare/At and
+// before sampling grids: every check, key, hash and counter lookup redone
+// per probe, in the original order, the draw hashed from its six keys, the
+// exp always taken, two counter increments per answer. Prepared probes, on
+// a grid or off it, must agree with it on every answer and leave every
 // counter at the same value.
 func referenceProbe(pr *PublicResolver, popID int, domain string, ecs topology.PrefixID, t simtime.Time, opt ProbeOpts) (bool, error) {
 	if pr.rates == nil {
@@ -61,7 +76,8 @@ func referenceProbe(pr *PublicResolver, popID int, domain string, ecs topology.P
 		return false, nil
 	}
 	ttl := simtime.Seconds(float64(svc.TTLSeconds))
-	rate := pr.rates.QueryRate(domain, ecs).At(t)
+	q := pr.rates.QueryRate(domain, ecs)
+	rate := q.PerHour * referenceDiurnal(q, t)
 	p := 1 - math.Exp(-rate*float64(ttl))
 	window := uint64(math.Floor(float64(t / ttl)))
 	hit := randx.HashBool(p, pr.seed, 0xcac4e, uint64(popID), hashString(domain), uint64(ecs), window)

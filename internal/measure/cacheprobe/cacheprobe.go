@@ -15,6 +15,7 @@ import (
 	"itmap/internal/obs"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
+	"itmap/internal/users"
 )
 
 func mathLog(x float64) float64 { return math.Log(x) }
@@ -63,36 +64,38 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 		ByPoP:     map[int]int{},
 	}
 	opts := dnssim.ProbeOpts{Source: pb.Source}
+	grid := roundsGrid(start, rounds)
 	for _, p := range prefixes {
 		pop := pb.PR.HomePoP(p)
 		if pop == nil {
 			continue
 		}
-	domains:
+		found := false
 		for _, dom := range pb.Domains {
 			probe := pb.PR.Prepare(pop.ID, dom, p)
-			for r := 0; r < rounds; r++ {
-				at := start + simtime.Time(24*float64(r)/float64(rounds))
-				hit, err := probe.At(at, opts)
+			probe.Over(grid)
+			for r := 0; r < rounds && !found; r++ {
+				hit, err := probe.AtSlot(r, opts)
+				d.Probes++
 				if err != nil {
 					if faults.IsTransient(err) {
-						d.Probes++
 						d.Failed++
 						continue
 					}
 					return nil, err
 				}
-				d.Probes++
-				if hit {
-					d.Found[p] = true
-					if asn, ok := top.OwnerOf(p); ok {
-						d.FoundASes[asn] = true
-					}
-					break domains
-				}
+				found = hit
+			}
+			probe.Flush()
+			if found {
+				break
 			}
 		}
-		if d.Found[p] {
+		if found {
+			d.Found[p] = true
+			if asn, ok := top.OwnerOf(p); ok {
+				d.FoundASes[asn] = true
+			}
 			d.ByPoP[pop.ID]++
 		}
 	}
@@ -161,6 +164,16 @@ func RateFromHitRate(hitRate float64, probes int, ttlSeconds int) float64 {
 	return -mathLog(1-hitRate) / ttlHours
 }
 
+// roundsGrid is the discovery sweep's sampling grid: rounds instants spread
+// evenly across the day that begins at start.
+func roundsGrid(start simtime.Time, rounds int) *users.Grid {
+	times := make([]simtime.Time, rounds)
+	for r := range times {
+		times[r] = start + simtime.Time(24*float64(r)/float64(rounds))
+	}
+	return users.NewGrid(times)
+}
+
 // probesPerDay is how many probes a campaign sampling every interval issues
 // per prefix across one simulated day: at least one, so an interval longer
 // than the day still measures something instead of dividing by zero.
@@ -184,17 +197,18 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 	hr.ProbesPerPrefix = probesPer
 	probes := 0
 	opts := dnssim.ProbeOpts{Source: pb.Source}
+	grid := users.Every(start, interval, probesPer)
 	for _, p := range prefixes {
 		pop := pb.PR.HomePoP(p)
 		if pop == nil {
 			continue
 		}
 		probe := pb.PR.Prepare(pop.ID, domain, p)
+		probe.Over(grid)
 		hits := 0
 		for r := 0; r < probesPer; r++ {
-			at := start + simtime.Time(float64(r))*interval
 			probes++
-			hit, err := probe.At(at, opts)
+			hit, err := probe.AtSlot(r, opts)
 			if err != nil {
 				if faults.IsTransient(err) {
 					hr.Failed++
@@ -206,6 +220,7 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 				hits++
 			}
 		}
+		probe.Flush()
 		hr.ByPrefix[p] = float64(hits) / float64(probesPer)
 		if asn, ok := top.OwnerOf(p); ok {
 			hr.ByAS[asn] += float64(hits)

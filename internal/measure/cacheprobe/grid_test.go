@@ -1,0 +1,219 @@
+package cacheprobe
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"itmap/internal/dnssim"
+	"itmap/internal/faults"
+	"itmap/internal/obs"
+	"itmap/internal/simtime"
+	"itmap/internal/topology"
+	"itmap/internal/world"
+)
+
+// TestSweepsIdenticalAcrossWorkers: sampling grids and their diurnal tables
+// are per shard, so a sweep's HitRates, Discovery, Failed counts and stable
+// exposition are the same serial, fanned out over 1, 2 or 4 CPUs, and — for
+// the resilient prober — driven by 1, 2 or 4 workers, under a lossy plan.
+func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
+	w := world.Build(world.Tiny(9))
+	w.PR.SetFaultPlan(faults.NewPlan(faults.Lossy(), 3))
+	defer w.PR.SetFaultPlan(nil)
+	prefixes := w.Top.AllPrefixes()[:3000]
+	domains := w.Cat.ECSDomains()
+	mid := domains[len(domains)/2]
+
+	type result struct {
+		d          *Discovery
+		hr         *HitRates
+		dst, hst   *SweepStats
+		exposition string
+		answered   uint64 // itm_dns_probes_total
+	}
+	run := func(sweep func() result) result {
+		set := obs.NewSet()
+		defer obs.Swap(obs.Swap(set))
+		r := sweep()
+		r.exposition = set.Reg.StableExposition()
+		r.answered = answeredLookups(set)
+		return r
+	}
+	same := func(name string, got, want result) {
+		t.Helper()
+		if !reflect.DeepEqual(got.d, want.d) {
+			t.Errorf("%s: Discovery differs (failed %d vs %d)", name, got.d.Failed, want.d.Failed)
+		}
+		if !reflect.DeepEqual(got.hr, want.hr) {
+			t.Errorf("%s: HitRates differ (failed %d vs %d)", name, got.hr.Failed, want.hr.Failed)
+		}
+		if !reflect.DeepEqual(got.dst, want.dst) || !reflect.DeepEqual(got.hst, want.hst) {
+			t.Errorf("%s: sweep ledgers differ", name)
+		}
+		if got.exposition != want.exposition {
+			t.Errorf("%s: stable exposition differs\ngot:\n%s\nwant:\n%s", name, got.exposition, want.exposition)
+		}
+	}
+
+	pb := &Prober{PR: w.PR, Domains: domains[:6], Source: 0x5eed}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := run(func() (r result) {
+		var err error
+		r.d, err = pb.DiscoverPrefixes(w.Top, prefixes, 3, 4)
+		must(err)
+		r.hr, err = pb.MeasureHitRates(w.Top, prefixes, mid, 0, 30*simtime.Minute)
+		must(err)
+		return r
+	})
+	if serial.d.Failed == 0 || serial.hr.Failed == 0 || len(serial.d.Found) == 0 {
+		t.Fatalf("lossy sweeps lost %d and %d probes, found %d prefixes: comparison is vacuous",
+			serial.d.Failed, serial.hr.Failed, len(serial.d.Found))
+	}
+	// Every probe the fault layer let through was answered, and every answer
+	// reached the process counter although probes publish once per prefix.
+	if want := uint64(serial.d.Probes - serial.d.Failed + serial.hr.ProbesPerPrefix*len(serial.hr.ByPrefix) - serial.hr.Failed); serial.answered != want {
+		t.Errorf("itm_dns_probes_total = %d after sweeps that got %d answers", serial.answered, want)
+	}
+	for _, cpus := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(cpus)
+		got := run(func() (r result) {
+			var err error
+			r.d, err = pb.DiscoverPrefixesParallel(w.Top, prefixes, 3, 4)
+			must(err)
+			r.hr, err = pb.MeasureHitRatesParallel(w.Top, prefixes, mid, 0, 30*simtime.Minute)
+			must(err)
+			return r
+		})
+		runtime.GOMAXPROCS(prev)
+		same(fmt.Sprintf("parallel on %d CPUs", cpus), got, serial)
+	}
+
+	resilient := func(workers int) result {
+		return run(func() (r result) {
+			rp := hostileProber(w, workers)
+			var err error
+			r.d, r.dst, err = rp.DiscoverPrefixes(w.Top, prefixes, 3, 4)
+			must(err)
+			r.hr, r.hst, err = rp.MeasureHitRates(w.Top, prefixes[:500], mid, 0, 30*simtime.Minute)
+			must(err)
+			return r
+		})
+	}
+	one := resilient(1)
+	if one.dst.Retries == 0 || one.hst.Retries == 0 {
+		t.Fatal("resilient sweeps never retried: comparison is vacuous")
+	}
+	for _, workers := range []int{2, 4} {
+		same(fmt.Sprintf("resilient with %d workers", workers), resilient(workers), one)
+	}
+}
+
+// answeredLookups reads itm_dns_probes_total from a metrics set.
+func answeredLookups(set *obs.Set) uint64 {
+	return set.Reg.Counter("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).").Value()
+}
+
+// hourlyByAccumulation is MeasureHourlyProfile's loop as it stood before
+// sampling grids: the instant is a running sum of the interval.
+func hourlyByAccumulation(pb *Prober, prefixes []topology.PrefixID, domain string, start, interval simtime.Time) (*HourlyProfile, error) {
+	hp := &HourlyProfile{}
+	for _, p := range prefixes {
+		pop := pb.PR.HomePoP(p)
+		if pop == nil {
+			continue
+		}
+		probe := pb.PR.Prepare(pop.ID, domain, p)
+		for at := start; at < start+24; at += interval {
+			hit, err := probe.At(at, dnssim.ProbeOpts{Source: pb.Source})
+			if err != nil {
+				return nil, err
+			}
+			h := int(at.UTCHour())
+			hp.Probes[h]++
+			if hit {
+				hp.Hits[h]++
+			}
+		}
+	}
+	return hp, nil
+}
+
+// TestHourlyProfileHasNoStrayProbe: the old running sum of a non-dyadic
+// interval could stop just short of the day's end and issue one probe too
+// many, into the day's last hour. On the grid, sample r is at start +
+// r·interval for exactly the r with r·interval < 24.
+func TestHourlyProfileHasNoStrayProbe(t *testing.T) {
+	w := world.Build(world.Tiny(12))
+	pb := &Prober{PR: w.PR}
+	domain := w.Cat.ECSDomains()[0]
+	prefixes := w.Top.AllPrefixes()[:200]
+	for _, long := range []simtime.Time{24, simtime.Time(math.Inf(1)), simtime.Time(math.NaN())} {
+		if got := samplesInDay(long); got != 1 {
+			t.Errorf("samplesInDay(%v) = %d, want 1", long, got)
+		}
+	}
+	for _, c := range []struct {
+		name            string
+		start, interval simtime.Time
+		perPrefix       int  // samples the grid takes
+		stray           bool // the running sum took one more
+	}{
+		{"5 min from 0 (E13 day 0)", 0, 5 * simtime.Minute, 288, true},
+		{"5 min from 24 (E13 day 1)", 24, 5 * simtime.Minute, 288, false},
+		{"20 min from 0.5", 0.5, 20 * simtime.Minute, 72, true},
+		{"12 min from 0", 0, 12 * simtime.Minute, 120, true},
+		{"10 min from 24", 24, 10 * simtime.Minute, 144, true},
+		{"15 min from 0", 0, 15 * simtime.Minute, 96, false},
+		{"7 min from 0", 0, 7 * simtime.Minute, 206, false},
+		{"25 h from 0", 0, 25, 1, false},
+	} {
+		if got := samplesInDay(c.interval); got != c.perPrefix {
+			t.Errorf("%s: samplesInDay = %d, want %d", c.name, got, c.perPrefix)
+		}
+		set := obs.NewSet()
+		prev := obs.Swap(set)
+		hp, err := pb.MeasureHourlyProfile(w.Top, prefixes, domain, c.start, c.interval)
+		obs.Swap(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := hourlyByAccumulation(pb, prefixes, domain, c.start, c.interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total, oldTotal := 0, 0
+		for h := 0; h < 24; h++ {
+			total += hp.Probes[h]
+			oldTotal += old.Probes[h]
+		}
+		if got := answeredLookups(set); got != uint64(total) {
+			t.Errorf("%s: itm_dns_probes_total = %d after %d fault-free probes", c.name, got, total)
+		}
+		if total != c.perPrefix*len(prefixes) {
+			t.Errorf("%s: %d probes for %d prefixes, want %d each", c.name, total, len(prefixes), c.perPrefix)
+		}
+		stray := oldTotal - total
+		if c.stray && stray != len(prefixes) || !c.stray && stray != 0 {
+			t.Errorf("%s: the running sum issued %d probes more than the grid over %d prefixes (stray expected: %v)",
+				c.name, stray, len(prefixes), c.stray)
+		}
+		// A cadence that divides the hour weights every hour alike. (The
+		// running sum did not even without a stray probe: its on-the-hour
+		// samples drifted to either side of the hour.)
+		if perHour := float64(simtime.Hour / c.interval); perHour == float64(int(perHour)) && c.start == simtime.Time(int(c.start)) {
+			for h := 0; h < 24; h++ {
+				if hp.Probes[h] != int(perHour)*len(prefixes) {
+					t.Errorf("%s: hour %d has %d probes, want %d", c.name, h, hp.Probes[h], int(perHour)*len(prefixes))
+				}
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"itmap/internal/faults"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
+	"itmap/internal/users"
 )
 
 // HourlyProfile is a 24-bucket activity curve recovered from cache probing
@@ -24,22 +25,26 @@ type HourlyProfile struct {
 
 // MeasureHourlyProfile probes the domain for every given prefix (typically
 // one AS's prefixes) every interval across one simulated day, bucketing
-// hits by UTC hour.
+// hits by UTC hour. Sample r is taken at start + r·interval, for every r
+// with r·interval < 24: a cadence that does not divide the day keeps its
+// last partial step, and one longer than the day still probes once.
 func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HourlyProfile, error) {
 	if interval <= 0 {
 		interval = 15 * simtime.Minute
 	}
 	hp := &HourlyProfile{}
 	opts := dnssim.ProbeOpts{Source: pb.Source}
+	grid := users.Every(start, interval, samplesInDay(interval))
 	for _, p := range prefixes {
 		pop := pb.PR.HomePoP(p)
 		if pop == nil {
 			continue
 		}
 		probe := pb.PR.Prepare(pop.ID, domain, p)
-		for at := start; at < start+24; at += interval {
-			hit, err := probe.At(at, opts)
-			h := int(at.UTCHour())
+		probe.Over(grid)
+		for r := 0; r < grid.Len(); r++ {
+			hit, err := probe.AtSlot(r, opts)
+			h := int(grid.UTCHour(r))
 			if err != nil {
 				if faults.IsTransient(err) {
 					hp.Probes[h]++
@@ -53,8 +58,27 @@ func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topolo
 				hp.Hits[h]++
 			}
 		}
+		probe.Flush()
 	}
 	return hp, nil
+}
+
+// samplesInDay counts the r ≥ 0 with r·interval < 24, the product as
+// users.Every forms it: the quotient is only a first guess, since 24/interval
+// can round to either side of a whole number. An interval that is not
+// shorter than the day (+Inf and NaN included) leaves sample 0 alone.
+func samplesInDay(interval simtime.Time) int {
+	if !(interval < 24) {
+		return 1
+	}
+	n := int(24 / float64(interval))
+	for simtime.Time(float64(n))*interval < 24 {
+		n++
+	}
+	for n > 1 && simtime.Time(float64(n-1))*interval >= 24 {
+		n--
+	}
+	return n
 }
 
 // Rate returns the hit rate in UTC hour h (0 with no probes). Hours wrap.

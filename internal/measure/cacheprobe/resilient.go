@@ -11,6 +11,7 @@ import (
 	"itmap/internal/resilience"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
+	"itmap/internal/users"
 )
 
 // ResilientProber is the hardened cache-probing client: every probe is
@@ -284,6 +285,7 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 			ByPoP:     map[int]int{},
 		}
 		st := newSweepStats()
+		grid := roundsGrid(start, rounds)
 		for _, p := range prefixes[lo:hi] {
 			pop := rp.PR.HomePoP(p)
 			if pop == nil {
@@ -295,8 +297,7 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 			for _, dom := range rp.Domains {
 				pp := rp.PR.Prepare(pop.ID, dom, p)
 				for r := 0; r < rounds; r++ {
-					sched := start + simtime.Time(24*float64(r)/float64(rounds))
-					hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, sched)
+					hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, grid.Time(r))
 					attempts += att
 					if !ok {
 						continue
@@ -409,6 +410,7 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 			ProbesPerPrefix: probesPer,
 		}
 		st := newSweepStats()
+		grid := users.Every(start, interval, probesPer)
 		for _, p := range prefixes[lo:hi] {
 			pop := rp.PR.HomePoP(p)
 			if pop == nil {
@@ -417,8 +419,7 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 			pp := rp.PR.Prepare(pop.ID, domain, p)
 			hits, answered, attempts := 0, 0, 0
 			for r := 0; r < probesPer; r++ {
-				sched := start + simtime.Time(float64(r))*interval
-				hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, sched)
+				hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, grid.Time(r))
 				attempts += att
 				if !ok {
 					continue

@@ -7,14 +7,21 @@ import "math"
 // affinities, per-probe cache outcomes) without storing them. Based on
 // splitmix64 finalization.
 
-// Hash64 mixes the parts into a single 64-bit hash.
+// Hash64 mixes the parts into a single 64-bit hash. It is a left fold of
+// Fold over the parts, so a caller hashing many part lists that share a
+// prefix can hash the prefix once: Hash64(a, b, c) == Fold(Hash64(a, b), c).
 func Hash64(parts ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, p := range parts {
-		h ^= p + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h = splitmix(h)
+		h = Fold(h, p)
 	}
 	return h
+}
+
+// Fold mixes one more part into a Hash64 state.
+func Fold(h, part uint64) uint64 {
+	h ^= part + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	return splitmix(h)
 }
 
 func splitmix(x uint64) uint64 {
@@ -26,7 +33,12 @@ func splitmix(x uint64) uint64 {
 
 // HashFloat returns a deterministic uniform draw in [0, 1) from the parts.
 func HashFloat(parts ...uint64) float64 {
-	return float64(Hash64(parts...)>>11) / float64(1<<53)
+	return Unit(Hash64(parts...))
+}
+
+// Unit maps a hash to the uniform draw in [0, 1) HashFloat makes of it.
+func Unit(h uint64) float64 {
+	return float64(h>>11) / float64(1<<53)
 }
 
 // HashBool returns a deterministic Bernoulli(p) draw from the parts.
@@ -38,8 +50,8 @@ func HashBool(p float64, parts ...uint64) bool {
 // two derived uniforms.
 func HashNorm(parts ...uint64) float64 {
 	h := Hash64(parts...)
-	u1 := float64(h>>11) / float64(1<<53)
-	u2 := float64(splitmix(h)>>11) / float64(1<<53)
+	u1 := Unit(h)
+	u2 := Unit(splitmix(h))
 	if u1 < 1e-300 {
 		u1 = 1e-300
 	}

@@ -134,3 +134,31 @@ func TestSourceMiscHelpers(t *testing.T) {
 	}()
 	s.IntBetween(5, 3)
 }
+
+// TestHashPrefixMatchesHash64: Hash64 is a left fold, so hashing any number
+// of leading parts once and folding the rest in reproduces the whole hash —
+// what lets a caller hoist the constant parts of a draw out of its loop.
+func TestHashPrefixMatchesHash64(t *testing.T) {
+	for trial := uint64(0); trial < 200; trial++ {
+		parts := make([]uint64, 7)
+		for i := range parts {
+			parts[i] = splitmix(trial*7 + uint64(i))
+		}
+		if trial == 0 {
+			parts = []uint64{0, 0, math.MaxUint64, 1, 0, 0x9e3779b97f4a7c15, 0}
+		}
+		want := Hash64(parts...)
+		for lead := 0; lead <= 6; lead++ {
+			h := Hash64(parts[:lead]...)
+			for _, p := range parts[lead:] {
+				h = Fold(h, p)
+			}
+			if h != want {
+				t.Fatalf("trial %d: %d leading parts folded to %x, Hash64 = %x", trial, lead, h, want)
+			}
+			if Unit(h) != HashFloat(parts...) {
+				t.Fatalf("trial %d: Unit(%x) = %v, HashFloat = %v", trial, h, Unit(h), HashFloat(parts...))
+			}
+		}
+	}
+}

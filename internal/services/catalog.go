@@ -10,6 +10,7 @@ package services
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"itmap/internal/geo"
 	"itmap/internal/randx"
@@ -157,6 +158,15 @@ type Catalog struct {
 	byDomain     map[string]*Service
 	siteByPrefix map[topology.PrefixID]*Site
 	anycastOwner map[topology.PrefixID]topology.ASN
+
+	nearestMu sync.RWMutex
+	//itm:guardedby nearestMu
+	nearest map[nearestKey]*Site // NearestSiteTo's memo
+}
+
+type nearestKey struct {
+	owner topology.ASN
+	at    geo.Coord
 }
 
 // Top returns the service at the given index in the catalog, ordered by
@@ -245,6 +255,7 @@ func Build(top *topology.Topology, cfg Config, rng *randx.Source) *Catalog {
 		byDomain:     map[string]*Service{},
 		siteByPrefix: map[topology.PrefixID]*Site{},
 		anycastOwner: map[topology.PrefixID]topology.ASN{},
+		nearest:      map[nearestKey]*Site{},
 	}
 	c.ReferenceCDN = hgs[len(hgs)-1]
 	if len(hgs) >= 3 {

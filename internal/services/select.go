@@ -9,21 +9,24 @@ import (
 // NearestSiteTo returns the owner's serving site nearest to a location
 // (considering both on-net and off-net sites), or nil if the owner has no
 // deployment. Deterministic: distance ties break on lower site prefix.
+// Memoized per ⟨owner, location⟩ — callers ask about the same few dozen
+// cities for every prefix, AS and query, and deployments do not change once
+// Build returns. Safe for concurrent use.
 func (c *Catalog) NearestSiteTo(owner topology.ASN, at geo.Coord) *Site {
-	d := c.Deployments[owner]
-	if d == nil || len(d.Sites) == 0 {
-		return nil
+	key := nearestKey{owner, at}
+	c.nearestMu.RLock()
+	site, ok := c.nearest[key]
+	c.nearestMu.RUnlock()
+	if ok {
+		return site
 	}
-	var best *Site
-	bestDist := 0.0
-	for _, s := range d.Sites {
-		dist := geo.DistanceKm(at, s.City.Coord)
-		if best == nil || dist < bestDist ||
-			(dist == bestDist && s.Prefix < best.Prefix) {
-			best, bestDist = s, dist
-		}
+	if d := c.Deployments[owner]; d != nil {
+		site = nearestOf(d.Sites, at)
 	}
-	return best
+	c.nearestMu.Lock()
+	c.nearest[key] = site
+	c.nearestMu.Unlock()
+	return site
 }
 
 // NearestOnNetSiteTo is NearestSiteTo restricted to owner-hosted sites.

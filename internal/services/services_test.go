@@ -1,6 +1,7 @@
 package services
 
 import (
+	"sync"
 	"testing"
 
 	"itmap/internal/bgp"
@@ -248,5 +249,61 @@ func TestPopularityMassConcentrated(t *testing.T) {
 	top5 := cat.Popularity.CumWeight(5)
 	if top5 < 0.35 {
 		t.Errorf("top-5 services carry only %.0f%% of demand", top5*100)
+	}
+}
+
+// scanNearestSite is NearestSiteTo as it stood before the memo.
+func scanNearestSite(c *Catalog, owner topology.ASN, at geo.Coord) *Site {
+	d := c.Deployments[owner]
+	if d == nil || len(d.Sites) == 0 {
+		return nil
+	}
+	var best *Site
+	bestDist := 0.0
+	for _, s := range d.Sites {
+		dist := geo.DistanceKm(at, s.City.Coord)
+		if best == nil || dist < bestDist ||
+			(dist == bestDist && s.Prefix < best.Prefix) {
+			best, bestDist = s, dist
+		}
+	}
+	return best
+}
+
+// TestNearestSiteMemoMatchesScan: for every ⟨owner, city⟩ of the world —
+// and an AS that owns nothing — the memoized answer is the scan's, asked
+// from several goroutines at once on a cold catalog (run with -race).
+func TestNearestSiteMemoMatchesScan(t *testing.T) {
+	top, cat := buildWorld(t, 6)
+	seen := map[geo.Coord]bool{}
+	var coords []geo.Coord
+	for _, p := range top.AllPrefixes() {
+		if c := top.PrefixCity[p].Coord; !seen[c] {
+			seen[c] = true
+			coords = append(coords, c)
+		}
+	}
+	owners := append(cat.Owners(), topology.ASN(1<<30))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 2; round++ {
+				for i := range coords {
+					at := coords[(i+g*len(coords)/4)%len(coords)]
+					for _, owner := range owners {
+						if got, want := cat.NearestSiteTo(owner, at), scanNearestSite(cat, owner, at); got != want {
+							t.Errorf("NearestSiteTo(%d, %v) = %v, scan says %v", owner, at, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(coords) < 5 || len(cat.nearest) != len(coords)*len(owners) {
+		t.Errorf("memo holds %d entries for %d cities x %d owners", len(cat.nearest), len(coords), len(owners))
 	}
 }

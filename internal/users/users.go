@@ -149,11 +149,15 @@ func (a Activity) At(t simtime.Time) float64 {
 	if a.Users == 0 {
 		return 0
 	}
-	h := t.UTCHour()
+	return a.Users * DiurnalFactor(a.localHour(t.UTCHour()))
+}
+
+// localHour phases a UTC hour-of-day by the prefix's timezone.
+func (a Activity) localHour(utcHour float64) float64 {
 	if a.local {
-		h = geo.LocalHourAt(a.country, h)
+		return geo.LocalHourAt(a.country, utcHour)
 	}
-	return a.Users * DiurnalFactor(h)
+	return utcHour
 }
 
 // ActivityAt returns the instantaneous activity level (active users) of a

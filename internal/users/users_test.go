@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"itmap/internal/geo"
 	"itmap/internal/randx"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
@@ -128,4 +129,79 @@ func TestUserPrefixesAndTotals(t *testing.T) {
 		t.Errorf("country sum %f != total %f", ctotal, total)
 	}
 	_ = top
+}
+
+// atBeforeGrids is Activity.At as it stood before sampling grids.
+func atBeforeGrids(a Activity, t simtime.Time) float64 {
+	if a.Users == 0 {
+		return 0
+	}
+	h := t.UTCHour()
+	if a.local {
+		h = geo.LocalHourAt(a.country, h)
+	}
+	return a.Users * DiurnalFactor(h)
+}
+
+// TestGridFactorsMatchAt: for every prefix of the world (unpopulated ones
+// included) and a population in no country, Activity.At and the grid's row
+// both give, bit for bit, what At gave before grids existed — on a dyadic
+// cadence, on one that is not, and at negative times.
+func TestGridFactorsMatchAt(t *testing.T) {
+	top, m := build(t)
+	acts := []Activity{{Users: 12}, {}}
+	for _, p := range top.AllPrefixes() {
+		acts = append(acts, m.Activity(p))
+	}
+	grids := []*Grid{
+		Every(0, 15*simtime.Minute, 96),
+		Every(24.5, 7*simtime.Minute, 206),
+		NewGrid([]simtime.Time{-30.25, -1e-9, 0, 23.999999999999996, 1e6 + 1.0/3}),
+	}
+	zones := map[zone]bool{}
+	for _, g := range grids {
+		for _, a := range acts {
+			row := a.Factors(g)
+			if (row == nil) != (a.Users == 0) {
+				t.Fatalf("Factors of a population of %v: row %v", a.Users, row)
+			}
+			zones[zone{a.local, a.country.UTCOffsetHours}] = true
+			for r := 0; r < g.Len(); r++ {
+				at := g.Time(r)
+				want := math.Float64bits(atBeforeGrids(a, at))
+				if got := math.Float64bits(a.At(at)); got != want {
+					t.Fatalf("At(%v) = %x, was %x", at, got, want)
+				}
+				if row == nil {
+					continue
+				}
+				if got := math.Float64bits(a.Users * row[r]); got != want {
+					t.Fatalf("slot %d (t=%v): Users*row = %x, At was %x", r, at, got, want)
+				}
+				if g.UTCHour(r) != at.UTCHour() {
+					t.Fatalf("slot %d: UTCHour %v, want %v", r, g.UTCHour(r), at.UTCHour())
+				}
+			}
+		}
+		if len(g.rows) > len(zones) {
+			t.Errorf("grid holds %d rows for %d timezones", len(g.rows), len(zones))
+		}
+	}
+	if len(zones) < 4 {
+		t.Errorf("only %d timezones exercised", len(zones))
+	}
+}
+
+// TestEveryMultiplies: instant r is start + r·interval exactly, so a day of
+// five-minute steps ends at 23:55 and never drifts into a 289th sample.
+func TestEveryMultiplies(t *testing.T) {
+	g := Every(0, 5*simtime.Minute, 288)
+	for r := 0; r < g.Len(); r++ {
+		if want := simtime.Time(float64(r)) * (5 * simtime.Minute); g.Time(r) != want {
+			t.Fatalf("instant %d = %v, want %v", r, g.Time(r), want)
+		}
+	}
+	if last := g.UTCHour(287); int(last) != 23 || last >= 24 {
+		t.Errorf("last instant at hour %v", last)
+	}
 }
