@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-selftest test race cover bench bench-build bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
+.PHONY: all build vet lint lint-selftest test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
 
 all: build vet lint lint-selftest test crash-smoke
 
@@ -72,6 +72,14 @@ bench:
 bench-build:
 	cd benchmark && $(GO) vet . ./clock ./compare ./spans ./stats && \
 		$(GO) test -short ./... && $(GO) build -o /dev/null ./_tracer
+
+# Byte identity of a perf change, as a script: build itm-serve from PARENT
+# and from this checkout, cold-boot both (-scale small -epochs 3
+# -mesh-agents 24, seeds 1 and 7), capture every route's body and ETag plus
+# the stable /metrics, and diff -r. Exit 1 on any difference.
+boot-identity:
+	@test -n "$(PARENT)" || { echo "usage: make boot-identity PARENT=<ref>"; exit 2; }
+	GO="$(GO)" bash scripts/boot-identity.sh "$(PARENT)"
 
 # The full benchmark suite (every paper artifact + substrate + ablations).
 bench-all:

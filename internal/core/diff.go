@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"itmap/internal/order"
@@ -49,8 +50,8 @@ func DiffMaps(before, after *TrafficMap, minShift float64) *MapDiff {
 			d.PrefixesVanished = append(d.PrefixesVanished, p)
 		}
 	}
-	sort.Slice(d.PrefixesAppeared, func(i, j int) bool { return d.PrefixesAppeared[i] < d.PrefixesAppeared[j] })
-	sort.Slice(d.PrefixesVanished, func(i, j int) bool { return d.PrefixesVanished[i] < d.PrefixesVanished[j] })
+	slices.Sort(d.PrefixesAppeared)
+	slices.Sort(d.PrefixesVanished)
 
 	shares := func(m *TrafficMap) map[topology.ASN]float64 {
 		total := order.SumValues(m.Users.ASActivity)

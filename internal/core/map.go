@@ -189,7 +189,10 @@ func BuildMap(in BuildInputs) *TrafficMap {
 	// --- Users: cache probing ------------------------------------------
 	asHit := map[topology.ASN]float64{}
 	asHitN := map[topology.ASN]float64{}
+	// The two prefix-keyed maps are copies of campaign outputs: made at their
+	// final size, not grown to it.
 	if in.Discovery != nil {
+		m.Users.ActivePrefixes = make(map[topology.PrefixID]bool, len(in.Discovery.Found))
 		for p := range in.Discovery.Found {
 			m.Users.ActivePrefixes[p] = true
 			if asn, ok := in.Top.OwnerOf(p); ok {
@@ -198,6 +201,7 @@ func BuildMap(in BuildInputs) *TrafficMap {
 		}
 	}
 	if in.HitRates != nil {
+		m.Users.PrefixHitRate = make(map[topology.PrefixID]float64, len(in.HitRates.ByPrefix))
 		// Sorted prefix order keeps the per-AS hit-rate folds bit-identical
 		// across runs; map order would shuffle the float associations.
 		for _, p := range order.Keys(in.HitRates.ByPrefix) {
@@ -306,12 +310,7 @@ func BuildMap(in BuildInputs) *TrafficMap {
 
 // ActiveASes returns the ASes with any activity signal, ascending.
 func (m *TrafficMap) ActiveASes() []topology.ASN {
-	out := make([]topology.ASN, 0, len(m.Users.Sources))
-	for asn := range m.Users.Sources {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return order.Keys(m.Users.Sources)
 }
 
 // CoverageSummary counts graded prefixes per coverage class. An empty map

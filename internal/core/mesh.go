@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // MeshPairDocument is one AS pair's entry in the user↔user mesh matrix:
 // the observed AS-level path between two eyeball networks, the RTT
@@ -63,7 +67,7 @@ type MeshDocument struct {
 // it; the campaign builder already emits sorted pairs, so this is a cheap
 // idempotent guard for hand-built documents.
 func (m *MeshDocument) Normalize() {
-	sort.Slice(m.Pairs, func(i, j int) bool { return m.Pairs[i].Key() < m.Pairs[j].Key() })
+	slices.SortFunc(m.Pairs, func(a, b MeshPairDocument) int { return cmp.Compare(a.Key(), b.Key()) })
 }
 
 // PairAt returns the entry for the (a, b) pair in either order.

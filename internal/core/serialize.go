@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
+	"itmap/internal/order"
 	"itmap/internal/topology"
 )
 
@@ -56,44 +59,43 @@ const mapDocVersion = 1
 // The result is already normalized (see Normalize), so exporting it is
 // deterministic.
 func (m *TrafficMap) Document() *MapDocument {
+	u := &m.Users
 	doc := &MapDocument{
 		Version:        mapDocVersion,
-		PrefixHitRates: map[string]float64{},
-		ASActivity:     map[string]float64{},
-		Sources:        map[string]string{},
+		PrefixHitRates: make(map[string]float64, len(u.PrefixHitRate)),
+		ASActivity:     make(map[string]float64, len(u.ASActivity)),
+		Sources:        make(map[string]string, len(u.Sources)),
 	}
-	var actives []topology.PrefixID
-	for p := range m.Users.ActivePrefixes {
-		actives = append(actives, p)
-	}
-	sort.Slice(actives, func(i, j int) bool { return actives[i] < actives[j] })
-	for _, p := range actives {
+	// Grow, not make: an empty list stays nil and exports as null.
+	doc.ActivePrefixes = slices.Grow(doc.ActivePrefixes, len(u.ActivePrefixes))
+	for _, p := range order.Keys(u.ActivePrefixes) {
 		doc.ActivePrefixes = append(doc.ActivePrefixes, p.String())
 	}
-	for p, hr := range m.Users.PrefixHitRate {
+	for p, hr := range u.PrefixHitRate {
 		if hr > 0 {
 			doc.PrefixHitRates[p.String()] = hr
 		}
 	}
-	for asn, act := range m.Users.ASActivity {
-		doc.ASActivity[fmt.Sprintf("%d", asn)] = act
+	for asn, act := range u.ASActivity {
+		doc.ASActivity[asnKey(asn)] = act
 	}
-	for asn, src := range m.Users.Sources {
-		doc.Sources[fmt.Sprintf("%d", asn)] = sourceString(src)
+	for asn, src := range u.Sources {
+		doc.Sources[asnKey(asn)] = sourceString(src)
 	}
-	if len(m.Users.Coverage) > 0 {
-		doc.Coverage = map[string]string{}
-		for p, c := range m.Users.Coverage {
+	if len(u.Coverage) > 0 {
+		doc.Coverage = make(map[string]string, len(u.Coverage))
+		for p, c := range u.Coverage {
 			doc.Coverage[p.String()] = c.String()
 		}
 	}
-	if len(m.Users.ASConfidence) > 0 {
-		doc.ASConfidence = map[string]float64{}
-		for asn, v := range m.Users.ASConfidence {
-			doc.ASConfidence[fmt.Sprintf("%d", asn)] = v
+	if len(u.ASConfidence) > 0 {
+		doc.ASConfidence = make(map[string]float64, len(u.ASConfidence))
+		for asn, v := range u.ASConfidence {
+			doc.ASConfidence[asnKey(asn)] = v
 		}
 	}
 	if m.Services.Scan != nil {
+		doc.Servers = slices.Grow(doc.Servers, len(m.Services.Scan.Servers))
 		for _, s := range m.Services.Scan.Servers {
 			doc.Servers = append(doc.Servers, ServerDocument{
 				Prefix:  s.Prefix.String(),
@@ -105,12 +107,7 @@ func (m *TrafficMap) Document() *MapDocument {
 			})
 		}
 	}
-	var keys []MappingKey
-	for k := range m.Services.Mapping {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
-	for _, k := range keys {
+	for _, k := range order.KeysFunc(m.Services.Mapping, MappingKey.Compare) {
 		doc.Mappings = append(doc.Mappings, MappingDocument{
 			Domain:   k.Domain,
 			ClientAS: uint32(k.ClientAS),
@@ -120,6 +117,9 @@ func (m *TrafficMap) Document() *MapDocument {
 	doc.Normalize()
 	return doc
 }
+
+// asnKey is an ASN as a document map key (parseASNKey's inverse).
+func asnKey(asn topology.ASN) string { return strconv.FormatUint(uint64(asn), 10) }
 
 // Export writes the map's measured components as JSON.
 func (m *TrafficMap) Export(w io.Writer) error {
@@ -132,7 +132,7 @@ func (m *TrafficMap) Export(w io.Writer) error {
 // the binary codec): required maps are non-nil, optional maps
 // (Coverage/ASConfidence) are nil when empty — matching their omitempty
 // export — and slices are sorted (prefixes numerically where parseable,
-// servers by LessServer, mappings by domain then client AS).
+// servers by CompareServer, mappings by CompareMapping).
 func (doc *MapDocument) Normalize() {
 	if doc.PrefixHitRates == nil {
 		doc.PrefixHitRates = map[string]float64{}
@@ -149,55 +149,54 @@ func (doc *MapDocument) Normalize() {
 	if len(doc.ASConfidence) == 0 {
 		doc.ASConfidence = nil
 	}
-	sort.Slice(doc.ActivePrefixes, func(i, j int) bool {
-		return prefixLess(doc.ActivePrefixes[i], doc.ActivePrefixes[j])
-	})
-	sort.Slice(doc.Servers, func(i, j int) bool {
-		return LessServer(&doc.Servers[i], &doc.Servers[j])
-	})
-	sort.Slice(doc.Mappings, func(i, j int) bool {
-		a, b := &doc.Mappings[i], &doc.Mappings[j]
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return a.ClientAS < b.ClientAS
-	})
+	slices.SortFunc(doc.ActivePrefixes, comparePrefix)
+	slices.SortFunc(doc.Servers, CompareServer)
+	slices.SortFunc(doc.Mappings, CompareMapping)
 }
 
-// LessServer is the one canonical server order: the full field tuple
+// CompareServer is the one canonical server order: the full field tuple
 // (prefix numerically, host AS, owner AS, org, city, country). Normalize
 // sorts by it and the binary codec both encodes in it and rejects input
 // that departs from it, so a decoded document is a Normalize fixed point.
 // Only fully equal servers tie, which is why an unstable sort suffices.
-func LessServer(a, b *ServerDocument) bool {
+func CompareServer(a, b ServerDocument) int {
 	if a.Prefix != b.Prefix {
-		return prefixLess(a.Prefix, b.Prefix)
+		return comparePrefix(a.Prefix, b.Prefix)
 	}
-	if a.HostAS != b.HostAS {
-		return a.HostAS < b.HostAS
+	if c := cmp.Compare(a.HostAS, b.HostAS); c != 0 {
+		return c
 	}
-	if a.OwnerAS != b.OwnerAS {
-		return a.OwnerAS < b.OwnerAS
+	if c := cmp.Compare(a.OwnerAS, b.OwnerAS); c != 0 {
+		return c
 	}
-	if a.Org != b.Org {
-		return a.Org < b.Org
+	if c := strings.Compare(a.Org, b.Org); c != 0 {
+		return c
 	}
-	if a.City != b.City {
-		return a.City < b.City
+	if c := strings.Compare(a.City, b.City); c != 0 {
+		return c
 	}
-	return a.Country < b.Country
+	return strings.Compare(a.Country, b.Country)
 }
 
-// prefixLess orders CIDR strings by numeric prefix ID where both parse
+// CompareMapping is the canonical mapping order, by domain then client AS:
+// the document's unique key, so canonical order is strictly ascending.
+func CompareMapping(a, b MappingDocument) int {
+	if c := strings.Compare(a.Domain, b.Domain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ClientAS, b.ClientAS)
+}
+
+// comparePrefix orders CIDR strings by numeric prefix ID where both parse
 // (lexicographic order would put 10.0.0.0/24 before 2.0.0.0/24), falling
 // back to string order so unparseable inputs still sort deterministically.
-func prefixLess(a, b string) bool {
+func comparePrefix(a, b string) int {
 	pa, ea := ParsePrefix(a)
 	pb, eb := ParsePrefix(b)
 	if ea == nil && eb == nil {
-		return pa < pb
+		return cmp.Compare(pa, pb)
 	}
-	return a < b
+	return strings.Compare(a, b)
 }
 
 // Export writes the document as indented JSON, normalizing first. JSON map

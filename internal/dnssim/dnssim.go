@@ -19,9 +19,11 @@ package dnssim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"itmap/internal/faults"
 	"itmap/internal/geo"
@@ -104,9 +106,65 @@ type PublicResolver struct {
 	Owner topology.ASN
 	PoPs  []*PoP
 
-	homeMu sync.RWMutex
-	//itm:guardedby homeMu
-	home map[geo.Coord]int // city coordinate -> nearest PoP's ID
+	home     memo[geo.Coord, *PoP] // city coordinate -> nearest PoP
+	adoption memo[string, float64] // country code -> AdoptionShare
+
+	// The two lookup counters, shared by every Probe of this resolver.
+	answered, hits lazyCounter
+}
+
+// memo caches a pure function over a small key space (a world's few dozen
+// cities and countries) that the probing sweeps hit once per prefix from
+// many goroutines: a hit is one atomic load and a map read, no lock; a miss
+// republishes a copy of the map with the new entry. Racing misses compute —
+// and publish — the same value.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex // serializes republishing
+	m  atomic.Pointer[map[K]V]
+}
+
+func (c *memo[K, V]) load(k K) (V, bool) {
+	if m := c.m.Load(); m != nil {
+		v, ok := (*m)[k]
+		return v, ok
+	}
+	var zero V
+	return zero, false
+}
+
+func (c *memo[K, V]) store(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next := map[K]V{}
+	if m := c.m.Load(); m != nil {
+		next = maps.Clone(*m)
+	}
+	next[k] = v
+	c.m.Store(&next)
+}
+
+// lazyCounter is a counter of the default registry resolved at its first
+// increment, not before: a series must not appear in the exposition until
+// the increment that would have created it. The handle is kept per registry,
+// so a resolver that outlives an obs.Swap reports into the current one.
+type lazyCounter struct {
+	name, help string
+	h          atomic.Pointer[counterHandle]
+}
+
+type counterHandle struct {
+	reg *obs.Registry
+	c   *obs.Counter
+}
+
+func (l *lazyCounter) add(n uint64) {
+	reg := obs.Metrics()
+	h := l.h.Load()
+	if h == nil || h.reg != reg {
+		h = &counterHandle{reg: reg, c: reg.Counter(l.name, l.help)}
+		l.h.Store(h)
+	}
+	h.c.Add(n)
 }
 
 // NewPublicResolver places PoPs at every region hub and in every country
@@ -117,7 +175,10 @@ func NewPublicResolver(top *topology.Topology, cat *services.Catalog, owner topo
 		cat:   cat,
 		seed:  uint64(seed),
 		Owner: owner,
-		home:  map[geo.Coord]int{},
+		answered: lazyCounter{name: "itm_dns_probes_total",
+			help: "Cache-occupancy lookups answered (hit or clean miss)."},
+		hits: lazyCounter{name: "itm_dns_cache_hits_total",
+			help: "Cache-occupancy lookups that found the record cached."},
 	}
 	seen := map[string]bool{}
 	addPoP := func(city geo.City) {
@@ -178,17 +239,15 @@ func (pr *PublicResolver) Catalog() *services.Catalog { return pr.cat }
 // the topology places nowhere. The answer depends only on where the prefix
 // is, so it is memoized per city coordinate: a world's prefixes sit in a few
 // dozen cities, and the PoP list is fixed at construction. Safe for
-// concurrent use: probing campaigns fan out across goroutines.
+// concurrent use, and lock-free once a city is known: probing campaigns fan
+// out across goroutines and ask once per prefix (then PrepareHome).
 func (pr *PublicResolver) HomePoP(p topology.PrefixID) *PoP {
 	city, ok := pr.top.PrefixCity[p]
 	if !ok {
 		return nil
 	}
-	pr.homeMu.RLock()
-	id, ok := pr.home[city.Coord]
-	pr.homeMu.RUnlock()
-	if ok {
-		return pr.PoPs[id]
+	if pop, ok := pr.home.load(city.Coord); ok {
+		return pop
 	}
 	best, bestDist := 0, math.Inf(1)
 	for _, pop := range pr.PoPs {
@@ -197,16 +256,25 @@ func (pr *PublicResolver) HomePoP(p topology.PrefixID) *PoP {
 			best, bestDist = pop.ID, d
 		}
 	}
-	pr.homeMu.Lock()
-	pr.home[city.Coord] = best
-	pr.homeMu.Unlock()
+	pr.home.store(city.Coord, pr.PoPs[best])
 	return pr.PoPs[best]
 }
 
 // AdoptionShare returns the fraction of a country's DNS queries sent to the
 // public resolver. Globally ~30-35% (the paper cites [16]), with per-country
-// skew — one of the biases §3.1.3 says must be mitigated.
+// skew — one of the biases §3.1.3 says must be mitigated. A pure function of
+// (seed, country), asked once per prepared probe: memoized per country code.
 func (pr *PublicResolver) AdoptionShare(countryCode string) float64 {
+	if s, ok := pr.adoption.load(countryCode); ok {
+		return s
+	}
+	s := pr.adoptionShare(countryCode)
+	pr.adoption.store(countryCode, s)
+	return s
+}
+
+// adoptionShare is the adoption law itself.
+func (pr *PublicResolver) adoptionShare(countryCode string) float64 {
 	j := randx.HashLognormal(0, 0.30, pr.seed, 0xadf0, hashString(countryCode))
 	s := 0.32 * j
 	return math.Max(0.10, math.Min(0.55, s))
@@ -265,12 +333,10 @@ type Probe struct {
 	steady  float64
 	factors []float64
 
-	// Lookups answered and hits found since the last Flush, and the counter
-	// handles, resolved on the first flushed lookup and the first flushed
-	// hit: a series must not appear in the exposition before its first
-	// increment would have created it.
+	// Lookups answered and hits found since the last Flush, and the resolver
+	// whose counters Flush adds them to.
 	nAnswered, nHits uint64
-	answered, hits   *obs.Counter
+	pr               *PublicResolver
 }
 
 // Prepare resolves the time-invariant half of probing domain with the given
@@ -278,7 +344,19 @@ type Probe struct {
 // (no rate source, unknown PoP, NXDOMAIN, a domain without per-prefix ECS
 // scoping) is reported by every At.
 func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixID) Probe {
-	p := Probe{faults: pr.faults, pop: popID}
+	return pr.prepare(popID, pr.HomePoP(ecs), domain, ecs)
+}
+
+// PrepareHome is Prepare(home.ID, domain, ecs) for a caller that already
+// holds home = pr.HomePoP(ecs), not nil: a sweep resolves each prefix's home
+// once and prepares a probe of it per domain.
+func (pr *PublicResolver) PrepareHome(home *PoP, domain string, ecs topology.PrefixID) Probe {
+	return pr.prepare(home.ID, home, domain, ecs)
+}
+
+// prepare is Prepare given ecs's home PoP (nil for a prefix placed nowhere).
+func (pr *PublicResolver) prepare(popID int, home *PoP, domain string, ecs topology.PrefixID) Probe {
+	p := Probe{faults: pr.faults, pop: popID, pr: pr}
 	if pr.rates == nil {
 		p.early = fmt.Errorf("dnssim: no rate source wired")
 		p.late = p.early // the fault-free lookup reports it too
@@ -299,7 +377,7 @@ func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixI
 		return p
 	}
 	// The entry exists only at the clients' home PoP.
-	if home := pr.HomePoP(ecs); home == nil || home.ID != popID {
+	if home == nil || home.ID != popID {
 		return p
 	}
 	p.home = true
@@ -356,17 +434,11 @@ func (p *Probe) slotDiurnal(r int) float64 {
 // swept prefix instead of two per probe.
 func (p *Probe) Flush() {
 	if p.nAnswered > 0 {
-		if p.answered == nil {
-			p.answered = obs.C("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).")
-		}
-		p.answered.Add(p.nAnswered)
+		p.pr.answered.add(p.nAnswered)
 		p.nAnswered = 0
 	}
 	if p.nHits > 0 {
-		if p.hits == nil {
-			p.hits = obs.C("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.")
-		}
-		p.hits.Add(p.nHits)
+		p.pr.hits.add(p.nHits)
 		p.nHits = 0
 	}
 }

@@ -2,6 +2,7 @@ package dnssim
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -178,20 +179,7 @@ func TestGridCellsMatchReference(t *testing.T) {
 func TestHomePoPByCityMatchesByPrefix(t *testing.T) {
 	top, _, pr := setup(t, 5)
 	prefixes := append(top.AllPrefixes(), topology.PrefixID(0xfffffff0))
-	scan := func(p topology.PrefixID) *PoP {
-		city, ok := top.PrefixCity[p]
-		if !ok {
-			return nil
-		}
-		var best *PoP
-		bestDist := math.Inf(1)
-		for _, pop := range pr.PoPs {
-			if d := geo.DistanceKm(city.Coord, pop.City.Coord); d < bestDist {
-				best, bestDist = pop, d
-			}
-		}
-		return best
-	}
+	scan := func(p topology.PrefixID) *PoP { return scanHomePoP(top, pr, p) }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -211,7 +199,91 @@ func TestHomePoPByCityMatchesByPrefix(t *testing.T) {
 	for _, p := range top.AllPrefixes() {
 		cities[top.PrefixCity[p].Name] = true
 	}
-	if len(pr.home) > len(cities) {
-		t.Errorf("memo holds %d entries for %d cities", len(pr.home), len(cities))
+	if n := len(*pr.home.m.Load()); n > len(cities) {
+		t.Errorf("memo holds %d entries for %d cities", n, len(cities))
+	}
+}
+
+// scanHomePoP is HomePoP without the memo: a scan of the PoPs from p's city.
+func scanHomePoP(top *topology.Topology, pr *PublicResolver, p topology.PrefixID) *PoP {
+	city, ok := top.PrefixCity[p]
+	if !ok {
+		return nil
+	}
+	var best *PoP
+	bestDist := math.Inf(1)
+	for _, pop := range pr.PoPs {
+		if d := geo.DistanceKm(city.Coord, pop.City.Coord); d < bestDist {
+			best, bestDist = pop, d
+		}
+	}
+	return best
+}
+
+// TestPrepareHomeMatchesPrepare: a sweep that resolves a prefix's home once
+// and hands it to PrepareHome gets, for every prefix and every kind of domain,
+// the probe Prepare builds by resolving the home itself — with the home taken
+// from the scan oracle, so a wrong memo cannot agree with itself.
+func TestPrepareHomeMatchesPrepare(t *testing.T) {
+	top, cat, pr := setup(t, 5)
+	pr.SetRateSource(diurnalRate{users.Build(top, users.DefaultConfig(), randx.New(11))})
+	pr.SetFaultPlan(faults.NewPlan(faults.Lossy(), 11))
+	domains := []string{"nxdomain.example"}
+	for _, s := range cat.Services {
+		domains = append(domains, s.Domain) // ECS, resolver-scoped and anycast alike
+	}
+	homes := 0
+	for i, p := range top.AllPrefixes() {
+		home := scanHomePoP(top, pr, p)
+		if home == nil {
+			t.Fatalf("allocated prefix %v has no home PoP", p)
+		}
+		for j, dom := range domains {
+			if (i+j)%5 != 0 { // every prefix, every domain, a fifth of the cross product
+				continue
+			}
+			got, want := pr.PrepareHome(home, dom, p), pr.Prepare(home.ID, dom, p)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: PrepareHome %+v, Prepare %+v", dom, p, got, want)
+			}
+			if got.home {
+				homes++
+			}
+		}
+	}
+	if homes == 0 {
+		t.Error("no prepared probe was of a prefix-scoped record at its home PoP")
+	}
+}
+
+// TestAdoptionShareMemoMatchesDirect: the per-country memo answers what the
+// adoption law answers, cold and warm, from several goroutines at once (run
+// with -race), and holds one entry per country asked.
+func TestAdoptionShareMemoMatchesDirect(t *testing.T) {
+	_, _, pr := setup(t, 6)
+	codes := []string{"ZZ", ""}
+	for _, c := range geo.Countries() {
+		codes = append(codes, c.Code)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for i := range codes {
+					code := codes[(i+g*len(codes)/4)%len(codes)]
+					got, want := pr.AdoptionShare(code), pr.adoptionShare(code)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("AdoptionShare(%q) = %v, the law says %v", code, got, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(*pr.adoption.m.Load()); n != len(codes) {
+		t.Errorf("memo holds %d entries for %d country codes", n, len(codes))
 	}
 }

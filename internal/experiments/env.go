@@ -131,10 +131,12 @@ func (e *Env) HitRates() *cacheprobe.HitRates {
 	defer e.mu.Unlock()
 	if e.hitRates == nil {
 		pb := &cacheprobe.Prober{PR: e.W.PR}
-		// A mid-popularity domain keeps hit rates in the low-percent
-		// range (the paper's Figure 2 shows 0-8%) instead of
-		// saturating: the very top domains are nearly always cached
-		// for any large ISP.
+		// A mid-popularity domain, because the very top domains are
+		// nearly always cached for any large ISP. It does not reach the
+		// paper's Figure 2 range (0-8%): at -scale small the campaign
+		// measures a mean hit rate of 0.886, non-zero on 33 384 of
+		// 37 424 prefixes (PR 20). Calibrating the rate law against
+		// Figure 2 is ROADMAP item 4's job, not this method's.
 		domains := e.W.Cat.ECSDomains()
 		domain := domains[len(domains)/2]
 		hr, err := pb.MeasureHitRatesParallel(e.W.Top, e.W.Top.AllPrefixes(),

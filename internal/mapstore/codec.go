@@ -6,10 +6,12 @@
 package mapstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,12 +181,16 @@ type prefixEntry struct {
 	c byte
 }
 
+func comparePrefixEntry(a, b prefixEntry) int { return cmp.Compare(a.p, b.p) }
+
 // asnEntry is one (ASN, payload) pair of an ASN-keyed section.
 type asnEntry struct {
 	asn uint32
 	f   float64
 	c   byte
 }
+
+func compareASNEntry(a, b asnEntry) int { return cmp.Compare(a.asn, b.asn) }
 
 func parseASN(s string) (uint32, error) {
 	v, err := strconv.ParseUint(s, 10, 32)
@@ -271,7 +277,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 		}
 		actives = append(actives, p)
 	}
-	sort.Slice(actives, func(i, j int) bool { return actives[i] < actives[j] })
+	slices.Sort(actives)
 	e.actives = actives
 	for i := 1; i < len(actives); i++ {
 		if actives[i] == actives[i-1] {
@@ -311,7 +317,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 		return encoding{}, err
 	}
 
-	// Servers, in core.LessServer order: the full field tuple, so ties on
+	// Servers, in core.CompareServer order: the full field tuple, so ties on
 	// prefix still have one canonical order.
 	e.begin(wireServers)
 	if cap(e.servers) < len(doc.Servers) {
@@ -319,7 +325,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	}
 	servers := e.servers[:len(doc.Servers)]
 	copy(servers, doc.Servers)
-	sort.Slice(servers, func(i, j int) bool { return core.LessServer(&servers[i], &servers[j]) })
+	slices.SortFunc(servers, core.CompareServer)
 	e.servers = servers
 	e.uvarint(uint64(len(servers)))
 	for i := range servers {
@@ -344,15 +350,9 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	}
 	mappings := e.mappings[:len(doc.Mappings)]
 	copy(mappings, doc.Mappings)
-	sort.Slice(mappings, func(i, j int) bool {
-		a, b := &mappings[i], &mappings[j]
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return a.ClientAS < b.ClientAS
-	})
+	slices.SortFunc(mappings, core.CompareMapping)
 	for i := 1; i < len(mappings); i++ {
-		if mappings[i].Domain == mappings[i-1].Domain && mappings[i].ClientAS == mappings[i-1].ClientAS {
+		if core.CompareMapping(mappings[i], mappings[i-1]) == 0 {
 			return encoding{}, fmt.Errorf("%w: duplicate mapping key (%s, %d)", ErrEncode, mappings[i].Domain, mappings[i].ClientAS)
 		}
 	}
@@ -403,7 +403,7 @@ func (e *encoder) prefixFloats(m map[string]float64) error {
 		entries = append(entries, prefixEntry{p: p, f: v})
 	}
 	e.pEntries = entries
-	sort.Slice(entries, func(i, j int) bool { return entries[i].p < entries[j].p })
+	slices.SortFunc(entries, comparePrefixEntry)
 	e.uvarint(uint64(len(entries)))
 	prev := topology.PrefixID(0)
 	for i, en := range entries {
@@ -432,7 +432,7 @@ func (e *encoder) prefixCodes(m map[string]string, table []string, what string) 
 		entries = append(entries, prefixEntry{p: p, c: c})
 	}
 	e.pEntries = entries
-	sort.Slice(entries, func(i, j int) bool { return entries[i].p < entries[j].p })
+	slices.SortFunc(entries, comparePrefixEntry)
 	e.uvarint(uint64(len(entries)))
 	prev := topology.PrefixID(0)
 	for i, en := range entries {
@@ -457,7 +457,7 @@ func (e *encoder) asnFloats(m map[string]float64) error {
 		entries = append(entries, asnEntry{asn: asn, f: v})
 	}
 	e.aEntries = entries
-	sort.Slice(entries, func(i, j int) bool { return entries[i].asn < entries[j].asn })
+	slices.SortFunc(entries, compareASNEntry)
 	e.uvarint(uint64(len(entries)))
 	prev := uint32(0)
 	for i, en := range entries {
@@ -486,7 +486,7 @@ func (e *encoder) asnCodes(m map[string]string, table []string, what string) err
 		entries = append(entries, asnEntry{asn: asn, c: c})
 	}
 	e.aEntries = entries
-	sort.Slice(entries, func(i, j int) bool { return entries[i].asn < entries[j].asn })
+	slices.SortFunc(entries, compareASNEntry)
 	e.uvarint(uint64(len(entries)))
 	prev := uint32(0)
 	for i, en := range entries {
@@ -899,7 +899,7 @@ func decodeInto(doc *core.MapDocument, enc *encoding) error {
 		if _, s.Country, err = ref("server country"); err != nil {
 			return err
 		}
-		if i > 0 && core.LessServer(s, &doc.Servers[i-1]) {
+		if i > 0 && core.CompareServer(*s, doc.Servers[i-1]) < 0 {
 			return fmt.Errorf("%w: servers not in canonical order", ErrCorrupt)
 		}
 	}

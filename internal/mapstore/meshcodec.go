@@ -1,9 +1,10 @@
 package mapstore
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"itmap/internal/core"
 	"itmap/internal/obs"
@@ -60,7 +61,7 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 
 	pairs := make([]core.MeshPairDocument, len(doc.Pairs))
 	copy(pairs, doc.Pairs)
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key() < pairs[j].Key() })
+	slices.SortFunc(pairs, func(a, b core.MeshPairDocument) int { return cmp.Compare(a.Key(), b.Key()) })
 	e.uvarint(uint64(len(pairs)))
 	var prev uint64
 	for i := range pairs {

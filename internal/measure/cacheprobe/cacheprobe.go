@@ -7,8 +7,9 @@
 package cacheprobe
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
@@ -72,7 +73,7 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 		}
 		found := false
 		for _, dom := range pb.Domains {
-			probe := pb.PR.Prepare(pop.ID, dom, p)
+			probe := pb.PR.PrepareHome(pop, dom, p)
 			probe.Over(grid)
 			for r := 0; r < rounds && !found; r++ {
 				hit, err := probe.AtSlot(r, opts)
@@ -119,11 +120,8 @@ func (d *Discovery) PoPCounts(pr *dnssim.PublicResolver) []PoPCount {
 	for _, pop := range pr.PoPs {
 		out = append(out, PoPCount{PoP: pop, Prefixes: d.ByPoP[pop.ID]})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefixes != out[j].Prefixes {
-			return out[i].Prefixes > out[j].Prefixes
-		}
-		return out[i].PoP.ID < out[j].PoP.ID
+	slices.SortFunc(out, func(a, b PoPCount) int {
+		return cmp.Or(cmp.Compare(b.Prefixes, a.Prefixes), cmp.Compare(a.PoP.ID, b.PoP.ID))
 	})
 	return out
 }
@@ -190,7 +188,7 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 		interval = 5 * simtime.Minute
 	}
 	hr := &HitRates{
-		ByPrefix: map[topology.PrefixID]float64{},
+		ByPrefix: make(map[topology.PrefixID]float64, len(prefixes)),
 		ByAS:     map[topology.ASN]float64{},
 	}
 	probesPer := probesPerDay(interval)
@@ -203,7 +201,7 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 		if pop == nil {
 			continue
 		}
-		probe := pb.PR.Prepare(pop.ID, domain, p)
+		probe := pb.PR.PrepareHome(pop, domain, p)
 		probe.Over(grid)
 		hits := 0
 		for r := 0; r < probesPer; r++ {

@@ -40,7 +40,7 @@ func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topolo
 		if pop == nil {
 			continue
 		}
-		probe := pb.PR.Prepare(pop.ID, domain, p)
+		probe := pb.PR.PrepareHome(pop, domain, p)
 		probe.Over(grid)
 		for r := 0; r < grid.Len(); r++ {
 			hit, err := probe.AtSlot(r, opts)

@@ -44,17 +44,23 @@ func (pb *Prober) DiscoverPrefixesParallel(top *topology.Topology, prefixes []to
 			shards[w] = shard{d, err}
 		}
 	})
+	// Shards run in prefix order, so the first failed shard holds the error
+	// the serial sweep would have stopped at.
+	found := 0
+	for _, s := range shards {
+		if s.err != nil {
+			return nil, s.err
+		}
+		if s.d != nil {
+			found += len(s.d.Found)
+		}
+	}
 	out := &Discovery{
-		Found:     map[topology.PrefixID]bool{},
+		Found:     make(map[topology.PrefixID]bool, found),
 		FoundASes: map[topology.ASN]bool{},
 		ByPoP:     map[int]int{},
 	}
 	for _, s := range shards {
-		// Shards run in prefix order, so the first failed shard holds the
-		// error the serial sweep would have stopped at.
-		if s.err != nil {
-			return nil, s.err
-		}
 		if s.d == nil {
 			continue
 		}
@@ -91,14 +97,17 @@ func (pb *Prober) MeasureHitRatesParallel(top *topology.Topology, prefixes []top
 			shards[w] = shard{hr, err}
 		}
 	})
-	out := &HitRates{
-		ByPrefix: map[topology.PrefixID]float64{},
-		ByAS:     map[topology.ASN]float64{},
-	}
 	for _, s := range shards {
 		if s.err != nil {
 			return nil, s.err
 		}
+	}
+	// Shards cut the prefix list, so every prefix is measured by one of them.
+	out := &HitRates{
+		ByPrefix: make(map[topology.PrefixID]float64, len(prefixes)),
+		ByAS:     map[topology.ASN]float64{},
+	}
+	for _, s := range shards {
 		if s.hr == nil {
 			continue
 		}

@@ -295,7 +295,7 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 			attempts := 0
 		domains:
 			for _, dom := range rp.Domains {
-				pp := rp.PR.Prepare(pop.ID, dom, p)
+				pp := rp.PR.PrepareHome(pop, dom, p)
 				for r := 0; r < rounds; r++ {
 					hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, grid.Time(r))
 					attempts += att
@@ -416,7 +416,7 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 			if pop == nil {
 				continue
 			}
-			pp := rp.PR.Prepare(pop.ID, domain, p)
+			pp := rp.PR.PrepareHome(pop, domain, p)
 			hits, answered, attempts := 0, 0, 0
 			for r := 0; r < probesPer; r++ {
 				hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, grid.Time(r))

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+
+	"itmap/internal/order"
 )
 
 // Export formats for inspecting generated worlds with standard tools.
@@ -79,12 +80,7 @@ func (t *Topology) ExportDOT(w io.Writer) error {
 		Academic:   `shape=ellipse, fillcolor="#d9ead3"`,
 	}
 	// Stable order for byte-identical exports.
-	var types []ASType
-	for ty := range styles {
-		types = append(types, ty)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	for _, ty := range types {
+	for _, ty := range order.Keys(styles) {
 		for _, asn := range t.ASesOfType(ty) {
 			a := t.ASes[asn]
 			app("  %d [label=\"%s\\nAS%d\", %s];\n", asn, a.Name, asn, styles[ty])

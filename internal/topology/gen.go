@@ -3,9 +3,11 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"itmap/internal/geo"
+	"itmap/internal/order"
 	"itmap/internal/randx"
 )
 
@@ -113,6 +115,7 @@ func Generate(cfg GenConfig) *Topology {
 	rng := randx.New(cfg.Seed)
 	t := NewTopology()
 	alloc := NewPrefixAllocator()
+	var homes []prefixHome
 
 	countries := geo.Countries()
 	if cfg.CountryLimit > 0 && cfg.CountryLimit < len(countries) {
@@ -169,7 +172,7 @@ func Generate(cfg GenConfig) *Topology {
 		}
 		// Small infrastructure address space.
 		a.Prefixes = alloc.Alloc(2)
-		registerPrefixes(t, a, geo.RegionHub(region))
+		homes = append(homes, prefixHome{a, geo.RegionHub(region)})
 		t.AddAS(a)
 		tier1s = append(tier1s, asn)
 	}
@@ -221,7 +224,7 @@ func Generate(cfg GenConfig) *Topology {
 				}
 			}
 			a.Prefixes = alloc.Alloc(1 + rng.Intn(3))
-			registerPrefixes(t, a, home.Capital)
+			homes = append(homes, prefixHome{a, home.Capital})
 			t.AddAS(a)
 			// 1-3 tier-1 providers.
 			nProv := rng.IntBetween(1, min(3, len(tier1s)))
@@ -317,7 +320,7 @@ func Generate(cfg GenConfig) *Topology {
 			}
 			nPfx := int(math.Max(1, math.Round(subsK/100*cfg.PrefixPer100kUsers)))
 			a.Prefixes = alloc.Alloc(nPfx)
-			registerPrefixes(t, a, c.Capital)
+			homes = append(homes, prefixHome{a, c.Capital})
 			t.AddAS(a)
 			// Providers: 1-2 regional transit, preferring home country.
 			ts := transitByRegion[region]
@@ -367,7 +370,7 @@ func Generate(cfg GenConfig) *Topology {
 			}
 		}
 		a.Prefixes = alloc.Alloc(8 + rng.Intn(8))
-		registerPrefixes(t, a, geo.RegionHub(a.Region))
+		homes = append(homes, prefixHome{a, geo.RegionHub(a.Region)})
 		t.AddAS(a)
 		hypergiants = append(hypergiants, asn)
 		for _, t1 := range tier1s {
@@ -402,7 +405,7 @@ func Generate(cfg GenConfig) *Topology {
 			a.Facilities = append(a.Facilities, regionHubFacs[r]...)
 		}
 		a.Prefixes = alloc.Alloc(6 + rng.Intn(6))
-		registerPrefixes(t, a, geo.RegionHub(a.Region))
+		homes = append(homes, prefixHome{a, geo.RegionHub(a.Region)})
 		t.AddAS(a)
 		clouds = append(clouds, asn)
 		for _, t1 := range tier1s {
@@ -475,7 +478,7 @@ func Generate(cfg GenConfig) *Topology {
 			}
 			a.Facilities = []FacilityID{countryFac[c.Code]}
 			a.Prefixes = alloc.Alloc(1)
-			registerPrefixes(t, a, c.Capital)
+			homes = append(homes, prefixHome{a, c.Capital})
 			t.AddAS(a)
 			// Customer of a regional transit or a large eyeball.
 			if rng.Bool(0.75) || len(eyeballsByCountry[c.Code]) == 0 {
@@ -506,7 +509,7 @@ func Generate(cfg GenConfig) *Topology {
 			}
 			a.Facilities = []FacilityID{countryFac[c.Code]}
 			a.Prefixes = alloc.Alloc(1 + rng.Intn(2))
-			registerPrefixes(t, a, c.Capital)
+			homes = append(homes, prefixHome{a, c.Capital})
 			t.AddAS(a)
 			ts := transitByRegion[c.Region]
 			if len(ts) == 0 {
@@ -575,7 +578,7 @@ func Generate(cfg GenConfig) *Topology {
 				t.ASes[asn].Facilities = appendUniqueFacility(t.ASes[asn].Facilities, fac)
 			}
 		}
-		sort.Slice(ixp.Members, func(i, j int) bool { return ixp.Members[i] < ixp.Members[j] })
+		slices.Sort(ixp.Members)
 		t.IXPs = append(t.IXPs, ixp)
 		// Public peering on the fabric: giants peer openly with
 		// eyeballs; some eyeball-eyeball and transit-eyeball peering.
@@ -609,13 +612,14 @@ func Generate(cfg GenConfig) *Topology {
 		Eyeball: 0.65, Transit: 0.5, Hypergiant: 0.95, Cloud: 0.9,
 		Enterprise: 0.08, Academic: 0.5,
 	}
+	asns := order.Keys(t.ASes) // every AS exists by now; IXPs only add links
 	for _, r := range geo.Regions() {
 		cs := regionCountries[r]
 		if len(cs) == 0 {
 			continue
 		}
 		var scope []ASN
-		for _, asn := range sortedASNs(t) {
+		for _, asn := range asns {
 			a := t.ASes[asn]
 			if a.Region == r || a.Country == "ZZ" {
 				scope = append(scope, asn)
@@ -628,7 +632,7 @@ func Generate(cfg GenConfig) *Topology {
 			continue
 		}
 		var scope []ASN
-		for _, asn := range sortedASNs(t) {
+		for _, asn := range asns {
 			a := t.ASes[asn]
 			if a.Country == c.Code || a.Country == "ZZ" {
 				scope = append(scope, asn)
@@ -651,16 +655,33 @@ func Generate(cfg GenConfig) *Topology {
 		}
 		a.Facilities = uniq
 	}
+	registerPrefixes(t, homes)
 	t.Allocator = alloc
 	t.Freeze()
 	return t
 }
 
-// registerPrefixes records ownership and city for an AS's prefixes.
-func registerPrefixes(t *Topology, a *AS, city geo.City) {
-	for _, p := range a.Prefixes {
-		t.PrefixOwner[p] = a.ASN
-		t.PrefixCity[p] = city
+// prefixHome is the city one generated AS's prefixes are in.
+type prefixHome struct {
+	as   *AS
+	city geo.City
+}
+
+// registerPrefixes records ownership and city for every generated AS's
+// prefixes, once all are allocated: the two maps are made at their final
+// size instead of grown through a dozen rehashes.
+func registerPrefixes(t *Topology, homes []prefixHome) {
+	n := 0
+	for _, h := range homes {
+		n += len(h.as.Prefixes)
+	}
+	t.PrefixOwner = make(map[PrefixID]ASN, n)
+	t.PrefixCity = make(map[PrefixID]geo.City, n)
+	for _, h := range homes {
+		for _, p := range h.as.Prefixes {
+			t.PrefixOwner[p] = h.as.ASN
+			t.PrefixCity[p] = h.city
+		}
 	}
 }
 
@@ -682,15 +703,6 @@ func countryWeights(cs []geo.Country) []float64 {
 }
 
 func isGiant(t ASType) bool { return t == Hypergiant || t == Cloud }
-
-func sortedASNs(t *Topology) []ASN {
-	out := make([]ASN, 0, len(t.ASes))
-	for asn := range t.ASes {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // CountryUsers returns the Internet users (millions) of a country code.
 func CountryUsers(code string) (float64, error) {

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // PrefixID identifies one /24 of IPv4 address space: the top 24 bits of the
@@ -29,8 +30,19 @@ func (p PrefixID) Addr(host byte) netip.Addr {
 	return netip.AddrFrom4([4]byte{byte(p >> 16), byte(p >> 8), byte(p), host})
 }
 
-// String formats the prefix in CIDR notation.
-func (p PrefixID) String() string { return p.Prefix().String() }
+// String formats the prefix in CIDR notation, "a.b.c.0/24" — byte for byte
+// what p.Prefix().String() gives, without the trip through net/netip: every
+// document key and active-prefix entry of every epoch is one of these.
+func (p PrefixID) String() string {
+	b := make([]byte, 0, len("255.255.255.0/24"))
+	b = strconv.AppendUint(b, uint64(p>>16&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(p>>8&0xff), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(p&0xff), 10)
+	b = append(b, ".0/24"...)
+	return string(b)
+}
 
 // PrefixAllocator hands out contiguous runs of /24s. Allocation starts at
 // 1.0.0.0/24 and skips the blocks reserved in the real Internet so that

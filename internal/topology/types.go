@@ -8,10 +8,12 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"itmap/internal/geo"
+	"itmap/internal/order"
 )
 
 // ASN identifies an autonomous system.
@@ -273,9 +275,10 @@ type Topology struct {
 	// stages (e.g. off-net cache deployment) can extend address space.
 	Allocator *PrefixAllocator
 
-	asns    []ASN // sorted, dense index
-	idx     map[ASN]int
-	linkIdx *LinkIndex // dense link index; see linkindex.go
+	asns     []ASN // sorted, dense index
+	idx      map[ASN]int
+	linkIdx  *LinkIndex // dense link index; see linkindex.go
+	prefixes []PrefixID // sorted keys of PrefixOwner; see AllPrefixes
 }
 
 // AllocPrefixes allocates n fresh /24s, assigns them to owner, and places
@@ -322,19 +325,13 @@ func (t *Topology) AddAS(a *AS) {
 // all ASes and links are added and before running BGP.
 func (t *Topology) Freeze() {
 	t.linkIdx = nil // neighbor rows may re-sort below
-	t.asns = make([]ASN, 0, len(t.ASes))
-	for asn := range t.ASes {
-		t.asns = append(t.asns, asn)
-	}
-	sort.Slice(t.asns, func(i, j int) bool { return t.asns[i] < t.asns[j] })
+	t.asns = order.Keys(t.ASes)
 	t.idx = make(map[ASN]int, len(t.asns))
 	for i, asn := range t.asns {
 		t.idx[asn] = i
 	}
 	for _, a := range t.ASes {
-		sort.Slice(a.Neighbors, func(i, j int) bool {
-			return a.Neighbors[i].ASN < a.Neighbors[j].ASN
-		})
+		slices.SortFunc(a.Neighbors, func(x, y Neighbor) int { return cmp.Compare(x.ASN, y.ASN) })
 	}
 }
 
@@ -433,11 +430,8 @@ func (t *Topology) Links() []LinkInfo {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
+	slices.SortFunc(out, func(x, y LinkInfo) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return out
 }
@@ -495,7 +489,7 @@ func (t *Topology) SharedFacilities(a, b ASN) []FacilityID {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -506,12 +500,18 @@ func (t *Topology) OwnerOf(p PrefixID) (ASN, bool) {
 }
 
 // AllPrefixes returns every allocated /24, ascending. This is the
-// "routable prefix list" measurement tools iterate over.
+// "routable prefix list" measurement tools iterate over — every boot stage
+// walks it — so it is sorted once per topology, not once per call. Like
+// ASNs, the returned slice is shared and callers must not modify it (its
+// capacity is its length, so appending to it copies). Prefixes are only ever
+// added, so the memo is current exactly when it is as long as PrefixOwner:
+// AllocPrefixes and generation need no invalidation call, and a Subgraph,
+// which shares PrefixOwner but not the memo, never reads a stale one.
+// Rebuilding is not thread-safe: call it once after the last allocation and
+// before fanning out (world.Build does).
 func (t *Topology) AllPrefixes() []PrefixID {
-	out := make([]PrefixID, 0, len(t.PrefixOwner))
-	for p := range t.PrefixOwner {
-		out = append(out, p)
+	if len(t.prefixes) != len(t.PrefixOwner) {
+		t.prefixes = order.Keys(t.PrefixOwner)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return t.prefixes
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"slices"
 	"sort"
 
 	"itmap/internal/obs"
@@ -81,7 +82,8 @@ type shardAcc struct {
 	flows          []Flow
 	tailBytes      float64
 	totalBytes     float64
-	pathBuf        []int32 // reusable AppendIndexPath scratch
+	pathBuf        []int32  // reusable AppendIndexPath scratch
+	rows           []demand // reusable: the current client AS's prefixes
 }
 
 func newShardAcc(nSvc, nAS, nLink int) *shardAcc {
@@ -128,6 +130,17 @@ func (m *Model) BuildMatrix() *Matrix { return m.BuildMatrixWorkers(0) }
 // private dense partials, and the partials are merged in shard order — so
 // the result is byte-identical for a given seed regardless of worker count.
 func (m *Model) BuildMatrixWorkers(workers int) *Matrix {
+	return m.buildMatrix(workers, m.accumulateClientAS)
+}
+
+// accumulator adds one client AS's demand into a shard accumulator; see
+// accumulateClientAS, the only one outside the oracle test.
+type accumulator func(acc *shardAcc, li *topology.LinkIndex, ci int,
+	clientAS topology.ASN, ownerIdx []int32, tailHosts []topology.ASN)
+
+// buildMatrix is the shard layout and the merge, over any accumulator: the
+// oracle test runs the pre-split accumulator through these same shards.
+func (m *Model) buildMatrix(workers int, accumulate accumulator) *Matrix {
 	top := m.Top
 	asns := top.ASNs()
 	li := top.LinkIndex() // built before fan-out; lazy build is not thread-safe
@@ -164,7 +177,7 @@ func (m *Model) BuildMatrixWorkers(workers int) *Matrix {
 			}
 			acc := newShardAcc(nSvc, n, li.NumLinks())
 			for ci := lo; ci < hi; ci++ {
-				m.accumulateClientAS(acc, li, ci, asns[ci], ownerIdx, tailHosts)
+				accumulate(acc, li, ci, asns[ci], ownerIdx, tailHosts)
 			}
 			accs[s] = acc
 			sp.SetAttrInt("flows", int64(len(acc.flows))).End(0)
@@ -243,20 +256,30 @@ func (m *Model) accumulateClientAS(acc *shardAcc, li *topology.LinkIndex,
 	if m.Users.ASUsers(clientAS) == 0 {
 		return
 	}
+	// The per-prefix half of the demand law, once per prefix instead of once
+	// per ⟨prefix, service⟩.
+	rows := slices.Grow(acc.rows[:0], len(a.Prefixes))
+	for _, p := range a.Prefixes {
+		rows = append(rows, m.demand(p))
+	}
+	acc.rows = rows
 	for _, svc := range m.Cat.Services {
-		// Per-AS volume: sum of the pure per-prefix function.
+		// Per-AS volume: sum of the pure per-prefix function, in prefix
+		// order.
+		weight := m.Cat.Popularity.Weight(svc.Rank)
+		refCDN := svc.Owner == m.Cat.ReferenceCDN
 		bytes := 0.0
-		for _, p := range a.Prefixes {
-			b := m.DailyBytes(p, svc)
+		for _, d := range rows {
+			b := m.queriesPerDay(d, svc, weight) * svc.BytesPerQuery
 			bytes += b
-			if svc.Owner == m.Cat.ReferenceCDN && b > 0 {
-				acc.refCDNByPrefix[p] += b
+			if refCDN && b > 0 {
+				acc.refCDNByPrefix[d.prefix] += b
 			}
 		}
 		if bytes == 0 {
 			continue
 		}
-		if svc.Owner == m.Cat.ReferenceCDN {
+		if refCDN {
 			acc.refCDNByAS[ci] += bytes
 		}
 		acc.perService[svc.ID] += bytes

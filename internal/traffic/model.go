@@ -87,32 +87,47 @@ func New(top *topology.Topology, um *users.Model, cat *services.Catalog,
 	return m
 }
 
-// usageProb is the chance a prefix's population uses a given service at
-// all; tiny populations skip many services. This is what produces the
-// <1% traffic-weighted false-positive behaviour of cache probing (§3.1.2):
-// a small office prefix may query some popular domain yet exchange no bytes
-// with the reference CDN.
-func (m *Model) usageProb(p topology.PrefixID) float64 {
-	return 1 - math.Exp(-m.Users.UsersIn(p)/300)
+// demand is the per-prefix half of the demand law: what QueriesPerDay needs
+// that does not depend on the service. The matrix build resolves it once per
+// prefix and finishes it once per service; the cache-occupancy law is split
+// the same way (dnssim.Prepare / Probe.At).
+type demand struct {
+	prefix topology.PrefixID
+	users  float64
+	// usage is the chance the prefix's population uses a given service at
+	// all; tiny populations skip many services. This is what produces the
+	// <1% traffic-weighted false-positive behaviour of cache probing
+	// (§3.1.2): a small office prefix may query some popular domain yet
+	// exchange no bytes with the reference CDN.
+	usage float64
 }
 
-// affinity is the per-(prefix, service) demand multiplier: zero if the
-// population skips the service, else lognormal jitter around 1.
-func (m *Model) affinity(p topology.PrefixID, svc *services.Service) float64 {
-	if randx.HashFloat(m.seed, 0x05e, uint64(p), uint64(svc.ID)) > m.usageProb(p) {
+func (m *Model) demand(p topology.PrefixID) demand {
+	u := m.Users.UsersIn(p)
+	return demand{prefix: p, users: u, usage: 1 - math.Exp(-u/300)}
+}
+
+// queriesPerDay finishes the demand law for one service — the one place it
+// is written down; QueriesPerDay, DailyBytes, QueryRate and the matrix build
+// all end here. weight is m.Cat.Popularity.Weight(svc.Rank). The per-(prefix,
+// service) multiplier is zero if the population skips the service, else
+// lognormal jitter around 1.
+func (m *Model) queriesPerDay(d demand, svc *services.Service, weight float64) float64 {
+	if d.users == 0 ||
+		randx.HashFloat(m.seed, 0x05e, uint64(d.prefix), uint64(svc.ID)) > d.usage {
 		return 0
 	}
-	return randx.HashLognormal(0, 0.5, m.seed, 0xaff, uint64(p), uint64(svc.ID))
+	return d.users * QueriesPerUserPerDay * weight *
+		randx.HashLognormal(0, 0.5, m.seed, 0xaff, uint64(d.prefix), uint64(svc.ID))
 }
 
 // QueriesPerDay returns the prefix's daily DNS-visible interactions with a
-// service.
+// service: users × QueriesPerUserPerDay × the service's Zipf weight × the
+// pair's affinity jitter. Callers pricing one prefix against many services
+// go through demand and queriesPerDay instead of paying the per-prefix half
+// per pair.
 func (m *Model) QueriesPerDay(p topology.PrefixID, svc *services.Service) float64 {
-	u := m.Users.UsersIn(p)
-	if u == 0 {
-		return 0
-	}
-	return u * QueriesPerUserPerDay * m.Cat.Popularity.Weight(svc.Rank) * m.affinity(p, svc)
+	return m.queriesPerDay(m.demand(p), svc, m.Cat.Popularity.Weight(svc.Rank))
 }
 
 // DailyBytes returns the prefix's daily traffic volume with a service.

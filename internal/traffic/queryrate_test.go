@@ -11,8 +11,10 @@ import (
 )
 
 // referenceQueryRate is the one-shot rate law as it stood before the rate was
-// split into a prepared and a timed half: every factor recomputed per call,
-// in the original evaluation order. The split must reproduce it bit for bit.
+// split into a prepared and a timed half, over the demand law as it stood
+// before that was split per prefix and per service (matrix_test.go): every
+// factor recomputed per call, in the original evaluation order. The splits
+// must reproduce it bit for bit.
 func referenceQueryRate(m *Model, domain string, scope topology.PrefixID, t simtime.Time) float64 {
 	svc, ok := m.Cat.ByDomain(domain)
 	if !ok {
@@ -26,7 +28,7 @@ func referenceQueryRate(m *Model, domain string, scope topology.PrefixID, t simt
 		return 0
 	}
 	share := m.PR.AdoptionShare(city.Country)
-	return m.QueriesPerDay(scope, svc) / 24 * share * referenceDiurnal(m, scope, t)
+	return referenceQueriesPerDay(m, scope, svc) / 24 * share * referenceDiurnal(m, scope, t)
 }
 
 func referenceDiurnal(m *Model, p topology.PrefixID, t simtime.Time) float64 {

@@ -15,7 +15,14 @@ import (
 
 func setup(t testing.TB, seed int64) *Model {
 	t.Helper()
-	top := topology.Generate(topology.TinyGenConfig(seed))
+	return setupScale(t, topology.TinyGenConfig(seed), seed)
+}
+
+// setupScale wires a model the way world.Build does (which this package
+// cannot import), over a topology of the given scale.
+func setupScale(t testing.TB, cfg topology.GenConfig, seed int64) *Model {
+	t.Helper()
+	top := topology.Generate(cfg)
 	rng := randx.New(seed)
 	um := users.Build(top, users.DefaultConfig(), rng.Fork())
 	cat := services.Build(top, services.DefaultConfig(), rng.Fork())

@@ -68,8 +68,11 @@ func Build(cfg Config) *World {
 	top := topology.Generate(cfg.Topology)
 	um := users.Build(top, cfg.Users, rng.Fork())
 	cat := services.Build(top, cfg.Services, rng.Fork())
-	// Service deployment allocated new prefixes; recompute dense index.
+	// Service deployment allocated new prefixes; recompute dense index, and
+	// sort the prefix axis now that it is final: campaigns read it from many
+	// goroutines.
 	top.Freeze()
+	top.AllPrefixes()
 	ap := bgp.ComputeAll(top)
 	hgs := top.ASesOfType(topology.Hypergiant)
 	pr := dnssim.NewPublicResolver(top, cat, hgs[0], cfg.Seed)
