@@ -169,47 +169,61 @@ loadgen-smoke:
 	echo "loadgen-smoke: OK (hit_ratio=$$ratio, byte-identical counters, clean shutdown)"
 	@rm -rf lg-smoke
 
-# Crash smoke: boot itm-serve with a WAL, capture the served surface, SIGKILL
-# it, smash a torn tail onto the journal as a power cut would, and verify the
-# restarted server recovers from the journal alone — no world rebuild — with
-# byte-identical epoch listings, map bodies, and ETags. The restart asks for
-# a mesh, which recovery cannot restore: it must say so
-# (serve.mesh_not_recovered), not drop it silently. Then saturate the
-# recovered server (1 slot, no queue) with an unpaced loadgen burst to prove
-# the admission valve sheds visibly, SIGTERM it, and confirm a third boot
-# finds a journal ending exactly on a record boundary.
+# Crash smoke: boot a mesh-enabled itm-serve with a WAL, capture the served
+# surface of both layers (the epoch listing, a map as JSON and as ITMB, the
+# worst-pairs ranking and one pair's path and latency taken from it — bodies
+# and ETags), SIGKILL it, smash a torn tail onto the journal as a power cut
+# would, and verify the restarted server recovers from the journal alone —
+# no world rebuild, no mesh campaign, nothing re-encoded — and serves every
+# one of those bytes again. Then saturate the recovered server (1 slot, no
+# queue) with an unpaced loadgen burst to prove the admission valve sheds
+# visibly, SIGTERM it, and confirm a third boot finds a journal ending
+# exactly on a record boundary.
 crash-smoke:
-	@rm -rf crash-smoke && mkdir -p crash-smoke
+	@rm -rf crash-smoke && mkdir -p crash-smoke/a crash-smoke/b
 	$(GO) build -o crash-smoke/itm-serve ./cmd/itm-serve
 	$(GO) build -o crash-smoke/itm-loadgen ./cmd/itm-loadgen
 	@set -e; \
 	trap 'kill -9 $$pid 2>/dev/null || true' EXIT; \
-	crash-smoke/itm-serve -addr 127.0.0.1:8414 -scale tiny -epochs 2 -wal crash-smoke/wal 2>crash-smoke/events1.log & \
+	base=http://127.0.0.1:8414; \
+	fetch() { curl -sf -D crash-smoke/$$1/$$2.hdr -o crash-smoke/$$1/$$2 "$$base$$3"; \
+		grep -i '^etag:' crash-smoke/$$1/$$2.hdr > crash-smoke/$$1/$$2.etag; rm crash-smoke/$$1/$$2.hdr; }; \
+	surface() { \
+		fetch $$1 epochs.json /v1/epochs; \
+		fetch $$1 map0.json /v1/map/0; \
+		fetch $$1 map1.itmb '/v1/map/1?format=binary'; \
+		fetch $$1 latency-top.json /v1/latency/top; \
+		fetch $$1 path.json "/v1/path/$$a/$$b"; \
+		fetch $$1 latency.json "/v1/latency/$$a/$$b"; \
+	}; \
+	crash-smoke/itm-serve -addr 127.0.0.1:8414 -scale tiny -epochs 2 -mesh-agents 24 -wal crash-smoke/wal 2>crash-smoke/events1.log & \
 	pid=$$!; \
-	for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8414/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	curl -sf http://127.0.0.1:8414/v1/epochs > crash-smoke/epochs1.json; \
-	curl -sf -D crash-smoke/h0a.txt http://127.0.0.1:8414/v1/map/0 -o crash-smoke/map0a.json; \
-	curl -sf -D crash-smoke/h1a.txt 'http://127.0.0.1:8414/v1/map/1?format=binary' -o crash-smoke/map1a.itmb; \
+	for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	curl -sf "$$base/v1/latency/top?k=1" > crash-smoke/worst.json; \
+	a=$$(sed -n 's/.*"a": \([0-9]*\).*/\1/p' crash-smoke/worst.json | head -1); \
+	b=$$(sed -n 's/.*"b": \([0-9]*\).*/\1/p' crash-smoke/worst.json | head -1); \
+	test -n "$$a" && test -n "$$b" || { echo "crash-smoke: no ranked pair in /v1/latency/top"; exit 1; }; \
+	surface a; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
 	printf 'TORNTAIL' >> crash-smoke/wal/journal.itwl; \
 	crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/wal -mesh-agents 24 -max-inflight 1 -max-queue 0 2>crash-smoke/events2.log & \
 	pid=$$!; \
-	for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8414/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	grep -q 'event=serve.recovered' crash-smoke/events2.log; \
 	grep -q 'truncated_tail_bytes=8' crash-smoke/events2.log; \
 	! grep -q 'event=serve.building' crash-smoke/events2.log; \
-	grep -q 'event=serve.mesh_not_recovered' crash-smoke/events*.log || { echo "crash-smoke: mesh dropped at recovery without a warning"; exit 1; }; \
-	curl -sf http://127.0.0.1:8414/v1/epochs > crash-smoke/epochs2.json; \
-	cmp -s crash-smoke/epochs1.json crash-smoke/epochs2.json || { echo "crash-smoke: /v1/epochs diverged after recovery"; exit 1; }; \
-	curl -sf -D crash-smoke/h0b.txt http://127.0.0.1:8414/v1/map/0 -o crash-smoke/map0b.json; \
-	curl -sf -D crash-smoke/h1b.txt 'http://127.0.0.1:8414/v1/map/1?format=binary' -o crash-smoke/map1b.itmb; \
-	cmp -s crash-smoke/map0a.json crash-smoke/map0b.json || { echo "crash-smoke: /v1/map/0 body diverged"; exit 1; }; \
-	cmp -s crash-smoke/map1a.itmb crash-smoke/map1b.itmb || { echo "crash-smoke: binary epoch diverged"; exit 1; }; \
-	for ep in 0 1; do \
-		ea=$$(grep -i '^etag:' crash-smoke/h$${ep}a.txt); eb=$$(grep -i '^etag:' crash-smoke/h$${ep}b.txt); \
-		test -n "$$ea" && test "$$ea" = "$$eb" || { echo "crash-smoke: epoch $$ep ETag diverged ($$ea vs $$eb)"; exit 1; }; \
+	! grep -q 'event=serve.mesh ' crash-smoke/events2.log; \
+	curl -sf $$base/metrics > crash-smoke/metrics2.txt; \
+	! grep -q '^itm_mesh_rounds_total [1-9]' crash-smoke/metrics2.txt || { echo "crash-smoke: the recovering boot ran a mesh campaign"; exit 1; }; \
+	grep -q '^# TYPE itm_codec_encoded_bytes_total' crash-smoke/metrics2.txt && ! grep -q '^itm_codec_encoded_bytes_total [1-9]' crash-smoke/metrics2.txt || \
+		{ echo "crash-smoke: the recovering boot re-encoded journaled epochs"; exit 1; }; \
+	surface b; \
+	for f in $$(ls crash-smoke/a); do \
+		cmp -s crash-smoke/a/$$f crash-smoke/b/$$f || { echo "crash-smoke: $$f diverged after recovery"; exit 1; }; \
 	done; \
-	crash-smoke/itm-loadgen -addr http://127.0.0.1:8414 -overload -n 400 -workers 8 -seed 3 > crash-smoke/overload.txt; \
+	test "$$(ls crash-smoke/a | wc -l)" = 12 && test -s crash-smoke/a/path.json.etag && test -s crash-smoke/a/epochs.json.etag || \
+		{ echo "crash-smoke: served surface incomplete: $$(ls crash-smoke/a)"; exit 1; }; \
+	crash-smoke/itm-loadgen -addr $$base -overload -n 400 -workers 8 -seed 3 > crash-smoke/overload.txt; \
 	cat crash-smoke/overload.txt; \
 	shed=$$(sed -n 's/.* shed=\([0-9]*\) .*/\1/p' crash-smoke/overload.txt); \
 	test "$$shed" -gt 0 || { echo "crash-smoke: overload shed $$shed, want > 0"; exit 1; }; \
@@ -217,10 +231,10 @@ crash-smoke:
 	wait $$pid || { echo "crash-smoke: itm-serve did not drain cleanly on SIGTERM"; exit 1; }; \
 	crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/wal 2>crash-smoke/events3.log & \
 	pid=$$!; \
-	for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8414/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	grep -q 'truncated_tail_bytes=0' crash-smoke/events3.log || { echo "crash-smoke: journal did not end on a record boundary after drain"; exit 1; }; \
 	kill $$pid; wait $$pid 2>/dev/null || true; \
-	echo "crash-smoke: OK (torn-tail recovery identity + overload shed=$$shed + record-boundary shutdown)"
+	echo "crash-smoke: OK (torn-tail recovery identity, map and mesh AS$$a<->AS$$b + overload shed=$$shed + record-boundary shutdown)"
 	@rm -rf crash-smoke
 
 # Mesh smoke: prove the vantage-fleet mesh is worker-count-invariant at the

@@ -38,9 +38,8 @@
 // With -mesh-agents > 0 each simulated day also runs a vantage-fleet mesh
 // campaign (agents seeded into eyeball ASes probing each other) and the
 // epoch carries user↔user path/latency sections served at /v1/path and
-// /v1/latency. Mesh sections are not WAL-journaled: a recovered store
-// serves the map routes only, and a recovering boot that asked for a mesh
-// says so in a serve.mesh_not_recovered warning.
+// /v1/latency. With -wal they are journaled with the epoch, so a recovered
+// store serves them byte-identically too.
 package main
 
 import (
@@ -171,11 +170,6 @@ func openStore(o options) (*mapstore.Store, *wal.WAL, error) {
 		obs.Event(obs.Info, "serve.recovered", "wal", o.walDir,
 			"epochs", len(rec.Records), "snapshot_epochs", rec.SnapshotRecords,
 			"journal_epochs", rec.JournalRecords, "truncated_tail_bytes", rec.TruncatedBytes)
-		if o.meshAgents > 0 {
-			// Mesh sections are not journaled: the recovered store serves the
-			// map routes only, and says so.
-			obs.Event(obs.Warn, "serve.mesh_not_recovered", "agents", o.meshAgents)
-		}
 		return st, w, nil
 	}
 	st := mapstore.NewStore()

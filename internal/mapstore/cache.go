@@ -1,6 +1,7 @@
 package mapstore
 
 import (
+	"fmt"
 	"hash/fnv"
 	"net/http"
 	"strconv"
@@ -75,9 +76,9 @@ func (c *responseCache) lookup(key string) (e *cacheEntry, created, ok bool) {
 
 // fill resolves the entry's body, encoding via render on first touch;
 // concurrent callers block until the single flight completes.
-func (e *cacheEntry) fill(route string, render func() ([]byte, string, error)) {
+func (e *cacheEntry) fill(route string, render renderer, q request) {
 	e.once.Do(func() {
-		e.body, e.ctype, e.err = render()
+		e.body, e.ctype, e.err = render(q)
 		if e.err == nil {
 			cacheFills(route).Inc()
 		}
@@ -160,6 +161,13 @@ func epochETag(id int, encoded []byte) string {
 	return `"itm-e` + strconv.Itoa(id) + `-` + strconv.FormatUint(fingerprint(encoded), 16) + `"`
 }
 
+// meshETag derives the strong ETag for mesh-scoped responses from the
+// canonical mesh encoding. A mesh shared with the previous epoch keeps that
+// epoch's tag, so id is the epoch the mesh first arrived in.
+func meshETag(id int, encoded []byte) string {
+	return `"itm-m` + strconv.Itoa(id) + `-` + strconv.FormatUint(fingerprint(encoded), 16) + `"`
+}
+
 // storeETag derives the strong ETag for responses that span the store: it
 // advances on every append (the generation bump), so cross-epoch responses
 // revalidate as soon as a new epoch lands.
@@ -198,15 +206,24 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// statusErr lets a render func report a client-visible status (a cached
-// 404, say) instead of the generic 500; the outcome caches like a body —
-// correct, since the inputs it was derived from are immutable.
+// statusErr lets a route's resolver or its renderer report a client-visible
+// status instead of the generic 500. A renderer's outcome caches like a
+// body — a cached 404, say — which is correct, since the inputs it was
+// derived from are immutable.
 type statusErr struct {
 	code int
 	msg  string
 }
 
 func (e *statusErr) Error() string { return e.msg }
+
+func notFound(format string, args ...any) error {
+	return &statusErr{http.StatusNotFound, fmt.Sprintf(format, args...)}
+}
+
+func badRequest(format string, args ...any) error {
+	return &statusErr{http.StatusBadRequest, fmt.Sprintf(format, args...)}
+}
 
 func writeRenderErr(w http.ResponseWriter, err error) {
 	if se, ok := err.(*statusErr); ok {
@@ -220,23 +237,32 @@ func writeRenderErr(w http.ResponseWriter, err error) {
 // zero body work, otherwise serve the cached bytes (single-flight filling
 // them on first touch) with ETag, Content-Length, and an X-Cache header
 // clients can fold into deterministic hit/miss ledgers.
-func serveCached(w http.ResponseWriter, r *http.Request, route string, c *responseCache,
-	key, etag string, render func() ([]byte, string, error)) {
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
+func serveCached(w http.ResponseWriter, r *http.Request, route string, q request, render renderer) {
+	if etagMatch(r.Header.Get("If-None-Match"), q.etag) {
+		w.Header().Set("ETag", q.etag)
 		cacheNotModified(route).Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	entry, created, ok := c.lookup(key)
+	if q.stored != nil {
+		// The zero-copy path (?format=binary): the epoch's stored canonical
+		// ITMB encoding goes straight to the wire — no decode, no re-encode,
+		// no copy. no-transform guards the byte-identity contract (clients
+		// may hash the body against the codec's output).
+		w.Header().Set("Cache-Control", "no-transform")
+		cacheHits(route).Inc()
+		writeCachedBody(w, route, q.etag, "application/octet-stream", "store", q.stored)
+		return
+	}
+	entry, created, ok := q.cache.lookup(q.key)
 	if !ok {
-		body, ctype, err := render()
+		body, ctype, err := render(q)
 		if err != nil {
 			writeRenderErr(w, err)
 			return
 		}
 		cacheBypass(route).Inc()
-		writeCachedBody(w, route, etag, ctype, "bypass", body)
+		writeCachedBody(w, route, q.etag, ctype, "bypass", body)
 		return
 	}
 	if created {
@@ -244,7 +270,7 @@ func serveCached(w http.ResponseWriter, r *http.Request, route string, c *respon
 	} else {
 		cacheHits(route).Inc()
 	}
-	entry.fill(route, render)
+	entry.fill(route, render, q)
 	if entry.err != nil {
 		writeRenderErr(w, entry.err)
 		return
@@ -253,30 +279,7 @@ func serveCached(w http.ResponseWriter, r *http.Request, route string, c *respon
 	if created {
 		result = "miss"
 	}
-	writeCachedBody(w, route, etag, entry.ctype, result, entry.body)
-}
-
-// serveBinary is the zero-copy path for ?format=binary: the epoch's stored
-// canonical ITMB encoding goes straight to the wire — no decode, no
-// re-encode, no copy. no-transform guards the byte-identity contract
-// (clients may hash the body against the codec's output).
-func serveBinary(w http.ResponseWriter, r *http.Request, route string, e *Epoch) {
-	if etagMatch(r.Header.Get("If-None-Match"), e.ETag) {
-		w.Header().Set("ETag", e.ETag)
-		cacheNotModified(route).Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(len(e.Encoded)))
-	h.Set("Cache-Control", "no-transform")
-	h.Set("ETag", e.ETag)
-	h.Set("X-Cache", "store")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(e.Encoded)
-	cacheHits(route).Inc()
-	cacheBytes(route).Add(uint64(len(e.Encoded)))
+	writeCachedBody(w, route, q.etag, entry.ctype, result, entry.body)
 }
 
 // writeCachedBody emits a fully-materialized response body with the strong

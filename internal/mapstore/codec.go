@@ -576,6 +576,27 @@ func (d *decoder) str(what string) (string, error) {
 	return s, nil
 }
 
+// header reads the ITMB magic and requires the codec version behind it to be
+// the one the caller decodes: map documents and mesh sections share the magic
+// and tell each other apart by that version.
+func (d *decoder) header(version uint64) error {
+	if d.remaining() < len(Magic) {
+		return fmt.Errorf("%w: input shorter than magic", ErrTruncated)
+	}
+	if string(d.buf[:len(Magic)]) != string(Magic[:]) {
+		return ErrMagic
+	}
+	d.pos = len(Magic)
+	cv, err := d.uvarint("codec version")
+	if err != nil {
+		return err
+	}
+	if cv != version {
+		return fmt.Errorf("%w: codec version %d", ErrVersion, cv)
+	}
+	return nil
+}
+
 // deltaSeq reads a strictly ascending prefix/ASN sequence: first value
 // absolute, then positive deltas. max bounds the final values.
 func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) error) error {
@@ -663,27 +684,22 @@ func DecodeDocument(data []byte) (*core.MapDocument, error) {
 // returned encoding aliases data.
 func decodeDocument(data []byte) (*core.MapDocument, encoding, error) {
 	doc, enc := &core.MapDocument{}, encoding{bytes: data}
-	if err := decodeInto(doc, &enc); err != nil {
+	if err := decodeInto(doc, &enc, nil); err != nil {
 		return nil, encoding{}, err
 	}
 	return doc, enc, nil
 }
 
-func decodeInto(doc *core.MapDocument, enc *encoding) error {
+// decodeInto decodes the map document enc.bytes starts with. The format
+// needs no length prefix: after the last mapping the decoder stands exactly
+// at the document's end. Bytes past that point are corruption unless the
+// caller asks for them (an epoch's journal record, see decodeEpochPayload):
+// with tail non-nil, enc.bytes is cut down to the document's own span and
+// *tail receives what follows it.
+func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 	d := &decoder{buf: enc.bytes}
-	if d.remaining() < len(Magic) {
-		return fmt.Errorf("%w: input shorter than magic", ErrTruncated)
-	}
-	if string(d.buf[:len(Magic)]) != string(Magic[:]) {
-		return ErrMagic
-	}
-	d.pos = len(Magic)
-	cv, err := d.uvarint("codec version")
-	if err != nil {
+	if err := d.header(CodecVersion); err != nil {
 		return err
-	}
-	if cv != CodecVersion {
-		return fmt.Errorf("%w: codec version %d", ErrVersion, cv)
 	}
 	dv, err := d.uvarint("document version")
 	if err != nil {
@@ -942,7 +958,9 @@ func decodeInto(doc *core.MapDocument, enc *encoding) error {
 		prevDom, prevAS = dom, m.ClientAS
 	}
 
-	if d.remaining() != 0 {
+	if tail != nil {
+		*tail, enc.bytes = enc.bytes[d.pos:], enc.bytes[:d.pos:d.pos]
+	} else if d.remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
 	// An unreferenced table entry would vanish on re-encode, so the input

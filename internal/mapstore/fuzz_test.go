@@ -3,6 +3,7 @@ package mapstore
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -127,6 +128,98 @@ func FuzzDecodeMapDocument(f *testing.F) {
 		}
 		for s := range doc.ASConfidence {
 			checkASNKey(t, "confidence", s)
+		}
+	})
+}
+
+// epochPayloadSeeds are the shapes a journaled epoch payload can take, well
+// formed and not, with the error each must decode to (nil: accepted).
+func epochPayloadSeeds(t testing.TB) []struct {
+	name    string
+	payload []byte
+	want    error
+} {
+	t.Helper()
+	mapEnc, err := EncodeDocument(sampleDoc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meshEnc, err := EncodeMeshDocument(sampleMesh())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []struct {
+		name    string
+		payload []byte
+		want    error
+	}{
+		{"map only", mapEnc, nil},
+		{"map, mesh", slices.Concat(mapEnc, meshEnc), nil},
+		{"map, truncated mesh", slices.Concat(mapEnc, meshEnc[:len(meshEnc)-1]), ErrTruncated},
+		{"map, mesh, junk", slices.Concat(mapEnc, meshEnc, []byte("junk")), ErrCorrupt},
+		{"mesh only", meshEnc, ErrVersion},
+		{"two maps", slices.Concat(mapEnc, mapEnc), ErrVersion},
+		{"map, then not ITMB", slices.Concat(mapEnc, []byte("junk")), ErrMagic},
+	}
+}
+
+// TestDecodeEpochPayloadSeeds: each malformed shape is refused with the
+// typed error that names what is wrong with it, and the public map decoder
+// still takes nothing but a map — a journaled map‖mesh payload is trailing
+// bytes to it.
+func TestDecodeEpochPayloadSeeds(t *testing.T) {
+	for _, seed := range epochPayloadSeeds(t) {
+		in, err := decodeEpochPayload(seed.payload)
+		if !errors.Is(err, seed.want) {
+			t.Errorf("%s: decodeEpochPayload = %v, want %v", seed.name, err, seed.want)
+		}
+		mapOnly := bytes.Equal(seed.payload, epochPayloadSeeds(t)[0].payload)
+		if err == nil && (in.mesh != nil) == mapOnly {
+			t.Errorf("%s: mesh present = %v", seed.name, in.mesh != nil)
+		}
+		if _, err := DecodeDocument(seed.payload); (err == nil) != mapOnly {
+			t.Errorf("%s: DecodeDocument = %v; it takes a map and nothing past it", seed.name, err)
+		}
+	}
+}
+
+// FuzzDecodeEpochPayload pins the trust boundary recovery crosses: whatever
+// a journal record's payload holds, decoding it never panics and fails only
+// with the codec's typed errors; and an accepted payload is exactly its two
+// adopted spans back to back — the map's, then the mesh's — each the
+// canonical encoding of the document decoded from it, so adopting them is
+// the same as re-encoding.
+func FuzzDecodeEpochPayload(f *testing.F) {
+	for _, seed := range epochPayloadSeeds(f) {
+		f.Add(seed.payload)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, err := decodeEpochPayload(data)
+		if err != nil {
+			if !errors.Is(err, ErrMagic) && !errors.Is(err, ErrVersion) &&
+				!errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(slices.Concat(in.canon.bytes, in.meshCanon), data) {
+			t.Fatalf("adopted spans (%d + %d bytes) do not re-join to the %d payload bytes",
+				len(in.canon.bytes), len(in.meshCanon), len(data))
+		}
+		re, err := encodeDocument(in.doc)
+		if err != nil || !bytes.Equal(re.bytes, in.canon.bytes) || re.off != in.canon.off {
+			t.Fatalf("map span is not the canonical encoding of its document (%v)", err)
+		}
+		if (in.mesh != nil) != (len(in.meshCanon) > 0) {
+			t.Fatalf("mesh document present %v, mesh span %d bytes", in.mesh != nil, len(in.meshCanon))
+		}
+		if in.mesh != nil {
+			if re, err := EncodeMeshDocument(in.mesh); err != nil || !bytes.Equal(re, in.meshCanon) {
+				t.Fatalf("mesh span is not the canonical encoding of its document (%v)", err)
+			}
+			if _, err := DecodeDocument(data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeDocument on map‖mesh = %v, want trailing bytes refused", err)
+			}
 		}
 	})
 }

@@ -113,19 +113,9 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 // return a typed error; decoding never panics.
 func DecodeMeshDocument(data []byte) (*core.MeshDocument, error) {
 	d := &decoder{buf: data}
-	if d.remaining() < len(Magic) {
-		return nil, fmt.Errorf("%w: input shorter than magic", ErrTruncated)
-	}
-	if string(d.buf[:len(Magic)]) != string(Magic[:]) {
-		return nil, ErrMagic
-	}
-	d.pos = len(Magic)
-	cv, err := d.uvarint("codec version")
+	err := d.header(MeshCodecVersion)
 	if err != nil {
 		return nil, err
-	}
-	if cv != MeshCodecVersion {
-		return nil, fmt.Errorf("%w: codec version %d", ErrVersion, cv)
 	}
 	doc := &core.MeshDocument{}
 	for _, h := range []struct {

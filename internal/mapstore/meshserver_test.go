@@ -16,7 +16,7 @@ func meshStoreWith(t *testing.T, days int) *Store {
 	t.Helper()
 	s := NewStore()
 	for d := 0; d < days; d++ {
-		if _, err := s.AppendMesh(simtime.Time(d)*simtime.Day, docAt(d), sampleMesh()); err != nil {
+		if _, err := s.append(simtime.Time(d)*simtime.Day, ingest{doc: docAt(d), mesh: sampleMesh()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestMeshStructuralSharing(t *testing.T) {
 	// A changed mesh breaks sharing and re-tags.
 	mesh := sampleMesh()
 	mesh.Pairs[0].Probes++
-	e, err := s.AppendMesh(simtime.Time(3)*simtime.Day, docAt(3), mesh)
+	e, err := s.append(simtime.Time(3)*simtime.Day, ingest{doc: docAt(3), mesh: mesh})
 	if err != nil {
 		t.Fatal(err)
 	}

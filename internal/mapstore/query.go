@@ -146,17 +146,60 @@ func infosIn(es []*Epoch) []Info {
 	return out
 }
 
+// firstK cuts a ranking down to its k leading entries (none for a negative
+// k, all of them for a large one), capped so appending to the result cannot
+// write into the shared ranking behind it.
+func firstK[T any](ranked []T, k int) []T {
+	k = min(max(k, 0), len(ranked))
+	return ranked[:k:k]
+}
+
 // TopASes returns the k most active ASes of the epoch (activity
 // descending, ASN ascending on ties).
-func (e *Epoch) TopASes(k int) []ASRank {
-	if k < 0 {
-		k = 0
-	}
-	if k > len(e.ranked) {
-		k = len(e.ranked)
-	}
-	return e.ranked[:k:k]
+func (e *Epoch) TopASes(k int) []ASRank { return firstK(e.ranked, k) }
+
+// MeshRank is one AS pair's position in the epoch's worst-latency ranking.
+type MeshRank struct {
+	A         uint32  `json:"a"`
+	B         uint32  `json:"b"`
+	MeanRTTms float64 `json:"mean_rtt_ms"`
+	MinRTTms  float64 `json:"min_rtt_ms"`
+	Loss      float64 `json:"loss"`
+	Complete  bool    `json:"complete"`
 }
+
+// rankMeshPairs orders pairs worst-first: mean RTT descending, canonical
+// key ascending on ties — one total order, so rankings are deterministic.
+func rankMeshPairs(mesh *core.MeshDocument) []MeshRank {
+	out := make([]MeshRank, 0, len(mesh.Pairs))
+	for i := range mesh.Pairs {
+		p := &mesh.Pairs[i]
+		if p.Probes == p.Lost {
+			continue // no surviving pings: nothing to rank
+		}
+		out = append(out, MeshRank{
+			A: p.Lo, B: p.Hi,
+			MeanRTTms: p.MeanRTT, MinRTTms: p.MinRTT,
+			Loss: p.LossRate(), Complete: p.Complete,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].MeanRTTms != out[j].MeanRTTms {
+			return out[i].MeanRTTms > out[j].MeanRTTms
+		}
+		return core.MeshKey(out[i].A, out[i].B) < core.MeshKey(out[j].A, out[j].B)
+	})
+	return out
+}
+
+// RankMeshPairs returns mesh's k worst pairs by mean RTT, the same total
+// order the /v1/latency/top route serves.
+func RankMeshPairs(mesh *core.MeshDocument, k int) []MeshRank {
+	return firstK(rankMeshPairs(mesh), k)
+}
+
+// WorstMeshPairs returns the k highest-mean-RTT pairs of the epoch's mesh.
+func (e *Epoch) WorstMeshPairs(k int) []MeshRank { return firstK(e.meshWorst, k) }
 
 // ServiceMapping is one user→host mapping entry enriched with the serving
 // side's scan metadata and a popularity proxy.
@@ -232,14 +275,10 @@ type EpochValue struct {
 	Share    float64      `json:"share"`
 }
 
-// ASActivitySeries tracks one AS's activity across every epoch — the
-// longitudinal view the paper's "Daily" refresh target implies.
-func (s *Store) ASActivitySeries(asn uint32) []EpochValue {
-	return seriesIn(s.Snapshot(), asn)
-}
-
-// seriesIn is ASActivitySeries over an explicit epoch view, so a handler
-// can keep one snapshot consistent across a whole response.
+// seriesIn tracks one AS's activity across every epoch of one snapshot —
+// the longitudinal view the paper's "Daily" refresh target implies. It takes
+// the epoch view explicitly so a handler can keep one snapshot consistent
+// across a whole response.
 func seriesIn(es []*Epoch, asn uint32) []EpochValue {
 	out := make([]EpochValue, len(es))
 	for i, e := range es {

@@ -84,7 +84,7 @@ func TestASView(t *testing.T) {
 
 func TestASActivitySeries(t *testing.T) {
 	s := storeWith(t, 3)
-	series := s.ASActivitySeries(64500)
+	series := seriesIn(s.Snapshot(), 64500)
 	if len(series) != 3 {
 		t.Fatalf("series %v", series)
 	}
@@ -95,7 +95,7 @@ func TestASActivitySeries(t *testing.T) {
 	if series[2].At != 2*simtime.Day {
 		t.Errorf("series time %v", series[2].At)
 	}
-	empty := s.ASActivitySeries(4242)
+	empty := seriesIn(s.Snapshot(), 4242)
 	for _, v := range empty {
 		if v.Activity != 0 {
 			t.Errorf("unknown AS has activity %v", v)

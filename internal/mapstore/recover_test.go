@@ -2,6 +2,8 @@ package mapstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -89,6 +91,35 @@ func seededDocs(seed int64, n int) []*core.MapDocument {
 	return docs
 }
 
+// seededMeshes returns n days of mesh history to journal beside seededDocs:
+// a day carries no mesh, the mesh of the last day that had one unchanged
+// (shared at ingest when that was yesterday), or a changed one.
+func seededMeshes(seed int64, n int) []*core.MeshDocument {
+	rng := randx.New(seed ^ 0x6d657368)
+	cur := sampleMesh()
+	out := make([]*core.MeshDocument, n)
+	for day := range out {
+		if rng.Bool(0.4) {
+			p := &cur.Pairs[rng.Intn(len(cur.Pairs))]
+			p.Probes++
+			p.MeanRTT += rng.Float64()
+		}
+		if rng.Bool(0.2) {
+			cur.Pairs = append(cur.Pairs, core.MeshPairDocument{
+				Lo: 3000, Hi: uint32(4000 + day), Path: []uint32{3000, 0, uint32(4000 + day)},
+				Probes: 4, Lost: 1, MinRTT: 5, MeanRTT: 6 + rng.Float64(), MaxRTT: 9, Confidence: 0.5,
+			})
+		}
+		if rng.Bool(0.25) {
+			continue
+		}
+		c := *cur
+		c.Pairs = slices.Clone(cur.Pairs)
+		out[day] = &c
+	}
+	return out
+}
+
 // journalShape is one way a 16-epoch WAL directory can look at boot.
 type journalShape struct {
 	name         string
@@ -102,11 +133,12 @@ var journalShapes = []journalShape{
 	{name: "torn tail", compactEvery: -1, tornTail: []byte{0xFF, 0xEE, 0xDD, 0x00, 0x10}},
 }
 
-// openJournal journals docs through a store into a fresh in-memory WAL
-// directory, "crashes" (no Close), smashes the shape's torn tail onto the
-// journal and reopens it. Every call builds the same bytes, so each recovery
-// under comparison gets a directory of its own.
-func openJournal(t *testing.T, docs []*core.MapDocument, shape journalShape) (*wal.WAL, *wal.Recovery) {
+// openJournal journals docs (and day by day the meshes that are not nil)
+// through a store into a fresh in-memory WAL directory, "crashes" (no
+// Close), smashes the shape's torn tail onto the journal and reopens it.
+// Every call builds the same bytes, so each recovery under comparison gets a
+// directory of its own.
+func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument, shape journalShape) (*wal.WAL, *wal.Recovery) {
 	t.Helper()
 	mem := wal.NewMemFS()
 	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: shape.compactEvery}
@@ -117,7 +149,7 @@ func openJournal(t *testing.T, docs []*core.MapDocument, shape journalShape) (*w
 	s := NewStore()
 	s.AttachWAL(w)
 	for d, doc := range docs {
-		if _, err := s.Append(simtime.Time(d)*simtime.Day, cloneDoc(doc)); err != nil {
+		if _, err := s.append(simtime.Time(d)*simtime.Day, ingest{doc: cloneDoc(doc), mesh: meshes[d]}); err != nil {
 			t.Fatalf("append day %d: %v", d, err)
 		}
 	}
@@ -144,18 +176,45 @@ func openJournal(t *testing.T, docs []*core.MapDocument, shape journalShape) (*w
 	return w, rec
 }
 
+// splitPayloadNaive finds where a journaled epoch's map ends and its mesh
+// begins without leaning on the decoder's own notion of its end: it tries
+// every place the ITMB magic recurs, and the split is the one place where
+// the public decoders accept both sides whole. No such place: all map.
+func splitPayloadNaive(payload []byte) (mapBytes, meshBytes []byte) {
+	for i := 1; i+len(Magic) <= len(payload); i++ {
+		if !bytes.HasPrefix(payload[i:], Magic[:]) {
+			continue
+		}
+		if _, err := DecodeDocument(payload[:i]); err != nil {
+			continue
+		}
+		if _, err := DecodeMeshDocument(payload[i:]); err == nil {
+			return payload[:i], payload[i:]
+		}
+	}
+	return payload, nil
+}
+
 // recoverStoreReencode is the recovery loop as it stood before recovery
-// adopted the journaled bytes, kept verbatim as the oracle: decode each
-// record, re-ingest it through the ordinary Append path (normalize,
-// re-encode), and refuse unless the re-encoding reproduces the record.
+// adopted the journaled bytes, kept verbatim as the oracle and grown by the
+// mesh the same way: decode each record, re-ingest it through the ordinary
+// append path (normalize, re-encode), and refuse unless the re-encoding
+// reproduces the record.
 func recoverStoreReencode(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
 	s := NewStore()
 	for _, r := range rec.Records {
-		doc, err := DecodeDocument(r.Payload)
+		mapBytes, meshBytes := splitPayloadNaive(r.Payload)
+		doc, err := DecodeDocument(mapBytes)
 		if err != nil {
 			return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
 		}
-		e, err := s.Append(r.At, doc)
+		in := ingest{doc: doc}
+		if meshBytes != nil {
+			if in.mesh, err = DecodeMeshDocument(meshBytes); err != nil {
+				return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
+			}
+		}
+		e, err := s.append(r.At, in)
 		if err != nil {
 			return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
 		}
@@ -165,9 +224,9 @@ func recoverStoreReencode(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
 		if e.ID != r.ID {
 			return nil, fmt.Errorf("mapstore: recover epoch %d: store assigned ID %d", r.ID, e.ID)
 		}
-		if !bytes.Equal(e.Encoded, r.Payload) {
-			return nil, fmt.Errorf("mapstore: recover epoch %d: canonical encoding diverged (%d vs %d journaled bytes)",
-				r.ID, len(e.Encoded), len(r.Payload))
+		if !bytes.Equal(e.Encoded, mapBytes) || !bytes.Equal(e.MeshEncoded, meshBytes) {
+			return nil, fmt.Errorf("mapstore: recover epoch %d: canonical encoding diverged (%d+%d vs %d+%d journaled bytes)",
+				r.ID, len(e.Encoded), len(e.MeshEncoded), len(mapBytes), len(meshBytes))
 		}
 	}
 	obs.C("itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.").
@@ -178,65 +237,94 @@ func recoverStoreReencode(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
 
 // TestRecoverStoreMatchesReencodeOracle pins recovery-by-adoption against
 // the re-encoding recovery it replaced: over seeded 16-epoch journals in
-// every shape, and with the decode-ahead on one worker and on four, the
-// recovered store has the same bytes, ETags, sharing, documents and served
-// bodies as the oracle's.
+// every shape, map-only (what every journal written before the mesh was
+// journaled holds) and with a seeded mesh history, and with the
+// decode-ahead on one worker and on four, the recovered store has the same
+// bytes, ETags, sharing, documents and served bodies as the oracle's.
 func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
-	for _, shape := range journalShapes {
-		for seed := int64(1); seed <= 3; seed++ {
-			docs := seededDocs(seed, 16)
-			want, err := recoverStoreReencode(openJournal(t, docs, shape))
-			if err != nil {
-				t.Fatalf("%s, seed %d: oracle: %v", shape.name, seed, err)
-			}
-			wantBodies := driveFixedRequests(t, want)
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s, seed %d, %d workers", shape.name, seed, workers)
-				w, rec := openJournal(t, docs, shape)
-				got, err := recoverStore(w, rec, workers)
+	histories := []struct {
+		name   string
+		meshes func(seed int64) []*core.MeshDocument
+	}{
+		{"map only", func(int64) []*core.MeshDocument { return make([]*core.MeshDocument, 16) }},
+		{"with meshes", func(seed int64) []*core.MeshDocument { return seededMeshes(seed, 16) }},
+	}
+	var sawFresh, sawShared, sawAbsent bool
+	for _, hist := range histories {
+		for _, shape := range journalShapes {
+			for seed := int64(1); seed <= 3; seed++ {
+				docs, meshes := seededDocs(seed, 16), hist.meshes(seed)
+				want, err := recoverStoreReencode(openJournal(t, docs, meshes, shape))
 				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+					t.Fatalf("%s, %s, seed %d: oracle: %v", hist.name, shape.name, seed, err)
 				}
-				if got.Len() != want.Len() {
-					t.Fatalf("%s: recovered %d epochs, oracle %d", name, got.Len(), want.Len())
+				wantBodies := driveFixedRequests(t, want)
+				for _, e := range want.Snapshot()[1:] {
+					prev, _ := want.Epoch(e.ID - 1)
+					sawFresh = sawFresh || e.MeshDoc != nil && !e.MeshShared
+					sawShared = sawShared || e.MeshShared
+					sawAbsent = sawAbsent || e.MeshDoc == nil && prev.MeshDoc != nil
 				}
-				for i, e := range got.Snapshot() {
-					o, _ := want.Epoch(i)
-					if !bytes.Equal(e.Encoded, o.Encoded) {
-						t.Errorf("%s: epoch %d Encoded differs from the oracle's", name, i)
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("%s, %s, seed %d, %d workers", hist.name, shape.name, seed, workers)
+					w, rec := openJournal(t, docs, meshes, shape)
+					got, err := recoverStore(w, rec, workers)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-					if !bytes.Equal(e.Encoded, rec.Records[i].Payload) {
-						t.Errorf("%s: epoch %d Encoded is not the journaled payload", name, i)
+					if got.Len() != want.Len() {
+						t.Fatalf("%s: recovered %d epochs, oracle %d", name, got.Len(), want.Len())
 					}
-					if e.ETag != o.ETag {
-						t.Errorf("%s: epoch %d ETag %s, oracle %s", name, i, e.ETag, o.ETag)
+					for i, e := range got.Snapshot() {
+						o, _ := want.Epoch(i)
+						if !bytes.Equal(e.Encoded, o.Encoded) {
+							t.Errorf("%s: epoch %d Encoded differs from the oracle's", name, i)
+						}
+						if !bytes.HasPrefix(rec.Records[i].Payload, e.Encoded) {
+							t.Errorf("%s: epoch %d Encoded is not the head of the journaled payload", name, i)
+						}
+						if e.ETag != o.ETag {
+							t.Errorf("%s: epoch %d ETag %s, oracle %s", name, i, e.ETag, o.ETag)
+						}
+						if e.SharedSections != o.SharedSections {
+							t.Errorf("%s: epoch %d shares %d sections, oracle %d", name, i, e.SharedSections, o.SharedSections)
+						}
+						if !reflect.DeepEqual(e.Doc, o.Doc) {
+							t.Errorf("%s: epoch %d document differs from the oracle's", name, i)
+						}
+						if (e.MeshDoc != nil) != (meshes[i] != nil) || !bytes.HasSuffix(rec.Records[i].Payload, e.MeshEncoded) ||
+							len(e.Encoded)+len(e.MeshEncoded) != len(rec.Records[i].Payload) {
+							t.Errorf("%s: epoch %d mesh (%d bytes) is not the tail of the journaled payload", name, i, len(e.MeshEncoded))
+						}
+						if !bytes.Equal(e.MeshEncoded, o.MeshEncoded) || e.MeshETag != o.MeshETag || e.MeshShared != o.MeshShared ||
+							!reflect.DeepEqual(e.MeshDoc, o.MeshDoc) || !reflect.DeepEqual(e.meshWorst, o.meshWorst) {
+							t.Errorf("%s: epoch %d mesh differs from the oracle's: ETag %s (oracle %s), shared %v (%v)",
+								name, i, e.MeshETag, o.MeshETag, e.MeshShared, o.MeshShared)
+						}
 					}
-					if e.SharedSections != o.SharedSections {
-						t.Errorf("%s: epoch %d shares %d sections, oracle %d", name, i, e.SharedSections, o.SharedSections)
+					for p, body := range driveFixedRequests(t, got) {
+						if body != wantBodies[p] {
+							t.Errorf("%s: %s differs:\n oracle:    %.120q\n recovered: %.120q", name, p, wantBodies[p], body)
+						}
 					}
-					if !reflect.DeepEqual(e.Doc, o.Doc) {
-						t.Errorf("%s: epoch %d document differs from the oracle's", name, i)
+					// Still one append path: the next epoch journals after the
+					// recovered tail and shares against adopted bytes.
+					last := len(docs) - 1
+					e, err := got.append(simtime.Time(len(docs))*simtime.Day, ingest{doc: cloneDoc(docs[last]), mesh: meshes[last]})
+					if err != nil {
+						t.Fatalf("%s: append after recovery: %v", name, err)
 					}
-				}
-				for p, body := range driveFixedRequests(t, got) {
-					if body != wantBodies[p] {
-						t.Errorf("%s: %s differs:\n oracle:    %.120q\n recovered: %.120q", name, p, wantBodies[p], body)
+					if e.ID != len(docs) || w.Len() != len(docs)+1 || e.SharedSections != sectionCount || e.MeshShared != (meshes[last] != nil) {
+						t.Errorf("%s: append after recovery: epoch %d, WAL %d records, %d shared sections, mesh shared %v",
+							name, e.ID, w.Len(), e.SharedSections, e.MeshShared)
 					}
-				}
-				// Still one append path: the next epoch journals after the
-				// recovered tail and shares against adopted bytes.
-				next := cloneDoc(docs[len(docs)-1])
-				e, err := got.Append(simtime.Time(len(docs))*simtime.Day, next)
-				if err != nil {
-					t.Fatalf("%s: append after recovery: %v", name, err)
-				}
-				if e.ID != len(docs) || w.Len() != len(docs)+1 || e.SharedSections != sectionCount {
-					t.Errorf("%s: append after recovery: epoch %d, WAL %d records, %d shared sections",
-						name, e.ID, w.Len(), e.SharedSections)
 				}
 			}
 		}
+	}
+	if !sawFresh || !sawShared || !sawAbsent {
+		t.Errorf("seeded mesh histories too tame: fresh %v, shared %v, absent %v after day 0", sawFresh, sawShared, sawAbsent)
 	}
 }
 
@@ -324,6 +412,136 @@ func TestShareSectionsBytesMatchesMaps(t *testing.T) {
 		bySpan := shareSections(encodedEpoch(t, withActivity(tc.a)), encodedEpoch(t, withActivity(tc.b)))&secActivity != 0
 		if byMaps != tc.maps || bySpan != tc.span {
 			t.Errorf("%s: shared by maps %v (want %v), by byte span %v (want %v)", tc.name, byMaps, tc.maps, bySpan, tc.span)
+		}
+	}
+}
+
+// TestMapOnlyJournalBytesMatchParent pins that journaling the mesh changed
+// nothing for an epoch without one: the WAL files a map-only store leaves
+// are, byte for byte, the files the parent commit (which journaled map
+// encodings only) left for the same documents — so every journal written
+// before this change is a journal in the current format, and the same test
+// recovers one. Digests recorded from the parent commit (d88ae89).
+func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
+	defer obs.Swap(obs.Swap(obs.NewSet()))
+	for _, tc := range []struct {
+		seed              int64
+		journal, snapshot string
+	}{
+		{1, "2170bbd32c1777538977acb6140c8924a8909fc9e5fb776b29660a652e16bed5", "2709edf15f78223ab097fbec9ea317ceb69c13a090c1abb5bfbffed72541b176"},
+		{7, "6a875235b8c50230e0492f2f8b5cf0eacdd236a18877dd9b8987aab4b0aad217", "46c8da12f8a307e455669117c5ebede68a0fcc315f56be8c3d97d2291f631fd8"},
+	} {
+		mem := wal.NewMemFS()
+		opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: 4}
+		w, _, err := wal.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewStore()
+		s.AttachWAL(w)
+		for d, doc := range seededDocs(tc.seed, 6) {
+			if _, err := s.Append(simtime.Time(d)*simtime.Day, doc); err != nil {
+				t.Fatalf("seed %d: append day %d: %v", tc.seed, d, err)
+			}
+		}
+		for name, want := range map[string]string{"journal.itwl": tc.journal, "snapshot.itwl": tc.snapshot} {
+			data, err := mem.ReadFile("wal/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+				t.Errorf("seed %d: %s (%d bytes) has SHA-256 %s, the parent commit's has %s", tc.seed, name, len(data), got, want)
+			}
+		}
+		w2, rec, err := wal.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := RecoverStore(w2, rec)
+		if err != nil {
+			t.Fatalf("seed %d: recovering the parent-format journal: %v", tc.seed, err)
+		}
+		if got.Len() != 6 || rec.SnapshotRecords != 4 || rec.JournalRecords != 2 || got.Latest().MeshDoc != nil {
+			t.Errorf("seed %d: recovered %d epochs (%d snapshot + %d journal records)", tc.seed, got.Len(), rec.SnapshotRecords, rec.JournalRecords)
+		}
+	}
+}
+
+// TestCrashInsideMeshRecordNeverTearsTheMeshOff sweeps a power cut across
+// every byte of the last map‖mesh record (wal.FaultFS lands the prefix that
+// fit, wal.CrashImage is what the reboot finds). The record is one CRC'd
+// unit, so wherever the cut falls — inside the map, on the seam, inside the
+// mesh — the epoch is gone whole: the recovered store has the epochs that
+// were acknowledged, each with the mesh it was journaled with, and never a
+// map epoch whose mesh was torn off.
+func TestCrashInsideMeshRecordNeverTearsTheMeshOff(t *testing.T) {
+	defer obs.Swap(obs.Swap(obs.NewSet()))
+	const n = 3
+	// journal appends n meshed epochs (no two meshes alike) until one fails,
+	// reporting the journal's size after each acknowledged append.
+	journal := func(fsys wal.FS, size func() int) (*Store, []int) {
+		w, _, err := wal.Open(wal.Options{Dir: "wal", FS: fsys, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewStore()
+		s.AttachWAL(w)
+		var sizes []int
+		for d := 0; d < n; d++ {
+			mesh := sampleMesh()
+			mesh.Pairs[0].Probes += d
+			if _, err := s.append(simtime.Time(d)*simtime.Day, ingest{doc: docAt(d), mesh: mesh}); err != nil {
+				if !errors.Is(err, wal.ErrCrash) {
+					t.Fatalf("append day %d: %v", d, err)
+				}
+				break
+			}
+			sizes = append(sizes, size())
+		}
+		return s, sizes
+	}
+	mem := wal.NewMemFS()
+	ref, sizes := journal(mem, func() int {
+		data, err := mem.ReadFile("wal/journal.itwl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
+	})
+	if len(sizes) != n {
+		t.Fatalf("reference run journaled %d epochs, want %d", len(sizes), n)
+	}
+	last, _ := ref.Epoch(n - 1)
+	if recordBytes := sizes[n-1] - sizes[n-2]; recordBytes <= len(last.Encoded)+len(last.MeshEncoded) {
+		t.Fatalf("last record is %d bytes, map %d + mesh %d: it does not hold both", recordBytes, len(last.Encoded), len(last.MeshEncoded))
+	}
+
+	for cut := sizes[n-2]; cut <= sizes[n-1]; cut++ {
+		ffs := wal.NewFaultFS(wal.NewMemFS(), wal.FaultPlan{CrashAfterBytes: int64(cut)})
+		before, acked := journal(ffs, func() int { return 0 })
+		want := n - 1
+		if cut == sizes[n-1] {
+			want = n // the whole record fit: no crash, nothing lost
+		}
+		if len(acked) != want || before.Len() != want {
+			t.Fatalf("cut at byte %d: %d appends acknowledged, %d published, want %d", cut, len(acked), before.Len(), want)
+		}
+		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: ffs.CrashImage(), CompactEvery: -1})
+		if err != nil {
+			t.Fatalf("cut at byte %d: recovery open: %v", cut, err)
+		}
+		got, err := RecoverStore(w, rec)
+		if err != nil {
+			t.Fatalf("cut at byte %d: RecoverStore: %v", cut, err)
+		}
+		if got.Len() != want || rec.TruncatedBytes != int64(cut-sizes[want-1]) {
+			t.Fatalf("cut at byte %d: recovered %d epochs (%d torn bytes cut), want %d", cut, got.Len(), rec.TruncatedBytes, want)
+		}
+		for i, e := range got.Snapshot() {
+			o, _ := ref.Epoch(i)
+			if !bytes.Equal(e.Encoded, o.Encoded) || e.MeshDoc == nil || !bytes.Equal(e.MeshEncoded, o.MeshEncoded) || e.MeshETag != o.MeshETag {
+				t.Fatalf("cut at byte %d: epoch %d came back without the mesh it was journaled with", cut, i)
+			}
 		}
 	}
 }

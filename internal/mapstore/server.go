@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
+	"itmap/internal/core"
 	"itmap/internal/obs"
 	"itmap/internal/obs/history"
 	"itmap/internal/obs/slo"
+	"itmap/internal/simtime"
 )
 
 // NewHandler exposes the store's query engine as an HTTP JSON API:
@@ -35,6 +38,12 @@ import (
 // store state — every slice the query layer returns is sorted — and flow
 // through the epoch-keyed response cache (see cache.go): bodies encode
 // once, revalidations answer 304 with zero body work.
+//
+// Every cached route is one row of the table below, and the row is only what
+// the routes differ in: how to resolve a request and how to render its
+// answer. What they have in common — take the snapshot, turn a refusal into
+// its status, revalidate, look up, fill, cache a 404 — is written once, in
+// serve and serveCached.
 func NewHandler(s *Store) http.Handler {
 	h := &handler{s: s, eng: &slo.Engine{Objectives: slo.ServingObjectives()}}
 	mux := http.NewServeMux()
@@ -44,19 +53,76 @@ func NewHandler(s *Store) http.Handler {
 		mux.Handle(pattern, obs.InstrumentHandler(pattern, fn))
 	}
 	route("GET /healthz", h.healthz)
-	route("GET /v1/epochs", h.epochs)
-	route("GET /v1/map/{epoch}", h.mapDoc)
-	route("GET /v1/top", h.top)
-	route("GET /v1/as/{asn}", h.asView)
-	route("GET /v1/diff/{a}/{b}", h.diff)
-	route("GET /v1/link/{a}/{b}", h.link)
-	route("GET /v1/path/{a}/{b}", h.meshPath)
-	route("GET /v1/latency/{a}/{b}", h.meshLatency)
-	route("GET /v1/latency/top", h.meshLatencyTop)
-	route("GET /v1/obs/history", h.obsHistory)
-	route("GET /v1/obs/history/{family}", h.obsHistoryFamily)
 	route("GET /v1/slo", h.slo)
+	for _, rt := range []struct {
+		pattern string
+		resolve resolver
+		render  renderer
+	}{
+		{"GET /v1/epochs", resolveEpochs, renderEpochs},
+		{"GET /v1/map/{epoch}", resolveMap, renderMap},
+		{"GET /v1/top", resolveTop, renderTop},
+		{"GET /v1/as/{asn}", resolveAS, renderAS},
+		{"GET /v1/diff/{a}/{b}", resolveDiff, renderDiff},
+		{"GET /v1/link/{a}/{b}", resolveLink, renderLink},
+		{"GET /v1/path/{a}/{b}", resolveMeshPair("path"), renderMeshPath},
+		{"GET /v1/latency/{a}/{b}", resolveMeshPair("latency"), renderMeshLatency},
+		{"GET /v1/latency/top", resolveMeshTop, renderMeshTop},
+		{"GET /v1/obs/history", h.resolveHistory, renderHistory},
+		{"GET /v1/obs/history/{family}", h.resolveHistoryFamily, renderHistoryFamily},
+	} {
+		route(rt.pattern, h.serve(strings.TrimPrefix(rt.pattern, "GET "), rt.resolve, rt.render))
+	}
 	return mux
+}
+
+// request is one request resolved against one store snapshot: where its
+// answer caches, the strong validator it carries, and the parameters the
+// route's renderer reads. It is a plain value, built by the resolver and
+// handed to the renderer, so serving a hit or a 304 allocates nothing for
+// the answer it does not have to render.
+type request struct {
+	cache *responseCache
+	key   string
+	etag  string
+	// stored, when set, is the whole answer instead of cache and key:
+	// bytes the epoch already holds, served as they are.
+	stored []byte
+
+	// Each route fills the parameters its renderer reads.
+	v        *epochList        // the snapshot, for answers that span epochs
+	e, to    *Epoch            // the epoch answered from; a diff runs from e to to
+	a, b     uint32            // path ASNs ({asn} is a)
+	k        int               // ?k=
+	minShift float64           // ?min_shift=
+	snap     *history.Snapshot // the history ring's snapshot
+	family   string            // {family}
+}
+
+// resolver is the first half of a route: parse the parameters, find the
+// epochs in the request's snapshot, name cache, key and ETag — or refuse
+// with a *statusErr. The order of its checks is the route's error
+// precedence.
+type resolver func(v *epochList, r *http.Request) (request, error)
+
+// renderer is the second half: the body and content type for a resolved
+// request, run on first touch only. It may itself report a status (an AS the
+// epoch does not know); that outcome is as immutable as a body and caches
+// like one.
+type renderer func(q request) ([]byte, string, error)
+
+// serve is every cached route's handler: one atomic load resolves the
+// request's store snapshot, and epoch resolution, series and caching all
+// answer from it.
+func (h *handler) serve(label string, resolve resolver, render renderer) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q, err := resolve(h.s.cur.Load(), r)
+		if err != nil {
+			writeRenderErr(w, err)
+			return
+		}
+		serveCached(w, r, label, q, render)
+	}
 }
 
 type handler struct {
@@ -86,10 +152,6 @@ func (h *handler) historyCache(snap *history.Snapshot) *responseCache {
 	}
 	return h.histCache
 }
-
-// view resolves the request's store snapshot: one atomic load, then every
-// lookup (epoch resolution, series, caching) answers from it.
-func (h *handler) view() *epochList { return h.s.cur.Load() }
 
 type errorBody struct {
 	Error string `json:"error"`
@@ -124,12 +186,6 @@ const (
 	defaultMinShift = 0.01
 )
 
-// topResponse is the /v1/top body.
-type topResponse struct {
-	Epoch int      `json:"epoch"`
-	Top   []ASRank `json:"top"`
-}
-
 // Cache keys are normalized query shapes, so "?k=10", "?k=10&epoch=2" on
 // epoch 2, and the bare default all collapse to one entry per epoch.
 func topKey(k int) string { return "top?k=" + strconv.Itoa(k) }
@@ -137,6 +193,12 @@ func topKey(k int) string { return "top?k=" + strconv.Itoa(k) }
 func diffKey(a, b int, minShift float64) string {
 	return "diff?a=" + strconv.Itoa(a) + "&b=" + strconv.Itoa(b) +
 		"&min_shift=" + strconv.FormatFloat(minShift, 'g', -1, 64)
+}
+
+func meshTopKey(k int) string { return "latency/top?k=" + strconv.Itoa(k) }
+
+func meshPairKey(kind string, a, b uint32) string {
+	return kind + "?pair=" + strconv.FormatUint(core.MeshKey(a, b), 16)
 }
 
 // epochAt resolves an epoch ID inside one snapshot.
@@ -153,17 +215,30 @@ func epochIn(v *epochList, r *http.Request) (*Epoch, error) {
 	q := r.URL.Query().Get("epoch")
 	if q == "" {
 		if len(v.epochs) == 0 {
-			return nil, fmt.Errorf("store has no epochs")
+			return nil, notFound("store has no epochs")
 		}
 		return v.epochs[len(v.epochs)-1], nil
 	}
 	id, err := strconv.Atoi(q)
 	if err != nil {
-		return nil, fmt.Errorf("bad epoch %q", q)
+		return nil, notFound("bad epoch %q", q)
 	}
 	e, ok := epochAt(v.epochs, id)
 	if !ok {
-		return nil, fmt.Errorf("no epoch %d", id)
+		return nil, notFound("no epoch %d", id)
+	}
+	return e, nil
+}
+
+// meshEpochIn is epochIn for the user↔user routes: the epoch must carry a
+// mesh.
+func meshEpochIn(v *epochList, r *http.Request) (*Epoch, error) {
+	e, err := epochIn(v, r)
+	if err != nil {
+		return nil, err
+	}
+	if e.MeshDoc == nil {
+		return nil, notFound("epoch %d has no mesh sections", e.ID)
 	}
 	return e, nil
 }
@@ -175,7 +250,7 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	}
 	v, err := strconv.Atoi(q)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, q)
+		return 0, badRequest("bad %s %q", name, q)
 	}
 	return v, nil
 }
@@ -184,9 +259,19 @@ func pathASN(r *http.Request, name string) (uint32, error) {
 	raw := r.PathValue(name)
 	v, err := strconv.ParseUint(raw, 10, 32)
 	if err != nil {
-		return 0, fmt.Errorf("bad ASN %q", raw)
+		return 0, badRequest("bad ASN %q", raw)
 	}
 	return uint32(v), nil
+}
+
+// pathASPair parses the {a}/{b} ASNs of the pair-keyed routes.
+func pathASPair(r *http.Request) (a, b uint32, err error) {
+	a, errA := pathASN(r, "a")
+	b, errB := pathASN(r, "b")
+	if errA != nil || errB != nil {
+		return 0, 0, badRequest("bad AS pair %q/%q", r.PathValue("a"), r.PathValue("b"))
+	}
+	return a, b, nil
 }
 
 // objectiveHealth is one objective's line in the deepened /healthz body.
@@ -215,38 +300,32 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 	}{Status: status, Epochs: h.s.Len(), SLO: objs})
 }
 
-// obsHistory serves the telemetry history ring through the response cache:
-// the ring's ETag is content-derived, so revalidations 304 and the body
-// encodes once per generation.
-func (h *handler) obsHistory(w http.ResponseWriter, r *http.Request) {
+// resolveHistory serves the telemetry history ring through the response
+// cache: the ring's ETag is content-derived, so revalidations 304 and the
+// body encodes once per generation.
+func (h *handler) resolveHistory(*epochList, *http.Request) (request, error) {
 	snap := history.Default().Snapshot()
-	c := h.historyCache(snap)
-	serveCached(w, r, "/v1/obs/history", c, "history", snap.ETag, func() ([]byte, string, error) {
-		b, err := snap.MarshalBody()
-		if err != nil {
-			return nil, "", err
-		}
-		return b, "application/json", nil
-	})
+	return request{cache: h.historyCache(snap), key: "history", etag: snap.ETag, snap: snap}, nil
 }
 
-// obsHistoryFamily serves one family's values across the retained samples.
-func (h *handler) obsHistoryFamily(w http.ResponseWriter, r *http.Request) {
-	fam := r.PathValue("family")
-	snap := history.Default().Snapshot()
-	c := h.historyCache(snap)
-	serveCached(w, r, "/v1/obs/history/{family}", c, "history/"+fam, snap.FamilyETag(fam),
-		func() ([]byte, string, error) {
-			b, ok, err := snap.MarshalFamilyBody(fam)
-			if err != nil {
-				return nil, "", err
-			}
-			if !ok {
-				return nil, "", &statusErr{http.StatusNotFound,
-					fmt.Sprintf("no family %q in history", fam)}
-			}
-			return b, "application/json", nil
-		})
+// resolveHistoryFamily serves one family's values across the retained
+// samples.
+func (h *handler) resolveHistoryFamily(_ *epochList, r *http.Request) (request, error) {
+	fam, snap := r.PathValue("family"), history.Default().Snapshot()
+	return request{cache: h.historyCache(snap), key: "history/" + fam, etag: snap.FamilyETag(fam), snap: snap, family: fam}, nil
+}
+
+func renderHistory(q request) ([]byte, string, error) {
+	b, err := q.snap.MarshalBody()
+	return b, "application/json", err
+}
+
+func renderHistoryFamily(q request) ([]byte, string, error) {
+	b, ok, err := q.snap.MarshalFamilyBody(q.family)
+	if err == nil && !ok {
+		err = notFound("no family %q in history", q.family)
+	}
+	return b, "application/json", err
 }
 
 // slo serves the burn-rate report. The body depends on the live registry
@@ -265,155 +344,240 @@ func (h *handler) slo(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-func (h *handler) epochs(w http.ResponseWriter, r *http.Request) {
-	v := h.view()
-	serveCached(w, r, "/v1/epochs", v.cache, "epochs", v.etag, func() ([]byte, string, error) {
-		return jsonBody(struct {
-			Epochs []Info `json:"epochs"`
-		}{Epochs: infosIn(v.epochs)})
-	})
+func resolveEpochs(v *epochList, _ *http.Request) (request, error) {
+	return request{cache: v.cache, key: "epochs", etag: v.etag, v: v}, nil
 }
 
-func (h *handler) mapDoc(w http.ResponseWriter, r *http.Request) {
+func renderEpochs(q request) ([]byte, string, error) {
+	return jsonBody(struct {
+		Epochs []Info `json:"epochs"`
+	}{Epochs: infosIn(q.v.epochs)})
+}
+
+func resolveMap(v *epochList, r *http.Request) (request, error) {
 	id, err := strconv.Atoi(r.PathValue("epoch"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad epoch %q", r.PathValue("epoch"))
-		return
+		return request{}, badRequest("bad epoch %q", r.PathValue("epoch"))
 	}
-	v := h.view()
 	e, ok := epochAt(v.epochs, id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "no epoch %d", id)
-		return
+		return request{}, notFound("no epoch %d", id)
 	}
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "json":
-		serveCached(w, r, "/v1/map/{epoch}", e.cache, "map.json", e.ETag, func() ([]byte, string, error) {
-			return jsonBody(e.Doc)
-		})
+		return request{cache: e.cache, key: "map.json", etag: e.ETag, e: e}, nil
 	case "binary":
-		serveBinary(w, r, "/v1/map/{epoch}", e)
+		return request{etag: e.ETag, stored: e.Encoded}, nil
 	default:
-		writeErr(w, http.StatusBadRequest, "unknown format %q", f)
+		return request{}, badRequest("unknown format %q", f)
 	}
 }
 
-func (h *handler) top(w http.ResponseWriter, r *http.Request) {
-	v := h.view()
-	e, err := epochIn(v, r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
-		return
+func renderMap(q request) ([]byte, string, error) { return jsonBody(q.e.Doc) }
+
+func resolveTop(v *epochList, r *http.Request) (q request, err error) {
+	if q.e, err = epochIn(v, r); err != nil {
+		return q, err
 	}
-	k, err := intParam(r, "k", defaultTopK)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
+		return q, err
 	}
-	serveCached(w, r, "/v1/top", e.cache, topKey(k), e.ETag, func() ([]byte, string, error) {
-		return jsonBody(topResponse{Epoch: e.ID, Top: e.TopASes(k)})
-	})
+	q.cache, q.key, q.etag = q.e.cache, topKey(q.k), q.e.ETag
+	return q, nil
 }
 
-func (h *handler) asView(w http.ResponseWriter, r *http.Request) {
-	asn, err := pathASN(r, "asn")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+// topResponse is the /v1/top body.
+type topResponse struct {
+	Epoch int      `json:"epoch"`
+	Top   []ASRank `json:"top"`
+}
+
+func renderTop(q request) ([]byte, string, error) {
+	return jsonBody(topResponse{Epoch: q.e.ID, Top: q.e.TopASes(q.k)})
+}
+
+func resolveAS(v *epochList, r *http.Request) (q request, err error) {
+	if q.a, err = pathASN(r, "asn"); err != nil {
+		return q, err
 	}
-	v := h.view()
-	e, err := epochIn(v, r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
-		return
+	if q.e, err = epochIn(v, r); err != nil {
+		return q, err
 	}
-	k, err := intParam(r, "k", defaultTopK)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
+		return q, err
 	}
 	// The response spans the whole store (the longitudinal series), so it
 	// caches on the snapshot, keyed by the fully-resolved query shape, and
 	// carries the store ETag — one append invalidates it wholesale.
-	key := "as?asn=" + strconv.FormatUint(uint64(asn), 10) +
-		"&epoch=" + strconv.Itoa(e.ID) + "&k=" + strconv.Itoa(k)
-	serveCached(w, r, "/v1/as/{asn}", v.cache, key, v.etag, func() ([]byte, string, error) {
-		av, ok := e.ASView(asn, k)
-		if !ok {
-			return nil, "", &statusErr{http.StatusNotFound,
-				fmt.Sprintf("AS %d not in epoch %d", asn, e.ID)}
-		}
-		return jsonBody(struct {
-			ASView
-			Series []EpochValue `json:"series"`
-		}{ASView: av, Series: seriesIn(v.epochs, asn)})
-	})
+	q.v, q.cache, q.etag = v, v.cache, v.etag
+	q.key = "as?asn=" + strconv.FormatUint(uint64(q.a), 10) +
+		"&epoch=" + strconv.Itoa(q.e.ID) + "&k=" + strconv.Itoa(q.k)
+	return q, nil
 }
 
-func (h *handler) diff(w http.ResponseWriter, r *http.Request) {
+func renderAS(q request) ([]byte, string, error) {
+	av, ok := q.e.ASView(q.a, q.k)
+	if !ok {
+		return nil, "", notFound("AS %d not in epoch %d", q.a, q.e.ID)
+	}
+	return jsonBody(struct {
+		ASView
+		Series []EpochValue `json:"series"`
+	}{ASView: av, Series: seriesIn(q.v.epochs, q.a)})
+}
+
+func resolveDiff(v *epochList, r *http.Request) (request, error) {
 	a, errA := strconv.Atoi(r.PathValue("a"))
 	b, errB := strconv.Atoi(r.PathValue("b"))
 	if errA != nil || errB != nil {
-		writeErr(w, http.StatusBadRequest, "bad epoch pair %q/%q", r.PathValue("a"), r.PathValue("b"))
-		return
+		return request{}, badRequest("bad epoch pair %q/%q", r.PathValue("a"), r.PathValue("b"))
 	}
-	minShift := defaultMinShift
-	if q := r.URL.Query().Get("min_shift"); q != "" {
-		v, err := strconv.ParseFloat(q, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad min_shift %q", q)
-			return
+	q := request{minShift: defaultMinShift}
+	if raw := r.URL.Query().Get("min_shift"); raw != "" {
+		var err error
+		if q.minShift, err = strconv.ParseFloat(raw, 64); err != nil {
+			return request{}, badRequest("bad min_shift %q", raw)
 		}
-		minShift = v
 	}
-	v := h.view()
-	ea, okA := epochAt(v.epochs, a)
-	if !okA {
-		writeErr(w, http.StatusNotFound, "mapstore: no epoch %d", a)
-		return
+	var ok bool
+	if q.e, ok = epochAt(v.epochs, a); !ok {
+		return request{}, notFound("mapstore: no epoch %d", a)
 	}
-	eb, okB := epochAt(v.epochs, b)
-	if !okB {
-		writeErr(w, http.StatusNotFound, "mapstore: no epoch %d", b)
-		return
+	if q.to, ok = epochAt(v.epochs, b); !ok {
+		return request{}, notFound("mapstore: no epoch %d", b)
 	}
 	// A diff is pair-scoped and immutable; it caches on the newer epoch so
 	// the entry ages out with the epochs themselves, never with appends.
-	newer := ea
-	if eb.ID > newer.ID {
-		newer = eb
+	q.cache = q.e.cache
+	if q.to.ID > q.e.ID {
+		q.cache = q.to.cache
 	}
-	serveCached(w, r, "/v1/diff/{a}/{b}", newer.cache, diffKey(a, b, minShift), pairETag(ea, eb),
-		func() ([]byte, string, error) {
-			return jsonBody(diffEpochs(ea, eb, minShift))
-		})
+	q.key, q.etag = diffKey(a, b, q.minShift), pairETag(q.e, q.to)
+	return q, nil
 }
 
-func (h *handler) link(w http.ResponseWriter, r *http.Request) {
-	a, errA := pathASN(r, "a")
-	b, errB := pathASN(r, "b")
-	if errA != nil || errB != nil {
-		writeErr(w, http.StatusBadRequest, "bad AS pair %q/%q", r.PathValue("a"), r.PathValue("b"))
-		return
+func renderDiff(q request) ([]byte, string, error) {
+	return jsonBody(diffEpochs(q.e, q.to, q.minShift))
+}
+
+func resolveLink(v *epochList, r *http.Request) (q request, err error) {
+	if q.a, q.b, err = pathASPair(r); err != nil {
+		return q, err
 	}
-	v := h.view()
-	e, err := epochIn(v, r)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
-		return
+	if q.e, err = epochIn(v, r); err != nil {
+		return q, err
 	}
-	key := "link?a=" + strconv.FormatUint(uint64(a), 10) + "&b=" + strconv.FormatUint(uint64(b), 10)
-	serveCached(w, r, "/v1/link/{a}/{b}", e.cache, key, e.ETag, func() ([]byte, string, error) {
-		load, ok := e.LinkLoad(a, b)
-		if !ok {
-			return nil, "", &statusErr{http.StatusNotFound,
-				fmt.Sprintf("no link load for %d-%d in epoch %d", a, b, e.ID)}
+	q.cache, q.etag = q.e.cache, q.e.ETag
+	q.key = "link?a=" + strconv.FormatUint(uint64(q.a), 10) + "&b=" + strconv.FormatUint(uint64(q.b), 10)
+	return q, nil
+}
+
+func renderLink(q request) ([]byte, string, error) {
+	load, ok := q.e.LinkLoad(q.a, q.b)
+	if !ok {
+		return nil, "", notFound("no link load for %d-%d in epoch %d", q.a, q.b, q.e.ID)
+	}
+	return jsonBody(struct {
+		Epoch      int     `json:"epoch"`
+		A          uint32  `json:"a"`
+		B          uint32  `json:"b"`
+		DailyBytes float64 `json:"daily_bytes"`
+	}{Epoch: q.e.ID, A: q.a, B: q.b, DailyBytes: load})
+}
+
+// resolveMeshPair is /v1/path and /v1/latency: two views of the same pair
+// lookup, keyed apart by kind. Both carry the mesh-scoped ETag and cache
+// with the epoch.
+func resolveMeshPair(kind string) resolver {
+	return func(v *epochList, r *http.Request) (q request, err error) {
+		if q.a, q.b, err = pathASPair(r); err != nil {
+			return q, err
 		}
-		return jsonBody(struct {
-			Epoch      int     `json:"epoch"`
-			A          uint32  `json:"a"`
-			B          uint32  `json:"b"`
-			DailyBytes float64 `json:"daily_bytes"`
-		}{Epoch: e.ID, A: a, B: b, DailyBytes: load})
+		if q.e, err = meshEpochIn(v, r); err != nil {
+			return q, err
+		}
+		q.cache, q.key, q.etag = q.e.cache, meshPairKey(kind, q.a, q.b), q.e.MeshETag
+		return q, nil
+	}
+}
+
+// meshPairOf looks the request's pair up at render time, so a pair the
+// campaign never measured is a cached 404: an immutable fact of the epoch,
+// like a measured pair's body.
+func meshPairOf(q request) (*core.MeshPairDocument, error) {
+	p, ok := q.e.MeshDoc.PairAt(q.a, q.b)
+	if !ok {
+		return nil, notFound("no mesh measurement for AS pair %d/%d in epoch %d", q.a, q.b, q.e.ID)
+	}
+	return p, nil
+}
+
+type meshPathResponse struct {
+	Epoch    int          `json:"epoch"`
+	At       simtime.Time `json:"at_hours"`
+	A        uint32       `json:"a"`
+	B        uint32       `json:"b"`
+	Path     []uint32     `json:"path,omitempty"`
+	Complete bool         `json:"complete"`
+	// Confidence is the pair's coverage score (see core.MeshPairDocument).
+	Confidence float64 `json:"confidence"`
+}
+
+func renderMeshPath(q request) ([]byte, string, error) {
+	p, err := meshPairOf(q)
+	if err != nil {
+		return nil, "", err
+	}
+	return jsonBody(meshPathResponse{
+		Epoch: q.e.ID, At: q.e.At, A: p.Lo, B: p.Hi,
+		Path: p.Path, Complete: p.Complete, Confidence: p.Confidence,
 	})
+}
+
+type meshLatencyResponse struct {
+	Epoch      int          `json:"epoch"`
+	At         simtime.Time `json:"at_hours"`
+	A          uint32       `json:"a"`
+	B          uint32       `json:"b"`
+	Probes     int          `json:"probes"`
+	Lost       int          `json:"lost"`
+	Loss       float64      `json:"loss"`
+	MinRTTms   float64      `json:"min_rtt_ms"`
+	MeanRTTms  float64      `json:"mean_rtt_ms"`
+	MaxRTTms   float64      `json:"max_rtt_ms"`
+	Complete   bool         `json:"complete"`
+	Confidence float64      `json:"confidence"`
+}
+
+func renderMeshLatency(q request) ([]byte, string, error) {
+	p, err := meshPairOf(q)
+	if err != nil {
+		return nil, "", err
+	}
+	return jsonBody(meshLatencyResponse{
+		Epoch: q.e.ID, At: q.e.At, A: p.Lo, B: p.Hi,
+		Probes: p.Probes, Lost: p.Lost, Loss: p.LossRate(),
+		MinRTTms: p.MinRTT, MeanRTTms: p.MeanRTT, MaxRTTms: p.MaxRTT,
+		Complete: p.Complete, Confidence: p.Confidence,
+	})
+}
+
+func resolveMeshTop(v *epochList, r *http.Request) (q request, err error) {
+	if q.e, err = meshEpochIn(v, r); err != nil {
+		return q, err
+	}
+	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
+		return q, err
+	}
+	q.cache, q.key, q.etag = q.e.cache, meshTopKey(q.k), q.e.MeshETag
+	return q, nil
+}
+
+type meshTopResponse struct {
+	Epoch int        `json:"epoch"`
+	Top   []MeshRank `json:"top"`
+}
+
+func renderMeshTop(q request) ([]byte, string, error) {
+	return jsonBody(meshTopResponse{Epoch: q.e.ID, Top: q.e.WorstMeshPairs(q.k)})
 }

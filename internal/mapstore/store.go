@@ -45,12 +45,11 @@ type Epoch struct {
 	SharedSections int
 
 	// MeshDoc, when present, is the epoch's user↔user mesh matrix;
-	// MeshEncoded its canonical ITMB v2 encoding and MeshETag the strong
+	// MeshEncoded its canonical ITMB v2 encoding (journaled right behind
+	// Encoded, and like it adopted at recovery) and MeshETag the strong
 	// validator for mesh-scoped responses. MeshShared reports that the
 	// encoding was byte-equal to the previous epoch's, so document, bytes,
-	// tag, and indexes are all structurally shared with it. The mesh is not
-	// WAL-journaled (only map encodings are; see walstore.go), so recovery
-	// restores a store without mesh sections.
+	// tag, and indexes are all structurally shared with it.
 	MeshDoc     *core.MeshDocument
 	MeshEncoded []byte
 	MeshETag    string
@@ -175,13 +174,7 @@ func (s *Store) Len() int { return len(s.cur.Load().epochs) }
 func (s *Store) Snapshot() []*Epoch { return s.cur.Load().epochs }
 
 // Epoch returns one epoch by ID.
-func (s *Store) Epoch(id int) (*Epoch, bool) {
-	es := s.Snapshot()
-	if id < 0 || id >= len(es) {
-		return nil, false
-	}
-	return es[id], true
-}
+func (s *Store) Epoch(id int) (*Epoch, bool) { return epochAt(s.Snapshot(), id) }
 
 // Latest returns the newest epoch, or nil for an empty store.
 func (s *Store) Latest() *Epoch {
@@ -196,46 +189,59 @@ func (s *Store) Latest() *Epoch {
 // the ground-truth matrix snapshot enabling link-load queries (the matrix's
 // link index must come from m.Top's dense AS index).
 func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix) (*Epoch, error) {
-	return s.append(at, m.Document(), nil, mx, m.Top, nil)
+	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top})
 }
 
 // AppendMapMesh is AppendMap plus the epoch's user↔user mesh matrix, as
 // produced by a vantage campaign. The mesh is normalized; the caller must
 // not mutate it afterwards.
 func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix, mesh *core.MeshDocument) (*Epoch, error) {
-	return s.append(at, m.Document(), nil, mx, m.Top, mesh)
+	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top, mesh: mesh})
 }
 
 // Append ingests a serialized map document (e.g. an imported JSON export or
 // a decoded ITMB blob). The document is normalized; the caller must not
 // mutate it afterwards.
 func (s *Store) Append(at simtime.Time, doc *core.MapDocument) (*Epoch, error) {
-	return s.append(at, doc, nil, nil, nil, nil)
+	return s.append(at, ingest{doc: doc})
 }
 
-// AppendMesh ingests a serialized map document together with a mesh matrix
-// (decoded ITMB blobs, tests).
-func (s *Store) AppendMesh(at simtime.Time, doc *core.MapDocument, mesh *core.MeshDocument) (*Epoch, error) {
-	return s.append(at, doc, nil, nil, nil, mesh)
+// ingest is what one append hands the store: the map document, optionally a
+// mesh document, and the ground-truth handles link-load queries read. canon
+// and meshCanon, when set, are the encodings doc and mesh were just strictly
+// decoded from (recovery). The decoders only accept the canonical encoding
+// of the document they return — a Normalize fixed point that re-encodes to
+// the same bytes — so the bytes in hand are adopted and neither step is
+// repeated. Every other caller leaves them unset.
+type ingest struct {
+	doc       *core.MapDocument
+	canon     encoding
+	mesh      *core.MeshDocument
+	meshCanon []byte
+	mx        *traffic.Matrix
+	top       *topology.Topology
 }
 
-// append is the one ingest path. canon, when non-nil, is the encoding doc
-// was just strictly decoded from (recovery): the decoder only accepts the
-// canonical encoding of the document it returns — a Normalize fixed point
-// that re-encodes to the same bytes — so the bytes in hand are adopted and
-// neither step is repeated. Every other caller passes nil.
-func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, mx *traffic.Matrix, top *topology.Topology, mesh *core.MeshDocument) (*Epoch, error) {
+// append is the one ingest path, and both layers take the same four steps
+// through it: normalize and encode unless the canonical bytes came along,
+// share with the previous epoch wherever canonical byte spans are equal,
+// derive ETag and query indexes for what is new, prebake.
+func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
+	doc, mesh := in.doc, in.mesh
 	if doc == nil {
 		return nil, fmt.Errorf("mapstore: nil document")
 	}
-	if canon == nil {
+	if in.canon.bytes == nil {
 		doc.Normalize()
+	}
+	if mesh != nil && in.meshCanon == nil {
+		mesh.Normalize()
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
-	e := &Epoch{ID: len(old.epochs), At: at, Doc: doc, mx: mx, top: top, cache: newResponseCache()}
+	e := &Epoch{ID: len(old.epochs), At: at, Doc: doc, MeshDoc: mesh, mx: in.mx, top: in.top, cache: newResponseCache()}
 	var prev *Epoch
 	if len(old.epochs) > 0 {
 		// Epoch times must advance strictly: a sweep re-ingested at the
@@ -245,14 +251,25 @@ func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, 
 			return nil, fmt.Errorf("mapstore: epoch time %v does not advance past %v", at, prev.At)
 		}
 	}
-	if canon == nil {
-		enc, err := encodeDocument(doc)
+	canon := in.canon
+	if canon.bytes == nil {
+		var err error
+		if canon, err = encodeDocument(doc); err != nil {
+			return nil, err
+		}
+	}
+	e.Encoded, e.off, e.MeshEncoded = canon.bytes, canon.off, in.meshCanon
+	if mesh != nil && e.MeshEncoded == nil {
+		enc, err := EncodeMeshDocument(mesh)
 		if err != nil {
 			return nil, err
 		}
-		canon = &enc
+		e.MeshEncoded = enc
 	}
-	e.Encoded, e.off = canon.bytes, canon.off
+
+	// The encodings are pure functions of the documents, so equal bytes
+	// prove equal content: whatever matches the previous epoch keeps the
+	// previous epoch's storage and everything derived from it.
 	var shared uint
 	if prev != nil {
 		shared = shareSections(e, prev)
@@ -261,6 +278,8 @@ func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, 
 			// Identical re-ingest: one copy of the bytes serves both epochs.
 			e.Encoded = prev.Encoded
 		}
+		// The mesh is one section; its span is the whole encoding.
+		e.MeshShared = mesh != nil && bytes.Equal(e.MeshEncoded, prev.MeshEncoded)
 	}
 	e.ETag = epochETag(e.ID, e.Encoded)
 	if shared&secUsers == secUsers {
@@ -275,15 +294,25 @@ func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, 
 	if err := e.buildIndexes(prev, shared); err != nil {
 		return nil, err
 	}
-	if err := e.ingestMesh(prev, mesh); err != nil {
-		return nil, err
+	switch {
+	case e.MeshShared:
+		e.MeshDoc, e.MeshEncoded, e.MeshETag, e.meshWorst = prev.MeshDoc, prev.MeshEncoded, prev.MeshETag, prev.meshWorst
+	case mesh != nil:
+		e.MeshETag = meshETag(e.ID, e.MeshEncoded)
+		e.meshWorst = rankMeshPairs(mesh)
 	}
 
 	// Write-ahead point: everything that can fail has succeeded, nothing is
-	// visible yet. Journal + fsync the canonical bytes; if that fails the
-	// epoch is not published, so the WAL never lags the served store.
+	// visible yet. Journal + fsync the canonical bytes — the map's, with the
+	// mesh's right behind them in the same record (decodeEpochPayload is the
+	// way back) — and if that fails the epoch is not published, so the WAL
+	// never lags the served store.
 	if s.wal != nil {
-		if err := s.wal.Append(at, e.Encoded); err != nil {
+		payload := e.Encoded
+		if mesh != nil {
+			payload = slices.Concat(e.Encoded, e.MeshEncoded)
+		}
+		if err := s.wal.Append(at, payload); err != nil {
 			return nil, fmt.Errorf("mapstore: journal epoch %d: %w", e.ID, err)
 		}
 	}
@@ -312,6 +341,13 @@ func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, 
 		obs.C("itm_mapstore_sections_copied_total", "Document sections that changed and so kept their own storage.").Add(uint64(sectionCount - e.SharedSections))
 	}
 	obs.H("itm_mapstore_epoch_bytes", "Encoded (ITMB) size of ingested epochs, in bytes.", epochBytesBuckets).Observe(float64(len(e.Encoded)))
+	switch {
+	case e.MeshShared:
+		obs.C("itm_mapstore_mesh_shared_total", "Mesh sections structurally shared with the previous epoch.").Inc()
+	case mesh != nil:
+		obs.C("itm_mapstore_mesh_epochs_total", "Epochs ingested carrying a fresh mesh matrix.").Inc()
+		obs.H("itm_mapstore_mesh_bytes", "Encoded (ITMB v2) size of ingested mesh matrices, in bytes.", epochBytesBuckets).Observe(float64(len(e.MeshEncoded)))
+	}
 	// Telemetry history sample: one capture per append, taken here — a
 	// serial point under the ingest lock — so the sample sequence (and the
 	// history API's bytes) is a pure function of the campaign.
@@ -320,30 +356,25 @@ func (s *Store) append(at simtime.Time, doc *core.MapDocument, canon *encoding, 
 }
 
 // prebake fills the responses an interactive consumer asks for first —
-// the default top-K ranking and the diff against the previous epoch — so
-// the very first request after an append already hits cached bytes.
+// the default top-K ranking, the diff against the previous epoch, a fresh
+// mesh's worst pairs — through the routes' own renderers, so the very first
+// request after an append already hits cached bytes.
 func (e *Epoch) prebake(prev *Epoch) {
-	bake := func(c *responseCache, key, route string, render func() ([]byte, string, error)) {
-		entry, created, ok := c.lookup(key)
+	bake := func(route string, render renderer, q request) {
+		entry, created, ok := e.cache.lookup(q.key)
 		if !ok || !created {
 			return
 		}
-		entry.fill(route, render)
+		entry.fill(route, render, q)
 		obs.C("itm_cache_prebaked_total", "Responses pre-baked into epoch caches at append time.").Inc()
 	}
-	bake(e.cache, topKey(defaultTopK), "/v1/top", func() ([]byte, string, error) {
-		return jsonBody(topResponse{Epoch: e.ID, Top: e.TopASes(defaultTopK)})
-	})
+	bake("/v1/top", renderTop, request{key: topKey(defaultTopK), e: e, k: defaultTopK})
 	if prev != nil {
-		bake(e.cache, diffKey(prev.ID, e.ID, defaultMinShift), "/v1/diff/{a}/{b}",
-			func() ([]byte, string, error) {
-				return jsonBody(diffEpochs(prev, e, defaultMinShift))
-			})
+		bake("/v1/diff/{a}/{b}", renderDiff,
+			request{key: diffKey(prev.ID, e.ID, defaultMinShift), e: prev, to: e, minShift: defaultMinShift})
 	}
 	if e.MeshDoc != nil && !e.MeshShared {
-		bake(e.cache, meshTopKey(defaultTopK), "/v1/latency/top", func() ([]byte, string, error) {
-			return jsonBody(meshTopResponse{Epoch: e.ID, Top: e.WorstMeshPairs(defaultTopK)})
-		})
+		bake("/v1/latency/top", renderMeshTop, request{key: meshTopKey(defaultTopK), e: e, k: defaultTopK})
 	}
 }
 

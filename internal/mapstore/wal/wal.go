@@ -11,7 +11,8 @@
 //
 //	header    magic "ITWL" | format version (1)
 //	record    u32 LE payload length | u32 LE CRC-32C of payload | payload
-//	payload   uvarint epoch ID | u64 LE simtime bits | ITMB document bytes
+//	payload   uvarint epoch ID | u64 LE simtime bits | epoch bytes (opaque here:
+//	          the ITMB map document, then the ITMB mesh document if any)
 //
 // Recovery replays snapshot then journal. A crash mid-append leaves a torn
 // record at the journal's tail; replay detects it (short header, short
@@ -22,9 +23,9 @@
 // every intermediate step: the rename is atomic, and a stale journal tail
 // is inert.
 //
-// The payload bytes are exactly the store's canonical epoch encoding, so a
-// recovered store rebuilds byte-identical epochs and ETags (mapstore
-// verifies this on replay).
+// The payload bytes are exactly the store's canonical epoch encodings, so a
+// recovered store adopts them and serves byte-identical epochs and ETags
+// (mapstore's decoders accept nothing but a canonical encoding on replay).
 package wal
 
 import (
@@ -81,7 +82,7 @@ var (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one journaled epoch: its dense ID, the simulated time of its
-// sweep, and the canonical ITMB encoding of its document.
+// sweep, and the canonical ITMB encoding of its documents.
 type Record struct {
 	ID      int
 	At      simtime.Time

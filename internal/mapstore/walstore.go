@@ -10,17 +10,18 @@ import (
 )
 
 // This file glues the store to its write-ahead log. The coupling is thin
-// because the WAL journals exactly the store's canonical epoch encoding, and
-// recovery identity is by adoption: each journaled payload becomes the
-// recovered epoch's Encoded and the source of its ETag. Those are the very
-// bytes the pre-crash store hashed, so recovered == pre-crash holds by
-// construction rather than by re-encoding at every boot. What remains to be
-// guaranteed is that the payload is the canonical encoding of the document
-// it decodes to, and that guarantee is the decoder's: DecodeDocument rejects
-// every non-canonical input (FuzzDecodeMapDocument pins decode→re-encode
-// byte-identity, TestRecoverStoreMatchesReencodeOracle pins this path
-// against the re-encoding one it replaced). Corruption on disk is the WAL's
-// CRC-32C's to catch, before a payload ever gets here.
+// because the WAL journals exactly the store's canonical epoch encodings
+// (map, then mesh when there is one), and recovery identity is by adoption:
+// the journaled spans become the recovered epoch's Encoded and MeshEncoded
+// and the source of its ETags. Those are the very bytes the pre-crash store
+// hashed, so recovered == pre-crash holds by construction rather than by
+// re-encoding at every boot. What remains to be guaranteed is that a span is
+// the canonical encoding of the document it decodes to, and that guarantee
+// is the decoders': they reject every non-canonical input
+// (FuzzDecodeMapDocument, FuzzDecodeMeshSections and FuzzDecodeEpochPayload
+// pin decode→re-encode byte-identity, TestRecoverStoreMatchesReencodeOracle
+// pins this path against the re-encoding one it replaced). Corruption on
+// disk is the WAL's CRC-32C's to catch, before a payload ever gets here.
 
 // AttachWAL journals every future append through w. Append only returns
 // success after the epoch is fsynced; a journaling failure fails the append
@@ -34,34 +35,32 @@ func (s *Store) AttachWAL(w *wal.WAL) {
 
 // RecoverStore rebuilds a store from what wal.Open replayed and attaches the
 // WAL so new appends journal after the recovered tail. The store retains
-// each record's Payload as that epoch's Encoded.
+// each record's Payload as that epoch's Encoded (and MeshEncoded).
 func RecoverStore(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
 	return recoverStore(w, rec, 0)
 }
 
 // recoverStore is RecoverStore with the decode worker count exposed (0 = one
 // per CPU). Records are independent until the serial share-and-publish step,
-// so they are decoded ahead on the worker pool and appended in order;
-// DecodeDocument is pure and its one counter a commutative add, so the
-// result is the same at any worker count.
+// so they are decoded ahead on the worker pool and appended in order; the
+// decoders are pure and their one counter a commutative add, so the result
+// is the same at any worker count.
 func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 	s := NewStore()
 	type decoded struct {
-		doc *core.MapDocument
-		enc encoding
+		in  ingest
 		err error
 	}
 	docs := make([]decoded, len(rec.Records))
 	parallel.ForEach(len(docs), workers, func(i int) {
-		d := &docs[i]
-		d.doc, d.enc, d.err = decodeDocument(rec.Records[i].Payload)
+		docs[i].in, docs[i].err = decodeEpochPayload(rec.Records[i].Payload)
 	})
 	for i, r := range rec.Records {
 		d := &docs[i]
 		if d.err != nil {
 			return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, d.err)
 		}
-		e, err := s.append(r.At, d.doc, &d.enc, nil, nil, nil)
+		e, err := s.append(r.At, d.in)
 		if err != nil {
 			return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
 		}
@@ -75,4 +74,31 @@ func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 		Add(uint64(len(rec.Records)))
 	s.AttachWAL(w)
 	return s, nil
+}
+
+// decodeEpochPayload turns one journaled epoch back into the ingest value
+// append made it from: the map document and, when the epoch carried one, the
+// mesh document, each with the canonical bytes it was decoded from (aliasing
+// payload) for append to adopt. The record is the two encodings back to
+// back with nothing between them. Both start with the ITMB magic and their
+// own codec version, and the map decoder ends exactly where the map does, so
+// the split needs no framing — and a map-only epoch's record is its map
+// encoding alone, which is what every journal written before the mesh was
+// journaled holds. Whatever follows the map must be one whole canonical mesh
+// document: a second map, a torn mesh or trailing junk is a typed error.
+func decodeEpochPayload(payload []byte) (ingest, error) {
+	doc, enc := &core.MapDocument{}, encoding{bytes: payload}
+	var tail []byte
+	if err := decodeInto(doc, &enc, &tail); err != nil {
+		return ingest{}, err
+	}
+	in := ingest{doc: doc, canon: enc}
+	if len(tail) > 0 {
+		mesh, err := DecodeMeshDocument(tail)
+		if err != nil {
+			return ingest{}, fmt.Errorf("mesh sections: %w", err)
+		}
+		in.mesh, in.meshCanon = mesh, tail
+	}
+	return in, nil
 }

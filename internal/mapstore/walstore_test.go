@@ -1,13 +1,16 @@
 package mapstore
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"itmap/internal/core"
 	"itmap/internal/mapstore/wal"
 	"itmap/internal/obs"
 	"itmap/internal/simtime"
@@ -16,7 +19,9 @@ import (
 // driveFixedRequests replays the same deterministic request mix against a
 // store's handler and captures everything identity-relevant: status, body,
 // and ETag per request. Used on both sides of a crash so the comparison
-// covers the full serving surface, not just raw epoch bytes.
+// covers the full serving surface, not just raw epoch bytes. The mix wants
+// at least three epochs; the mesh routes answer from whatever the store
+// holds (sampleMesh's pairs when it has a mesh, cached 404s when not).
 func driveFixedRequests(t *testing.T, s *Store) map[string]string {
 	t.Helper()
 	srv := httptest.NewServer(NewHandler(s))
@@ -29,7 +34,19 @@ func driveFixedRequests(t *testing.T, s *Store) map[string]string {
 		"/v1/map/2",
 		"/v1/top?k=2",
 		"/v1/diff/0/2",
-		"/v1/activity/64500",
+		"/v1/as/64500",
+		"/v1/as/64500?k=1",
+		"/v1/path/3000/3001",
+		"/v1/path/3001/3000",
+		"/v1/path/3000/9999", // never measured: a cached 404
+		"/v1/path/3000/3001?epoch=1",
+		"/v1/latency/3000/3005",
+		"/v1/latency/3005/3000",
+		"/v1/latency/3000/9999",
+		"/v1/latency/3000/3005?epoch=2",
+		"/v1/latency/top",
+		"/v1/latency/top?k=3",
+		"/v1/latency/top?epoch=1",
 	}
 	for _, p := range paths {
 		resp := getFull(t, srv, p, "")
@@ -37,7 +54,7 @@ func driveFixedRequests(t *testing.T, s *Store) map[string]string {
 		if err != nil {
 			t.Fatalf("GET %s: %v", p, err)
 		}
-		out[p] = resp.Header.Get("ETag") + "|" + string(body)
+		out[p] = resp.Status + "|" + resp.Header.Get("ETag") + "|" + string(body)
 		// Revalidate with the returned ETag: must be a 304 on both sides.
 		if et := resp.Header.Get("ETag"); et != "" {
 			re := getFull(t, srv, p, et)
@@ -70,14 +87,21 @@ func stripWALLines(exposition string) string {
 }
 
 // TestETagIdentityAcrossRecovery extends the PR 6 ETag-identity contract
-// over a crash: a store rebuilt from the WAL (with a torn tail to repair)
-// serves byte-identical bodies, identical strong ETags, honors them with
-// 304s, and reproduces the same stable metric exposition as the pre-crash
-// process under the same request mix.
+// over a crash: a store rebuilt from the WAL (snapshot plus journal, with a
+// torn tail to repair) serves byte-identical bodies, identical strong ETags,
+// honors them with 304s, and reproduces the same stable metric exposition
+// as the pre-crash process under the same request mix. The epochs carry a
+// mixed mesh history — fresh, identical (shared), absent, changed — so both
+// layers, and every way the mesh layer can relate to the previous epoch,
+// cross the crash.
 func TestETagIdentityAcrossRecovery(t *testing.T) {
 	mem := wal.NewMemFS()
+	changed := sampleMesh()
+	changed.Pairs[0].Probes++
+	meshes := []*core.MeshDocument{sampleMesh(), sampleMesh(), nil, changed}
+	wantShared := []bool{false, true, false, false}
 
-	// --- original process: journal three epochs, serve, then "crash".
+	// --- original process: journal four epochs, serve, then "crash".
 	obs.Swap(obs.NewSet())
 	w1, _, err := wal.Open(wal.Options{Dir: "wal", FS: mem, CompactEvery: 2})
 	if err != nil {
@@ -85,16 +109,21 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 	}
 	s1 := NewStore()
 	s1.AttachWAL(w1)
-	for d := 0; d < 3; d++ {
-		if _, err := s1.Append(simtime.Time(d)*simtime.Day, docAt(d)); err != nil {
+	for d, mesh := range meshes {
+		e, err := s1.append(simtime.Time(d)*simtime.Day, ingest{doc: docAt(d), mesh: mesh})
+		if err != nil {
 			t.Fatalf("append day %d: %v", d, err)
+		}
+		if e.MeshShared != wantShared[d] || (e.MeshDoc != nil) != (mesh != nil) {
+			t.Fatalf("day %d: mesh shared %v, present %v", d, e.MeshShared, e.MeshDoc != nil)
 		}
 	}
 	before := driveFixedRequests(t, s1)
 	stableBefore := stripWALLines(obs.Metrics().StableExposition())
-	var etagsBefore []string
-	for _, e := range s1.Snapshot() {
-		etagsBefore = append(etagsBefore, e.ETag)
+	for _, fam := range []string{"itm_mapstore_mesh_epochs_total 2", "itm_mapstore_mesh_shared_total 1", "itm_mapstore_mesh_bytes_count 2"} {
+		if !strings.Contains(stableBefore, fam+"\n") {
+			t.Errorf("pre-crash exposition lacks %q", fam)
+		}
 	}
 	// Crash: no Close. The journal additionally gets a torn half-record, as
 	// if the power died mid-append.
@@ -125,12 +154,17 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 		t.Fatalf("recovered %d epochs, want %d", s2.Len(), s1.Len())
 	}
 	for i, e := range s2.Snapshot() {
-		if e.ETag != etagsBefore[i] {
-			t.Errorf("epoch %d ETag %q != pre-crash %q", i, e.ETag, etagsBefore[i])
-		}
 		orig, _ := s1.Epoch(i)
-		if string(e.Encoded) != string(orig.Encoded) {
+		if e.ETag != orig.ETag {
+			t.Errorf("epoch %d ETag %q != pre-crash %q", i, e.ETag, orig.ETag)
+		}
+		if !bytes.Equal(e.Encoded, orig.Encoded) {
 			t.Errorf("epoch %d canonical bytes diverged after recovery", i)
+		}
+		if e.MeshETag != orig.MeshETag || e.MeshShared != orig.MeshShared || !bytes.Equal(e.MeshEncoded, orig.MeshEncoded) ||
+			(e.MeshEncoded == nil) != (orig.MeshEncoded == nil) || !reflect.DeepEqual(e.MeshDoc, orig.MeshDoc) {
+			t.Errorf("epoch %d mesh diverged after recovery: ETag %q (pre-crash %q), shared %v (%v), %d bytes (%d)",
+				i, e.MeshETag, orig.MeshETag, e.MeshShared, orig.MeshShared, len(e.MeshEncoded), len(orig.MeshEncoded))
 		}
 	}
 	after := driveFixedRequests(t, s2)
@@ -149,13 +183,14 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 	}
 
 	// Recovery is live, not read-only: the next append journals after the
-	// repaired tail and keeps the ID sequence dense.
-	e, err := s2.Append(3*simtime.Day, docAt(3))
+	// repaired tail, keeps the ID sequence dense, and shares against the
+	// adopted mesh bytes.
+	e, err := s2.append(4*simtime.Day, ingest{doc: docAt(4), mesh: changed})
 	if err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
-	if e.ID != 3 || w2.Len() != 4 {
-		t.Fatalf("post-recovery append: epoch ID %d, WAL len %d; want 3, 4", e.ID, w2.Len())
+	if e.ID != 4 || w2.Len() != 5 || !e.MeshShared {
+		t.Fatalf("post-recovery append: epoch ID %d, WAL len %d, mesh shared %v; want 4, 5, true", e.ID, w2.Len(), e.MeshShared)
 	}
 }
 
