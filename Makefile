@@ -24,7 +24,7 @@ lint:
 	test -z "$$unformatted" || { echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; }
 
 # Prove the analyzers still fire: plant one violation per analyzer (all
-# nine) in a throwaway module and assert itm-lint exits 1 with each
+# ten) in a throwaway module and assert itm-lint exits 1 with each
 # expected diagnostic. A green `make lint` means nothing if an analyzer
 # silently stopped matching.
 lint-selftest:

@@ -29,10 +29,15 @@
 // capacity + queue, shed == extra — independent of scheduling, so they
 // diff cleanly.
 //
-// With -slo it builds a mesh-enabled store, replays the consumer mix, and
-// records the SLO engine's burn-rate judgment ("SLO/obs"): per-objective
+// With -slo it builds a mesh-enabled store, replays the consumer mix through
+// the admission valve itm-serve puts in front of it, and records the SLO
+// engine's burn-rate judgment ("SLO/obs"): per-objective
 // status ordinals, max burn rates, and per-window SLI/bad/total — the
 // regression trip-wire for "fast and reliable under load".
+//
+// Every in-process section builds its store through one helper (buildStore
+// → experiments.BuildEpochStore, the path itm-serve boots through) and reads
+// the registry through one (obsCounters).
 //
 // Usage:
 //
@@ -136,24 +141,47 @@ func parse(lines *bufio.Scanner) (map[string]map[string]float64, error) {
 	return out, lines.Err()
 }
 
-// campaignCounters runs a 2-epoch tiny-world campaign against a fresh
-// observability set and returns every stable metric series as one flat
-// counter map. Swapping the set in (and back out) keeps the numbers
-// independent of whatever else the process has already counted.
-func campaignCounters(seed int64) (map[string]float64, error) {
-	defer swapFresh()()
-	if _, err := experiments.BuildEpochStore(world.Build(world.Tiny(seed)), 2, 0); err != nil {
-		return nil, err
-	}
+// buildStore runs a tiny-world campaign of the given length into a fresh
+// store; meshAgents > 0 adds the per-epoch vantage fleet campaigns.
+func buildStore(seed int64, days, meshAgents int) (*mapstore.Store, error) {
+	st := mapstore.NewStore()
+	err := experiments.BuildEpochStore(st, world.Build(world.Tiny(seed)), days, 0,
+		experiments.MeshSpec{Agents: meshAgents, Rounds: 2})
+	return st, err
+}
+
+// obsCounters returns every stable metric series whose family name starts
+// with one of prefixes (all of them when none is given), keyed
+// name{label=value}....
+func obsCounters(prefixes ...string) map[string]float64 {
 	vals := map[string]float64{}
 	obs.Metrics().Visit(func(name string, labels []obs.Label, value float64) {
+		keep := len(prefixes) == 0
+		for _, p := range prefixes {
+			keep = keep || strings.HasPrefix(name, p)
+		}
+		if !keep {
+			return
+		}
 		key := name
 		for _, l := range labels {
 			key += "{" + l.Key + "=" + l.Value + "}"
 		}
 		vals[key] = value
 	})
-	return vals, nil
+	return vals
+}
+
+// campaignCounters runs a 2-epoch tiny-world campaign against a fresh
+// observability set and returns every stable metric series as one flat
+// counter map. Swapping the set in (and back out) keeps the numbers
+// independent of whatever else the process has already counted.
+func campaignCounters(seed int64) (map[string]float64, error) {
+	defer swapFresh()()
+	if _, err := buildStore(seed, 2, 0); err != nil {
+		return nil, err
+	}
+	return obsCounters(), nil
 }
 
 // loadgenCounters replays a seeded query mix in-process against a fresh
@@ -163,7 +191,7 @@ func campaignCounters(seed int64) (map[string]float64, error) {
 // worker-count-invariant.
 func loadgenCounters(seed int64) (client, server map[string]float64, err error) {
 	defer swapFresh()()
-	st, err := experiments.BuildEpochStore(world.Build(world.Tiny(seed)), 3, 0)
+	st, err := buildStore(seed, 3, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -172,18 +200,7 @@ func loadgenCounters(seed int64) (client, server map[string]float64, err error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	server = map[string]float64{}
-	obs.Metrics().Visit(func(name string, labels []obs.Label, value float64) {
-		if !strings.HasPrefix(name, "itm_cache_") {
-			return
-		}
-		key := name
-		for _, l := range labels {
-			key += "{" + l.Key + "=" + l.Value + "}"
-		}
-		server[key] = value
-	})
-	return res.Counters.Flat(), server, nil
+	return res.Counters.Flat(), obsCounters("itm_cache_"), nil
 }
 
 // meshCounters builds a mesh-enabled store in-process, replays the mesh
@@ -193,9 +210,8 @@ func loadgenCounters(seed int64) (client, server map[string]float64, err error) 
 // functions of (world seed, plan seed), worker-count-invariant.
 func meshCounters(seed int64) (client, server map[string]float64, err error) {
 	defer swapFresh()()
-	st := mapstore.NewStore()
-	if err := experiments.BuildEpochStoreMeshInto(st, world.Build(world.Tiny(seed)), 2, 0,
-		experiments.MeshSpec{Agents: 48, Rounds: 2}); err != nil {
+	st, err := buildStore(seed, 2, 48)
+	if err != nil {
 		return nil, nil, err
 	}
 	res, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 1000, Workers: 4, Mix: "mesh"},
@@ -203,20 +219,7 @@ func meshCounters(seed int64) (client, server map[string]float64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	server = map[string]float64{}
-	obs.Metrics().Visit(func(name string, labels []obs.Label, value float64) {
-		if !strings.HasPrefix(name, "itm_mesh_") &&
-			!strings.HasPrefix(name, "itm_mapstore_mesh_") &&
-			!strings.HasPrefix(name, "itm_cache_") {
-			return
-		}
-		key := name
-		for _, l := range labels {
-			key += "{" + l.Key + "=" + l.Value + "}"
-		}
-		server[key] = value
-	})
-	return res.Counters.Flat(), server, nil
+	return res.Counters.Flat(), obsCounters("itm_mesh_", "itm_mapstore_mesh_", "itm_cache_"), nil
 }
 
 // overloadCounters runs the deterministic overload scenario against a
@@ -225,21 +228,10 @@ func meshCounters(seed int64) (client, server map[string]float64, err error) {
 func overloadCounters() map[string]float64 {
 	defer swapFresh()()
 	res := mapstore.OverloadScenario(4, 8, 16)
-	vals := map[string]float64{
-		"issued":   float64(res.Issued),
-		"admitted": float64(res.Admitted),
-		"shed":     float64(res.Shed),
-	}
-	obs.Metrics().Visit(func(name string, labels []obs.Label, value float64) {
-		if !strings.HasPrefix(name, "itm_admission_") {
-			return
-		}
-		key := name
-		for _, l := range labels {
-			key += "{" + l.Key + "=" + l.Value + "}"
-		}
-		vals[key] = value
-	})
+	vals := obsCounters("itm_admission_")
+	vals["issued"] = float64(res.Issued)
+	vals["admitted"] = float64(res.Admitted)
+	vals["shed"] = float64(res.Shed)
 	return vals
 }
 
@@ -265,13 +257,15 @@ func sloStatusCode(status string) float64 {
 // section is a pure function of (world seed, plan seed).
 func sloCounters(seed int64) (map[string]float64, error) {
 	defer swapFresh()()
-	st := mapstore.NewStore()
-	if err := experiments.BuildEpochStoreMeshInto(st, world.Build(world.Tiny(seed)), 3, 0,
-		experiments.MeshSpec{Agents: 48, Rounds: 2}); err != nil {
+	st, err := buildStore(seed, 3, 48)
+	if err != nil {
 		return nil, err
 	}
+	// Behind the admission valve, as itm-serve serves it: the valve's
+	// counters are what latency_p99_proxy reads.
+	served := mapstore.NewAdmission(mapstore.AdmissionConfig{}).Wrap(mapstore.NewHandler(st))
 	if _, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 1500, Workers: 4},
-		loadgen.HandlerDoer{Handler: mapstore.NewHandler(st)}); err != nil {
+		loadgen.HandlerDoer{Handler: served}); err != nil {
 		return nil, err
 	}
 	rep := (&slo.Engine{Objectives: slo.ServingObjectives()}).Evaluate()

@@ -1,12 +1,14 @@
 // Command itm-experiments regenerates every table and figure of the paper:
-// Table 1, Figures 1a/1b/2, and the in-text quantitative claims E1-E9
-// (see DESIGN.md for the index). For each artifact it prints the paper's
-// reported value next to the value measured on the simulated Internet and
-// whether the qualitative shape holds.
+// Table 1, Figures 1a/1b/2, and the in-text quantitative claims E1-E26
+// (experiments.Catalogue is the index). For each artifact it prints the
+// paper's reported value next to the value measured on the simulated
+// Internet and whether the qualitative shape holds. -only runs just the
+// listed experiments (an unknown ID exits 2); -metrics-out and -trace-out
+// then cover those experiments only.
 //
 // Usage:
 //
-//	itm-experiments [-scale tiny|small|default] [-seed N] [-markdown] [-only ID]
+//	itm-experiments [-scale tiny|small|default] [-seed N] [-markdown] [-only ID,ID]
 package main
 
 import (
@@ -16,7 +18,9 @@ import (
 	"strings"
 
 	"itmap"
+	"itmap/internal/experiments"
 	"itmap/internal/obs"
+	"itmap/internal/world"
 )
 
 func main() {
@@ -29,33 +33,28 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the span-trace export to this file on exit")
 	flag.Parse()
 
-	var cfg itm.Config
-	switch *scale {
-	case "tiny":
-		cfg = itm.TinyConfig(*seed)
-	case "small":
-		cfg = itm.SmallConfig(*seed)
-	case "default":
-		cfg = itm.DefaultConfig(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	cfg, err := world.ForScale(*scale, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "itm-experiments:", err)
 		os.Exit(2)
 	}
-
-	inet := itm.NewInternet(cfg)
-	results := itm.RunAllExperiments(inet)
+	// Selected before the world is built: a mistyped ID costs nothing, and
+	// only what was asked for runs.
+	rows := experiments.Catalogue
 	if *only != "" {
-		want := map[string]bool{}
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
+		ids := strings.Split(*only, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
 		}
-		var filtered []*itm.Result
-		for _, r := range results {
-			if want[r.ID] {
-				filtered = append(filtered, r)
-			}
+		if rows, err = experiments.Select(ids); err != nil {
+			fmt.Fprintln(os.Stderr, "itm-experiments:", err)
+			os.Exit(2)
 		}
-		results = filtered
+	}
+	session := itm.NewSession(itm.NewInternet(cfg))
+	results := make([]*itm.Result, len(rows))
+	for i, x := range rows {
+		results[i] = x.Run(session)
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

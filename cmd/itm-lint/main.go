@@ -7,7 +7,9 @@
 //
 //	itm-lint [-C dir] [-json] [packages...]
 //
-// With no arguments (or "./..."), every package in the module is checked.
+// With no arguments (or "./..."), every package in the module is checked,
+// and only then does the whole-module deadexport check run: it cannot tell
+// "unreferenced" from "referenced by a package that was not loaded".
 // Arguments are directories relative to the module root.
 //
 // With -json, diagnostics are emitted to stdout as one JSON array sorted
@@ -43,7 +45,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, an := range analysis.All() {
+		for _, an := range append(analysis.All(), analysis.DeadExport(nil)) {
 			fmt.Printf("%-10s %s\n", an.Name, an.Doc)
 		}
 		return
@@ -59,12 +61,14 @@ func main() {
 	}
 
 	var pkgs []*analysis.Package
+	analyzers := analysis.All()
 	args := flag.Args()
 	if len(args) == 0 || (len(args) == 1 && (args[0] == "./..." || args[0] == "...")) {
 		pkgs, err = loader.LoadAll()
 		if err != nil {
 			fatal(err)
 		}
+		analyzers = append(analyzers, analysis.DeadExport(pkgs))
 	} else {
 		for _, arg := range args {
 			pkg, err := loader.LoadDir(filepath.Join(root, filepath.FromSlash(arg)))
@@ -82,7 +86,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "itm-lint: load %s: %v\n", pkg.PkgPath, e)
 			loadErrs++
 		}
-		for _, d := range analysis.Run(pkg, analysis.All()) {
+		for _, d := range analysis.Run(pkg, analyzers) {
 			d.Pos.Filename = relPath(root, d.Pos.Filename)
 			diags = append(diags, d)
 		}

@@ -29,7 +29,9 @@
 // /v1/latency, /v1/latency/top), drawing AS pairs zipf-weighted from the
 // store's worst-latency ranking; the target store must have been built
 // with mesh sections. In -self mode -mesh-agents sizes the in-process
-// vantage fleet (it defaults on when the mesh mix is selected).
+// vantage fleet (it defaults on when the mesh mix is selected; 0 means no
+// mesh). -self builds its store through experiments.BuildEpochStore, the
+// path itm-serve boots through, at the -scale world.ForScale resolves.
 package main
 
 import (
@@ -87,28 +89,14 @@ func run(addr string, self, overload bool, scale string, worldSeed int64, epochs
 	case self && addr != "":
 		return fmt.Errorf("-self and -addr are mutually exclusive")
 	case self:
-		var wc world.Config
-		switch scale {
-		case "tiny":
-			wc = world.Tiny(worldSeed)
-		case "small":
-			wc = world.Small(worldSeed)
-		case "default":
-			wc = world.Default(worldSeed)
-		default:
-			return fmt.Errorf("unknown scale %q", scale)
+		wc, err := world.ForScale(scale, worldSeed)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "itm-loadgen: building %s world (seed %d, %d epochs, mesh agents %d)\n", scale, worldSeed, epochs, meshAgents)
-		var st *mapstore.Store
-		var err error
-		if meshAgents > 0 {
-			st = mapstore.NewStore()
-			err = experiments.BuildEpochStoreMeshInto(st, world.Build(wc), epochs, 0,
-				experiments.MeshSpec{Agents: meshAgents, Rounds: 2})
-		} else {
-			st, err = experiments.BuildEpochStore(world.Build(wc), epochs, 0)
-		}
-		if err != nil {
+		st := mapstore.NewStore()
+		if err := experiments.BuildEpochStore(st, world.Build(wc), epochs, 0,
+			experiments.MeshSpec{Agents: meshAgents, Rounds: 2}); err != nil {
 			return err
 		}
 		doer = loadgen.HandlerDoer{Handler: mapstore.NewHandler(st)}

@@ -43,16 +43,9 @@ func main() {
 }
 
 func run(scale string, seed int64, agents, rounds, workers int, profile, out string, topK int) error {
-	var cfg world.Config
-	switch scale {
-	case "tiny":
-		cfg = world.Tiny(seed)
-	case "small":
-		cfg = world.Small(seed)
-	case "default":
-		cfg = world.Default(seed)
-	default:
-		return fmt.Errorf("unknown scale %q", scale)
+	cfg, err := world.ForScale(scale, seed)
+	if err != nil {
+		return err
 	}
 	prof, ok := faults.ByName(profile)
 	if !ok {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	itm-probe [-scale tiny|small] [-seed N] [-domain D] [-n N]
+//	itm-probe [-scale tiny|small|default] [-seed N] [-domain D] [-n N]
 //	          [-faults none|calm|lossy|hostile] [-budget B]
 package main
 
@@ -19,17 +19,17 @@ import (
 	"sort"
 	"time"
 
-	"itmap"
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
 	"itmap/internal/obs"
 	"itmap/internal/resilience"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
+	"itmap/internal/world"
 )
 
 func main() {
-	scale := flag.String("scale", "tiny", "world scale: tiny or small")
+	scale := flag.String("scale", "tiny", "world scale: tiny, small, or default")
 	seed := flag.Int64("seed", 1, "world seed")
 	domain := flag.String("domain", "", "domain to probe (default: most popular ECS service)")
 	n := flag.Int("n", 12, "how many prefixes to probe")
@@ -64,16 +64,11 @@ func writeDumps(metricsOut, traceOut string) error {
 }
 
 func run(scale string, seed int64, domain string, n int, profile string, budget int) error {
-	var cfg itm.Config
-	switch scale {
-	case "tiny":
-		cfg = itm.TinyConfig(seed)
-	case "small":
-		cfg = itm.SmallConfig(seed)
-	default:
-		return fmt.Errorf("unknown scale %q", scale)
+	cfg, err := world.ForScale(scale, seed)
+	if err != nil {
+		return err
 	}
-	inet := itm.NewInternet(cfg)
+	inet := world.Build(cfg)
 	if domain == "" {
 		domain = inet.Cat.ECSDomains()[0]
 	}

@@ -40,6 +40,13 @@
 // epoch carries user↔user path/latency sections served at /v1/path and
 // /v1/latency. With -wal they are journaled with the epoch, so a recovered
 // store serves them byte-identically too.
+//
+// The campaign is experiments.BuildEpochStore — the one campaign→store path,
+// also behind itm-loadgen -self, itm-bench and E25 — run into a store whose
+// WAL is already attached; -mesh-agents 0 is that builder's "no mesh", and
+// -scale is whatever world.ForScale accepts. (The server still reaches the
+// campaign through internal/experiments because benchmark/_tracer mirrors
+// this boot by those names; ROADMAP item 5b retires the mirror first.)
 package main
 
 import (
@@ -125,28 +132,20 @@ func fillStore(st *mapstore.Store, o options) error {
 		return nil
 	}
 
-	var cfg world.Config
-	switch o.scale {
-	case "tiny":
-		cfg = world.Tiny(o.seed)
-	case "small":
-		cfg = world.Small(o.seed)
-	case "default":
-		cfg = world.Default(o.seed)
-	default:
-		return fmt.Errorf("unknown scale %q", o.scale)
+	cfg, err := world.ForScale(o.scale, o.seed)
+	if err != nil {
+		return err
+	}
+	prof, ok := faults.ByName(o.meshProfile)
+	if !ok {
+		return fmt.Errorf("unknown mesh profile %q", o.meshProfile)
 	}
 	obs.Event(obs.Info, "serve.building", "scale", o.scale, "seed", o.seed, "epochs", o.epochs)
 	if o.meshAgents > 0 {
-		prof, ok := faults.ByName(o.meshProfile)
-		if !ok {
-			return fmt.Errorf("unknown mesh profile %q", o.meshProfile)
-		}
 		obs.Event(obs.Info, "serve.mesh", "agents", o.meshAgents, "rounds", o.meshRounds, "profile", o.meshProfile)
-		return experiments.BuildEpochStoreMeshInto(st, world.Build(cfg), o.epochs, o.workers,
-			experiments.MeshSpec{Agents: o.meshAgents, Rounds: o.meshRounds, Profile: prof})
 	}
-	return experiments.BuildEpochStoreInto(st, world.Build(cfg), o.epochs, o.workers)
+	return experiments.BuildEpochStore(st, world.Build(cfg), o.epochs, o.workers,
+		experiments.MeshSpec{Agents: o.meshAgents, Rounds: o.meshRounds, Profile: prof})
 }
 
 // openStore assembles the serving store. With -wal and a non-empty journal

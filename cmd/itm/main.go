@@ -25,6 +25,7 @@ import (
 
 	"itmap"
 	"itmap/internal/topology"
+	"itmap/internal/world"
 )
 
 func main() {
@@ -37,23 +38,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cfg itm.Config
-	switch *scale {
-	case "tiny":
-		cfg = itm.TinyConfig(*seed)
-	case "small":
-		cfg = itm.SmallConfig(*seed)
-	case "default":
-		cfg = itm.DefaultConfig(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	cfg, err := world.ForScale(*scale, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	inet := itm.NewInternet(cfg)
 	cmd := flag.Arg(0)
 	args := flag.Args()[1:]
-	var err error
 	switch cmd {
 	case "summary":
 		err = runSummary(inet)

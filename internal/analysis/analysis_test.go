@@ -132,6 +132,20 @@ func TestSuppressGolden(t *testing.T) {
 	checkGolden(t, "suppress", lines)
 }
 
+// TestDeadExportGolden runs the whole-module check over a one-package
+// "module": unreferenced exported funcs and methods are reported; a call, a
+// function value, a method expression, interface satisfaction and an allow
+// with a reason are not; an allow without a reason, or on a referenced
+// name, is itself reported.
+func TestDeadExportGolden(t *testing.T) {
+	l := testLoader(t)
+	pkg, err := l.LoadDir(filepath.Join("testdata", "src", "deadexport"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "deadexport", runCase(t, "deadexport", "", []*Analyzer{DeadExport([]*Package{pkg})}))
+}
+
 func TestLockGuardGolden(t *testing.T) {
 	checkGolden(t, "lockguard", runCase(t, "lockguard", "", All()))
 }

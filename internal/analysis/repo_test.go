@@ -21,11 +21,12 @@ func TestRepoLintClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("LoadAll found only %d packages; the walk is likely broken", len(pkgs))
 	}
+	analyzers := append(All(), DeadExport(pkgs))
 	for _, pkg := range pkgs {
 		for _, e := range pkg.Errs {
 			t.Errorf("load %s: %v", pkg.PkgPath, e)
 		}
-		for _, d := range Run(pkg, All()) {
+		for _, d := range Run(pkg, analyzers) {
 			t.Errorf("%s", d)
 		}
 	}

@@ -62,6 +62,8 @@ func (e *Estimates) Users(asn topology.ASN) (float64, bool) {
 }
 
 // CountryUsers aggregates estimates per country code.
+//
+//itmlint:allow deadexport only its own test calls it (TestCountryAggregation)
 func (e *Estimates) CountryUsers(top *topology.Topology) map[string]float64 {
 	out := map[string]float64{}
 	for _, asn := range order.Keys(e.ByAS) {
@@ -74,12 +76,9 @@ func (e *Estimates) CountryUsers(top *topology.Topology) map[string]float64 {
 	return out
 }
 
-// TotalUsers sums the published estimates.
-func (e *Estimates) TotalUsers() float64 {
-	return order.SumValues(e.ByAS)
-}
-
 // TopASes returns covered ASes by descending estimated users.
+//
+//itmlint:allow deadexport only its own test calls it (TestTopASesSorted)
 func (e *Estimates) TopASes() []topology.ASN {
 	out := make([]topology.ASN, 0, len(e.ByAS))
 	for asn := range e.ByAS {

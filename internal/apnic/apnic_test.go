@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"itmap/internal/order"
 	"itmap/internal/randx"
 	"itmap/internal/topology"
 	"itmap/internal/users"
@@ -27,7 +28,7 @@ func TestEstimatesRoughlyRight(t *testing.T) {
 	for asn := range est.ByAS {
 		truthTotal += um.ASUsers(asn)
 	}
-	ratio := est.TotalUsers() / truthTotal
+	ratio := order.SumValues(est.ByAS) / truthTotal
 	if ratio < 0.65 || ratio > 1.5 {
 		t.Errorf("estimate/truth ratio %.2f", ratio)
 	}
@@ -66,8 +67,8 @@ func TestCountryAggregation(t *testing.T) {
 		}
 		total += v
 	}
-	if math.Abs(total-est.TotalUsers()) > 1e-6*total {
-		t.Errorf("country sum %f != total %f", total, est.TotalUsers())
+	if math.Abs(total-order.SumValues(est.ByAS)) > 1e-6*total {
+		t.Errorf("country sum %f != total %f", total, order.SumValues(est.ByAS))
 	}
 }
 

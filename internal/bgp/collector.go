@@ -44,6 +44,8 @@ func DefaultCollectorPeers(top *topology.Topology, rng *randx.Source) []topology
 
 // ObservedLinks returns every undirected AS link appearing on any path from
 // a collector peer to any origin, under the given (ground-truth) routing.
+//
+//itmlint:allow deadexport test support: the direct computation TestMRTExportRoundTripsObservedLinks checks the MRT path against, and the public view core, peering and tracer tests build on
 func (c *Collector) ObservedLinks(ap *AllPaths) map[topology.LinkKey]bool {
 	links := map[topology.LinkKey]bool{}
 	top := ap.Topology()
@@ -57,12 +59,6 @@ func (c *Collector) ObservedLinks(ap *AllPaths) map[topology.LinkKey]bool {
 		}
 	}
 	return links
-}
-
-// ObservedTopology builds the public-view topology induced by the
-// collector's observed links.
-func (c *Collector) ObservedTopology(ap *AllPaths) *topology.Topology {
-	return ap.Topology().SubgraphWithLinks(c.ObservedLinks(ap))
 }
 
 // LinkVisibility summarizes how much of the true topology a link set covers,

@@ -68,9 +68,6 @@ type RIB struct {
 	Type []RouteType
 }
 
-// Origin returns the destination AS this RIB routes toward.
-func (r *RIB) Origin() topology.ASN { return r.origin }
-
 // scratch holds the per-level candidate state ComputeRIB needs, as dense
 // epoch-stamped slices instead of per-level maps. One scratch is reused
 // across every origin a worker sweeps (via scratchPool), so the per-origin
@@ -296,12 +293,6 @@ func ComputeRIB(top *topology.Topology, origin topology.ASN) *RIB {
 	return r
 }
 
-// Reachable reports whether src has a route to the origin.
-func (r *RIB) Reachable(src topology.ASN) bool {
-	i, ok := r.top.Index(src)
-	return ok && r.Type[i] != Unreachable
-}
-
 // PathFrom returns the AS path from src to the origin, inclusive of both
 // ends, or nil if unreachable.
 func (r *RIB) PathFrom(src topology.ASN) []topology.ASN {
@@ -331,28 +322,6 @@ func (r *RIB) AppendPathFrom(dst []topology.ASN, src topology.ASN) []topology.AS
 		}
 	}
 	return dst
-}
-
-// VisitPath streams the path src→origin through visit, one AS per hop
-// (src first, origin last), without allocating. It returns the hop count,
-// or -1 if src is unknown or unreachable.
-func (r *RIB) VisitPath(src topology.ASN, visit func(asn topology.ASN)) int {
-	i, ok := r.top.Index(src)
-	if !ok || r.Type[i] == Unreachable {
-		return -1
-	}
-	asns := r.top.ASNs()
-	hops := 0
-	visit(src)
-	for r.Type[i] != Origin {
-		i = int(r.NextHop[i])
-		visit(asns[i])
-		hops++
-		if hops > r.top.NumASes() {
-			panic("bgp: next-hop cycle")
-		}
-	}
-	return hops
 }
 
 // AppendIndexPath appends the dense AS indices of the path from dense

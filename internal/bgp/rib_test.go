@@ -235,7 +235,7 @@ func TestUnreachableInPrunedGraph(t *testing.T) {
 	eyeballs := sub.ASesOfType(topology.Eyeball)
 	reach := 0
 	for _, e := range eyeballs {
-		if rib.Reachable(e) {
+		if rib.PathFrom(e) != nil {
 			reach++
 		}
 	}

@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"io"
 	"net/netip"
 
 	"itmap/internal/mrt"
@@ -74,17 +73,6 @@ func samePath(a, b []topology.ASN) bool {
 		}
 	}
 	return true
-}
-
-// ExportUpdatesMRT writes the update stream as BGP4MP records.
-func ExportUpdatesMRT(w io.Writer, updates []mrt.Update, timestamp uint32) error {
-	wr := mrt.NewWriter(w, timestamp)
-	for _, u := range updates {
-		if err := wr.WriteUpdate(u); err != nil {
-			return err
-		}
-	}
-	return wr.Flush()
 }
 
 // LinksFromUpdates extracts the AS adjacencies visible on announced paths —

@@ -1,10 +1,8 @@
 package bgp
 
 import (
-	"bytes"
 	"testing"
 
-	"itmap/internal/mrt"
 	"itmap/internal/randx"
 	"itmap/internal/topology"
 )
@@ -64,35 +62,6 @@ func TestComputeUpdatesReflectChanges(t *testing.T) {
 	}
 	_ = withdrawn
 	_ = top
-}
-
-func TestUpdatesMRTRoundTrip(t *testing.T) {
-	_, before, after, col, _ := outageWorld(t)
-	updates := col.ComputeUpdates(before, after)
-	var buf bytes.Buffer
-	if err := ExportUpdatesMRT(&buf, updates, 1700000000); err != nil {
-		t.Fatal(err)
-	}
-	got, err := mrt.ReadUpdates(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(updates) {
-		t.Fatalf("round trip: %d vs %d updates", len(got), len(updates))
-	}
-	for i := range got {
-		if got[i].PeerASN != updates[i].PeerASN ||
-			len(got[i].Withdrawn) != len(updates[i].Withdrawn) ||
-			len(got[i].Announced) != len(updates[i].Announced) ||
-			len(got[i].ASPath) != len(updates[i].ASPath) {
-			t.Fatalf("update %d changed in round trip:\n%+v\n%+v", i, updates[i], got[i])
-		}
-		for j := range got[i].ASPath {
-			if got[i].ASPath[j] != updates[i].ASPath[j] {
-				t.Fatalf("AS path changed: %v vs %v", got[i].ASPath, updates[i].ASPath)
-			}
-		}
-	}
 }
 
 func TestLinksFromUpdatesAreNewPathLinks(t *testing.T) {

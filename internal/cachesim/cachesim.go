@@ -37,15 +37,6 @@ func NewLRU(capacity int) *LRU {
 	return &LRU{capacity: capacity, items: make(map[uint64]*node, capacity)}
 }
 
-// Len returns the number of cached objects.
-func (c *LRU) Len() int { return len(c.items) }
-
-// Capacity returns the configured capacity.
-func (c *LRU) Capacity() int { return c.capacity }
-
-// Stats returns the (hits, misses) counters since creation or Reset.
-func (c *LRU) Stats() (hits, misses int64) { return c.hits, c.misses }
-
 // HitRate returns hits/(hits+misses), or 0 before any request.
 func (c *LRU) HitRate() float64 {
 	total := c.hits + c.misses
@@ -77,12 +68,6 @@ func (c *LRU) Request(key uint64) bool {
 		delete(c.items, evict.key)
 	}
 	return false
-}
-
-// Contains reports whether the key is cached, without touching recency.
-func (c *LRU) Contains(key uint64) bool {
-	_, ok := c.items[key]
-	return ok
 }
 
 func (c *LRU) pushFront(n *node) {

@@ -8,6 +8,11 @@ import (
 	"itmap/internal/randx"
 )
 
+func contains(c *LRU, key uint64) bool {
+	_, ok := c.items[key]
+	return ok
+}
+
 func TestLRUBasics(t *testing.T) {
 	c := NewLRU(2)
 	if c.Request(1) {
@@ -18,14 +23,14 @@ func TestLRUBasics(t *testing.T) {
 	}
 	c.Request(2)
 	c.Request(3) // evicts 1 (LRU), keeps 2? no: after Request(1),1 is MRU... order: 1 hit -> 1 MRU; insert 2 -> 2 MRU; insert 3 -> evict 1
-	if c.Contains(1) {
+	if contains(c, 1) {
 		t.Error("LRU item not evicted")
 	}
-	if !c.Contains(2) || !c.Contains(3) {
+	if !contains(c, 2) || !contains(c, 3) {
 		t.Error("recent items evicted")
 	}
-	if c.Len() != 2 {
-		t.Errorf("len %d", c.Len())
+	if len(c.items) != 2 {
+		t.Errorf("len %d", len(c.items))
 	}
 }
 
@@ -36,11 +41,11 @@ func TestLRURecencyOrder(t *testing.T) {
 	c.Request(3)
 	c.Request(1) // 1 becomes MRU; order now 1,3,2
 	c.Request(4) // evicts 2
-	if c.Contains(2) {
+	if contains(c, 2) {
 		t.Error("expected 2 evicted")
 	}
 	for _, k := range []uint64{1, 3, 4} {
-		if !c.Contains(k) {
+		if !contains(c, k) {
 			t.Errorf("expected %d cached", k)
 		}
 	}
@@ -52,12 +57,11 @@ func TestLRUCapacityInvariant(t *testing.T) {
 		c := NewLRU(capacity)
 		for _, k := range keys {
 			c.Request(uint64(k % 64))
-			if c.Len() > capacity {
+			if len(c.items) > capacity {
 				return false
 			}
 		}
-		hits, misses := c.Stats()
-		return hits+misses == int64(len(keys))
+		return c.hits+c.misses == int64(len(keys))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -68,7 +72,7 @@ func TestLRUSingleSlot(t *testing.T) {
 	c := NewLRU(1)
 	c.Request(1)
 	c.Request(2)
-	if c.Contains(1) || !c.Contains(2) || c.Len() != 1 {
+	if contains(c, 1) || !contains(c, 2) || len(c.items) != 1 {
 		t.Error("single-slot cache misbehaved")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"itmap/internal/measure/cacheprobe"
 	"itmap/internal/measure/rootlogs"
 	"itmap/internal/measure/tlsscan"
+	"itmap/internal/order"
 	"itmap/internal/randx"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
@@ -30,7 +31,7 @@ func buildFullMap(t testing.TB, seed int64) (*world.World, *TrafficMap) {
 	crawl := rootlogs.CrawlDay(w.Roots, w.Traffic, 0)
 	scan := tlsscan.ScanAll(w.Top, w.Cat, w.Top.AllPrefixes())
 	col := &bgp.Collector{Peers: bgp.DefaultCollectorPeers(w.Top, randx.New(seed))}
-	observed := col.ObservedTopology(w.Paths)
+	observed := w.Top.SubgraphWithLinks(col.ObservedLinks(w.Paths))
 	m := BuildMap(BuildInputs{
 		Top:                 w.Top,
 		Discovery:           disc,
@@ -168,7 +169,7 @@ func TestCountryImpact(t *testing.T) {
 	w, m := buildFullMap(t, 5)
 	total := 0.0
 	seen := map[string]bool{}
-	for _, asn := range m.ActiveASes() {
+	for _, asn := range order.Keys(m.Users.Sources) {
 		a := w.Top.ASes[asn]
 		if a.Country != "ZZ" {
 			seen[a.Country] = true
@@ -193,7 +194,7 @@ func TestRoutesComponentPrediction(t *testing.T) {
 	hg := w.Top.ASesOfType(topology.Hypergiant)[0]
 	okCount, failCount := 0, 0
 	for _, e := range w.Top.ASesOfType(topology.Eyeball) {
-		if p := m.Routes.PredictPath(e, hg); p != nil {
+		if p := bgp.ComputeRIB(m.Routes.Observed, hg).PathFrom(e); p != nil {
 			okCount++
 		} else {
 			failCount++
@@ -213,11 +214,16 @@ func TestCoverageSummary(t *testing.T) {
 			userASes[asn] = true
 		}
 	}
-	cs := m.Coverage(userASes, len(w.Users.UserPrefixes()))
-	if cs.ASesFound == 0 || cs.ASesFound > cs.TotalASes {
-		t.Fatalf("bad AS coverage %d/%d", cs.ASesFound, cs.TotalASes)
+	asesFound := 0
+	for asn := range m.Users.Sources {
+		if userASes[asn] {
+			asesFound++
+		}
 	}
-	if cs.PrefixesFound == 0 || cs.PrefixesFound > cs.TotalPrefixes {
-		t.Fatalf("bad prefix coverage %d/%d", cs.PrefixesFound, cs.TotalPrefixes)
+	if asesFound == 0 || asesFound > len(userASes) {
+		t.Fatalf("bad AS coverage %d/%d", asesFound, len(userASes))
+	}
+	if found, total := len(m.Users.ActivePrefixes), len(w.Users.UserPrefixes()); found == 0 || found > total {
+		t.Fatalf("bad prefix coverage %d/%d", found, total)
 	}
 }

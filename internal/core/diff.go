@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"itmap/internal/order"
@@ -37,43 +36,58 @@ func (s ActivityShift) Delta() float64 { return s.After - s.Before }
 // DiffMaps compares two maps' users components. minShift filters activity
 // shifts (absolute share change) worth reporting.
 func DiffMaps(before, after *TrafficMap, minShift float64) *MapDiff {
-	d := &MapDiff{}
-	for p := range after.Users.ActivePrefixes {
-		if before.Users.ActivePrefixes[p] {
-			d.StablePrefixes++
-		} else {
-			d.PrefixesAppeared = append(d.PrefixesAppeared, p)
-		}
-	}
-	for p := range before.Users.ActivePrefixes {
-		if !after.Users.ActivePrefixes[p] {
-			d.PrefixesVanished = append(d.PrefixesVanished, p)
-		}
-	}
-	slices.Sort(d.PrefixesAppeared)
-	slices.Sort(d.PrefixesVanished)
+	return DiffUsers(order.Keys(before.Users.ActivePrefixes), order.Keys(after.Users.ActivePrefixes),
+		before.Users.ASActivity, after.Users.ASActivity, minShift)
+}
 
-	shares := func(m *TrafficMap) map[topology.ASN]float64 {
-		total := order.SumValues(m.Users.ASActivity)
-		out := map[topology.ASN]float64{}
-		if total == 0 {
-			return out
+// DiffUsers is the diff over the two facts it reads from each side: the
+// active prefixes, ascending without duplicates, and the per-AS activity.
+// DiffMaps and the epoch store's /v1/diff both come through here. An AS's
+// share is its activity over the side's total, summed in ascending ASN
+// order so the low bits are the same on every run; a side whose total is
+// zero contributes no ASes and all-zero shares.
+func DiffUsers[K ~uint32](beforeActives, afterActives []topology.PrefixID, beforeAct, afterAct map[K]float64, minShift float64) *MapDiff {
+	d := &MapDiff{}
+	i, j := 0, 0
+	for i < len(beforeActives) && j < len(afterActives) {
+		switch b, a := beforeActives[i], afterActives[j]; {
+		case b == a:
+			d.StablePrefixes++
+			i++
+			j++
+		case b < a:
+			d.PrefixesVanished = append(d.PrefixesVanished, b)
+			i++
+		default:
+			d.PrefixesAppeared = append(d.PrefixesAppeared, a)
+			j++
 		}
-		for asn, v := range m.Users.ASActivity {
-			out[asn] = v / total
+	}
+	d.PrefixesVanished = append(d.PrefixesVanished, beforeActives[i:]...)
+	d.PrefixesAppeared = append(d.PrefixesAppeared, afterActives[j:]...)
+
+	totalBefore, totalAfter := order.SumValues(beforeAct), order.SumValues(afterAct)
+	share := func(act map[K]float64, total float64, asn K) float64 {
+		v, ok := act[asn]
+		if !ok || total == 0 {
+			return 0
 		}
-		return out
+		return v / total
 	}
-	sb, sa := shares(before), shares(after)
-	seen := map[topology.ASN]bool{}
-	for asn := range sb {
-		seen[asn] = true
+	seen := map[K]bool{}
+	if totalBefore != 0 {
+		for asn := range beforeAct {
+			seen[asn] = true
+		}
 	}
-	for asn := range sa {
-		seen[asn] = true
+	if totalAfter != 0 {
+		for asn := range afterAct {
+			seen[asn] = true
+		}
 	}
 	for asn := range seen {
-		shift := ActivityShift{ASN: asn, Before: sb[asn], After: sa[asn]}
+		shift := ActivityShift{ASN: topology.ASN(asn),
+			Before: share(beforeAct, totalBefore, asn), After: share(afterAct, totalAfter, asn)}
 		if shift.Delta() >= minShift || shift.Delta() <= -minShift {
 			d.ActivityShifts = append(d.ActivityShifts, shift)
 		}

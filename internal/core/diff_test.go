@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 
 	"itmap/internal/topology"
@@ -124,11 +125,22 @@ func TestDiffMapsSelfEmptyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		users, err := ImportUsers(doc)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		back := mapWith(nil, map[topology.ASN]float64{})
+		for _, s := range doc.ActivePrefixes {
+			p, err := ParsePrefix(s)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			back.Users.ActivePrefixes[p] = true
 		}
-		d = DiffMaps(m, &TrafficMap{Users: users}, 1e-12)
+		for s, v := range doc.ASActivity {
+			asn, err := strconv.ParseUint(s, 10, 32)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			back.Users.ASActivity[topology.ASN(asn)] = v
+		}
+		d = DiffMaps(m, back, 1e-12)
 		if d.Jaccard() != 1 || len(d.PrefixesAppeared)+len(d.PrefixesVanished)+len(d.ActivityShifts) != 0 {
 			t.Errorf("seed %d: diff against re-imported map not empty", seed)
 		}

@@ -116,19 +116,6 @@ type RoutesComponent struct {
 	Augmented *topology.Topology
 }
 
-// PredictPath predicts src→dst on the best available topology.
-func (rc *RoutesComponent) PredictPath(src, dst topology.ASN) []topology.ASN {
-	top := rc.Augmented
-	if top == nil {
-		top = rc.Observed
-	}
-	if top == nil {
-		return nil
-	}
-	rib := bgpCompute(top, dst)
-	return rib.PathFrom(src)
-}
-
 // TrafficMap is the assembled Internet traffic map.
 type TrafficMap struct {
 	Top      *topology.Topology
@@ -306,21 +293,6 @@ func BuildMap(in BuildInputs) *TrafficMap {
 		}
 	}
 	return m
-}
-
-// ActiveASes returns the ASes with any activity signal, ascending.
-func (m *TrafficMap) ActiveASes() []topology.ASN {
-	return order.Keys(m.Users.Sources)
-}
-
-// CoverageSummary counts graded prefixes per coverage class. An empty map
-// means the map was built without sweep stats.
-func (m *TrafficMap) CoverageSummary() map[Coverage]int {
-	out := map[Coverage]int{}
-	for _, c := range m.Users.Coverage {
-		out[c]++
-	}
-	return out
 }
 
 // ActivityShare returns an AS's share of the map's total estimated

@@ -118,7 +118,7 @@ func (m *TrafficMap) Document() *MapDocument {
 	return doc
 }
 
-// asnKey is an ASN as a document map key (parseASNKey's inverse).
+// asnKey is an ASN as a document map key.
 func asnKey(asn topology.ASN) string { return strconv.FormatUint(uint64(asn), 10) }
 
 // Export writes the map's measured components as JSON.
@@ -222,32 +222,6 @@ func sourceString(s ActivitySource) string {
 	}
 }
 
-func coverageFromString(s string) Coverage {
-	switch s {
-	case "probed-ok":
-		return CoverageProbedOK
-	case "gave-up":
-		return CoverageGaveUp
-	case "stale":
-		return CoverageStale
-	default:
-		return CoverageUnknown
-	}
-}
-
-func sourceFromString(s string) ActivitySource {
-	switch s {
-	case "cache-probe":
-		return FromCacheProbe
-	case "root-logs":
-		return FromRootLogs
-	case "cache-probe+root-logs":
-		return FromCacheProbe | FromRootLogs
-	default:
-		return 0
-	}
-}
-
 // ImportDocument parses a serialized map document.
 func ImportDocument(r io.Reader) (*MapDocument, error) {
 	var doc MapDocument
@@ -258,72 +232,6 @@ func ImportDocument(r io.Reader) (*MapDocument, error) {
 		return nil, fmt.Errorf("core: unsupported map document version %d", doc.Version)
 	}
 	return &doc, nil
-}
-
-// ImportUsers reconstructs the users component from a document (the
-// services/routes components need live scan objects and are not restored).
-func ImportUsers(doc *MapDocument) (UsersComponent, error) {
-	uc := UsersComponent{
-		ActivePrefixes: make(map[topology.PrefixID]bool, len(doc.ActivePrefixes)),
-		PrefixHitRate:  make(map[topology.PrefixID]float64, len(doc.PrefixHitRates)),
-		ASActivity:     make(map[topology.ASN]float64, len(doc.ASActivity)),
-		Sources:        make(map[topology.ASN]ActivitySource, len(doc.Sources)),
-		Coverage:       make(map[topology.PrefixID]Coverage, len(doc.Coverage)),
-		ASConfidence:   make(map[topology.ASN]float64, len(doc.ASConfidence)),
-	}
-	for _, s := range doc.ActivePrefixes {
-		p, err := parsePrefix(s)
-		if err != nil {
-			return uc, err
-		}
-		uc.ActivePrefixes[p] = true
-	}
-	for s, hr := range doc.PrefixHitRates {
-		p, err := parsePrefix(s)
-		if err != nil {
-			return uc, err
-		}
-		uc.PrefixHitRate[p] = hr
-	}
-	for s, act := range doc.ASActivity {
-		asn, err := parseASNKey(s)
-		if err != nil {
-			return uc, err
-		}
-		uc.ASActivity[asn] = act
-	}
-	for s, src := range doc.Sources {
-		asn, err := parseASNKey(s)
-		if err != nil {
-			return uc, err
-		}
-		uc.Sources[asn] = sourceFromString(src)
-	}
-	for s, cov := range doc.Coverage {
-		p, err := parsePrefix(s)
-		if err != nil {
-			return uc, err
-		}
-		uc.Coverage[p] = coverageFromString(cov)
-	}
-	for s, v := range doc.ASConfidence {
-		asn, err := parseASNKey(s)
-		if err != nil {
-			return uc, err
-		}
-		uc.ASConfidence[asn] = v
-	}
-	return uc, nil
-}
-
-// parseASNKey parses a decimal ASN document key without allocating on the
-// success path (ingest parses tens of thousands per epoch).
-func parseASNKey(s string) (topology.ASN, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("core: bad ASN %q: %w", s, err)
-	}
-	return topology.ASN(v), nil
 }
 
 // ParsePrefix parses a /24 in CIDR notation (the form PrefixID.String

@@ -26,22 +26,18 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Errorf("mappings %d vs %d", len(doc.Mappings), len(m.Services.Mapping))
 	}
 
-	uc, err := ImportUsers(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := range m.Users.ActivePrefixes {
-		if !uc.ActivePrefixes[p] {
-			t.Fatalf("prefix %v lost in round trip", p)
+	for _, s := range doc.ActivePrefixes {
+		if p, err := ParsePrefix(s); err != nil || !m.Users.ActivePrefixes[p] {
+			t.Fatalf("active prefix %q after round trip: %v, in map %v", s, err, m.Users.ActivePrefixes[p])
 		}
 	}
 	for asn, act := range m.Users.ASActivity {
-		if got := uc.ASActivity[asn]; got != act {
+		if got := doc.ASActivity[asnKey(asn)]; got != act {
 			t.Fatalf("activity for AS %d: %f vs %f", asn, got, act)
 		}
 	}
 	for asn, src := range m.Users.Sources {
-		if uc.Sources[asn] != src {
+		if doc.Sources[asnKey(asn)] != sourceString(src) {
 			t.Fatalf("source for AS %d lost", asn)
 		}
 	}
@@ -70,12 +66,10 @@ func TestImportRejectsBadInput(t *testing.T) {
 	if _, err := ImportDocument(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("future version accepted")
 	}
-	doc := &MapDocument{Version: 1, ActivePrefixes: []string{"zzz"}}
-	if _, err := ImportUsers(doc); err == nil {
+	if _, err := ParsePrefix("zzz"); err == nil {
 		t.Error("bad prefix accepted")
 	}
-	doc = &MapDocument{Version: 1, ActivePrefixes: []string{"10.0.0.0/8"}}
-	if _, err := ImportUsers(doc); err == nil {
+	if _, err := ParsePrefix("10.0.0.0/8"); err == nil {
 		t.Error("non-/24 prefix accepted")
 	}
 }

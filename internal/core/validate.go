@@ -4,7 +4,6 @@ import (
 	"itmap/internal/apnic"
 	"itmap/internal/order"
 	"itmap/internal/stats"
-	"itmap/internal/topology"
 	"itmap/internal/traffic"
 )
 
@@ -144,25 +143,4 @@ func ValidateMapping(m *TrafficMap, tm *traffic.Model) MappingValidation {
 		val.Agreement = float64(agree) / float64(val.Checked)
 	}
 	return val
-}
-
-// CoverageSummary is a Table-1-style row: what a component covers now.
-type CoverageSummary struct {
-	ASesFound     int
-	PrefixesFound int
-	TotalASes     int
-	TotalPrefixes int
-}
-
-// Coverage summarizes the users component's reach over networks that host
-// users (eyeball/enterprise/academic).
-func (m *TrafficMap) Coverage(userASes map[topology.ASN]bool, userPrefixes int) CoverageSummary {
-	cs := CoverageSummary{TotalASes: len(userASes), TotalPrefixes: userPrefixes}
-	for asn := range m.Users.Sources {
-		if userASes[asn] {
-			cs.ASesFound++
-		}
-	}
-	cs.PrefixesFound = len(m.Users.ActivePrefixes)
-	return cs
 }

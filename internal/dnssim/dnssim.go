@@ -64,6 +64,8 @@ type QueryRate struct {
 }
 
 // At returns the rate (queries per simulated hour) at time t.
+//
+//itmlint:allow deadexport test support: internal/traffic's reference-identity tests evaluate a prepared rate through it
 func (q QueryRate) At(t simtime.Time) float64 {
 	return q.PerHour * q.diurnal(t)
 }
@@ -280,19 +282,6 @@ func (pr *PublicResolver) adoptionShare(countryCode string) float64 {
 	return math.Max(0.10, math.Min(0.55, s))
 }
 
-// ProbeCache issues a non-recursive (RD=0) query for domain with the given
-// ECS prefix against a specific PoP at time t, reporting whether the record
-// is cached there. Probes do not populate the cache. For ECS-supporting
-// services the cache entry is scoped to the /24; for others the scope
-// collapses to the whole PoP and per-prefix attribution is impossible —
-// exactly the limitation the paper notes. Campaigns that probe one
-// ⟨domain, prefix⟩ at many times Prepare once, put the probe Over their
-// sampling grid and call Probe.AtSlot per sample (Probe.At off the grid).
-func (pr *PublicResolver) ProbeCache(popID int, domain string, ecs topology.PrefixID, t simtime.Time) (bool, error) {
-	p := pr.Prepare(popID, domain, ecs)
-	return p.At(t, ProbeOpts{})
-}
-
 // ProbeOpts identifies one probe to the fault layer.
 type ProbeOpts struct {
 	// Source is the probing host's identity — per-source throttling keys
@@ -340,7 +329,11 @@ type Probe struct {
 }
 
 // Prepare resolves the time-invariant half of probing domain with the given
-// ECS prefix against a PoP. It never fails: what is wrong with the probe
+// ECS prefix against a PoP: a non-recursive (RD=0) query that reports
+// whether the record is cached there and does not populate the cache. For
+// ECS-supporting services the cache entry is scoped to the /24; for others
+// the scope collapses to the whole PoP and per-prefix attribution is
+// impossible — exactly the limitation the paper notes. It never fails: what is wrong with the probe
 // (no rate source, unknown PoP, NXDOMAIN, a domain without per-prefix ECS
 // scoping) is reported by every At.
 func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixID) Probe {
@@ -429,7 +422,7 @@ func (p *Probe) slotDiurnal(r int) float64 {
 }
 
 // Flush adds the lookups answered since the last Flush to the process
-// counters. At and ProbeCache flush as they answer; AtSlot leaves it to the
+// counters. At flushes as it answers; AtSlot leaves it to the
 // sweep, which calls Flush when it is done with the probe — one Add per
 // swept prefix instead of two per probe.
 func (p *Probe) Flush() {

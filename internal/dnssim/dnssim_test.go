@@ -58,6 +58,12 @@ func TestHomePoPIsNearest(t *testing.T) {
 	}
 }
 
+// probeCache is one cache probe off any grid: Prepare, then At.
+func probeCache(pr *PublicResolver, popID int, domain string, ecs topology.PrefixID, t simtime.Time) (bool, error) {
+	p := pr.Prepare(popID, domain, ecs)
+	return p.At(t, ProbeOpts{})
+}
+
 func TestProbeCacheHitTracksRate(t *testing.T) {
 	top, cat, pr := setup(t, 2)
 	svc := ecsDomain(t, cat)
@@ -75,7 +81,7 @@ func TestProbeCacheHitTracksRate(t *testing.T) {
 	probes := 0
 	for ti := 0; ti < 200; ti++ {
 		tm := simtime.Time(float64(ti) * 0.11)
-		h, err := pr.ProbeCache(hotPop.ID, svc.Domain, hot, tm)
+		h, err := probeCache(pr, hotPop.ID, svc.Domain, hot, tm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +95,7 @@ func TestProbeCacheHitTracksRate(t *testing.T) {
 	}
 	coldPop := pr.HomePoP(cold)
 	for ti := 0; ti < 50; ti++ {
-		h, err := pr.ProbeCache(coldPop.ID, svc.Domain, cold, simtime.Time(float64(ti)*0.13))
+		h, err := probeCache(pr, coldPop.ID, svc.Domain, cold, simtime.Time(float64(ti)*0.13))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +118,7 @@ func TestProbeWrongPoPMisses(t *testing.T) {
 		if pop.ID == home.ID {
 			continue
 		}
-		hit, err := pr.ProbeCache(pop.ID, svc.Domain, p, 1)
+		hit, err := probeCache(pr, pop.ID, svc.Domain, p, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,8 +139,8 @@ func TestProbeDeterministicWithinTTLWindow(t *testing.T) {
 	home := pr.HomePoP(p)
 	ttl := simtime.Seconds(float64(svc.TTLSeconds))
 	base := simtime.Time(5)
-	h1, _ := pr.ProbeCache(home.ID, svc.Domain, p, base)
-	h2, _ := pr.ProbeCache(home.ID, svc.Domain, p, base+ttl/10)
+	h1, _ := probeCache(pr, home.ID, svc.Domain, p, base)
+	h2, _ := probeCache(pr, home.ID, svc.Domain, p, base+ttl/10)
 	if h1 != h2 {
 		t.Error("probe outcome changed within one TTL window")
 	}
@@ -143,18 +149,18 @@ func TestProbeDeterministicWithinTTLWindow(t *testing.T) {
 func TestProbeErrors(t *testing.T) {
 	top, cat, pr := setup(t, 5)
 	p := top.AllPrefixes()[0]
-	if _, err := pr.ProbeCache(0, "x.example", p, 1); err == nil {
+	if _, err := probeCache(pr, 0, "x.example", p, 1); err == nil {
 		t.Error("NXDOMAIN accepted")
 	}
 	svc := ecsDomain(t, cat)
 	pr.SetRateSource(&constRate{})
-	if _, err := pr.ProbeCache(999, svc.Domain, p, 1); err == nil {
+	if _, err := probeCache(pr, 999, svc.Domain, p, 1); err == nil {
 		t.Error("unknown PoP accepted")
 	}
 	// Non-ECS domains cannot be probed per-prefix.
 	for _, s := range cat.Services {
 		if !s.ECS {
-			if _, err := pr.ProbeCache(0, s.Domain, p, 1); err == nil {
+			if _, err := probeCache(pr, 0, s.Domain, p, 1); err == nil {
 				t.Errorf("non-ECS domain %s probe accepted", s.Domain)
 			}
 			break
@@ -238,8 +244,14 @@ func TestAuthoritativeAnycast(t *testing.T) {
 
 func TestRootSystemLogs(t *testing.T) {
 	rs := NewRootSystem(0.3)
-	if len(rs.UsableLetters()) != 9 {
-		t.Errorf("usable letters = %d, want 9 of 13", len(rs.UsableLetters()))
+	usable := 0
+	for _, l := range rs.Letters {
+		if !l.Anonymized {
+			usable++
+		}
+	}
+	if usable != 9 {
+		t.Errorf("usable letters = %d, want 9 of 13", usable)
 	}
 	src := staticChromium{
 		{ResolverPrefix: 100, ResolverASN: 3000, Queries: 1300},

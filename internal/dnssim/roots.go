@@ -48,6 +48,8 @@ type RootSystem struct {
 // SetFaultPlan wires a fault schedule into the log pipeline: letters the
 // plan marks down for a day publish nothing that day. Nil restores
 // fault-free behaviour exactly.
+//
+//itmlint:allow deadexport the one switch for the root-letter outage model (faults.Plan.LetterDown, rootlogs LettersDown), whose counter family the stable exposition lists; no campaign flips it yet
 func (rs *RootSystem) SetFaultPlan(pl *faults.Plan) { rs.faults = pl }
 
 // NewRootSystem builds the root system; anonFrac of the 13 letters (rounded)
@@ -97,17 +99,6 @@ func (rs *RootSystem) DayLogs(day int, src ChromiumSource) map[byte][]RootLogEnt
 			logs = append(logs, share)
 		}
 		out[l.Letter] = logs
-	}
-	return out
-}
-
-// UsableLetters returns the letters whose logs identify resolvers.
-func (rs *RootSystem) UsableLetters() []byte {
-	var out []byte
-	for _, l := range rs.Letters {
-		if !l.Anonymized {
-			out = append(out, l.Letter)
-		}
 	}
 	return out
 }

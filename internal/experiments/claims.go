@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"itmap/internal/bgp"
 	"itmap/internal/core"
@@ -449,38 +451,77 @@ func (e *Env) RunE9() *Result {
 	return r
 }
 
+// Experiment is one row of the catalogue: the ID its Result carries and
+// the function that produces it.
+type Experiment struct {
+	ID  string
+	Run func(*Env) *Result
+}
+
+// Catalogue lists every experiment in EXPERIMENTS.md order.
+var Catalogue = []Experiment{
+	{"T1", (*Env).RunTable1},
+	{"F1a", (*Env).RunFigure1a},
+	{"F1b", (*Env).RunFigure1b},
+	{"F2", (*Env).RunFigure2},
+	{"E1", (*Env).RunE1},
+	{"E2", (*Env).RunE2},
+	{"E3", (*Env).RunE3},
+	{"E4", (*Env).RunE4},
+	{"E5", (*Env).RunE5},
+	{"E6", (*Env).RunE6},
+	{"E7", (*Env).RunE7},
+	{"E8", (*Env).RunE8},
+	{"E9", (*Env).RunE9},
+	{"E10", (*Env).RunE10},
+	{"E11", (*Env).RunE11},
+	{"E12", (*Env).RunE12},
+	{"E13", (*Env).RunE13},
+	{"E14", (*Env).RunE14},
+	{"E15", (*Env).RunE15},
+	{"E16", (*Env).RunE16},
+	{"E17", (*Env).RunE17},
+	{"E18", (*Env).RunE18},
+	{"E19", (*Env).RunE19},
+	{"E20", (*Env).RunE20},
+	{"E21", (*Env).RunE21},
+	{"E22", (*Env).RunE22},
+	{"E23", (*Env).RunE23},
+	{"E24", (*Env).RunE24},
+	{"E25", (*Env).RunE25},
+	{"E26", (*Env).RunE26},
+}
+
 // RunAll executes every experiment in catalogue order.
 func (e *Env) RunAll() []*Result {
-	return []*Result{
-		e.RunTable1(),
-		e.RunFigure1a(),
-		e.RunFigure1b(),
-		e.RunFigure2(),
-		e.RunE1(),
-		e.RunE2(),
-		e.RunE3(),
-		e.RunE4(),
-		e.RunE5(),
-		e.RunE6(),
-		e.RunE7(),
-		e.RunE8(),
-		e.RunE9(),
-		e.RunE10(),
-		e.RunE11(),
-		e.RunE12(),
-		e.RunE13(),
-		e.RunE14(),
-		e.RunE15(),
-		e.RunE16(),
-		e.RunE17(),
-		e.RunE18(),
-		e.RunE19(),
-		e.RunE20(),
-		e.RunE21(),
-		e.RunE22(),
-		e.RunE23(),
-		e.RunE24(),
-		e.RunE25(),
-		e.RunE26(),
+	out := make([]*Result, len(Catalogue))
+	for i, x := range Catalogue {
+		out[i] = x.Run(e)
 	}
+	return out
+}
+
+// Select returns the catalogue rows with the given IDs, once each and in
+// catalogue order whatever order ids is in. An ID the catalogue does not
+// have is an error that names the ones it has.
+func Select(ids []string) ([]Experiment, error) {
+	picked := make([]bool, len(Catalogue))
+	for _, id := range ids {
+		i := slices.IndexFunc(Catalogue, func(x Experiment) bool { return x.ID == id })
+		if i < 0 {
+			valid := make([]string, len(Catalogue))
+			for j, x := range Catalogue {
+				valid[j] = x.ID
+			}
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ", "))
+		}
+		picked[i] = true
+	}
+	var rows []Experiment
+	for i, x := range Catalogue {
+		if picked[i] {
+			rows = append(rows, x)
+		}
+	}
+	return rows, nil
 }

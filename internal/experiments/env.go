@@ -70,11 +70,6 @@ type Env struct {
 	MatrixWorkers int
 }
 
-// NewEnv builds the world for an experiment run.
-func NewEnv(cfg world.Config) *Env {
-	return NewEnvFromWorld(world.Build(cfg))
-}
-
 // NewEnvFromWorld wraps an existing world (e.g. one the caller also probes
 // directly) in an experiment environment.
 func NewEnvFromWorld(w *world.World) *Env {

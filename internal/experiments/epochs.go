@@ -3,9 +3,11 @@ package experiments
 import (
 	"strconv"
 
+	"itmap/internal/core"
 	"itmap/internal/mapstore"
 	obspkg "itmap/internal/obs"
 	"itmap/internal/simtime"
+	"itmap/internal/vantage"
 	"itmap/internal/world"
 )
 
@@ -38,22 +40,21 @@ func EpochEnvs(w *world.World, days, workers int) []*Env {
 }
 
 // BuildEpochStore runs a multi-day measurement campaign over w and ingests
-// each day's assembled map into an epoch-versioned store, attaching the
-// ground-truth matrix so link-load queries resolve. workers bounds the
-// matrix build's parallelism; the resulting store (epoch bytes, diffs,
-// rankings) is identical for every setting.
-func BuildEpochStore(w *world.World, days, workers int) (*mapstore.Store, error) {
-	st := mapstore.NewStore()
-	if err := BuildEpochStoreInto(st, w, days, workers); err != nil {
-		return nil, err
+// each day's assembled map into st, attaching the ground-truth matrix so
+// link-load queries resolve. The store is the caller's so it can be
+// configured first — itm-serve attaches the write-ahead log before the
+// first append, making the initial build durable too. With mesh.Agents > 0
+// day d's vantage fleet sweep starts at d·24h and its mesh matrix is
+// ingested with that day's map, so /v1/path and /v1/latency resolve on
+// every epoch. workers bounds the parallelism of the matrix build and the
+// fleet; the resulting store (epoch and mesh bytes, ETags, diffs, rankings)
+// is identical for every setting.
+func BuildEpochStore(st *mapstore.Store, w *world.World, days, workers int, mesh MeshSpec) error {
+	if mesh.Agents > 0 {
+		// Only a mesh build registers the fleet's families: a map-only
+		// boot's stable exposition does not list them.
+		vantage.RegisterMetrics()
 	}
-	return st, nil
-}
-
-// BuildEpochStoreInto runs the campaign into a caller-provided store, so
-// the caller can configure it first — itm-serve attaches the write-ahead
-// log before the first append, making the initial build durable too.
-func BuildEpochStoreInto(st *mapstore.Store, w *world.World, days, workers int) error {
 	envs := EpochEnvs(w, days, workers)
 	// One trace per campaign day; Activate happens at serial points, so every
 	// span a day's sweeps record lands in that day's tree.
@@ -61,7 +62,12 @@ func BuildEpochStoreInto(st *mapstore.Store, w *world.World, days, workers int) 
 	mx := envs[0].Matrix()
 	for d, e := range envs {
 		obspkg.ActivateTrace("epoch-" + strconv.Itoa(d))
-		if _, err := st.AppendMap(simtime.Time(d)*simtime.Day, e.Map(), mx); err != nil {
+		at := simtime.Time(d) * simtime.Day
+		var md *core.MeshDocument
+		if mesh.Agents > 0 {
+			md, _ = RunMeshCampaign(w, mesh, at, workers)
+		}
+		if _, err := st.AppendMapMesh(at, e.Map(), mx, md); err != nil {
 			return err
 		}
 	}

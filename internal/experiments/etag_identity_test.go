@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"itmap/internal/mapstore"
 	"itmap/internal/world"
 )
 
@@ -16,8 +17,8 @@ func TestETagsWorkerCountStable(t *testing.T) {
 		t.Skip("builds two tiny-world epoch stores")
 	}
 	build := func(workers int) []string {
-		s, err := BuildEpochStore(world.Build(world.Tiny(11)), 3, workers)
-		if err != nil {
+		s := mapstore.NewStore()
+		if err := BuildEpochStore(s, world.Build(world.Tiny(11)), 3, workers, MeshSpec{}); err != nil {
 			t.Fatalf("BuildEpochStore(workers=%d): %v", workers, err)
 		}
 		var tags []string

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,7 +13,7 @@ import (
 
 // envSmall is shared across tests in this package; experiments are
 // read-only over it.
-var envSmall = NewEnv(world.Small(1))
+var envSmall = NewEnvFromWorld(world.Build(world.Small(1)))
 
 func TestRunAllShapesHold(t *testing.T) {
 	results := envSmall.RunAll()
@@ -17,7 +21,10 @@ func TestRunAllShapesHold(t *testing.T) {
 		t.Fatalf("expected 30 experiments, got %d", len(results))
 	}
 	seen := map[string]bool{}
-	for _, r := range results {
+	for i, r := range results {
+		if r.ID != Catalogue[i].ID {
+			t.Errorf("catalogue row %d is %s but its Run returned %s", i, Catalogue[i].ID, r.ID)
+		}
 		if seen[r.ID] {
 			t.Fatalf("duplicate experiment id %s", r.ID)
 		}
@@ -34,6 +41,60 @@ func TestRunAllShapesHold(t *testing.T) {
 	for _, id := range ids {
 		if !seen[id] {
 			t.Errorf("experiment %s missing", id)
+		}
+	}
+}
+
+// TestCatalogueMatchesExperimentsMD: the table is the index of
+// EXPERIMENTS.md — same IDs, same order as its ### headings, none twice.
+func TestCatalogueMatchesExperimentsMD(t *testing.T) {
+	md, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headings []string
+	for _, m := range regexp.MustCompile(`(?m)^### (\S+) — `).FindAllStringSubmatch(string(md), -1) {
+		headings = append(headings, m[1])
+	}
+	var ids []string
+	seen := map[string]bool{}
+	for _, x := range Catalogue {
+		if seen[x.ID] {
+			t.Errorf("catalogue lists %s twice", x.ID)
+		}
+		seen[x.ID] = true
+		ids = append(ids, x.ID)
+	}
+	if !slices.Equal(ids, headings) {
+		t.Errorf("catalogue order %v\nEXPERIMENTS.md order %v", ids, headings)
+	}
+}
+
+// TestSelect: a selection comes back in catalogue order, once each, and an
+// ID the catalogue does not have is refused with the valid ones named.
+func TestSelect(t *testing.T) {
+	rows, err := Select([]string{"E5", "F2", "E5", "T1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, x := range rows {
+		got = append(got, x.ID)
+	}
+	if want := []string{"T1", "F2", "E5"}; !slices.Equal(got, want) {
+		t.Errorf("Select = %v, want %v", got, want)
+	}
+	if rows, err := Select(nil); err != nil || len(rows) != 0 {
+		t.Errorf("Select(nil) = %v, %v", rows, err)
+	}
+	for _, bad := range []string{"E27", "e5", ""} {
+		rows, err := Select([]string{"E1", bad})
+		if err == nil || rows != nil {
+			t.Fatalf("Select with %q = %v, %v; want an error", bad, rows, err)
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(bad)) || !strings.Contains(err.Error(), "T1, F1a, F1b, F2, E1,") ||
+			!strings.Contains(err.Error(), "E26") {
+			t.Errorf("Select with %q: error %q does not name it and the valid IDs", bad, err)
 		}
 	}
 }
@@ -118,7 +179,7 @@ func TestRunAllSecondSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	env := NewEnv(world.Small(99))
+	env := NewEnvFromWorld(world.Build(world.Small(99)))
 	for _, r := range env.RunAll() {
 		if !r.Pass() {
 			t.Errorf("seed 99: %s failed:\n%s", r.ID, Format([]*Result{r}))

@@ -20,8 +20,8 @@ import (
 func (e *Env) RunE25() *Result {
 	r := &Result{ID: "E25", Title: "Epoch-versioned map store over a multi-day campaign"}
 	const days = 3
-	st, err := BuildEpochStore(e.W, days, 1)
-	if err != nil {
+	st := mapstore.NewStore()
+	if err := BuildEpochStore(st, e.W, days, 1, MeshSpec{}); err != nil {
 		r.Values = append(r.Values, Value{Name: "campaign", Paper: "n/a", Measured: err.Error(), Pass: false})
 		return r
 	}
@@ -107,8 +107,8 @@ func (e *Env) RunE25() *Result {
 	// Worker invariance: rebuilding the whole campaign with a different
 	// matrix parallelism must reproduce every epoch's encoded bytes, the
 	// serialized diff, and the matrix-backed link loads exactly.
-	st4, err := BuildEpochStore(e.W, days, 4)
-	if err != nil {
+	st4 := mapstore.NewStore()
+	if err := BuildEpochStore(st4, e.W, days, 4, MeshSpec{}); err != nil {
 		r.Values = append(r.Values, Value{Name: "workers=4 campaign", Paper: "n/a", Measured: err.Error(), Pass: false})
 		return r
 	}

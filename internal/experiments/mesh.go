@@ -1,19 +1,15 @@
 package experiments
 
 import (
-	"strconv"
-
 	"itmap/internal/core"
 	"itmap/internal/faults"
-	"itmap/internal/mapstore"
-	obspkg "itmap/internal/obs"
 	"itmap/internal/simtime"
 	"itmap/internal/vantage"
 	"itmap/internal/world"
 )
 
-// MeshSpec configures the vantage-fleet campaigns a mesh-enabled epoch
-// build runs alongside the per-day map sweeps.
+// MeshSpec configures the vantage-fleet campaigns an epoch build runs
+// alongside the per-day map sweeps; Agents == 0 means no mesh.
 type MeshSpec struct {
 	// Agents and Rounds shape each day's campaign (vantage.Config defaults
 	// apply when zero).
@@ -35,28 +31,4 @@ func RunMeshCampaign(w *world.World, spec MeshSpec, start simtime.Time, workers 
 		Profile: spec.Profile,
 	})
 	return c.Run()
-}
-
-// BuildEpochStoreMeshInto is BuildEpochStoreInto plus a per-day vantage
-// mesh campaign: day d's fleet sweep starts at d·24h and its MeshMatrix is
-// ingested with that day's map, so /v1/path and /v1/latency resolve on
-// every epoch. Like the map build, the resulting store — mesh bytes, mesh
-// ETags, worst-pair rankings — is identical for every workers setting.
-func BuildEpochStoreMeshInto(st *mapstore.Store, w *world.World, days, workers int, spec MeshSpec) error {
-	if days < 1 {
-		days = 1
-	}
-	vantage.RegisterMetrics()
-	envs := EpochEnvs(w, days, workers)
-	obspkg.ActivateTrace("epoch-0")
-	mx := envs[0].Matrix()
-	for d, e := range envs {
-		obspkg.ActivateTrace("epoch-" + strconv.Itoa(d))
-		at := simtime.Time(d) * simtime.Day
-		mesh, _ := RunMeshCampaign(w, spec, at, workers)
-		if _, err := st.AppendMapMesh(at, e.Map(), mx, mesh); err != nil {
-			return err
-		}
-	}
-	return nil
 }

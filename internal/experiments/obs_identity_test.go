@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"itmap/internal/faults"
+	"itmap/internal/mapstore"
 	"itmap/internal/measure/cacheprobe"
 	"itmap/internal/obs"
 	"itmap/internal/resilience"
@@ -20,7 +21,7 @@ func runObsCampaign(t *testing.T, workers int) (string, string) {
 	defer obs.Swap(prev)
 
 	w := world.Build(world.Tiny(7))
-	if _, err := BuildEpochStore(w, 2, workers); err != nil {
+	if err := BuildEpochStore(mapstore.NewStore(), w, 2, workers, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -38,7 +38,7 @@ func runServeStack(t *testing.T, seed int64, buildWorkers, lgWorkers int) serveD
 	defer history.Swap(prevRing)
 
 	st := mapstore.NewStore()
-	if err := BuildEpochStoreMeshInto(st, world.Build(world.Tiny(seed)), 3, buildWorkers,
+	if err := BuildEpochStore(st, world.Build(world.Tiny(seed)), 3, buildWorkers,
 		MeshSpec{Agents: 48, Rounds: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestHistoryFamilyRouteConsistent(t *testing.T) {
 	defer history.Swap(prevRing)
 
 	st := mapstore.NewStore()
-	if err := BuildEpochStoreMeshInto(st, world.Build(world.Tiny(13)), 2, 0,
+	if err := BuildEpochStore(st, world.Build(world.Tiny(13)), 2, 0,
 		MeshSpec{Agents: 32, Rounds: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -159,16 +159,6 @@ func CountryByCode(code string) (Country, error) {
 	return countries[i], nil
 }
 
-// TotalInternetUsersM returns the sum of Internet users (millions) across
-// all countries in the table.
-func TotalInternetUsersM() float64 {
-	total := 0.0
-	for _, c := range countries {
-		total += c.InternetUsersM
-	}
-	return total
-}
-
 // RegionHub returns a representative city for a region: the capital of the
 // region's largest country. Public-resolver PoPs and tier-1 backbones sit
 // at region hubs.

@@ -126,7 +126,10 @@ func TestLocalHourAt(t *testing.T) {
 }
 
 func TestTotalInternetUsers(t *testing.T) {
-	total := TotalInternetUsersM()
+	total := 0.0
+	for _, c := range Countries() {
+		total += c.InternetUsersM
+	}
 	if total < 3000 || total > 6000 {
 		t.Errorf("world Internet users %.0fM implausible", total)
 	}

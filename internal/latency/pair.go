@@ -1,7 +1,6 @@
 package latency
 
 import (
-	"itmap/internal/parallel"
 	"itmap/internal/topology"
 )
 
@@ -16,84 +15,4 @@ func (m *Model) PairRTTms(a, b topology.PrefixID, seq int) (float64, bool) {
 		a, b = b, a
 	}
 	return m.RTTms(a, b, seq)
-}
-
-// MinPairRTTms is MinRTTms over the canonicalized pair: the minimum of n
-// symmetric probes, approaching the propagation floor from above.
-func (m *Model) MinPairRTTms(a, b topology.PrefixID, n int) (float64, bool) {
-	if b < a {
-		a, b = b, a
-	}
-	return m.MinRTTms(a, b, n)
-}
-
-// TriangleViolationRate measures how often the model's minimum RTTs
-// violate the triangle inequality: for ordered triples (i, j, k) over the
-// prefix slice, whether minRTT(i,k) > minRTT(i,j) + minRTT(j,k). Real
-// Internet latencies violate it routinely (detour routing), and the rate
-// is a useful fingerprint of how much structure the model injects.
-//
-// The computation is deterministic across worker counts: the outer index
-// owns a private tally slot and the slots are folded in index order, so
-// no float is ever accumulated in scheduling order.
-func (m *Model) TriangleViolationRate(prefixes []topology.PrefixID, probes, workers int) (rate float64, checked int) {
-	n := len(prefixes)
-	if n < 3 {
-		return 0, 0
-	}
-	if probes < 1 {
-		probes = 1
-	}
-	// Pairwise minima first (i < k ordered pairs; the model is symmetric
-	// under canonicalization, so one triangle suffices).
-	min := make([][]float64, n)
-	reach := make([][]bool, n)
-	parallel.ForEach(n, workers, func(i int) {
-		min[i] = make([]float64, n)
-		reach[i] = make([]bool, n)
-		for k := i + 1; k < n; k++ {
-			v, ok := m.MinPairRTTms(prefixes[i], prefixes[k], probes)
-			min[i][k], reach[i][k] = v, ok
-		}
-	})
-	at := func(i, k int) (float64, bool) {
-		if k < i {
-			i, k = k, i
-		}
-		return min[i][k], reach[i][k]
-	}
-	viols := make([]int, n)
-	counts := make([]int, n)
-	parallel.ForEach(n, workers, func(i int) {
-		for k := i + 1; k < n; k++ {
-			ik, ok := at(i, k)
-			if !ok {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if j == i || j == k {
-					continue
-				}
-				ij, ok1 := at(i, j)
-				jk, ok2 := at(j, k)
-				if !ok1 || !ok2 {
-					continue
-				}
-				counts[i]++
-				if ik > ij+jk {
-					viols[i]++
-				}
-			}
-		}
-	})
-	// Index-ordered fold: identical for every worker count.
-	v, c := 0, 0
-	for i := 0; i < n; i++ {
-		v += viols[i]
-		c += counts[i]
-	}
-	if c == 0 {
-		return 0, 0
-	}
-	return float64(v) / float64(c), c
 }

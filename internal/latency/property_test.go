@@ -54,11 +54,6 @@ func TestPairRTTSymmetry(t *testing.T) {
 					pairs++
 				}
 			}
-			mab, _ := m.MinPairRTTms(a, b, 3)
-			mba, _ := m.MinPairRTTms(b, a, 3)
-			if mab != mba {
-				t.Fatalf("MinPairRTTms(%v,%v) asymmetric: %v vs %v", a, b, mab, mba)
-			}
 		}
 	}
 	if pairs == 0 {
@@ -93,28 +88,5 @@ func TestRTTNoiseFloor(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no reachable pairs exercised")
-	}
-}
-
-// TestTriangleViolationRateDeterministic: the violation rate is a pure
-// function of (world, seed) — identical across runs and worker counts —
-// and the model does violate the triangle inequality somewhere (detour
-// routing guarantees real-Internet-shaped non-metric structure).
-func TestTriangleViolationRateDeterministic(t *testing.T) {
-	m, _, prefixes := modelAndPrefixes(t, 23)
-	r1, c1 := m.TriangleViolationRate(prefixes, 3, 1)
-	r1b, c1b := m.TriangleViolationRate(prefixes, 3, 1)
-	if r1 != r1b || c1 != c1b {
-		t.Fatalf("violation rate not deterministic: %v/%d vs %v/%d", r1, c1, r1b, c1b)
-	}
-	r4, c4 := m.TriangleViolationRate(prefixes, 3, 4)
-	if r1 != r4 || c1 != c4 {
-		t.Fatalf("violation rate depends on workers: %v/%d vs %v/%d", r1, c1, r4, c4)
-	}
-	if c1 == 0 {
-		t.Fatal("no triples checked")
-	}
-	if r1 < 0 || r1 > 1 {
-		t.Fatalf("violation rate %v out of range", r1)
 	}
 }

@@ -15,8 +15,13 @@ import (
 // and response caches warm as a replay runs.
 func replayStore(t *testing.T) *mapstore.Store {
 	t.Helper()
-	s, err := experiments.BuildEpochStore(world.Build(world.Tiny(7)), 3, 0)
-	if err != nil {
+	return buildStore(t, 3, experiments.MeshSpec{})
+}
+
+func buildStore(t *testing.T, days int, mesh experiments.MeshSpec) *mapstore.Store {
+	t.Helper()
+	s := mapstore.NewStore()
+	if err := experiments.BuildEpochStore(s, world.Build(world.Tiny(7)), days, 0, mesh); err != nil {
 		t.Fatalf("BuildEpochStore: %v", err)
 	}
 	return s
@@ -94,10 +99,7 @@ func TestServerCountersDeterministic(t *testing.T) {
 	dump := func(workers int) string {
 		prev := obs.Swap(obs.NewSet())
 		defer obs.Swap(prev)
-		s, err := experiments.BuildEpochStore(world.Build(world.Tiny(7)), 3, 0)
-		if err != nil {
-			t.Fatalf("BuildEpochStore: %v", err)
-		}
+		s := replayStore(t)
 		if _, err := Run(Config{Seed: 5, Requests: 600, Workers: workers},
 			HandlerDoer{Handler: mapstore.NewHandler(s)}); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -119,13 +121,7 @@ func TestServerCountersDeterministic(t *testing.T) {
 // mesh mix has pairs to discover.
 func meshReplayStore(t *testing.T) *mapstore.Store {
 	t.Helper()
-	s := mapstore.NewStore()
-	err := experiments.BuildEpochStoreMeshInto(s, world.Build(world.Tiny(7)), 2, 0,
-		experiments.MeshSpec{Agents: 24, Rounds: 1})
-	if err != nil {
-		t.Fatalf("BuildEpochStoreMeshInto: %v", err)
-	}
-	return s
+	return buildStore(t, 2, experiments.MeshSpec{Agents: 24, Rounds: 1})
 }
 
 func meshReplay(t *testing.T, seed int64, workers int) *Counters {

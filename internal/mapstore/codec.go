@@ -119,10 +119,13 @@ func (o *sectionOffsets) span(enc []byte, i int) []byte {
 	return enc[o[i]:end]
 }
 
-// encoding is a document's canonical ITMB bytes with their section offsets.
+// encoding is a document's canonical ITMB bytes with their section offsets
+// and the typed form of the active prefixes — ascending, no duplicates —
+// which both codec directions hold anyway and the epoch diff reads.
 type encoding struct {
-	bytes []byte
-	off   sectionOffsets
+	bytes   []byte
+	off     sectionOffsets
+	actives []topology.PrefixID
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -131,10 +134,10 @@ type encoder struct {
 	buf []byte
 	off sectionOffsets
 
-	// Reusable scratch (pooled): sort staging for every section plus the
-	// interned string table. Encoding a steady stream of epochs allocates
-	// only the exact-size output slice once the pool is warm.
-	actives  []topology.PrefixID
+	// Reusable scratch (pooled): sort staging for every keyed section plus
+	// the interned string table. Encoding a steady stream of epochs allocates
+	// only what it returns — the exact-size output slice and the typed active
+	// prefixes — once the pool is warm.
 	pEntries []prefixEntry
 	aEntries []asnEntry
 	servers  []core.ServerDocument
@@ -154,7 +157,6 @@ var encPool = sync.Pool{New: func() any {
 // reset clears the scratch for reuse, keeping capacity.
 func (e *encoder) reset() {
 	e.buf = e.buf[:0]
-	e.actives = e.actives[:0]
 	e.pEntries = e.pEntries[:0]
 	e.aEntries = e.aEntries[:0]
 	e.servers = e.servers[:0]
@@ -266,10 +268,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 
 	// Active prefixes.
 	e.begin(wireActives)
-	if cap(e.actives) < len(doc.ActivePrefixes) {
-		e.actives = make([]topology.PrefixID, 0, len(doc.ActivePrefixes))
-	}
-	actives := e.actives
+	actives := make([]topology.PrefixID, 0, len(doc.ActivePrefixes))
 	for _, s := range doc.ActivePrefixes {
 		p, err := parseDocPrefix(s)
 		if err != nil {
@@ -278,7 +277,6 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 		actives = append(actives, p)
 	}
 	slices.Sort(actives)
-	e.actives = actives
 	for i := 1; i < len(actives); i++ {
 		if actives[i] == actives[i-1] {
 			return encoding{}, fmt.Errorf("%w: duplicate active prefix %v", ErrEncode, actives[i])
@@ -371,7 +369,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	obs.C("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.").Add(uint64(len(e.buf)))
 	// Exact-size clone: the pooled buffer stays with the encoder; callers
 	// retain only their own bytes.
-	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off}
+	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off, actives: actives}
 	copy(out.bytes, e.buf)
 	return out, nil
 }
@@ -751,15 +749,16 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 	if n > 0 {
 		doc.ActivePrefixes = make([]string, 0, n)
 	}
-	activeIDs := make([]uint32, 0, n)
+	activeIDs := make([]topology.PrefixID, 0, n)
 	err = d.deltaSeq("active prefix", n, maxPrefixID, func(v uint64) error {
-		activeIDs = append(activeIDs, uint32(v))
+		activeIDs = append(activeIDs, topology.PrefixID(v))
 		doc.ActivePrefixes = append(doc.ActivePrefixes, keys.prefix(v))
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	enc.actives = activeIDs
 	// prefixKey is the key for the next prefix of a prefix-keyed section.
 	// Those sections are keyed by (mostly) active prefixes and ascend as the
 	// actives do, so a cursor finds the active prefix's own string to reuse;

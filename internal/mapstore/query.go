@@ -313,7 +313,7 @@ func (e *Epoch) LinkLoad(a, b uint32) (float64, bool) {
 }
 
 // DiffDocument is the serializable epoch-to-epoch diff, derived via
-// core.DiffMaps over the two epochs' users components. All slices are
+// core.DiffUsers over the two epochs' users components. All slices are
 // sorted, so marshaling it is deterministic.
 type DiffDocument struct {
 	EpochA         int          `json:"epoch_a"`
@@ -352,9 +352,7 @@ func (s *Store) Diff(a, b int, minShift float64) (*DiffDocument, error) {
 // diffEpochs compares two resolved epochs (the cacheable inner form: the
 // pair is immutable, so the result never changes).
 func diffEpochs(ea, eb *Epoch, minShift float64) *DiffDocument {
-	ma := &core.TrafficMap{Users: ea.users}
-	mb := &core.TrafficMap{Users: eb.users}
-	d := core.DiffMaps(ma, mb, minShift)
+	d := core.DiffUsers(ea.actives, eb.actives, ea.activity, eb.activity, minShift)
 	out := &DiffDocument{
 		EpochA:         ea.ID,
 		EpochB:         eb.ID,

@@ -58,6 +58,9 @@ type Epoch struct {
 	// off locates the wire sections inside Encoded; the next append
 	// compares its own sections against them (see shareSections).
 	off sectionOffsets
+	// actives is Doc.ActivePrefixes as the codec held it: typed, ascending,
+	// no duplicates. The epoch diff merge-walks two of these.
+	actives []topology.PrefixID
 
 	// mx optionally carries the ground-truth matrix snapshot for
 	// link-load queries (dense views preferred), and top the topology
@@ -75,8 +78,7 @@ type Epoch struct {
 	serverAt   map[string]int     // serving prefix → index into Doc.Servers
 	confidence map[uint32]float64 // ASN → confidence (only if doc carries it)
 	sources    map[uint32]string  // ASN → source label
-	users      core.UsersComponent
-	meshWorst  []MeshRank // mesh pairs by mean RTT desc, key asc
+	meshWorst  []MeshRank         // mesh pairs by mean RTT desc, key asc
 
 	// cache holds encoded response bodies scoped to this epoch. Epochs are
 	// immutable, so entries never invalidate; appends leave them untouched.
@@ -108,8 +110,6 @@ const (
 	secMappings
 
 	secAll = 1<<sectionCount - 1
-	// secUsers covers every section core.ImportUsers reads.
-	secUsers = secActives | secHitRates | secActivity | secSources | secCoverage | secConfidence
 )
 
 // epochList is the store's immutable snapshot: a prefix-stable slice of
@@ -188,6 +188,8 @@ func (s *Store) Latest() *Epoch {
 // AppendMap ingests a traffic map built by core.BuildMap, optionally with
 // the ground-truth matrix snapshot enabling link-load queries (the matrix's
 // link index must come from m.Top's dense AS index).
+//
+//itmlint:allow deadexport benchmark/_tracer, a module of its own the loader does not see, journals map-only epochs through it
 func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix) (*Epoch, error) {
 	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top})
 }
@@ -258,7 +260,7 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 			return nil, err
 		}
 	}
-	e.Encoded, e.off, e.MeshEncoded = canon.bytes, canon.off, in.meshCanon
+	e.Encoded, e.off, e.actives, e.MeshEncoded = canon.bytes, canon.off, canon.actives, in.meshCanon
 	if mesh != nil && e.MeshEncoded == nil {
 		enc, err := EncodeMeshDocument(mesh)
 		if err != nil {
@@ -282,15 +284,6 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 		e.MeshShared = mesh != nil && bytes.Equal(e.MeshEncoded, prev.MeshEncoded)
 	}
 	e.ETag = epochETag(e.ID, e.Encoded)
-	if shared&secUsers == secUsers {
-		e.users = prev.users
-	} else {
-		users, err := core.ImportUsers(doc)
-		if err != nil {
-			return nil, err
-		}
-		e.users = users
-	}
 	if err := e.buildIndexes(prev, shared); err != nil {
 		return nil, err
 	}
@@ -399,7 +392,7 @@ func shareSections(e, prev *Epoch) uint {
 	}
 	var shared uint
 	if same(wireActives) {
-		doc.ActivePrefixes = pdoc.ActivePrefixes
+		doc.ActivePrefixes, e.actives = pdoc.ActivePrefixes, prev.actives
 		shared |= secActives
 	}
 	if same(wireHitRates) {

@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -92,6 +91,8 @@ type memFile struct {
 }
 
 // NewMemFS returns an empty in-memory file system.
+//
+//itmlint:allow deadexport test support: the in-memory FS mapstore's recovery, crash and fuzz tests journal through
 func NewMemFS() *MemFS { return &MemFS{files: map[string]*memFile{}} }
 
 func (m *MemFS) MkdirAll(string) error { return nil }
@@ -176,18 +177,6 @@ func (m *MemFS) Remove(name string) error {
 
 func (m *MemFS) SyncDir(string) error { return nil }
 
-// Files returns the stored file names, sorted (tests).
-func (m *MemFS) Files() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.files))
-	for n := range m.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 type memHandle struct {
 	fs   *MemFS
 	name string
@@ -255,11 +244,15 @@ type FaultFS struct {
 }
 
 // NewFaultFS wraps mem with plan.
+//
+//itmlint:allow deadexport test support: mapstore's crash sweep cuts the journal at every byte through it
 func NewFaultFS(mem *MemFS, plan FaultPlan) *FaultFS {
 	return &FaultFS{mem: mem, plan: plan}
 }
 
 // Crashed reports whether the simulated crash has fired.
+//
+//itmlint:allow deadexport test support: tells a crash sweep whether its byte budget was reached
 func (f *FaultFS) Crashed() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -269,6 +262,8 @@ func (f *FaultFS) Crashed() bool {
 // CrashImage returns the file system a reboot would find: everything
 // written up to the crash (fsynced bytes are durable for sure; the torn
 // in-flight write survives as the partial tail it left on the device).
+//
+//itmlint:allow deadexport test support: the file system a reboot would find, which mapstore's crash sweep recovers from
 func (f *FaultFS) CrashImage() *MemFS {
 	f.mem.mu.Lock()
 	defer f.mem.mu.Unlock()

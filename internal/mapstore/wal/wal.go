@@ -351,18 +351,12 @@ func (w *WAL) openJournal(needHeader bool) error {
 }
 
 // Len returns the number of live epochs the WAL holds.
+//
+//itmlint:allow deadexport test support: mapstore's recovery tests check the WAL never lags or leads the store
 func (w *WAL) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.records)
-}
-
-// JournalRecords returns how many records sit in the journal since the last
-// compaction (tests and compaction diagnostics).
-func (w *WAL) JournalRecords() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.journalRecords
 }
 
 // Append journals one epoch's canonical encoding and fsyncs before
@@ -420,19 +414,6 @@ func (w *WAL) rollback(cause error) error {
 	w.journal = f
 	obs.C("itm_wal_repairs_total", "Failed appends rolled back by truncating the journal to the last good record.").Inc()
 	return fmt.Errorf("wal: append: %w", cause)
-}
-
-// Compact folds every live epoch into a fresh snapshot and empties the
-// journal. Crash-safe at every step: the snapshot replaces atomically
-// (write temp, fsync, rename, fsync dir), and until the journal truncate
-// lands its now-stale records are skipped on replay by epoch ID.
-func (w *WAL) Compact() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failed != nil {
-		return w.failed
-	}
-	return w.compactLocked()
 }
 
 //itm:locked mu

@@ -10,6 +10,13 @@ import (
 	"itmap/internal/simtime"
 )
 
+// compact forces the compaction Append runs every CompactEvery records.
+func compact(w *WAL) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.compactLocked()
+}
+
 func testPayload(i int) []byte {
 	return []byte(fmt.Sprintf("epoch-%d canonical bytes %032d", i, i*i))
 }
@@ -159,7 +166,7 @@ func TestCompactionAndReplay(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	appendN(t, w, 10) // compacts at 3, 6, 9; one record left in the journal
-	if jr := w.JournalRecords(); jr != 1 {
+	if jr := w.journalRecords; jr != 1 {
 		t.Fatalf("journal holds %d records after auto-compaction, want 1", jr)
 	}
 	if w.Len() != 10 {
@@ -212,7 +219,7 @@ func TestStaleJournalSkippedAfterCompactionCrash(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if err := w2.Compact(); err != nil {
+	if err := compact(w2); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	_ = w2.Close()
@@ -330,7 +337,7 @@ func TestCorruptSnapshotIsFatal(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	appendN(t, w, 4)
-	if err := w.Compact(); err != nil {
+	if err := compact(w); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 	_ = w.Close()

@@ -378,6 +378,8 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 // retried to a definitive answer or budget exhaustion, and — unlike the
 // naive campaign, which keeps failures in its denominators — the rate uses
 // answered probes only, so faults cost precision, not bias.
+//
+//itmlint:allow deadexport the resilient half of the hit-rate campaign: E24 runs resilient discovery only, and TestCampaignDigestsMatchParent, the grid and the fault tests pin this sweep to the parent's bytes
 func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HitRates, *SweepStats, error) {
 	if interval <= 0 {
 		interval = 5 * simtime.Minute

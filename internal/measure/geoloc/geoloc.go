@@ -131,17 +131,6 @@ func (e Estimate) ErrorKm(truth geo.Coord) float64 {
 	return geo.DistanceKm(e.Coord, truth)
 }
 
-// Violated reports whether the estimate sits outside any constraint —
-// a consistency check (should not happen for correct models).
-func (e Estimate) Violated() bool {
-	for _, c := range e.Constraints {
-		if geo.DistanceKm(e.Coord, c.VP.Coord) > c.RadiusKm*1.001 {
-			return true
-		}
-	}
-	return false
-}
-
 // AtlasVPSet builds a vantage set from academic networks (their campus
 // locations are public).
 func AtlasVPSet(top *topology.Topology) []VantagePoint {

@@ -73,14 +73,6 @@ func NewMeter(top *topology.Topology, mx *traffic.Matrix, seed int64) *Meter {
 	return m
 }
 
-// TrueHourlyRate is the ground-truth counter velocity of an AS's router at
-// time t (increments/hour) — used only to validate the estimator.
-func (m *Meter) TrueHourlyRate(asn topology.ASN, t simtime.Time) float64 {
-	local := t.UTCHour() + m.offset[asn]
-	f := users.DiurnalFactor(math.Mod(local+48, 24))
-	return m.BackgroundRate + m.scale*m.load[asn]/24*f/users.DiurnalMean
-}
-
 // cumDiurnal is the antiderivative of DiurnalFactor over continuous local
 // hours: ∫(0.65 + 0.35·cos(2π(h−20)/24))dh.
 func cumDiurnal(h float64) float64 {

@@ -99,6 +99,8 @@ func Collect(top *topology.Topology, um *users.Model, tm *traffic.Model, pr *dns
 
 // ClientShare returns the fraction of a resolver's associated views coming
 // from the given client AS.
+//
+//itmlint:allow deadexport only its own test calls it (TestClientShareNormalized)
 func (a *Association) ClientShare(resolver topology.PrefixID, client topology.ASN) float64 {
 	m := a.Clients[resolver]
 	if len(m) == 0 {
@@ -112,6 +114,8 @@ func (a *Association) ClientShare(resolver topology.PrefixID, client topology.AS
 }
 
 // Resolvers returns all resolver prefixes seen, ascending.
+//
+//itmlint:allow deadexport only its own test calls it (TestClientShareNormalized)
 func (a *Association) Resolvers() []topology.PrefixID {
 	out := make([]topology.PrefixID, 0, len(a.Clients))
 	for rp := range a.Clients {

@@ -113,6 +113,8 @@ func (c Campaign) Fit() (Plan, error) {
 // Interleave returns the per-pair probe interval (seconds) that spreads the
 // sweep evenly over the window — probing in a burst both trips rate limits
 // and samples every cache at the same diurnal phase, biasing hit rates.
+//
+//itmlint:allow deadexport only its own test calls it (TestInterleaveSpreadsWindow)
 func (c Campaign) Interleave() (float64, error) {
 	p, err := c.Fit()
 	if err != nil {

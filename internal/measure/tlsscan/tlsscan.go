@@ -105,17 +105,3 @@ func (sc *Scan) Locations(owner topology.ASN) []geo.City {
 	}
 	return out
 }
-
-// SNIFootprint probes every discovered server with the given hostname and
-// returns the prefixes that serve it — the per-service footprint of §3.2
-// approach 2.
-func (sc *Scan) SNIFootprint(cat *services.Catalog, domain string) []topology.PrefixID {
-	var out []topology.PrefixID
-	for _, s := range sc.Servers {
-		if cat.ServesSNI(s.Prefix, domain) {
-			out = append(out, s.Prefix)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -82,25 +82,22 @@ func TestLocations(t *testing.T) {
 func TestSNIFootprint(t *testing.T) {
 	w := world.Build(world.Tiny(5))
 	sc := scan(t, w)
-	svc := w.Cat.Top(0)
-	fp := sc.SNIFootprint(w.Cat, svc.Domain)
-	if len(fp) == 0 {
-		t.Fatal("empty SNI footprint for the top service")
-	}
-	for _, p := range fp {
-		site, siteOK := w.Cat.SiteAt(p)
-		if siteOK {
-			if site.Owner != svc.Owner {
-				t.Errorf("footprint includes foreign site %v", p)
-			}
+	svc := w.Cat.Services[0]
+	footprint := 0
+	for _, s := range sc.Servers {
+		if w.Cat.ServesSNI(s.Prefix, "missing.example") {
+			t.Errorf("%v answers an unknown hostname", s.Prefix)
+		}
+		if !w.Cat.ServesSNI(s.Prefix, svc.Domain) {
 			continue
 		}
-		if owner, anyOK := w.Cat.AnycastOwnerOf(p); !anyOK || owner != svc.Owner {
-			t.Errorf("footprint prefix %v is neither site nor anycast of owner", p)
+		footprint++
+		if cert, ok := w.Cat.CertAt(s.Prefix); !ok || cert.OwnerASN != svc.Owner {
+			t.Errorf("footprint prefix %v is neither site nor anycast of owner", s.Prefix)
 		}
 	}
-	if got := sc.SNIFootprint(w.Cat, "missing.example"); len(got) != 0 {
-		t.Error("unknown domain has a footprint")
+	if footprint == 0 {
+		t.Fatal("empty SNI footprint for the top service")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"itmap/internal/bgp"
 	"itmap/internal/faults"
 	"itmap/internal/randx"
-	"itmap/internal/resilience"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 )
@@ -34,109 +33,4 @@ func TracerouteFaulty(ap *bgp.AllPaths, src, dst topology.ASN, pl *faults.Plan, 
 		out[i] = hop
 	}
 	return out
-}
-
-// Complete reports whether a measured path has no holes.
-func Complete(path []topology.ASN) bool {
-	for _, hop := range path {
-		if hop == Hole {
-			return false
-		}
-	}
-	return true
-}
-
-// TraceStats counts the work and the casualties of a resilient traceroute
-// campaign.
-type TraceStats struct {
-	// Traceroutes counts traceroutes actually issued (including retries).
-	Traceroutes int
-	// Retries counts re-measurements after an incomplete path.
-	Retries int
-	// GaveUp counts (vp, target) pairs still holed after the retry budget.
-	GaveUp int
-	// Attempts records traceroutes issued per (vp, target) pair.
-	Attempts map[[2]topology.ASN]int
-}
-
-func (ts *TraceStats) merge(o *TraceStats) {
-	ts.Traceroutes += o.Traceroutes
-	ts.Retries += o.Retries
-	ts.GaveUp += o.GaveUp
-	for k, v := range o.Attempts {
-		ts.Attempts[k] += v
-	}
-}
-
-// ResilientTracer re-measures holed paths with backoff until they come back
-// complete or the retry budget dies; whatever links survive around the
-// remaining holes are still harvested (a hole only hides its own two
-// adjacencies, not the rest of the path).
-type ResilientTracer struct {
-	Plan  *faults.Plan
-	Retry resilience.Retryer
-}
-
-// trace measures src→dst at start, retrying while holes remain. It returns
-// the best (fewest-holes) path seen and whether a complete one was obtained.
-func (rt *ResilientTracer) trace(ap *bgp.AllPaths, src, dst topology.ASN, start simtime.Time, st *TraceStats) ([]topology.ASN, bool) {
-	var best []topology.ASN
-	bestHoles := -1
-	key := randx.Hash64(uint64(src), uint64(dst))
-	out := rt.Retry.Do(start, key, func(attempt int, at simtime.Time) error {
-		path := TracerouteFaulty(ap, src, dst, rt.Plan, attempt, at)
-		if path == nil {
-			return nil // unreachable is an answer, not a fault
-		}
-		st.Traceroutes++
-		if attempt > 0 {
-			st.Retries++
-		}
-		holes := 0
-		for _, hop := range path {
-			if hop == Hole {
-				holes++
-			}
-		}
-		if bestHoles < 0 || holes < bestHoles {
-			best, bestHoles = path, holes
-		}
-		if holes > 0 {
-			return faults.ErrTimeout
-		}
-		return nil
-	})
-	st.Attempts[[2]topology.ASN{src, dst}] += out.Attempts
-	return best, out.Err == nil
-}
-
-// Campaign is Campaign under faults: forward traceroutes from every vantage
-// point to every target, re-measuring holed paths. Links adjacent to
-// unresolved holes are lost; everything else is harvested.
-func (rt *ResilientTracer) Campaign(ap *bgp.AllPaths, vps []VantagePoint, targets []topology.ASN, start simtime.Time) (map[topology.LinkKey]bool, *TraceStats) {
-	links := map[topology.LinkKey]bool{}
-	st := &TraceStats{Attempts: map[[2]topology.ASN]int{}}
-	for _, vp := range vps {
-		for _, dst := range targets {
-			path, ok := rt.trace(ap, vp.AS, dst, start, st)
-			if !ok {
-				st.GaveUp++
-			}
-			LinksOnPath(links, path)
-		}
-	}
-	return links, st
-}
-
-// NaiveCampaign measures each pair exactly once with no retries — the
-// baseline the resilient campaign is judged against. Holes silently cost
-// their adjacent links.
-func NaiveCampaign(ap *bgp.AllPaths, vps []VantagePoint, targets []topology.ASN, pl *faults.Plan, start simtime.Time) map[topology.LinkKey]bool {
-	links := map[topology.LinkKey]bool{}
-	for _, vp := range vps {
-		for _, dst := range targets {
-			LinksOnPath(links, TracerouteFaulty(ap, vp.AS, dst, pl, 0, start))
-		}
-	}
-	return links
 }

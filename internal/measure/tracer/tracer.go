@@ -61,18 +61,6 @@ func LinksOnPath(links map[topology.LinkKey]bool, path []topology.ASN) {
 	}
 }
 
-// Campaign runs forward traceroutes from every vantage point to every
-// target and returns the union of observed links.
-func Campaign(ap *bgp.AllPaths, vps []VantagePoint, targets []topology.ASN) map[topology.LinkKey]bool {
-	links := map[topology.LinkKey]bool{}
-	for _, vp := range vps {
-		for _, dst := range targets {
-			LinksOnPath(links, Traceroute(ap, vp.AS, dst))
-		}
-	}
-	return links
-}
-
 // CloudCampaign measures from VMs inside the given cloud/hypergiant ASes
 // out to every target, in both directions (forward traceroute plus Reverse
 // Traceroute) — the §3.3.2 observation that measuring out from cloud VMs
@@ -97,14 +85,6 @@ func Union(sets ...map[topology.LinkKey]bool) map[topology.LinkKey]bool {
 		}
 	}
 	return out
-}
-
-// PredictPath predicts the AS path src→dst using Gao–Rexford routing over
-// an observed (partial) topology — what §3.3.1 does with public topologies.
-// Returns nil when the observed graph has no policy-compliant route.
-func PredictPath(observed *topology.Topology, src, dst topology.ASN) []topology.ASN {
-	rib := bgp.ComputeRIB(observed, dst)
-	return rib.PathFrom(src)
 }
 
 // PathsEqual reports whether two AS paths are identical.

@@ -47,7 +47,12 @@ func TestAtlasVPsDistribution(t *testing.T) {
 func TestCampaignLinksAreReal(t *testing.T) {
 	w := world.Build(world.Tiny(3))
 	vps := AtlasVPs(w.Top, randx.New(2))
-	links := Campaign(w.Paths, vps, w.Top.ASesOfType(topology.Hypergiant))
+	links := map[topology.LinkKey]bool{}
+	for _, vp := range vps {
+		for _, dst := range w.Top.ASesOfType(topology.Hypergiant) {
+			LinksOnPath(links, Traceroute(w.Paths, vp.AS, dst))
+		}
+	}
 	if len(links) == 0 {
 		t.Fatal("campaign observed nothing")
 	}
@@ -87,12 +92,12 @@ func TestPredictPathFailsWithoutLinks(t *testing.T) {
 	})
 	hg := w.Top.ASesOfType(topology.Hypergiant)[0]
 	eyeball := w.Top.ASesOfType(topology.Eyeball)[0]
-	if got := PredictPath(obs, eyeball, hg); got != nil {
+	if got := bgp.ComputeRIB(obs, hg).PathFrom(eyeball); got != nil {
 		t.Errorf("predicted %v with all peering hidden", got)
 	}
 	// On the full graph prediction matches the truth.
 	truth := w.Paths.Path(eyeball, hg)
-	if got := PredictPath(w.Top, eyeball, hg); !PathsEqual(got, truth) {
+	if got := bgp.ComputeRIB(w.Top, hg).PathFrom(eyeball); !PathsEqual(got, truth) {
 		t.Errorf("full-graph prediction %v != truth %v", got, truth)
 	}
 }

@@ -63,13 +63,6 @@ func (l *Logger) SetOutput(w io.Writer) {
 	l.mu.Unlock()
 }
 
-// SetMin sets the minimum level emitted.
-func (l *Logger) SetMin(min Level) {
-	l.mu.Lock()
-	l.min = min
-	l.mu.Unlock()
-}
-
 // setRegistry wires the registry the itm_events_total counter lives in.
 func (l *Logger) setRegistry(r *Registry) {
 	l.mu.Lock()
@@ -78,6 +71,8 @@ func (l *Logger) setRegistry(r *Registry) {
 }
 
 // T renders a simulated time for an event value.
+//
+//itmlint:allow deadexport only its own test calls it (TestT)
 func T(t simtime.Time) string { return formatFloat(float64(t)) + "h" }
 
 // Event emits one structured event: `level=info event=<name> k=v ...`.

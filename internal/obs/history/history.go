@@ -124,13 +124,6 @@ func (r *Ring) Record(source, label string, at simtime.Time, reg *obs.Registry) 
 // Snapshot returns the current immutable view.
 func (r *Ring) Snapshot() *Snapshot { return r.snap.Load() }
 
-// Len reports the retained sample count.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
 // Flatten reduces reg's stable families to sorted (series key, value)
 // pairs — the sample payload, and the SLO engine's "now" point.
 func Flatten(reg *obs.Registry) []KV {

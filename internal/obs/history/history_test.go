@@ -69,8 +69,8 @@ func TestRingEvictsOldestAndCounts(t *testing.T) {
 		"Telemetry history samples aged out of the ring.").Value(); got != 3 {
 		t.Fatalf("evicted_total = %d, want 3", got)
 	}
-	if ring.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ring.Len())
+	if n := len(ring.samples); n != 2 {
+		t.Fatalf("ring retains %d samples, want 2", n)
 	}
 }
 
@@ -227,7 +227,7 @@ func TestDefaultSwap(t *testing.T) {
 	defer obs.Swap(obsPrev)
 	obs.C("itm_z_total", "z.").Add(7)
 	s := Observe("sweep", "sweep-discover", 24)
-	if s.Source != "sweep" || fresh.Len() != 1 {
-		t.Fatalf("Observe did not land in the default ring: %+v len=%d", s, fresh.Len())
+	if s.Source != "sweep" || len(fresh.samples) != 1 {
+		t.Fatalf("Observe did not land in the default ring: %+v len=%d", s, len(fresh.samples))
 	}
 }

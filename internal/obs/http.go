@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"time"
@@ -35,17 +34,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-type ctxKey int
-
-const traceIDKey ctxKey = iota
-
-// TraceIDFromContext returns the propagated trace ID of a traced request,
-// or "" when the request carried no valid traceparent.
-func TraceIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey).(string)
-	return id
-}
-
 // DeclareHTTPMetrics registers HELP/TYPE for the serving-stack HTTP
 // families up front, so they appear in the stable exposition even before
 // (or without) traffic.
@@ -66,12 +54,12 @@ func DeclareHTTPMetrics(r *Registry) {
 // (use the route *pattern*, never the raw path — label cardinality must
 // stay bounded).
 //
-// A request carrying a valid traceparent additionally: exposes its trace ID
-// via TraceIDFromContext, lands a root span in the "http" trace (virtual
-// times; ordering is by route + trace ID, both deterministic), observes the
-// stable itm_http_response_bytes histogram with the trace ID as the bucket
-// exemplar, and emits an http.access debug event. Untraced requests
-// (health polls, manual curls) never touch those deterministic surfaces.
+// A request carrying a valid traceparent additionally: lands a root span in
+// the "http" trace (virtual times; ordering is by route + trace ID, both
+// deterministic), observes the stable itm_http_response_bytes histogram
+// with the trace ID as the bucket exemplar, and emits an http.access debug
+// event. Untraced requests (health polls, manual curls) never touch those
+// deterministic surfaces.
 //
 // The wall-duration observation is the obs layer's only wall-clock use:
 // request latency is a property of the serving host, not the simulation, so
@@ -81,9 +69,6 @@ func DeclareHTTPMetrics(r *Registry) {
 func InstrumentHandler(route string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		traceID, parentID, traced := ParseTraceparent(r.Header.Get("traceparent"))
-		if traced {
-			r = r.WithContext(context.WithValue(r.Context(), traceIDKey, traceID))
-		}
 		//itmlint:allow nodeterm HTTP wall-duration bridge, DESIGN.md §10
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

@@ -37,7 +37,7 @@ func TestInstrumentHandlerCountsByClass(t *testing.T) {
 	}
 	// The wall-duration histogram is volatile: on /metrics, never in the
 	// stable dump.
-	if !strings.Contains(reg.Exposition(), "itm_http_request_seconds_bucket") {
+	if !strings.Contains(fullExposition(reg), "itm_http_request_seconds_bucket") {
 		t.Error("full exposition missing duration histogram")
 	}
 	if strings.Contains(reg.StableExposition(), "itm_http_request_seconds") {

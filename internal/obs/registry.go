@@ -84,17 +84,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds d (CAS loop; prefer Set at serial points for determinism).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -338,18 +327,6 @@ func (r *Registry) DeclareHistogram(name, help string, bounds []float64, labelKe
 	r.family(name, help, KindHistogram, bounds, labels, false)
 }
 
-// Families returns the registered family names, sorted.
-func (r *Registry) Families() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // WritePrometheus writes the registry in Prometheus text exposition format
 // 0.0.4: families sorted by name, series sorted by label values, label
 // values escaped per the spec. includeVolatile selects whether wall-clock
@@ -372,14 +349,6 @@ func (r *Registry) WritePrometheus(w io.Writer, includeVolatile bool) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Exposition returns the full Prometheus text dump, volatile families
-// included — what /metrics serves.
-func (r *Registry) Exposition() string {
-	var b strings.Builder
-	_ = r.WritePrometheus(&b, true)
-	return b.String()
 }
 
 // StableExposition returns the deterministic subset of the dump: with a

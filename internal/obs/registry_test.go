@@ -12,6 +12,15 @@ import (
 // cumulative buckets. Regenerate with:
 //
 //	UPDATE_GOLDEN=1 go test ./internal/obs -run Golden
+//
+// fullExposition is the Prometheus text dump with the volatile families
+// included: what /metrics serves.
+func fullExposition(r *Registry) string {
+	var b strings.Builder
+	_ = r.WritePrometheus(&b, true)
+	return b.String()
+}
+
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("itm_zeta_total", "Sorted last by name.").Add(3)
@@ -52,7 +61,7 @@ newline.`).Inc()
 		t.Errorf("stable exposition drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
-	full := r.Exposition()
+	full := fullExposition(r)
 	if !strings.Contains(full, "itm_volatile_total 99") {
 		t.Errorf("full exposition should include volatile families:\n%s", full)
 	}
@@ -76,7 +85,7 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	if got, want := h.Sum(), 6.0; got != want {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
-	text := r.Exposition()
+	text := fullExposition(r)
 	for _, line := range []string{
 		`h_bucket{le="1"} 2`,
 		`h_bucket{le="2"} 3`,

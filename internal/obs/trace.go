@@ -101,9 +101,6 @@ type Trace struct {
 	dropped int
 }
 
-// Name returns the trace's name.
-func (tr *Trace) Name() string { return tr.name }
-
 // Start opens a root span at simulated time at.
 func (tr *Trace) Start(name string, at simtime.Time) *Span {
 	return tr.add(&Span{tr: tr, name: name, start: at, end: at})
@@ -169,11 +166,6 @@ func (sp *Span) SetAttr(key, value string) *Span {
 // SetAttrInt attaches an integer attribute.
 func (sp *Span) SetAttrInt(key string, v int64) *Span {
 	return sp.SetAttr(key, itoa(v))
-}
-
-// SetAttrFloat attaches a float attribute (shortest round-trip form).
-func (sp *Span) SetAttrFloat(key string, v float64) *Span {
-	return sp.SetAttr(key, formatFloat(v))
 }
 
 // End closes the span at simulated time at.

@@ -27,9 +27,6 @@ func (s *Source) Fork() *Source {
 	return New(s.r.Int63())
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (s *Source) Int63() int64 { return s.r.Int63() }
-
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.r.Intn(n) }
 
@@ -47,9 +44,6 @@ func (s *Source) Float64() float64 { return s.r.Float64() }
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.r.Float64() < p }
 
-// NormFloat64 returns a standard normal variate.
-func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
-
 // Lognormal returns exp(N(mu, sigma)). With mu=0 this is a multiplicative
 // jitter centred on 1 (median 1, mean exp(sigma^2/2)).
 func (s *Source) Lognormal(mu, sigma float64) float64 {
@@ -66,41 +60,8 @@ func (s *Source) Pareto(xm, alpha float64) float64 {
 	return xm * math.Pow(u, -1/alpha)
 }
 
-// Exp returns an exponential variate with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	return s.r.ExpFloat64() * mean
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// Poisson returns a Poisson variate with the given mean using Knuth's
-// algorithm for small means and a normal approximation for large ones.
-func (s *Source) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := mean + math.Sqrt(mean)*s.r.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
 
 // Zipf holds a finite Zipf distribution over ranks 1..N with exponent alpha:
 // P(rank=k) ∝ k^(-alpha). Used for service popularity.
@@ -149,17 +110,6 @@ func (z *Zipf) Sample(s *Source) int {
 	return i + 1
 }
 
-// CumWeight returns the normalized cumulative mass of ranks 1..k.
-func (z *Zipf) CumWeight(k int) float64 {
-	if k < 1 {
-		return 0
-	}
-	if k > len(z.weights) {
-		k = len(z.weights)
-	}
-	return z.weights[k-1] / z.total
-}
-
 // WeightedChoice selects an index in [0, len(weights)) with probability
 // proportional to weights[i]. Zero total weight selects uniformly.
 func (s *Source) WeightedChoice(weights []float64) int {
@@ -184,6 +134,8 @@ func (s *Source) WeightedChoice(weights []float64) int {
 // PowerLawDegrees draws n integer degrees from a discrete power law with
 // exponent gamma and minimum degree minDeg, capped at maxDeg. The result is
 // sorted descending so callers can assign the heaviest degrees first.
+//
+//itmlint:allow deadexport only its own test calls it (TestPowerLawDegrees)
 func (s *Source) PowerLawDegrees(n int, gamma float64, minDeg, maxDeg int) []int {
 	if maxDeg < minDeg {
 		maxDeg = minDeg

@@ -138,8 +138,3 @@ func (b *Breaker) Record(t simtime.Time, ok bool) {
 		b.transition(StateClosed, StateOpen, t)
 	}
 }
-
-// OpenAt reports whether the breaker is open and still cooling down at t.
-func (b *Breaker) OpenAt(t simtime.Time) bool {
-	return b.open && t < b.openSince+b.cfg.Cooldown
-}

@@ -113,9 +113,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.Allow(now.Add(30 * simtime.Minute)) {
 		t.Fatal("open breaker allowed during cooldown")
 	}
-	if !b.OpenAt(now.Add(30 * simtime.Minute)) {
-		t.Fatal("OpenAt false during cooldown")
-	}
 	trial := now.Add(simtime.Hour)
 	if !b.Allow(trial) {
 		t.Fatal("half-open trial rejected after cooldown")
@@ -130,7 +127,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("second trial rejected")
 	}
 	b.Record(trial2, true)
-	if !b.Allow(trial2) || b.OpenAt(trial2) {
+	if !b.Allow(trial2) || b.open {
 		t.Fatal("successful trial did not close the breaker")
 	}
 }

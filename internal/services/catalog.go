@@ -169,10 +169,6 @@ type nearestKey struct {
 	at    geo.Coord
 }
 
-// Top returns the service at the given index in the catalog, ordered by
-// rank (Top(0) is the most popular service).
-func (c *Catalog) Top(i int) *Service { return c.Services[i] }
-
 // ByDomain returns the service registered under a domain.
 func (c *Catalog) ByDomain(domain string) (*Service, bool) {
 	s, ok := c.byDomain[domain]
@@ -185,24 +181,6 @@ func (c *Catalog) ByDomain(domain string) (*Service, bool) {
 func (c *Catalog) SiteAt(p topology.PrefixID) (*Site, bool) {
 	s, ok := c.siteByPrefix[p]
 	return s, ok
-}
-
-// AnycastOwnerOf reports whether p is an anycast service prefix and who
-// owns it.
-func (c *Catalog) AnycastOwnerOf(p topology.PrefixID) (topology.ASN, bool) {
-	o, ok := c.anycastOwner[p]
-	return o, ok
-}
-
-// ServicesOf returns the services owned by an AS, by rank.
-func (c *Catalog) ServicesOf(owner topology.ASN) []*Service {
-	var out []*Service
-	for _, s := range c.Services {
-		if s.Owner == owner {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // ECSDomains returns the domains of ECS-supporting DNS-redirected services,
@@ -436,6 +414,3 @@ func Build(top *topology.Topology, cfg Config, rng *randx.Source) *Catalog {
 	}
 	return c
 }
-
-// Topology returns the topology the catalog was built on.
-func (c *Catalog) Topology() *topology.Topology { return c.top }

@@ -167,6 +167,8 @@ func (c *Catalog) CertAt(p topology.PrefixID) (CertInfo, bool) {
 // ServesSNI reports whether an address in prefix p answers a TLS handshake
 // for the given hostname — the §3.2 approach 2 (SNI scans for service
 // footprints). A site serves a hostname iff the site owner owns the service.
+//
+//itmlint:allow deadexport the simulator's SNI handshake surface (§3.2 approach 2): tlsscan's TestSNIFootprint scans through it
 func (c *Catalog) ServesSNI(p topology.PrefixID, domain string) bool {
 	svc, ok := c.byDomain[domain]
 	if !ok {

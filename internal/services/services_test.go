@@ -191,7 +191,7 @@ func TestCertAndSNI(t *testing.T) {
 		break
 	}
 	// SNI: a service's domain is served exactly on its owner's sites.
-	svc := cat.Top(0)
+	svc := cat.Services[0]
 	d := cat.Deployments[svc.Owner]
 	if !cat.ServesSNI(d.Sites[0].Prefix, svc.Domain) {
 		t.Error("owner site refuses its own service SNI")
@@ -246,7 +246,10 @@ func TestReferenceCDNIsHypergiant(t *testing.T) {
 
 func TestPopularityMassConcentrated(t *testing.T) {
 	_, cat := buildWorld(t, 10)
-	top5 := cat.Popularity.CumWeight(5)
+	top5 := 0.0
+	for k := 1; k <= 5; k++ {
+		top5 += cat.Popularity.Weight(k)
+	}
 	if top5 < 0.35 {
 		t.Errorf("top-5 services carry only %.0f%% of demand", top5*100)
 	}

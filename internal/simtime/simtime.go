@@ -37,11 +37,3 @@ func (t Time) Before(u Time) bool { return t < u }
 
 // Seconds converts a duration expressed in seconds to simtime.
 func Seconds(s float64) Time { return Time(s / 3600) }
-
-// Range iterates from start (inclusive) to end (exclusive) in steps,
-// calling f at each tick.
-func Range(start, end, step Time, f func(Time)) {
-	for t := start; t < end; t += step {
-		f(t)
-	}
-}

@@ -29,12 +29,6 @@ func (c *WeightedCDF) Add(value, weight float64) {
 	c.sorted = false
 }
 
-// N returns the number of samples.
-func (c *WeightedCDF) N() int { return len(c.values) }
-
-// TotalWeight returns the sum of weights.
-func (c *WeightedCDF) TotalWeight() float64 { return c.total }
-
 func (c *WeightedCDF) sort() {
 	if c.sorted {
 		return
@@ -84,18 +78,6 @@ func (c *WeightedCDF) Quantile(q float64) float64 {
 		}
 	}
 	return c.values[len(c.values)-1]
-}
-
-// Mean returns the weighted mean.
-func (c *WeightedCDF) Mean() float64 {
-	if c.total == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i, v := range c.values {
-		sum += v * c.weights[i]
-	}
-	return sum / c.total
 }
 
 // Pearson returns the Pearson correlation of paired samples. It returns 0

@@ -90,16 +90,6 @@ func providerSeed(p Provider) uint64 {
 	return 0x4e501
 }
 
-// Rank returns a domain's 1-based rank, or 0 if absent.
-func (l *List) Rank(domain string) int {
-	for i, d := range l.Domains {
-		if d == domain {
-			return i + 1
-		}
-	}
-	return 0
-}
-
 // TopKChurn returns the fraction of the top-k entries that differ between
 // two days' lists (0 = identical, 1 = disjoint).
 func TopKChurn(a, b *List, k int) float64 {

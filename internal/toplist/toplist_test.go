@@ -2,10 +2,16 @@ package toplist
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"itmap/internal/world"
 )
+
+// rank is a domain's 1-based position in the list, or 0 if absent.
+func rank(l *List, domain string) int {
+	return slices.Index(l.Domains, domain) + 1
+}
 
 func TestListsRankPopularFirst(t *testing.T) {
 	w := world.Build(world.Tiny(1))
@@ -15,11 +21,11 @@ func TestListsRankPopularFirst(t *testing.T) {
 			t.Fatalf("%s list too short: %d", provider, len(l.Domains))
 		}
 		// The true rank-1 service should place near the top.
-		top := w.Cat.Top(0)
+		top := w.Cat.Services[0]
 		if top.Kind.String() == "anycast" && provider == PanelProvider {
 			continue
 		}
-		if r := l.Rank(top.Domain); r == 0 || r > 5 {
+		if r := rank(l, top.Domain); r == 0 || r > 5 {
 			t.Errorf("%s ranks the most popular service at %d", provider, r)
 		}
 	}
@@ -29,14 +35,14 @@ func TestPanelExcludesAnycast(t *testing.T) {
 	w := world.Build(world.Tiny(2))
 	l := Generate(w.Traffic, PanelProvider, 0, 0)
 	for _, svc := range w.Cat.Services {
-		if svc.Kind.String() == "anycast" && l.Rank(svc.Domain) != 0 {
+		if svc.Kind.String() == "anycast" && rank(l, svc.Domain) != 0 {
 			t.Errorf("panel list includes anycast service %s", svc.Domain)
 		}
 	}
 	lr := Generate(w.Traffic, ResolverProvider, 0, 0)
 	found := false
 	for _, svc := range w.Cat.Services {
-		if svc.Kind.String() == "anycast" && lr.Rank(svc.Domain) != 0 {
+		if svc.Kind.String() == "anycast" && rank(lr, svc.Domain) != 0 {
 			found = true
 		}
 	}
@@ -102,7 +108,7 @@ func TestDepthCap(t *testing.T) {
 	if len(l.Domains) != 10 {
 		t.Errorf("depth cap ignored: %d", len(l.Domains))
 	}
-	if l.Rank("not-a-domain") != 0 {
+	if rank(l, "not-a-domain") != 0 {
 		t.Error("unknown domain has a rank")
 	}
 }

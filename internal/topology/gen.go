@@ -704,12 +704,6 @@ func countryWeights(cs []geo.Country) []float64 {
 
 func isGiant(t ASType) bool { return t == Hypergiant || t == Cloud }
 
-// CountryUsers returns the Internet users (millions) of a country code.
-func CountryUsers(code string) (float64, error) {
-	c, err := geo.CountryByCode(code)
-	return c.InternetUsersM, err
-}
-
 // PrimaryCity returns a representative location for an AS: its home
 // country's capital, or its first facility's city for global networks.
 func (t *Topology) PrimaryCity(asn ASN) geo.City {

@@ -7,6 +7,8 @@ import (
 
 // CheckInvariants validates structural properties every generated topology
 // must satisfy. It returns the first violation found, or nil.
+//
+//itmlint:allow deadexport test support: topology and world tests validate every generated topology with it
 func (t *Topology) CheckInvariants() error {
 	// Symmetric, relationship-consistent adjacency.
 	for asn, a := range t.ASes {
@@ -145,13 +147,4 @@ func (t *Topology) checkProviderDAG() error {
 		}
 	}
 	return nil
-}
-
-// TotalSubscribersK sums eyeball subscribers (thousands) across the world.
-func (t *Topology) TotalSubscribersK() float64 {
-	total := 0.0
-	for _, asn := range t.ASNs() {
-		total += t.ASes[asn].SubscribersK
-	}
-	return total
 }

@@ -88,7 +88,3 @@ func (al *PrefixAllocator) Alloc(n int) []PrefixID {
 	}
 	return out
 }
-
-// Allocated returns how far allocation has progressed (exclusive upper
-// bound on handed-out PrefixIDs).
-func (al *PrefixAllocator) Allocated() PrefixID { return al.next }

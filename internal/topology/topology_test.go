@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"itmap/internal/geo"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -210,10 +211,11 @@ func TestSubscriberMassMatchesCountries(t *testing.T) {
 		}
 	}
 	for code, subsK := range perCountry {
-		c, err := CountryUsers(code)
+		country, err := geo.CountryByCode(code)
 		if err != nil {
 			t.Fatalf("country %s: %v", code, err)
 		}
+		c := country.InternetUsersM
 		if subsK < 0.5*c*1000 || subsK > 1.5*c*1000 {
 			t.Errorf("country %s subscribers %.0fk vs users %.0fk out of range", code, subsK, c*1000)
 		}

@@ -227,12 +227,6 @@ type AS struct {
 // Providers returns the ASNs of this AS's providers.
 func (a *AS) Providers() []ASN { return a.neighborsByRel(RelProvider) }
 
-// Customers returns the ASNs of this AS's customers.
-func (a *AS) Customers() []ASN { return a.neighborsByRel(RelCustomer) }
-
-// Peers returns the ASNs of this AS's peers.
-func (a *AS) Peers() []ASN { return a.neighborsByRel(RelPeer) }
-
 func (a *AS) neighborsByRel(rel Relationship) []ASN {
 	var out []ASN
 	for _, n := range a.Neighbors {
@@ -355,9 +349,6 @@ func (t *Topology) Index(asn ASN) (int, bool) {
 	i, ok := t.idx[asn]
 	return i, ok
 }
-
-// ASAt returns the AS at dense index i.
-func (t *Topology) ASAt(i int) *AS { return t.ASes[t.ASNs()[i]] }
 
 // AddLink connects a and b with the given relationship (rel is a's view of
 // b), kind, and facility. It panics on unknown ASes or a pre-existing link.

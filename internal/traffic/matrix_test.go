@@ -301,7 +301,7 @@ func TestQueriesPerDayMatchesReference(t *testing.T) {
 		for _, svc := range m.Cat.Services {
 			q := m.QueriesPerDay(p, svc)
 			sameBits(t, "QueriesPerDay", q, referenceQueriesPerDay(m, p, svc))
-			sameBits(t, "DailyBytes", m.DailyBytes(p, svc), referenceDailyBytes(m, p, svc))
+			sameBits(t, "daily bytes", q*svc.BytesPerQuery, referenceDailyBytes(m, p, svc))
 			if q > 0 {
 				live++
 			} else if m.Users.UsersIn(p) > 0 {

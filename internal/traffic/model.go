@@ -130,11 +130,6 @@ func (m *Model) QueriesPerDay(p topology.PrefixID, svc *services.Service) float6
 	return m.queriesPerDay(m.demand(p), svc, m.Cat.Popularity.Weight(svc.Rank))
 }
 
-// DailyBytes returns the prefix's daily traffic volume with a service.
-func (m *Model) DailyBytes(p topology.PrefixID, svc *services.Service) float64 {
-	return m.QueriesPerDay(p, svc) * svc.BytesPerQuery
-}
-
 // BotFarmProb is the chance an enterprise prefix hosts automation
 // (crawlers, scanners, monitoring agents) rather than people. Bots query
 // around the clock — no diurnal signature — which is the §3.1.2 challenge

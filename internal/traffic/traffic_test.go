@@ -35,11 +35,11 @@ func setupScale(t testing.TB, cfg topology.GenConfig, seed int64) *Model {
 func TestDemandPure(t *testing.T) {
 	m := setup(t, 1)
 	p := m.Users.UserPrefixes()[0]
-	svc := m.Cat.Top(0)
-	a := m.DailyBytes(p, svc)
-	b := m.DailyBytes(p, svc)
+	svc := m.Cat.Services[0]
+	a := m.QueriesPerDay(p, svc)
+	b := m.QueriesPerDay(p, svc)
 	if a != b {
-		t.Fatal("DailyBytes not pure")
+		t.Fatal("QueriesPerDay not pure")
 	}
 	if a < 0 {
 		t.Fatal("negative demand")
@@ -50,11 +50,11 @@ func TestDemandScalesWithUsersAndRank(t *testing.T) {
 	m := setup(t, 2)
 	// Aggregate demand across many prefixes to wash out jitter.
 	top1, top20 := 0.0, 0.0
-	s1 := m.Cat.Top(0)
-	s20 := m.Cat.Top(19)
+	s1 := m.Cat.Services[0]
+	s20 := m.Cat.Services[19]
 	for _, p := range m.Users.UserPrefixes() {
-		top1 += m.DailyBytes(p, s1) / s1.BytesPerQuery
-		top20 += m.DailyBytes(p, s20) / s20.BytesPerQuery
+		top1 += m.QueriesPerDay(p, s1)
+		top20 += m.QueriesPerDay(p, s20)
 	}
 	if top1 <= top20 {
 		t.Errorf("rank-1 queries (%.0f) should exceed rank-20 (%.0f)", top1, top20)
@@ -63,7 +63,7 @@ func TestDemandScalesWithUsersAndRank(t *testing.T) {
 
 func TestQueryRateDiurnal(t *testing.T) {
 	m := setup(t, 3)
-	svc := m.Cat.Top(0)
+	svc := m.Cat.Services[0]
 	if !svc.ECS {
 		for _, s := range m.Cat.Services {
 			if s.ECS && s.Kind != services.Anycast {
@@ -86,19 +86,19 @@ func TestQueryRateDiurnal(t *testing.T) {
 	rate := m.QueryRate(svc.Domain, p)
 	got := 0.0
 	const step = 0.25
-	simtime.Range(0, 24, step, func(tm simtime.Time) {
+	for tm := simtime.Time(0); tm < 24; tm += step {
 		got += rate.At(tm) * step
-	})
+	}
 	if math.Abs(got-want) > 0.02*want {
 		t.Errorf("integrated rate %.1f vs daily %.1f", got, want)
 	}
 	// And it varies over the day.
 	lo, hi := math.Inf(1), 0.0
-	simtime.Range(0, 24, 1, func(tm simtime.Time) {
+	for tm := simtime.Time(0); tm < 24; tm++ {
 		r := rate.At(tm)
 		lo = math.Min(lo, r)
 		hi = math.Max(hi, r)
-	})
+	}
 	if hi <= lo*1.5 {
 		t.Errorf("rate not diurnal: lo=%f hi=%f", lo, hi)
 	}

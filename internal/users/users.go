@@ -159,22 +159,3 @@ func (a Activity) localHour(utcHour float64) float64 {
 	}
 	return utcHour
 }
-
-// ActivityAt returns the instantaneous activity level (active users) of a
-// prefix at simulated time t, phased by the prefix's country timezone.
-func (m *Model) ActivityAt(p topology.PrefixID, t simtime.Time) float64 {
-	return m.Activity(p).At(t)
-}
-
-// CountryUsers sums users over each country code.
-func (m *Model) CountryUsers() map[string]float64 {
-	out := map[string]float64{}
-	for _, asn := range m.top.ASNs() {
-		a := m.top.ASes[asn]
-		if a.Country == "ZZ" {
-			continue
-		}
-		out[a.Country] += m.asUsers[asn]
-	}
-	return out
-}

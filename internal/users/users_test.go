@@ -97,8 +97,8 @@ func TestActivityPhasedByTimezone(t *testing.T) {
 	if !found {
 		t.Skip("no JP eyeball in tiny world")
 	}
-	atPeak := m.ActivityAt(jp, simtime.Time(11))
-	atTrough := m.ActivityAt(jp, simtime.Time(23))
+	atPeak := m.Activity(jp).At(simtime.Time(11))
+	atTrough := m.Activity(jp).At(simtime.Time(23))
 	if atPeak <= atTrough {
 		t.Errorf("JP activity at 11 UTC (%f) should exceed 23 UTC (%f)", atPeak, atTrough)
 	}
@@ -119,14 +119,6 @@ func TestUserPrefixesAndTotals(t *testing.T) {
 	}
 	if math.Abs(total-m.TotalUsers()) > 1e-6*total {
 		t.Errorf("prefix sum %f != total %f", total, m.TotalUsers())
-	}
-	cu := m.CountryUsers()
-	ctotal := 0.0
-	for _, v := range cu {
-		ctotal += v
-	}
-	if math.Abs(ctotal-total) > 1e-6*total {
-		t.Errorf("country sum %f != total %f", ctotal, total)
 	}
 	_ = top
 }

@@ -143,9 +143,6 @@ func New(top *topology.Topology, ap *bgp.AllPaths, um *users.Model, cfg Config) 
 	}
 }
 
-// Fleet exposes the campaign's placed agents.
-func (c *Campaign) Fleet() *Fleet { return c.fleet }
-
 // pairAgg accumulates one AS pair's measurements inside one shard.
 type pairAgg struct {
 	path     []topology.ASN

@@ -85,23 +85,3 @@ func NewFleet(top *topology.Topology, um *users.Model, n int, seed int64) *Fleet
 	}
 	return f
 }
-
-// ASNs returns the distinct ASes hosting at least one agent, ascending.
-func (f *Fleet) ASNs() []topology.ASN {
-	seen := map[topology.ASN]bool{}
-	var out []topology.ASN
-	for _, a := range f.Agents {
-		if !seen[a.AS] {
-			seen[a.AS] = true
-			out = append(out, a.AS)
-		}
-	}
-	// Agents are placed independently, so first-seen order is arbitrary;
-	// sort for a canonical answer.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"itmap/internal/topology"
 	"testing"
 )
 
@@ -43,8 +44,14 @@ func TestCrossSeedRobustness(t *testing.T) {
 			a := w.Top.ASes[asn]
 			if a.RootOperator {
 				rootOps++
-				if len(a.Peers()) < 3 {
-					t.Errorf("seed %d: root op %d has %d peers", seed, asn, len(a.Peers()))
+				peers := 0
+				for _, n := range a.Neighbors {
+					if n.Rel == topology.RelPeer {
+						peers++
+					}
+				}
+				if peers < 3 {
+					t.Errorf("seed %d: root op %d has %d peers", seed, asn, peers)
 				}
 			}
 		}

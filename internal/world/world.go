@@ -4,6 +4,8 @@
 package world
 
 import (
+	"fmt"
+
 	"itmap/internal/bgp"
 	"itmap/internal/dnssim"
 	"itmap/internal/randx"
@@ -46,6 +48,20 @@ func Tiny(seed int64) Config {
 	c := Default(seed)
 	c.Topology = topology.TinyGenConfig(seed)
 	return c
+}
+
+// ForScale returns the configuration a -scale flag names: "tiny", "small" or
+// "default". It is the one place that spelling is parsed.
+func ForScale(scale string, seed int64) (Config, error) {
+	switch scale {
+	case "tiny":
+		return Tiny(seed), nil
+	case "small":
+		return Small(seed), nil
+	case "default":
+		return Default(seed), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q (want tiny, small or default)", scale)
 }
 
 // World is a fully wired simulated Internet.

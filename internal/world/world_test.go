@@ -2,6 +2,9 @@ package world
 
 import (
 	"math"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"itmap/internal/topology"
@@ -129,5 +132,36 @@ func TestOffNetsAbsorbTraffic(t *testing.T) {
 	}
 	if offNetBytes == 0 {
 		t.Error("no traffic served from off-net caches")
+	}
+}
+
+// TestForScale: the one parser of a -scale value yields exactly what the
+// three constructors do, and refuses everything else by name.
+func TestForScale(t *testing.T) {
+	const seed = 17
+	for _, c := range []struct {
+		scale string
+		want  func(int64) Config
+	}{
+		{"tiny", Tiny},
+		{"small", Small},
+		{"default", Default},
+	} {
+		got, err := ForScale(c.scale, seed)
+		if err != nil {
+			t.Errorf("ForScale(%q): %v", c.scale, err)
+		}
+		if !reflect.DeepEqual(got, c.want(seed)) {
+			t.Errorf("ForScale(%q) = %+v, want %+v", c.scale, got, c.want(seed))
+		}
+	}
+	for _, scale := range []string{"", "Tiny", "medium", "tiny ", "bogus"} {
+		got, err := ForScale(scale, seed)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(scale)) {
+			t.Errorf("ForScale(%q) error = %v, want one naming the scale", scale, err)
+		}
+		if !reflect.DeepEqual(got, Config{}) {
+			t.Errorf("ForScale(%q) returned a config beside its error: %+v", scale, got)
+		}
 	}
 }

@@ -2,7 +2,7 @@
 # lint-selftest proves the itm-lint suite actually fires: a green lint run
 # means nothing if the analyzers silently stopped matching. The script
 # builds a throwaway module with exactly one planted violation per
-# analyzer (all nine), runs itm-lint over it, and asserts the exit code
+# analyzer (all ten), runs itm-lint over it, and asserts the exit code
 # is 1 and every expected diagnostic is present — so a regression in any
 # analyzer (or in the loader's foreign-module handling) turns CI red.
 set -u
@@ -12,7 +12,7 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-mkdir -p "$TMP/internal/randx" "$TMP/internal/measure/checks" "$TMP/internal/mapstore/wal"
+mkdir -p "$TMP/internal/randx" "$TMP/internal/measure/checks" "$TMP/internal/mapstore/wal" "$TMP/cmd/use"
 
 cat > "$TMP/go.mod" <<'EOF'
 module lintcheck
@@ -119,6 +119,10 @@ func Fill(e *entry, b []byte) {
 }
 
 func Clobber(e *entry) { e.body = nil }
+
+// deadexport: exported under internal/, and cmd/use references everything
+// planted here but this.
+func Orphan() {}
 EOF
 
 # syncack patrols internal/mapstore/wal: a journal write acked with a nil
@@ -132,12 +136,36 @@ type file struct{ n int }
 func (f *file) Write(p []byte) (int, error) { f.n += len(p); return len(p), nil }
 func (f *file) Sync() error                 { return nil }
 
+// The journal is fsyncable by contract, which is also what keeps deadexport
+// off the Sync nothing calls.
+type syncer interface{ Sync() error }
+
+var _ syncer = (*file)(nil)
+
 func Append(f *file, rec []byte) error {
 	if _, err := f.Write(rec); err != nil {
 		return err
 	}
 	return nil
 }
+EOF
+
+# deadexport sees the whole module: this command is the non-test reference
+# of every exported name planted above except checks.Orphan.
+cat > "$TMP/cmd/use/main.go" <<'EOF'
+// Command use references the planted packages' exported API.
+package main
+
+import (
+	"lintcheck/internal/mapstore/wal"
+	"lintcheck/internal/measure/checks"
+	"lintcheck/internal/randx"
+)
+
+var _ = []any{checks.Stamp, checks.Keys, checks.Total, checks.Touch, checks.Jitter,
+	checks.Bump, checks.Publish, checks.Fill, checks.Clobber, wal.Append, (*randx.Source).Fork}
+
+func main() {}
 EOF
 
 cd "$REPO_ROOT"
@@ -166,9 +194,10 @@ expect 'checks.go:.*: lockguard: c.n is written without holding c.mu'
 expect 'checks.go:.*: pubfreeze: s was published via atomic.Pointer and is frozen'
 expect 'checks.go:.*: oncefill: body is filled inside sync.Once.Do'
 expect 'wal.go:.*: syncack: nil-error return reachable from the journal write'
+expect 'checks.go:.*: deadexport: exported Orphan has no non-test reference'
 
-# Exactly the nine planted findings — an unexpected tenth means an
+# Exactly the ten planted findings — an unexpected eleventh means an
 # analyzer started over-matching.
-expect 'itm-lint: 9 diagnostic(s)'
+expect 'itm-lint: 10 diagnostic(s)'
 
-echo "lint-selftest: all nine analyzers fired as expected"
+echo "lint-selftest: all ten analyzers fired as expected"
