@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-selftest test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
+.PHONY: all build vet lint lint-selftest loc test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
 
 all: build vet lint lint-selftest test crash-smoke
 
@@ -29,6 +29,11 @@ lint:
 # silently stopped matching.
 lint-selftest:
 	GO="$(GO)" sh scripts/lint-selftest.sh
+
+# The line count simplicity PRs report: non-test, non-testdata Go lines
+# outside benchmark/, per package and in total (plain `wc -l`).
+loc:
+	@sh scripts/loc.sh
 
 test:
 	$(GO) test -vet=all ./...

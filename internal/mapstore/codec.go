@@ -29,11 +29,10 @@ import (
 //	strings   count | count × (len | raw bytes)      sorted unique strings
 //	actives   count | delta-encoded sorted prefix IDs (first absolute,
 //	          then strictly positive deltas)
-//	hitrates  count | count × (prefix delta | float) sorted by prefix
-//	activity  count | count × (ASN delta | float)    sorted by ASN
-//	sources   count | count × (ASN delta | code byte)
-//	coverage  count | count × (prefix delta | code byte)
-//	confid    count | count × (ASN delta | float)
+//	keyed ×5  count | count × (key delta | payload)   one per keyedSections
+//	          row, in wire order: hit rates, activity, sources, coverage,
+//	          confidence; sorted by key (a /24 prefix ID or an ASN), payload
+//	          a float or one label-code byte
 //	servers   count | count × (prefix | host AS | owner AS |
 //	          org ref | city ref | country ref)      sorted by field tuple
 //	mappings  count | count × (domain ref | client AS | serving prefix)
@@ -103,6 +102,65 @@ const (
 	wireSections
 )
 
+// keyedSection declares one keyed wire section: a document map from a typed
+// key to a float or to a label that travels as one code byte. Everything the
+// codec and the store do per keyed section — encode, decode, share with the
+// previous epoch — is one walk over keyedSections, so a new section costs a
+// wire index and a row here.
+type keyedSection struct {
+	wire int
+	// What the section, its keys and its payloads are called in errors.
+	name, key, value string
+	// prefixes: keyed by /24 prefix ID; otherwise by ASN.
+	prefixes bool
+	// codes is the label table of a label section (index = wire code).
+	codes []string
+	// optional sections decode to a nil map when empty.
+	optional bool
+	// The document field the section fills: floats for a float payload,
+	// labels for a label payload, the other nil.
+	floats func(*core.MapDocument) *map[string]float64
+	labels func(*core.MapDocument) *map[string]string
+}
+
+var keyedSections = [...]keyedSection{
+	{wire: wireHitRates, name: "prefix hit rates", key: "hit-rate prefix", value: "hit-rate value",
+		prefixes: true,
+		floats:   func(d *core.MapDocument) *map[string]float64 { return &d.PrefixHitRates }},
+	{wire: wireActivity, name: "AS activity", key: "activity ASN", value: "activity value",
+		floats: func(d *core.MapDocument) *map[string]float64 { return &d.ASActivity }},
+	{wire: wireSources, name: "sources", key: "source ASN", value: "source code",
+		codes:  sourceCodes,
+		labels: func(d *core.MapDocument) *map[string]string { return &d.Sources }},
+	{wire: wireCoverage, name: "coverage", key: "coverage prefix", value: "coverage code",
+		prefixes: true, codes: coverageCodes, optional: true,
+		labels: func(d *core.MapDocument) *map[string]string { return &d.Coverage }},
+	{wire: wireConfidence, name: "AS confidence", key: "confidence ASN", value: "confidence value",
+		optional: true,
+		floats:   func(d *core.MapDocument) *map[string]float64 { return &d.ASConfidence }},
+}
+
+// parseKey parses one document key of the section into its typed form.
+func (sec *keyedSection) parseKey(s string) (uint32, error) {
+	if sec.prefixes {
+		p, err := parseDocPrefix(s)
+		return uint32(p), err
+	}
+	v, err := strconv.ParseUint(s, 10, 32)
+	if err != nil {
+		return 0, fmt.Errorf("%w: bad ASN key %q", ErrEncode, s)
+	}
+	return uint32(v), nil
+}
+
+// maxKey bounds the section's typed keys.
+func (sec *keyedSection) maxKey() uint64 {
+	if sec.prefixes {
+		return maxPrefixID
+	}
+	return math.MaxUint32
+}
+
 // sectionOffsets records where each wire section starts in an encoded
 // document. Both codec directions walk the sections anyway and note the
 // offsets as they go; the store compares sections of consecutive epochs
@@ -138,8 +196,7 @@ type encoder struct {
 	// the interned string table. Encoding a steady stream of epochs allocates
 	// only what it returns — the exact-size output slice and the typed active
 	// prefixes — once the pool is warm.
-	pEntries []prefixEntry
-	aEntries []asnEntry
+	entries  []keyedEntry
 	servers  []core.ServerDocument
 	mappings []core.MappingDocument
 	table    []string
@@ -157,8 +214,7 @@ var encPool = sync.Pool{New: func() any {
 // reset clears the scratch for reuse, keeping capacity.
 func (e *encoder) reset() {
 	e.buf = e.buf[:0]
-	e.pEntries = e.pEntries[:0]
-	e.aEntries = e.aEntries[:0]
+	e.entries = e.entries[:0]
 	e.servers = e.servers[:0]
 	e.mappings = e.mappings[:0]
 	e.table = e.table[:0]
@@ -176,31 +232,22 @@ func (e *encoder) raw(b []byte) { e.buf = append(e.buf, b...) }
 // begin records that wire section i starts at the current output position.
 func (e *encoder) begin(i int) { e.off[i] = len(e.buf) }
 
-// prefixEntry is one (prefix, payload) pair of a prefix-keyed section.
-type prefixEntry struct {
-	p topology.PrefixID
-	f float64
-	c byte
+// delta writes v, the next value of an ascending sequence, as its distance
+// from *prev (0 before the first, so that one travels as itself).
+func (e *encoder) delta(prev *uint64, v uint64) {
+	e.uvarint(v - *prev)
+	*prev = v
 }
 
-func comparePrefixEntry(a, b prefixEntry) int { return cmp.Compare(a.p, b.p) }
-
-// asnEntry is one (ASN, payload) pair of an ASN-keyed section.
-type asnEntry struct {
-	asn uint32
+// keyedEntry is one (typed key, payload) pair of a keyed section, staged for
+// sorting.
+type keyedEntry struct {
+	key uint32
 	f   float64
 	c   byte
 }
 
-func compareASNEntry(a, b asnEntry) int { return cmp.Compare(a.asn, b.asn) }
-
-func parseASN(s string) (uint32, error) {
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad ASN key %q", ErrEncode, s)
-	}
-	return uint32(v), nil
-}
+func compareKeyedEntry(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) }
 
 func parseDocPrefix(s string) (topology.PrefixID, error) {
 	p, err := core.ParsePrefix(s)
@@ -229,8 +276,8 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	e.reset()
 	e.raw(Magic[:])
 	e.uvarint(CodecVersion)
-	if doc.Version < 0 {
-		return encoding{}, fmt.Errorf("%w: negative document version", ErrEncode)
+	if doc.Version < 0 || doc.Version > math.MaxInt32 {
+		return encoding{}, fmt.Errorf("%w: document version %d", ErrEncode, doc.Version)
 	}
 	e.uvarint(uint64(doc.Version))
 
@@ -283,36 +330,16 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 		}
 	}
 	e.uvarint(uint64(len(actives)))
-	prev := topology.PrefixID(0)
-	for i, p := range actives {
-		if i == 0 {
-			e.uvarint(uint64(p))
-		} else {
-			e.uvarint(uint64(p - prev))
-		}
-		prev = p
+	var prev uint64
+	for _, p := range actives {
+		e.delta(&prev, uint64(p))
 	}
 
-	// Prefix- and ASN-keyed float and code sections.
-	e.begin(wireHitRates)
-	if err := e.prefixFloats(doc.PrefixHitRates); err != nil {
-		return encoding{}, err
-	}
-	e.begin(wireActivity)
-	if err := e.asnFloats(doc.ASActivity); err != nil {
-		return encoding{}, err
-	}
-	e.begin(wireSources)
-	if err := e.asnCodes(doc.Sources, sourceCodes, "source"); err != nil {
-		return encoding{}, err
-	}
-	e.begin(wireCoverage)
-	if err := e.prefixCodes(doc.Coverage, coverageCodes, "coverage"); err != nil {
-		return encoding{}, err
-	}
-	e.begin(wireConfidence)
-	if err := e.asnFloats(doc.ASConfidence); err != nil {
-		return encoding{}, err
+	for i := range keyedSections {
+		e.begin(keyedSections[i].wire)
+		if err := e.keyed(&keyedSections[i], doc); err != nil {
+			return encoding{}, err
+		}
 	}
 
 	// Servers, in core.CompareServer order: the full field tuple, so ties on
@@ -374,127 +401,58 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	return out, nil
 }
 
-// prefixScratch returns the pooled prefix-entry staging slice, emptied and
-// grown to hold n entries.
-func (e *encoder) prefixScratch(n int) []prefixEntry {
-	if cap(e.pEntries) < n {
-		e.pEntries = make([]prefixEntry, 0, n)
+// keyed writes one keyed section of doc: its entries parsed, staged in the
+// pooled scratch, sorted by typed key and delta-encoded. Two document keys
+// with the same typed form ("7" and "07") are one key twice — the decoder
+// rejects that, so the encoder must.
+func (e *encoder) keyed(sec *keyedSection, doc *core.MapDocument) error {
+	var floats map[string]float64
+	var labels map[string]string
+	if sec.codes == nil {
+		floats = *sec.floats(doc)
+	} else {
+		labels = *sec.labels(doc)
 	}
-	return e.pEntries[:0]
-}
-
-// asnScratch is prefixScratch for ASN-keyed sections.
-func (e *encoder) asnScratch(n int) []asnEntry {
-	if cap(e.aEntries) < n {
-		e.aEntries = make([]asnEntry, 0, n)
+	if n := len(floats) + len(labels); cap(e.entries) < n {
+		e.entries = make([]keyedEntry, 0, n)
 	}
-	return e.aEntries[:0]
-}
-
-func (e *encoder) prefixFloats(m map[string]float64) error {
-	entries := e.prefixScratch(len(m))
-	for s, v := range m {
-		p, err := parseDocPrefix(s)
+	entries := e.entries[:0]
+	for s, v := range floats {
+		k, err := sec.parseKey(s)
 		if err != nil {
 			return err
 		}
-		entries = append(entries, prefixEntry{p: p, f: v})
+		entries = append(entries, keyedEntry{key: k, f: v})
 	}
-	e.pEntries = entries
-	slices.SortFunc(entries, comparePrefixEntry)
-	e.uvarint(uint64(len(entries)))
-	prev := topology.PrefixID(0)
-	for i, en := range entries {
-		if i == 0 {
-			e.uvarint(uint64(en.p))
-		} else {
-			e.uvarint(uint64(en.p - prev))
-		}
-		prev = en.p
-		e.float(en.f)
-	}
-	return nil
-}
-
-func (e *encoder) prefixCodes(m map[string]string, table []string, what string) error {
-	entries := e.prefixScratch(len(m))
-	for s, v := range m {
-		p, err := parseDocPrefix(s)
+	for s, v := range labels {
+		k, err := sec.parseKey(s)
 		if err != nil {
 			return err
 		}
-		c, ok := codeOf(table, v)
+		c, ok := codeOf(sec.codes, v)
 		if !ok {
-			return fmt.Errorf("%w: unknown %s label %q", ErrEncode, what, v)
+			return fmt.Errorf("%w: unknown %s label %q", ErrEncode, sec.name, v)
 		}
-		entries = append(entries, prefixEntry{p: p, c: c})
+		entries = append(entries, keyedEntry{key: k, c: c})
 	}
-	e.pEntries = entries
-	slices.SortFunc(entries, comparePrefixEntry)
+	e.entries = entries
+	slices.SortFunc(entries, compareKeyedEntry)
 	e.uvarint(uint64(len(entries)))
-	prev := topology.PrefixID(0)
+	var prev uint64
 	for i, en := range entries {
-		if i == 0 {
-			e.uvarint(uint64(en.p))
+		if i > 0 && uint64(en.key) == prev {
+			var shown any = en.key
+			if sec.prefixes {
+				shown = topology.PrefixID(en.key)
+			}
+			return fmt.Errorf("%w: two %s keys parse to %v", ErrEncode, sec.key, shown)
+		}
+		e.delta(&prev, uint64(en.key))
+		if sec.codes == nil {
+			e.float(en.f)
 		} else {
-			e.uvarint(uint64(en.p - prev))
+			e.byte(en.c)
 		}
-		prev = en.p
-		e.byte(en.c)
-	}
-	return nil
-}
-
-func (e *encoder) asnFloats(m map[string]float64) error {
-	entries := e.asnScratch(len(m))
-	for s, v := range m {
-		asn, err := parseASN(s)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, asnEntry{asn: asn, f: v})
-	}
-	e.aEntries = entries
-	slices.SortFunc(entries, compareASNEntry)
-	e.uvarint(uint64(len(entries)))
-	prev := uint32(0)
-	for i, en := range entries {
-		if i == 0 {
-			e.uvarint(uint64(en.asn))
-		} else {
-			e.uvarint(uint64(en.asn - prev))
-		}
-		prev = en.asn
-		e.float(en.f)
-	}
-	return nil
-}
-
-func (e *encoder) asnCodes(m map[string]string, table []string, what string) error {
-	entries := e.asnScratch(len(m))
-	for s, v := range m {
-		asn, err := parseASN(s)
-		if err != nil {
-			return err
-		}
-		c, ok := codeOf(table, v)
-		if !ok {
-			return fmt.Errorf("%w: unknown %s label %q", ErrEncode, what, v)
-		}
-		entries = append(entries, asnEntry{asn: asn, c: c})
-	}
-	e.aEntries = entries
-	slices.SortFunc(entries, compareASNEntry)
-	e.uvarint(uint64(len(entries)))
-	prev := uint32(0)
-	for i, en := range entries {
-		if i == 0 {
-			e.uvarint(uint64(en.asn))
-		} else {
-			e.uvarint(uint64(en.asn - prev))
-		}
-		prev = en.asn
-		e.byte(en.c)
 	}
 	return nil
 }
@@ -595,8 +553,10 @@ func (d *decoder) header(version uint64) error {
 	return nil
 }
 
-// deltaSeq reads a strictly ascending prefix/ASN sequence: first value
-// absolute, then positive deltas. max bounds the final values.
+// deltaSeq reads a strictly ascending sequence of n keys: the first value
+// absolute, then positive deltas. A zero delta is a duplicate and a delta
+// that wraps around lands at or below its predecessor; either way the
+// sequence does not ascend. max bounds the values.
 func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) error) error {
 	var cur uint64
 	for i := 0; i < n; i++ {
@@ -607,7 +567,7 @@ func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) 
 		if i == 0 {
 			cur = v
 		} else {
-			if v == 0 {
+			if cur+v <= cur {
 				return fmt.Errorf("%w: %s not strictly ascending", ErrCorrupt, what)
 			}
 			cur += v
@@ -759,12 +719,16 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		return err
 	}
 	enc.actives = activeIDs
-	// prefixKey is the key for the next prefix of a prefix-keyed section.
-	// Those sections are keyed by (mostly) active prefixes and ascend as the
-	// actives do, so a cursor finds the active prefix's own string to reuse;
-	// any other prefix gets fresh arena text.
+	// sectionKey is the document key for the next entry of a keyed section.
+	// Prefix-keyed sections hold (mostly) active prefixes and ascend as the
+	// actives do, so a cursor — rewound per section — finds the active
+	// prefix's own string to reuse; any other prefix, and every ASN, gets
+	// fresh arena text.
 	cursor := 0
-	prefixKey := func(v uint64) string {
+	sectionKey := func(sec *keyedSection, v uint64) string {
+		if !sec.prefixes {
+			return keys.asn(v)
+		}
 		for cursor < len(activeIDs) && uint64(activeIDs[cursor]) < v {
 			cursor++
 		}
@@ -774,105 +738,55 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		return keys.prefix(v)
 	}
 
-	// Prefix hit rates.
-	enc.off[wireHitRates] = d.pos
-	if n, err = d.count("prefix hit rates", 9); err != nil {
-		return err
-	}
-	doc.PrefixHitRates = make(map[string]float64, n)
-	err = d.deltaSeq("hit-rate prefix", n, maxPrefixID, func(v uint64) error {
-		f, err := d.float("hit-rate value")
+	// The keyed sections. An entry is at least a 1-byte key delta and its
+	// payload: 8 bytes of float or 1 code byte.
+	for i := range keyedSections {
+		sec := &keyedSections[i]
+		enc.off[sec.wire] = d.pos
+		minEntry := 9
+		if sec.codes != nil {
+			minEntry = 2
+		}
+		if n, err = d.count(sec.name, minEntry); err != nil {
+			return err
+		}
+		var floats map[string]float64
+		var labels map[string]string
+		switch {
+		case n == 0 && sec.optional:
+		case sec.codes == nil:
+			floats = make(map[string]float64, n)
+		default:
+			labels = make(map[string]string, n)
+		}
+		cursor = 0
+		err = d.deltaSeq(sec.key, n, sec.maxKey(), func(v uint64) error {
+			if sec.codes == nil {
+				f, err := d.float(sec.value)
+				if err != nil {
+					return err
+				}
+				floats[sectionKey(sec, v)] = f
+				return nil
+			}
+			c, err := d.byteVal(sec.value)
+			if err != nil {
+				return err
+			}
+			if int(c) >= len(sec.codes) {
+				return fmt.Errorf("%w: %s %d", ErrCorrupt, sec.value, c)
+			}
+			labels[sectionKey(sec, v)] = sec.codes[c]
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		doc.PrefixHitRates[prefixKey(v)] = f
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// AS activity.
-	enc.off[wireActivity] = d.pos
-	if n, err = d.count("AS activity", 9); err != nil {
-		return err
-	}
-	doc.ASActivity = make(map[string]float64, n)
-	err = d.deltaSeq("activity ASN", n, math.MaxUint32, func(v uint64) error {
-		f, err := d.float("activity value")
-		if err != nil {
-			return err
+		if sec.codes == nil {
+			*sec.floats(doc) = floats
+		} else {
+			*sec.labels(doc) = labels
 		}
-		doc.ASActivity[keys.asn(v)] = f
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Sources.
-	enc.off[wireSources] = d.pos
-	if n, err = d.count("sources", 2); err != nil {
-		return err
-	}
-	doc.Sources = make(map[string]string, n)
-	err = d.deltaSeq("source ASN", n, math.MaxUint32, func(v uint64) error {
-		c, err := d.byteVal("source code")
-		if err != nil {
-			return err
-		}
-		if int(c) >= len(sourceCodes) {
-			return fmt.Errorf("%w: source code %d", ErrCorrupt, c)
-		}
-		doc.Sources[keys.asn(v)] = sourceCodes[c]
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Coverage.
-	enc.off[wireCoverage] = d.pos
-	if n, err = d.count("coverage", 2); err != nil {
-		return err
-	}
-	if n > 0 {
-		doc.Coverage = make(map[string]string, n)
-	}
-	cursor = 0
-	err = d.deltaSeq("coverage prefix", n, maxPrefixID, func(v uint64) error {
-		c, err := d.byteVal("coverage code")
-		if err != nil {
-			return err
-		}
-		if int(c) >= len(coverageCodes) {
-			return fmt.Errorf("%w: coverage code %d", ErrCorrupt, c)
-		}
-		doc.Coverage[prefixKey(v)] = coverageCodes[c]
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// AS confidence.
-	enc.off[wireConfidence] = d.pos
-	if n, err = d.count("AS confidence", 9); err != nil {
-		return err
-	}
-	if n > 0 {
-		doc.ASConfidence = make(map[string]float64, n)
-	}
-	err = d.deltaSeq("confidence ASN", n, math.MaxUint32, func(v uint64) error {
-		f, err := d.float("confidence value")
-		if err != nil {
-			return err
-		}
-		doc.ASConfidence[keys.asn(v)] = f
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 
 	// Servers.

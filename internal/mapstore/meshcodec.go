@@ -73,12 +73,7 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 		if i > 0 && key == prev {
 			return nil, fmt.Errorf("%w: duplicate mesh pair (%d, %d)", ErrEncode, p.Lo, p.Hi)
 		}
-		if i == 0 {
-			e.uvarint(key)
-		} else {
-			e.uvarint(key - prev)
-		}
-		prev = key
+		e.delta(&prev, key)
 		var flags byte
 		if p.Complete {
 			flags |= 1
@@ -142,44 +137,29 @@ func DecodeMeshDocument(data []byte) (*core.MeshDocument, error) {
 	if n > 0 {
 		doc.Pairs = make([]core.MeshPairDocument, 0, n)
 	}
-	var prev uint64
-	for i := 0; i < n; i++ {
-		v, err := d.uvarint("mesh pair key")
-		if err != nil {
-			return nil, err
-		}
-		key := v
-		if i > 0 {
-			key = prev + v
-			// v == 0 is a duplicate; wrap-around lands below prev. Either
-			// way the sequence is not strictly ascending.
-			if key <= prev {
-				return nil, fmt.Errorf("%w: mesh pair keys not strictly ascending", ErrCorrupt)
-			}
-		}
-		prev = key
+	err = d.deltaSeq("mesh pair key", n, math.MaxUint64, func(key uint64) error {
 		p := core.MeshPairDocument{Lo: uint32(key >> 32), Hi: uint32(key & 0xffffffff)}
 		if p.Lo == 0 || p.Lo >= p.Hi {
-			return nil, fmt.Errorf("%w: mesh pair key %#x not canonical", ErrCorrupt, key)
+			return fmt.Errorf("%w: mesh pair key %#x not canonical", ErrCorrupt, key)
 		}
 		flags, err := d.byteVal("mesh pair flags")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if flags > 1 {
-			return nil, fmt.Errorf("%w: mesh pair flags %#x", ErrCorrupt, flags)
+			return fmt.Errorf("%w: mesh pair flags %#x", ErrCorrupt, flags)
 		}
 		p.Complete = flags&1 != 0
 		probes, err := d.uvarint("mesh pair probes")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lost, err := d.uvarint("mesh pair lost")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if probes > math.MaxInt32 || lost > probes {
-			return nil, fmt.Errorf("%w: mesh pair probe counts %d/%d", ErrCorrupt, lost, probes)
+			return fmt.Errorf("%w: mesh pair probe counts %d/%d", ErrCorrupt, lost, probes)
 		}
 		p.Probes, p.Lost = int(probes), int(lost)
 		for _, f := range []struct {
@@ -187,30 +167,34 @@ func DecodeMeshDocument(data []byte) (*core.MeshDocument, error) {
 			dst  *float64
 		}{{"mesh min RTT", &p.MinRTT}, {"mesh mean RTT", &p.MeanRTT}, {"mesh max RTT", &p.MaxRTT}, {"mesh confidence", &p.Confidence}} {
 			if *f.dst, err = d.float(f.what); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		hops, err := d.uvarint("mesh path length")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if hops > maxMeshPathLen {
-			return nil, fmt.Errorf("%w: mesh path length %d", ErrCorrupt, hops)
+			return fmt.Errorf("%w: mesh path length %d", ErrCorrupt, hops)
 		}
 		if hops > 0 {
 			p.Path = make([]uint32, hops)
 			for j := range p.Path {
 				hop, err := d.uvarint("mesh path hop")
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if hop > math.MaxUint32 {
-					return nil, fmt.Errorf("%w: mesh path hop %d out of range", ErrCorrupt, hop)
+					return fmt.Errorf("%w: mesh path hop %d out of range", ErrCorrupt, hop)
 				}
 				p.Path[j] = uint32(hop)
 			}
 		}
 		doc.Pairs = append(doc.Pairs, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	if d.remaining() != 0 {

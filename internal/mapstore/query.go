@@ -11,6 +11,19 @@ import (
 	"itmap/internal/topology"
 )
 
+// eachASN visits every entry of an ASN-keyed document section with its key
+// parsed, in the document's (string) key order.
+func eachASN[V any](m map[string]V, visit func(asn uint32, v V)) error {
+	for _, s := range order.Keys(m) {
+		asn, err := strconv.ParseUint(s, 10, 32)
+		if err != nil {
+			return fmt.Errorf("mapstore: bad ASN key %q: %w", s, err)
+		}
+		visit(uint32(asn), m[s])
+	}
+	return nil
+}
+
 // buildIndexes derives the query-side structures from the canonical
 // document. Called once at ingest; everything it builds is immutable, so
 // when a document section is structurally shared with the previous epoch
@@ -21,14 +34,13 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) error {
 		e.activity, e.totalAct, e.ranked = prev.activity, prev.totalAct, prev.ranked
 	} else {
 		e.activity = make(map[uint32]float64, len(doc.ASActivity))
-		for _, s := range order.Keys(doc.ASActivity) {
-			asn, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				return fmt.Errorf("mapstore: bad ASN key %q: %w", s, err)
-			}
-			v := doc.ASActivity[s]
-			e.activity[uint32(asn)] = v
+		// totalAct sums in string key order: its low bits reach served shares.
+		err := eachASN(doc.ASActivity, func(asn uint32, v float64) {
+			e.activity[asn] = v
 			e.totalAct += v
+		})
+		if err != nil {
+			return err
 		}
 		e.ranked = make([]ASRank, 0, len(e.activity))
 		for _, asn := range order.Keys(e.activity) {
@@ -50,24 +62,16 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) error {
 		e.sources = prev.sources
 	} else {
 		e.sources = make(map[uint32]string, len(doc.Sources))
-		for _, s := range order.Keys(doc.Sources) {
-			asn, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				return fmt.Errorf("mapstore: bad ASN key %q: %w", s, err)
-			}
-			e.sources[uint32(asn)] = doc.Sources[s]
+		if err := eachASN(doc.Sources, func(asn uint32, v string) { e.sources[asn] = v }); err != nil {
+			return err
 		}
 	}
 	if prev != nil && shared&secConfidence != 0 {
 		e.confidence = prev.confidence
 	} else {
 		e.confidence = make(map[uint32]float64, len(doc.ASConfidence))
-		for _, s := range order.Keys(doc.ASConfidence) {
-			asn, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				return fmt.Errorf("mapstore: bad ASN key %q: %w", s, err)
-			}
-			e.confidence[uint32(asn)] = doc.ASConfidence[s]
+		if err := eachASN(doc.ASConfidence, func(asn uint32, v float64) { e.confidence[asn] = v }); err != nil {
+			return err
 		}
 	}
 
@@ -291,25 +295,21 @@ func seriesIn(es []*Epoch, asn uint32) []EpochValue {
 }
 
 // LinkLoad returns the epoch's ground-truth daily bytes over the a–b
-// inter-AS link, preferring the dense matrix views. ok is false when the
-// epoch carries no matrix snapshot or the link is unknown.
+// inter-AS link, read off the matrix's dense views (BuildMatrixWorkers always
+// sets them, and AppendMap* the topology they are indexed by). ok is false
+// when the epoch carries no matrix snapshot or the link is unknown.
 func (e *Epoch) LinkLoad(a, b uint32) (float64, bool) {
 	if e.mx == nil {
 		return 0, false
 	}
-	ka, kb := topology.ASN(a), topology.ASN(b)
-	if e.mx.Links != nil && e.mx.LinkLoadDense != nil && e.top != nil {
-		ia, oka := e.top.Index(ka)
-		ib, okb := e.top.Index(kb)
-		if oka && okb {
-			if id := e.mx.Links.IDBetween(ia, ib); id >= 0 {
-				return e.mx.LinkLoadDense[id], true
-			}
+	ia, oka := e.top.Index(topology.ASN(a))
+	ib, okb := e.top.Index(topology.ASN(b))
+	if oka && okb {
+		if id := e.mx.Links.IDBetween(ia, ib); id >= 0 {
+			return e.mx.LinkLoadDense[id], true
 		}
-		return 0, false
 	}
-	v, ok := e.mx.LinkLoad[topology.MakeLinkKey(ka, kb)]
-	return v, ok
+	return 0, false
 }
 
 // DiffDocument is the serializable epoch-to-epoch diff, derived via

@@ -62,10 +62,10 @@ type Epoch struct {
 	// no duplicates. The epoch diff merge-walks two of these.
 	actives []topology.PrefixID
 
-	// mx optionally carries the ground-truth matrix snapshot for
-	// link-load queries (dense views preferred), and top the topology
-	// whose dense AS index mx's link index is aligned with. Both nil for
-	// stores fed from serialized documents only.
+	// mx optionally carries the ground-truth matrix snapshot whose dense
+	// views answer link-load queries, and top the topology whose dense AS
+	// index mx's link index is aligned with. Both nil for stores fed from
+	// serialized documents only.
 	mx  *traffic.Matrix
 	top *topology.Topology
 
@@ -92,22 +92,22 @@ type ASRank struct {
 	Share    float64 `json:"share"`
 }
 
-// sectionCount is how many shareable sections a document has (active
-// prefixes, hit rates, activity, sources, coverage, confidence, servers,
-// mappings).
-const sectionCount = 8
+// sectionCount is how many shareable sections a document has: every wire
+// section but the string table, which has no content of its own.
+const sectionCount = wireSections - 1
 
-// Section bits name the shareable sections, so ingest can reuse exactly the
-// derived indexes whose inputs an append left untouched.
+// Section bits name the shareable sections — bit = wire index past the
+// string table — so ingest can reuse exactly the derived indexes whose inputs
+// an append left untouched.
 const (
-	secActives = 1 << iota
-	secHitRates
-	secActivity
-	secSources
-	secCoverage
-	secConfidence
-	secServers
-	secMappings
+	secActives    = 1 << (wireActives - wireActives)
+	secHitRates   = 1 << (wireHitRates - wireActives)
+	secActivity   = 1 << (wireActivity - wireActives)
+	secSources    = 1 << (wireSources - wireActives)
+	secCoverage   = 1 << (wireCoverage - wireActives)
+	secConfidence = 1 << (wireConfidence - wireActives)
+	secServers    = 1 << (wireServers - wireActives)
+	secMappings   = 1 << (wireMappings - wireActives)
 
 	secAll = 1<<sectionCount - 1
 )
@@ -379,9 +379,9 @@ var epochBytesBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 1
 // map share storage. Returns the bitmask of shared sections; ingest uses it
 // to reuse the derived indexes whose inputs did not change.
 //
-// Equality is defined on the canonical encoding. The six numeric sections
-// hold nothing but sorted keys and payloads, and each has exactly one
-// canonical encoding, so two of them are equal iff their byte spans are.
+// Equality is defined on the canonical encoding. The actives and the keyed
+// sections hold nothing but sorted keys and payloads, and each has exactly
+// one canonical encoding, so two of them are equal iff their byte spans are.
 // Servers and mappings refer into the document's string table by index:
 // their spans mean nothing apart from the table, so they compare as
 // decoded values.
@@ -395,25 +395,17 @@ func shareSections(e, prev *Epoch) uint {
 		doc.ActivePrefixes, e.actives = pdoc.ActivePrefixes, prev.actives
 		shared |= secActives
 	}
-	if same(wireHitRates) {
-		doc.PrefixHitRates = pdoc.PrefixHitRates
-		shared |= secHitRates
-	}
-	if same(wireActivity) {
-		doc.ASActivity = pdoc.ASActivity
-		shared |= secActivity
-	}
-	if same(wireSources) {
-		doc.Sources = pdoc.Sources
-		shared |= secSources
-	}
-	if same(wireCoverage) {
-		doc.Coverage = pdoc.Coverage
-		shared |= secCoverage
-	}
-	if same(wireConfidence) {
-		doc.ASConfidence = pdoc.ASConfidence
-		shared |= secConfidence
+	for i := range keyedSections {
+		sec := &keyedSections[i]
+		if !same(sec.wire) {
+			continue
+		}
+		if sec.codes == nil {
+			*sec.floats(doc) = *sec.floats(pdoc)
+		} else {
+			*sec.labels(doc) = *sec.labels(pdoc)
+		}
+		shared |= 1 << (sec.wire - wireActives)
 	}
 	if slices.Equal(doc.Servers, pdoc.Servers) {
 		doc.Servers = pdoc.Servers

@@ -8,6 +8,7 @@ package cacheprobe
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 
@@ -51,6 +52,30 @@ type Discovery struct {
 	Failed int
 }
 
+// newDiscovery returns an empty discovery sized for found prefixes.
+func newDiscovery(found int) *Discovery {
+	return &Discovery{
+		Found:     make(map[topology.PrefixID]bool, found),
+		FoundASes: map[topology.ASN]bool{},
+		ByPoP:     map[int]int{},
+	}
+}
+
+// merge folds o, the discovery of a disjoint cut of the targets, into d.
+func (d *Discovery) merge(o *Discovery) {
+	for p := range o.Found {
+		d.Found[p] = true
+	}
+	for asn := range o.FoundASes {
+		d.FoundASes[asn] = true
+	}
+	for pop, c := range o.ByPoP {
+		d.ByPoP[pop] += c
+	}
+	d.Probes += o.Probes
+	d.Failed += o.Failed
+}
+
 // DiscoverPrefixes sweeps all given prefixes: for each prefix it probes the
 // prefix's home PoP for every domain at `rounds` times spread across one
 // simulated day starting at start. More rounds catch lower-activity
@@ -59,11 +84,7 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 	if rounds < 1 {
 		rounds = 1
 	}
-	d := &Discovery{
-		Found:     map[topology.PrefixID]bool{},
-		FoundASes: map[topology.ASN]bool{},
-		ByPoP:     map[int]int{},
-	}
+	d := newDiscovery(0)
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := roundsGrid(start, rounds)
 	for _, p := range prefixes {
@@ -144,6 +165,26 @@ type HitRates struct {
 	ProbesPerPrefix int
 }
 
+// newHitRates returns an empty campaign result sized for prefixes targets.
+func newHitRates(prefixes, probesPer int) *HitRates {
+	return &HitRates{
+		ByPrefix:        make(map[topology.PrefixID]float64, prefixes),
+		ByAS:            map[topology.ASN]float64{},
+		ProbesPerPrefix: probesPer,
+	}
+}
+
+// merge folds o, the campaign over a disjoint cut of the targets (same
+// domain and cadence), into hr.
+func (hr *HitRates) merge(o *HitRates) {
+	hr.ProbesPerPrefix = o.ProbesPerPrefix
+	hr.Failed += o.Failed
+	maps.Copy(hr.ByPrefix, o.ByPrefix)
+	for asn, v := range o.ByAS {
+		hr.ByAS[asn] += v
+	}
+}
+
 // RateFromHitRate inverts the TTL-cache occupancy law to recover the
 // underlying client query rate from an observed hit rate: occupancy under
 // Poisson arrivals is p = 1 − e^(−rate·TTL), so rate = −ln(1−p)/TTL
@@ -187,12 +228,8 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 	if interval <= 0 {
 		interval = 5 * simtime.Minute
 	}
-	hr := &HitRates{
-		ByPrefix: make(map[topology.PrefixID]float64, len(prefixes)),
-		ByAS:     map[topology.ASN]float64{},
-	}
 	probesPer := probesPerDay(interval)
-	hr.ProbesPerPrefix = probesPer
+	hr := newHitRates(len(prefixes), probesPer)
 	probes := 0
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := users.Every(start, interval, probesPer)

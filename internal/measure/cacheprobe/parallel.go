@@ -25,6 +25,32 @@ func shardRange(i, n, total int) (lo, hi int) {
 	return lo, min(lo+chunk, total)
 }
 
+// sweepShards is the one fan-out behind every sharded sweep: total targets
+// cut into n contiguous shards, sweep run over each non-empty one on up to
+// workers goroutines, the results handed to fold in shard order. Shards
+// follow target order, so the first failed shard holds the error a serial
+// sweep would have stopped at; that error is returned and nothing is folded.
+func sweepShards[T any](n, workers, total int, fold func(*T), sweep func(shard, lo, hi int) (*T, error)) error {
+	results := make([]*T, n)
+	errs := make([]error, n)
+	parallel.ForEach(n, workers, func(i int) {
+		if lo, hi := shardRange(i, n, total); lo < hi {
+			results[i], errs[i] = sweep(i, lo, hi)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for _, r := range results {
+		if r != nil {
+			fold(r)
+		}
+	}
+	return nil
+}
+
 // DiscoverPrefixesParallel is DiscoverPrefixes fanned out over worker
 // goroutines. Results — and the error, if any shard hits one — are
 // identical to the serial sweep's.
@@ -33,48 +59,13 @@ func (pb *Prober) DiscoverPrefixesParallel(top *topology.Topology, prefixes []to
 	if n < 2 || len(prefixes) < 256 {
 		return pb.DiscoverPrefixes(top, prefixes, start, rounds)
 	}
-	type shard struct {
-		d   *Discovery
-		err error
-	}
-	shards := make([]shard, n)
-	parallel.ForEach(n, n, func(w int) {
-		if lo, hi := shardRange(w, n, len(prefixes)); lo < hi {
-			d, err := pb.DiscoverPrefixes(top, prefixes[lo:hi], start, rounds)
-			shards[w] = shard{d, err}
-		}
+	// Sized by its upper bound: a sweep finds most of what it probes.
+	out := newDiscovery(len(prefixes))
+	err := sweepShards(n, n, len(prefixes), out.merge, func(_, lo, hi int) (*Discovery, error) {
+		return pb.DiscoverPrefixes(top, prefixes[lo:hi], start, rounds)
 	})
-	// Shards run in prefix order, so the first failed shard holds the error
-	// the serial sweep would have stopped at.
-	found := 0
-	for _, s := range shards {
-		if s.err != nil {
-			return nil, s.err
-		}
-		if s.d != nil {
-			found += len(s.d.Found)
-		}
-	}
-	out := &Discovery{
-		Found:     make(map[topology.PrefixID]bool, found),
-		FoundASes: map[topology.ASN]bool{},
-		ByPoP:     map[int]int{},
-	}
-	for _, s := range shards {
-		if s.d == nil {
-			continue
-		}
-		for p := range s.d.Found {
-			out.Found[p] = true
-		}
-		for asn := range s.d.FoundASes {
-			out.FoundASes[asn] = true
-		}
-		for pop, c := range s.d.ByPoP {
-			out.ByPoP[pop] += c
-		}
-		out.Probes += s.d.Probes
-		out.Failed += s.d.Failed
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -86,39 +77,13 @@ func (pb *Prober) MeasureHitRatesParallel(top *topology.Topology, prefixes []top
 	if n < 2 || len(prefixes) < 256 {
 		return pb.MeasureHitRates(top, prefixes, domain, start, interval)
 	}
-	type shard struct {
-		hr  *HitRates
-		err error
-	}
-	shards := make([]shard, n)
-	parallel.ForEach(n, n, func(w int) {
-		if lo, hi := shardRange(w, n, len(prefixes)); lo < hi {
-			hr, err := pb.MeasureHitRates(top, prefixes[lo:hi], domain, start, interval)
-			shards[w] = shard{hr, err}
-		}
-	})
-	for _, s := range shards {
-		if s.err != nil {
-			return nil, s.err
-		}
-	}
 	// Shards cut the prefix list, so every prefix is measured by one of them.
-	out := &HitRates{
-		ByPrefix: make(map[topology.PrefixID]float64, len(prefixes)),
-		ByAS:     map[topology.ASN]float64{},
-	}
-	for _, s := range shards {
-		if s.hr == nil {
-			continue
-		}
-		out.ProbesPerPrefix = s.hr.ProbesPerPrefix
-		out.Failed += s.hr.Failed
-		for p, v := range s.hr.ByPrefix {
-			out.ByPrefix[p] = v
-		}
-		for asn, v := range s.hr.ByAS {
-			out.ByAS[asn] += v
-		}
+	out := newHitRates(len(prefixes), 0)
+	err := sweepShards(n, n, len(prefixes), out.merge, func(_, lo, hi int) (*HitRates, error) {
+		return pb.MeasureHitRates(top, prefixes[lo:hi], domain, start, interval)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

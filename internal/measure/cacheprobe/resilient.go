@@ -7,7 +7,6 @@ import (
 	"itmap/internal/faults"
 	"itmap/internal/obs"
 	"itmap/internal/obs/history"
-	"itmap/internal/parallel"
 	"itmap/internal/resilience"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
@@ -132,6 +131,28 @@ func (s *SweepStats) merge(o *SweepStats) {
 	}
 }
 
+// classify records how the sweep left target p: answered of its probes got
+// a definitive answer, and attempts datagrams were spent on it.
+func (s *SweepStats) classify(p topology.PrefixID, answered, attempts int) {
+	s.Attempts[p] = attempts
+	switch {
+	case answered > 0:
+		s.Outcome[p] = TargetProbedOK
+	case attempts > 0:
+		s.Outcome[p] = TargetGaveUp
+		s.GiveUps++
+	default:
+		s.Outcome[p] = TargetSkipped
+	}
+}
+
+// countOpens adds a finished shard's breaker open transitions to the ledger.
+func (s *SweepStats) countOpens(breakers map[int]*resilience.Breaker) {
+	for _, b := range breakers {
+		s.BreakerOpens += b.Opens
+	}
+}
+
 // breakerTransitions is every reachable "from>to" edge, in the order the
 // state machine cycles through them; reportObs walks this fixed list so the
 // exposition never depends on map order.
@@ -172,11 +193,16 @@ func (rp *ResilientProber) shards() int {
 	return rp.Shards
 }
 
-// shardState is one probing source's mutable world.
+// shardState is one probing source's mutable world: its pacer, its per-PoP
+// breakers, its copy of the retry policy, the ledger it fills, and — once it
+// has probed its targets — how to fold its result into the sweep's.
 type shardState struct {
 	source   uint64
 	pacer    *resilience.Pacer
 	breakers map[int]*resilience.Breaker
+	retry    resilience.Retryer
+	st       *SweepStats
+	fold     func()
 }
 
 func (rp *ResilientProber) newShard(i int) *shardState {
@@ -184,19 +210,27 @@ func (rp *ResilientProber) newShard(i int) *shardState {
 	if burst < 1 {
 		burst = 10
 	}
+	// A zero-value policy retries what a retry can cure.
+	retry := rp.Retry
+	if retry.Retryable == nil {
+		retry.Retryable = faults.IsTransient
+	}
 	return &shardState{
 		source:   rp.BaseSource + uint64(i),
 		pacer:    resilience.NewPacer(rp.QPS, burst),
 		breakers: map[int]*resilience.Breaker{},
+		retry:    retry,
+		st:       newSweepStats(),
 	}
 }
 
-func (ss *shardState) breaker(pop int, cfg resilience.BreakerConfig, st *SweepStats) *resilience.Breaker {
+func (ss *shardState) breaker(pop int, cfg resilience.BreakerConfig) *resilience.Breaker {
 	b := ss.breakers[pop]
 	if b == nil {
 		b = resilience.NewBreaker(cfg)
 		// Breakers and ledgers are both shard-local, so the hook needs no
 		// locking and the per-edge counts merge in shard order.
+		st := ss.st
 		b.OnStateChange = func(from, to resilience.State, _ simtime.Time) {
 			st.BreakerTransitions[from.String()+">"+to.String()]++
 		}
@@ -213,8 +247,8 @@ func (ss *shardState) breaker(pop int, cfg resilience.BreakerConfig, st *SweepSt
 // retries then advance through backoff, sliding out of ban windows and
 // outages. One target's retries never delay another target — a real
 // prober multiplexes its outstanding probes.
-func (rp *ResilientProber) probe(ss *shardState, st *SweepStats, pop int, pp *dnssim.Probe, p topology.PrefixID, sched simtime.Time) (bool, bool, int) {
-	br := ss.breaker(pop, rp.Breaker, st)
+func (rp *ResilientProber) probe(ss *shardState, pop int, pp *dnssim.Probe, p topology.PrefixID, sched simtime.Time) (bool, bool, int) {
+	br, st := ss.breaker(pop, rp.Breaker), ss.st
 	var hit bool
 	sent := 0
 	key := uint64(p)
@@ -222,7 +256,7 @@ func (rp *ResilientProber) probe(ss *shardState, st *SweepStats, pop int, pp *dn
 	if grant > sched {
 		st.PacerWaits++
 	}
-	out := rp.Retry.Do(grant, key, func(attempt int, at simtime.Time) error {
+	out := ss.retry.Do(grant, key, func(attempt int, at simtime.Time) error {
 		if !br.Allow(at) {
 			st.Skips++
 			return faults.ErrTimeout // counts as failure, but no datagram
@@ -250,6 +284,35 @@ func (rp *ResilientProber) probe(ss *shardState, st *SweepStats, pop int, pp *dn
 	return hit, true, sent
 }
 
+// sweep is the frame both resilient sweeps run in. The targets are cut across
+// rp.shards() sources; probeTargets runs one source over its cut — with its
+// own pacer, breakers, ledger and span under root — and returns how to fold
+// what it measured into the sweep's result, which happens here, serially and
+// in shard order. The merged ledger comes back already reported to the
+// metrics registry under kind.
+func (rp *ResilientProber) sweep(root *obs.Span, kind string, prefixes []topology.PrefixID, start simtime.Time,
+	probeTargets func(ss *shardState, targets []topology.PrefixID) (fold func())) (*SweepStats, error) {
+	stats := newSweepStats()
+	// A probe that exhausts its retry budget is an outcome in the ledger, not
+	// an error, so today no shard fails.
+	err := sweepShards(rp.shards(), rp.Workers, len(prefixes), func(ss *shardState) {
+		ss.fold()
+		stats.merge(ss.st)
+	}, func(i, lo, hi int) (*shardState, error) {
+		sp := root.Child("shard", start).SetOrder(i).SetAttrInt("shard", int64(i))
+		ss := rp.newShard(i)
+		ss.fold = probeTargets(ss, prefixes[lo:hi])
+		ss.st.countOpens(ss.breakers)
+		sp.SetAttrInt("datagrams", int64(ss.st.Probes)).End(start + 24)
+		return ss, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	stats.reportObs(kind)
+	return stats, nil
+}
+
 // DiscoverPrefixes is the resilient DiscoverPrefixes: same discovery
 // semantics (a prefix is found on its first cache hit), plus retry,
 // breaker, and pacing behaviour, and a SweepStats ledger classifying every
@@ -258,35 +321,15 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 	if rounds < 1 {
 		rounds = 1
 	}
-	retryable := rp.Retry.Retryable
-	if retryable == nil {
-		rp.Retry.Retryable = faults.IsTransient
-	}
-	n := rp.shards()
 	root := obs.StartSpan("cacheprobe.discover", start).
 		SetAttrInt("targets", int64(len(prefixes))).
-		SetAttrInt("shards", int64(n)).
+		SetAttrInt("shards", int64(rp.shards())).
 		SetAttrInt("rounds", int64(rounds))
-	type shardResult struct {
-		d  *Discovery
-		st *SweepStats
-	}
-	results := make([]shardResult, n)
-	parallel.ForEach(n, rp.Workers, func(i int) {
-		lo, hi := shardRange(i, n, len(prefixes))
-		if lo >= hi {
-			return
-		}
-		sp := root.Child("shard", start).SetOrder(i).SetAttrInt("shard", int64(i))
-		ss := rp.newShard(i)
-		d := &Discovery{
-			Found:     map[topology.PrefixID]bool{},
-			FoundASes: map[topology.ASN]bool{},
-			ByPoP:     map[int]int{},
-		}
-		st := newSweepStats()
+	out := newDiscovery(0)
+	stats, err := rp.sweep(root, "discover", prefixes, start, func(ss *shardState, targets []topology.PrefixID) func() {
+		d := newDiscovery(0)
 		grid := roundsGrid(start, rounds)
-		for _, p := range prefixes[lo:hi] {
+		for _, p := range targets {
 			pop := rp.PR.HomePoP(p)
 			if pop == nil {
 				continue
@@ -297,7 +340,7 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 			for _, dom := range rp.Domains {
 				pp := rp.PR.PrepareHome(pop, dom, p)
 				for r := 0; r < rounds; r++ {
-					hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, grid.Time(r))
+					hit, ok, att := rp.probe(ss, pop.ID, &pp, p, grid.Time(r))
 					attempts += att
 					if !ok {
 						continue
@@ -309,53 +352,17 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 						if asn, ok := top.OwnerOf(p); ok {
 							d.FoundASes[asn] = true
 						}
+						d.ByPoP[pop.ID]++
 						break domains
 					}
 				}
 			}
-			st.Attempts[p] = attempts
-			switch {
-			case definitive > 0:
-				st.Outcome[p] = TargetProbedOK
-			case attempts > 0:
-				st.Outcome[p] = TargetGaveUp
-				st.GiveUps++
-			default:
-				st.Outcome[p] = TargetSkipped
-			}
-			if d.Found[p] {
-				d.ByPoP[pop.ID]++
-			}
+			ss.st.classify(p, definitive, attempts)
 		}
-		for _, b := range ss.breakers {
-			st.BreakerOpens += b.Opens
-		}
-		sp.SetAttrInt("datagrams", int64(st.Probes)).End(start + 24)
-		results[i] = shardResult{d, st}
+		return func() { out.merge(d) }
 	})
-	rp.Retry.Retryable = retryable
-
-	out := &Discovery{
-		Found:     map[topology.PrefixID]bool{},
-		FoundASes: map[topology.ASN]bool{},
-		ByPoP:     map[int]int{},
-	}
-	stats := newSweepStats()
-	for _, r := range results {
-		if r.d == nil {
-			continue
-		}
-		for p := range r.d.Found {
-			out.Found[p] = true
-		}
-		for asn := range r.d.FoundASes {
-			out.FoundASes[asn] = true
-		}
-		for pop, c := range r.d.ByPoP {
-			out.ByPoP[pop] += c
-		}
-		out.Probes += r.d.Probes
-		stats.merge(r.st)
+	if err != nil {
+		return nil, nil, err
 	}
 	// Keep naive-Discovery units: Probes counts datagrams issued, Failed
 	// the ones faults ate. Shards accumulated definitive answers in
@@ -363,7 +370,6 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 	answered := out.Probes
 	out.Probes = stats.Probes
 	out.Failed = stats.Probes - answered
-	stats.reportObs("discover")
 	obs.C("itm_probe_prefixes_found_total", "Prefixes discovered active (at least one cache hit).").Add(uint64(len(out.Found)))
 	// Fleet-health history sample: the sweep just folded its per-agent
 	// ledgers on this serial path, so the capture is deterministic.
@@ -384,36 +390,16 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 	if interval <= 0 {
 		interval = 5 * simtime.Minute
 	}
-	retryable := rp.Retry.Retryable
-	if retryable == nil {
-		rp.Retry.Retryable = faults.IsTransient
-	}
 	probesPer := probesPerDay(interval)
-	n := rp.shards()
 	root := obs.StartSpan("cacheprobe.hitrates", start).
 		SetAttrInt("targets", int64(len(prefixes))).
-		SetAttrInt("shards", int64(n)).
+		SetAttrInt("shards", int64(rp.shards())).
 		SetAttrInt("probes_per_prefix", int64(probesPer))
-	type shardResult struct {
-		hr *HitRates
-		st *SweepStats
-	}
-	results := make([]shardResult, n)
-	parallel.ForEach(n, rp.Workers, func(i int) {
-		lo, hi := shardRange(i, n, len(prefixes))
-		if lo >= hi {
-			return
-		}
-		sp := root.Child("shard", start).SetOrder(i).SetAttrInt("shard", int64(i))
-		ss := rp.newShard(i)
-		hr := &HitRates{
-			ByPrefix:        map[topology.PrefixID]float64{},
-			ByAS:            map[topology.ASN]float64{},
-			ProbesPerPrefix: probesPer,
-		}
-		st := newSweepStats()
+	out := newHitRates(0, probesPer)
+	stats, err := rp.sweep(root, "hitrates", prefixes, start, func(ss *shardState, targets []topology.PrefixID) func() {
+		hr := newHitRates(0, probesPer)
 		grid := users.Every(start, interval, probesPer)
-		for _, p := range prefixes[lo:hi] {
+		for _, p := range targets {
 			pop := rp.PR.HomePoP(p)
 			if pop == nil {
 				continue
@@ -421,7 +407,7 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 			pp := rp.PR.PrepareHome(pop, domain, p)
 			hits, answered, attempts := 0, 0, 0
 			for r := 0; r < probesPer; r++ {
-				hit, ok, att := rp.probe(ss, st, pop.ID, &pp, p, grid.Time(r))
+				hit, ok, att := rp.probe(ss, pop.ID, &pp, p, grid.Time(r))
 				attempts += att
 				if !ok {
 					continue
@@ -431,16 +417,7 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 					hits++
 				}
 			}
-			st.Attempts[p] = attempts
-			switch {
-			case answered > 0:
-				st.Outcome[p] = TargetProbedOK
-			case attempts > 0:
-				st.Outcome[p] = TargetGaveUp
-				st.GiveUps++
-			default:
-				st.Outcome[p] = TargetSkipped
-			}
+			ss.st.classify(p, answered, attempts)
 			if answered > 0 {
 				hr.ByPrefix[p] = float64(hits) / float64(answered)
 			} else {
@@ -451,34 +428,11 @@ func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []to
 				hr.ByAS[asn] += float64(hits)
 			}
 		}
-		for _, b := range ss.breakers {
-			st.BreakerOpens += b.Opens
-		}
-		sp.SetAttrInt("datagrams", int64(st.Probes)).End(start + 24)
-		results[i] = shardResult{hr, st}
+		return func() { out.merge(hr) }
 	})
-	rp.Retry.Retryable = retryable
-
-	out := &HitRates{
-		ByPrefix:        map[topology.PrefixID]float64{},
-		ByAS:            map[topology.ASN]float64{},
-		ProbesPerPrefix: probesPer,
+	if err != nil {
+		return nil, nil, err
 	}
-	stats := newSweepStats()
-	for _, r := range results {
-		if r.hr == nil {
-			continue
-		}
-		out.Failed += r.hr.Failed
-		for p, v := range r.hr.ByPrefix {
-			out.ByPrefix[p] = v
-		}
-		for asn, v := range r.hr.ByAS {
-			out.ByAS[asn] += v
-		}
-		stats.merge(r.st)
-	}
-	stats.reportObs("hitrates")
 	history.Observe("sweep", "sweep-hitrates", start+24)
 	root.SetAttrInt("datagrams", int64(stats.Probes)).End(start + 24)
 	return out, stats, nil

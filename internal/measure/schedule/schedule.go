@@ -93,6 +93,8 @@ func (c Campaign) Inflation() float64 {
 }
 
 // Fit plans the campaign.
+//
+//itmlint:allow deadexport the package's entry point, which only the package's own tests call now that Interleave is gone: the planner leaves whole, with its seven tests, in a later PR
 func (c Campaign) Fit() (Plan, error) {
 	if err := c.Validate(); err != nil {
 		return Plan{}, err
@@ -108,21 +110,4 @@ func (c Campaign) Fit() (Plan, error) {
 	p.MaxTargetsInWindow = int(c.WindowHours * 3600 * p.UtilizedQPS / (float64(c.Rounds) * p.InflationFactor))
 	p.ProbersNeeded = int(math.Ceil(eff / (c.WindowHours * 3600 * c.QPSPerProber)))
 	return p, nil
-}
-
-// Interleave returns the per-pair probe interval (seconds) that spreads the
-// sweep evenly over the window — probing in a burst both trips rate limits
-// and samples every cache at the same diurnal phase, biasing hit rates.
-//
-//itmlint:allow deadexport only its own test calls it (TestInterleaveSpreadsWindow)
-func (c Campaign) Interleave() (float64, error) {
-	p, err := c.Fit()
-	if err != nil {
-		return 0, err
-	}
-	hours := math.Min(p.SweepHours, c.WindowHours)
-	if p.TotalProbes == 0 {
-		return 0, nil
-	}
-	return hours * 3600 / float64(p.TotalProbes), nil
 }

@@ -81,19 +81,6 @@ func TestMaxTargetsConsistent(t *testing.T) {
 	}
 }
 
-func TestInterleaveSpreadsWindow(t *testing.T) {
-	c := Campaign{Targets: 3600, Rounds: 1, QPSPerProber: 1, Probers: 1, WindowHours: 2}
-	gap, err := c.Interleave()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3600 probes at 1 QPS = exactly 1 hour of probing; spread over the
-	// sweep duration the gap is 1s.
-	if math.Abs(gap-1) > 1e-9 {
-		t.Errorf("gap %.3f s, want 1", gap)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := []Campaign{
 		{},

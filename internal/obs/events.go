@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"itmap/internal/simtime"
 )
 
 // Level is an event severity.
@@ -69,11 +67,6 @@ func (l *Logger) setRegistry(r *Registry) {
 	l.reg = r
 	l.mu.Unlock()
 }
-
-// T renders a simulated time for an event value.
-//
-//itmlint:allow deadexport only its own test calls it (TestT)
-func T(t simtime.Time) string { return formatFloat(float64(t)) + "h" }
 
 // Event emits one structured event: `level=info event=<name> k=v ...`.
 // kv is alternating keys and values; values are formatted with %v and

@@ -39,9 +39,3 @@ func TestEventCountsEvenWhenSuppressed(t *testing.T) {
 		t.Fatalf("info count = %d, want 1", got)
 	}
 }
-
-func TestT(t *testing.T) {
-	if got := T(1.5); got != "1.5h" {
-		t.Fatalf("T(1.5) = %q", got)
-	}
-}

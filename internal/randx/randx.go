@@ -130,27 +130,3 @@ func (s *Source) WeightedChoice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// PowerLawDegrees draws n integer degrees from a discrete power law with
-// exponent gamma and minimum degree minDeg, capped at maxDeg. The result is
-// sorted descending so callers can assign the heaviest degrees first.
-//
-//itmlint:allow deadexport only its own test calls it (TestPowerLawDegrees)
-func (s *Source) PowerLawDegrees(n int, gamma float64, minDeg, maxDeg int) []int {
-	if maxDeg < minDeg {
-		maxDeg = minDeg
-	}
-	out := make([]int, n)
-	for i := range out {
-		d := int(s.Pareto(float64(minDeg), gamma-1))
-		if d > maxDeg {
-			d = maxDeg
-		}
-		if d < minDeg {
-			d = minDeg
-		}
-		out[i] = d
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}

@@ -144,19 +144,3 @@ func TestWeightedChoice(t *testing.T) {
 	// All-zero weights fall back to uniform without panicking.
 	_ = s.WeightedChoice([]float64{0, 0})
 }
-
-func TestPowerLawDegrees(t *testing.T) {
-	s := New(23)
-	d := s.PowerLawDegrees(1000, 2.2, 1, 64)
-	if len(d) != 1000 {
-		t.Fatalf("got %d degrees", len(d))
-	}
-	for i, v := range d {
-		if v < 1 || v > 64 {
-			t.Fatalf("degree %d out of bounds", v)
-		}
-		if i > 0 && d[i] > d[i-1] {
-			t.Fatal("degrees not sorted descending")
-		}
-	}
-}
