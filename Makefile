@@ -146,8 +146,8 @@ obs-smoke:
 # Loadgen smoke: serve a tiny snapshot, replay a short deterministic mix
 # over HTTP twice — against a fresh server each time, since response caches
 # warm as a replay runs — then assert the deterministic counters are
-# byte-identical, the cache actually hit, and the server drained cleanly on
-# SIGTERM.
+# byte-identical, the cache actually hit, the idle server's in-flight gauge
+# reads 0, and the server drained cleanly on SIGTERM.
 loadgen-smoke:
 	@rm -rf lg-smoke && mkdir -p lg-smoke
 	$(GO) build -o lg-smoke/itm-serve ./cmd/itm-serve
@@ -164,6 +164,12 @@ loadgen-smoke:
 		lg-smoke/itm-loadgen -addr http://127.0.0.1:8413 -seed 7 -n 800 -workers 4 \
 			-counters lg-smoke/counters$$run.json > lg-smoke/summary$$run.txt; \
 		cat lg-smoke/summary$$run.txt; \
+		for i in $$(seq 1 10); do \
+			curl -sf http://127.0.0.1:8413/metrics > lg-smoke/metrics$$run.txt; \
+			grep -qx 'itm_admission_inflight 0' lg-smoke/metrics$$run.txt && break; sleep 0.1; \
+		done; \
+		grep -qx 'itm_admission_inflight 0' lg-smoke/metrics$$run.txt || \
+			{ echo "loadgen-smoke: idle server reports $$(grep '^itm_admission_inflight ' lg-smoke/metrics$$run.txt)"; exit 1; }; \
 		kill $$pid; \
 		wait $$pid || { echo "loadgen-smoke: itm-serve did not shut down cleanly"; exit 1; }; \
 	done; \
@@ -171,7 +177,7 @@ loadgen-smoke:
 		{ echo "loadgen-smoke: deterministic counters differ between runs"; exit 1; }; \
 	ratio=$$(sed -n 's/.*hit_ratio=\([0-9.]*\).*/\1/p' lg-smoke/summary1.txt); \
 	awk "BEGIN {exit !($$ratio > 0)}" || { echo "loadgen-smoke: hit ratio $$ratio not > 0"; exit 1; }; \
-	echo "loadgen-smoke: OK (hit_ratio=$$ratio, byte-identical counters, clean shutdown)"
+	echo "loadgen-smoke: OK (hit_ratio=$$ratio, byte-identical counters, idle in-flight gauge 0, clean shutdown)"
 	@rm -rf lg-smoke
 
 # Crash smoke: boot a mesh-enabled itm-serve with a WAL, capture the served

@@ -69,6 +69,8 @@ import (
 	"itmap/internal/world"
 )
 
+var epochsLoaded = obs.NewGauge("itm_serve_epochs_loaded", "Epochs available in the serving store.")
+
 // options carries every flag; one struct keeps run()'s signature sane.
 type options struct {
 	addr         string
@@ -230,7 +232,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	obs.G("itm_serve_epochs_loaded", "Epochs available in the serving store.").Set(float64(st.Len()))
+	epochsLoaded.Set(float64(st.Len()))
 	for _, info := range st.Infos() {
 		obs.Event(obs.Info, "serve.epoch", "id", info.ID, "at_h", float64(info.At),
 			"prefixes", info.ActivePrefixes, "ases", info.ASes, "servers", info.Servers,

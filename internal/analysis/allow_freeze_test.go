@@ -81,8 +81,8 @@ func TestV2AllowlistFrozen(t *testing.T) {
 // gives: test support that tests of *other* packages call, a name
 // benchmark/_tracer (its own module) calls, the one switch of a fault model
 // the stable exposition already lists, a campaign half the digest tests pin
-// — and five names only their own floor tests call, which leave together
-// with those tests. The set may shrink freely; growing it means new code
+// — and one name only its own floor test calls, which leaves together with
+// that test. The set may shrink freely; growing it means new code
 // nothing calls, which is a reviewed decision.
 func TestDeadExportAllowsFrozen(t *testing.T) {
 	if testing.Short() {
@@ -103,12 +103,8 @@ func TestDeadExportAllowsFrozen(t *testing.T) {
 		"internal/mapstore/store.go:AppendMap":                     true,
 		"internal/measure/cacheprobe/resilient.go:MeasureHitRates": true,
 		"internal/dnssim/roots.go:SetFaultPlan":                    true,
-		// Called only by their own floor tests.
-		"internal/apnic/apnic.go:CountryUsers":                    true,
-		"internal/apnic/apnic.go:TopASes":                         true,
-		"internal/measure/resolvermap/resolvermap.go:ClientShare": true,
-		"internal/measure/resolvermap/resolvermap.go:Resolvers":   true,
-		"internal/measure/schedule/schedule.go:Fit":               true,
+		// Called only by its own floor test.
+		"internal/measure/schedule/schedule.go:Fit": true,
 	}
 	l := testLoader(t)
 	pkgs, err := l.LoadAll()

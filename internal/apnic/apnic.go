@@ -7,9 +7,6 @@
 package apnic
 
 import (
-	"sort"
-
-	"itmap/internal/order"
 	"itmap/internal/randx"
 	"itmap/internal/topology"
 	"itmap/internal/users"
@@ -59,36 +56,4 @@ func Estimate(top *topology.Topology, um *users.Model, cfg Config, rng *randx.So
 func (e *Estimates) Users(asn topology.ASN) (float64, bool) {
 	u, ok := e.ByAS[asn]
 	return u, ok
-}
-
-// CountryUsers aggregates estimates per country code.
-//
-//itmlint:allow deadexport only its own test calls it (TestCountryAggregation)
-func (e *Estimates) CountryUsers(top *topology.Topology) map[string]float64 {
-	out := map[string]float64{}
-	for _, asn := range order.Keys(e.ByAS) {
-		a := top.ASes[asn]
-		if a == nil || a.Country == "ZZ" {
-			continue
-		}
-		out[a.Country] += e.ByAS[asn]
-	}
-	return out
-}
-
-// TopASes returns covered ASes by descending estimated users.
-//
-//itmlint:allow deadexport only its own test calls it (TestTopASesSorted)
-func (e *Estimates) TopASes() []topology.ASN {
-	out := make([]topology.ASN, 0, len(e.ByAS))
-	for asn := range e.ByAS {
-		out = append(out, asn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if e.ByAS[out[i]] != e.ByAS[out[j]] {
-			return e.ByAS[out[i]] > e.ByAS[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

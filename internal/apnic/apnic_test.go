@@ -1,7 +1,6 @@
 package apnic
 
 import (
-	"math"
 	"testing"
 
 	"itmap/internal/order"
@@ -54,31 +53,6 @@ func TestCoverageGaps(t *testing.T) {
 	}
 	if missing == 0 {
 		t.Error("APNIC-like data should have gaps")
-	}
-}
-
-func TestCountryAggregation(t *testing.T) {
-	top, _, est := setup(t)
-	byC := est.CountryUsers(top)
-	total := 0.0
-	for code, v := range byC {
-		if v <= 0 {
-			t.Fatalf("country %s non-positive", code)
-		}
-		total += v
-	}
-	if math.Abs(total-order.SumValues(est.ByAS)) > 1e-6*total {
-		t.Errorf("country sum %f != total %f", total, order.SumValues(est.ByAS))
-	}
-}
-
-func TestTopASesSorted(t *testing.T) {
-	_, _, est := setup(t)
-	tops := est.TopASes()
-	for i := 1; i < len(tops); i++ {
-		if est.ByAS[tops[i]] > est.ByAS[tops[i-1]] {
-			t.Fatal("TopASes not sorted")
-		}
 	}
 }
 

@@ -95,6 +95,15 @@ var scratchPool sync.Pool
 // locality, so the derived metric family is registered volatile.
 var scratchReuses atomic.Uint64
 
+// The routing families.
+var (
+	ribsComputed  = obs.NewCounter("itm_bgp_ribs_computed_total", "RIBs computed (one per origin sweep).")
+	ribRoutes     = obs.NewCounter("itm_bgp_rib_routes_total", "Reachable best-route entries across all computed RIBs.")
+	scratchReused = obs.NewCounter("itm_bgp_scratch_reuses_total",
+		"ComputeRIB scratch allocations avoided via pooling (volatile: pool retention is GC/scheduler dependent).").
+		Volatile()
+)
+
 func getScratch(n int) *scratch {
 	s, _ := scratchPool.Get().(*scratch)
 	if s == nil {
@@ -288,8 +297,8 @@ func ComputeRIB(top *topology.Topology, origin topology.ASN) *RIB {
 			reachable++
 		}
 	}
-	obs.C("itm_bgp_ribs_computed_total", "RIBs computed (one per origin sweep).").Inc()
-	obs.C("itm_bgp_rib_routes_total", "Reachable best-route entries across all computed RIBs.").Add(reachable)
+	ribsComputed.Inc()
+	ribRoutes.Add(reachable)
 	return r
 }
 
@@ -374,9 +383,7 @@ func ComputeAll(top *topology.Topology) *AllPaths {
 	parallel.ForEach(len(asns), 0, func(i int) {
 		ap.ribs[i] = ComputeRIB(top, asns[i])
 	})
-	obs.Metrics().VolatileCounter("itm_bgp_scratch_reuses_total",
-		"ComputeRIB scratch allocations avoided via pooling (volatile: pool retention is GC/scheduler dependent).").
-		Add(scratchReuses.Load() - reuseBase)
+	scratchReused.Add(scratchReuses.Load() - reuseBase)
 	sp.End(0)
 	return ap
 }

@@ -110,9 +110,6 @@ type PublicResolver struct {
 
 	home     memo[geo.Coord, *PoP] // city coordinate -> nearest PoP
 	adoption memo[string, float64] // country code -> AdoptionShare
-
-	// The two lookup counters, shared by every Probe of this resolver.
-	answered, hits lazyCounter
 }
 
 // memo caches a pure function over a small key space (a world's few dozen
@@ -145,29 +142,14 @@ func (c *memo[K, V]) store(k K, v V) {
 	c.m.Store(&next)
 }
 
-// lazyCounter is a counter of the default registry resolved at its first
-// increment, not before: a series must not appear in the exposition until
-// the increment that would have created it. The handle is kept per registry,
-// so a resolver that outlives an obs.Swap reports into the current one.
-type lazyCounter struct {
-	name, help string
-	h          atomic.Pointer[counterHandle]
-}
-
-type counterHandle struct {
-	reg *obs.Registry
-	c   *obs.Counter
-}
-
-func (l *lazyCounter) add(n uint64) {
-	reg := obs.Metrics()
-	h := l.h.Load()
-	if h == nil || h.reg != reg {
-		h = &counterHandle{reg: reg, c: reg.Counter(l.name, l.help)}
-		l.h.Store(h)
-	}
-	h.c.Add(n)
-}
+// The resolver's families.
+var (
+	probesAnswered = obs.NewCounter("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).")
+	probeHits      = obs.NewCounter("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.")
+	probeErrors    = obs.NewCounter("itm_dns_probe_errors_total",
+		"Cache probes answered with an injected transient fault, by kind.", "kind")
+	popsGauge = obs.NewGauge("itm_dns_pops", "Public-resolver points of presence.")
+)
 
 // NewPublicResolver places PoPs at every region hub and in every country
 // with more than 60M Internet users present in the world.
@@ -177,10 +159,6 @@ func NewPublicResolver(top *topology.Topology, cat *services.Catalog, owner topo
 		cat:   cat,
 		seed:  uint64(seed),
 		Owner: owner,
-		answered: lazyCounter{name: "itm_dns_probes_total",
-			help: "Cache-occupancy lookups answered (hit or clean miss)."},
-		hits: lazyCounter{name: "itm_dns_cache_hits_total",
-			help: "Cache-occupancy lookups that found the record cached."},
 	}
 	seen := map[string]bool{}
 	addPoP := func(city geo.City) {
@@ -215,9 +193,8 @@ func NewPublicResolver(top *topology.Topology, cat *services.Catalog, owner topo
 	}
 	// Declare the fault-outcome family up front so a fault-free run still
 	// exposes its HELP/TYPE header.
-	obs.Metrics().Declare(obs.KindCounter, "itm_dns_probe_errors_total",
-		"Cache probes answered with an injected transient fault, by kind.", "kind")
-	obs.G("itm_dns_pops", "Public-resolver points of presence.").Set(float64(len(pr.PoPs)))
+	obs.Declare(probeErrors)
+	popsGauge.Set(float64(len(pr.PoPs)))
 	return pr
 }
 
@@ -322,10 +299,8 @@ type Probe struct {
 	steady  float64
 	factors []float64
 
-	// Lookups answered and hits found since the last Flush, and the resolver
-	// whose counters Flush adds them to.
+	// Lookups answered and hits found since the last Flush.
 	nAnswered, nHits uint64
-	pr               *PublicResolver
 }
 
 // Prepare resolves the time-invariant half of probing domain with the given
@@ -349,7 +324,7 @@ func (pr *PublicResolver) PrepareHome(home *PoP, domain string, ecs topology.Pre
 
 // prepare is Prepare given ecs's home PoP (nil for a prefix placed nowhere).
 func (pr *PublicResolver) prepare(popID int, home *PoP, domain string, ecs topology.PrefixID) Probe {
-	p := Probe{faults: pr.faults, pop: popID, pr: pr}
+	p := Probe{faults: pr.faults, pop: popID}
 	if pr.rates == nil {
 		p.early = fmt.Errorf("dnssim: no rate source wired")
 		p.late = p.early // the fault-free lookup reports it too
@@ -427,11 +402,11 @@ func (p *Probe) slotDiurnal(r int) float64 {
 // swept prefix instead of two per probe.
 func (p *Probe) Flush() {
 	if p.nAnswered > 0 {
-		p.pr.answered.add(p.nAnswered)
+		probesAnswered.Add(p.nAnswered)
 		p.nAnswered = 0
 	}
 	if p.nHits > 0 {
-		p.pr.hits.add(p.nHits)
+		probeHits.Add(p.nHits)
 		p.nHits = 0
 	}
 }
@@ -444,9 +419,7 @@ func (p *Probe) undelivered(t simtime.Time, opt ProbeOpts) error {
 	}
 	err := p.faults.ProbeFault(p.pop, opt.Source, p.key, opt.Attempt, t)
 	if err != nil {
-		obs.C("itm_dns_probe_errors_total",
-			"Cache probes answered with an injected transient fault, by kind.",
-			obs.L("kind", faultKind(err))).Inc()
+		probeErrors.With(faultKind(err)).Inc()
 	}
 	return err
 }

@@ -60,9 +60,7 @@ func referenceProbe(pr *PublicResolver, popID int, domain string, ecs topology.P
 	}
 	key := randx.Hash64(hashString(domain), uint64(ecs))
 	if err := pr.faults.ProbeFault(popID, opt.Source, key, opt.Attempt, t); err != nil {
-		obs.C("itm_dns_probe_errors_total",
-			"Cache probes answered with an injected transient fault, by kind.",
-			obs.L("kind", faultKind(err))).Inc()
+		probeErrors.With(faultKind(err)).Inc()
 		return false, err
 	}
 	svc, ok := pr.cat.ByDomain(domain)
@@ -81,9 +79,9 @@ func referenceProbe(pr *PublicResolver, popID int, domain string, ecs topology.P
 	p := 1 - math.Exp(-rate*float64(ttl))
 	window := uint64(math.Floor(float64(t / ttl)))
 	hit := randx.HashBool(p, pr.seed, 0xcac4e, uint64(popID), hashString(domain), uint64(ecs), window)
-	obs.C("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).").Inc()
+	probesAnswered.Inc()
 	if hit {
-		obs.C("itm_dns_cache_hits_total", "Cache-occupancy lookups that found the record cached.").Inc()
+		probeHits.Inc()
 	}
 	return hit, nil
 }

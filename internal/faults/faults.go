@@ -82,27 +82,19 @@ func (pl *Plan) Profile() Profile {
 // timeBits folds a simulated time into the hash input.
 func timeBits(t simtime.Time) uint64 { return math.Float64bits(float64(t)) }
 
-// Metric help strings, shared by the inject sites and RegisterMetrics.
-const (
-	helpInjected = "Faults injected into probe traffic, by kind."
-	helpRolls    = "Probe-fault evaluations against an enabled plan."
-	helpICMP     = "Traceroute replies eaten by router ICMP rate limiting."
-	helpLetters  = "Root-letter log outage days drawn."
+// The fault layer's families.
+var (
+	injected      = obs.NewCounter("itm_faults_injected_total", "Faults injected into probe traffic, by kind.", "kind")
+	rolls         = obs.NewCounter("itm_faults_rolls_total", "Probe-fault evaluations against an enabled plan.")
+	icmpDrops     = obs.NewCounter("itm_faults_icmp_drops_total", "Traceroute replies eaten by router ICMP rate limiting.")
+	letterOutages = obs.NewCounter("itm_faults_letter_outages_total", "Root-letter log outage days drawn.")
 )
 
 // RegisterMetrics declares the fault-layer families so a fault-free process
 // (itm-serve never injects) still exposes their HELP/TYPE headers.
-func RegisterMetrics() {
-	m := obs.Metrics()
-	m.Declare(obs.KindCounter, "itm_faults_injected_total", helpInjected, "kind")
-	m.Declare(obs.KindCounter, "itm_faults_rolls_total", helpRolls)
-	m.Declare(obs.KindCounter, "itm_faults_icmp_drops_total", helpICMP)
-	m.Declare(obs.KindCounter, "itm_faults_letter_outages_total", helpLetters)
-}
+func RegisterMetrics() { obs.Declare(injected, rolls, icmpDrops, letterOutages) }
 
-func countInjected(kind string) {
-	obs.C("itm_faults_injected_total", helpInjected, obs.L("kind", kind)).Inc()
-}
+func countInjected(kind string) { injected.With(kind).Inc() }
 
 // PoPDown reports whether the PoP is inside a transient outage at t.
 // Each PoP suffers at most one outage per simulated day, scheduled
@@ -160,7 +152,7 @@ func (pl *Plan) LetterDown(letter byte, day int) bool {
 	}
 	down := randx.HashBool(pl.prof.LetterOutageProb, pl.seed, tagLetter, uint64(letter), uint64(day))
 	if down {
-		obs.C("itm_faults_letter_outages_total", helpLetters).Inc()
+		letterOutages.Inc()
 	}
 	return down
 }
@@ -174,7 +166,7 @@ func (pl *Plan) ICMPDropped(router uint64, key uint64, attempt int, t simtime.Ti
 	}
 	dropped := randx.HashBool(pl.prof.ICMPDropProb, pl.seed, tagICMP, router, key, uint64(attempt), timeBits(t))
 	if dropped {
-		obs.C("itm_faults_icmp_drops_total", helpICMP).Inc()
+		icmpDrops.Inc()
 	}
 	return dropped
 }
@@ -190,7 +182,7 @@ func (pl *Plan) ProbeFault(pop int, source, key uint64, attempt int, t simtime.T
 	if !pl.Enabled() {
 		return nil
 	}
-	obs.C("itm_faults_rolls_total", helpRolls).Inc()
+	rolls.Inc()
 	if pl.PoPDown(pop, t) {
 		countInjected("pop-outage")
 		return ErrTimeout

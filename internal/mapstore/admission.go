@@ -78,6 +78,18 @@ const (
 	DefaultRetryAfterSeconds = 1
 )
 
+// The valve's families; NewAdmission declares them.
+var (
+	admissionAdmitted = obs.NewCounter("itm_admission_admitted_total",
+		"Requests granted an execution slot (immediately or after queueing).")
+	admissionQueued = obs.NewCounter("itm_admission_queued_total",
+		"Requests that waited in the admission queue before a decision.")
+	admissionShed   = obs.NewCounter("itm_admission_shed_total", "Requests shed with 503 (queue full or draining).")
+	admissionBypass = obs.NewCounter("itm_admission_bypass_total",
+		"Requests on always-admitted operator routes (/healthz, /metrics).")
+	admissionInflight = obs.NewGauge("itm_admission_inflight", "Requests currently holding an execution slot.")
+)
+
 // NewAdmission builds the valve and declares its metric families.
 func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.MaxInFlight <= 0 {
@@ -89,21 +101,12 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.RetryAfterSeconds <= 0 {
 		cfg.RetryAfterSeconds = DefaultRetryAfterSeconds
 	}
-	declareAdmissionMetrics()
+	obs.Declare(admissionAdmitted, admissionQueued, admissionShed, admissionBypass, admissionInflight)
 	return &Admission{
 		maxInFlight: cfg.MaxInFlight,
 		maxQueue:    cfg.MaxQueue,
 		retryAfter:  strconv.Itoa(cfg.RetryAfterSeconds),
 	}
-}
-
-func declareAdmissionMetrics() {
-	m := obs.Metrics()
-	m.Declare(obs.KindCounter, "itm_admission_admitted_total", "Requests granted an execution slot (immediately or after queueing).")
-	m.Declare(obs.KindCounter, "itm_admission_queued_total", "Requests that waited in the admission queue before a decision.")
-	m.Declare(obs.KindCounter, "itm_admission_shed_total", "Requests shed with 503 (queue full or draining).")
-	m.Declare(obs.KindCounter, "itm_admission_bypass_total", "Requests on always-admitted operator routes (/healthz, /metrics).")
-	m.Declare(obs.KindGauge, "itm_admission_inflight", "Requests currently holding an execution slot.")
 }
 
 // alwaysAdmit lists the operator routes that bypass the valve.
@@ -115,7 +118,7 @@ func alwaysAdmit(path string) bool {
 func (a *Admission) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if alwaysAdmit(r.URL.Path) {
-			obs.C("itm_admission_bypass_total", "Requests on always-admitted operator routes (/healthz, /metrics).").Inc()
+			admissionBypass.Inc()
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -125,7 +128,7 @@ func (a *Admission) Wrap(next http.Handler) http.Handler {
 		}
 		switch a.acquire(lane, r.Context().Done()) {
 		case decisionShed:
-			obs.C("itm_admission_shed_total", "Requests shed with 503 (queue full or draining).").Inc()
+			admissionShed.Inc()
 			w.Header().Set("Retry-After", a.retryAfter)
 			writeErr(w, http.StatusServiceUnavailable, "overloaded: retry after %ss", a.retryAfter)
 			return
@@ -133,12 +136,8 @@ func (a *Admission) Wrap(next http.Handler) http.Handler {
 			// Client gone; nothing to write, nothing held.
 			return
 		}
-		obs.C("itm_admission_admitted_total", "Requests granted an execution slot (immediately or after queueing).").Inc()
-		obs.G("itm_admission_inflight", "Requests currently holding an execution slot.").Set(float64(a.InFlight()))
-		defer func() {
-			a.release()
-			obs.G("itm_admission_inflight", "Requests currently holding an execution slot.").Set(float64(a.InFlight()))
-		}()
+		admissionAdmitted.Inc()
+		defer a.release()
 		next.ServeHTTP(w, r)
 	})
 }
@@ -162,6 +161,7 @@ func (a *Admission) acquire(lane int, cancel <-chan struct{}) decision {
 	}
 	if a.inFlight < a.maxInFlight {
 		a.inFlight++
+		admissionInflight.Set(float64(a.inFlight))
 		a.mu.Unlock()
 		return decisionAdmit
 	}
@@ -173,7 +173,7 @@ func (a *Admission) acquire(lane int, cancel <-chan struct{}) decision {
 	a.queue[lane] = append(a.queue[lane], wt)
 	a.queued++
 	a.mu.Unlock()
-	obs.C("itm_admission_queued_total", "Requests that waited in the admission queue before a decision.").Inc()
+	admissionQueued.Inc()
 
 	select {
 	case admit := <-wt.ch:
@@ -203,7 +203,8 @@ func (a *Admission) acquire(lane int, cancel <-chan struct{}) decision {
 // release frees a slot: the longest-waiting high-lane request gets it by
 // direct handoff (the slot never returns to the pool, so arrival order is
 // the only thing that decides who runs), then the low lane, then inFlight
-// drops.
+// drops. The gauge is published under the lock, as in acquire, so the last
+// release to run is the last value published: an idle valve reads 0.
 func (a *Admission) release() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -221,6 +222,7 @@ func (a *Admission) release() {
 		}
 	}
 	a.inFlight--
+	admissionInflight.Set(float64(a.inFlight))
 }
 
 // BeginDrain flips the valve into shutdown mode: every queued waiter is

@@ -204,3 +204,36 @@ func TestAdmissionAbandonedWaiter(t *testing.T) {
 		t.Fatalf("request after abandoned waiter: %d, want 200", rec.Code)
 	}
 }
+
+// TestAdmissionInflightGaugeSettles is the idle-valve check on the in-flight
+// gauge: after every round of concurrent requests — some admitted at once,
+// some handed a slot from the queue — the valve is idle, so the gauge must
+// read 0. Publishing the gauge outside the valve's lock let two concurrent
+// releases land their values out of order and leave it stuck above 0.
+func TestAdmissionInflightGaugeSettles(t *testing.T) {
+	prev := obs.Swap(obs.NewSet())
+	defer obs.Swap(prev)
+	rounds, perRound := 4000, 32
+	if testing.Short() {
+		rounds = 200
+	}
+	h := NewAdmission(AdmissionConfig{MaxInFlight: 8, MaxQueue: perRound}).
+		Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { runtime.Gosched() }))
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < perRound; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/top", nil))
+			}()
+		}
+		wg.Wait()
+		if got := seriesValue(obs.Metrics(), "itm_admission_inflight"); got != 0 {
+			t.Fatalf("round %d: idle valve reports itm_admission_inflight %v", round, got)
+		}
+	}
+	if got := seriesValue(obs.Metrics(), "itm_admission_admitted_total"); got != float64(rounds*perRound) {
+		t.Fatalf("admitted %v requests, want %d", got, rounds*perRound)
+	}
+}

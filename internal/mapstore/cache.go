@@ -80,7 +80,7 @@ func (e *cacheEntry) fill(route string, render renderer, q request) {
 	e.once.Do(func() {
 		e.body, e.ctype, e.err = render(q)
 		if e.err == nil {
-			cacheFills(route).Inc()
+			cacheFills.With(route).Inc()
 		}
 	})
 }
@@ -94,56 +94,25 @@ func (c *responseCache) len() int {
 
 // --- metrics ----------------------------------------------------------------
 
-// Cache metric families. Declared by NewStore so the HELP/TYPE headers are
-// present in the stable exposition (and the obs smoke) before any request.
-func declareCacheMetrics() {
-	reg := obs.Metrics()
-	reg.Declare(obs.KindCounter, "itm_cache_hits_total",
+// The response-cache families, by route pattern; NewStore declares them.
+var (
+	cacheHits = obs.NewCounter("itm_cache_hits_total",
 		"Response-cache hits (body served from cached bytes), by route pattern.", "route")
-	reg.Declare(obs.KindCounter, "itm_cache_misses_total",
+	cacheMisses = obs.NewCounter("itm_cache_misses_total",
 		"Response-cache misses (entry created by this request), by route pattern.", "route")
-	reg.Declare(obs.KindCounter, "itm_cache_fills_total",
+	cacheFills = obs.NewCounter("itm_cache_fills_total",
 		"Response-cache single-flight fills (bodies encoded), by route pattern.", "route")
-	reg.Declare(obs.KindCounter, "itm_cache_not_modified_total",
+	cacheNotModified = obs.NewCounter("itm_cache_not_modified_total",
 		"Conditional requests answered 304 via ETag match, by route pattern.", "route")
-	reg.Declare(obs.KindCounter, "itm_cache_bypass_total",
+	cacheBypass = obs.NewCounter("itm_cache_bypass_total",
 		"Requests served uncached because the cache was at capacity, by route pattern.", "route")
-	reg.Declare(obs.KindCounter, "itm_cache_bytes_served_total",
+	cacheBytesServed = obs.NewCounter("itm_cache_bytes_served_total",
 		"Response body bytes served through the caching path, by route pattern.", "route")
-	// Bare counter: create the series so a campaign's stable dump carries it
+	// Created at declaration, so a campaign's stable dump carries its value
 	// even before any serving-time traffic.
-	obs.C("itm_cache_prebaked_total", "Responses pre-baked into epoch caches at append time.").Add(0)
-}
-
-func cacheHits(route string) *obs.Counter {
-	return obs.C("itm_cache_hits_total",
-		"Response-cache hits (body served from cached bytes), by route pattern.", obs.L("route", route))
-}
-
-func cacheMisses(route string) *obs.Counter {
-	return obs.C("itm_cache_misses_total",
-		"Response-cache misses (entry created by this request), by route pattern.", obs.L("route", route))
-}
-
-func cacheFills(route string) *obs.Counter {
-	return obs.C("itm_cache_fills_total",
-		"Response-cache single-flight fills (bodies encoded), by route pattern.", obs.L("route", route))
-}
-
-func cacheNotModified(route string) *obs.Counter {
-	return obs.C("itm_cache_not_modified_total",
-		"Conditional requests answered 304 via ETag match, by route pattern.", obs.L("route", route))
-}
-
-func cacheBypass(route string) *obs.Counter {
-	return obs.C("itm_cache_bypass_total",
-		"Requests served uncached because the cache was at capacity, by route pattern.", obs.L("route", route))
-}
-
-func cacheBytes(route string) *obs.Counter {
-	return obs.C("itm_cache_bytes_served_total",
-		"Response body bytes served through the caching path, by route pattern.", obs.L("route", route))
-}
+	cachePrebaked = obs.NewCounter("itm_cache_prebaked_total",
+		"Responses pre-baked into epoch caches at append time.").DeclaredAtZero()
+)
 
 // --- ETags ------------------------------------------------------------------
 
@@ -240,7 +209,7 @@ func writeRenderErr(w http.ResponseWriter, err error) {
 func serveCached(w http.ResponseWriter, r *http.Request, route string, q request, render renderer) {
 	if etagMatch(r.Header.Get("If-None-Match"), q.etag) {
 		w.Header().Set("ETag", q.etag)
-		cacheNotModified(route).Inc()
+		cacheNotModified.With(route).Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -250,7 +219,7 @@ func serveCached(w http.ResponseWriter, r *http.Request, route string, q request
 		// no copy. no-transform guards the byte-identity contract (clients
 		// may hash the body against the codec's output).
 		w.Header().Set("Cache-Control", "no-transform")
-		cacheHits(route).Inc()
+		cacheHits.With(route).Inc()
 		writeCachedBody(w, route, q.etag, "application/octet-stream", "store", q.stored)
 		return
 	}
@@ -261,14 +230,14 @@ func serveCached(w http.ResponseWriter, r *http.Request, route string, q request
 			writeRenderErr(w, err)
 			return
 		}
-		cacheBypass(route).Inc()
+		cacheBypass.With(route).Inc()
 		writeCachedBody(w, route, q.etag, ctype, "bypass", body)
 		return
 	}
 	if created {
-		cacheMisses(route).Inc()
+		cacheMisses.With(route).Inc()
 	} else {
-		cacheHits(route).Inc()
+		cacheHits.With(route).Inc()
 	}
 	entry.fill(route, render, q)
 	if entry.err != nil {
@@ -292,5 +261,5 @@ func writeCachedBody(w http.ResponseWriter, route, etag, ctype, xcache string, b
 	h.Set("X-Cache", xcache)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
-	cacheBytes(route).Add(uint64(len(body)))
+	cacheBytesServed.With(route).Add(uint64(len(body)))
 }

@@ -168,28 +168,26 @@ func TestCacheCounters(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
-	counter := func(name, route string) uint64 {
-		return obs.Metrics().Counter(name, "", obs.L("route", route)).Value()
-	}
+	counter := func(f *obs.CounterFamily, route string) uint64 { return f.With(route).Value() }
 
 	resp := getFull(t, srv, "/v1/map/0", "")
 	body, _ := io.ReadAll(resp.Body)
 	getFull(t, srv, "/v1/map/0", "")
 	getFull(t, srv, "/v1/map/0", resp.Header.Get("ETag"))
 
-	if got := counter("itm_cache_misses_total", "/v1/map/{epoch}"); got != 1 {
+	if got := counter(cacheMisses, "/v1/map/{epoch}"); got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
-	if got := counter("itm_cache_fills_total", "/v1/map/{epoch}"); got != 1 {
+	if got := counter(cacheFills, "/v1/map/{epoch}"); got != 1 {
 		t.Errorf("fills = %d, want 1", got)
 	}
-	if got := counter("itm_cache_hits_total", "/v1/map/{epoch}"); got != 1 {
+	if got := counter(cacheHits, "/v1/map/{epoch}"); got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}
-	if got := counter("itm_cache_not_modified_total", "/v1/map/{epoch}"); got != 1 {
+	if got := counter(cacheNotModified, "/v1/map/{epoch}"); got != 1 {
 		t.Errorf("304s = %d, want 1", got)
 	}
-	if got := counter("itm_cache_bytes_served_total", "/v1/map/{epoch}"); got != uint64(2*len(body)) {
+	if got := counter(cacheBytesServed, "/v1/map/{epoch}"); got != uint64(2*len(body)) {
 		t.Errorf("bytes = %d, want %d", got, 2*len(body))
 	}
 
@@ -258,7 +256,7 @@ func TestSingleFlightFill(t *testing.T) {
 			t.Fatalf("response %d differs from response 0", i)
 		}
 	}
-	if got := obs.Metrics().Counter("itm_cache_fills_total", "", obs.L("route", "/v1/map/{epoch}")).Value(); got != 1 {
+	if got := cacheFills.With("/v1/map/{epoch}").Value(); got != 1 {
 		t.Errorf("fills = %d, want 1 (single flight)", got)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"itmap/internal/core"
-	"itmap/internal/obs"
 	"itmap/internal/topology"
 )
 
@@ -393,7 +392,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 		e.uvarint(uint64(p))
 	}
 	e.mappings = mappings
-	obs.C("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.").Add(uint64(len(e.buf)))
+	codecEncoded.Add(uint64(len(e.buf)))
 	// Exact-size clone: the pooled buffer stays with the encoder; callers
 	// retain only their own bytes.
 	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off, actives: actives}
@@ -884,6 +883,6 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 			return fmt.Errorf("%w: unreferenced string table entry %d", ErrCorrupt, i)
 		}
 	}
-	obs.C("itm_codec_decoded_bytes_total", "ITMB bytes consumed by successful document decodes.").Add(uint64(len(enc.bytes)))
+	codecDecoded.Add(uint64(len(enc.bytes)))
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"itmap/internal/core"
-	"itmap/internal/obs"
 )
 
 // Mesh wire format (ITMB codec version 2; same primitives as version 1):
@@ -96,7 +95,7 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 			e.uvarint(uint64(hop))
 		}
 	}
-	obs.C("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.").Add(uint64(len(e.buf)))
+	codecEncoded.Add(uint64(len(e.buf)))
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
 	return out, nil
@@ -200,6 +199,6 @@ func DecodeMeshDocument(data []byte) (*core.MeshDocument, error) {
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
-	obs.C("itm_codec_decoded_bytes_total", "ITMB bytes consumed by successful document decodes.").Add(uint64(len(data)))
+	codecDecoded.Add(uint64(len(data)))
 	return doc, nil
 }

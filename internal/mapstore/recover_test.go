@@ -229,8 +229,7 @@ func recoverStoreReencode(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
 				r.ID, len(e.Encoded), len(e.MeshEncoded), len(mapBytes), len(meshBytes))
 		}
 	}
-	obs.C("itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.").
-		Add(uint64(len(rec.Records)))
+	wal.ReplayedEpochs.Add(uint64(len(rec.Records)))
 	s.AttachWAL(w)
 	return s, nil
 }

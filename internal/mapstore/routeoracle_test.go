@@ -637,7 +637,7 @@ func refServeCached(w http.ResponseWriter, r *http.Request, route string, c *res
 	key, etag string, render func() ([]byte, string, error)) {
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
-		cacheNotModified(route).Inc()
+		cacheNotModified.With(route).Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -648,14 +648,14 @@ func refServeCached(w http.ResponseWriter, r *http.Request, route string, c *res
 			writeRenderErr(w, err)
 			return
 		}
-		cacheBypass(route).Inc()
+		cacheBypass.With(route).Inc()
 		writeCachedBody(w, route, etag, ctype, "bypass", body)
 		return
 	}
 	if created {
-		cacheMisses(route).Inc()
+		cacheMisses.With(route).Inc()
 	} else {
-		cacheHits(route).Inc()
+		cacheHits.With(route).Inc()
 	}
 	// The one line that is not verbatim: cacheEntry.fill now takes the
 	// route's renderer and its resolved request; the old closure fits as a
@@ -679,7 +679,7 @@ func refServeCached(w http.ResponseWriter, r *http.Request, route string, c *res
 func refServeBinary(w http.ResponseWriter, r *http.Request, route string, e *Epoch) {
 	if etagMatch(r.Header.Get("If-None-Match"), e.ETag) {
 		w.Header().Set("ETag", e.ETag)
-		cacheNotModified(route).Inc()
+		cacheNotModified.With(route).Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -691,6 +691,6 @@ func refServeBinary(w http.ResponseWriter, r *http.Request, route string, e *Epo
 	h.Set("X-Cache", "store")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(e.Encoded)
-	cacheHits(route).Inc()
-	cacheBytes(route).Add(uint64(len(e.Encoded)))
+	cacheHits.With(route).Inc()
+	cacheBytesServed.With(route).Add(uint64(len(e.Encoded)))
 }

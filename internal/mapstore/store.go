@@ -138,32 +138,43 @@ type Store struct {
 	wal *wal.WAL
 }
 
-// NewStore returns an empty store.
+// NewStore returns an empty store. It declares every family the ingest,
+// codec, cache and HTTP paths touch, so a fresh store's stable exposition
+// (and the declared-families audit test) carries them before the first
+// append or request.
 func NewStore() *Store {
-	declareCacheMetrics()
-	declareStoreMetrics()
+	obs.Declare(epochsIngested, sectionsShared, sectionsCopied, epochBytes,
+		meshEpochs, meshShared, meshSectionBytes, codecEncoded, codecDecoded,
+		cacheHits, cacheMisses, cacheFills, cacheNotModified, cacheBypass,
+		cacheBytesServed, cachePrebaked)
+	obs.DeclareHTTPMetrics()
+	history.DeclareMetrics()
 	s := &Store{}
 	s.cur.Store(&epochList{etag: storeETag(0, ""), cache: newResponseCache()})
 	return s
 }
 
-// declareStoreMetrics registers HELP/TYPE for every family the ingest and
-// codec paths touch, so a fresh store's stable exposition (and the
-// declared-families audit test) carries them before the first append.
-func declareStoreMetrics() {
-	m := obs.Metrics()
-	m.Declare(obs.KindCounter, "itm_mapstore_epochs_total", "Epochs ingested into the map store.")
-	m.Declare(obs.KindCounter, "itm_mapstore_sections_shared_total", "Document sections structurally shared with the previous epoch.")
-	m.Declare(obs.KindCounter, "itm_mapstore_sections_copied_total", "Document sections that changed and so kept their own storage.")
-	m.DeclareHistogram("itm_mapstore_epoch_bytes", "Encoded (ITMB) size of ingested epochs, in bytes.", epochBytesBuckets)
-	m.Declare(obs.KindCounter, "itm_mapstore_mesh_epochs_total", "Epochs ingested carrying a fresh mesh matrix.")
-	m.Declare(obs.KindCounter, "itm_mapstore_mesh_shared_total", "Mesh sections structurally shared with the previous epoch.")
-	m.DeclareHistogram("itm_mapstore_mesh_bytes", "Encoded (ITMB v2) size of ingested mesh matrices, in bytes.", epochBytesBuckets)
-	m.Declare(obs.KindCounter, "itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.")
-	m.Declare(obs.KindCounter, "itm_codec_decoded_bytes_total", "ITMB bytes consumed by successful document decodes.")
-	obs.DeclareHTTPMetrics(m)
-	history.DeclareMetrics(m)
-}
+// The ingest and codec families.
+var (
+	epochsIngested = obs.NewCounter("itm_mapstore_epochs_total", "Epochs ingested into the map store.")
+	sectionsShared = obs.NewCounter("itm_mapstore_sections_shared_total",
+		"Document sections structurally shared with the previous epoch.")
+	sectionsCopied = obs.NewCounter("itm_mapstore_sections_copied_total",
+		"Document sections that changed and so kept their own storage.")
+	// Both size histograms span tiny test worlds through full-scale documents.
+	epochBytes = obs.NewHistogram("itm_mapstore_epoch_bytes",
+		"Encoded (ITMB) size of ingested epochs, in bytes.", epochBytesBuckets)
+	meshEpochs = obs.NewCounter("itm_mapstore_mesh_epochs_total", "Epochs ingested carrying a fresh mesh matrix.")
+	meshShared = obs.NewCounter("itm_mapstore_mesh_shared_total",
+		"Mesh sections structurally shared with the previous epoch.")
+	meshSectionBytes = obs.NewHistogram("itm_mapstore_mesh_bytes",
+		"Encoded (ITMB v2) size of ingested mesh matrices, in bytes.", epochBytesBuckets)
+	codecEncoded = obs.NewCounter("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.")
+	codecDecoded = obs.NewCounter("itm_codec_decoded_bytes_total",
+		"ITMB bytes consumed by successful document decodes.")
+)
+
+var epochBytesBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 
 // Len returns the number of epochs.
 func (s *Store) Len() int { return len(s.cur.Load().epochs) }
@@ -328,18 +339,18 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 	sp.SetAttrInt("shared_sections", int64(e.SharedSections)).
 		SetAttrInt("encoded_bytes", int64(len(e.Encoded))).
 		End(at)
-	obs.C("itm_mapstore_epochs_total", "Epochs ingested into the map store.").Inc()
-	obs.C("itm_mapstore_sections_shared_total", "Document sections structurally shared with the previous epoch.").Add(uint64(e.SharedSections))
+	epochsIngested.Inc()
+	sectionsShared.Add(uint64(e.SharedSections))
 	if e.ID > 0 {
-		obs.C("itm_mapstore_sections_copied_total", "Document sections that changed and so kept their own storage.").Add(uint64(sectionCount - e.SharedSections))
+		sectionsCopied.Add(uint64(sectionCount - e.SharedSections))
 	}
-	obs.H("itm_mapstore_epoch_bytes", "Encoded (ITMB) size of ingested epochs, in bytes.", epochBytesBuckets).Observe(float64(len(e.Encoded)))
+	epochBytes.Observe(float64(len(e.Encoded)))
 	switch {
 	case e.MeshShared:
-		obs.C("itm_mapstore_mesh_shared_total", "Mesh sections structurally shared with the previous epoch.").Inc()
+		meshShared.Inc()
 	case mesh != nil:
-		obs.C("itm_mapstore_mesh_epochs_total", "Epochs ingested carrying a fresh mesh matrix.").Inc()
-		obs.H("itm_mapstore_mesh_bytes", "Encoded (ITMB v2) size of ingested mesh matrices, in bytes.", epochBytesBuckets).Observe(float64(len(e.MeshEncoded)))
+		meshEpochs.Inc()
+		meshSectionBytes.Observe(float64(len(e.MeshEncoded)))
 	}
 	// Telemetry history sample: one capture per append, taken here — a
 	// serial point under the ingest lock — so the sample sequence (and the
@@ -359,7 +370,7 @@ func (e *Epoch) prebake(prev *Epoch) {
 			return
 		}
 		entry.fill(route, render, q)
-		obs.C("itm_cache_prebaked_total", "Responses pre-baked into epoch caches at append time.").Inc()
+		cachePrebaked.Inc()
 	}
 	bake("/v1/top", renderTop, request{key: topKey(defaultTopK), e: e, k: defaultTopK})
 	if prev != nil {
@@ -370,9 +381,6 @@ func (e *Epoch) prebake(prev *Epoch) {
 		bake("/v1/latency/top", renderMeshTop, request{key: meshTopKey(defaultTopK), e: e, k: defaultTopK})
 	}
 }
-
-// epochBytesBuckets spans tiny test worlds through full-scale documents.
-var epochBytesBuckets = []float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
 
 // shareSections replaces the sections of e's document that are equal to
 // prev's with prev's backing arrays/maps, so consecutive epochs of a stable

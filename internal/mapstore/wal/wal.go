@@ -208,17 +208,22 @@ func path(dir, name string) string {
 	return dir + "/" + name
 }
 
-// declareMetrics registers the WAL families so a fresh process exposes
-// their HELP/TYPE headers before any append or replay.
-func declareMetrics() {
-	m := obs.Metrics()
-	m.Declare(obs.KindCounter, "itm_wal_appends_total", "Epoch records appended (and fsynced) to the journal.")
-	m.Declare(obs.KindCounter, "itm_wal_append_bytes_total", "Bytes appended to the journal, record framing included.")
-	m.Declare(obs.KindCounter, "itm_wal_compactions_total", "Journal-into-snapshot compactions completed.")
-	m.Declare(obs.KindCounter, "itm_wal_repairs_total", "Failed appends rolled back by truncating the journal to the last good record.")
-	m.Declare(obs.KindCounter, "itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.")
-	m.Declare(obs.KindCounter, "itm_wal_truncated_bytes_total", "Torn-tail bytes cut from the journal during replay.")
-}
+// The WAL families; Open declares them, so a fresh process exposes their
+// HELP/TYPE headers before any append or replay.
+var (
+	appendsTotal = obs.NewCounter("itm_wal_appends_total", "Epoch records appended (and fsynced) to the journal.")
+	appendBytes  = obs.NewCounter("itm_wal_append_bytes_total",
+		"Bytes appended to the journal, record framing included.")
+	compactions = obs.NewCounter("itm_wal_compactions_total", "Journal-into-snapshot compactions completed.")
+	repairs     = obs.NewCounter("itm_wal_repairs_total",
+		"Failed appends rolled back by truncating the journal to the last good record.")
+	truncatedBytes = obs.NewCounter("itm_wal_truncated_bytes_total",
+		"Torn-tail bytes cut from the journal during replay.")
+	// ReplayedEpochs is counted by the store that rebuilds the epochs, once
+	// the last recovered one is published — not here at replay — so history
+	// samples taken during recovery see the count as it stood before.
+	ReplayedEpochs = obs.NewCounter("itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.")
+)
 
 // Open replays the WAL under dir (snapshot, then journal), repairs a torn
 // journal tail by truncating to the last whole record, and returns the WAL
@@ -226,7 +231,7 @@ func declareMetrics() {
 // snapshots are written atomically, so damage there is not a crash
 // artifact.
 func Open(opts Options) (*WAL, *Recovery, error) {
-	declareMetrics()
+	obs.Declare(appendsTotal, appendBytes, compactions, repairs, ReplayedEpochs, truncatedBytes)
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OSFS{}
@@ -286,8 +291,7 @@ func Open(opts Options) (*WAL, *Recovery, error) {
 		if err := fsys.Truncate(w.journalPath, int64(valid)); err != nil {
 			return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
-		obs.C("itm_wal_truncated_bytes_total", "Torn-tail bytes cut from the journal during replay.").
-			Add(uint64(rec.TruncatedBytes))
+		truncatedBytes.Add(uint64(rec.TruncatedBytes))
 	}
 	w.journalSize = int64(valid)
 	for _, r := range jrecs {
@@ -383,9 +387,8 @@ func (w *WAL) Append(at simtime.Time, payload []byte) error {
 	w.journalRecords++
 	w.records = append(w.records, rec)
 	w.nextID++
-	obs.C("itm_wal_appends_total", "Epoch records appended (and fsynced) to the journal.").Inc()
-	obs.C("itm_wal_append_bytes_total", "Bytes appended to the journal, record framing included.").
-		Add(uint64(len(buf)))
+	appendsTotal.Inc()
+	appendBytes.Add(uint64(len(buf)))
 	if w.compactEvery > 0 && w.journalRecords >= w.compactEvery {
 		// Compaction failure is not data loss — the journal still holds
 		// everything — so it degrades to a longer journal, not an error.
@@ -412,7 +415,7 @@ func (w *WAL) rollback(cause error) error {
 		return w.failed
 	}
 	w.journal = f
-	obs.C("itm_wal_repairs_total", "Failed appends rolled back by truncating the journal to the last good record.").Inc()
+	repairs.Inc()
 	return fmt.Errorf("wal: append: %w", cause)
 }
 
@@ -465,7 +468,7 @@ func (w *WAL) compactLocked() error {
 	w.journal = f2
 	w.journalSize = int64(headerSize)
 	w.journalRecords = 0
-	obs.C("itm_wal_compactions_total", "Journal-into-snapshot compactions completed.").Inc()
+	compactions.Inc()
 	return nil
 }
 

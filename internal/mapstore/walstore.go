@@ -5,7 +5,6 @@ import (
 
 	"itmap/internal/core"
 	"itmap/internal/mapstore/wal"
-	"itmap/internal/obs"
 	"itmap/internal/parallel"
 )
 
@@ -70,8 +69,7 @@ func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 			return nil, fmt.Errorf("mapstore: recover epoch %d: store assigned ID %d", r.ID, e.ID)
 		}
 	}
-	obs.C("itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.").
-		Add(uint64(len(rec.Records)))
+	wal.ReplayedEpochs.Add(uint64(len(rec.Records)))
 	s.AttachWAL(w)
 	return s, nil
 }

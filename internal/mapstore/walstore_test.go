@@ -173,7 +173,7 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 			t.Errorf("response identity broken for %s:\n pre-crash: %.120q\n recovered: %.120q", p, want, after[p])
 		}
 	}
-	if n := obs.C("itm_codec_encoded_bytes_total", "ITMB bytes produced by document encodes.").Value(); n != 0 {
+	if n := codecEncoded.With().Value(); n != 0 {
 		t.Errorf("recovered process reports %d encoded bytes; it adopts the journaled bytes and encodes nothing", n)
 	}
 	stableAfter := stripWALLines(obs.Metrics().StableExposition())

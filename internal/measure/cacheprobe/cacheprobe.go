@@ -14,7 +14,6 @@ import (
 
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
-	"itmap/internal/obs"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 	"itmap/internal/users"
@@ -121,10 +120,9 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 			d.ByPoP[pop.ID]++
 		}
 	}
-	mode := obs.L("mode", "naive")
-	obs.C("itm_probe_datagrams_total", "Probe datagrams sent, by client mode.", mode).Add(uint64(d.Probes))
-	obs.C("itm_probe_failed_total", "Probe datagrams lost to transient faults, by client mode.", mode).Add(uint64(d.Failed))
-	obs.C("itm_probe_prefixes_found_total", "Prefixes discovered active (at least one cache hit).").Add(uint64(len(d.Found)))
+	probeDatagrams.With("naive").Add(uint64(d.Probes))
+	probeFailed.With("naive").Add(uint64(d.Failed))
+	prefixesFound.Add(uint64(len(d.Found)))
 	return d, nil
 }
 
@@ -261,8 +259,7 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 			hr.ByAS[asn] += float64(hits)
 		}
 	}
-	mode := obs.L("mode", "naive")
-	obs.C("itm_probe_datagrams_total", "Probe datagrams sent, by client mode.", mode).Add(uint64(probes))
-	obs.C("itm_probe_failed_total", "Probe datagrams lost to transient faults, by client mode.", mode).Add(uint64(hr.Failed))
+	probeDatagrams.With("naive").Add(uint64(probes))
+	probeFailed.With("naive").Add(uint64(hr.Failed))
 	return hr, nil
 }

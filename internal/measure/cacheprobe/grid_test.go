@@ -10,6 +10,7 @@ import (
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
 	"itmap/internal/obs"
+	"itmap/internal/obs/history"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 	"itmap/internal/world"
@@ -118,7 +119,12 @@ func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
 
 // answeredLookups reads itm_dns_probes_total from a metrics set.
 func answeredLookups(set *obs.Set) uint64 {
-	return set.Reg.Counter("itm_dns_probes_total", "Cache-occupancy lookups answered (hit or clean miss).").Value()
+	for _, kv := range history.Flatten(set.Reg) {
+		if kv.Key == "itm_dns_probes_total" {
+			return uint64(kv.Value)
+		}
+	}
+	return 0
 }
 
 // hourlyByAccumulation is MeasureHourlyProfile's loop as it stood before

@@ -160,29 +160,45 @@ var breakerTransitions = []string{
 	"closed>open", "open>half-open", "half-open>closed", "half-open>open",
 }
 
+// The probers' families.
+var (
+	probeDatagrams = obs.NewCounter("itm_probe_datagrams_total", "Probe datagrams sent, by client mode.", "mode")
+	probeFailed    = obs.NewCounter("itm_probe_failed_total",
+		"Probe datagrams lost to transient faults, by client mode.", "mode")
+	prefixesFound = obs.NewCounter("itm_probe_prefixes_found_total",
+		"Prefixes discovered active (at least one cache hit).")
+	probeRetries = obs.NewCounter("itm_probe_retries_total", "Second-and-later probe attempts, by sweep kind.", "sweep")
+	probeGiveUps = obs.NewCounter("itm_probe_giveups_total",
+		"Targets whose retry budget died without a definitive answer.", "sweep")
+	breakerSkips = obs.NewCounter("itm_probe_breaker_skips_total",
+		"Probe opportunities dropped because a PoP breaker was open.", "sweep")
+	breakerOpens = obs.NewCounter("itm_probe_breaker_opens_total", "PoP circuit-breaker open transitions.", "sweep")
+	pacerWaits   = obs.NewCounter("itm_probe_pacer_waits_total",
+		"First attempts delayed past their schedule by the token-bucket pacer.", "sweep")
+	breakerEdges = obs.NewCounter("itm_probe_breaker_transitions_total",
+		"PoP circuit-breaker state transitions, by edge.", "transition")
+	sweepTargets = obs.NewCounter("itm_probe_targets_total", "Sweep targets by final outcome.", "outcome", "sweep")
+)
+
 // reportObs folds one merged sweep ledger into the process metrics
 // registry. It runs on the serial path after the shard merge, so every
 // total is a pure function of the sweep result.
 func (s *SweepStats) reportObs(sweep string) {
-	lab := obs.L("sweep", sweep)
-	obs.C("itm_probe_datagrams_total", "Probe datagrams sent, by client mode.",
-		obs.L("mode", "resilient")).Add(uint64(s.Probes))
-	obs.C("itm_probe_retries_total", "Second-and-later probe attempts, by sweep kind.", lab).Add(uint64(s.Retries))
-	obs.C("itm_probe_giveups_total", "Targets whose retry budget died without a definitive answer.", lab).Add(uint64(s.GiveUps))
-	obs.C("itm_probe_breaker_skips_total", "Probe opportunities dropped because a PoP breaker was open.", lab).Add(uint64(s.Skips))
-	obs.C("itm_probe_breaker_opens_total", "PoP circuit-breaker open transitions.", lab).Add(uint64(s.BreakerOpens))
-	obs.C("itm_probe_pacer_waits_total", "First attempts delayed past their schedule by the token-bucket pacer.", lab).Add(uint64(s.PacerWaits))
+	probeDatagrams.With("resilient").Add(uint64(s.Probes))
+	probeRetries.With(sweep).Add(uint64(s.Retries))
+	probeGiveUps.With(sweep).Add(uint64(s.GiveUps))
+	breakerSkips.With(sweep).Add(uint64(s.Skips))
+	breakerOpens.With(sweep).Add(uint64(s.BreakerOpens))
+	pacerWaits.With(sweep).Add(uint64(s.PacerWaits))
 	for _, tr := range breakerTransitions {
-		obs.C("itm_probe_breaker_transitions_total", "PoP circuit-breaker state transitions, by edge.",
-			obs.L("transition", tr)).Add(uint64(s.BreakerTransitions[tr]))
+		breakerEdges.With(tr).Add(uint64(s.BreakerTransitions[tr]))
 	}
 	counts := map[TargetOutcome]int{}
 	for _, o := range s.Outcome {
 		counts[o]++
 	}
 	for _, o := range []TargetOutcome{TargetProbedOK, TargetGaveUp, TargetSkipped} {
-		obs.C("itm_probe_targets_total", "Sweep targets by final outcome.",
-			lab, obs.L("outcome", o.String())).Add(uint64(counts[o]))
+		sweepTargets.With(o.String(), sweep).Add(uint64(counts[o]))
 	}
 }
 
@@ -370,7 +386,7 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 	answered := out.Probes
 	out.Probes = stats.Probes
 	out.Failed = stats.Probes - answered
-	obs.C("itm_probe_prefixes_found_total", "Prefixes discovered active (at least one cache hit).").Add(uint64(len(out.Found)))
+	prefixesFound.Add(uint64(len(out.Found)))
 	// Fleet-health history sample: the sweep just folded its per-agent
 	// ledgers on this serial path, so the capture is deterministic.
 	history.Observe("sweep", "sweep-discover", start+24)

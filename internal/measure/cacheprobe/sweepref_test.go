@@ -294,7 +294,7 @@ func (rp *ResilientProber) refDiscoverPrefixes(top *topology.Topology, prefixes 
 	out.Probes = stats.Probes
 	out.Failed = stats.Probes - answered
 	stats.reportObs("discover")
-	obs.C("itm_probe_prefixes_found_total", "Prefixes discovered active (at least one cache hit).").Add(uint64(len(out.Found)))
+	prefixesFound.Add(uint64(len(out.Found)))
 	// Fleet-health history sample: the sweep just folded its per-agent
 	// ledgers on this serial path, so the capture is deterministic.
 	history.Observe("sweep", "sweep-discover", start+24)

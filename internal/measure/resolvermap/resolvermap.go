@@ -12,8 +12,6 @@
 package resolvermap
 
 import (
-	"sort"
-
 	"itmap/internal/dnssim"
 	"itmap/internal/order"
 	"itmap/internal/topology"
@@ -95,34 +93,6 @@ func Collect(top *topology.Topology, um *users.Model, tm *traffic.Model, pr *dns
 		}
 	}
 	return a
-}
-
-// ClientShare returns the fraction of a resolver's associated views coming
-// from the given client AS.
-//
-//itmlint:allow deadexport only its own test calls it (TestClientShareNormalized)
-func (a *Association) ClientShare(resolver topology.PrefixID, client topology.ASN) float64 {
-	m := a.Clients[resolver]
-	if len(m) == 0 {
-		return 0
-	}
-	total := order.SumValues(m)
-	if total == 0 {
-		return 0
-	}
-	return m[client] / total
-}
-
-// Resolvers returns all resolver prefixes seen, ascending.
-//
-//itmlint:allow deadexport only its own test calls it (TestClientShareNormalized)
-func (a *Association) Resolvers() []topology.PrefixID {
-	out := make([]topology.PrefixID, 0, len(a.Clients))
-	for rp := range a.Clients {
-		out = append(out, rp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // AssociatedClientASes returns how many distinct client ASes are associated

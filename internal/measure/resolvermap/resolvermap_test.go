@@ -1,7 +1,6 @@
 package resolvermap
 
 import (
-	"math"
 	"testing"
 
 	"itmap/internal/dnssim"
@@ -79,23 +78,6 @@ func TestOutsourcedClientsAssociatedWithProvider(t *testing.T) {
 	}
 	if !found {
 		t.Error("no outsourced client associated with its provider's resolver")
-	}
-}
-
-func TestClientShareNormalized(t *testing.T) {
-	w := world.Build(world.Tiny(4))
-	a := collect(t, w)
-	for _, rp := range a.Resolvers() {
-		total := 0.0
-		for asn := range a.Clients[rp] {
-			total += a.ClientShare(rp, asn)
-		}
-		if math.Abs(total-1) > 1e-9 {
-			t.Fatalf("shares for resolver %v sum to %f", rp, total)
-		}
-	}
-	if a.ClientShare(0, 0) != 0 {
-		t.Error("unknown resolver share should be 0")
 	}
 }
 

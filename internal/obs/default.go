@@ -45,21 +45,6 @@ func Tracing() *Tracer { return Default().Trc }
 // Events returns the default event logger.
 func Events() *Logger { return Default().Log }
 
-// C is shorthand for a counter in the default registry.
-func C(name, help string, labels ...Label) *Counter {
-	return Default().Reg.Counter(name, help, labels...)
-}
-
-// G is shorthand for a gauge in the default registry.
-func G(name, help string, labels ...Label) *Gauge {
-	return Default().Reg.Gauge(name, help, labels...)
-}
-
-// H is shorthand for a histogram in the default registry.
-func H(name, help string, bounds []float64, labels ...Label) *Histogram {
-	return Default().Reg.Histogram(name, help, bounds, labels...)
-}
-
 // Event emits a structured event through the default logger.
 func Event(level Level, event string, kv ...any) {
 	Default().Log.Event(level, event, kv...)

@@ -33,6 +33,8 @@ func (l Level) String() string {
 	return "unknown"
 }
 
+var eventsTotal = NewCounter("itm_events_total", "Structured events emitted, by level.", "level")
+
 // Logger is the structured event log: leveled key=value lines replacing
 // ad-hoc prints. Events carry no wall-clock timestamp — callers that care
 // about *when* pass a simulated time via T — so a seeded run's event stream
@@ -77,8 +79,7 @@ func (l *Logger) Event(level Level, event string, kv ...any) {
 	w, min, reg := l.w, l.min, l.reg
 	l.mu.Unlock()
 	if reg != nil {
-		reg.Counter("itm_events_total", "Structured events emitted, by level.",
-			L("level", level.String())).Inc()
+		eventsTotal.In(reg, level.String()).Inc()
 	}
 	if level < min || w == nil {
 		return

@@ -32,10 +32,10 @@ func TestEventCountsEvenWhenSuppressed(t *testing.T) {
 	s := NewSet()
 	s.Log.Event(Debug, "quiet")
 	s.Log.Event(Info, "loud")
-	if got := s.Reg.Counter("itm_events_total", "Structured events emitted, by level.", L("level", "debug")).Value(); got != 1 {
+	if got := eventsTotal.In(s.Reg, "debug").Value(); got != 1 {
 		t.Fatalf("debug count = %d, want 1", got)
 	}
-	if got := s.Reg.Counter("itm_events_total", "Structured events emitted, by level.", L("level", "info")).Value(); got != 1 {
+	if got := eventsTotal.In(s.Reg, "info").Value(); got != 1 {
 		t.Fatalf("info count = %d, want 1", got)
 	}
 }

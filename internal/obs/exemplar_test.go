@@ -19,8 +19,7 @@ func TestExemplarMinFoldOrderIndependent(t *testing.T) {
 	orders := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 3, 0, 2}}
 	var first exemplar
 	for k, order := range orders {
-		r := NewRegistry()
-		h := r.Histogram("h", "h.", []float64{10})
+		h := histIn(NewRegistry(), NewHistogram("h", "h.", []float64{10}))
 		for _, i := range order {
 			h.ObserveExemplar(obsv[i].v, obsv[i].id)
 		}
@@ -44,8 +43,7 @@ func TestExemplarMinFoldOrderIndependent(t *testing.T) {
 }
 
 func TestExemplarTiesBreakOnValue(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "h.", []float64{10})
+	h := histIn(NewRegistry(), NewHistogram("h", "h.", []float64{10}))
 	h.ObserveExemplar(9, "same")
 	h.ObserveExemplar(2, "same")
 	ex, _ := h.exemplarAt(0)
@@ -55,8 +53,7 @@ func TestExemplarTiesBreakOnValue(t *testing.T) {
 }
 
 func TestExemplarBucketPlacement(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "h.", []float64{1, 2})
+	h := histIn(NewRegistry(), NewHistogram("h", "h.", []float64{1, 2}))
 	h.ObserveExemplar(1, "edge")  // le="1" is inclusive: bucket 0, not 1
 	h.ObserveExemplar(99, "huge") // +Inf bucket (index len(bounds))
 	if ex, ok := h.exemplarAt(0); !ok || ex.traceID != "edge" {
@@ -71,8 +68,7 @@ func TestExemplarBucketPlacement(t *testing.T) {
 }
 
 func TestExemplarEmptyTraceIDIgnored(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", "h.", []float64{1})
+	h := histIn(NewRegistry(), NewHistogram("h", "h.", []float64{1}))
 	h.ObserveExemplar(0.5, "")
 	if h.Count() != 1 {
 		t.Fatal("observation must still count")
@@ -84,7 +80,7 @@ func TestExemplarEmptyTraceIDIgnored(t *testing.T) {
 
 func TestExpositionRendersExemplars(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("itm_rt_bytes", "Response bytes.", []float64{10, 100})
+	h := histIn(r, NewHistogram("itm_rt_bytes", "Response bytes.", []float64{10, 100}))
 	h.ObserveExemplar(4, "0af7651916cd43dd8448eb211c80319c")
 	h.ObserveExemplar(5000, "b7ad6b7169203331")
 	h.Observe(50) // plain observation: middle bucket counts, no exemplar
@@ -103,14 +99,14 @@ func TestExpositionRendersExemplars(t *testing.T) {
 	}
 }
 
-// Zero-observation families: a histogram declared via DeclareHistogram
+// Zero-observation families: a histogram declared via Declare
 // exposes HELP/TYPE only (like declared counters — the shape contract
 // without phantom series); one instantiated but never observed exposes its
 // full zero bucket ladder. Neither carries exemplar suffixes.
 func TestZeroObservationHistogramExposition(t *testing.T) {
 	r := NewRegistry()
-	r.DeclareHistogram("itm_idle_bytes", "Declared, never observed.", []float64{1, 2})
-	r.Histogram("itm_quiet_bytes", "Instantiated, never observed.", []float64{1, 2})
+	NewHistogram("itm_idle_bytes", "Declared, never observed.", []float64{1, 2}).declare(r)
+	histIn(r, NewHistogram("itm_quiet_bytes", "Instantiated, never observed.", []float64{1, 2}))
 	text := r.StableExposition()
 	for _, line := range []string{
 		"# HELP itm_idle_bytes Declared, never observed.",
@@ -148,9 +144,7 @@ func TestTraceCapDropCounter(t *testing.T) {
 	if out.Spans != 3 || out.Dropped != 7 {
 		t.Fatalf("spans=%d dropped=%d, want 3/7", out.Spans, out.Dropped)
 	}
-	got := Metrics().Counter("itm_trace_dropped_total",
-		"Spans dropped past a trace's span cap, by trace name.",
-		L("trace", "capped")).Value()
+	got := traceDropped.With("capped").Value()
 	if got != 7 {
 		t.Fatalf("itm_trace_dropped_total = %d, want 7", got)
 	}

@@ -111,12 +111,9 @@ func (r *Ring) Record(source, label string, at simtime.Time, reg *obs.Registry) 
 	r.mu.Unlock()
 	// Counted after the capture: sample N carries the totals as of N-1, so
 	// the sample never depends on its own bookkeeping.
-	reg.Counter("itm_history_samples_total",
-		"Telemetry history samples recorded, by capture source.",
-		obs.L("source", source)).Inc()
+	samplesTotal.In(reg, source).Inc()
 	if evicted {
-		reg.Counter("itm_history_evicted_total",
-			"Telemetry history samples aged out of the ring.").Inc()
+		evictedTotal.In(reg).Inc()
 	}
 	return s
 }
@@ -262,13 +259,16 @@ func (s *Snapshot) FamilyETag(family string) string {
 	return `"itm-hf` + strconv.Itoa(s.Gen) + `-` + strconv.FormatUint(h.Sum64(), 16) + `"`
 }
 
-// DeclareMetrics registers the history bookkeeping families up front.
-func DeclareMetrics(r *obs.Registry) {
-	r.Declare(obs.KindCounter, "itm_history_samples_total",
+// The history bookkeeping families.
+var (
+	samplesTotal = obs.NewCounter("itm_history_samples_total",
 		"Telemetry history samples recorded, by capture source.", "source")
-	r.Counter("itm_history_evicted_total",
-		"Telemetry history samples aged out of the ring.").Add(0)
-}
+	evictedTotal = obs.NewCounter("itm_history_evicted_total",
+		"Telemetry history samples aged out of the ring.").DeclaredAtZero()
+)
+
+// DeclareMetrics registers the history bookkeeping families up front.
+func DeclareMetrics() { obs.Declare(samplesTotal, evictedTotal) }
 
 var def atomic.Pointer[Ring]
 

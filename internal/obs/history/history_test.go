@@ -11,9 +11,9 @@ import (
 
 func testReg(n uint64) *obs.Registry {
 	r := obs.NewRegistry()
-	r.Counter("itm_x_total", "x.", obs.L("k", "a")).Add(n)
-	r.Counter("itm_y_total", "y.").Add(2 * n)
-	r.VolatileCounter("itm_wall_total", "never sampled.").Add(99)
+	obs.NewCounter("itm_x_total", "x.", "k").In(r, "a").Add(n)
+	obs.NewCounter("itm_y_total", "y.").In(r).Add(2 * n)
+	obs.NewCounter("itm_wall_total", "never sampled.").Volatile().In(r).Add(99)
 	return r
 }
 
@@ -44,9 +44,7 @@ func TestRecordAndSnapshot(t *testing.T) {
 			t.Fatalf("sample 0 saw its own bookkeeping: %+v", kv)
 		}
 	}
-	if got := reg.Counter("itm_history_samples_total",
-		"Telemetry history samples recorded, by capture source.",
-		obs.L("source", "epoch")).Value(); got != 1 {
+	if got := samplesTotal.In(reg, "epoch").Value(); got != 1 {
 		t.Fatalf("samples_total = %d, want 1", got)
 	}
 }
@@ -65,8 +63,7 @@ func TestRingEvictsOldestAndCounts(t *testing.T) {
 	if snap.Samples[0].Index != 3 || snap.Samples[1].Index != 4 {
 		t.Fatalf("retained indices = %d, %d, want 3, 4", snap.Samples[0].Index, snap.Samples[1].Index)
 	}
-	if got := reg.Counter("itm_history_evicted_total",
-		"Telemetry history samples aged out of the ring.").Value(); got != 3 {
+	if got := evictedTotal.In(reg).Value(); got != 3 {
 		t.Fatalf("evicted_total = %d, want 3", got)
 	}
 	if n := len(ring.samples); n != 2 {
@@ -225,7 +222,7 @@ func TestDefaultSwap(t *testing.T) {
 	}
 	obsPrev := obs.Swap(obs.NewSet())
 	defer obs.Swap(obsPrev)
-	obs.C("itm_z_total", "z.").Add(7)
+	obs.NewCounter("itm_z_total", "z.").Add(7)
 	s := Observe("sweep", "sweep-discover", 24)
 	if s.Source != "sweep" || len(fresh.samples) != 1 {
 		t.Fatalf("Observe did not land in the default ring: %+v len=%d", s, len(fresh.samples))

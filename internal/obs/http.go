@@ -6,16 +6,6 @@ import (
 	"time"
 )
 
-// HTTPDurationBuckets are the wall-clock request-duration bounds, in
-// seconds. Tuned for an in-memory store: most answers are sub-millisecond,
-// full-document encodes reach tens of milliseconds.
-var HTTPDurationBuckets = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
-
-// HTTPBytesBuckets are the response-size bounds, in bytes. Sizes are a
-// function of the served document, not the host, so this histogram is
-// stable — and the family whose exemplars link buckets back to trace IDs.
-var HTTPBytesBuckets = []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576}
-
 // statusWriter captures the status code and body size a handler writes.
 type statusWriter struct {
 	http.ResponseWriter
@@ -34,19 +24,32 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// The serving-stack HTTP families.
+var (
+	httpRequests = NewCounter("itm_http_requests_total",
+		"HTTP requests served, by route pattern and status class.", "class", "route")
+	httpTracedRequests = NewCounter("itm_http_traced_requests_total",
+		"HTTP requests carrying a valid traceparent, by route pattern and status class.", "class", "route")
+	// Sizes are a function of the served document, not the host, so this
+	// histogram is stable — and the family whose exemplars link buckets back
+	// to trace IDs.
+	httpResponseBytes = NewHistogram("itm_http_response_bytes",
+		"Response body bytes for traced requests, by route pattern; bucket exemplars carry trace IDs.",
+		[]float64{256, 1024, 4096, 16384, 65536, 262144, 1048576}, "route")
+	// Seconds, tuned for an in-memory store: most answers are
+	// sub-millisecond, full-document encodes reach tens of milliseconds.
+	httpRequestSeconds = NewHistogram("itm_http_request_seconds",
+		"Wall-clock request duration by route pattern (volatile: excluded from stable dumps).",
+		[]float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}, "route").Volatile()
+	traceDropped = NewCounter("itm_trace_dropped_total",
+		"Spans dropped past a trace's span cap, by trace name.", "trace")
+)
+
 // DeclareHTTPMetrics registers HELP/TYPE for the serving-stack HTTP
 // families up front, so they appear in the stable exposition even before
 // (or without) traffic.
-func DeclareHTTPMetrics(r *Registry) {
-	r.Declare(KindCounter, "itm_http_requests_total",
-		"HTTP requests served, by route pattern and status class.", "class", "route")
-	r.Declare(KindCounter, "itm_http_traced_requests_total",
-		"HTTP requests carrying a valid traceparent, by route pattern and status class.", "class", "route")
-	r.DeclareHistogram("itm_http_response_bytes",
-		"Response body bytes for traced requests, by route pattern; bucket exemplars carry trace IDs.",
-		HTTPBytesBuckets, "route")
-	r.Declare(KindCounter, "itm_trace_dropped_total",
-		"Spans dropped past a trace's span cap, by trace name.", "trace")
+func DeclareHTTPMetrics() {
+	Declare(httpRequests, httpTracedRequests, httpResponseBytes, traceDropped)
 }
 
 // InstrumentHandler wraps h with request counting, wall-duration
@@ -76,20 +79,13 @@ func InstrumentHandler(route string, h http.Handler) http.Handler {
 		//itmlint:allow nodeterm HTTP wall-duration bridge, DESIGN.md §10
 		elapsed := time.Since(start)
 		class := strconv.Itoa(sw.status/100) + "xx"
-		C("itm_http_requests_total", "HTTP requests served, by route pattern and status class.",
-			L("route", route), L("class", class)).Inc()
-		Default().Reg.VolatileHistogram("itm_http_request_seconds",
-			"Wall-clock request duration by route pattern (volatile: excluded from stable dumps).",
-			HTTPDurationBuckets, L("route", route)).ObserveExemplar(elapsed.Seconds(), traceID)
+		httpRequests.With(class, route).Inc()
+		httpRequestSeconds.With(route).ObserveExemplar(elapsed.Seconds(), traceID)
 		if !traced {
 			return
 		}
-		C("itm_http_traced_requests_total",
-			"HTTP requests carrying a valid traceparent, by route pattern and status class.",
-			L("route", route), L("class", class)).Inc()
-		Default().Reg.Histogram("itm_http_response_bytes",
-			"Response body bytes for traced requests, by route pattern; bucket exemplars carry trace IDs.",
-			HTTPBytesBuckets, L("route", route)).ObserveExemplar(float64(sw.bytes), traceID)
+		httpTracedRequests.With(class, route).Inc()
+		httpResponseBytes.With(route).ObserveExemplar(float64(sw.bytes), traceID)
 		cache := sw.Header().Get("X-Cache")
 		sp := Default().Trc.Trace("http").Start(route, 0)
 		sp.SetAttr("trace_id", traceID)

@@ -27,12 +27,10 @@ func TestInstrumentHandlerCountsByClass(t *testing.T) {
 		resp.Body.Close()
 	}
 	reg := Metrics()
-	if got := reg.Counter("itm_http_requests_total", "HTTP requests served, by route pattern and status class.",
-		L("route", "GET /v1/top"), L("class", "2xx")).Value(); got != 2 {
+	if got := httpRequests.In(reg, "2xx", "GET /v1/top").Value(); got != 2 {
 		t.Fatalf("2xx count = %d, want 2", got)
 	}
-	if got := reg.Counter("itm_http_requests_total", "HTTP requests served, by route pattern and status class.",
-		L("route", "GET /v1/top"), L("class", "4xx")).Value(); got != 1 {
+	if got := httpRequests.In(reg, "4xx", "GET /v1/top").Value(); got != 1 {
 		t.Fatalf("4xx count = %d, want 1", got)
 	}
 	// The wall-duration histogram is volatile: on /metrics, never in the
@@ -47,8 +45,8 @@ func TestInstrumentHandlerCountsByClass(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("itm_x_total", "x.").Inc()
-	r.VolatileCounter("itm_v_total", "v.").Inc()
+	NewCounter("itm_x_total", "x.").In(r).Inc()
+	NewCounter("itm_v_total", "v.").Volatile().In(r).Inc()
 	srv := httptest.NewServer(MetricsHandler(r))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,9 +58,6 @@ func (k Kind) String() string {
 
 // Label is one key=value pair attached to a metric series.
 type Label struct{ Key, Value string }
-
-// L builds a Label.
-func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Counter is a monotonically increasing uint64. Safe for concurrent use;
 // concurrent adds commute, so totals are deterministic.
@@ -195,71 +193,63 @@ func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
 }
 
-// family returns the named family, creating it with the given shape on
-// first use. Shape mismatches (kind or label keys) panic: they are
-// programming errors, like registering two Prometheus collectors under one
-// name.
-func (r *Registry) family(name, help string, kind Kind, bounds []float64, labels []Label, volatile bool) *family {
+// family returns d's family in r, creating it with d's shape on first use.
+// Shape mismatches (kind or label keys) against a family of the same name
+// panic: they are programming errors, like registering two Prometheus
+// collectors under one name.
+func (r *Registry) family(d *decl) *family {
 	r.mu.RLock()
-	f := r.families[name]
+	f := r.families[d.name]
 	r.mu.RUnlock()
 	if f == nil {
-		keys := make([]string, len(labels))
-		for i, l := range labels {
-			keys[i] = l.Key
-		}
-		sort.Strings(keys)
-		f = &family{name: name, help: help, kind: kind, labelKeys: keys,
-			volatile: volatile, bounds: bounds, series: map[string]*series{}}
+		f = &family{name: d.name, help: d.help, kind: d.kind, labelKeys: d.labelKeys,
+			volatile: d.volatile, bounds: d.bounds, series: map[string]*series{}}
 		r.mu.Lock()
-		if prior := r.families[name]; prior != nil {
+		if prior := r.families[d.name]; prior != nil {
 			f = prior
 		} else {
-			r.families[name] = f
+			r.families[d.name] = f
 		}
 		r.mu.Unlock()
 	}
-	if f.kind != kind {
-		panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", name, kind, f.kind))
+	if f.kind != d.kind {
+		panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", d.name, d.kind, f.kind))
 	}
-	if len(labels) != len(f.labelKeys) {
-		panic(fmt.Sprintf("obs: %s wants labels %v, got %d labels", name, f.labelKeys, len(labels)))
+	if !slices.Equal(f.labelKeys, d.labelKeys) {
+		panic(fmt.Sprintf("obs: %s re-registered with labels %v (was %v)", d.name, d.labelKeys, f.labelKeys))
 	}
 	return f
 }
 
-// get returns the series for the given label values, creating it on first
-// use. labels need not be sorted.
-func (f *family) get(labels []Label) *series {
-	if len(f.labelKeys) == 0 {
+// get returns the series for the label values (in labelKeys order),
+// creating it on first use. A hit on values that fit the 64-byte signature
+// buffer allocates nothing.
+func (f *family) get(vals []string) *series {
+	if len(vals) != len(f.labelKeys) {
+		panic(fmt.Sprintf("obs: %s wants labels %v, got %d values", f.name, f.labelKeys, len(vals)))
+	}
+	if len(vals) == 0 {
 		if s := f.bare.Load(); s != nil {
 			return s
 		}
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if s := f.bare.Load(); s != nil {
-			return s
-		}
-		s := f.newSeries(nil)
-		f.series[""] = s
-		f.bare.Store(s)
-		return s
 	}
-	vals := make([]string, len(f.labelKeys))
-	for _, l := range labels {
-		i := sort.SearchStrings(f.labelKeys, l.Key)
-		if i >= len(f.labelKeys) || f.labelKeys[i] != l.Key {
-			panic(fmt.Sprintf("obs: %s has no label key %q (keys %v)", f.name, l.Key, f.labelKeys))
+	var buf [64]byte
+	sig := buf[:0]
+	for i, v := range vals {
+		if i > 0 {
+			sig = append(sig, 0xff)
 		}
-		vals[i] = l.Value
+		sig = append(sig, v...)
 	}
-	sig := strings.Join(vals, "\xff")
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.series[sig]
+	s := f.series[string(sig)]
 	if s == nil {
-		s = f.newSeries(vals)
-		f.series[sig] = s
+		s = f.newSeries(slices.Clone(vals))
+		f.series[string(sig)] = s
+		if len(vals) == 0 {
+			f.bare.Store(s)
+		}
 	}
 	return s
 }
@@ -275,56 +265,6 @@ func (f *family) newSeries(vals []string) *series {
 		s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
 	}
 	return s
-}
-
-// Counter returns (creating on first use) the counter series for the given
-// labels.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.family(name, help, KindCounter, nil, labels, false).get(labels).c
-}
-
-// VolatileCounter is Counter for run-to-run unstable values (e.g.
-// sync.Pool reuse counts): the family is excluded from StableExposition.
-func (r *Registry) VolatileCounter(name, help string, labels ...Label) *Counter {
-	return r.family(name, help, KindCounter, nil, labels, true).get(labels).c
-}
-
-// Gauge returns the gauge series for the given labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.family(name, help, KindGauge, nil, labels, false).get(labels).g
-}
-
-// Histogram returns the histogram series for the given labels. bounds must
-// be ascending; only the first registration's bounds are kept.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	return r.family(name, help, KindHistogram, bounds, labels, false).get(labels).h
-}
-
-// VolatileHistogram is Histogram for wall-clock-fed families (the HTTP
-// request-duration bridge): excluded from StableExposition.
-func (r *Registry) VolatileHistogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	return r.family(name, help, KindHistogram, bounds, labels, true).get(labels).h
-}
-
-// Declare registers a labeled family with no series yet, so its HELP/TYPE
-// header appears in the exposition before (or without) any increment —
-// e.g. the fault-injection counters of a fault-free run.
-func (r *Registry) Declare(kind Kind, name, help string, labelKeys ...string) {
-	labels := make([]Label, len(labelKeys))
-	for i, k := range labelKeys {
-		labels[i] = Label{Key: k}
-	}
-	r.family(name, help, kind, nil, labels, false)
-}
-
-// DeclareHistogram is Declare for histogram families, which additionally
-// need their bucket bounds fixed up front.
-func (r *Registry) DeclareHistogram(name, help string, bounds []float64, labelKeys ...string) {
-	labels := make([]Label, len(labelKeys))
-	for i, k := range labelKeys {
-		labels[i] = Label{Key: k}
-	}
-	r.family(name, help, KindHistogram, bounds, labels, false)
 }
 
 // WritePrometheus writes the registry in Prometheus text exposition format

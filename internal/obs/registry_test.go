@@ -21,30 +21,32 @@ func fullExposition(r *Registry) string {
 	return b.String()
 }
 
+// histIn resolves an unlabelled histogram family in r: tests report into a
+// registry of their own rather than the default one.
+func histIn(r *Registry, h *HistogramFamily) *Histogram { return h.in(r).get(nil).h }
+
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("itm_zeta_total", "Sorted last by name.").Add(3)
-	r.Counter("itm_alpha_total", `Help with backslash \ and
-newline.`).Inc()
-	c := r.Counter("itm_requests_total", "Requests by route and class.",
-		L("route", "GET /v1/top"), L("class", "2xx"))
-	c.Add(7)
-	r.Counter("itm_requests_total", "Requests by route and class.",
-		L("route", "GET /v1/top"), L("class", "5xx")).Inc()
-	r.Counter("itm_escapes_total", "Label-value escaping.",
-		L("v", "quote\" backslash\\ newline\n")).Inc()
-	r.Gauge("itm_level", "A gauge.").Set(-2.5)
-	h := r.Histogram("itm_sizes_bytes", "A histogram.", []float64{1, 10, 100})
+	NewCounter("itm_zeta_total", "Sorted last by name.").In(r).Add(3)
+	NewCounter("itm_alpha_total", `Help with backslash \ and
+newline.`).In(r).Inc()
+	requests := NewCounter("itm_requests_total", "Requests by route and class.", "class", "route")
+	requests.In(r, "2xx", "GET /v1/top").Add(7)
+	requests.In(r, "5xx", "GET /v1/top").Inc()
+	NewCounter("itm_escapes_total", "Label-value escaping.", "v").
+		In(r, "quote\" backslash\\ newline\n").Inc()
+	NewGauge("itm_level", "A gauge.").in(r).get(nil).g.Set(-2.5)
+	h := histIn(r, NewHistogram("itm_sizes_bytes", "A histogram.", []float64{1, 10, 100}))
 	for _, v := range []float64{0.5, 5, 5, 50, 5000} {
 		h.Observe(v)
 	}
-	hx := r.Histogram("itm_traced_bytes", "A histogram with exemplars.", []float64{16, 256})
+	hx := histIn(r, NewHistogram("itm_traced_bytes", "A histogram with exemplars.", []float64{16, 256}))
 	hx.ObserveExemplar(12, "0af7651916cd43dd8448eb211c80319c")
 	hx.ObserveExemplar(1024, "b7ad6b7169203331")
 	hx.Observe(64) // no exemplar on the middle bucket
-	r.Declare(KindCounter, "itm_declared_total", "Declared but never incremented.", "kind")
-	r.DeclareHistogram("itm_declared_bytes", "Declared histogram, never observed.", []float64{1, 2})
-	r.VolatileCounter("itm_volatile_total", "Excluded from the stable dump.").Add(99)
+	NewCounter("itm_declared_total", "Declared but never incremented.", "kind").declare(r)
+	NewHistogram("itm_declared_bytes", "Declared histogram, never observed.", []float64{1, 2}).declare(r)
+	NewCounter("itm_volatile_total", "Excluded from the stable dump.").Volatile().In(r).Add(99)
 
 	got := r.StableExposition()
 	golden := filepath.Join("testdata", "exposition.golden")
@@ -74,7 +76,7 @@ func update() bool { return os.Getenv("UPDATE_GOLDEN") != "" }
 
 func TestHistogramBucketsAndSum(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("h", "h.", []float64{1, 2})
+	h := histIn(r, NewHistogram("h", "h.", []float64{1, 2}))
 	h.Observe(0.5)
 	h.Observe(1) // le="1" is inclusive
 	h.Observe(1.5)
@@ -101,21 +103,22 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 
 func TestShapeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x", "x.")
+	NewCounter("x", "x.").In(r)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge should panic")
 		}
 	}()
-	r.Gauge("x", "x.")
+	NewGauge("x", "x.").in(r)
 }
 
 func TestVisitIsSortedAndStable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b_total", "b.", L("k", "2")).Add(2)
-	r.Counter("b_total", "b.", L("k", "1")).Add(1)
-	r.Counter("a_total", "a.").Add(5)
-	r.VolatileCounter("v_total", "v.").Inc()
+	b := NewCounter("b_total", "b.", "k")
+	b.In(r, "2").Add(2)
+	b.In(r, "1").Add(1)
+	NewCounter("a_total", "a.").In(r).Add(5)
+	NewCounter("v_total", "v.").Volatile().In(r).Inc()
 	var keys []string
 	r.Visit(func(name string, labels []Label, v float64) {
 		k := name

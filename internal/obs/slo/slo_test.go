@@ -15,8 +15,9 @@ func near(got, want float64) bool { return got > want-1e-9 && got < want+1e-9 }
 // far = total, of which bad failed" — the monotonic shape Record samples.
 func regAt(bad, total uint64) *obs.Registry {
 	r := obs.NewRegistry()
-	r.Counter("itm_req_total", "req.", obs.L("class", "5xx")).Add(bad)
-	r.Counter("itm_req_total", "req.", obs.L("class", "2xx")).Add(total - bad)
+	req := obs.NewCounter("itm_req_total", "req.", "class")
+	req.In(r, "5xx").Add(bad)
+	req.In(r, "2xx").Add(total - bad)
 	return r
 }
 

@@ -116,8 +116,7 @@ func (tr *Trace) add(sp *Span) *Span {
 		// evicting retained spans, so under serial recording the surviving
 		// prefix is deterministic. The counter lands in the default
 		// registry — sets are swapped as (registry, tracer) pairs.
-		C("itm_trace_dropped_total", "Spans dropped past a trace's span cap, by trace name.",
-			L("trace", tr.name)).Inc()
+		traceDropped.With(tr.name).Inc()
 		return sp
 	}
 	tr.spans = append(tr.spans, sp)

@@ -138,6 +138,17 @@ func (m *Model) BuildMatrixWorkers(workers int) *Matrix {
 type accumulator func(acc *shardAcc, li *topology.LinkIndex, ci int,
 	clientAS topology.ASN, ownerIdx []int32, tailHosts []topology.ASN)
 
+// The matrix build's families.
+var (
+	buildsTotal = obs.NewCounter("itm_traffic_matrix_builds_total", "Ground-truth traffic-matrix builds.")
+	shardsTotal = obs.NewCounter("itm_traffic_matrix_shards_total",
+		"Matrix build shards accumulated (fixed layout, never worker-count dependent).")
+	flowsTotal = obs.NewCounter("itm_traffic_flows_total",
+		"Aggregated client-to-site flows materialized across all builds.")
+	lastMatrixBytes = obs.NewGauge("itm_traffic_total_bytes",
+		"Daily traffic volume of the most recently built matrix, in bytes.")
+)
+
 // buildMatrix is the shard layout and the merge, over any accumulator: the
 // oracle test runs the pre-split accumulator through these same shards.
 func (m *Model) buildMatrix(workers int, accumulate accumulator) *Matrix {
@@ -239,10 +250,10 @@ func (m *Model) buildMatrix(workers int, accumulate accumulator) *Matrix {
 	for _, acc := range accs {
 		mx.Flows = append(mx.Flows, acc.flows...)
 	}
-	obs.C("itm_traffic_matrix_builds_total", "Ground-truth traffic-matrix builds.").Inc()
-	obs.C("itm_traffic_matrix_shards_total", "Matrix build shards accumulated (fixed layout, never worker-count dependent).").Add(uint64(shards))
-	obs.C("itm_traffic_flows_total", "Aggregated client-to-site flows materialized across all builds.").Add(uint64(len(mx.Flows)))
-	obs.G("itm_traffic_total_bytes", "Daily traffic volume of the most recently built matrix, in bytes.").Set(mx.TotalBytes)
+	buildsTotal.Inc()
+	shardsTotal.Add(uint64(shards))
+	flowsTotal.Add(uint64(len(mx.Flows)))
+	lastMatrixBytes.Set(mx.TotalBytes)
 	root.SetAttrInt("flows", int64(len(mx.Flows))).End(0)
 	return mx
 }

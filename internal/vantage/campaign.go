@@ -230,31 +230,24 @@ type shardState struct {
 	stats  Stats
 }
 
-// Metric help strings.
-const (
-	helpAgents     = "Mesh agents placed into eyeball ASes across campaigns."
-	helpScheduled  = "Per-round mesh agent activations scheduled."
-	helpCompleted  = "Per-round mesh agent activations completed."
-	helpRounds     = "Mesh campaign rounds run."
-	helpPings      = "Mesh RTT pings issued, by outcome."
-	helpTraces     = "Mesh traceroutes issued (including retries)."
-	helpPairs      = "AS pairs materialized into mesh matrices."
-	helpIncomplete = "AS pairs materialized without a complete traceroute path."
+// The fleet's families.
+var (
+	meshAgents     = obs.NewCounter("itm_mesh_agents_total", "Mesh agents placed into eyeball ASes across campaigns.")
+	meshScheduled  = obs.NewCounter("itm_mesh_agents_scheduled_total", "Per-round mesh agent activations scheduled.")
+	meshCompleted  = obs.NewCounter("itm_mesh_agents_completed_total", "Per-round mesh agent activations completed.")
+	meshRounds     = obs.NewCounter("itm_mesh_rounds_total", "Mesh campaign rounds run.")
+	meshPings      = obs.NewCounter("itm_mesh_pings_total", "Mesh RTT pings issued, by outcome.", "outcome")
+	meshTraces     = obs.NewCounter("itm_mesh_traceroutes_total", "Mesh traceroutes issued (including retries).")
+	meshPairs      = obs.NewCounter("itm_mesh_pairs_total", "AS pairs materialized into mesh matrices.")
+	meshIncomplete = obs.NewCounter("itm_mesh_pairs_incomplete_total",
+		"AS pairs materialized without a complete traceroute path.")
 )
 
 // RegisterMetrics declares the fleet's metric families so a process that
 // never runs a campaign (itm-serve in snapshot mode) still exposes their
 // HELP/TYPE headers.
 func RegisterMetrics() {
-	m := obs.Metrics()
-	m.Declare(obs.KindCounter, "itm_mesh_agents_total", helpAgents)
-	m.Declare(obs.KindCounter, "itm_mesh_agents_scheduled_total", helpScheduled)
-	m.Declare(obs.KindCounter, "itm_mesh_agents_completed_total", helpCompleted)
-	m.Declare(obs.KindCounter, "itm_mesh_rounds_total", helpRounds)
-	m.Declare(obs.KindCounter, "itm_mesh_pings_total", helpPings, "outcome")
-	m.Declare(obs.KindCounter, "itm_mesh_traceroutes_total", helpTraces)
-	m.Declare(obs.KindCounter, "itm_mesh_pairs_total", helpPairs)
-	m.Declare(obs.KindCounter, "itm_mesh_pairs_incomplete_total", helpIncomplete)
+	obs.Declare(meshAgents, meshScheduled, meshCompleted, meshRounds, meshPings, meshTraces, meshPairs, meshIncomplete)
 }
 
 // pingOutcome maps a probe fault to its bounded outcome label.
@@ -287,7 +280,7 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 		shards[s].agents = append(shards[s].agents, id)
 		shards[s].pacers[id] = resilience.NewPacer(c.cfg.QPS, c.cfg.Burst)
 	}
-	obs.C("itm_mesh_agents_total", helpAgents).Add(uint64(n))
+	meshAgents.Add(uint64(n))
 
 	for r := 0; r < c.cfg.Rounds; r++ {
 		at := c.cfg.Start + simtime.Time(r)*c.cfg.Interval
@@ -304,7 +297,7 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 			sp.SetAttrInt("pairs_measured", int64(sh.stats.PairsMeasured-before)).End(at)
 		})
 		root.End(at)
-		obs.C("itm_mesh_rounds_total", helpRounds).Inc()
+		meshRounds.Inc()
 	}
 
 	// Shard-ordered fold into one tally, then the canonical document.
@@ -374,8 +367,8 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 			incomplete++
 		}
 	}
-	obs.C("itm_mesh_pairs_total", helpPairs).Add(uint64(len(doc.Pairs)))
-	obs.C("itm_mesh_pairs_incomplete_total", helpIncomplete).Add(uint64(incomplete))
+	meshPairs.Add(uint64(len(doc.Pairs)))
+	meshIncomplete.Add(uint64(incomplete))
 	// Fleet-health history sample at the campaign's last round — a serial
 	// point after the shard fold, so the capture is deterministic.
 	end := c.cfg.Start
@@ -389,7 +382,7 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 // runAgentRound fires one agent's probes for one round.
 func (c *Campaign) runAgentRound(sh *shardState, id, round int, at simtime.Time) {
 	sh.stats.Scheduled++
-	obs.C("itm_mesh_agents_scheduled_total", helpScheduled).Inc()
+	meshScheduled.Inc()
 	agent := &c.fleet.Agents[id]
 	n := len(c.fleet.Agents)
 	budget := c.cfg.RoundBudget
@@ -413,7 +406,7 @@ func (c *Campaign) runAgentRound(sh *shardState, id, round int, at simtime.Time)
 		sh.stats.PairsMeasured++
 	}
 	sh.stats.Completed++
-	obs.C("itm_mesh_agents_completed_total", helpCompleted).Inc()
+	meshCompleted.Inc()
 }
 
 // measurePair probes one AS pair from agent toward target: a resilient
@@ -448,7 +441,7 @@ func (c *Campaign) measurePair(sh *shardState, agent, target *Agent, round int, 
 		if attempt > 0 {
 			sh.stats.TraceRetries++
 		}
-		obs.C("itm_mesh_traceroutes_total", helpTraces).Inc()
+		meshTraces.Inc()
 		if path == nil {
 			return nil // unreachable is an answer, not a fault
 		}
@@ -491,7 +484,7 @@ func (c *Campaign) measurePair(sh *shardState, agent, target *Agent, round int, 
 				err = errors.New("vantage: no latency path")
 			}
 		}
-		obs.C("itm_mesh_pings_total", helpPings, obs.L("outcome", pingOutcome(err))).Inc()
+		meshPings.With(pingOutcome(err)).Inc()
 		if err != nil {
 			sh.stats.PingsLost++
 			agg.lost++

@@ -31,12 +31,10 @@
 package itm
 
 import (
-	"itmap/internal/apnic"
 	"itmap/internal/bgp"
 	"itmap/internal/core"
 	"itmap/internal/experiments"
 	"itmap/internal/peering"
-	"itmap/internal/randx"
 	"itmap/internal/stats"
 	"itmap/internal/topology"
 	"itmap/internal/traffic"
@@ -109,9 +107,8 @@ func BuildMap(inet *Internet) *TrafficMap {
 // ValidateMap scores a map built on inet against the simulator's ground
 // truth, reproducing the paper's §3.1.2 validation against CDN logs.
 func ValidateMap(inet *Internet, m *TrafficMap) UsersValidation {
-	mx := inet.Traffic.BuildMatrix()
-	est := apnic.Estimate(inet.Top, inet.Users, apnic.DefaultConfig(), randx.New(inet.Cfg.Seed+101))
-	return core.ValidateUsers(m, mx, est)
+	session := NewSession(inet)
+	return core.ValidateUsers(m, session.Matrix(), session.APNIC())
 }
 
 // RunAllExperiments reproduces every table, figure, and quantitative claim
@@ -145,16 +142,13 @@ func DiffMaps(before, after *TrafficMap, minShift float64) *MapDiff {
 
 // CollectorFor returns the default route-collector vantage over inet (the
 // peers RouteViews-style collectors would have).
-func CollectorFor(inet *Internet) *bgp.Collector {
-	return &bgp.Collector{Peers: bgp.DefaultCollectorPeers(inet.Top, randx.New(inet.Cfg.Seed+202))}
-}
+func CollectorFor(inet *Internet) *bgp.Collector { return NewSession(inet).Collector() }
 
 // PeeringCandidates runs the §3.3.3 peering-link recommender over the
 // public (route-collector) view of inet and returns the top candidates.
 func PeeringCandidates(inet *Internet, limit int) []peering.Candidate {
 	session := NewSession(inet)
-	est := apnic.Estimate(inet.Top, inet.Users, apnic.DefaultConfig(), randx.New(inet.Cfg.Seed+101))
-	reg := peering.BuildRegistry(inet.Top, est)
+	reg := peering.BuildRegistry(inet.Top, session.APNIC())
 	rec := peering.NewRecommender(inet.Top, reg, session.ObservedLinks())
 	return rec.Recommend(limit)
 }
