@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-selftest loc test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
+.PHONY: all build vet lint lint-selftest model-selftest loc test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
 
 all: build vet lint lint-selftest test crash-smoke
 
@@ -30,8 +30,16 @@ lint:
 lint-selftest:
 	GO="$(GO)" sh scripts/lint-selftest.sh
 
-# The line count simplicity PRs report: non-test, non-testdata Go lines
-# outside benchmark/, per package and in total (plain `wc -l`).
+# Prove the mapstore reference model still catches what it was built to
+# catch: apply each scripts/model-mutants/*.patch (one planted bug each) to a
+# throwaway copy of the tree and require `go test ./internal/mapstore -run
+# Model` to fail on every one, and to pass on the tree unpatched.
+model-selftest:
+	GO="$(GO)" sh scripts/model-selftest.sh
+
+# The line counts simplicity PRs report: non-testdata Go lines outside
+# benchmark/, per package and in total (plain `wc -l`), non-test files first,
+# then the test files.
 loc:
 	@sh scripts/loc.sh
 

@@ -175,10 +175,8 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// statusErr lets a route's resolver or its renderer report a client-visible
-// status instead of the generic 500. A renderer's outcome caches like a
-// body — a cached 404, say — which is correct, since the inputs it was
-// derived from are immutable.
+// statusErr lets a route's resolver report a client-visible status instead
+// of the generic 500.
 type statusErr struct {
 	code int
 	msg  string

@@ -104,7 +104,8 @@ func TestBinaryHeadersAndByteIdentity(t *testing.T) {
 
 // TestETagSemantics covers the conditional-request lifecycle: 304 on
 // match, a full body under a new tag once an append bumps the store
-// generation, and stable per-epoch tags across appends.
+// generation, stable per-epoch tags across appends — and no 304 at all for
+// a URL that has no representation.
 func TestETagSemantics(t *testing.T) {
 	s := storeWith(t, 2)
 	srv := httptest.NewServer(NewHandler(s))
@@ -156,6 +157,22 @@ func TestETagSemantics(t *testing.T) {
 	if resp.StatusCode != http.StatusNotModified {
 		t.Errorf("epoch-scoped revalidation after append: status %d, want 304", resp.StatusCode)
 	}
+
+	// "*" or a listed tag matches only a URL that currently has a
+	// representation (RFC 9110 §13.1.2): where the unconditional request is
+	// a 404, so is every conditional one — even under the tag another URL of
+	// the same scope carries.
+	asTag := getFull(t, srv, "/v1/as/64500", "").Header.Get("ETag")
+	for _, c := range []struct{ path, inm string }{
+		{"/v1/as/4294967295", "*"},
+		{"/v1/link/1/2", "*"},
+		{"/v1/obs/history/itm_nope", "*"},
+		{"/v1/as/4294967295", asTag},
+	} {
+		if resp := getFull(t, srv, c.path, c.inm); resp.StatusCode != http.StatusNotFound || resp.Header.Get("ETag") != "" {
+			t.Errorf("GET %s, If-None-Match %s: status %d, ETag %q; want a 404 without one", c.path, c.inm, resp.StatusCode, resp.Header.Get("ETag"))
+		}
+	}
 }
 
 // TestCacheCounters pins the deterministic ledger for a known request
@@ -189,6 +206,13 @@ func TestCacheCounters(t *testing.T) {
 	}
 	if got := counter(cacheBytesServed, "/v1/map/{epoch}"); got != uint64(2*len(body)) {
 		t.Errorf("bytes = %d, want %d", got, 2*len(body))
+	}
+	// The 304 above hit a filled entry and rendered nothing: fills stayed 1.
+	// A URL with no representation 404s before the cache is asked at all.
+	getFull(t, srv, "/v1/as/4242", "")
+	getFull(t, srv, "/v1/as/4242", "")
+	if h, m := counter(cacheHits, "/v1/as/{asn}"), counter(cacheMisses, "/v1/as/{asn}"); h+m != 0 {
+		t.Errorf("two 404s ticked %d hits and %d misses, want none", h, m)
 	}
 
 	// X-Cache mirrors the ledger for clients.

@@ -5,9 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"itmap/internal/core"
@@ -42,100 +40,6 @@ func TestKeyedSectionsWellFormed(t *testing.T) {
 	}
 }
 
-// oracleDocs are the documents both codecs are driven over: the empty ones,
-// optional sections absent and present, every label code, the extreme keys
-// of both key spaces, and two seeded histories whose consecutive days share
-// anything from no section to all of them.
-func oracleDocs() [][]*core.MapDocument {
-	bare := sampleDoc()
-	bare.Coverage, bare.ASConfidence = nil, nil
-	labels := sampleDoc()
-	labels.Sources, labels.Coverage = map[string]string{}, map[string]string{}
-	for i, l := range sourceCodes {
-		labels.Sources[string(rune('1'+i))] = l
-	}
-	for i, l := range coverageCodes {
-		labels.Coverage[string(rune('1'+i))+".0.0.0/24"] = l
-	}
-	extremes := sampleDoc()
-	for _, asn := range []string{"0", "4294967295"} {
-		extremes.ASActivity[asn], extremes.Sources[asn], extremes.ASConfidence[asn] = 1, "root-logs", 0.5
-	}
-	for _, p := range []string{"0.0.0.0/24", "255.255.255.0/24"} {
-		extremes.ActivePrefixes = append(extremes.ActivePrefixes, p)
-		extremes.PrefixHitRates[p], extremes.Coverage[p] = 0.5, "gave-up"
-	}
-	return [][]*core.MapDocument{
-		{{}, {Version: 1}, sampleDoc(), bare, sampleDoc(), labels, extremes, extremes},
-		seededDocs(1, 12),
-		seededDocs(7, 12),
-	}
-}
-
-// TestKeyedTableMatchesParentCodec: the table-driven codec and the parent's
-// hand-written one agree on every byte, offset and decoded value, and the
-// store shares the same sections of consecutive epochs either way.
-func TestKeyedTableMatchesParentCodec(t *testing.T) {
-	var sawShared, sawCopied uint
-	for si, seq := range oracleDocs() {
-		for d, doc := range seq {
-			doc = cloneDoc(doc)
-			doc.Normalize()
-			got, err := encodeDocument(doc)
-			if err != nil {
-				t.Fatalf("sequence %d, doc %d: %v", si, d, err)
-			}
-			want, err := refEncodeDocument(doc)
-			if err != nil {
-				t.Fatalf("sequence %d, doc %d: parent encoder: %v", si, d, err)
-			}
-			if !bytes.Equal(got.bytes, want.bytes) || got.off != want.off || !reflect.DeepEqual(got.actives, want.actives) {
-				t.Fatalf("sequence %d, doc %d: encodings differ (%d vs %d bytes, offsets %v vs %v)",
-					si, d, len(got.bytes), len(want.bytes), got.off, want.off)
-			}
-			gotDoc, gotEnc, err := decodeDocument(got.bytes)
-			if err != nil {
-				t.Fatalf("sequence %d, doc %d: %v", si, d, err)
-			}
-			wantDoc, wantEnc := &core.MapDocument{}, encoding{bytes: want.bytes}
-			if err := refDecodeInto(wantDoc, &wantEnc, nil); err != nil {
-				t.Fatalf("sequence %d, doc %d: parent decoder: %v", si, d, err)
-			}
-			if !reflect.DeepEqual(gotDoc, wantDoc) || gotEnc.off != wantEnc.off || !reflect.DeepEqual(gotEnc.actives, wantEnc.actives) {
-				t.Fatalf("sequence %d, doc %d: decodes differ", si, d)
-			}
-			if d == 0 {
-				continue
-			}
-			e, prev := encodedEpoch(t, cloneDoc(seq[d])), encodedEpoch(t, cloneDoc(seq[d-1]))
-			re, rprev := encodedEpoch(t, cloneDoc(seq[d])), encodedEpoch(t, cloneDoc(seq[d-1]))
-			mask, rmask := shareSections(e, prev), refShareSections(re, rprev)
-			if mask != rmask || !reflect.DeepEqual(e.Doc, re.Doc) {
-				t.Errorf("sequence %d, day %d: shared sections %08b, parent %08b", si, d, mask, rmask)
-			}
-			// Shared means aliased, not copied: a write through the previous
-			// epoch's map shows in this one's.
-			for i := range keyedSections {
-				sec := &keyedSections[i]
-				if mask&(1<<(sec.wire-wireActives)) == 0 {
-					continue
-				}
-				if sec.floats != nil && len(*sec.floats(prev.Doc)) > 0 {
-					(*sec.floats(prev.Doc))["alias-probe"] = 1
-					if _, ok := (*sec.floats(e.Doc))["alias-probe"]; !ok {
-						t.Errorf("sequence %d, day %d: shared section %s was copied, not aliased", si, d, sec.name)
-					}
-				}
-			}
-			sawShared |= mask
-			sawCopied |= ^mask & secAll
-		}
-	}
-	if sawShared != secAll || sawCopied != secAll {
-		t.Errorf("documents too tame: sections seen shared %08b, seen copied %08b, want all of both", sawShared, sawCopied)
-	}
-}
-
 // errClass names the typed error err is, "" for none.
 func errClass(err error) string {
 	for name, typed := range map[string]error{
@@ -154,7 +58,10 @@ func errClass(err error) string {
 // TestKeyedTableRejectsWhatParentRejected walks the malformed matrix — every
 // keyed section × a bad key, an unknown label, a cut at every byte, a zero
 // delta, a key and a code out of range, a count the input cannot hold — and
-// requires the typed error class the parent's hand-written code gave.
+// requires the typed error class the hand-written codec before the table
+// gave: an unencodable document is ErrEncode; a cut is ErrTruncated, unless
+// the section's count already promises more entries than the bytes left can
+// hold, which is ErrCorrupt; every other malformation is ErrCorrupt.
 func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 	for i := range keyedSections {
 		sec := &keyedSections[i]
@@ -181,10 +88,8 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		for name, mutate := range unencodable {
 			doc := sampleDoc()
 			mutate(doc)
-			_, err := encodeDocument(doc)
-			_, rerr := refEncodeDocument(doc)
-			if got, want := errClass(err), errClass(rerr); got != want || got != "encode" {
-				t.Errorf("%s, %s: error class %q, parent %q, want encode", sec.name, name, got, want)
+			if _, err := encodeDocument(doc); errClass(err) != "encode" {
+				t.Errorf("%s, %s: error class %q, want encode", sec.name, name, errClass(err))
 			}
 		}
 
@@ -193,9 +98,9 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		payload, minEntry := []byte{1, 2, 3, 4, 5, 6, 7, 8}, 9
 		if sec.codes != nil {
-			payload = []byte{0}
+			payload, minEntry = []byte{0}, 2
 		}
 		entry := func(delta uint64, payload []byte) []byte {
 			return append(binary.AppendUvarint(nil, delta), payload...)
@@ -210,18 +115,22 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		if sec.codes != nil {
 			malformed["code out of range"] = append([]byte{1}, entry(1, []byte{byte(len(sec.codes))})...)
 		}
-		inputs := map[string][]byte{}
+		start, end := enc.off[sec.wire], enc.off[sec.wire+1]
 		for name, section := range malformed {
-			inputs[name] = bytes.Join([][]byte{enc.bytes[:enc.off[sec.wire]], section, enc.bytes[enc.off[sec.wire+1]:]}, nil)
+			_, _, err := decodeDocument(bytes.Join([][]byte{enc.bytes[:start], section, enc.bytes[end:]}, nil))
+			if errClass(err) != "corrupt" {
+				t.Errorf("%s, %s: error class %q, want corrupt", sec.name, name, errClass(err))
+			}
 		}
-		for cut := enc.off[sec.wire]; cut < enc.off[sec.wire+1]; cut++ {
-			inputs[fmt.Sprintf("cut %d bytes in", cut-enc.off[sec.wire])] = enc.bytes[:cut]
-		}
-		for name, data := range inputs {
-			_, _, err := decodeDocument(data)
-			rerr := refDecodeInto(&core.MapDocument{}, &encoding{bytes: data}, nil)
-			if got, want := errClass(err), errClass(rerr); got != want || got == "" {
-				t.Errorf("%s, %s: error class %q, parent %q", sec.name, name, got, want)
+		// The sample's counts are one-byte varints.
+		count := int(enc.bytes[start])
+		for cut := start; cut < end; cut++ {
+			want := "truncated"
+			if cut > start && count*minEntry > cut-start-1 {
+				want = "corrupt"
+			}
+			if _, _, err := decodeDocument(enc.bytes[:cut]); errClass(err) != want {
+				t.Errorf("%s, cut %d bytes in: error class %q, want %s", sec.name, cut-start, errClass(err), want)
 			}
 		}
 	}
@@ -252,9 +161,8 @@ func collidingDocs() map[string]*core.MapDocument {
 }
 
 // TestEncodeRejectsCollidingKeys: two keys of one keyed section with the same
-// typed form are unencodable. The parent encoded them — as a key delta of
-// zero, which its own decoder then refused — so a journal could hold a record
-// recovery could not read.
+// typed form are unencodable. Encoded, they would be a key delta of zero,
+// which the decoder refuses — a journal record recovery could not read.
 func TestEncodeRejectsCollidingKeys(t *testing.T) {
 	docs := collidingDocs()
 	if len(docs) != len(keyedSections) {
@@ -264,13 +172,38 @@ func TestEncodeRejectsCollidingKeys(t *testing.T) {
 		if _, err := EncodeDocument(doc); !errors.Is(err, ErrEncode) {
 			t.Errorf("%s: colliding keys encoded: err = %v, want ErrEncode", name, err)
 		}
-		parent, err := refEncodeDocument(doc)
-		if err != nil {
-			t.Errorf("%s: the parent encoder refused the document (%v): the collision is not what this test thinks", name, err)
-			continue
+	}
+}
+
+// TestAppendStillRejectsMalformedKeys: every malformed key or label of the
+// six users sections is turned away by the encoder (ErrEncode) before the
+// store publishes anything.
+func TestAppendStillRejectsMalformedKeys(t *testing.T) {
+	cases := map[string]func(*core.MapDocument){
+		"actives: bad prefix":          func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "zzz") },
+		"actives: not a /24":           func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "10.0.0.0/8") },
+		"actives: octet out of range":  func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "1.0.256.0/24") },
+		"hit rates: bad prefix":        func(d *core.MapDocument) { d.PrefixHitRates["1.0.0/24"] = 0.5 },
+		"hit rates: trailing garbage":  func(d *core.MapDocument) { d.PrefixHitRates["1.0.0.0/24x"] = 0.5 },
+		"activity: bad ASN":            func(d *core.MapDocument) { d.ASActivity["AS64500"] = 1 },
+		"activity: ASN over 32 bits":   func(d *core.MapDocument) { d.ASActivity["4294967296"] = 1 },
+		"activity: empty ASN":          func(d *core.MapDocument) { d.ASActivity[""] = 1 },
+		"sources: bad ASN":             func(d *core.MapDocument) { d.Sources["-1"] = "root-logs" },
+		"sources: unknown label":       func(d *core.MapDocument) { d.Sources["64500"] = "hearsay" },
+		"coverage: bad prefix":         func(d *core.MapDocument) { d.Coverage["1.0.0.1/24"] = "stale" },
+		"coverage: unknown label":      func(d *core.MapDocument) { d.Coverage["1.0.0.0/24"] = "somewhat" },
+		"confidence: bad ASN":          func(d *core.MapDocument) { d.ASConfidence["64500 "] = 1 },
+		"confidence: ASN over 32 bits": func(d *core.MapDocument) { d.ASConfidence["99999999999"] = 1 },
+	}
+	for name, corrupt := range cases {
+		doc := sampleDoc()
+		corrupt(doc)
+		s := NewStore()
+		if _, err := s.Append(0, doc); !errors.Is(err, ErrEncode) {
+			t.Errorf("%s: Append = %v, want ErrEncode", name, err)
 		}
-		if _, err := DecodeDocument(parent.bytes); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: decoding the parent's encoding: err = %v, want ErrCorrupt", name, err)
+		if s.Len() != 0 {
+			t.Errorf("%s: a rejected document was published", name)
 		}
 	}
 }

@@ -129,7 +129,7 @@ func TestMeshRoutesWrongMethodIs405(t *testing.T) {
 
 // TestMeshRoutesCaching mirrors the PR 6 handler suite for the mesh routes:
 // miss → hit with byte-equal bodies, strong mesh ETag, If-None-Match → 304,
-// and cached negative lookups.
+// and stable negative lookups.
 func TestMeshRoutesCaching(t *testing.T) {
 	s := meshStoreWith(t, 1)
 	srv := httptest.NewServer(NewHandler(s))
@@ -169,7 +169,7 @@ func TestMeshRoutesCaching(t *testing.T) {
 	if s.Latest().MeshETag == s.Latest().ETag {
 		t.Error("mesh ETag equals map ETag")
 	}
-	// Negative pair lookups cache with the epoch too: same 404, twice.
+	// Negative pair lookups are stable: same 404, twice.
 	n1, b1 := meshGet(t, srv, "/v1/path/3000/9999", "")
 	n2, b2 := meshGet(t, srv, "/v1/path/3000/9999", "")
 	if n1.StatusCode != http.StatusNotFound || n2.StatusCode != http.StatusNotFound || !bytes.Equal(b1, b2) {

@@ -230,19 +230,25 @@ type ASView struct {
 	TotalServices int              `json:"total_services"`
 }
 
+// knows reports whether the epoch has anything to say about asn — activity,
+// a source label or a service mapping — and so whether ASView answers.
+func (e *Epoch) knows(asn uint32) bool {
+	_, hasAct := e.activity[asn]
+	_, hasSrc := e.sources[asn]
+	return hasAct || hasSrc || len(e.mappingsBy[asn]) > 0
+}
+
 // ASView assembles the per-AS view with the AS's top-k service mappings,
 // ranked by how many client ASes the serving host covers (most popular
 // first; domain name breaks ties).
 func (e *Epoch) ASView(asn uint32, k int) (ASView, bool) {
-	act, hasAct := e.activity[asn]
-	src, hasSrc := e.sources[asn]
-	idxs := e.mappingsBy[asn]
-	if !hasAct && !hasSrc && len(idxs) == 0 {
+	if !e.knows(asn) {
 		return ASView{}, false
 	}
-	v := ASView{ASN: asn, Epoch: e.ID, Activity: act, Source: src, TotalServices: len(idxs)}
+	idxs := e.mappingsBy[asn]
+	v := ASView{ASN: asn, Epoch: e.ID, Activity: e.activity[asn], Source: e.sources[asn], TotalServices: len(idxs)}
 	if e.totalAct > 0 {
-		v.Share = act / e.totalAct
+		v.Share = v.Activity / e.totalAct
 	}
 	if c, ok := e.confidence[asn]; ok {
 		v.Confidence = &c

@@ -135,10 +135,9 @@ var journalShapes = []journalShape{
 
 // openJournal journals docs (and day by day the meshes that are not nil)
 // through a store into a fresh in-memory WAL directory, "crashes" (no
-// Close), smashes the shape's torn tail onto the journal and reopens it.
-// Every call builds the same bytes, so each recovery under comparison gets a
-// directory of its own.
-func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument, shape journalShape) (*wal.WAL, *wal.Recovery) {
+// Close), smashes the shape's torn tail onto the journal and reopens it. It
+// returns the store that wrote the journal along with what reopening found.
+func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument, shape journalShape) (*Store, *wal.WAL, *wal.Recovery) {
 	t.Helper()
 	mem := wal.NewMemFS()
 	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: shape.compactEvery}
@@ -173,73 +172,17 @@ func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocu
 		t.Fatalf("journal is not in shape %q: %d snapshot records, %d truncated bytes",
 			shape.name, rec.SnapshotRecords, rec.TruncatedBytes)
 	}
-	return w, rec
+	return s, w, rec
 }
 
-// splitPayloadNaive finds where a journaled epoch's map ends and its mesh
-// begins without leaning on the decoder's own notion of its end: it tries
-// every place the ITMB magic recurs, and the split is the one place where
-// the public decoders accept both sides whole. No such place: all map.
-func splitPayloadNaive(payload []byte) (mapBytes, meshBytes []byte) {
-	for i := 1; i+len(Magic) <= len(payload); i++ {
-		if !bytes.HasPrefix(payload[i:], Magic[:]) {
-			continue
-		}
-		if _, err := DecodeDocument(payload[:i]); err != nil {
-			continue
-		}
-		if _, err := DecodeMeshDocument(payload[i:]); err == nil {
-			return payload[:i], payload[i:]
-		}
-	}
-	return payload, nil
-}
-
-// recoverStoreReencode is the recovery loop as it stood before recovery
-// adopted the journaled bytes, kept verbatim as the oracle and grown by the
-// mesh the same way: decode each record, re-ingest it through the ordinary
-// append path (normalize, re-encode), and refuse unless the re-encoding
-// reproduces the record.
-func recoverStoreReencode(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
-	s := NewStore()
-	for _, r := range rec.Records {
-		mapBytes, meshBytes := splitPayloadNaive(r.Payload)
-		doc, err := DecodeDocument(mapBytes)
-		if err != nil {
-			return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
-		}
-		in := ingest{doc: doc}
-		if meshBytes != nil {
-			if in.mesh, err = DecodeMeshDocument(meshBytes); err != nil {
-				return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
-			}
-		}
-		e, err := s.append(r.At, in)
-		if err != nil {
-			return nil, fmt.Errorf("mapstore: recover epoch %d: %w", r.ID, err)
-		}
-		// The replayed epoch must be indistinguishable from the journaled
-		// one: same dense ID, same canonical bytes. A mismatch means the
-		// codec round-trip broke, which would silently fork ETags — refuse.
-		if e.ID != r.ID {
-			return nil, fmt.Errorf("mapstore: recover epoch %d: store assigned ID %d", r.ID, e.ID)
-		}
-		if !bytes.Equal(e.Encoded, mapBytes) || !bytes.Equal(e.MeshEncoded, meshBytes) {
-			return nil, fmt.Errorf("mapstore: recover epoch %d: canonical encoding diverged (%d+%d vs %d+%d journaled bytes)",
-				r.ID, len(e.Encoded), len(e.MeshEncoded), len(mapBytes), len(meshBytes))
-		}
-	}
-	wal.ReplayedEpochs.Add(uint64(len(rec.Records)))
-	s.AttachWAL(w)
-	return s, nil
-}
-
-// TestRecoverStoreMatchesReencodeOracle pins recovery-by-adoption against
-// the re-encoding recovery it replaced: over seeded 16-epoch journals in
-// every shape, map-only (what every journal written before the mesh was
-// journaled holds) and with a seeded mesh history, and with the
-// decode-ahead on one worker and on four, the recovered store has the same
-// bytes, ETags, sharing, documents and served bodies as the oracle's.
+// TestRecoverStoreMatchesReencodeOracle pins recovery-by-adoption against the
+// store that wrote the journal — a truer reference than re-encoding what was
+// journaled, which could only show the codec agreeing with itself: over
+// seeded 16-epoch journals in every shape, map-only (what every journal
+// written before the mesh was journaled holds) and with a seeded mesh
+// history, and with the decode-ahead on one worker and on four, the
+// recovered store has the writer's bytes, ETags, sharing, documents and
+// served bodies.
 func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
 	histories := []struct {
@@ -254,43 +197,38 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 		for _, shape := range journalShapes {
 			for seed := int64(1); seed <= 3; seed++ {
 				docs, meshes := seededDocs(seed, 16), hist.meshes(seed)
-				want, err := recoverStoreReencode(openJournal(t, docs, meshes, shape))
-				if err != nil {
-					t.Fatalf("%s, %s, seed %d: oracle: %v", hist.name, shape.name, seed, err)
-				}
-				wantBodies := driveFixedRequests(t, want)
-				for _, e := range want.Snapshot()[1:] {
-					prev, _ := want.Epoch(e.ID - 1)
-					sawFresh = sawFresh || e.MeshDoc != nil && !e.MeshShared
-					sawShared = sawShared || e.MeshShared
-					sawAbsent = sawAbsent || e.MeshDoc == nil && prev.MeshDoc != nil
-				}
 				for _, workers := range []int{1, 4} {
 					name := fmt.Sprintf("%s, %s, seed %d, %d workers", hist.name, shape.name, seed, workers)
-					w, rec := openJournal(t, docs, meshes, shape)
+					want, w, rec := openJournal(t, docs, meshes, shape)
 					got, err := recoverStore(w, rec, workers)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					if got.Len() != want.Len() {
-						t.Fatalf("%s: recovered %d epochs, oracle %d", name, got.Len(), want.Len())
+						t.Fatalf("%s: recovered %d epochs, the writer %d", name, got.Len(), want.Len())
 					}
 					for i, e := range got.Snapshot() {
 						o, _ := want.Epoch(i)
+						if i > 0 {
+							prev, _ := want.Epoch(i - 1)
+							sawFresh = sawFresh || o.MeshDoc != nil && !o.MeshShared
+							sawShared = sawShared || o.MeshShared
+							sawAbsent = sawAbsent || o.MeshDoc == nil && prev.MeshDoc != nil
+						}
 						if !bytes.Equal(e.Encoded, o.Encoded) {
-							t.Errorf("%s: epoch %d Encoded differs from the oracle's", name, i)
+							t.Errorf("%s: epoch %d Encoded differs from the writer's", name, i)
 						}
 						if !bytes.HasPrefix(rec.Records[i].Payload, e.Encoded) {
 							t.Errorf("%s: epoch %d Encoded is not the head of the journaled payload", name, i)
 						}
 						if e.ETag != o.ETag {
-							t.Errorf("%s: epoch %d ETag %s, oracle %s", name, i, e.ETag, o.ETag)
+							t.Errorf("%s: epoch %d ETag %s, the writer's %s", name, i, e.ETag, o.ETag)
 						}
 						if e.SharedSections != o.SharedSections {
-							t.Errorf("%s: epoch %d shares %d sections, oracle %d", name, i, e.SharedSections, o.SharedSections)
+							t.Errorf("%s: epoch %d shares %d sections, the writer's %d", name, i, e.SharedSections, o.SharedSections)
 						}
 						if !reflect.DeepEqual(e.Doc, o.Doc) {
-							t.Errorf("%s: epoch %d document differs from the oracle's", name, i)
+							t.Errorf("%s: epoch %d document differs from the writer's", name, i)
 						}
 						if (e.MeshDoc != nil) != (meshes[i] != nil) || !bytes.HasSuffix(rec.Records[i].Payload, e.MeshEncoded) ||
 							len(e.Encoded)+len(e.MeshEncoded) != len(rec.Records[i].Payload) {
@@ -298,13 +236,14 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 						}
 						if !bytes.Equal(e.MeshEncoded, o.MeshEncoded) || e.MeshETag != o.MeshETag || e.MeshShared != o.MeshShared ||
 							!reflect.DeepEqual(e.MeshDoc, o.MeshDoc) || !reflect.DeepEqual(e.meshWorst, o.meshWorst) {
-							t.Errorf("%s: epoch %d mesh differs from the oracle's: ETag %s (oracle %s), shared %v (%v)",
+							t.Errorf("%s: epoch %d mesh differs from the writer's: ETag %s (writer %s), shared %v (%v)",
 								name, i, e.MeshETag, o.MeshETag, e.MeshShared, o.MeshShared)
 						}
 					}
+					wantBodies := driveFixedRequests(t, want)
 					for p, body := range driveFixedRequests(t, got) {
 						if body != wantBodies[p] {
-							t.Errorf("%s: %s differs:\n oracle:    %.120q\n recovered: %.120q", name, p, wantBodies[p], body)
+							t.Errorf("%s: %s differs:\n writer:    %.120q\n recovered: %.120q", name, p, wantBodies[p], body)
 						}
 					}
 					// Still one append path: the next epoch journals after the

@@ -42,8 +42,8 @@ import (
 // Every cached route is one row of the table below, and the row is only what
 // the routes differ in: how to resolve a request and how to render its
 // answer. What they have in common — take the snapshot, turn a refusal into
-// its status, revalidate, look up, fill, cache a 404 — is written once, in
-// serve and serveCached.
+// its status, revalidate, look up, fill — is written once, in serve and
+// serveCached.
 func NewHandler(s *Store) http.Handler {
 	h := &handler{s: s, eng: &slo.Engine{Objectives: slo.ServingObjectives()}}
 	mux := http.NewServeMux()
@@ -90,25 +90,27 @@ type request struct {
 	stored []byte
 
 	// Each route fills the parameters its renderer reads.
-	v        *epochList        // the snapshot, for answers that span epochs
-	e, to    *Epoch            // the epoch answered from; a diff runs from e to to
-	a, b     uint32            // path ASNs ({asn} is a)
-	k        int               // ?k=
-	minShift float64           // ?min_shift=
-	snap     *history.Snapshot // the history ring's snapshot
-	family   string            // {family}
+	v        *epochList             // the snapshot, for answers that span epochs
+	e, to    *Epoch                 // the epoch answered from; a diff runs from e to to
+	a, b     uint32                 // path ASNs ({asn} is a)
+	pair     *core.MeshPairDocument // the mesh pair a and b name
+	k        int                    // ?k=
+	minShift float64                // ?min_shift=
+	snap     *history.Snapshot      // the history ring's snapshot
+	family   string                 // {family}
 }
 
 // resolver is the first half of a route: parse the parameters, find the
 // epochs in the request's snapshot, name cache, key and ETag — or refuse
 // with a *statusErr. The order of its checks is the route's error
-// precedence.
+// precedence, and the last one asks whether the URL has a representation at
+// all (an AS the epoch knows, a measured pair): If-None-Match is evaluated
+// only after it, so "*" or a borrowed tag can never turn a 404 into a 304
+// (RFC 9110 §13.1.2).
 type resolver func(v *epochList, r *http.Request) (request, error)
 
 // renderer is the second half: the body and content type for a resolved
-// request, run on first touch only. It may itself report a status (an AS the
-// epoch does not know); that outcome is as immutable as a body and caches
-// like one.
+// request, run on first touch only. It never answers a status of its own.
 type renderer func(q request) ([]byte, string, error)
 
 // serve is every cached route's handler: one atomic load resolves the
@@ -312,6 +314,9 @@ func (h *handler) resolveHistory(*epochList, *http.Request) (request, error) {
 // samples.
 func (h *handler) resolveHistoryFamily(_ *epochList, r *http.Request) (request, error) {
 	fam, snap := r.PathValue("family"), history.Default().Snapshot()
+	if !snap.HasFamily(fam) {
+		return request{}, notFound("no family %q in history", fam)
+	}
 	return request{cache: h.historyCache(snap), key: "history/" + fam, etag: snap.FamilyETag(fam), snap: snap, family: fam}, nil
 }
 
@@ -321,10 +326,7 @@ func renderHistory(q request) ([]byte, string, error) {
 }
 
 func renderHistoryFamily(q request) ([]byte, string, error) {
-	b, ok, err := q.snap.MarshalFamilyBody(q.family)
-	if err == nil && !ok {
-		err = notFound("no family %q in history", q.family)
-	}
+	b, _, err := q.snap.MarshalFamilyBody(q.family)
 	return b, "application/json", err
 }
 
@@ -406,6 +408,9 @@ func resolveAS(v *epochList, r *http.Request) (q request, err error) {
 	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
 		return q, err
 	}
+	if !q.e.knows(q.a) {
+		return q, notFound("AS %d not in epoch %d", q.a, q.e.ID)
+	}
 	// The response spans the whole store (the longitudinal series), so it
 	// caches on the snapshot, keyed by the fully-resolved query shape, and
 	// carries the store ETag — one append invalidates it wholesale.
@@ -416,10 +421,7 @@ func resolveAS(v *epochList, r *http.Request) (q request, err error) {
 }
 
 func renderAS(q request) ([]byte, string, error) {
-	av, ok := q.e.ASView(q.a, q.k)
-	if !ok {
-		return nil, "", notFound("AS %d not in epoch %d", q.a, q.e.ID)
-	}
+	av, _ := q.e.ASView(q.a, q.k)
 	return jsonBody(struct {
 		ASView
 		Series []EpochValue `json:"series"`
@@ -467,16 +469,16 @@ func resolveLink(v *epochList, r *http.Request) (q request, err error) {
 	if q.e, err = epochIn(v, r); err != nil {
 		return q, err
 	}
+	if _, ok := q.e.LinkLoad(q.a, q.b); !ok {
+		return q, notFound("no link load for %d-%d in epoch %d", q.a, q.b, q.e.ID)
+	}
 	q.cache, q.etag = q.e.cache, q.e.ETag
 	q.key = "link?a=" + strconv.FormatUint(uint64(q.a), 10) + "&b=" + strconv.FormatUint(uint64(q.b), 10)
 	return q, nil
 }
 
 func renderLink(q request) ([]byte, string, error) {
-	load, ok := q.e.LinkLoad(q.a, q.b)
-	if !ok {
-		return nil, "", notFound("no link load for %d-%d in epoch %d", q.a, q.b, q.e.ID)
-	}
+	load, _ := q.e.LinkLoad(q.a, q.b)
 	return jsonBody(struct {
 		Epoch      int     `json:"epoch"`
 		A          uint32  `json:"a"`
@@ -496,20 +498,13 @@ func resolveMeshPair(kind string) resolver {
 		if q.e, err = meshEpochIn(v, r); err != nil {
 			return q, err
 		}
+		var ok bool
+		if q.pair, ok = q.e.MeshDoc.PairAt(q.a, q.b); !ok {
+			return q, notFound("no mesh measurement for AS pair %d/%d in epoch %d", q.a, q.b, q.e.ID)
+		}
 		q.cache, q.key, q.etag = q.e.cache, meshPairKey(kind, q.a, q.b), q.e.MeshETag
 		return q, nil
 	}
-}
-
-// meshPairOf looks the request's pair up at render time, so a pair the
-// campaign never measured is a cached 404: an immutable fact of the epoch,
-// like a measured pair's body.
-func meshPairOf(q request) (*core.MeshPairDocument, error) {
-	p, ok := q.e.MeshDoc.PairAt(q.a, q.b)
-	if !ok {
-		return nil, notFound("no mesh measurement for AS pair %d/%d in epoch %d", q.a, q.b, q.e.ID)
-	}
-	return p, nil
 }
 
 type meshPathResponse struct {
@@ -524,10 +519,7 @@ type meshPathResponse struct {
 }
 
 func renderMeshPath(q request) ([]byte, string, error) {
-	p, err := meshPairOf(q)
-	if err != nil {
-		return nil, "", err
-	}
+	p := q.pair
 	return jsonBody(meshPathResponse{
 		Epoch: q.e.ID, At: q.e.At, A: p.Lo, B: p.Hi,
 		Path: p.Path, Complete: p.Complete, Confidence: p.Confidence,
@@ -550,10 +542,7 @@ type meshLatencyResponse struct {
 }
 
 func renderMeshLatency(q request) ([]byte, string, error) {
-	p, err := meshPairOf(q)
-	if err != nil {
-		return nil, "", err
-	}
+	p := q.pair
 	return jsonBody(meshLatencyResponse{
 		Epoch: q.e.ID, At: q.e.At, A: p.Lo, B: p.Hi,
 		Probes: p.Probes, Lost: p.Lost, Loss: p.LossRate(),

@@ -21,7 +21,7 @@ import (
 // and ETag per request. Used on both sides of a crash so the comparison
 // covers the full serving surface, not just raw epoch bytes. The mix wants
 // at least three epochs; the mesh routes answer from whatever the store
-// holds (sampleMesh's pairs when it has a mesh, cached 404s when not).
+// holds (sampleMesh's pairs when it has a mesh, 404s when not).
 func driveFixedRequests(t *testing.T, s *Store) map[string]string {
 	t.Helper()
 	srv := httptest.NewServer(NewHandler(s))
@@ -38,7 +38,7 @@ func driveFixedRequests(t *testing.T, s *Store) map[string]string {
 		"/v1/as/64500?k=1",
 		"/v1/path/3000/3001",
 		"/v1/path/3001/3000",
-		"/v1/path/3000/9999", // never measured: a cached 404
+		"/v1/path/3000/9999", // never measured: a 404
 		"/v1/path/3000/3001?epoch=1",
 		"/v1/latency/3000/3005",
 		"/v1/latency/3005/3000",

@@ -219,11 +219,27 @@ func (s *Snapshot) MarshalBody() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
+// HasFamily reports whether family appears in any retained sample — whether
+// the per-family view has anything to show (a 404 to the serving layer when
+// not).
+func (s *Snapshot) HasFamily(family string) bool {
+	for _, sm := range s.Samples {
+		for _, kv := range sm.Values {
+			if KeyFamily(kv.Key) == family {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // MarshalFamilyBody renders the per-family view: every sample, with values
 // filtered to the requested family's series. ok is false when the family
-// appears in no retained sample (a 404 to the serving layer).
+// appears in no retained sample (see HasFamily).
 func (s *Snapshot) MarshalFamilyBody(family string) ([]byte, bool, error) {
-	found := false
+	if !s.HasFamily(family) {
+		return nil, false, nil
+	}
 	filtered := make([]*Sample, 0, len(s.Samples))
 	for _, sm := range s.Samples {
 		vals := []KV{}
@@ -232,14 +248,8 @@ func (s *Snapshot) MarshalFamilyBody(family string) ([]byte, bool, error) {
 				vals = append(vals, kv)
 			}
 		}
-		if len(vals) > 0 {
-			found = true
-		}
 		filtered = append(filtered, &Sample{Index: sm.Index, Source: sm.Source,
 			Label: sm.Label, AtH: sm.AtH, Values: vals})
-	}
-	if !found {
-		return nil, false, nil
 	}
 	b, err := json.MarshalIndent(familyBody{
 		ETag: s.FamilyETag(family), Generation: s.Gen, Family: family, Samples: filtered}, "", "  ")
