@@ -197,7 +197,10 @@ loadgen-smoke:
 # one of those bytes again. Then saturate the recovered server (1 slot, no
 # queue) with an unpaced loadgen burst to prove the admission valve sheds
 # visibly, SIGTERM it, and confirm a third boot finds a journal ending
-# exactly on a record boundary.
+# exactly on a record boundary. Last, the snapshot leg: serve a committed
+# snapshot whose keys carry leading zeros and whose lists are empty, SIGKILL
+# it, recover, and require the same map, top-K and per-AS bytes and ETags
+# before and after.
 crash-smoke:
 	@rm -rf crash-smoke && mkdir -p crash-smoke/a crash-smoke/b
 	$(GO) build -o crash-smoke/itm-serve ./cmd/itm-serve
@@ -253,7 +256,23 @@ crash-smoke:
 	for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	grep -q 'truncated_tail_bytes=0' crash-smoke/events3.log || { echo "crash-smoke: journal did not end on a record boundary after drain"; exit 1; }; \
 	kill $$pid; wait $$pid 2>/dev/null || true; \
-	echo "crash-smoke: OK (torn-tail recovery identity, map and mesh AS$$a<->AS$$b + overload shed=$$shed + record-boundary shutdown)"
+	snap() { fetch $$1 snap-map0.json /v1/map/0; fetch $$1 snap-top.json /v1/top; fetch $$1 snap-as.json /v1/as/64500; }; \
+	crash-smoke/itm-serve -addr 127.0.0.1:8414 -snapshot cmd/itm-serve/testdata/respelled.json -wal crash-smoke/snap-wal 2>crash-smoke/events4.log & \
+	pid=$$!; \
+	for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	snap a; \
+	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
+	crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/snap-wal 2>crash-smoke/events5.log & \
+	pid=$$!; \
+	for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+	grep -q 'event=serve.recovered' crash-smoke/events5.log; \
+	snap b; \
+	for f in snap-map0.json snap-top.json snap-as.json; do \
+		cmp -s crash-smoke/a/$$f crash-smoke/b/$$f && cmp -s crash-smoke/a/$$f.etag crash-smoke/b/$$f.etag || \
+			{ echo "crash-smoke: snapshot leg: $$f or its ETag diverged after recovery"; exit 1; }; \
+	done; \
+	kill $$pid; wait $$pid 2>/dev/null || true; \
+	echo "crash-smoke: OK (torn-tail recovery identity, map and mesh AS$$a<->AS$$b + overload shed=$$shed + record-boundary shutdown + respelled snapshot)"
 	@rm -rf crash-smoke
 
 # Mesh smoke: prove the vantage-fleet mesh is worker-count-invariant at the

@@ -46,7 +46,7 @@ func DiffMaps(before, after *TrafficMap, minShift float64) *MapDiff {
 // share is its activity over the side's total, summed in ascending ASN
 // order so the low bits are the same on every run; a side whose total is
 // zero contributes no ASes and all-zero shares.
-func DiffUsers[K ~uint32](beforeActives, afterActives []topology.PrefixID, beforeAct, afterAct map[K]float64, minShift float64) *MapDiff {
+func DiffUsers(beforeActives, afterActives []topology.PrefixID, beforeAct, afterAct map[topology.ASN]float64, minShift float64) *MapDiff {
 	d := &MapDiff{}
 	i, j := 0, 0
 	for i < len(beforeActives) && j < len(afterActives) {
@@ -67,14 +67,14 @@ func DiffUsers[K ~uint32](beforeActives, afterActives []topology.PrefixID, befor
 	d.PrefixesAppeared = append(d.PrefixesAppeared, afterActives[j:]...)
 
 	totalBefore, totalAfter := order.SumValues(beforeAct), order.SumValues(afterAct)
-	share := func(act map[K]float64, total float64, asn K) float64 {
+	share := func(act map[topology.ASN]float64, total float64, asn topology.ASN) float64 {
 		v, ok := act[asn]
 		if !ok || total == 0 {
 			return 0
 		}
 		return v / total
 	}
-	seen := map[K]bool{}
+	seen := map[topology.ASN]bool{}
 	if totalBefore != 0 {
 		for asn := range beforeAct {
 			seen[asn] = true
@@ -86,7 +86,7 @@ func DiffUsers[K ~uint32](beforeActives, afterActives []topology.PrefixID, befor
 		}
 	}
 	for asn := range seen {
-		shift := ActivityShift{ASN: topology.ASN(asn),
+		shift := ActivityShift{ASN: asn,
 			Before: share(beforeAct, totalBefore, asn), After: share(afterAct, totalAfter, asn)}
 		if shift.Delta() >= minShift || shift.Delta() <= -minShift {
 			d.ActivityShifts = append(d.ActivityShifts, shift)

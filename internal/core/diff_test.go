@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strconv"
 	"testing"
 
 	"itmap/internal/topology"
@@ -125,22 +124,7 @@ func TestDiffMapsSelfEmptyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		back := mapWith(nil, map[topology.ASN]float64{})
-		for _, s := range doc.ActivePrefixes {
-			p, err := ParsePrefix(s)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			back.Users.ActivePrefixes[p] = true
-		}
-		for s, v := range doc.ASActivity {
-			asn, err := strconv.ParseUint(s, 10, 32)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			back.Users.ASActivity[topology.ASN(asn)] = v
-		}
-		d = DiffMaps(m, back, 1e-12)
+		d = DiffMaps(m, mapWith(doc.ActivePrefixes, doc.ASActivity), 1e-12)
 		if d.Jaccard() != 1 || len(d.PrefixesAppeared)+len(d.PrefixesVanished)+len(d.ActivityShifts) != 0 {
 			t.Errorf("seed %d: diff against re-imported map not empty", seed)
 		}

@@ -5,6 +5,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,17 +47,43 @@ const (
 	CoverageStale
 )
 
-// String names the grade for reports.
-func (c Coverage) String() string {
-	switch c {
-	case CoverageProbedOK:
-		return "probed-ok"
-	case CoverageGaveUp:
-		return "gave-up"
-	case CoverageStale:
-		return "stale"
+// The labels a document spells ActivitySource and Coverage values with,
+// indexed by value. The ITMB codec carries the value itself, so these are
+// the one place a label is named.
+var (
+	sourceLabels   = [...]string{"unknown", "cache-probe", "root-logs", "cache-probe+root-logs"}
+	coverageLabels = [...]string{"unknown", "probed-ok", "gave-up", "stale"}
+)
+
+// ActivitySources and Coverages count each enum's values: every value below
+// the count has a label, and none at or above it does.
+const (
+	ActivitySources = len(sourceLabels)
+	Coverages       = len(coverageLabels)
+)
+
+// MarshalText and UnmarshalText spell the enums as their labels, and
+// nothing else: a value without a label, or a label no value has, is an
+// error.
+func (s ActivitySource) MarshalText() ([]byte, error)  { return labelText(sourceLabels[:], s) }
+func (s *ActivitySource) UnmarshalText(b []byte) error { return labelValue(sourceLabels[:], b, s) }
+func (c Coverage) MarshalText() ([]byte, error)        { return labelText(coverageLabels[:], c) }
+func (c *Coverage) UnmarshalText(b []byte) error       { return labelValue(coverageLabels[:], b, c) }
+
+func labelText[E ~uint8](labels []string, v E) ([]byte, error) {
+	if int(v) >= len(labels) {
+		return nil, fmt.Errorf("core: %T %d has no label", v, v)
 	}
-	return "unknown"
+	return []byte(labels[v]), nil
+}
+
+func labelValue[E ~uint8](labels []string, text []byte, v *E) error {
+	i := slices.Index(labels, string(text))
+	if i < 0 {
+		return fmt.Errorf("core: unknown %T label %q", *v, text)
+	}
+	*v = E(i)
+	return nil
 }
 
 // UsersComponent answers the map's first question: where are users, and

@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
-	"strconv"
 	"strings"
 
 	"itmap/internal/order"
@@ -18,19 +18,22 @@ import (
 // uses and encourages others to use the Internet traffic map"), so the
 // export carries only measured estimates — never simulator ground truth.
 
-// MapDocument is the serialized form of a TrafficMap.
+// MapDocument is the serialized form of a TrafficMap. Its keys and labels
+// are typed: how a /24, an ASN or a label is spelled is decided once, by
+// their text marshallers (topology.PrefixID, ActivitySource, Coverage) and
+// encoding/json's integer map keys, so every other layer handles values.
 type MapDocument struct {
 	Version int `json:"version"`
 	// Users component.
-	ActivePrefixes []string           `json:"active_prefixes"`
-	PrefixHitRates map[string]float64 `json:"prefix_hit_rates,omitempty"`
-	ASActivity     map[string]float64 `json:"as_activity"`
-	Sources        map[string]string  `json:"sources"`
+	ActivePrefixes []topology.PrefixID             `json:"active_prefixes"`
+	PrefixHitRates map[topology.PrefixID]float64   `json:"prefix_hit_rates,omitempty"`
+	ASActivity     map[topology.ASN]float64        `json:"as_activity"`
+	Sources        map[topology.ASN]ActivitySource `json:"sources"`
 	// Coverage/ASConfidence only appear for maps built from a resilient
 	// sweep's stats — fault-free documents stay byte-identical to v1
 	// exports thanks to omitempty.
-	Coverage     map[string]string  `json:"coverage,omitempty"`
-	ASConfidence map[string]float64 `json:"as_confidence,omitempty"`
+	Coverage     map[topology.PrefixID]Coverage `json:"coverage,omitempty"`
+	ASConfidence map[topology.ASN]float64       `json:"as_confidence,omitempty"`
 	// Services component.
 	Servers  []ServerDocument  `json:"servers"`
 	Mappings []MappingDocument `json:"mappings"`
@@ -38,19 +41,19 @@ type MapDocument struct {
 
 // ServerDocument is one discovered serving prefix.
 type ServerDocument struct {
-	Prefix  string `json:"prefix"`
-	HostAS  uint32 `json:"host_as"`
-	OwnerAS uint32 `json:"owner_as"`
-	Org     string `json:"org"`
-	City    string `json:"city"`
-	Country string `json:"country"`
+	Prefix  topology.PrefixID `json:"prefix"`
+	HostAS  uint32            `json:"host_as"`
+	OwnerAS uint32            `json:"owner_as"`
+	Org     string            `json:"org"`
+	City    string            `json:"city"`
+	Country string            `json:"country"`
 }
 
 // MappingDocument is one measured user→host mapping entry.
 type MappingDocument struct {
-	Domain   string `json:"domain"`
-	ClientAS uint32 `json:"client_as"`
-	Serving  string `json:"serving_prefix"`
+	Domain   string            `json:"domain"`
+	ClientAS uint32            `json:"client_as"`
+	Serving  topology.PrefixID `json:"serving_prefix"`
 }
 
 const mapDocVersion = 1
@@ -62,43 +65,23 @@ func (m *TrafficMap) Document() *MapDocument {
 	u := &m.Users
 	doc := &MapDocument{
 		Version:        mapDocVersion,
-		PrefixHitRates: make(map[string]float64, len(u.PrefixHitRate)),
-		ASActivity:     make(map[string]float64, len(u.ASActivity)),
-		Sources:        make(map[string]string, len(u.Sources)),
-	}
-	// Grow, not make: an empty list stays nil and exports as null.
-	doc.ActivePrefixes = slices.Grow(doc.ActivePrefixes, len(u.ActivePrefixes))
-	for _, p := range order.Keys(u.ActivePrefixes) {
-		doc.ActivePrefixes = append(doc.ActivePrefixes, p.String())
+		ActivePrefixes: order.Keys(u.ActivePrefixes),
+		PrefixHitRates: make(map[topology.PrefixID]float64, len(u.PrefixHitRate)),
+		ASActivity:     maps.Clone(u.ASActivity),
+		Sources:        maps.Clone(u.Sources),
+		Coverage:       maps.Clone(u.Coverage),
+		ASConfidence:   maps.Clone(u.ASConfidence),
 	}
 	for p, hr := range u.PrefixHitRate {
 		if hr > 0 {
-			doc.PrefixHitRates[p.String()] = hr
-		}
-	}
-	for asn, act := range u.ASActivity {
-		doc.ASActivity[asnKey(asn)] = act
-	}
-	for asn, src := range u.Sources {
-		doc.Sources[asnKey(asn)] = sourceString(src)
-	}
-	if len(u.Coverage) > 0 {
-		doc.Coverage = make(map[string]string, len(u.Coverage))
-		for p, c := range u.Coverage {
-			doc.Coverage[p.String()] = c.String()
-		}
-	}
-	if len(u.ASConfidence) > 0 {
-		doc.ASConfidence = make(map[string]float64, len(u.ASConfidence))
-		for asn, v := range u.ASConfidence {
-			doc.ASConfidence[asnKey(asn)] = v
+			doc.PrefixHitRates[p] = hr
 		}
 	}
 	if m.Services.Scan != nil {
-		doc.Servers = slices.Grow(doc.Servers, len(m.Services.Scan.Servers))
+		doc.Servers = make([]ServerDocument, 0, len(m.Services.Scan.Servers))
 		for _, s := range m.Services.Scan.Servers {
 			doc.Servers = append(doc.Servers, ServerDocument{
-				Prefix:  s.Prefix.String(),
+				Prefix:  s.Prefix,
 				HostAS:  uint32(s.HostAS),
 				OwnerAS: uint32(s.OwnerASN),
 				Org:     s.CertOrg,
@@ -111,15 +94,12 @@ func (m *TrafficMap) Document() *MapDocument {
 		doc.Mappings = append(doc.Mappings, MappingDocument{
 			Domain:   k.Domain,
 			ClientAS: uint32(k.ClientAS),
-			Serving:  m.Services.Mapping[k].String(),
+			Serving:  m.Services.Mapping[k],
 		})
 	}
 	doc.Normalize()
 	return doc
 }
-
-// asnKey is an ASN as a document map key.
-func asnKey(asn topology.ASN) string { return strconv.FormatUint(uint64(asn), 10) }
 
 // Export writes the map's measured components as JSON.
 func (m *TrafficMap) Export(w io.Writer) error {
@@ -131,17 +111,18 @@ func (m *TrafficMap) Export(w io.Writer) error {
 // produced (built from a TrafficMap, imported from JSON, or decoded from
 // the binary codec): required maps are non-nil, optional maps
 // (Coverage/ASConfidence) are nil when empty — matching their omitempty
-// export — and slices are sorted (prefixes numerically where parseable,
-// servers by CompareServer, mappings by CompareMapping).
+// export — empty lists are nil, as the codec decodes them, so an empty
+// list exports as null before a crash and after it, and lists are sorted
+// (prefixes by ID, servers by CompareServer, mappings by CompareMapping).
 func (doc *MapDocument) Normalize() {
 	if doc.PrefixHitRates == nil {
-		doc.PrefixHitRates = map[string]float64{}
+		doc.PrefixHitRates = map[topology.PrefixID]float64{}
 	}
 	if doc.ASActivity == nil {
-		doc.ASActivity = map[string]float64{}
+		doc.ASActivity = map[topology.ASN]float64{}
 	}
 	if doc.Sources == nil {
-		doc.Sources = map[string]string{}
+		doc.Sources = map[topology.ASN]ActivitySource{}
 	}
 	if len(doc.Coverage) == 0 {
 		doc.Coverage = nil
@@ -149,19 +130,29 @@ func (doc *MapDocument) Normalize() {
 	if len(doc.ASConfidence) == 0 {
 		doc.ASConfidence = nil
 	}
-	slices.SortFunc(doc.ActivePrefixes, comparePrefix)
+	doc.ActivePrefixes = nilIfEmpty(doc.ActivePrefixes)
+	doc.Servers = nilIfEmpty(doc.Servers)
+	doc.Mappings = nilIfEmpty(doc.Mappings)
+	slices.Sort(doc.ActivePrefixes)
 	slices.SortFunc(doc.Servers, CompareServer)
 	slices.SortFunc(doc.Mappings, CompareMapping)
 }
 
+func nilIfEmpty[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
 // CompareServer is the one canonical server order: the full field tuple
-// (prefix numerically, host AS, owner AS, org, city, country). Normalize
-// sorts by it and the binary codec both encodes in it and rejects input
-// that departs from it, so a decoded document is a Normalize fixed point.
-// Only fully equal servers tie, which is why an unstable sort suffices.
+// (prefix, host AS, owner AS, org, city, country). Normalize sorts by it
+// and the binary codec both encodes in it and rejects input that departs
+// from it, so a decoded document is a Normalize fixed point. Only fully
+// equal servers tie, which is why an unstable sort suffices.
 func CompareServer(a, b ServerDocument) int {
-	if a.Prefix != b.Prefix {
-		return comparePrefix(a.Prefix, b.Prefix)
+	if c := cmp.Compare(a.Prefix, b.Prefix); c != 0 {
+		return c
 	}
 	if c := cmp.Compare(a.HostAS, b.HostAS); c != 0 {
 		return c
@@ -187,18 +178,6 @@ func CompareMapping(a, b MappingDocument) int {
 	return cmp.Compare(a.ClientAS, b.ClientAS)
 }
 
-// comparePrefix orders CIDR strings by numeric prefix ID where both parse
-// (lexicographic order would put 10.0.0.0/24 before 2.0.0.0/24), falling
-// back to string order so unparseable inputs still sort deterministically.
-func comparePrefix(a, b string) int {
-	pa, ea := ParsePrefix(a)
-	pb, eb := ParsePrefix(b)
-	if ea == nil && eb == nil {
-		return cmp.Compare(pa, pb)
-	}
-	return strings.Compare(a, b)
-}
-
 // Export writes the document as indented JSON, normalizing first. JSON map
 // keys are emitted in sorted order by encoding/json, so the bytes are a
 // pure function of the document's content.
@@ -209,20 +188,11 @@ func (doc *MapDocument) Export(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-func sourceString(s ActivitySource) string {
-	switch s {
-	case FromCacheProbe:
-		return "cache-probe"
-	case FromRootLogs:
-		return "root-logs"
-	case FromCacheProbe | FromRootLogs:
-		return "cache-probe+root-logs"
-	default:
-		return "unknown"
-	}
-}
-
-// ImportDocument parses a serialized map document.
+// ImportDocument parses a serialized map document. It is the document's
+// JSON trust boundary: a malformed prefix, ASN or label is refused here, and
+// a key spelled with leading zeros ("064500", "01.0.0.0/24") is read as the
+// key it names, so two spellings of one key are one key, the last one
+// listed winning, as with any key JSON repeats.
 func ImportDocument(r io.Reader) (*MapDocument, error) {
 	var doc MapDocument
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -232,61 +202,4 @@ func ImportDocument(r io.Reader) (*MapDocument, error) {
 		return nil, fmt.Errorf("core: unsupported map document version %d", doc.Version)
 	}
 	return &doc, nil
-}
-
-// ParsePrefix parses a /24 in CIDR notation (the form PrefixID.String
-// emits) back to its dense ID.
-func ParsePrefix(s string) (topology.PrefixID, error) { return parsePrefix(s) }
-
-// parsePrefix is hand-rolled rather than fmt.Sscanf-based: it sits under
-// every document sort comparison, codec entry, and users-import key, so the
-// success path must not allocate. Leading zeros are tolerated (as Sscanf
-// did); trailing garbage is rejected.
-func parsePrefix(s string) (topology.PrefixID, error) {
-	bad := func() (topology.PrefixID, error) {
-		return 0, fmt.Errorf("core: bad prefix %q", s)
-	}
-	i := 0
-	octet := func() (int, bool) {
-		start := i
-		v := 0
-		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-			v = v*10 + int(s[i]-'0')
-			if v > 1<<24 { // cap far above any octet/mask; avoids overflow
-				return 0, false
-			}
-			i++
-		}
-		return v, i > start
-	}
-	a, ok := octet()
-	if !ok || i >= len(s) || s[i] != '.' {
-		return bad()
-	}
-	i++
-	b, ok := octet()
-	if !ok || i >= len(s) || s[i] != '.' {
-		return bad()
-	}
-	i++
-	c, ok := octet()
-	if !ok || i+1 >= len(s) || s[i] != '.' || s[i+1] != '0' {
-		return bad()
-	}
-	i += 2
-	if i >= len(s) || s[i] != '/' {
-		return bad()
-	}
-	i++
-	bits, ok := octet()
-	if !ok || i != len(s) {
-		return bad()
-	}
-	if bits != 24 {
-		return 0, fmt.Errorf("core: prefix %q is not a /24", s)
-	}
-	if a > 255 || b > 255 || c > 255 {
-		return 0, fmt.Errorf("core: prefix %q has an out-of-range octet", s)
-	}
-	return topology.PrefixID(a<<16 | b<<8 | c), nil
 }

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
+
+	"itmap/internal/topology"
 )
 
 func TestExportImportRoundTrip(t *testing.T) {
@@ -26,20 +29,13 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Errorf("mappings %d vs %d", len(doc.Mappings), len(m.Services.Mapping))
 	}
 
-	for _, s := range doc.ActivePrefixes {
-		if p, err := ParsePrefix(s); err != nil || !m.Users.ActivePrefixes[p] {
-			t.Fatalf("active prefix %q after round trip: %v, in map %v", s, err, m.Users.ActivePrefixes[p])
+	for _, p := range doc.ActivePrefixes {
+		if !m.Users.ActivePrefixes[p] {
+			t.Fatalf("active prefix %v after round trip is not in the map", p)
 		}
 	}
-	for asn, act := range m.Users.ASActivity {
-		if got := doc.ASActivity[asnKey(asn)]; got != act {
-			t.Fatalf("activity for AS %d: %f vs %f", asn, got, act)
-		}
-	}
-	for asn, src := range m.Users.Sources {
-		if doc.Sources[asnKey(asn)] != sourceString(src) {
-			t.Fatalf("source for AS %d lost", asn)
-		}
+	if !maps.Equal(doc.ASActivity, m.Users.ASActivity) || !maps.Equal(doc.Sources, m.Users.Sources) {
+		t.Fatal("activity or sources changed in the round trip")
 	}
 }
 
@@ -59,18 +55,47 @@ func TestExportDeterministic(t *testing.T) {
 	}
 }
 
+// TestImportRejectsBadInput: the import is the JSON trust boundary, so every
+// malformed key, prefix or label of every section is refused there.
 func TestImportRejectsBadInput(t *testing.T) {
-	if _, err := ImportDocument(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
+	for name, js := range map[string]string{
+		"garbage":                      "not json",
+		"future version":               `{"version": 99}`,
+		"actives: bad prefix":          `{"version": 1, "active_prefixes": ["zzz"]}`,
+		"actives: not a /24":           `{"version": 1, "active_prefixes": ["10.0.0.0/8"]}`,
+		"actives: octet out of range":  `{"version": 1, "active_prefixes": ["1.0.256.0/24"]}`,
+		"actives: not a string":        `{"version": 1, "active_prefixes": [65536]}`,
+		"hit rates: bad prefix":        `{"version": 1, "prefix_hit_rates": {"1.0.0/24": 0.5}}`,
+		"hit rates: trailing garbage":  `{"version": 1, "prefix_hit_rates": {"1.0.0.0/24x": 0.5}}`,
+		"activity: bad ASN":            `{"version": 1, "as_activity": {"AS64500": 1}}`,
+		"activity: ASN over 32 bits":   `{"version": 1, "as_activity": {"4294967296": 1}}`,
+		"activity: empty ASN":          `{"version": 1, "as_activity": {"": 1}}`,
+		"sources: bad ASN":             `{"version": 1, "sources": {"-1": "root-logs"}}`,
+		"sources: unknown label":       `{"version": 1, "sources": {"64500": "hearsay"}}`,
+		"coverage: bad prefix":         `{"version": 1, "coverage": {"1.0.0.1/24": "stale"}}`,
+		"coverage: unknown label":      `{"version": 1, "coverage": {"1.0.0.0/24": "somewhat"}}`,
+		"confidence: bad ASN":          `{"version": 1, "as_confidence": {"64500 ": 1}}`,
+		"confidence: ASN over 32 bits": `{"version": 1, "as_confidence": {"99999999999": 1}}`,
+		"servers: bad prefix":          `{"version": 1, "servers": [{"prefix": "9.9.9.9"}]}`,
+		"mappings: bad serving prefix": `{"version": 1, "mappings": [{"domain": "a", "client_as": 1, "serving_prefix": "nowhere"}]}`,
+	} {
+		if _, err := ImportDocument(strings.NewReader(js)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if _, err := ImportDocument(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Error("future version accepted")
+}
+
+// TestImportCanonicalizesSpellings: leading zeros name the key they pad, so
+// two spellings of one key are one key — the one listed last wins, as with
+// any key JSON repeats — and the export spells it canonically.
+func TestImportCanonicalizesSpellings(t *testing.T) {
+	doc, err := ImportDocument(strings.NewReader(`{"version": 1, "active_prefixes": ["01.002.3.0/24"],
+		"as_activity": {"7": 1, "07": 2}, "sources": {"064500": "root-logs"}}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParsePrefix("zzz"); err == nil {
-		t.Error("bad prefix accepted")
-	}
-	if _, err := ParsePrefix("10.0.0.0/8"); err == nil {
-		t.Error("non-/24 prefix accepted")
+	if doc.ActivePrefixes[0].String() != "1.2.3.0/24" || len(doc.ASActivity) != 1 || doc.ASActivity[7] != 2 || doc.Sources[64500] != FromRootLogs {
+		t.Errorf("imported %+v", doc)
 	}
 }
 
@@ -110,17 +135,17 @@ func TestExportImportExportByteIdentical(t *testing.T) {
 func TestNormalizeCanonicalizesDocuments(t *testing.T) {
 	doc := &MapDocument{
 		Version:        1,
-		ActivePrefixes: []string{"10.0.0.0/24", "2.0.0.0/24"},
-		Coverage:       map[string]string{},
-		ASConfidence:   map[string]float64{},
+		ActivePrefixes: []topology.PrefixID{10 << 16, 2 << 16},
+		Coverage:       map[topology.PrefixID]Coverage{},
+		ASConfidence:   map[topology.ASN]float64{},
 		Servers: []ServerDocument{
-			{Prefix: "9.9.9.0/24", HostAS: 2},
-			{Prefix: "1.1.1.0/24", HostAS: 1},
+			{Prefix: 9<<16 | 9<<8 | 9, HostAS: 2},
+			{Prefix: 1<<16 | 1<<8 | 1, HostAS: 1},
 		},
 		Mappings: []MappingDocument{
-			{Domain: "b.example", ClientAS: 1, Serving: "1.1.1.0/24"},
-			{Domain: "a.example", ClientAS: 9, Serving: "1.1.1.0/24"},
-			{Domain: "a.example", ClientAS: 2, Serving: "1.1.1.0/24"},
+			{Domain: "b.example", ClientAS: 1, Serving: 1 << 16},
+			{Domain: "a.example", ClientAS: 9, Serving: 1 << 16},
+			{Domain: "a.example", ClientAS: 2, Serving: 1 << 16},
 		},
 	}
 	doc.Normalize()
@@ -130,14 +155,19 @@ func TestNormalizeCanonicalizesDocuments(t *testing.T) {
 	if doc.PrefixHitRates == nil || doc.ASActivity == nil || doc.Sources == nil {
 		t.Error("required maps should normalize to non-nil")
 	}
-	if doc.ActivePrefixes[0] != "2.0.0.0/24" {
+	if doc.ActivePrefixes[0] != 2<<16 {
 		t.Errorf("prefixes not numerically sorted: %v", doc.ActivePrefixes)
 	}
-	if doc.Servers[0].Prefix != "1.1.1.0/24" {
+	if doc.Servers[0].Prefix != 1<<16|1<<8|1 {
 		t.Errorf("servers not sorted: %+v", doc.Servers)
 	}
 	if doc.Mappings[0].Domain != "a.example" || doc.Mappings[0].ClientAS != 2 {
 		t.Errorf("mappings not sorted: %+v", doc.Mappings)
+	}
+	// An empty list is nil, as the codec decodes it: null, before a crash and after.
+	empty := &MapDocument{ActivePrefixes: []topology.PrefixID{}, Servers: []ServerDocument{}, Mappings: []MappingDocument{}}
+	if empty.Normalize(); empty.ActivePrefixes != nil || empty.Servers != nil || empty.Mappings != nil {
+		t.Errorf("empty lists should normalize to nil: %+v", empty)
 	}
 	var a, b bytes.Buffer
 	if err := doc.Export(&a); err != nil {
@@ -148,28 +178,5 @@ func TestNormalizeCanonicalizesDocuments(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("document export is not deterministic")
-	}
-}
-
-func TestParsePrefixRejectsOutOfRangeOctets(t *testing.T) {
-	for _, s := range []string{"300.0.0.0/24", "1.256.0.0/24", "-1.2.3.0/24"} {
-		if _, err := ParsePrefix(s); err == nil {
-			t.Errorf("ParsePrefix(%q) accepted an out-of-range octet", s)
-		}
-	}
-	p, err := ParsePrefix("203.0.113.0/24")
-	if err != nil || p.String() != "203.0.113.0/24" {
-		t.Errorf("ParsePrefix(203.0.113.0/24) = %v, %v", p, err)
-	}
-}
-
-func TestParsePrefixRoundTrip(t *testing.T) {
-	_, m := buildFullMap(t, 23)
-	for p := range m.Users.ActivePrefixes {
-		got, err := parsePrefix(p.String())
-		if err != nil || got != p {
-			t.Fatalf("parsePrefix(%q) = %v, %v", p.String(), got, err)
-		}
-		break
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"itmap/internal/core"
 	"itmap/internal/mapstore/wal"
 	"itmap/internal/simtime"
+	"itmap/internal/topology"
 )
 
 // benchDoc synthesizes a map document with n active prefixes and the
@@ -19,13 +20,11 @@ import (
 func benchDoc(n int) *core.MapDocument {
 	doc := &core.MapDocument{
 		Version:        1,
-		PrefixHitRates: map[string]float64{},
-		ASActivity:     map[string]float64{},
-		Sources:        map[string]string{},
+		PrefixHitRates: map[topology.PrefixID]float64{},
+		ASActivity:     map[topology.ASN]float64{},
+		Sources:        map[topology.ASN]core.ActivitySource{},
 	}
-	prefix := func(i int) string {
-		return fmt.Sprintf("%d.%d.%d.0/24", 10+i/65536, (i/256)%256, i%256)
-	}
+	prefix := func(i int) topology.PrefixID { return prefix("10.0.0.0/24") + topology.PrefixID(i) }
 	for i := 0; i < n; i++ {
 		p := prefix(i)
 		doc.ActivePrefixes = append(doc.ActivePrefixes, p)
@@ -33,9 +32,9 @@ func benchDoc(n int) *core.MapDocument {
 	}
 	ases := n/100 + 2
 	for a := 0; a < ases; a++ {
-		asn := fmt.Sprintf("%d", 64500+a)
+		asn := topology.ASN(64500 + a)
 		doc.ASActivity[asn] = float64((a*7919)%1000) + 0.5
-		doc.Sources[asn] = "cache-probe"
+		doc.Sources[asn] = core.FromCacheProbe
 	}
 	for s := 0; s < n/200+2; s++ {
 		doc.Servers = append(doc.Servers, core.ServerDocument{
@@ -125,7 +124,7 @@ func BenchmarkRecoverStore(b *testing.B) {
 	s.AttachWAL(w)
 	for d := 0; d < epochs; d++ {
 		doc := benchDoc(benchPrefixes)
-		doc.ASActivity["64500"] += float64(d)
+		doc.ASActivity[64500] += float64(d)
 		if _, err := s.Append(simtime.Time(d)*simtime.Day, doc); err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +161,7 @@ func benchStore(b *testing.B) *Store {
 	s := NewStore()
 	for d := 0; d < 3; d++ {
 		doc := benchDoc(benchPrefixes)
-		doc.ASActivity["64500"] += float64(d)
+		doc.ASActivity[64500] += float64(d)
 		if _, err := s.Append(simtime.Time(d)*simtime.Day, doc); err != nil {
 			b.Fatal(err)
 		}
@@ -213,7 +212,7 @@ func BenchmarkConcurrentReaders(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		doc := benchDoc(benchPrefixes)
-		doc.ASActivity["64500"] += float64(i + 1)
+		doc.ASActivity[64500] += float64(i + 1)
 		b.StartTimer()
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {

@@ -13,8 +13,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"itmap/internal/core"
@@ -31,7 +29,7 @@ import (
 //	keyed ×5  count | count × (key delta | payload)   one per keyedSections
 //	          row, in wire order: hit rates, activity, sources, coverage,
 //	          confidence; sorted by key (a /24 prefix ID or an ASN), payload
-//	          a float or one label-code byte
+//	          a float or one code byte, the label enum's value
 //	servers   count | count × (prefix | host AS | owner AS |
 //	          org ref | city ref | country ref)      sorted by field tuple
 //	mappings  count | count × (domain ref | client AS | serving prefix)
@@ -62,29 +60,15 @@ var (
 	// ErrTruncated: the input ends before a section completes.
 	ErrTruncated = errors.New("mapstore: truncated input")
 	// ErrCorrupt: the input decodes to something non-canonical (unsorted
-	// entries, out-of-range values, dangling string refs, trailing bytes).
+	// entries, out-of-range values, non-finite floats, dangling string refs,
+	// trailing bytes).
 	ErrCorrupt = errors.New("mapstore: corrupt input")
-	// ErrEncode: the document holds values the wire format cannot carry
-	// (unparseable prefix/ASN keys, unknown source or coverage labels).
+	// ErrEncode: the document holds values the wire format cannot carry, or
+	// whose encoding the decoder would refuse: a prefix ID above 2^24−1, a
+	// label outside its enum, a NaN or ±Inf, a duplicate active prefix or
+	// mapping key, a negative version.
 	ErrEncode = errors.New("mapstore: unencodable document")
 )
-
-// Source and coverage labels get one code byte each. Index = wire code.
-var (
-	sourceCodes   = []string{"unknown", "cache-probe", "root-logs", "cache-probe+root-logs"}
-	coverageCodes = []string{"unknown", "probed-ok", "gave-up", "stale"}
-)
-
-func codeOf(table []string, s string) (byte, bool) {
-	for i, v := range table {
-		if v == s {
-			return byte(i), true
-		}
-	}
-	return 0, false
-}
-
-const maxPrefixID = 1<<24 - 1
 
 // Wire sections, in the order they follow the header.
 const (
@@ -101,63 +85,82 @@ const (
 	wireSections
 )
 
-// keyedSection declares one keyed wire section: a document map from a typed
-// key to a float or to a label that travels as one code byte. Everything the
-// codec and the store do per keyed section — encode, decode, share with the
-// previous epoch — is one walk over keyedSections, so a new section costs a
-// wire index and a row here.
+// keyedSection declares one keyed wire section: a document map from a /24
+// or an ASN to a float or to a label enum, whose value travels as one code
+// byte. Everything the codec and the store do per keyed section — encode,
+// decode, share with the previous epoch — is one walk over keyedSections,
+// so a new section costs a wire index and a row here.
 type keyedSection struct {
 	wire int
 	// What the section, its keys and its payloads are called in errors.
 	name, key, value string
-	// prefixes: keyed by /24 prefix ID; otherwise by ASN.
-	prefixes bool
-	// codes is the label table of a label section (index = wire code).
-	codes []string
+	// maxKey bounds the keys: maxPrefixID or math.MaxUint32.
+	maxKey uint64
+	// codes is a label section's number of labels, 0 for a float section.
+	codes int
 	// optional sections decode to a nil map when empty.
 	optional bool
-	// The document field the section fills: floats for a float payload,
-	// labels for a label payload, the other nil.
-	floats func(*core.MapDocument) *map[string]float64
-	labels func(*core.MapDocument) *map[string]string
+	// field reaches the document map the section reads and fills.
+	field keyedField
 }
+
+const maxPrefixID = uint64(topology.MaxPrefixID)
 
 var keyedSections = [...]keyedSection{
-	{wire: wireHitRates, name: "prefix hit rates", key: "hit-rate prefix", value: "hit-rate value",
-		prefixes: true,
-		floats:   func(d *core.MapDocument) *map[string]float64 { return &d.PrefixHitRates }},
-	{wire: wireActivity, name: "AS activity", key: "activity ASN", value: "activity value",
-		floats: func(d *core.MapDocument) *map[string]float64 { return &d.ASActivity }},
-	{wire: wireSources, name: "sources", key: "source ASN", value: "source code",
-		codes:  sourceCodes,
-		labels: func(d *core.MapDocument) *map[string]string { return &d.Sources }},
-	{wire: wireCoverage, name: "coverage", key: "coverage prefix", value: "coverage code",
-		prefixes: true, codes: coverageCodes, optional: true,
-		labels: func(d *core.MapDocument) *map[string]string { return &d.Coverage }},
-	{wire: wireConfidence, name: "AS confidence", key: "confidence ASN", value: "confidence value",
+	{wire: wireHitRates, name: "prefix hit rates", key: "hit-rate prefix", value: "hit-rate value", maxKey: maxPrefixID,
+		field: fieldOf(func(d *core.MapDocument) *map[topology.PrefixID]float64 { return &d.PrefixHitRates })},
+	{wire: wireActivity, name: "AS activity", key: "activity ASN", value: "activity value", maxKey: math.MaxUint32,
+		field: fieldOf(func(d *core.MapDocument) *map[topology.ASN]float64 { return &d.ASActivity })},
+	{wire: wireSources, name: "sources", key: "source ASN", value: "source code", maxKey: math.MaxUint32,
+		codes: core.ActivitySources,
+		field: fieldOf(func(d *core.MapDocument) *map[topology.ASN]core.ActivitySource { return &d.Sources })},
+	{wire: wireCoverage, name: "coverage", key: "coverage prefix", value: "coverage code", maxKey: maxPrefixID,
+		codes: core.Coverages, optional: true,
+		field: fieldOf(func(d *core.MapDocument) *map[topology.PrefixID]core.Coverage { return &d.Coverage })},
+	{wire: wireConfidence, name: "AS confidence", key: "confidence ASN", value: "confidence value", maxKey: math.MaxUint32,
 		optional: true,
-		floats:   func(d *core.MapDocument) *map[string]float64 { return &d.ASConfidence }},
+		field:    fieldOf(func(d *core.MapDocument) *map[topology.ASN]float64 { return &d.ASConfidence })},
 }
 
-// parseKey parses one document key of the section into its typed form.
-func (sec *keyedSection) parseKey(s string) (uint32, error) {
-	if sec.prefixes {
-		p, err := parseDocPrefix(s)
-		return uint32(p), err
-	}
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad ASN key %q", ErrEncode, s)
-	}
-	return uint32(v), nil
+// keyedEntry is one (key, payload) pair of a keyed section: a float, or a
+// label's enum value held as one.
+type keyedEntry struct {
+	key uint32
+	v   float64
 }
 
-// maxKey bounds the section's typed keys.
-func (sec *keyedSection) maxKey() uint64 {
-	if sec.prefixes {
-		return maxPrefixID
+func compareKeyedEntry(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) }
+
+// keyedField is one keyed document map seen as entries, whatever its key
+// and value types: the three things the codec and the store do with it.
+type keyedField struct {
+	// stage appends the document's entries to dst, sorted by key.
+	stage func(doc *core.MapDocument, dst []keyedEntry) []keyedEntry
+	// fill gives the document a fresh map for n entries and returns the
+	// setter that adds one.
+	fill func(doc *core.MapDocument, n int) func(keyedEntry)
+	// share points the document's map at prev's.
+	share func(doc, prev *core.MapDocument)
+}
+
+func fieldOf[K ~uint32, V float64 | ~uint8](m func(*core.MapDocument) *map[K]V) keyedField {
+	return keyedField{
+		stage: func(doc *core.MapDocument, dst []keyedEntry) []keyedEntry {
+			src := *m(doc)
+			dst = slices.Grow(dst, len(src))
+			for k, v := range src {
+				dst = append(dst, keyedEntry{uint32(k), float64(v)})
+			}
+			slices.SortFunc(dst, compareKeyedEntry)
+			return dst
+		},
+		fill: func(doc *core.MapDocument, n int) func(keyedEntry) {
+			dst := make(map[K]V, n)
+			*m(doc) = dst
+			return func(en keyedEntry) { dst[K(en.key)] = V(en.v) }
+		},
+		share: func(doc, prev *core.MapDocument) { *m(doc) = *m(prev) },
 	}
-	return math.MaxUint32
 }
 
 // sectionOffsets records where each wire section starts in an encoded
@@ -176,13 +179,10 @@ func (o *sectionOffsets) span(enc []byte, i int) []byte {
 	return enc[o[i]:end]
 }
 
-// encoding is a document's canonical ITMB bytes with their section offsets
-// and the typed form of the active prefixes — ascending, no duplicates —
-// which both codec directions hold anyway and the epoch diff reads.
+// encoding is a document's canonical ITMB bytes with their section offsets.
 type encoding struct {
-	bytes   []byte
-	off     sectionOffsets
-	actives []topology.PrefixID
+	bytes []byte
+	off   sectionOffsets
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -190,11 +190,15 @@ type encoding struct {
 type encoder struct {
 	buf []byte
 	off sectionOffsets
+	// err is the first reason the document cannot be encoded: encoding runs
+	// to the end regardless, and the document is refused if err is set.
+	err error
 
-	// Reusable scratch (pooled): sort staging for every keyed section plus
-	// the interned string table. Encoding a steady stream of epochs allocates
-	// only what it returns — the exact-size output slice and the typed active
-	// prefixes — once the pool is warm.
+	// Reusable scratch (pooled): sort staging for the actives and every
+	// keyed section plus the interned string table. Encoding a steady stream
+	// of epochs allocates only the exact-size output slice it returns once
+	// the pool is warm.
+	actives  []topology.PrefixID
 	entries  []keyedEntry
 	servers  []core.ServerDocument
 	mappings []core.MappingDocument
@@ -213,6 +217,8 @@ var encPool = sync.Pool{New: func() any {
 // reset clears the scratch for reuse, keeping capacity.
 func (e *encoder) reset() {
 	e.buf = e.buf[:0]
+	e.err = nil
+	e.actives = e.actives[:0]
 	e.entries = e.entries[:0]
 	e.servers = e.servers[:0]
 	e.mappings = e.mappings[:0]
@@ -223,10 +229,34 @@ func (e *encoder) reset() {
 
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *encoder) float(f float64) {
+func (e *encoder) raw(b []byte)     { e.buf = append(e.buf, b...) }
+
+// fail records why the document cannot be encoded, unless an earlier reason
+// already was.
+func (e *encoder) fail(format string, args ...any) {
+	if e.err == nil {
+		e.err = fmt.Errorf("%w: "+format, append([]any{ErrEncode}, args...)...)
+	}
+}
+
+// float writes a float payload. NaN and ±Inf have no JSON spelling, so no
+// route could render a document holding one: they are refused here, before
+// the write-ahead point, and by the decoder.
+func (e *encoder) float(what string, f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		e.fail("%s %v is not finite", what, f)
+	}
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 }
-func (e *encoder) raw(b []byte) { e.buf = append(e.buf, b...) }
+
+// bounded returns v, refusing the document if v exceeds max: the decoder
+// would reject it.
+func (e *encoder) bounded(what string, v, max uint64) uint64 {
+	if v > max {
+		e.fail("%s %d out of range", what, v)
+	}
+	return v
+}
 
 // begin records that wire section i starts at the current output position.
 func (e *encoder) begin(i int) { e.off[i] = len(e.buf) }
@@ -236,24 +266,6 @@ func (e *encoder) begin(i int) { e.off[i] = len(e.buf) }
 func (e *encoder) delta(prev *uint64, v uint64) {
 	e.uvarint(v - *prev)
 	*prev = v
-}
-
-// keyedEntry is one (typed key, payload) pair of a keyed section, staged for
-// sorting.
-type keyedEntry struct {
-	key uint32
-	f   float64
-	c   byte
-}
-
-func compareKeyedEntry(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) }
-
-func parseDocPrefix(s string) (topology.PrefixID, error) {
-	p, err := core.ParsePrefix(s)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad prefix key %q", ErrEncode, s)
-	}
-	return p, nil
 }
 
 // EncodeDocument serializes a map document into the ITMB wire format. The
@@ -275,10 +287,10 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	e.reset()
 	e.raw(Magic[:])
 	e.uvarint(CodecVersion)
-	if doc.Version < 0 || doc.Version > math.MaxInt32 {
-		return encoding{}, fmt.Errorf("%w: document version %d", ErrEncode, doc.Version)
+	if doc.Version < 0 {
+		e.fail("document version %d", doc.Version)
 	}
-	e.uvarint(uint64(doc.Version))
+	e.uvarint(e.bounded("document version", uint64(doc.Version), math.MaxInt32))
 
 	// String table: every server org/city/country and mapping domain,
 	// deduplicated and sorted. seen and table are pooled and pre-sized by
@@ -314,31 +326,21 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 
 	// Active prefixes.
 	e.begin(wireActives)
-	actives := make([]topology.PrefixID, 0, len(doc.ActivePrefixes))
-	for _, s := range doc.ActivePrefixes {
-		p, err := parseDocPrefix(s)
-		if err != nil {
-			return encoding{}, err
-		}
-		actives = append(actives, p)
-	}
+	actives := append(e.actives, doc.ActivePrefixes...)
 	slices.Sort(actives)
-	for i := 1; i < len(actives); i++ {
-		if actives[i] == actives[i-1] {
-			return encoding{}, fmt.Errorf("%w: duplicate active prefix %v", ErrEncode, actives[i])
-		}
-	}
+	e.actives = actives
 	e.uvarint(uint64(len(actives)))
 	var prev uint64
-	for _, p := range actives {
-		e.delta(&prev, uint64(p))
+	for i, p := range actives {
+		if i > 0 && p == actives[i-1] {
+			e.fail("duplicate active prefix %v", p)
+		}
+		e.delta(&prev, e.bounded("active prefix", uint64(p), maxPrefixID))
 	}
 
 	for i := range keyedSections {
 		e.begin(keyedSections[i].wire)
-		if err := e.keyed(&keyedSections[i], doc); err != nil {
-			return encoding{}, err
-		}
+		e.keyed(&keyedSections[i], doc)
 	}
 
 	// Servers, in core.CompareServer order: the full field tuple, so ties on
@@ -354,11 +356,7 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	e.uvarint(uint64(len(servers)))
 	for i := range servers {
 		s := &servers[i]
-		p, err := parseDocPrefix(s.Prefix)
-		if err != nil {
-			return encoding{}, err
-		}
-		e.uvarint(uint64(p))
+		e.uvarint(e.bounded("server prefix", uint64(s.Prefix), maxPrefixID))
 		e.uvarint(uint64(s.HostAS))
 		e.uvarint(uint64(s.OwnerAS))
 		e.uvarint(ref[s.Org])
@@ -375,85 +373,44 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 	mappings := e.mappings[:len(doc.Mappings)]
 	copy(mappings, doc.Mappings)
 	slices.SortFunc(mappings, core.CompareMapping)
-	for i := 1; i < len(mappings); i++ {
-		if core.CompareMapping(mappings[i], mappings[i-1]) == 0 {
-			return encoding{}, fmt.Errorf("%w: duplicate mapping key (%s, %d)", ErrEncode, mappings[i].Domain, mappings[i].ClientAS)
-		}
-	}
 	e.uvarint(uint64(len(mappings)))
 	for i := range mappings {
 		m := &mappings[i]
-		p, err := parseDocPrefix(m.Serving)
-		if err != nil {
-			return encoding{}, err
+		if i > 0 && core.CompareMapping(*m, mappings[i-1]) == 0 {
+			e.fail("duplicate mapping key (%s, %d)", m.Domain, m.ClientAS)
 		}
 		e.uvarint(ref[m.Domain])
 		e.uvarint(uint64(m.ClientAS))
-		e.uvarint(uint64(p))
+		e.uvarint(e.bounded("mapping serving prefix", uint64(m.Serving), maxPrefixID))
 	}
 	e.mappings = mappings
+	if e.err != nil {
+		return encoding{}, e.err
+	}
 	codecEncoded.Add(uint64(len(e.buf)))
 	// Exact-size clone: the pooled buffer stays with the encoder; callers
 	// retain only their own bytes.
-	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off, actives: actives}
+	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off}
 	copy(out.bytes, e.buf)
 	return out, nil
 }
 
-// keyed writes one keyed section of doc: its entries parsed, staged in the
-// pooled scratch, sorted by typed key and delta-encoded. Two document keys
-// with the same typed form ("7" and "07") are one key twice — the decoder
-// rejects that, so the encoder must.
-func (e *encoder) keyed(sec *keyedSection, doc *core.MapDocument) error {
-	var floats map[string]float64
-	var labels map[string]string
-	if sec.codes == nil {
-		floats = *sec.floats(doc)
-	} else {
-		labels = *sec.labels(doc)
-	}
-	if n := len(floats) + len(labels); cap(e.entries) < n {
-		e.entries = make([]keyedEntry, 0, n)
-	}
-	entries := e.entries[:0]
-	for s, v := range floats {
-		k, err := sec.parseKey(s)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, keyedEntry{key: k, f: v})
-	}
-	for s, v := range labels {
-		k, err := sec.parseKey(s)
-		if err != nil {
-			return err
-		}
-		c, ok := codeOf(sec.codes, v)
-		if !ok {
-			return fmt.Errorf("%w: unknown %s label %q", ErrEncode, sec.name, v)
-		}
-		entries = append(entries, keyedEntry{key: k, c: c})
-	}
+// keyed writes one keyed section of doc: its entries staged in the pooled
+// scratch, sorted by key and delta-encoded. A map holds each key once, so
+// the keys ascend strictly, as the decoder requires.
+func (e *encoder) keyed(sec *keyedSection, doc *core.MapDocument) {
+	entries := sec.field.stage(doc, e.entries[:0])
 	e.entries = entries
-	slices.SortFunc(entries, compareKeyedEntry)
 	e.uvarint(uint64(len(entries)))
 	var prev uint64
-	for i, en := range entries {
-		if i > 0 && uint64(en.key) == prev {
-			var shown any = en.key
-			if sec.prefixes {
-				shown = topology.PrefixID(en.key)
-			}
-			return fmt.Errorf("%w: two %s keys parse to %v", ErrEncode, sec.key, shown)
-		}
-		e.delta(&prev, uint64(en.key))
-		if sec.codes == nil {
-			e.float(en.f)
+	for _, en := range entries {
+		e.delta(&prev, e.bounded(sec.key, uint64(en.key), sec.maxKey))
+		if sec.codes == 0 {
+			e.float(sec.value, en.v)
 		} else {
-			e.byte(en.c)
+			e.byte(byte(e.bounded(sec.value, uint64(en.v), uint64(sec.codes-1))))
 		}
 	}
-	return nil
 }
 
 // --- decoding ---------------------------------------------------------------
@@ -509,13 +466,30 @@ func (d *decoder) byteVal(what string) (byte, error) {
 	return b, nil
 }
 
+// float reads a float payload; a NaN or ±Inf is one the encoder refuses.
 func (d *decoder) float(what string) (float64, error) {
 	if d.remaining() < 8 {
 		return 0, fmt.Errorf("%w: %s", ErrTruncated, what)
 	}
-	bits := binary.LittleEndian.Uint64(d.buf[d.pos:])
+	f := math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
 	d.pos += 8
-	return math.Float64frombits(bits), nil
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("%w: %s %v is not finite", ErrCorrupt, what, f)
+	}
+	return f, nil
+}
+
+// payload reads one keyed entry's payload: a float, or a code the section's
+// label enum has.
+func (d *decoder) payload(sec *keyedSection) (float64, error) {
+	if sec.codes == 0 {
+		return d.float(sec.value)
+	}
+	c, err := d.byteVal(sec.value)
+	if err == nil && int(c) >= sec.codes {
+		err = fmt.Errorf("%w: %s %d", ErrCorrupt, sec.value, c)
+	}
+	return float64(c), err
 }
 
 func (d *decoder) str(what string) (string, error) {
@@ -579,52 +553,6 @@ func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) 
 		}
 	}
 	return nil
-}
-
-// keyArena renders the "a.b.c.0/24" and decimal-ASN keys a document carries
-// into chunks of shared backing text and hands out substrings of them, so
-// decoding allocates per chunk rather than per key. A full chunk is simply
-// left to the keys cut from it.
-type keyArena struct {
-	text  strings.Builder
-	chunk int
-}
-
-const (
-	maxPrefixKeyLen = len("255.255.255.0/24")
-	maxASNKeyLen    = len("4294967295")
-	maxArenaChunk   = 64 << 10
-)
-
-// newKeyArena sizes the chunks for a document of inputLen encoded bytes:
-// about the input's own size, so a small document does not pin a large
-// chunk, up to a cap that keeps the unused tail of a large one's last chunk
-// small next to the document.
-func newKeyArena(inputLen int) keyArena {
-	return keyArena{chunk: min(max(inputLen, maxPrefixKeyLen), maxArenaChunk)}
-}
-
-func (a *keyArena) cut(b []byte) string {
-	if a.text.Cap()-a.text.Len() < len(b) {
-		a.text = strings.Builder{}
-		a.text.Grow(a.chunk)
-	}
-	start := a.text.Len()
-	a.text.Write(b)
-	return a.text.String()[start:]
-}
-
-// prefix renders a prefix ID as topology.PrefixID.String does, into the
-// arena instead of a string of its own.
-func (a *keyArena) prefix(p uint64) string {
-	var tmp [maxPrefixKeyLen]byte
-	return a.cut(topology.PrefixID(p).Prefix().AppendTo(tmp[:0]))
-}
-
-// asn renders an ASN exactly as strconv.FormatUint(v, 10) does.
-func (a *keyArena) asn(v uint64) string {
-	var tmp [maxASNKeyLen]byte
-	return a.cut(strconv.AppendUint(tmp[:0], v, 10))
 }
 
 // DecodeDocument parses ITMB bytes back into a map document. The result is
@@ -697,7 +625,6 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		used[idx] = true
 		return idx, table[idx], nil
 	}
-	keys := newKeyArena(len(enc.bytes))
 
 	// Active prefixes.
 	enc.off[wireActives] = d.pos
@@ -706,35 +633,14 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		return err
 	}
 	if n > 0 {
-		doc.ActivePrefixes = make([]string, 0, n)
+		doc.ActivePrefixes = make([]topology.PrefixID, 0, n)
 	}
-	activeIDs := make([]topology.PrefixID, 0, n)
 	err = d.deltaSeq("active prefix", n, maxPrefixID, func(v uint64) error {
-		activeIDs = append(activeIDs, topology.PrefixID(v))
-		doc.ActivePrefixes = append(doc.ActivePrefixes, keys.prefix(v))
+		doc.ActivePrefixes = append(doc.ActivePrefixes, topology.PrefixID(v))
 		return nil
 	})
 	if err != nil {
 		return err
-	}
-	enc.actives = activeIDs
-	// sectionKey is the document key for the next entry of a keyed section.
-	// Prefix-keyed sections hold (mostly) active prefixes and ascend as the
-	// actives do, so a cursor — rewound per section — finds the active
-	// prefix's own string to reuse; any other prefix, and every ASN, gets
-	// fresh arena text.
-	cursor := 0
-	sectionKey := func(sec *keyedSection, v uint64) string {
-		if !sec.prefixes {
-			return keys.asn(v)
-		}
-		for cursor < len(activeIDs) && uint64(activeIDs[cursor]) < v {
-			cursor++
-		}
-		if cursor < len(activeIDs) && uint64(activeIDs[cursor]) == v {
-			return doc.ActivePrefixes[cursor]
-		}
-		return keys.prefix(v)
 	}
 
 	// The keyed sections. An entry is at least a 1-byte key delta and its
@@ -743,48 +649,25 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		sec := &keyedSections[i]
 		enc.off[sec.wire] = d.pos
 		minEntry := 9
-		if sec.codes != nil {
+		if sec.codes > 0 {
 			minEntry = 2
 		}
 		if n, err = d.count(sec.name, minEntry); err != nil {
 			return err
 		}
-		var floats map[string]float64
-		var labels map[string]string
-		switch {
-		case n == 0 && sec.optional:
-		case sec.codes == nil:
-			floats = make(map[string]float64, n)
-		default:
-			labels = make(map[string]string, n)
+		var set func(keyedEntry)
+		if n > 0 || !sec.optional {
+			set = sec.field.fill(doc, n)
 		}
-		cursor = 0
-		err = d.deltaSeq(sec.key, n, sec.maxKey(), func(v uint64) error {
-			if sec.codes == nil {
-				f, err := d.float(sec.value)
-				if err != nil {
-					return err
-				}
-				floats[sectionKey(sec, v)] = f
-				return nil
+		err = d.deltaSeq(sec.key, n, sec.maxKey, func(k uint64) error {
+			v, err := d.payload(sec)
+			if err == nil {
+				set(keyedEntry{uint32(k), v})
 			}
-			c, err := d.byteVal(sec.value)
-			if err != nil {
-				return err
-			}
-			if int(c) >= len(sec.codes) {
-				return fmt.Errorf("%w: %s %d", ErrCorrupt, sec.value, c)
-			}
-			labels[sectionKey(sec, v)] = sec.codes[c]
-			return nil
+			return err
 		})
 		if err != nil {
 			return err
-		}
-		if sec.codes == nil {
-			*sec.floats(doc) = floats
-		} else {
-			*sec.labels(doc) = labels
 		}
 	}
 
@@ -805,7 +688,7 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		if p > maxPrefixID {
 			return fmt.Errorf("%w: server prefix %d out of range", ErrCorrupt, p)
 		}
-		s.Prefix = keys.prefix(p)
+		s.Prefix = topology.PrefixID(p)
 		host, err := d.uvarint("server host AS")
 		if err != nil {
 			return err
@@ -863,7 +746,7 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		if p > maxPrefixID {
 			return fmt.Errorf("%w: mapping serving prefix out of range", ErrCorrupt)
 		}
-		m.Serving = keys.prefix(p)
+		m.Serving = topology.PrefixID(p)
 		if i > 0 && (dom < prevDom || (dom == prevDom && m.ClientAS <= prevAS)) {
 			return fmt.Errorf("%w: mappings not in canonical order", ErrCorrupt)
 		}

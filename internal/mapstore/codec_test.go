@@ -3,38 +3,49 @@ package mapstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
-	"strconv"
+	"strings"
 	"testing"
 
 	"itmap/internal/core"
 	"itmap/internal/topology"
 )
 
-// sampleDoc builds a small hand-written document covering every section.
-func sampleDoc() *core.MapDocument {
-	return &core.MapDocument{
-		Version:        1,
-		ActivePrefixes: []string{"1.0.0.0/24", "1.0.2.0/24", "203.0.113.0/24"},
-		PrefixHitRates: map[string]float64{"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07},
-		ASActivity:     map[string]float64{"64500": 123.5, "64501": 7, "65000": 0.25},
-		Sources: map[string]string{
-			"64500": "cache-probe",
-			"64501": "root-logs",
-			"65000": "cache-probe+root-logs",
-		},
-		Coverage:     map[string]string{"1.0.0.0/24": "probed-ok", "1.0.2.0/24": "stale"},
-		ASConfidence: map[string]float64{"64500": 1, "64501": 0.5},
-		Servers: []core.ServerDocument{
-			{Prefix: "9.9.9.0/24", HostAS: 64500, OwnerAS: 64510, Org: "HyperGiant", City: "Paris", Country: "FR"},
-			{Prefix: "9.9.8.0/24", HostAS: 64501, OwnerAS: 64510, Org: "HyperGiant", City: "Lagos", Country: "NG"},
-		},
-		Mappings: []core.MappingDocument{
-			{Domain: "video.example", ClientAS: 64500, Serving: "9.9.9.0/24"},
-			{Domain: "video.example", ClientAS: 64501, Serving: "9.9.8.0/24"},
-			{Domain: "cdn.example", ClientAS: 64500, Serving: "9.9.9.0/24"},
-		},
+// importDoc reads a document the way itm-serve reads a snapshot.
+func importDoc(js string) *core.MapDocument {
+	doc, err := core.ImportDocument(strings.NewReader(js))
+	if err != nil {
+		panic(err)
 	}
+	return doc
+}
+
+// prefix parses a /24 literal.
+func prefix(s string) topology.PrefixID {
+	var p topology.PrefixID
+	if err := p.UnmarshalText([]byte(s)); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// sampleDoc is a small hand-written document covering every section.
+func sampleDoc() *core.MapDocument {
+	return importDoc(`{"version": 1,
+		"active_prefixes": ["1.0.0.0/24", "1.0.2.0/24", "203.0.113.0/24"],
+		"prefix_hit_rates": {"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07},
+		"as_activity": {"64500": 123.5, "64501": 7, "65000": 0.25},
+		"sources": {"64500": "cache-probe", "64501": "root-logs", "65000": "cache-probe+root-logs"},
+		"coverage": {"1.0.0.0/24": "probed-ok", "1.0.2.0/24": "stale"},
+		"as_confidence": {"64500": 1, "64501": 0.5},
+		"servers": [
+			{"prefix": "9.9.9.0/24", "host_as": 64500, "owner_as": 64510, "org": "HyperGiant", "city": "Paris", "country": "FR"},
+			{"prefix": "9.9.8.0/24", "host_as": 64501, "owner_as": 64510, "org": "HyperGiant", "city": "Lagos", "country": "NG"}],
+		"mappings": [
+			{"domain": "video.example", "client_as": 64500, "serving_prefix": "9.9.9.0/24"},
+			{"domain": "video.example", "client_as": 64501, "serving_prefix": "9.9.8.0/24"},
+			{"domain": "cdn.example", "client_as": 64500, "serving_prefix": "9.9.9.0/24"}]}`)
 }
 
 func TestCodecRoundTripSample(t *testing.T) {
@@ -104,15 +115,15 @@ func TestCodecEmptyDocument(t *testing.T) {
 func TestCodecRejectsUnencodableDocuments(t *testing.T) {
 	cases := []*core.MapDocument{
 		nil,
-		{Version: 1, ActivePrefixes: []string{"not-a-prefix"}},
-		{Version: 1, ActivePrefixes: []string{"1.0.0.0/24", "1.0.0.0/24"}},
-		{Version: 1, ASActivity: map[string]float64{"not-a-number": 1}},
-		{Version: 1, Sources: map[string]string{"64500": "carrier-pigeon"}},
-		{Version: 1, Coverage: map[string]string{"1.0.0.0/24": "mystery"}},
+		{Version: 1, ActivePrefixes: []topology.PrefixID{topology.MaxPrefixID + 1}},
+		{Version: 1, ActivePrefixes: []topology.PrefixID{1 << 16, 1 << 16}},
+		{Version: 1, ASActivity: map[topology.ASN]float64{1: math.NaN()}},
+		{Version: 1, Sources: map[topology.ASN]core.ActivitySource{64500: core.ActivitySource(core.ActivitySources)}},
+		{Version: 1, Coverage: map[topology.PrefixID]core.Coverage{1 << 16: core.Coverage(core.Coverages)}},
 		{Version: -1},
 		{Version: 1, Mappings: []core.MappingDocument{
-			{Domain: "a", ClientAS: 1, Serving: "1.0.0.0/24"},
-			{Domain: "a", ClientAS: 1, Serving: "1.0.2.0/24"},
+			{Domain: "a", ClientAS: 1, Serving: 1 << 16},
+			{Domain: "a", ClientAS: 1, Serving: 1<<16 | 2<<8},
 		}},
 	}
 	for i, doc := range cases {
@@ -184,7 +195,7 @@ func TestDecodeIsNormalizeFixedPoint(t *testing.T) {
 	tied := sampleDoc()
 	for i := 0; i < 32; i++ {
 		tied.Servers = append(tied.Servers, core.ServerDocument{
-			Prefix: "9.9.7.0/24", HostAS: 64500, OwnerAS: uint32(64600 - i), Org: "HyperGiant",
+			Prefix: prefix("9.9.7.0/24"), HostAS: 64500, OwnerAS: uint32(64600 - i), Org: "HyperGiant",
 			City: []string{"Paris", "Lagos"}[i%2], Country: []string{"FR", "NG"}[i%2],
 		})
 	}
@@ -212,24 +223,5 @@ func TestDecodeIsNormalizeFixedPoint(t *testing.T) {
 		if !reflect.DeepEqual(doc.Servers, want.Servers) && len(want.Servers) > 0 {
 			t.Errorf("%s: Normalize and the codec order servers differently", name)
 		}
-	}
-}
-
-// TestKeyArenaMatchesStdlib holds the arena-backed keys to the stdlib
-// renderings they stand in for, at the digit-count edges. The arena is
-// sized for a tiny input, so it rolls over to a fresh chunk every key or
-// two, and the keys are read back only at the end: a rollover must leave
-// the keys already cut intact.
-func TestKeyArenaMatchesStdlib(t *testing.T) {
-	keys := newKeyArena(0)
-	var got, want []string
-	for _, p := range []uint64{0, 9, 10, 99, 100, 255, 256, 1 << 16, maxPrefixID} {
-		got, want = append(got, keys.prefix(p)), append(want, topology.PrefixID(p).String())
-	}
-	for _, v := range []uint64{0, 9, 10, 64500, 99999, 100000, 1<<32 - 1} {
-		got, want = append(got, keys.asn(v)), append(want, strconv.FormatUint(v, 10))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("arena keys %q, want %q", got, want)
 	}
 }

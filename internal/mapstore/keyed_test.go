@@ -12,11 +12,12 @@ import (
 	"itmap/internal/mapstore/wal"
 	"itmap/internal/obs"
 	"itmap/internal/simtime"
+	"itmap/internal/topology"
 )
 
 // TestKeyedSectionsWellFormed: the table is the wire format's middle — its
 // rows are in wire order and cover wireHitRates..wireConfidence exactly once
-// — and every row says which payload it carries in exactly one way.
+// — and every row bounds its keys as a /24 or an ASN and reaches its field.
 func TestKeyedSectionsWellFormed(t *testing.T) {
 	if len(keyedSections) != wireConfidence-wireHitRates+1 {
 		t.Fatalf("%d rows for wire sections %d..%d", len(keyedSections), wireHitRates, wireConfidence)
@@ -25,11 +26,8 @@ func TestKeyedSectionsWellFormed(t *testing.T) {
 		if sec.wire != wireHitRates+i {
 			t.Errorf("row %d (%s) has wire index %d, want %d: rows must follow wire order", i, sec.name, sec.wire, wireHitRates+i)
 		}
-		if (sec.floats == nil) == (sec.labels == nil) {
-			t.Errorf("row %s: exactly one of floats and labels must be set", sec.name)
-		}
-		if (sec.labels == nil) != (sec.codes == nil) {
-			t.Errorf("row %s: a label table goes with the labels accessor, and only with it", sec.name)
+		if sec.maxKey != maxPrefixID && sec.maxKey != math.MaxUint32 || sec.field.stage == nil {
+			t.Errorf("row %s: key bound %d, field set %v", sec.name, sec.maxKey, sec.field.stage != nil)
 		}
 		if sec.name == "" || sec.key == "" || sec.value == "" {
 			t.Errorf("row %d lacks an error context", i)
@@ -56,38 +54,31 @@ func errClass(err error) string {
 }
 
 // TestKeyedTableRejectsWhatParentRejected walks the malformed matrix — every
-// keyed section × a bad key, an unknown label, a cut at every byte, a zero
-// delta, a key and a code out of range, a count the input cannot hold — and
-// requires the typed error class the hand-written codec before the table
-// gave: an unencodable document is ErrEncode; a cut is ErrTruncated, unless
-// the section's count already promises more entries than the bytes left can
-// hold, which is ErrCorrupt; every other malformation is ErrCorrupt.
+// keyed section × a key, a code or a float the wire cannot carry, a cut at
+// every byte, a zero delta, a key and a code out of range, a count the input
+// cannot hold — and requires the typed error class: an unencodable document
+// is ErrEncode; a cut is ErrTruncated, unless the section's count already
+// promises more entries than the bytes left can hold, which is ErrCorrupt;
+// every other malformation is ErrCorrupt.
 func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 	for i := range keyedSections {
 		sec := &keyedSections[i]
 
 		// Encode side: what the document maps can hold and the wire cannot.
-		unencodable := map[string]func(*core.MapDocument){}
-		for _, key := range []string{"", "nope", "-1", "1.2.3.4/24x", "4294967296", "1.2.3.0/25"} {
-			key := key
-			unencodable["bad key "+key] = func(d *core.MapDocument) {
-				if sec.floats != nil {
-					(*sec.floats(d))[key] = 1
-				} else {
-					(*sec.labels(d))[key] = sec.codes[0]
-				}
-			}
+		unencodable := map[string]keyedEntry{"code out of range": {key: 1, v: float64(sec.codes)}}
+		if sec.codes == 0 {
+			unencodable = map[string]keyedEntry{"NaN": {key: 1, v: math.NaN()}, "+Inf": {key: 1, v: math.Inf(1)}, "-Inf": {key: 1, v: math.Inf(-1)}}
 		}
-		if sec.labels != nil {
-			unencodable["unknown label"] = func(d *core.MapDocument) {
-				for k := range *sec.labels(d) {
-					(*sec.labels(d))[k] = "hearsay"
-				}
-			}
+		if sec.maxKey == maxPrefixID {
+			unencodable["key out of range"] = keyedEntry{key: uint32(maxPrefixID + 1)}
 		}
-		for name, mutate := range unencodable {
+		for name, bad := range unencodable {
 			doc := sampleDoc()
-			mutate(doc)
+			entries := sec.field.stage(doc, nil)
+			set := sec.field.fill(doc, len(entries)+1)
+			for _, en := range append(entries, bad) {
+				set(en)
+			}
 			if _, err := encodeDocument(doc); errClass(err) != "encode" {
 				t.Errorf("%s, %s: error class %q, want encode", sec.name, name, errClass(err))
 			}
@@ -99,7 +90,7 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload, minEntry := []byte{1, 2, 3, 4, 5, 6, 7, 8}, 9
-		if sec.codes != nil {
+		if sec.codes > 0 {
 			payload, minEntry = []byte{0}, 2
 		}
 		entry := func(delta uint64, payload []byte) []byte {
@@ -107,13 +98,15 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		}
 		malformed := map[string][]byte{
 			"zero delta":       bytes.Join([][]byte{{2}, entry(5, payload), entry(0, payload)}, nil),
-			"key out of range": append([]byte{1}, entry(sec.maxKey()+1, payload)...),
+			"key out of range": append([]byte{1}, entry(sec.maxKey+1, payload)...),
 			"key sum wraps":    bytes.Join([][]byte{{2}, entry(5, payload), entry(math.MaxUint64-2, payload)}, nil),
 			"oversized count":  append(binary.AppendUvarint(nil, 1<<40), entry(1, payload)...),
 			"overlong varint":  append([]byte{1, 0x81, 0x00}, payload...),
 		}
-		if sec.codes != nil {
-			malformed["code out of range"] = append([]byte{1}, entry(1, []byte{byte(len(sec.codes))})...)
+		if sec.codes > 0 {
+			malformed["code out of range"] = append([]byte{1}, entry(1, []byte{byte(sec.codes)})...)
+		} else {
+			malformed["NaN"] = append([]byte{1}, entry(1, binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN())))...)
 		}
 		start, end := enc.off[sec.wire], enc.off[sec.wire+1]
 		for name, section := range malformed {
@@ -136,82 +129,32 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 	}
 }
 
-// collidingDocs returns, per keyed section, sampleDoc with one more key in
-// that section whose typed form an existing key already has ("064500" beside
-// "64500", "01.0.0.0/24" beside "1.0.0.0/24").
-func collidingDocs() map[string]*core.MapDocument {
-	out := map[string]*core.MapDocument{}
-	for i := range keyedSections {
-		sec := &keyedSections[i]
-		doc := sampleDoc()
-		if sec.floats != nil {
-			for k, v := range *sec.floats(doc) {
-				(*sec.floats(doc))["0"+k] = v + 1
-				break
-			}
-		} else {
-			for k, v := range *sec.labels(doc) {
-				(*sec.labels(doc))["0"+k] = v
-				break
-			}
-		}
-		out[sec.name] = doc
-	}
-	return out
-}
-
-// TestEncodeRejectsCollidingKeys: two keys of one keyed section with the same
-// typed form are unencodable. Encoded, they would be a key delta of zero,
-// which the decoder refuses — a journal record recovery could not read.
-func TestEncodeRejectsCollidingKeys(t *testing.T) {
-	docs := collidingDocs()
-	if len(docs) != len(keyedSections) {
-		t.Fatalf("%d colliding documents for %d sections", len(docs), len(keyedSections))
-	}
-	for name, doc := range docs {
-		if _, err := EncodeDocument(doc); !errors.Is(err, ErrEncode) {
-			t.Errorf("%s: colliding keys encoded: err = %v, want ErrEncode", name, err)
-		}
-	}
-}
-
-// TestAppendStillRejectsMalformedKeys: every malformed key or label of the
-// six users sections is turned away by the encoder (ErrEncode) before the
-// store publishes anything.
+// TestAppendStillRejectsMalformedKeys: what a typed document can hold and the
+// wire cannot — a duplicate active prefix or mapping key, a prefix ID wider
+// than 24 bits, a non-finite float in any float section or mesh field, a bad
+// version — is refused by the encoder (ErrEncode) before the write-ahead
+// point: neither the store nor the journal sees it, and the journal still
+// recovers to the one epoch that was accepted. (Malformed spellings never get
+// this far: core.ImportDocument refuses them.)
 func TestAppendStillRejectsMalformedKeys(t *testing.T) {
-	cases := map[string]func(*core.MapDocument){
-		"actives: bad prefix":          func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "zzz") },
-		"actives: not a /24":           func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "10.0.0.0/8") },
-		"actives: octet out of range":  func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "1.0.256.0/24") },
-		"hit rates: bad prefix":        func(d *core.MapDocument) { d.PrefixHitRates["1.0.0/24"] = 0.5 },
-		"hit rates: trailing garbage":  func(d *core.MapDocument) { d.PrefixHitRates["1.0.0.0/24x"] = 0.5 },
-		"activity: bad ASN":            func(d *core.MapDocument) { d.ASActivity["AS64500"] = 1 },
-		"activity: ASN over 32 bits":   func(d *core.MapDocument) { d.ASActivity["4294967296"] = 1 },
-		"activity: empty ASN":          func(d *core.MapDocument) { d.ASActivity[""] = 1 },
-		"sources: bad ASN":             func(d *core.MapDocument) { d.Sources["-1"] = "root-logs" },
-		"sources: unknown label":       func(d *core.MapDocument) { d.Sources["64500"] = "hearsay" },
-		"coverage: bad prefix":         func(d *core.MapDocument) { d.Coverage["1.0.0.1/24"] = "stale" },
-		"coverage: unknown label":      func(d *core.MapDocument) { d.Coverage["1.0.0.0/24"] = "somewhat" },
-		"confidence: bad ASN":          func(d *core.MapDocument) { d.ASConfidence["64500 "] = 1 },
-		"confidence: ASN over 32 bits": func(d *core.MapDocument) { d.ASConfidence["99999999999"] = 1 },
-	}
-	for name, corrupt := range cases {
-		doc := sampleDoc()
-		corrupt(doc)
-		s := NewStore()
-		if _, err := s.Append(0, doc); !errors.Is(err, ErrEncode) {
-			t.Errorf("%s: Append = %v, want ErrEncode", name, err)
-		}
-		if s.Len() != 0 {
-			t.Errorf("%s: a rejected document was published", name)
-		}
-	}
-}
-
-// TestAppendRefusesCollidingKeysBeforeJournal: the refusal comes before the
-// write-ahead point, so neither the store nor the journal sees the document.
-func TestAppendRefusesCollidingKeysBeforeJournal(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
+	wide := topology.MaxPrefixID + 1
+	cases := map[string]func(*core.MapDocument, *core.MeshDocument){
+		"duplicate active prefix":  func(d *core.MapDocument, _ *core.MeshDocument) { d.ActivePrefixes = append(d.ActivePrefixes, 1<<16) },
+		"duplicate mapping key":    func(d *core.MapDocument, _ *core.MeshDocument) { d.Mappings = append(d.Mappings, d.Mappings[0]) },
+		"active prefix too wide":   func(d *core.MapDocument, _ *core.MeshDocument) { d.ActivePrefixes = append(d.ActivePrefixes, wide) },
+		"hit-rate key too wide":    func(d *core.MapDocument, _ *core.MeshDocument) { d.PrefixHitRates[wide] = 0.5 },
+		"coverage key too wide":    func(d *core.MapDocument, _ *core.MeshDocument) { d.Coverage[wide] = core.CoverageStale },
+		"server prefix too wide":   func(d *core.MapDocument, _ *core.MeshDocument) { d.Servers[0].Prefix = wide },
+		"serving prefix too wide":  func(d *core.MapDocument, _ *core.MeshDocument) { d.Mappings[0].Serving = wide },
+		"NaN activity":             func(d *core.MapDocument, _ *core.MeshDocument) { d.ASActivity[64500] = math.NaN() },
+		"-Inf hit rate":            func(d *core.MapDocument, _ *core.MeshDocument) { d.PrefixHitRates[1<<16] = math.Inf(-1) },
+		"+Inf confidence":          func(d *core.MapDocument, _ *core.MeshDocument) { d.ASConfidence[64500] = math.Inf(1) },
+		"NaN mesh RTT":             func(_ *core.MapDocument, m *core.MeshDocument) { m.Pairs[0].MeanRTT = math.NaN() },
+		"+Inf mesh confidence":     func(_ *core.MapDocument, m *core.MeshDocument) { m.Pairs[0].Confidence = math.Inf(1) },
+		"negative version":         func(d *core.MapDocument, _ *core.MeshDocument) { d.Version = -1 },
+		"version beyond the codec": func(d *core.MapDocument, _ *core.MeshDocument) { d.Version = math.MaxInt32 + 1 },
+	}
 	mem := wal.NewMemFS()
 	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: -1}
 	w, _, err := wal.Open(opts)
@@ -228,9 +171,11 @@ func TestAppendRefusesCollidingKeysBeforeJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := simtime.Time(0)
-	for name, doc := range collidingDocs() {
+	for name, spoil := range cases {
 		day += simtime.Day
-		if _, err := s.Append(day, doc); !errors.Is(err, ErrEncode) {
+		doc, mesh := sampleDoc(), sampleMesh()
+		spoil(doc, mesh)
+		if _, err := s.append(day, ingest{doc: doc, mesh: mesh}); !errors.Is(err, ErrEncode) {
 			t.Errorf("%s: Append = %v, want ErrEncode", name, err)
 		}
 		after, err := mem.ReadFile("wal/journal.itwl")
@@ -242,7 +187,6 @@ func TestAppendRefusesCollidingKeysBeforeJournal(t *testing.T) {
 				name, s.Len(), w.Len(), len(before), len(after))
 		}
 	}
-	// The journal still recovers, to the one epoch that was accepted.
 	w2, rec, err := wal.Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -252,21 +196,30 @@ func TestAppendRefusesCollidingKeysBeforeJournal(t *testing.T) {
 	}
 }
 
+// collidingJSON spells a key of each keyed section twice, canonically and
+// with leading zeros: one key to the importer, the last spelling winning.
+var collidingJSON = []string{
+	`{"version": 1, "prefix_hit_rates": {"1.0.0.0/24": 0.5, "01.0.0.0/24": 0.25}}`,
+	`{"version": 1, "as_activity": {"64500": 1, "064500": 2}}`,
+	`{"version": 1, "sources": {"64500": "root-logs", "064500": "cache-probe"}}`,
+	`{"version": 1, "coverage": {"1.0.0.0/24": "stale", "1.00.0.0/24": "gave-up"}}`,
+	`{"version": 1, "as_confidence": {"7": 1, "07": 0.5}}`,
+}
+
 // FuzzEncodeMapDocument pins the other half of the codec's contract: whatever
 // document the encoder accepts — here any JSON that unmarshals into one — the
 // decoder accepts, and decodes to a document that re-encodes to the same
 // bytes. Anything else the encoder must refuse as ErrEncode.
 func FuzzEncodeMapDocument(f *testing.F) {
-	seeds := []*core.MapDocument{sampleDoc(), {Version: 1}, {Version: math.MaxInt32 + 1}}
-	for _, doc := range collidingDocs() {
-		seeds = append(seeds, doc)
-	}
-	for _, doc := range seeds {
+	for _, doc := range []*core.MapDocument{sampleDoc(), {Version: 1}, {Version: math.MaxInt32 + 1}} {
 		data, err := json.Marshal(doc)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	for _, js := range collidingJSON {
+		f.Add([]byte(js))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var doc core.MapDocument
@@ -287,6 +240,47 @@ func FuzzEncodeMapDocument(f *testing.F) {
 		re, err := EncodeDocument(dec)
 		if err != nil || !bytes.Equal(re, enc) {
 			t.Fatalf("encode→decode→re-encode not byte-identical: %d vs %d bytes (%v)", len(re), len(enc), err)
+		}
+	})
+}
+
+// FuzzImportDocument pins the JSON trust boundary: whatever ImportDocument
+// accepts exports to JSON that imports back to a document exporting the same
+// bytes, and the store then appends it or refuses it as ErrEncode.
+func FuzzImportDocument(f *testing.F) {
+	var sample bytes.Buffer
+	if err := sampleDoc().Export(&sample); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample.Bytes())
+	for _, js := range append(collidingJSON,
+		`{"version": 1, "active_prefixes": ["01.0.0.0/24", "1.0.0.0/24"], "servers": [], "mappings": []}`,
+		`{"version": 1, "as_activity": {"AS64500": 1}}`,
+		`{"version": 1, "active_prefixes": ["10.0.0.0/8"]}`,
+		`{"version": 1, "mappings": [{"domain": "a", "client_as": 1, "serving_prefix": "1.0.0.1/24"}]}`,
+		`{"version": 1, "sources": {"64500": "hearsay"}}`,
+		`{"version": 1, "coverage": {"1.0.0.0/24": "somewhat"}}`,
+	) {
+		f.Add([]byte(js))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		doc, err := core.ImportDocument(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := doc.Export(&first); err != nil {
+			t.Fatalf("an imported document does not export: %v", err)
+		}
+		again, err := core.ImportDocument(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("the export does not import: %v", err)
+		}
+		if err := again.Export(&second); err != nil || !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("export→import→export not byte-identical: %d vs %d bytes (%v)", first.Len(), second.Len(), err)
+		}
+		if _, err := NewStore().Append(0, doc); err != nil && !errors.Is(err, ErrEncode) {
+			t.Fatalf("Append of an imported document = %v, want success or ErrEncode", err)
 		}
 	})
 }

@@ -83,10 +83,10 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 		}
 		e.uvarint(uint64(p.Probes))
 		e.uvarint(uint64(p.Lost))
-		e.float(p.MinRTT)
-		e.float(p.MeanRTT)
-		e.float(p.MaxRTT)
-		e.float(p.Confidence)
+		e.float("mesh min RTT", p.MinRTT)
+		e.float("mesh mean RTT", p.MeanRTT)
+		e.float("mesh max RTT", p.MaxRTT)
+		e.float("mesh confidence", p.Confidence)
 		if len(p.Path) > maxMeshPathLen {
 			return nil, fmt.Errorf("%w: mesh pair (%d, %d) path length %d", ErrEncode, p.Lo, p.Hi, len(p.Path))
 		}
@@ -94,6 +94,9 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 		for _, hop := range p.Path {
 			e.uvarint(uint64(hop))
 		}
+	}
+	if e.err != nil {
+		return nil, e.err
 	}
 	codecEncoded.Add(uint64(len(e.buf)))
 	out := make([]byte, len(e.buf))

@@ -26,6 +26,7 @@ import (
 	"itmap/internal/mapstore"
 	"itmap/internal/order"
 	"itmap/internal/simtime"
+	"itmap/internal/topology"
 )
 
 type modelEpoch struct {
@@ -313,9 +314,9 @@ func asPair(_ *model, q *modelReq) *refusal {
 }
 
 func asKnown(m *model, q *modelReq) *refusal {
-	doc, key := m.epochs[q.e].doc, strconv.FormatUint(uint64(q.a), 10)
-	_, hasAct := doc.ASActivity[key]
-	_, hasSrc := doc.Sources[key]
+	doc := m.epochs[q.e].doc
+	_, hasAct := doc.ASActivity[topology.ASN(q.a)]
+	_, hasSrc := doc.Sources[topology.ASN(q.a)]
 	if hasAct || hasSrc || len(services(doc, q.a)) > 0 {
 		return nil
 	}
@@ -417,16 +418,17 @@ func (m *model) mapBody(q *modelReq) any {
 	return m.epochs[q.e].doc
 }
 
-// activity parses an epoch's per-AS activity and sums it twice, because the
+// activity reads an epoch's per-AS activity and sums it twice, because the
 // wire fixes the order of both float sums: the shares /v1/top, /v1/as and
-// the series serve divide by the sum in the document's string key order,
-// the shares /v1/diff serves by the sum in ascending ASN order.
+// the series serve divide by the sum in the order the document's JSON keys
+// sort in, the shares /v1/diff serves by the sum in ascending ASN order.
 func activity(doc *core.MapDocument) (act map[uint32]float64, byKey, byASN float64) {
-	act = map[uint32]float64{}
-	for _, k := range order.Keys(doc.ASActivity) {
-		asn, _ := strconv.ParseUint(k, 10, 32)
-		act[uint32(asn)] = doc.ASActivity[k]
-		byKey += doc.ASActivity[k]
+	act, keyed := map[uint32]float64{}, map[string]float64{}
+	for asn, v := range doc.ASActivity {
+		act[uint32(asn)], keyed[strconv.FormatUint(uint64(asn), 10)] = v, v
+	}
+	for _, k := range order.Keys(keyed) {
+		byKey += keyed[k]
 	}
 	for _, asn := range order.Keys(act) {
 		byASN += act[asn]
@@ -465,7 +467,7 @@ func (m *model) topBody(q *modelReq) any {
 // mappings of the whole map the serving host answers — a serving prefix's
 // host is the first server listed for it — then by domain.
 func services(doc *core.MapDocument, asn uint32) []obj {
-	host := func(prefix string) *core.ServerDocument {
+	host := func(prefix topology.PrefixID) *core.ServerDocument {
 		for i := range doc.Servers {
 			if doc.Servers[i].Prefix == prefix {
 				return &doc.Servers[i]
@@ -507,13 +509,13 @@ func services(doc *core.MapDocument, asn uint32) []obj {
 }
 
 func (m *model) asBody(q *modelReq) any {
-	doc, key := m.epochs[q.e].doc, strconv.FormatUint(uint64(q.a), 10)
+	doc := m.epochs[q.e].doc
 	act, total, _ := activity(doc)
 	view := obj{{"asn", q.a}, {"epoch", q.e}, {"activity", act[q.a]}, {"share", share(act[q.a], total)}}
-	if src, ok := doc.Sources[key]; ok {
+	if src, ok := doc.Sources[topology.ASN(q.a)]; ok {
 		view = append(view, field{"source", src})
 	}
-	if c, ok := doc.ASConfidence[key]; ok {
+	if c, ok := doc.ASConfidence[topology.ASN(q.a)]; ok {
 		view = append(view, field{"confidence", c})
 	}
 	all := services(doc, q.a)
@@ -534,7 +536,7 @@ func (m *model) asBody(q *modelReq) any {
 func (m *model) diffBody(q *modelReq) any {
 	a, b := m.epochs[q.e].doc, m.epochs[q.to].doc
 	// A normalized document lists its prefixes in ascending numeric order.
-	appeared, vanished, stable := []string{}, []string{}, 0
+	appeared, vanished, stable := []topology.PrefixID{}, []topology.PrefixID{}, 0
 	for _, p := range b.ActivePrefixes {
 		if slices.Contains(a.ActivePrefixes, p) {
 			stable++

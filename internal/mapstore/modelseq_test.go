@@ -9,8 +9,13 @@ package mapstore_test
 //	                    after B more bytes (0: never), and RecoverStore
 //	map S | mesh S      append the next day's map (and mesh), drawn from seed S
 //	same                append the latest epoch again, mesh and all
-//	collide S | bad S   append a document with two keys of one typed form |
-//	                    with a malformed key or label: the store must refuse it
+//	respell S           append the latest epoch with one field of its JSON
+//	                    replaced, imported: keys or prefixes with leading
+//	                    zeros, alone or beside the canonical spelling, or a
+//	                    list emptied to []
+//	bad S               a document to refuse: JSON with a malformed key or
+//	                    label (the import or the append refuses it) or a
+//	                    value the wire cannot carry (the append refuses it)
 //	get URL [I] [tp]    GET; with I (cur, stale, foreign, list, star), GET
 //	                    again under that If-None-Match; tp adds a traceparent
 //	post URL            the wrong method
@@ -24,10 +29,13 @@ package mapstore_test
 // appends, crashes and recoveries.
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -43,9 +51,9 @@ import (
 	"itmap/internal/mapstore/wal"
 	"itmap/internal/obs"
 	"itmap/internal/obs/history"
-	"itmap/internal/order"
 	"itmap/internal/randx"
 	"itmap/internal/simtime"
+	"itmap/internal/topology"
 )
 
 type runner struct {
@@ -100,7 +108,7 @@ func (r *runner) do(op string) error {
 	switch f[0] {
 	case "boot":
 		return r.boot(r.fs.CrashImage(), int(num(1)), num(2))
-	case "map", "mesh", "same", "collide", "bad":
+	case "map", "mesh", "same", "respell", "bad":
 		return r.append(f[0], num(1))
 	case "get":
 		return r.get(f[1], f[2:])
@@ -128,17 +136,19 @@ func (r *runner) boot(disk *wal.MemFS, compact int, crash int64) error {
 	return nil
 }
 
-// append hands the store the op's documents. The model refuses colliding
-// and malformed ones; any other may fail only once the file system has died,
-// and the store must then publish nothing.
+// append hands the store the op's documents. The model refuses bad ones, at
+// the import or with ErrEncode; any other may fail only once the file
+// system has died, and the store must then publish nothing.
 func (r *runner) append(kind string, seed int64) error {
 	r.days++
 	at := simtime.Time(r.days) * simtime.Day
-	doc, mesh := r.next(kind, randx.New(seed))
-	_, err := r.store.AppendDocMesh(at, cloneDoc(doc), cloneMesh(mesh))
+	doc, mesh, err := r.next(kind, randx.New(seed))
+	if doc != nil {
+		_, err = r.store.AppendDocMesh(at, cloneDoc(doc), cloneMesh(mesh))
+	}
 	switch {
-	case kind == "collide" || kind == "bad":
-		if !errors.Is(err, mapstore.ErrEncode) {
+	case kind == "bad":
+		if doc != nil && !errors.Is(err, mapstore.ErrEncode) {
 			return fmt.Errorf("append = %v; the model refuses the document with ErrEncode", err)
 		}
 		r.seen["refused"]++
@@ -146,7 +156,7 @@ func (r *runner) append(kind string, seed int64) error {
 		if err := r.m.publish(at, doc, mesh); err != nil {
 			return err
 		}
-	case !r.fs.Crashed():
+	case doc == nil || !r.fs.Crashed():
 		return fmt.Errorf("append refused: %v", err)
 	default:
 		r.seen["crash"]++
@@ -309,23 +319,23 @@ func metric(key string) float64 {
 // taken in and two ASes tied on it, an AS known by a mapping alone and a
 // mapping no server answers.
 func baseDoc() *core.MapDocument {
-	return &core.MapDocument{
-		Version:        1,
-		ActivePrefixes: []string{"1.0.0.0/24", "1.0.2.0/24", "9.9.9.0/24", "203.0.113.0/24"},
-		PrefixHitRates: map[string]float64{"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07},
-		ASActivity:     map[string]float64{"700": 0.1, "3000": 123.5, "3001": 7.3, "3002": 7.3, "64500": 1e-3, "64501": 33.3},
-		Sources:        map[string]string{"700": "root-logs", "3000": "cache-probe", "64500": "cache-probe+root-logs"},
-		Servers: []core.ServerDocument{
-			{Prefix: "9.9.9.0/24", HostAS: 64500, OwnerAS: 64510, Org: "HyperGiant", City: "Paris", Country: "FR"},
-			{Prefix: "9.9.8.0/24", HostAS: 64501, OwnerAS: 64510, Org: "HyperGiant", City: "Lagos", Country: "NG"},
-		},
-		Mappings: []core.MappingDocument{
-			{Domain: "video.example", ClientAS: 3000, Serving: "9.9.9.0/24"},
-			{Domain: "video.example", ClientAS: 3001, Serving: "9.9.8.0/24"},
-			{Domain: "cdn.example", ClientAS: 3000, Serving: "9.9.9.0/24"},
-			{Domain: "cdn.example", ClientAS: 3005, Serving: "1.0.0.0/24"},
-		},
+	doc, err := core.ImportDocument(strings.NewReader(`{"version": 1,
+		"active_prefixes": ["1.0.0.0/24", "1.0.2.0/24", "9.9.9.0/24", "203.0.113.0/24"],
+		"prefix_hit_rates": {"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07},
+		"as_activity": {"700": 0.1, "3000": 123.5, "3001": 7.3, "3002": 7.3, "64500": 1e-3, "64501": 33.3},
+		"sources": {"700": "root-logs", "3000": "cache-probe", "64500": "cache-probe+root-logs"},
+		"servers": [
+			{"prefix": "9.9.9.0/24", "host_as": 64500, "owner_as": 64510, "org": "HyperGiant", "city": "Paris", "country": "FR"},
+			{"prefix": "9.9.8.0/24", "host_as": 64501, "owner_as": 64510, "org": "HyperGiant", "city": "Lagos", "country": "NG"}],
+		"mappings": [
+			{"domain": "video.example", "client_as": 3000, "serving_prefix": "9.9.9.0/24"},
+			{"domain": "video.example", "client_as": 3001, "serving_prefix": "9.9.8.0/24"},
+			{"domain": "cdn.example", "client_as": 3000, "serving_prefix": "9.9.9.0/24"},
+			{"domain": "cdn.example", "client_as": 3005, "serving_prefix": "1.0.0.0/24"}]}`))
+	if err != nil {
+		panic(err)
 	}
+	return doc
 }
 
 // baseMesh has a complete, a holed and an all-lost pair, and two pairs tied
@@ -339,16 +349,21 @@ func baseMesh() *core.MeshDocument {
 	}}
 }
 
-var docASNs = []string{"700", "3000", "3001", "3002", "64500", "64501", "64502"}
+var docASNs = []topology.ASN{700, 3000, 3001, 3002, 64500, 64501, 64502}
 
 // nextDoc is the next day of prev: each section changes with some
 // probability, so consecutive epochs share anything from no section to all.
 func nextDoc(prev *core.MapDocument, rng *randx.Source) *core.MapDocument {
 	d := cloneDoc(prev)
-	asn := func() string { return docASNs[rng.Intn(len(docASNs))] }
-	active := func() string { return d.ActivePrefixes[rng.Intn(len(d.ActivePrefixes))] }
+	asn := func() topology.ASN { return docASNs[rng.Intn(len(docASNs))] }
+	active := func() topology.PrefixID {
+		if len(d.ActivePrefixes) == 0 { // a respelled epoch may have none
+			return 1 << 16
+		}
+		return d.ActivePrefixes[rng.Intn(len(d.ActivePrefixes))]
+	}
 	if rng.Bool(0.35) {
-		if p := fmt.Sprintf("10.0.%d.0/24", rng.Intn(256)); !slices.Contains(d.ActivePrefixes, p) {
+		if p := topology.PrefixID(10<<16 | rng.Intn(256)); !slices.Contains(d.ActivePrefixes, p) {
 			d.ActivePrefixes = append(d.ActivePrefixes, p)
 		}
 	}
@@ -366,27 +381,25 @@ func nextDoc(prev *core.MapDocument, rng *randx.Source) *core.MapDocument {
 		delete(d.ASActivity, asn())
 	}
 	if rng.Bool(0.3) {
-		d.Sources[asn()] = []string{"unknown", "cache-probe", "root-logs", "cache-probe+root-logs"}[rng.Intn(4)]
+		d.Sources[asn()] = core.ActivitySource(rng.Intn(core.ActivitySources))
 	}
 	if rng.Bool(0.25) {
 		if d.Coverage == nil {
-			d.Coverage = map[string]string{}
+			d.Coverage = map[topology.PrefixID]core.Coverage{}
 		}
-		d.Coverage[active()] = []string{"unknown", "probed-ok", "gave-up", "stale"}[rng.Intn(4)]
+		d.Coverage[active()] = core.Coverage(rng.Intn(core.Coverages))
 	}
 	if rng.Bool(0.25) {
 		if d.ASConfidence == nil {
-			d.ASConfidence = map[string]float64{}
+			d.ASConfidence = map[topology.ASN]float64{}
 		}
 		d.ASConfidence[asn()] = rng.Float64()
 	}
 	if rng.Bool(0.25) {
-		host, _ := strconv.ParseUint(asn(), 10, 32)
-		d.Servers = append(d.Servers, core.ServerDocument{Prefix: active(), HostAS: uint32(host), OwnerAS: 64510, Org: "Org", City: "Oslo", Country: "NO"})
+		d.Servers = append(d.Servers, core.ServerDocument{Prefix: active(), HostAS: uint32(asn()), OwnerAS: 64510, Org: "Org", City: "Oslo", Country: "NO"})
 	}
 	if rng.Bool(0.25) {
-		client, _ := strconv.ParseUint(asn(), 10, 32)
-		m := core.MappingDocument{Domain: fmt.Sprintf("svc-%d.example", rng.Intn(4)), ClientAS: uint32(client), Serving: active()}
+		m := core.MappingDocument{Domain: fmt.Sprintf("svc-%d.example", rng.Intn(4)), ClientAS: uint32(asn()), Serving: active()}
 		if !slices.ContainsFunc(d.Mappings, func(o core.MappingDocument) bool { return o.Domain == m.Domain && o.ClientAS == m.ClientAS }) {
 			d.Mappings = append(d.Mappings, m)
 		}
@@ -412,8 +425,9 @@ func nextMesh(prev *core.MeshDocument, rng *randx.Source) *core.MeshDocument {
 }
 
 // next builds what an append op hands the store, from the latest
-// acknowledged epoch (day zero before the first).
-func (r *runner) next(kind string, rng *randx.Source) (*core.MapDocument, *core.MeshDocument) {
+// acknowledged epoch (day zero before the first); a JSON spelling the import
+// refuses comes back as its error.
+func (r *runner) next(kind string, rng *randx.Source) (*core.MapDocument, *core.MeshDocument, error) {
 	doc, mesh, lastMesh := baseDoc(), (*core.MeshDocument)(nil), baseMesh()
 	if n := len(r.m.epochs); n > 0 {
 		doc, mesh = r.m.epochs[n-1].doc, r.m.epochs[n-1].mesh
@@ -425,46 +439,75 @@ func (r *runner) next(kind string, rng *randx.Source) (*core.MapDocument, *core.
 	}
 	switch kind {
 	case "same":
-		return cloneDoc(doc), cloneMesh(mesh)
+		return cloneDoc(doc), cloneMesh(mesh), nil
 	case "map":
-		return nextDoc(doc, rng), nil
+		return nextDoc(doc, rng), nil, nil
 	case "mesh":
-		return nextDoc(doc, rng), nextMesh(lastMesh, rng)
+		return nextDoc(doc, rng), nextMesh(lastMesh, rng), nil
+	case "respell":
+		return throughJSON(doc, respellings[rng.Intn(len(respellings))])
 	}
-	d, spoil := cloneDoc(doc), refused[kind]
-	spoil[rng.Intn(len(spoil))](d)
-	return d, nil
+	i := rng.Intn(len(malformed) + len(unencodable))
+	if i < len(malformed) {
+		return throughJSON(doc, malformed[i])
+	}
+	d, m := cloneDoc(doc), cloneMesh(lastMesh)
+	unencodable[i-len(malformed)](d, m)
+	return d, m, nil
 }
 
-// refused spoils a document so that the store must refuse it: "collide"
-// adds a second key with the typed form of one already there, "bad" a
-// malformed key or label.
-var refused = map[string][]func(d *core.MapDocument){
-	"collide": {
-		func(d *core.MapDocument) { d.ASActivity["0"+order.Keys(d.ASActivity)[0]] = 1 },
-		func(d *core.MapDocument) { d.PrefixHitRates["0"+order.Keys(d.PrefixHitRates)[0]] = 0.5 },
-		func(d *core.MapDocument) { d.Sources["0"+order.Keys(d.Sources)[0]] = "root-logs" },
-	},
-	"bad": {
-		func(d *core.MapDocument) { d.ASActivity["AS64500"] = 1 },
-		func(d *core.MapDocument) { d.ActivePrefixes = append(d.ActivePrefixes, "10.0.0.0/8") },
-		func(d *core.MapDocument) { d.Sources["3000"] = "hearsay" },
-		func(d *core.MapDocument) {
-			d.Mappings = append(d.Mappings, core.MappingDocument{Domain: "x.example", ClientAS: 1, Serving: "nowhere"})
-		},
-	},
-}
-
-func cloneDoc(d *core.MapDocument) *core.MapDocument {
-	data, err := json.Marshal(d)
+// throughJSON lists field last in doc's JSON, where it replaces the field of
+// its name, and imports the result, as itm-serve imports a snapshot.
+func throughJSON(doc *core.MapDocument, field string) (*core.MapDocument, *core.MeshDocument, error) {
+	data, err := json.Marshal(doc)
 	if err != nil {
 		panic(err)
 	}
-	c := &core.MapDocument{}
-	if err := json.Unmarshal(data, c); err != nil {
-		panic(err)
-	}
-	return c
+	d, err := core.ImportDocument(bytes.NewReader(slices.Concat(data[:len(data)-1], []byte(","+field+"}"))))
+	return d, nil, err
+}
+
+// respellings are fields the import must read as the document they name:
+// leading zeros on a key or a prefix, alone or beside the canonical spelling
+// (the one listed last wins), and empty lists as [], which the store must
+// serve as the null the codec decodes them to.
+var respellings = []string{
+	`"as_activity":{"0700":1,"3000":2,"03000":3}`,
+	`"prefix_hit_rates":{"01.0.0.0/24":0.5}`,
+	`"active_prefixes":["1.0.0.0/24","09.9.9.0/24"]`,
+	`"mappings":[{"domain":"a.example","client_as":700,"serving_prefix":"009.9.9.0/24"}]`,
+	`"active_prefixes":[]`,
+	`"servers":[],"mappings":[]`,
+}
+
+// malformed are fields that spoil a document: the import refuses a malformed
+// key or label, the append a prefix listed twice.
+var malformed = []string{
+	`"as_activity":{"AS64500":1}`,
+	`"active_prefixes":["10.0.0.0/8"]`,
+	`"sources":{"3000":"hearsay"}`,
+	`"mappings":[{"domain":"x.example","client_as":1,"serving_prefix":"nowhere"}]`,
+	`"active_prefixes":["01.0.0.0/24","1.0.0.0/24"]`,
+}
+
+// unencodable spoil a document or its mesh with a value the wire cannot
+// carry: a non-finite float or a prefix ID wider than 24 bits.
+var unencodable = []func(d *core.MapDocument, m *core.MeshDocument){
+	func(d *core.MapDocument, _ *core.MeshDocument) { d.ASActivity[3000] = math.NaN() },
+	func(d *core.MapDocument, _ *core.MeshDocument) { d.PrefixHitRates[1<<16] = math.Inf(1) },
+	func(_ *core.MapDocument, m *core.MeshDocument) { m.Pairs[0].MinRTT = math.Inf(-1) },
+	func(d *core.MapDocument, _ *core.MeshDocument) {
+		d.ActivePrefixes = append(d.ActivePrefixes, topology.MaxPrefixID+1)
+	},
+}
+
+// cloneDoc deep-copies a document, whatever values it holds.
+func cloneDoc(d *core.MapDocument) *core.MapDocument {
+	c := *d
+	c.ActivePrefixes, c.Servers, c.Mappings = slices.Clone(d.ActivePrefixes), slices.Clone(d.Servers), slices.Clone(d.Mappings)
+	c.PrefixHitRates, c.ASActivity, c.ASConfidence = maps.Clone(d.PrefixHitRates), maps.Clone(d.ASActivity), maps.Clone(d.ASConfidence)
+	c.Sources, c.Coverage = maps.Clone(d.Sources), maps.Clone(d.Coverage)
+	return &c
 }
 
 func cloneMesh(m *core.MeshDocument) *core.MeshDocument {
@@ -533,7 +576,7 @@ func genOps(seed int64, n int) []string {
 			}
 			ops = append(ops, fmt.Sprintf("boot %s %d", pick("-1", "2", "5"), crash))
 		case x < 0.27:
-			if kind := pick("map", "map", "mesh", "mesh", "mesh", "same", "collide", "bad"); kind == "same" {
+			if kind := pick("map", "map", "mesh", "mesh", "mesh", "same", "respell", "bad"); kind == "same" {
 				ops = append(ops, kind)
 			} else {
 				ops = append(ops, fmt.Sprintf("%s %d", kind, rng.Intn(1<<16)))

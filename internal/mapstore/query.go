@@ -1,6 +1,7 @@
 package mapstore
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,40 +12,19 @@ import (
 	"itmap/internal/topology"
 )
 
-// eachASN visits every entry of an ASN-keyed document section with its key
-// parsed, in the document's (string) key order.
-func eachASN[V any](m map[string]V, visit func(asn uint32, v V)) error {
-	for _, s := range order.Keys(m) {
-		asn, err := strconv.ParseUint(s, 10, 32)
-		if err != nil {
-			return fmt.Errorf("mapstore: bad ASN key %q: %w", s, err)
-		}
-		visit(uint32(asn), m[s])
-	}
-	return nil
-}
-
 // buildIndexes derives the query-side structures from the canonical
 // document. Called once at ingest; everything it builds is immutable, so
 // when a document section is structurally shared with the previous epoch
 // (per the shared bitmask), the index built from it is reused outright.
-func (e *Epoch) buildIndexes(prev *Epoch, shared uint) error {
+func (e *Epoch) buildIndexes(prev *Epoch, shared uint) {
 	doc := e.Doc
 	if prev != nil && shared&secActivity != 0 {
-		e.activity, e.totalAct, e.ranked = prev.activity, prev.totalAct, prev.ranked
+		e.totalAct, e.ranked = prev.totalAct, prev.ranked
 	} else {
-		e.activity = make(map[uint32]float64, len(doc.ASActivity))
-		// totalAct sums in string key order: its low bits reach served shares.
-		err := eachASN(doc.ASActivity, func(asn uint32, v float64) {
-			e.activity[asn] = v
-			e.totalAct += v
-		})
-		if err != nil {
-			return err
-		}
-		e.ranked = make([]ASRank, 0, len(e.activity))
-		for _, asn := range order.Keys(e.activity) {
-			r := ASRank{ASN: asn, Activity: e.activity[asn]}
+		e.totalAct = activityTotal(doc.ASActivity)
+		e.ranked = make([]ASRank, 0, len(doc.ASActivity))
+		for _, asn := range order.Keys(doc.ASActivity) {
+			r := ASRank{ASN: uint32(asn), Activity: doc.ASActivity[asn]}
 			if e.totalAct > 0 {
 				r.Share = r.Activity / e.totalAct
 			}
@@ -58,27 +38,10 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) error {
 		})
 	}
 
-	if prev != nil && shared&secSources != 0 {
-		e.sources = prev.sources
-	} else {
-		e.sources = make(map[uint32]string, len(doc.Sources))
-		if err := eachASN(doc.Sources, func(asn uint32, v string) { e.sources[asn] = v }); err != nil {
-			return err
-		}
-	}
-	if prev != nil && shared&secConfidence != 0 {
-		e.confidence = prev.confidence
-	} else {
-		e.confidence = make(map[uint32]float64, len(doc.ASConfidence))
-		if err := eachASN(doc.ASConfidence, func(asn uint32, v float64) { e.confidence[asn] = v }); err != nil {
-			return err
-		}
-	}
-
 	if prev != nil && shared&secServers != 0 {
 		e.serverAt = prev.serverAt
 	} else {
-		e.serverAt = make(map[string]int, len(doc.Servers))
+		e.serverAt = make(map[topology.PrefixID]int, len(doc.Servers))
 		for i := range doc.Servers {
 			// First entry wins on (theoretical) duplicate prefixes; servers
 			// are sorted, so "first" is canonical.
@@ -101,7 +64,21 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) error {
 			}
 		}
 	}
-	return nil
+}
+
+// activityTotal sums an epoch's activity in the order its JSON lists the
+// ASes — decimal strings compared as text, so 10 before 9 — the order the
+// total was summed in when the document was keyed by those strings. The
+// total's low bits reach every share /v1/top, /v1/as and the series serve.
+func activityTotal(act map[topology.ASN]float64) float64 {
+	var total float64
+	for _, asn := range order.KeysFunc(act, func(a, b topology.ASN) int {
+		var x, y [10]byte
+		return bytes.Compare(strconv.AppendUint(x[:0], uint64(a), 10), strconv.AppendUint(y[:0], uint64(b), 10))
+	}) {
+		total += act[asn]
+	}
+	return total
 }
 
 // Info is one epoch's metadata line.
@@ -208,10 +185,10 @@ func (e *Epoch) WorstMeshPairs(k int) []MeshRank { return firstK(e.meshWorst, k)
 // ServiceMapping is one user→host mapping entry enriched with the serving
 // side's scan metadata and a popularity proxy.
 type ServiceMapping struct {
-	Domain        string `json:"domain"`
-	ServingPrefix string `json:"serving_prefix"`
-	HostAS        uint32 `json:"host_as,omitempty"`
-	Org           string `json:"org,omitempty"`
+	Domain        string            `json:"domain"`
+	ServingPrefix topology.PrefixID `json:"serving_prefix"`
+	HostAS        uint32            `json:"host_as,omitempty"`
+	Org           string            `json:"org,omitempty"`
 	// HostClients counts how many client ASes across the whole map are
 	// served by the same host AS — the ranking signal for top-K.
 	HostClients int `json:"host_clients"`
@@ -220,21 +197,21 @@ type ServiceMapping struct {
 // ASView is the per-AS answer: activity, provenance, and the AS's top
 // service mappings.
 type ASView struct {
-	ASN           uint32           `json:"asn"`
-	Epoch         int              `json:"epoch"`
-	Activity      float64          `json:"activity"`
-	Share         float64          `json:"share"`
-	Source        string           `json:"source,omitempty"`
-	Confidence    *float64         `json:"confidence,omitempty"`
-	Services      []ServiceMapping `json:"services,omitempty"`
-	TotalServices int              `json:"total_services"`
+	ASN           uint32               `json:"asn"`
+	Epoch         int                  `json:"epoch"`
+	Activity      float64              `json:"activity"`
+	Share         float64              `json:"share"`
+	Source        *core.ActivitySource `json:"source,omitempty"`
+	Confidence    *float64             `json:"confidence,omitempty"`
+	Services      []ServiceMapping     `json:"services,omitempty"`
+	TotalServices int                  `json:"total_services"`
 }
 
 // knows reports whether the epoch has anything to say about asn — activity,
 // a source label or a service mapping — and so whether ASView answers.
 func (e *Epoch) knows(asn uint32) bool {
-	_, hasAct := e.activity[asn]
-	_, hasSrc := e.sources[asn]
+	_, hasAct := e.Doc.ASActivity[topology.ASN(asn)]
+	_, hasSrc := e.Doc.Sources[topology.ASN(asn)]
 	return hasAct || hasSrc || len(e.mappingsBy[asn]) > 0
 }
 
@@ -245,12 +222,15 @@ func (e *Epoch) ASView(asn uint32, k int) (ASView, bool) {
 	if !e.knows(asn) {
 		return ASView{}, false
 	}
-	idxs := e.mappingsBy[asn]
-	v := ASView{ASN: asn, Epoch: e.ID, Activity: e.activity[asn], Source: e.sources[asn], TotalServices: len(idxs)}
+	idxs, a := e.mappingsBy[asn], topology.ASN(asn)
+	v := ASView{ASN: asn, Epoch: e.ID, Activity: e.Doc.ASActivity[a], TotalServices: len(idxs)}
 	if e.totalAct > 0 {
 		v.Share = v.Activity / e.totalAct
 	}
-	if c, ok := e.confidence[asn]; ok {
+	if src, ok := e.Doc.Sources[a]; ok {
+		v.Source = &src
+	}
+	if c, ok := e.Doc.ASConfidence[a]; ok {
 		v.Confidence = &c
 	}
 	svcs := make([]ServiceMapping, 0, len(idxs))
@@ -292,7 +272,7 @@ type EpochValue struct {
 func seriesIn(es []*Epoch, asn uint32) []EpochValue {
 	out := make([]EpochValue, len(es))
 	for i, e := range es {
-		out[i] = EpochValue{Epoch: e.ID, At: e.At, Activity: e.activity[asn]}
+		out[i] = EpochValue{Epoch: e.ID, At: e.At, Activity: e.Doc.ASActivity[topology.ASN(asn)]}
 		if e.totalAct > 0 {
 			out[i].Share = out[i].Activity / e.totalAct
 		}
@@ -322,15 +302,15 @@ func (e *Epoch) LinkLoad(a, b uint32) (float64, bool) {
 // core.DiffUsers over the two epochs' users components. All slices are
 // sorted, so marshaling it is deterministic.
 type DiffDocument struct {
-	EpochA         int          `json:"epoch_a"`
-	EpochB         int          `json:"epoch_b"`
-	AtA            simtime.Time `json:"at_a_hours"`
-	AtB            simtime.Time `json:"at_b_hours"`
-	StablePrefixes int          `json:"stable_prefixes"`
-	Appeared       []string     `json:"appeared"`
-	Vanished       []string     `json:"vanished"`
-	Jaccard        float64      `json:"jaccard"`
-	Shifts         []ShiftEntry `json:"shifts"`
+	EpochA         int                 `json:"epoch_a"`
+	EpochB         int                 `json:"epoch_b"`
+	AtA            simtime.Time        `json:"at_a_hours"`
+	AtB            simtime.Time        `json:"at_b_hours"`
+	StablePrefixes int                 `json:"stable_prefixes"`
+	Appeared       []topology.PrefixID `json:"appeared"`
+	Vanished       []topology.PrefixID `json:"vanished"`
+	Jaccard        float64             `json:"jaccard"`
+	Shifts         []ShiftEntry        `json:"shifts"`
 }
 
 // ShiftEntry is one AS's activity-share change.
@@ -358,7 +338,7 @@ func (s *Store) Diff(a, b int, minShift float64) (*DiffDocument, error) {
 // diffEpochs compares two resolved epochs (the cacheable inner form: the
 // pair is immutable, so the result never changes).
 func diffEpochs(ea, eb *Epoch, minShift float64) *DiffDocument {
-	d := core.DiffUsers(ea.actives, eb.actives, ea.activity, eb.activity, minShift)
+	d := core.DiffUsers(ea.Doc.ActivePrefixes, eb.Doc.ActivePrefixes, ea.Doc.ASActivity, eb.Doc.ASActivity, minShift)
 	out := &DiffDocument{
 		EpochA:         ea.ID,
 		EpochB:         eb.ID,
@@ -366,15 +346,10 @@ func diffEpochs(ea, eb *Epoch, minShift float64) *DiffDocument {
 		AtB:            eb.At,
 		StablePrefixes: d.StablePrefixes,
 		Jaccard:        d.Jaccard(),
-		Appeared:       make([]string, 0, len(d.PrefixesAppeared)),
-		Vanished:       make([]string, 0, len(d.PrefixesVanished)),
-		Shifts:         make([]ShiftEntry, 0, len(d.ActivityShifts)),
-	}
-	for _, p := range d.PrefixesAppeared {
-		out.Appeared = append(out.Appeared, p.String())
-	}
-	for _, p := range d.PrefixesVanished {
-		out.Vanished = append(out.Vanished, p.String())
+		// Never nil: an empty list is [] on this route.
+		Appeared: append([]topology.PrefixID{}, d.PrefixesAppeared...),
+		Vanished: append([]topology.PrefixID{}, d.PrefixesVanished...),
+		Shifts:   make([]ShiftEntry, 0, len(d.ActivityShifts)),
 	}
 	for _, sh := range d.ActivityShifts {
 		out.Shifts = append(out.Shifts, ShiftEntry{

@@ -53,7 +53,7 @@ func TestASView(t *testing.T) {
 	if !ok {
 		t.Fatal("AS 64500 missing")
 	}
-	if v.Activity != 123.5 || v.Source != "cache-probe" {
+	if v.Activity != 123.5 || v.Source == nil || *v.Source != core.FromCacheProbe {
 		t.Errorf("view %+v", v)
 	}
 	if v.Confidence == nil || *v.Confidence != 1 {
@@ -119,7 +119,7 @@ func TestStoreDiff(t *testing.T) {
 		t.Errorf("diff header %+v", d)
 	}
 	// Day 2 added 10.0.1.0/24 and 10.0.2.0/24.
-	if len(d.Appeared) != 2 || d.Appeared[0] != "10.0.1.0/24" {
+	if len(d.Appeared) != 2 || d.Appeared[0] != prefix("10.0.1.0/24") {
 		t.Errorf("appeared %v", d.Appeared)
 	}
 	if len(d.Vanished) != 0 || d.StablePrefixes != 3 {

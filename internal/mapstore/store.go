@@ -58,9 +58,6 @@ type Epoch struct {
 	// off locates the wire sections inside Encoded; the next append
 	// compares its own sections against them (see shareSections).
 	off sectionOffsets
-	// actives is Doc.ActivePrefixes as the codec held it: typed, ascending,
-	// no duplicates. The epoch diff merge-walks two of these.
-	actives []topology.PrefixID
 
 	// mx optionally carries the ground-truth matrix snapshot whose dense
 	// views answer link-load queries, and top the topology whose dense AS
@@ -69,16 +66,14 @@ type Epoch struct {
 	mx  *traffic.Matrix
 	top *topology.Topology
 
-	// Derived query indexes, built once at ingest.
-	activity   map[uint32]float64 // ASN → activity
-	totalAct   float64
-	ranked     []ASRank           // by activity desc, ASN asc
-	mappingsBy map[uint32][]int   // client ASN → indexes into Doc.Mappings
-	hostPop    map[uint32]int     // serving host AS → #client ASes mapped to it
-	serverAt   map[string]int     // serving prefix → index into Doc.Servers
-	confidence map[uint32]float64 // ASN → confidence (only if doc carries it)
-	sources    map[uint32]string  // ASN → source label
-	meshWorst  []MeshRank         // mesh pairs by mean RTT desc, key asc
+	// Derived query indexes, built once at ingest; per-AS facts are read
+	// off Doc's own maps.
+	totalAct   float64                   // see activityTotal
+	ranked     []ASRank                  // by activity desc, ASN asc
+	mappingsBy map[uint32][]int          // client ASN → indexes into Doc.Mappings
+	hostPop    map[uint32]int            // serving host AS → #client ASes mapped to it
+	serverAt   map[topology.PrefixID]int // serving prefix → index into Doc.Servers
+	meshWorst  []MeshRank                // mesh pairs by mean RTT desc, key asc
 
 	// cache holds encoded response bodies scoped to this epoch. Epochs are
 	// immutable, so entries never invalidate; appends leave them untouched.
@@ -271,7 +266,7 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 			return nil, err
 		}
 	}
-	e.Encoded, e.off, e.actives, e.MeshEncoded = canon.bytes, canon.off, canon.actives, in.meshCanon
+	e.Encoded, e.off, e.MeshEncoded = canon.bytes, canon.off, in.meshCanon
 	if mesh != nil && e.MeshEncoded == nil {
 		enc, err := EncodeMeshDocument(mesh)
 		if err != nil {
@@ -295,9 +290,7 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 		e.MeshShared = mesh != nil && bytes.Equal(e.MeshEncoded, prev.MeshEncoded)
 	}
 	e.ETag = epochETag(e.ID, e.Encoded)
-	if err := e.buildIndexes(prev, shared); err != nil {
-		return nil, err
-	}
+	e.buildIndexes(prev, shared)
 	switch {
 	case e.MeshShared:
 		e.MeshDoc, e.MeshEncoded, e.MeshETag, e.meshWorst = prev.MeshDoc, prev.MeshEncoded, prev.MeshETag, prev.meshWorst
@@ -400,20 +393,14 @@ func shareSections(e, prev *Epoch) uint {
 	}
 	var shared uint
 	if same(wireActives) {
-		doc.ActivePrefixes, e.actives = pdoc.ActivePrefixes, prev.actives
+		doc.ActivePrefixes = pdoc.ActivePrefixes
 		shared |= secActives
 	}
 	for i := range keyedSections {
-		sec := &keyedSections[i]
-		if !same(sec.wire) {
-			continue
+		if sec := &keyedSections[i]; same(sec.wire) {
+			sec.field.share(doc, pdoc)
+			shared |= 1 << (sec.wire - wireActives)
 		}
-		if sec.codes == nil {
-			*sec.floats(doc) = *sec.floats(pdoc)
-		} else {
-			*sec.labels(doc) = *sec.labels(pdoc)
-		}
-		shared |= 1 << (sec.wire - wireActives)
 	}
 	if slices.Equal(doc.Servers, pdoc.Servers) {
 		doc.Servers = pdoc.Servers

@@ -2,12 +2,12 @@ package mapstore
 
 import (
 	"bytes"
-	"strconv"
 	"sync"
 	"testing"
 
 	"itmap/internal/core"
 	"itmap/internal/simtime"
+	"itmap/internal/topology"
 )
 
 // docAt derives a small per-day variant of the sample document: day 0 is
@@ -16,8 +16,8 @@ import (
 func docAt(day int) *core.MapDocument {
 	doc := sampleDoc()
 	for d := 1; d <= day; d++ {
-		doc.ActivePrefixes = append(doc.ActivePrefixes, "10.0."+strconv.Itoa(d)+".0/24")
-		doc.ASActivity["64500"] += 10
+		doc.ActivePrefixes = append(doc.ActivePrefixes, prefix("10.0.0.0/24")+topology.PrefixID(d))
+		doc.ASActivity[64500] += 10
 	}
 	return doc
 }
@@ -118,7 +118,7 @@ func TestStoreRejectsBadDocuments(t *testing.T) {
 	if _, err := s.Append(0, nil); err == nil {
 		t.Error("nil document accepted")
 	}
-	if _, err := s.Append(0, &core.MapDocument{Version: 1, ActivePrefixes: []string{"zzz"}}); err == nil {
+	if _, err := s.Append(0, &core.MapDocument{Version: 1, ActivePrefixes: []topology.PrefixID{topology.MaxPrefixID + 1}}); err == nil {
 		t.Error("unencodable document accepted")
 	}
 	if s.Len() != 0 {

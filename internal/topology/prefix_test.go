@@ -1,11 +1,11 @@
 package topology_test
 
 import (
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
 
-	"itmap/internal/core"
 	"itmap/internal/geo"
 	"itmap/internal/topology"
 	"itmap/internal/world"
@@ -78,22 +78,63 @@ func TestAllPrefixesConcurrentReaders(t *testing.T) {
 }
 
 // TestPrefixStringMatchesNetip: the hand-rolled formatter is net/netip's,
-// and the document parser's inverse, for every /24 there is.
+// MarshalText's, and the parser's inverse, for every /24 there is.
 func TestPrefixStringMatchesNetip(t *testing.T) {
 	var want []byte
-	for id := topology.PrefixID(0); id < 1<<24; id++ {
+	for id := topology.PrefixID(0); id <= topology.MaxPrefixID; id++ {
 		s := id.String()
-		if want = id.Prefix().AppendTo(want[:0]); s != string(want) {
+		if want = netip.PrefixFrom(id.Addr(0), 24).AppendTo(want[:0]); s != string(want) {
 			t.Fatalf("PrefixID(%d).String() = %q, netip says %q", id, s, want)
 		}
-		if back, err := core.ParsePrefix(s); err != nil || back != id {
-			t.Fatalf("ParsePrefix(%q) = %v, %v; want %d", s, back, err, id)
+		text, err := id.MarshalText()
+		var back topology.PrefixID
+		if err != nil || string(text) != s || back.UnmarshalText(text) != nil || back != id {
+			t.Fatalf("PrefixID(%d): MarshalText %q, %v; parsed back to %d", id, text, err, back)
 		}
 	}
 	// IDs above 24 bits keep netip's truncation to the low three octets.
 	for _, id := range []topology.PrefixID{1 << 24, 0xfffffff0, 0xffffffff} {
-		if got, want := id.String(), id.Prefix().String(); got != want {
+		if got, want := id.String(), netip.PrefixFrom(id.Addr(0), 24).String(); got != want {
 			t.Errorf("PrefixID(%#x).String() = %q, netip says %q", id, got, want)
 		}
+	}
+}
+
+// TestParsePrefixRejectsOutOfRangeOctets: an octet above 255 is refused, not
+// wrapped into a neighbouring /24.
+func TestParsePrefixRejectsOutOfRangeOctets(t *testing.T) {
+	var p topology.PrefixID
+	for _, s := range []string{"300.0.0.0/24", "1.256.0.0/24", "-1.2.3.0/24"} {
+		if err := p.UnmarshalText([]byte(s)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted an out-of-range octet", s)
+		}
+	}
+	if err := p.UnmarshalText([]byte("203.0.113.0/24")); err != nil || p.String() != "203.0.113.0/24" {
+		t.Errorf("UnmarshalText(203.0.113.0/24) = %v, %v", p, err)
+	}
+}
+
+// TestParsePrefixRoundTrip: every prefix of a generated world parses back
+// from its text; leading zeros parse to the canonical ID, and what is not a
+// /24 in CIDR notation does not parse at all.
+func TestParsePrefixRoundTrip(t *testing.T) {
+	for _, want := range topology.Generate(topology.TinyGenConfig(3)).AllPrefixes() {
+		text, _ := want.MarshalText()
+		var got topology.PrefixID
+		if err := got.UnmarshalText(text); err != nil || got != want {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, got, err)
+		}
+	}
+	var p topology.PrefixID
+	if err := p.UnmarshalText([]byte("01.002.3.0/24")); err != nil || p.String() != "1.2.3.0/24" {
+		t.Errorf("leading zeros: %v, %v", p, err)
+	}
+	for _, s := range []string{"zzz", "10.0.0.0/8", "1.2.3.4/24", "1.2.3.0/24x", "", "1.2.3.0/"} {
+		if err := p.UnmarshalText([]byte(s)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", s)
+		}
+	}
+	if _, err := (topology.MaxPrefixID + 1).MarshalText(); err == nil {
+		t.Error("an ID wider than 24 bits has a spelling")
 	}
 }
