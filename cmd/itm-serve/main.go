@@ -20,19 +20,20 @@
 //	GET /v1/traces                recorded trace names
 //	GET /v1/trace/{campaign}      one campaign's span tree
 //
-// With -wal DIR every ingested epoch is journaled (fsync-on-append) before
-// it is served, and a restart replays the journal instead of rebuilding the
-// world — including after a SIGKILL mid-append, whose torn record is
-// truncated on recovery. All non-operator routes pass through an admission
-// valve (bounded concurrency + bounded wait queue) that sheds with 503 +
-// Retry-After when saturated; SIGTERM drains in-flight requests before the
-// WAL is closed.
+// With -wal DIR every ingested epoch is journaled (fsync-on-append) to
+// DIR/journal.itwl before it is served, and a restart replays the journal
+// instead of rebuilding the world — including after a SIGKILL mid-append,
+// whose torn record is truncated on recovery. A snapshot.itwl an older
+// binary compacted into is replayed first and never written. All
+// non-operator routes pass through an admission valve (bounded concurrency
+// + bounded wait queue) that sheds with 503 + Retry-After when saturated;
+// SIGTERM drains in-flight requests before the WAL is closed.
 //
 // Usage:
 //
 //	itm-serve [-addr :8411] [-scale tiny|small|default] [-seed N]
 //	          [-epochs N] [-workers N] [-snapshot map.json] [-pprof]
-//	          [-wal DIR] [-compact-every N] [-max-inflight N] [-max-queue N]
+//	          [-wal DIR] [-max-inflight N] [-max-queue N]
 //	          [-mesh-agents N] [-mesh-rounds N] [-mesh-profile NAME]
 //
 // With -mesh-agents > 0 each simulated day also runs a vantage-fleet mesh
@@ -73,20 +74,19 @@ var epochsLoaded = obs.NewGauge("itm_serve_epochs_loaded", "Epochs available in 
 
 // options carries every flag; one struct keeps run()'s signature sane.
 type options struct {
-	addr         string
-	scale        string
-	seed         int64
-	epochs       int
-	workers      int
-	snapshot     string
-	pprofOn      bool
-	walDir       string
-	compactEvery int
-	maxInflight  int
-	maxQueue     int
-	meshAgents   int
-	meshRounds   int
-	meshProfile  string
+	addr        string
+	scale       string
+	seed        int64
+	epochs      int
+	workers     int
+	snapshot    string
+	pprofOn     bool
+	walDir      string
+	maxInflight int
+	maxQueue    int
+	meshAgents  int
+	meshRounds  int
+	meshProfile string
 }
 
 func main() {
@@ -99,7 +99,6 @@ func main() {
 	flag.StringVar(&o.snapshot, "snapshot", "", "serve this exported map JSON instead of simulating")
 	flag.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.walDir, "wal", "", "journal epochs under this directory; replay it on boot instead of rebuilding")
-	flag.IntVar(&o.compactEvery, "compact-every", 0, "fold the WAL journal into a snapshot every N epochs (0 = default, <0 = never)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "admission: concurrent request slots (0 = default)")
 	flag.IntVar(&o.maxQueue, "max-queue", -1, "admission: wait-queue capacity (-1 = default, 0 = shed immediately when slots are full)")
 	flag.IntVar(&o.meshAgents, "mesh-agents", 0, "vantage fleet size for per-epoch mesh campaigns (0 = no mesh)")
@@ -158,7 +157,7 @@ func openStore(o options) (*mapstore.Store, *wal.WAL, error) {
 		st := mapstore.NewStore()
 		return st, nil, fillStore(st, o)
 	}
-	w, rec, err := wal.Open(wal.Options{Dir: o.walDir, CompactEvery: o.compactEvery})
+	w, rec, err := wal.Open(wal.Options{Dir: o.walDir})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,8 +168,7 @@ func openStore(o options) (*mapstore.Store, *wal.WAL, error) {
 			return nil, nil, err
 		}
 		obs.Event(obs.Info, "serve.recovered", "wal", o.walDir,
-			"epochs", len(rec.Records), "snapshot_epochs", rec.SnapshotRecords,
-			"journal_epochs", rec.JournalRecords, "truncated_tail_bytes", rec.TruncatedBytes)
+			"epochs", len(rec.Records), "truncated_tail_bytes", rec.TruncatedBytes)
 		return st, w, nil
 	}
 	st := mapstore.NewStore()

@@ -80,10 +80,9 @@ func TestV2AllowlistFrozen(t *testing.T) {
 // non-test file calls. Each entry is here for the reason its allow line
 // gives: test support that tests of *other* packages call, a name
 // benchmark/_tracer (its own module) calls, the one switch of a fault model
-// the stable exposition already lists, a campaign half the digest tests pin
-// — and one name only its own floor test calls, which leaves together with
-// that test. The set may shrink freely; growing it means new code
-// nothing calls, which is a reviewed decision.
+// the stable exposition already lists, a campaign half the digest tests pin.
+// The set may shrink freely; growing it means new code nothing calls, which
+// is a reviewed decision.
 func TestDeadExportAllowsFrozen(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module load in -short mode")
@@ -103,8 +102,6 @@ func TestDeadExportAllowsFrozen(t *testing.T) {
 		"internal/mapstore/store.go:AppendMap":                     true,
 		"internal/measure/cacheprobe/resilient.go:MeasureHitRates": true,
 		"internal/dnssim/roots.go:SetFaultPlan":                    true,
-		// Called only by its own floor test.
-		"internal/measure/schedule/schedule.go:Fit": true,
 	}
 	l := testLoader(t)
 	pkgs, err := l.LoadAll()

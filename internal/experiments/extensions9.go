@@ -60,8 +60,8 @@ func (e *Env) RunE24() *Result {
 				},
 			},
 			// A deliberately low per-source budget spreads each shard's
-			// sweep across hours (the schedule package's interleaving
-			// advice), so a ban or outage window only covers a slice of
+			// sweep across hours (interleaving probes over the refresh
+			// window), so a ban or outage window only covers a slice of
 			// the shard's targets instead of a whole probing round.
 			QPS:        0.05,
 			Burst:      4,

@@ -115,7 +115,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 func BenchmarkRecoverStore(b *testing.B) {
 	const epochs = 16
 	mem := wal.NewMemFS()
-	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: -1}
+	opts := wal.Options{Dir: "wal", FS: mem}
 	w, _, err := wal.Open(opts)
 	if err != nil {
 		b.Fatal(err)

@@ -156,7 +156,7 @@ func TestAppendStillRejectsMalformedKeys(t *testing.T) {
 		"version beyond the codec": func(d *core.MapDocument, _ *core.MeshDocument) { d.Version = math.MaxInt32 + 1 },
 	}
 	mem := wal.NewMemFS()
-	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: -1}
+	opts := wal.Options{Dir: "wal", FS: mem}
 	w, _, err := wal.Open(opts)
 	if err != nil {
 		t.Fatal(err)

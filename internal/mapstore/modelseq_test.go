@@ -4,9 +4,9 @@ package mapstore_test
 // through seeded operation sequences. An op is one line, the form shrunk
 // repros are printed and committed in (testdata/model/*.txt):
 //
-//	boot C B            crash and reboot: reopen the WAL with CompactEvery C
-//	                    from what the disk holds, on a file system that dies
-//	                    after B more bytes (0: never), and RecoverStore
+//	boot B              crash and reboot: reopen the WAL from what the disk
+//	                    holds, on a file system that dies after B more bytes
+//	                    (0: never), and RecoverStore
 //	map S | mesh S      append the next day's map (and mesh), drawn from seed S
 //	same                append the latest epoch again, mesh and all
 //	respell S           append the latest epoch with one field of its JSON
@@ -85,7 +85,7 @@ func runOps(ops []string, seen map[string]int) error {
 		seen = map[string]int{}
 	}
 	r := &runner{ledger: map[string]*validators{}, seen: seen}
-	if err := r.boot(wal.NewMemFS(), -1, 0); err != nil {
+	if err := r.boot(wal.NewMemFS(), 0); err != nil {
 		return err
 	}
 	for i, op := range ops {
@@ -107,7 +107,7 @@ func (r *runner) do(op string) error {
 	}
 	switch f[0] {
 	case "boot":
-		return r.boot(r.fs.CrashImage(), int(num(1)), num(2))
+		return r.boot(r.fs.CrashImage(), num(1))
 	case "map", "mesh", "same", "respell", "bad":
 		return r.append(f[0], num(1))
 	case "get":
@@ -120,9 +120,9 @@ func (r *runner) do(op string) error {
 	return errors.New("unknown op")
 }
 
-func (r *runner) boot(disk *wal.MemFS, compact int, crash int64) error {
+func (r *runner) boot(disk *wal.MemFS, crash int64) error {
 	r.fs = wal.NewFaultFS(disk, wal.FaultPlan{CrashAfterBytes: crash})
-	w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: r.fs, CompactEvery: compact})
+	w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: r.fs})
 	if err != nil {
 		return fmt.Errorf("reopening the WAL: %w", err)
 	}
@@ -574,7 +574,7 @@ func genOps(seed int64, n int) []string {
 			if rng.Bool(0.5) {
 				crash = 40 + rng.Intn(4000)
 			}
-			ops = append(ops, fmt.Sprintf("boot %s %d", pick("-1", "2", "5"), crash))
+			ops = append(ops, fmt.Sprintf("boot %d", crash))
 		case x < 0.27:
 			if kind := pick("map", "map", "mesh", "mesh", "mesh", "same", "respell", "bad"); kind == "same" {
 				ops = append(ops, kind)

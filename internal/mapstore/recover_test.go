@@ -3,10 +3,12 @@ package mapstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -123,35 +125,89 @@ func seededMeshes(seed int64, n int) []*core.MeshDocument {
 
 // journalShape is one way a 16-epoch WAL directory can look at boot.
 type journalShape struct {
-	name         string
-	compactEvery int
-	tornTail     []byte
+	name     string
+	legacy   int // epochs an older binary compacted into snapshot.itwl
+	tornTail []byte
 }
 
 var journalShapes = []journalShape{
-	{name: "journal only", compactEvery: -1},
-	{name: "snapshot + journal", compactEvery: 6},
-	{name: "torn tail", compactEvery: -1, tornTail: []byte{0xFF, 0xEE, 0xDD, 0x00, 0x10}},
+	{name: "journal only"},
+	{name: "legacy snapshot + journal", legacy: 6},
+	{name: "torn tail", tornTail: []byte{0xFF, 0xEE, 0xDD, 0x00, 0x10}},
 }
 
-// openJournal journals docs (and day by day the meshes that are not nil)
-// through a store into a fresh in-memory WAL directory, "crashes" (no
-// Close), smashes the shape's torn tail onto the journal and reopens it. It
-// returns the store that wrote the journal along with what reopening found.
-func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument, shape journalShape) (*Store, *wal.WAL, *wal.Recovery) {
+// walRecords splits a whole WAL file image into its records, framing and all.
+func walRecords(t *testing.T, data []byte) [][]byte {
+	t.Helper()
+	recs, valid, err := wal.ScanRecords(data)
+	if err != nil || valid != len(data) {
+		t.Fatalf("not a whole WAL file: %d of %d bytes scan, %v", valid, len(data), err)
+	}
+	var out [][]byte
+	for off := len(wal.Magic) + 1; len(out) < len(recs); {
+		n := 8 + int(binary.LittleEndian.Uint32(data[off:]))
+		out = append(out, data[off:off+n])
+		off += n
+	}
+	return out
+}
+
+// walFile is the WAL file image holding records.
+func walFile(records ...[]byte) []byte {
+	return slices.Concat(append([][]byte{wal.Magic[:], {wal.FormatVersion}}, records...)...)
+}
+
+// plant writes a file into a WAL directory the way an older binary left it.
+func plant(t *testing.T, mem *wal.MemFS, name string, data []byte) {
+	t.Helper()
+	h, err := mem.Create("wal/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Write(data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// journalDocs appends docs (and day by day the meshes that are not nil)
+// through a store into a fresh in-memory WAL directory, and returns the
+// store and the directory, "crashed" (no Close).
+func journalDocs(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument) (*Store, *wal.MemFS) {
 	t.Helper()
 	mem := wal.NewMemFS()
-	opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: shape.compactEvery}
-	w, _, err := wal.Open(opts)
+	w, _, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore()
 	s.AttachWAL(w)
 	for d, doc := range docs {
-		if _, err := s.append(simtime.Time(d)*simtime.Day, ingest{doc: cloneDoc(doc), mesh: meshes[d]}); err != nil {
+		var mesh *core.MeshDocument
+		if meshes != nil {
+			mesh = meshes[d]
+		}
+		if _, err := s.append(simtime.Time(d)*simtime.Day, ingest{doc: cloneDoc(doc), mesh: mesh}); err != nil {
 			t.Fatalf("append day %d: %v", d, err)
 		}
+	}
+	return s, mem
+}
+
+// openJournal journals docs and meshes, splits the shape's legacy epochs off
+// into a snapshot, smashes its torn tail onto the journal and reopens the
+// directory. It returns the store that wrote the journal along with what
+// reopening found.
+func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument, shape journalShape) (*Store, *wal.WAL, *wal.Recovery) {
+	t.Helper()
+	s, mem := journalDocs(t, docs, meshes)
+	if shape.legacy > 0 {
+		journal, err := mem.ReadFile("wal/journal.itwl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := walRecords(t, journal)
+		plant(t, mem, "snapshot.itwl", walFile(recs[:shape.legacy]...))
+		plant(t, mem, "journal.itwl", walFile(recs[shape.legacy:]...))
 	}
 	if len(shape.tornTail) > 0 {
 		h, err := mem.OpenAppend("wal/journal.itwl")
@@ -162,16 +218,13 @@ func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocu
 			t.Fatal(err)
 		}
 	}
-	w, rec, err := wal.Open(opts)
+	w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}
-	if len(rec.Records) != len(docs) {
-		t.Fatalf("WAL replayed %d records, want %d", len(rec.Records), len(docs))
-	}
-	if (rec.SnapshotRecords > 0) != (shape.compactEvery > 0) || rec.TruncatedBytes != int64(len(shape.tornTail)) {
-		t.Fatalf("journal is not in shape %q: %d snapshot records, %d truncated bytes",
-			shape.name, rec.SnapshotRecords, rec.TruncatedBytes)
+	if len(rec.Records) != len(docs) || rec.TruncatedBytes != int64(len(shape.tornTail)) {
+		t.Fatalf("journal in shape %q replayed %d records (want %d), cut %d torn bytes",
+			shape.name, len(rec.Records), len(docs), rec.TruncatedBytes)
 	}
 	return s, w, rec
 }
@@ -346,53 +399,115 @@ func TestShareSectionsBytesMatchesMaps(t *testing.T) {
 	}
 }
 
-// TestMapOnlyJournalBytesMatchParent pins that journaling the mesh changed
-// nothing for an epoch without one: the WAL files a map-only store leaves
-// are, byte for byte, the files the parent commit (which journaled map
-// encodings only) left for the same documents — so every journal written
-// before this change is a journal in the current format, and the same test
-// recovers one. Digests recorded from the parent commit (d88ae89).
+// TestMapOnlyJournalBytesMatchParent pins that journaling the mesh, and
+// dropping compaction, changed nothing for an epoch without a mesh: the
+// journal a map-only store leaves is, byte for byte, the journal older
+// commits left for the same documents with compaction off — so every such
+// journal is a journal in the current format, and the same test recovers
+// one. Digests recorded from commit 7d2d025 with compaction off.
 func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
 	for _, tc := range []struct {
-		seed              int64
-		journal, snapshot string
+		seed    int64
+		journal string
 	}{
-		{1, "2170bbd32c1777538977acb6140c8924a8909fc9e5fb776b29660a652e16bed5", "2709edf15f78223ab097fbec9ea317ceb69c13a090c1abb5bfbffed72541b176"},
-		{7, "6a875235b8c50230e0492f2f8b5cf0eacdd236a18877dd9b8987aab4b0aad217", "46c8da12f8a307e455669117c5ebede68a0fcc315f56be8c3d97d2291f631fd8"},
+		{1, "f67f6cb974bd9fb638c459f65ee1e1ecd4d340959c68e503bea8da1eacdecb1f"},
+		{7, "10e32787933bc62f42ec240d03348b7f60da785f6c3b739d2402c9bd8c9b978d"},
 	} {
-		mem := wal.NewMemFS()
-		opts := wal.Options{Dir: "wal", FS: mem, CompactEvery: 4}
-		w, _, err := wal.Open(opts)
+		_, mem := journalDocs(t, seededDocs(tc.seed, 6), nil)
+		data, err := mem.ReadFile("wal/journal.itwl")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewStore()
-		s.AttachWAL(w)
-		for d, doc := range seededDocs(tc.seed, 6) {
-			if _, err := s.Append(simtime.Time(d)*simtime.Day, doc); err != nil {
-				t.Fatalf("seed %d: append day %d: %v", tc.seed, d, err)
-			}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.journal {
+			t.Errorf("seed %d: journal.itwl (%d bytes) has SHA-256 %s, the parent commit's has %s", tc.seed, len(data), got, tc.journal)
 		}
-		for name, want := range map[string]string{"journal.itwl": tc.journal, "snapshot.itwl": tc.snapshot} {
-			data, err := mem.ReadFile("wal/" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
-				t.Errorf("seed %d: %s (%d bytes) has SHA-256 %s, the parent commit's has %s", tc.seed, name, len(data), got, want)
-			}
-		}
-		w2, rec, err := wal.Open(opts)
+		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RecoverStore(w2, rec)
+		got, err := RecoverStore(w, rec)
 		if err != nil {
 			t.Fatalf("seed %d: recovering the parent-format journal: %v", tc.seed, err)
 		}
-		if got.Len() != 6 || rec.SnapshotRecords != 4 || rec.JournalRecords != 2 || got.Latest().MeshDoc != nil {
-			t.Errorf("seed %d: recovered %d epochs (%d snapshot + %d journal records)", tc.seed, got.Len(), rec.SnapshotRecords, rec.JournalRecords)
+		if got.Len() != 6 || got.Latest().MeshDoc != nil {
+			t.Errorf("seed %d: recovered %d epochs", tc.seed, got.Len())
+		}
+	}
+}
+
+// TestLegacyWALDirectoryRecovers replays the WAL directory an older binary
+// left: testdata/legacy-wal is seed 1's six epochs as commit 7d2d025 wrote
+// them compacting every 4 epochs — four in snapshot.itwl, two in
+// journal.itwl. The directory recovers the epochs a journal-only store
+// writes for the same documents, whose journal is the snapshot's records
+// followed by the journal's; so does the directory a compaction crash left,
+// whose journal still re-holds records the snapshot covers; and appending
+// after recovery never touches the snapshot.
+func TestLegacyWALDirectoryRecovers(t *testing.T) {
+	defer obs.Swap(obs.Swap(obs.NewSet()))
+	legacy := map[string][]byte{}
+	for name, digest := range map[string]string{
+		"snapshot.itwl": "2709edf15f78223ab097fbec9ea317ceb69c13a090c1abb5bfbffed72541b176",
+		"journal.itwl":  "2170bbd32c1777538977acb6140c8924a8909fc9e5fb776b29660a652e16bed5",
+	} {
+		data, err := os.ReadFile("testdata/legacy-wal/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != digest {
+			t.Fatalf("testdata/legacy-wal/%s has SHA-256 %s, not the %s commit 7d2d025 wrote", name, got, digest)
+		}
+		legacy[name] = data
+	}
+	snapRecs, journalRecs := walRecords(t, legacy["snapshot.itwl"]), walRecords(t, legacy["journal.itwl"])
+	if len(snapRecs) != 4 || len(journalRecs) != 2 {
+		t.Fatalf("legacy directory holds %d snapshot + %d journal records, want 4 + 2", len(snapRecs), len(journalRecs))
+	}
+	want, mem := journalDocs(t, seededDocs(1, 6), nil)
+	journal, err := mem.ReadFile("wal/journal.itwl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(walRecords(t, journal), slices.Concat(snapRecs, journalRecs), bytes.Equal) {
+		t.Fatal("a journal-only store's records are not the legacy snapshot's followed by the legacy journal's")
+	}
+
+	for _, dir := range []struct {
+		name    string
+		journal []byte
+	}{
+		{"as compacted", legacy["journal.itwl"]},
+		{"stale tail", walFile(slices.Concat(snapRecs[2:], journalRecs)...)},
+	} {
+		mem := wal.NewMemFS()
+		plant(t, mem, "snapshot.itwl", legacy["snapshot.itwl"])
+		plant(t, mem, "journal.itwl", dir.journal)
+		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
+		if err != nil {
+			t.Fatalf("%s: %v", dir.name, err)
+		}
+		got, err := RecoverStore(w, rec)
+		if err != nil {
+			t.Fatalf("%s: %v", dir.name, err)
+		}
+		if got.Len() != want.Len() || rec.TruncatedBytes != 0 {
+			t.Fatalf("%s: recovered %d epochs (cut %d bytes), want %d", dir.name, got.Len(), rec.TruncatedBytes, want.Len())
+		}
+		for i, e := range got.Snapshot() {
+			o, _ := want.Epoch(i)
+			if !bytes.Equal(e.Encoded, o.Encoded) || e.ETag != o.ETag {
+				t.Errorf("%s: epoch %d differs from the journal-only store's: ETag %s, want %s", dir.name, i, e.ETag, o.ETag)
+			}
+		}
+		if _, err := got.Append(6*simtime.Day, seededDocs(1, 7)[6]); err != nil {
+			t.Fatalf("%s: append after recovery: %v", dir.name, err)
+		}
+		if snap, _ := mem.ReadFile("wal/snapshot.itwl"); !bytes.Equal(snap, legacy["snapshot.itwl"]) {
+			t.Errorf("%s: appending after recovery changed snapshot.itwl", dir.name)
+		}
+		if _, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem}); err != nil || len(rec.Records) != 7 {
+			t.Errorf("%s: reopening after the append: %v", dir.name, err)
 		}
 	}
 }
@@ -410,7 +525,7 @@ func TestCrashInsideMeshRecordNeverTearsTheMeshOff(t *testing.T) {
 	// journal appends n meshed epochs (no two meshes alike) until one fails,
 	// reporting the journal's size after each acknowledged append.
 	journal := func(fsys wal.FS, size func() int) (*Store, []int) {
-		w, _, err := wal.Open(wal.Options{Dir: "wal", FS: fsys, CompactEvery: -1})
+		w, _, err := wal.Open(wal.Options{Dir: "wal", FS: fsys})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +571,7 @@ func TestCrashInsideMeshRecordNeverTearsTheMeshOff(t *testing.T) {
 		if len(acked) != want || before.Len() != want {
 			t.Fatalf("cut at byte %d: %d appends acknowledged, %d published, want %d", cut, len(acked), before.Len(), want)
 		}
-		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: ffs.CrashImage(), CompactEvery: -1})
+		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: ffs.CrashImage()})
 		if err != nil {
 			t.Fatalf("cut at byte %d: recovery open: %v", cut, err)
 		}

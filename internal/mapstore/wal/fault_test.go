@@ -12,7 +12,7 @@ import (
 
 // TestCrashRecoverySweep is the deterministic crash proof: for a spread of
 // seeds, a FaultFS cuts the power after a seed-chosen number of written
-// bytes while the WAL appends (and auto-compacts). Rebooting from the
+// bytes while the WAL appends. Rebooting from the
 // crash image must recover exactly the appends that returned nil —
 // byte-identical, nothing extra — and the recovered WAL must keep working.
 func TestCrashRecoverySweep(t *testing.T) {
@@ -20,10 +20,9 @@ func TestCrashRecoverySweep(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := randx.New(seed)
 		plan := FaultPlan{CrashAfterBytes: 5 + int64(rng.Intn(4000))}
-		compactEvery := 2 + rng.Intn(5)
 		ffs := NewFaultFS(NewMemFS(), plan)
 
-		w, _, err := Open(Options{Dir: "wal", FS: ffs, CompactEvery: compactEvery})
+		w, _, err := Open(Options{Dir: "wal", FS: ffs})
 		if err != nil {
 			// Crash during the very first header write: nothing durable yet.
 			if !errors.Is(err, ErrCrash) {
@@ -45,14 +44,13 @@ func TestCrashRecoverySweep(t *testing.T) {
 
 		// Reboot: replay whatever the device kept, torn tail and all.
 		img := ffs.CrashImage()
-		w2, rec, err := Open(Options{Dir: "wal", FS: img, CompactEvery: compactEvery})
+		w2, rec, err := Open(Options{Dir: "wal", FS: img})
 		if err != nil {
 			t.Fatalf("seed %d: recovery open: %v", seed, err)
 		}
 		if len(rec.Records) != len(acked) {
-			t.Fatalf("seed %d (crash after %d bytes): recovered %d epochs, acked %d (snapshot %d, journal %d, truncated %d)",
-				seed, plan.CrashAfterBytes, len(rec.Records), len(acked),
-				rec.SnapshotRecords, rec.JournalRecords, rec.TruncatedBytes)
+			t.Fatalf("seed %d (crash after %d bytes): recovered %d epochs, acked %d (truncated %d)",
+				seed, plan.CrashAfterBytes, len(rec.Records), len(acked), rec.TruncatedBytes)
 		}
 		for i, r := range rec.Records {
 			if r.ID != i || !bytes.Equal(r.Payload, acked[i]) {
@@ -81,7 +79,7 @@ func TestSyncFailureSweep(t *testing.T) {
 			FailSyncEvery:   2 + rng.Intn(4),
 			ShortWriteEvery: 3 + rng.Intn(5),
 		})
-		w, _, err := Open(Options{Dir: "wal", FS: ffs, CompactEvery: -1})
+		w, _, err := Open(Options{Dir: "wal", FS: ffs})
 		if err != nil {
 			t.Fatalf("seed %d: Open: %v", seed, err)
 		}

@@ -34,12 +34,11 @@ type FS interface {
 	ReadFile(name string) ([]byte, error)
 	// OpenAppend opens name for appending, creating it when absent.
 	OpenAppend(name string) (File, error)
-	// Create opens name truncated to empty, creating it when absent.
-	Create(name string) (File, error)
-	Rename(oldname, newname string) error
 	Truncate(name string, size int64) error
-	Remove(name string) error
-	// SyncDir flushes directory metadata (the rename durability barrier).
+	// Create opens name truncated to empty, creating it when absent, and
+	// SyncDir flushes directory metadata. The WAL calls neither: tests plant
+	// files with Create, and benchmark/_tracer's counting FS forwards both.
+	Create(name string) (File, error)
 	SyncDir(dir string) error
 }
 
@@ -59,17 +58,14 @@ func (OSFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 }
 
-func (OSFS) Rename(oldname, newname string) error   { return os.Rename(oldname, newname) }
 func (OSFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
-func (OSFS) Remove(name string) error               { return os.Remove(name) }
 
 func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(filepath.Clean(dir))
 	if err != nil {
 		return err
 	}
-	// Best effort: some filesystems refuse directory fsync; rename itself
-	// is already atomic, the dir sync only narrows the post-crash window.
+	// Best effort: some filesystems refuse directory fsync.
 	_ = d.Sync()
 	return d.Close()
 }
@@ -136,18 +132,6 @@ func (m *MemFS) Create(name string) (File, error) {
 	return &memHandle{fs: m, name: name}, nil
 }
 
-func (m *MemFS) Rename(oldname, newname string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f := m.files[oldname]
-	if f == nil {
-		return fmt.Errorf("memfs: %s: %w", oldname, fs.ErrNotExist)
-	}
-	delete(m.files, oldname)
-	m.files[newname] = f
-	return nil
-}
-
 func (m *MemFS) Truncate(name string, size int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -162,16 +146,6 @@ func (m *MemFS) Truncate(name string, size int64) error {
 	if f.durable > int(size) {
 		f.durable = int(size)
 	}
-	return nil
-}
-
-func (m *MemFS) Remove(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.files[name] == nil {
-		return fmt.Errorf("memfs: %s: %w", name, fs.ErrNotExist)
-	}
-	delete(m.files, name)
 	return nil
 }
 
@@ -319,25 +293,11 @@ func (f *FaultFS) Create(name string) (File, error) {
 	return &faultHandle{fs: f, inner: h}, nil
 }
 
-func (f *FaultFS) Rename(oldname, newname string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.mem.Rename(oldname, newname)
-}
-
 func (f *FaultFS) Truncate(name string, size int64) error {
 	if err := f.check(); err != nil {
 		return err
 	}
 	return f.mem.Truncate(name, size)
-}
-
-func (f *FaultFS) Remove(name string) error {
-	if err := f.check(); err != nil {
-		return err
-	}
-	return f.mem.Remove(name)
 }
 
 func (f *FaultFS) SyncDir(dir string) error {

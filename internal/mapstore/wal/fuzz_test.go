@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -11,12 +12,13 @@ import (
 // FuzzReplayWAL mirrors FuzzDecodeMapDocument for the durability layer:
 // arbitrary journal bytes must never panic the scanner or Open — they
 // either replay a valid prefix of epochs or fail with one of the typed
-// errors, and the valid prefix always re-scans cleanly (the torn-tail
-// repair invariant).
+// errors, the valid prefix always re-scans cleanly (the torn-tail repair
+// invariant), and an Open refused for a checksum mismatch mid-journal
+// leaves the file as it found it.
 func FuzzReplayWAL(f *testing.F) {
 	// Seed corpus: a real journal, its truncations, and corruptions.
 	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		f.Fatalf("Open: %v", err)
 	}
@@ -36,6 +38,9 @@ func FuzzReplayWAL(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-3] ^= 0x40
 	f.Add(flipped)
+	mid := bytes.Clone(good)
+	mid[len(mid)/2] ^= 0x40 // inside record 2 of 3: refused, not truncated
+	f.Add(mid)
 	f.Add([]byte{})
 	f.Add([]byte("ITWL"))
 	f.Add([]byte("not a journal at all"))
@@ -64,11 +69,14 @@ func FuzzReplayWAL(f *testing.F) {
 		fs := NewMemFS()
 		h, _ := fs.Create("wal/journal.itwl")
 		_, _ = h.Write(data)
-		w, rec, err := Open(Options{Dir: "wal", FS: fs, CompactEvery: -1})
+		w, rec, err := Open(Options{Dir: "wal", FS: fs})
 		obs.Swap(obs.NewSet())
 		if err != nil {
-			if !errors.Is(err, ErrBadHeader) && !errors.Is(err, ErrBadRecord) {
+			if !errors.Is(err, ErrBadHeader) && !errors.Is(err, ErrBadRecord) && !errors.Is(err, ErrBadChecksum) {
 				t.Fatalf("Open: untyped error: %v", err)
+			}
+			if after, _ := fs.ReadFile("wal/journal.itwl"); errors.Is(err, ErrBadChecksum) && !bytes.Equal(after, data) {
+				t.Fatalf("Open refused with %v but changed the journal", err)
 			}
 			return
 		}

@@ -1,27 +1,30 @@
-// Package wal is the map store's durability layer: an append-only journal
+// Package wal is the map store's durability layer: one append-only journal
 // of ITMB-encoded epochs with CRC-checksummed, length-prefixed records,
-// fsync-on-append, torn-tail repair, and atomic snapshot compaction.
+// fsync-on-append, and torn-tail repair.
 //
-// On-disk layout (two files under one directory, same record stream format):
+// On-disk layout (one directory):
 //
-//	snapshot.itwl   compacted prefix, replaced atomically (write temp + rename)
-//	journal.itwl    records appended since the last compaction
+//	journal.itwl    every epoch, in ID order; the only file ever written
+//	snapshot.itwl   left by older binaries, which compacted the journal's
+//	                head into it; replayed before the journal, never touched
 //
-// File format:
+// File format (both files):
 //
 //	header    magic "ITWL" | format version (1)
 //	record    u32 LE payload length | u32 LE CRC-32C of payload | payload
 //	payload   uvarint epoch ID | u64 LE simtime bits | epoch bytes (opaque here:
 //	          the ITMB map document, then the ITMB mesh document if any)
 //
-// Recovery replays snapshot then journal. A crash mid-append leaves a torn
-// record at the journal's tail; replay detects it (short header, short
-// payload, or checksum mismatch at the cut) and truncates the file back to
-// the last whole record — every fully-fsynced epoch survives, the torn one
-// never existed. Journal records whose epoch ID is already covered by the
-// snapshot are skipped, which makes the compaction sequence crash-safe at
-// every intermediate step: the rename is atomic, and a stale journal tail
-// is inert.
+// Recovery replays the journal (after a legacy snapshot, if one exists). A
+// crash mid-append leaves a torn record at the journal's tail; replay
+// detects it (short header, short payload, or checksum mismatch at the cut)
+// and truncates the file back to the last whole record — every
+// fully-fsynced epoch survives, the torn one never existed. A checksum
+// mismatch with bytes after the record's end is not a torn write, since
+// nothing is appended past an unacknowledged record: it is damage, and Open
+// refuses it rather than cut acknowledged epochs off. Journal records whose
+// epoch ID a legacy snapshot already covers are skipped (the tail an older
+// binary's compaction could crash before truncating).
 //
 // The payload bytes are exactly the store's canonical epoch encodings, so a
 // recovered store adopts them and serves byte-identical epochs and ETags
@@ -154,23 +157,12 @@ type Options struct {
 	Dir string
 	// FS overrides the file system (nil = real files).
 	FS FS
-	// CompactEvery folds the journal into a fresh snapshot once it holds
-	// this many records (0 = default 64, negative = never compact).
-	CompactEvery int
 }
-
-// DefaultCompactEvery is the journal length that triggers compaction when
-// Options.CompactEvery is zero.
-const DefaultCompactEvery = 64
 
 // Recovery reports what Open found.
 type Recovery struct {
-	// Records is the full recovered epoch sequence, snapshot then journal.
+	// Records is the full recovered epoch sequence, in ID order.
 	Records []Record
-	// SnapshotRecords and JournalRecords split Records by origin (journal
-	// records shadowed by the snapshot count for neither).
-	SnapshotRecords int
-	JournalRecords  int
 	// TruncatedBytes is how many torn-tail bytes replay cut off the
 	// journal (0 after a clean shutdown).
 	TruncatedBytes int64
@@ -180,21 +172,14 @@ type Recovery struct {
 // write path (the store's append mutex); the WAL adds its own lock so
 // misuse degrades to blocking, not corruption.
 type WAL struct {
-	fs           FS
-	dir          string
-	snapPath     string
-	journalPath  string
-	compactEvery int
+	fs          FS
+	journalPath string
 
 	mu sync.Mutex
 	//itm:guardedby mu
 	journal File
 	//itm:guardedby mu
 	journalSize int64 // bytes known good (header + whole records)
-	//itm:guardedby mu
-	journalRecords int
-	//itm:guardedby mu
-	records []Record // every live epoch, for compaction
 	//itm:guardedby mu
 	nextID int
 	//itm:guardedby mu
@@ -214,8 +199,7 @@ var (
 	appendsTotal = obs.NewCounter("itm_wal_appends_total", "Epoch records appended (and fsynced) to the journal.")
 	appendBytes  = obs.NewCounter("itm_wal_append_bytes_total",
 		"Bytes appended to the journal, record framing included.")
-	compactions = obs.NewCounter("itm_wal_compactions_total", "Journal-into-snapshot compactions completed.")
-	repairs     = obs.NewCounter("itm_wal_repairs_total",
+	repairs = obs.NewCounter("itm_wal_repairs_total",
 		"Failed appends rolled back by truncating the journal to the last good record.")
 	truncatedBytes = obs.NewCounter("itm_wal_truncated_bytes_total",
 		"Torn-tail bytes cut from the journal during replay.")
@@ -225,50 +209,37 @@ var (
 	ReplayedEpochs = obs.NewCounter("itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.")
 )
 
-// Open replays the WAL under dir (snapshot, then journal), repairs a torn
-// journal tail by truncating to the last whole record, and returns the WAL
-// ready for appends plus what it recovered. A corrupt snapshot is fatal —
-// snapshots are written atomically, so damage there is not a crash
-// artifact.
+// Open replays the WAL under dir (a legacy snapshot, then the journal),
+// repairs a torn journal tail by truncating to the last whole record, and
+// returns the WAL ready for appends plus what it recovered. Damage that is
+// not a torn tail is fatal and leaves the files as they were: a legacy
+// snapshot that does not parse completely, a foreign journal, or a record
+// failing its checksum with bytes after it.
 func Open(opts Options) (*WAL, *Recovery, error) {
-	obs.Declare(appendsTotal, appendBytes, compactions, repairs, ReplayedEpochs, truncatedBytes)
+	obs.Declare(appendsTotal, appendBytes, repairs, ReplayedEpochs, truncatedBytes)
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OSFS{}
 	}
-	compact := opts.CompactEvery
-	if compact == 0 {
-		compact = DefaultCompactEvery
-	}
-	w := &WAL{
-		fs:           fsys,
-		dir:          opts.Dir,
-		snapPath:     path(opts.Dir, "snapshot.itwl"),
-		journalPath:  path(opts.Dir, "journal.itwl"),
-		compactEvery: compact,
-	}
+	w := &WAL{fs: fsys, journalPath: path(opts.Dir, "journal.itwl")}
 	if err := fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	// A temp snapshot left by a crash mid-compaction is garbage by
-	// construction (the rename never happened).
-	_ = fsys.Remove(w.snapPath + ".tmp")
-
 	rec := &Recovery{}
 
-	// Snapshot: must parse completely or not exist.
-	if data, err := fsys.ReadFile(w.snapPath); err == nil {
+	// Legacy snapshot: must parse completely or not exist.
+	snapPath := path(opts.Dir, "snapshot.itwl")
+	if data, err := fsys.ReadFile(snapPath); err == nil {
 		recs, _, serr := ScanRecords(data)
 		if serr != nil {
-			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", w.snapPath, serr)
+			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snapPath, serr)
 		}
 		for i, r := range recs {
 			if r.ID != i {
-				return nil, nil, fmt.Errorf("wal: snapshot %s: epoch %d at position %d: %w", w.snapPath, r.ID, i, ErrBadRecord)
+				return nil, nil, fmt.Errorf("wal: snapshot %s: epoch %d at position %d: %w", snapPath, r.ID, i, ErrBadRecord)
 			}
 		}
-		w.records = recs
-		rec.SnapshotRecords = len(recs)
+		rec.Records = recs
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
@@ -282,11 +253,15 @@ func Open(opts Options) (*WAL, *Recovery, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	jrecs, valid, serr := ScanRecords(jdata)
-	if serr != nil {
-		if errors.Is(serr, ErrBadHeader) {
-			// Not a WAL journal at all: refuse to repair over foreign data.
-			return nil, nil, fmt.Errorf("wal: journal %s: %w", w.journalPath, serr)
-		}
+	switch {
+	case errors.Is(serr, ErrBadHeader):
+		// Not a WAL journal at all: refuse to repair over foreign data.
+		return nil, nil, fmt.Errorf("wal: journal %s: %w", w.journalPath, serr)
+	case errors.Is(serr, ErrBadChecksum) && valid+recordHeaderSize+int(binary.LittleEndian.Uint32(jdata[valid:])) < len(jdata):
+		// A torn write is the file's last bytes; this record has more after
+		// it, so truncating here would cut acknowledged epochs.
+		return nil, nil, fmt.Errorf("wal: journal %s: record at byte %d: %w", w.journalPath, valid, serr)
+	case serr != nil:
 		rec.TruncatedBytes = int64(len(jdata) - valid)
 		if err := fsys.Truncate(w.journalPath, int64(valid)); err != nil {
 			return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
@@ -295,44 +270,35 @@ func Open(opts Options) (*WAL, *Recovery, error) {
 	}
 	w.journalSize = int64(valid)
 	for _, r := range jrecs {
-		if r.ID < len(w.records) {
-			// Stale pre-compaction tail, already covered by the snapshot.
+		if r.ID < len(rec.Records) {
+			// Stale tail of an older binary's compaction, covered by the snapshot.
 			continue
 		}
-		if r.ID != len(w.records) {
+		if r.ID != len(rec.Records) {
 			return nil, nil, fmt.Errorf("wal: journal %s: epoch %d after %d epochs: %w",
-				w.journalPath, r.ID, len(w.records), ErrBadRecord)
+				w.journalPath, r.ID, len(rec.Records), ErrBadRecord)
 		}
-		w.records = append(w.records, r)
-		rec.JournalRecords++
-		w.journalRecords++
+		rec.Records = append(rec.Records, r)
 	}
-	w.nextID = len(w.records)
-	rec.Records = w.records
+	w.nextID = len(rec.Records)
 
-	if err := w.openJournal(valid < headerSize); err != nil {
+	if err := w.openJournal(); err != nil {
 		return nil, nil, err
 	}
 	return w, rec, nil
 }
 
-// openJournal (re)opens the append handle, writing the file header when the
-// journal is empty (or was truncated below a whole header). The caller
-// guarantees exclusive access: Open owns the still-unshared WAL.
+// openJournal opens the append handle, first writing the file header when
+// the journal is empty (absent, or truncated below a whole header). The
+// caller guarantees exclusive access: Open owns the still-unshared WAL.
 //
 //itm:locked mu
-func (w *WAL) openJournal(needHeader bool) error {
-	if needHeader && w.journalSize < int64(headerSize) {
-		// A torn header was truncated to < headerSize; start the file over.
-		if w.journalSize > 0 {
-			if err := w.fs.Truncate(w.journalPath, 0); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-		}
-		f, err := w.fs.OpenAppend(w.journalPath)
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
+func (w *WAL) openJournal() error {
+	f, err := w.fs.OpenAppend(w.journalPath)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if w.journalSize == 0 {
 		hdr := append(append([]byte(nil), Magic[:]...), FormatVersion)
 		if _, err := f.Write(hdr); err != nil {
 			_ = f.Close()
@@ -342,13 +308,7 @@ func (w *WAL) openJournal(needHeader bool) error {
 			_ = f.Close()
 			return fmt.Errorf("wal: %w", err)
 		}
-		w.journal = f
 		w.journalSize = int64(headerSize)
-		return nil
-	}
-	f, err := w.fs.OpenAppend(w.journalPath)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
 	}
 	w.journal = f
 	return nil
@@ -360,7 +320,7 @@ func (w *WAL) openJournal(needHeader bool) error {
 func (w *WAL) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.records)
+	return w.nextID
 }
 
 // Append journals one epoch's canonical encoding and fsyncs before
@@ -375,8 +335,7 @@ func (w *WAL) Append(at simtime.Time, payload []byte) error {
 	if w.failed != nil {
 		return w.failed
 	}
-	rec := Record{ID: w.nextID, At: at, Payload: payload}
-	buf := appendRecord(nil, rec)
+	buf := appendRecord(nil, Record{ID: w.nextID, At: at, Payload: payload})
 	if _, err := w.journal.Write(buf); err != nil {
 		return w.rollback(err)
 	}
@@ -384,16 +343,9 @@ func (w *WAL) Append(at simtime.Time, payload []byte) error {
 		return w.rollback(err)
 	}
 	w.journalSize += int64(len(buf))
-	w.journalRecords++
-	w.records = append(w.records, rec)
 	w.nextID++
 	appendsTotal.Inc()
 	appendBytes.Add(uint64(len(buf)))
-	if w.compactEvery > 0 && w.journalRecords >= w.compactEvery {
-		// Compaction failure is not data loss — the journal still holds
-		// everything — so it degrades to a longer journal, not an error.
-		_ = w.compactLocked()
-	}
 	return nil
 }
 
@@ -419,61 +371,8 @@ func (w *WAL) rollback(cause error) error {
 	return fmt.Errorf("wal: append: %w", cause)
 }
 
-//itm:locked mu
-func (w *WAL) compactLocked() error {
-	tmp := w.snapPath + ".tmp"
-	f, err := w.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	buf := append(append([]byte(nil), Magic[:]...), FormatVersion)
-	for _, r := range w.records {
-		buf = appendRecord(buf, r)
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := w.fs.Rename(tmp, w.snapPath); err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		return fmt.Errorf("wal: compact: %w", err)
-	}
-	// The snapshot now covers everything; reset the journal to bare header.
-	_ = w.journal.Close()
-	if err := w.fs.Truncate(w.journalPath, int64(headerSize)); err != nil {
-		// Snapshot landed; a stale journal only costs replay skips. Reopen
-		// and carry on appending after the stale tail.
-		f, ferr := w.fs.OpenAppend(w.journalPath)
-		if ferr != nil {
-			w.failed = fmt.Errorf("wal: compact: journal reopen: %w", ferr)
-			return w.failed
-		}
-		w.journal = f
-		return fmt.Errorf("wal: compact: journal reset: %w", err)
-	}
-	f2, err := w.fs.OpenAppend(w.journalPath)
-	if err != nil {
-		w.failed = fmt.Errorf("wal: compact: journal reopen: %w", err)
-		return w.failed
-	}
-	w.journal = f2
-	w.journalSize = int64(headerSize)
-	w.journalRecords = 0
-	compactions.Inc()
-	return nil
-}
-
 // Close fsyncs and closes the journal. The WAL accepts no appends
-// afterwards; the files always end on a record boundary.
+// afterwards; the file always ends on a record boundary.
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

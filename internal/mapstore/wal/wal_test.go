@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -9,13 +10,6 @@ import (
 	"itmap/internal/obs"
 	"itmap/internal/simtime"
 )
-
-// compact forces the compaction Append runs every CompactEvery records.
-func compact(w *WAL) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.compactLocked()
-}
 
 func testPayload(i int) []byte {
 	return []byte(fmt.Sprintf("epoch-%d canonical bytes %032d", i, i*i))
@@ -53,7 +47,7 @@ func wantRecords(t *testing.T, recs []Record, n int) {
 func TestAppendReopenRoundtrip(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	mem := NewMemFS()
-	w, rec, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, rec, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -68,7 +62,7 @@ func TestAppendReopenRoundtrip(t *testing.T) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
 
-	w2, rec2, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w2, rec2, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -76,14 +70,11 @@ func TestAppendReopenRoundtrip(t *testing.T) {
 	if rec2.TruncatedBytes != 0 {
 		t.Fatalf("clean reopen truncated %d bytes", rec2.TruncatedBytes)
 	}
-	if rec2.JournalRecords != 7 || rec2.SnapshotRecords != 0 {
-		t.Fatalf("recovery split = %+v", rec2)
-	}
 	// The reopened WAL keeps appending where the first left off.
 	if err := w2.Append(simtime.Time(7), testPayload(7)); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
-	_, rec3, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	_, rec3, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
@@ -93,7 +84,7 @@ func TestAppendReopenRoundtrip(t *testing.T) {
 func TestTornTailTruncatedOnReplay(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -111,7 +102,7 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 		t.Fatalf("write junk: %v", err)
 	}
 
-	_, rec, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	_, rec, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen over torn tail: %v", err)
 	}
@@ -120,7 +111,7 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 		t.Fatalf("TruncatedBytes = %d, want %d", rec.TruncatedBytes, len(torn))
 	}
 	// The repair is durable: a second replay sees a clean journal.
-	_, rec2, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	_, rec2, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}
@@ -133,7 +124,7 @@ func TestTornTailTruncatedOnReplay(t *testing.T) {
 func TestTornRecordMidPayloadTruncated(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -148,7 +139,7 @@ func TestTornRecordMidPayloadTruncated(t *testing.T) {
 		t.Fatalf("Truncate: %v", err)
 	}
 
-	_, rec, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	_, rec, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -158,96 +149,103 @@ func TestTornRecordMidPayloadTruncated(t *testing.T) {
 	}
 }
 
-func TestCompactionAndReplay(t *testing.T) {
-	defer obs.Swap(obs.NewSet())
-	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: 3})
+// plant writes a file the way an older binary or a damaged disk left it.
+func plant(t *testing.T, mem *MemFS, name string, data []byte) {
+	t.Helper()
+	h, err := mem.Create(name)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
+		t.Fatalf("Create %s: %v", name, err)
 	}
-	appendN(t, w, 10) // compacts at 3, 6, 9; one record left in the journal
-	if jr := w.journalRecords; jr != 1 {
-		t.Fatalf("journal holds %d records after auto-compaction, want 1", jr)
-	}
-	if w.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", w.Len())
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	snap, err := mem.ReadFile("wal/snapshot.itwl")
-	if err != nil {
-		t.Fatalf("snapshot missing after compaction: %v", err)
-	}
-	srecs, _, serr := ScanRecords(snap)
-	if serr != nil || len(srecs) != 9 {
-		t.Fatalf("snapshot scan: %d records, err %v; want 9, nil", len(srecs), serr)
-	}
-
-	_, rec, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: 3})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	wantRecords(t, rec.Records, 10)
-	if rec.SnapshotRecords != 9 || rec.JournalRecords != 1 {
-		t.Fatalf("recovery split %+v, want 9 snapshot + 1 journal", rec)
+	if _, err := h.Write(data); err != nil {
+		t.Fatalf("write %s: %v", name, err)
 	}
 }
 
-// TestStaleJournalSkippedAfterCompactionCrash covers the one compaction
-// crash window a byte-count fault can't reach: the snapshot rename landed
-// but the journal truncate did not, so the journal still holds records the
-// snapshot already covers. Replay must skip them by epoch ID.
-func TestStaleJournalSkippedAfterCompactionCrash(t *testing.T) {
-	defer obs.Swap(obs.NewSet())
+// journalOf returns the journal a fresh WAL leaves after n test appends, and
+// the offset each of its records starts at.
+func journalOf(t *testing.T, n int) ([]byte, []int) {
+	t.Helper()
 	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	appendN(t, w, 5)
+	appendN(t, w, n)
 	_ = w.Close()
-	journal, err := mem.ReadFile("wal/journal.itwl")
+	data, err := mem.ReadFile("wal/journal.itwl")
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
+	var starts []int
+	for off := headerSize; off < len(data); off += recordHeaderSize + int(binary.LittleEndian.Uint32(data[off:])) {
+		starts = append(starts, off)
+	}
+	return data, starts
+}
 
-	// Compact (via a fresh handle), then restore the pre-compaction journal
-	// bytes to fake the crash-before-truncate state.
-	w2, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
+// TestMidJournalCorruptionIsFatal: a record failing its checksum with bytes
+// after it cannot be a torn write — the next append starts only after this
+// one's fsync, and a failed append is rolled back — so Open refuses it and
+// leaves the journal alone instead of cutting the acknowledged epochs after
+// it. The same damage in the last record is a torn tail and is cut.
+func TestMidJournalCorruptionIsFatal(t *testing.T) {
+	defer obs.Swap(obs.NewSet())
+	good, starts := journalOf(t, 5)
+	for _, tc := range []struct {
+		record int // 1-based
+		want   error
+		keep   int
+	}{{2, ErrBadChecksum, 0}, {5, nil, 4}} {
+		mem := NewMemFS()
+		bad := bytes.Clone(good)
+		bad[starts[tc.record-1]+recordHeaderSize+3] ^= 0x01
+		plant(t, mem, "wal/journal.itwl", bad)
+		_, rec, err := Open(Options{Dir: "wal", FS: mem})
+		after, _ := mem.ReadFile("wal/journal.itwl")
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("record %d of 5 flipped: Open = %v, want %v", tc.record, err, tc.want)
+		}
+		if tc.want != nil {
+			if !bytes.Equal(after, bad) {
+				t.Fatalf("record %d of 5 flipped: refused Open changed the journal (%d → %d bytes)", tc.record, len(bad), len(after))
+			}
+			continue
+		}
+		wantRecords(t, rec.Records, tc.keep)
+		if rec.TruncatedBytes != int64(len(good)-starts[tc.keep]) || len(after) != starts[tc.keep] {
+			t.Fatalf("record %d of 5 flipped: truncated %d bytes to %d, want the last record cut", tc.record, rec.TruncatedBytes, len(after))
+		}
 	}
-	if err := compact(w2); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	_ = w2.Close()
-	h, err := mem.Create("wal/journal.itwl")
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if _, err := h.Write(journal); err != nil {
-		t.Fatalf("restore journal: %v", err)
-	}
+}
 
-	w3, rec, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+// TestStaleJournalSkippedAfterCompactionCrash covers the directory an older
+// binary left when it crashed mid-compaction: the snapshot rename landed
+// but the journal truncate did not, so the journal still holds records the
+// snapshot already covers. Replay must skip them by epoch ID, append after
+// them, and never touch the snapshot.
+func TestStaleJournalSkippedAfterCompactionCrash(t *testing.T) {
+	defer obs.Swap(obs.NewSet())
+	journal, _ := journalOf(t, 5)
+	mem := NewMemFS()
+	plant(t, mem, "wal/snapshot.itwl", journal)
+	plant(t, mem, "wal/journal.itwl", journal)
+
+	w, rec, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("open with stale journal: %v", err)
 	}
 	wantRecords(t, rec.Records, 5)
-	if rec.SnapshotRecords != 5 || rec.JournalRecords != 0 {
-		t.Fatalf("recovery split %+v, want all 5 from snapshot, 0 live journal", rec)
-	}
-	// Appending continues after the stale tail without colliding.
-	if err := w3.Append(simtime.Time(5), testPayload(5)); err != nil {
+	if err := w.Append(simtime.Time(5), testPayload(5)); err != nil {
 		t.Fatalf("append after stale-tail recovery: %v", err)
 	}
-	_, rec2, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	_, rec2, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("final open: %v", err)
 	}
 	wantRecords(t, rec2.Records, 6)
+	if snap, _ := mem.ReadFile("wal/snapshot.itwl"); !bytes.Equal(snap, journal) {
+		t.Fatal("appending changed the legacy snapshot")
+	}
 }
 
 func TestFailedFsyncRollsBackAndRetries(t *testing.T) {
@@ -255,7 +253,7 @@ func TestFailedFsyncRollsBackAndRetries(t *testing.T) {
 	mem := NewMemFS()
 	// Sync #1 is the journal header at Open; fail sync #2 (first append).
 	ffs := NewFaultFS(mem, FaultPlan{FailSyncEvery: 2})
-	w, _, err := Open(Options{Dir: "wal", FS: ffs, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: ffs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -269,7 +267,7 @@ func TestFailedFsyncRollsBackAndRetries(t *testing.T) {
 	}
 	_ = w.Close()
 
-	_, rec, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	_, rec, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -281,7 +279,7 @@ func TestShortWriteRollsBackAndRetries(t *testing.T) {
 	mem := NewMemFS()
 	// Write #1 is the journal header; cut write #2 (first append) in half.
 	ffs := NewFaultFS(mem, FaultPlan{ShortWriteEvery: 2})
-	w, _, err := Open(Options{Dir: "wal", FS: ffs, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: ffs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -307,7 +305,7 @@ func TestShortWriteRollsBackAndRetries(t *testing.T) {
 func TestCloseEndsOnRecordBoundary(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -331,25 +329,14 @@ func TestCloseEndsOnRecordBoundary(t *testing.T) {
 
 func TestCorruptSnapshotIsFatal(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
+	// Flip a payload byte inside a legacy snapshot: checksum mismatch, and
+	// since snapshots were written atomically this is damage, not a crash
+	// artifact.
+	snap, _ := journalOf(t, 4)
+	snap[len(snap)-2] ^= 0xFF
 	mem := NewMemFS()
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	appendN(t, w, 4)
-	if err := compact(w); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	_ = w.Close()
-	// Flip a payload byte inside the snapshot: checksum mismatch, and since
-	// snapshots are written atomically this is damage, not a crash artifact.
-	data, _ := mem.ReadFile("wal/snapshot.itwl")
-	h, _ := mem.Create("wal/snapshot.itwl")
-	data[len(data)-2] ^= 0xFF
-	if _, err := h.Write(data); err != nil {
-		t.Fatalf("write corrupted snapshot: %v", err)
-	}
-	if _, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1}); !errors.Is(err, ErrBadChecksum) {
+	plant(t, mem, "wal/snapshot.itwl", snap)
+	if _, _, err := Open(Options{Dir: "wal", FS: mem}); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("Open over corrupt snapshot = %v, want ErrBadChecksum", err)
 	}
 }
@@ -357,11 +344,8 @@ func TestCorruptSnapshotIsFatal(t *testing.T) {
 func TestForeignJournalIsFatal(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	mem := NewMemFS()
-	h, _ := mem.Create("wal/journal.itwl")
-	if _, err := h.Write([]byte("definitely not a WAL file, more than five bytes")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1}); !errors.Is(err, ErrBadHeader) {
+	plant(t, mem, "wal/journal.itwl", []byte("definitely not a WAL file, more than five bytes"))
+	if _, _, err := Open(Options{Dir: "wal", FS: mem}); !errors.Is(err, ErrBadHeader) {
 		t.Fatalf("Open over foreign journal = %v, want ErrBadHeader", err)
 	}
 }
@@ -369,7 +353,7 @@ func TestForeignJournalIsFatal(t *testing.T) {
 func TestScanRecordsValidPrefixProperty(t *testing.T) {
 	mem := NewMemFS()
 	defer obs.Swap(obs.NewSet())
-	w, _, err := Open(Options{Dir: "wal", FS: mem, CompactEvery: -1})
+	w, _, err := Open(Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

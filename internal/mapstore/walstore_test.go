@@ -87,8 +87,8 @@ func stripWALLines(exposition string) string {
 }
 
 // TestETagIdentityAcrossRecovery extends the PR 6 ETag-identity contract
-// over a crash: a store rebuilt from the WAL (snapshot plus journal, with a
-// torn tail to repair) serves byte-identical bodies, identical strong ETags,
+// over a crash: a store rebuilt from the WAL (a journal with a torn tail to
+// repair) serves byte-identical bodies, identical strong ETags,
 // honors them with 304s, and reproduces the same stable metric exposition
 // as the pre-crash process under the same request mix. The epochs carry a
 // mixed mesh history — fresh, identical (shared), absent, changed — so both
@@ -103,7 +103,7 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 
 	// --- original process: journal four epochs, serve, then "crash".
 	obs.Swap(obs.NewSet())
-	w1, _, err := wal.Open(wal.Options{Dir: "wal", FS: mem, CompactEvery: 2})
+	w1, _, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 
 	// --- recovered process: fresh obs, fresh store, same WAL dir.
 	obs.Swap(obs.NewSet())
-	w2, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem, CompactEvery: 2})
+	w2, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 	if err != nil {
 		t.Fatalf("recovery Open: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestJournalFailureBlocksPublish(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	// Sync #1 is the journal header; sync #2 (the first epoch) fails.
 	ffs := wal.NewFaultFS(wal.NewMemFS(), wal.FaultPlan{FailSyncEvery: 2})
-	w, _, err := wal.Open(wal.Options{Dir: "wal", FS: ffs, CompactEvery: -1})
+	w, _, err := wal.Open(wal.Options{Dir: "wal", FS: ffs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 // retried with capped exponential backoff (re-rolling per-packet faults and
 // sliding out of ban windows and outages), each PoP sits behind a circuit
 // breaker so a dead PoP stops burning probes, a token-bucket pacer keeps
-// each source under its schedule.Campaign.QPSPerProber budget, and the
+// each source under its QPS budget (the pacer's qps), and the
 // target set is split across Shards independent sources so one ban never
 // stalls the whole campaign.
 //
@@ -36,7 +36,7 @@ type ResilientProber struct {
 	// Breaker configures the per-PoP circuit breakers.
 	Breaker resilience.BreakerConfig
 	// QPS is each source's token-bucket budget in queries per simulated
-	// second (schedule.Campaign.QPSPerProber). 0 disables pacing.
+	// second, the pacer's qps. 0 disables pacing.
 	QPS float64
 	// Burst is the pacer burst size (default 10).
 	Burst int

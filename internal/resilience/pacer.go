@@ -3,10 +3,9 @@ package resilience
 import "itmap/internal/simtime"
 
 // Pacer is a token-bucket rate limiter over simulated time: the client-side
-// discipline that keeps one probing source under its
-// schedule.Campaign.QPSPerProber budget so the server-side limiter never
-// trips on a well-behaved prober. Not safe for concurrent use — one pacer
-// per probing source (shard).
+// discipline that keeps one probing source under its qps budget so the
+// server-side limiter never trips on a well-behaved prober. Not safe for
+// concurrent use — one pacer per probing source (shard).
 type Pacer struct {
 	qps    float64
 	burst  float64

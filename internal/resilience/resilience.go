@@ -2,7 +2,7 @@
 // probers need against an unreliable substrate: capped exponential backoff
 // with deterministic jitter, a bounded retry loop, a per-dependency circuit
 // breaker, and a token-bucket pacer that keeps a source under its
-// schedule.Campaign.QPSPerProber budget. Everything is parameterized by
+// queries-per-second budget (Pacer's qps). Everything is parameterized by
 // simulated time so campaigns stay reproducible; AsDuration and DoSleep
 // bridge to wall-clock clients like cmd/itm-probe.
 package resilience
