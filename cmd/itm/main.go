@@ -108,7 +108,7 @@ func runSummary(inet *itm.Internet) error {
 func runMap(inet *itm.Internet) error {
 	m := itm.BuildMap(inet)
 	fmt.Printf("map: %d active prefixes, %d ASes with activity signals\n",
-		len(m.Users.ActivePrefixes), len(m.Users.Sources))
+		len(m.ActivePrefixes), len(m.Sources))
 	v := itm.ValidateMap(inet, m)
 	fmt.Printf("validation vs ground truth (reference-CDN logs):\n")
 	fmt.Printf("  traffic in discovered prefixes:   %5.1f%%  (paper: 95%%)\n", v.PrefixTrafficRecall*100)
@@ -132,7 +132,7 @@ func runActivity(inet *itm.Internet, args []string) error {
 		act float64
 	}
 	var rows []row
-	for asn, act := range m.Users.ASActivity {
+	for asn, act := range m.ASActivity {
 		rows = append(rows, row{asn, act})
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -17,11 +17,10 @@ func main() {
 
 	// Build the map. Under the hood this runs the paper's techniques:
 	// ECS cache probing against the public resolver, root-DNS-log
-	// crawling, Internet-wide TLS scans, ECS user→host mapping, and a
-	// route-collector topology.
+	// crawling, Internet-wide TLS scans and ECS user→host mapping.
 	tmap := itm.BuildMap(inet)
 	fmt.Printf("traffic map: %d active /24s, %d ASes with activity estimates\n",
-		len(tmap.Users.ActivePrefixes), len(tmap.Users.ASActivity))
+		len(tmap.ActivePrefixes), len(tmap.ASActivity))
 
 	// The simulator knows the truth, so the map can be scored — the
 	// validation Microsoft's CDN logs provide in the paper.

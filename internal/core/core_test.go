@@ -30,8 +30,6 @@ func buildFullMap(t testing.TB, seed int64) (*world.World, *TrafficMap) {
 	}
 	crawl := rootlogs.CrawlDay(w.Roots, w.Traffic, 0)
 	scan := tlsscan.ScanAll(w.Top, w.Cat, w.Top.AllPrefixes())
-	col := &bgp.Collector{Peers: bgp.DefaultCollectorPeers(w.Top, randx.New(seed))}
-	observed := w.Top.SubgraphWithLinks(col.ObservedLinks(w.Paths))
 	m := BuildMap(BuildInputs{
 		Top:                 w.Top,
 		Discovery:           disc,
@@ -42,7 +40,6 @@ func buildFullMap(t testing.TB, seed int64) (*world.World, *TrafficMap) {
 		Auth:                w.Auth,
 		PR:                  w.PR,
 		MapDomains:          w.Cat.ECSDomains()[:5],
-		Observed:            observed,
 	})
 	return w, m
 }
@@ -51,7 +48,7 @@ func TestMapValidationMatchesPaperShape(t *testing.T) {
 	w, m := buildFullMap(t, 1)
 	mx := w.Traffic.BuildMatrix()
 	est := apnic.Estimate(w.Top, w.Users, apnic.DefaultConfig(), randx.New(2))
-	v := ValidateUsers(m, mx, est)
+	v := ValidateUsers(m.Document(), mx, est)
 
 	// The §3.1.2 headline shapes (paper: 95%, 60%, 99%, <1%, 98%).
 	if v.PrefixTrafficRecall < 0.85 {
@@ -80,7 +77,7 @@ func TestMapValidationMatchesPaperShape(t *testing.T) {
 func TestMapCombinesSources(t *testing.T) {
 	_, m := buildFullMap(t, 2)
 	both, cacheOnly, rootOnly := 0, 0, 0
-	for _, src := range m.Users.Sources {
+	for _, src := range m.Sources {
 		switch {
 		case src == FromCacheProbe|FromRootLogs:
 			both++
@@ -97,10 +94,10 @@ func TestMapCombinesSources(t *testing.T) {
 		t.Fatal("empty map")
 	}
 	// Activity estimates exist for ASes with signals.
-	if len(m.Users.ASActivity) == 0 {
+	if len(m.ASActivity) == 0 {
 		t.Fatal("no activity estimates")
 	}
-	for asn, v := range m.Users.ASActivity {
+	for asn, v := range m.ASActivity {
 		if v <= 0 {
 			t.Fatalf("non-positive activity for AS %d", asn)
 		}
@@ -109,10 +106,10 @@ func TestMapCombinesSources(t *testing.T) {
 
 func TestMappingAgreement(t *testing.T) {
 	w, m := buildFullMap(t, 3)
-	if len(m.Services.Mapping) == 0 {
+	if len(m.Mappings) == 0 {
 		t.Fatal("no mappings measured")
 	}
-	val := ValidateMapping(m, w.Traffic)
+	val := ValidateMapping(m.Document(), w.Traffic)
 	if val.Checked == 0 {
 		t.Fatal("no mappings validated")
 	}
@@ -169,7 +166,7 @@ func TestCountryImpact(t *testing.T) {
 	w, m := buildFullMap(t, 5)
 	total := 0.0
 	seen := map[string]bool{}
-	for _, asn := range order.Keys(m.Users.Sources) {
+	for _, asn := range order.Keys(m.Sources) {
 		a := w.Top.ASes[asn]
 		if a.Country != "ZZ" {
 			seen[a.Country] = true
@@ -187,23 +184,21 @@ func TestCountryImpact(t *testing.T) {
 	}
 }
 
-func TestRoutesComponentPrediction(t *testing.T) {
-	w, m := buildFullMap(t, 6)
-	// Prediction on the observed graph should succeed for some pairs and
-	// fail for pairs relying on invisible peerings.
-	hg := w.Top.ASesOfType(topology.Hypergiant)[0]
-	okCount, failCount := 0, 0
+// TestPredictionOnObservedView: routes predicted on the public view the
+// collectors export reach some eyeballs from a hypergiant. Pairs relying on
+// invisible peerings fail, but a tiny world may have none; E4 tests that
+// shape.
+func TestPredictionOnObservedView(t *testing.T) {
+	w := world.Build(world.Tiny(6))
+	col := &bgp.Collector{Peers: bgp.DefaultCollectorPeers(w.Top, randx.New(6))}
+	observed := w.Top.SubgraphWithLinks(col.ObservedLinks(w.Paths))
+	rib := bgp.ComputeRIB(observed, w.Top.ASesOfType(topology.Hypergiant)[0])
 	for _, e := range w.Top.ASesOfType(topology.Eyeball) {
-		if p := bgp.ComputeRIB(m.Routes.Observed, hg).PathFrom(e); p != nil {
-			okCount++
-		} else {
-			failCount++
+		if rib.PathFrom(e) != nil {
+			return
 		}
 	}
-	if okCount == 0 {
-		t.Error("no path predicted at all")
-	}
-	_ = failCount // may be zero in tiny worlds; E4 tests the real shape
+	t.Error("no path predicted at all")
 }
 
 func TestCoverageSummary(t *testing.T) {
@@ -215,7 +210,7 @@ func TestCoverageSummary(t *testing.T) {
 		}
 	}
 	asesFound := 0
-	for asn := range m.Users.Sources {
+	for asn := range m.Sources {
 		if userASes[asn] {
 			asesFound++
 		}
@@ -223,7 +218,7 @@ func TestCoverageSummary(t *testing.T) {
 	if asesFound == 0 || asesFound > len(userASes) {
 		t.Fatalf("bad AS coverage %d/%d", asesFound, len(userASes))
 	}
-	if found, total := len(m.Users.ActivePrefixes), len(w.Users.UserPrefixes()); found == 0 || found > total {
+	if found, total := len(m.ActivePrefixes), len(w.Users.UserPrefixes()); found == 0 || found > total {
 		t.Fatalf("bad prefix coverage %d/%d", found, total)
 	}
 }

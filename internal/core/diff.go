@@ -33,24 +33,19 @@ type ActivityShift struct {
 // Delta returns the signed share change.
 func (s ActivityShift) Delta() float64 { return s.After - s.Before }
 
-// DiffMaps compares two maps' users components. minShift filters activity
-// shifts (absolute share change) worth reporting.
-func DiffMaps(before, after *TrafficMap, minShift float64) *MapDiff {
-	return DiffUsers(order.Keys(before.Users.ActivePrefixes), order.Keys(after.Users.ActivePrefixes),
-		before.Users.ASActivity, after.Users.ASActivity, minShift)
-}
-
-// DiffUsers is the diff over the two facts it reads from each side: the
-// active prefixes, ascending without duplicates, and the per-AS activity.
-// DiffMaps and the epoch store's /v1/diff both come through here. An AS's
-// share is its activity over the side's total, summed in ascending ASN
+// DiffMaps compares two map documents' users components: the active
+// prefixes, ascending without duplicates as Normalize leaves them, and the
+// per-AS activity. The epoch store's /v1/diff comes through here too. An
+// AS's share is its activity over the side's total, summed in ascending ASN
 // order so the low bits are the same on every run; a side whose total is
-// zero contributes no ASes and all-zero shares.
-func DiffUsers(beforeActives, afterActives []topology.PrefixID, beforeAct, afterAct map[topology.ASN]float64, minShift float64) *MapDiff {
+// zero contributes no ASes and all-zero shares. minShift filters activity
+// shifts (absolute share change) worth reporting.
+func DiffMaps(before, after *MapDocument, minShift float64) *MapDiff {
+	bs, as := before.ActivePrefixes, after.ActivePrefixes
 	d := &MapDiff{}
 	i, j := 0, 0
-	for i < len(beforeActives) && j < len(afterActives) {
-		switch b, a := beforeActives[i], afterActives[j]; {
+	for i < len(bs) && j < len(as) {
+		switch b, a := bs[i], as[j]; {
 		case b == a:
 			d.StablePrefixes++
 			i++
@@ -63,9 +58,10 @@ func DiffUsers(beforeActives, afterActives []topology.PrefixID, beforeAct, after
 			j++
 		}
 	}
-	d.PrefixesVanished = append(d.PrefixesVanished, beforeActives[i:]...)
-	d.PrefixesAppeared = append(d.PrefixesAppeared, afterActives[j:]...)
+	d.PrefixesVanished = append(d.PrefixesVanished, bs[i:]...)
+	d.PrefixesAppeared = append(d.PrefixesAppeared, as[j:]...)
 
+	beforeAct, afterAct := before.ASActivity, after.ASActivity
 	totalBefore, totalAfter := order.SumValues(beforeAct), order.SumValues(afterAct)
 	share := func(act map[topology.ASN]float64, total float64, asn topology.ASN) float64 {
 		v, ok := act[asn]

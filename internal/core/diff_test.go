@@ -7,17 +7,8 @@ import (
 	"itmap/internal/topology"
 )
 
-func mapWith(prefixes []topology.PrefixID, activity map[topology.ASN]float64) *TrafficMap {
-	m := &TrafficMap{
-		Users: UsersComponent{
-			ActivePrefixes: map[topology.PrefixID]bool{},
-			ASActivity:     activity,
-		},
-	}
-	for _, p := range prefixes {
-		m.Users.ActivePrefixes[p] = true
-	}
-	return m
+func mapWith(prefixes []topology.PrefixID, activity map[topology.ASN]float64) *MapDocument {
+	return &MapDocument{ActivePrefixes: prefixes, ASActivity: activity}
 }
 
 func TestDiffMapsPrefixChurn(t *testing.T) {
@@ -110,7 +101,7 @@ func TestDiffMapsDisjoint(t *testing.T) {
 func TestDiffMapsSelfEmptyProperty(t *testing.T) {
 	for _, seed := range []int64{1, 24, 31} {
 		_, m := buildFullMap(t, seed)
-		d := DiffMaps(m, m, 1e-12)
+		d := DiffMaps(m.Document(), m.Document(), 1e-12)
 		if d.Jaccard() != 1 || len(d.PrefixesAppeared)+len(d.PrefixesVanished)+len(d.ActivityShifts) != 0 {
 			t.Errorf("seed %d: self-diff not empty: %d appeared, %d vanished, %d shifts",
 				seed, len(d.PrefixesAppeared), len(d.PrefixesVanished), len(d.ActivityShifts))
@@ -124,21 +115,9 @@ func TestDiffMapsSelfEmptyProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		d = DiffMaps(m, mapWith(doc.ActivePrefixes, doc.ASActivity), 1e-12)
+		d = DiffMaps(m.Document(), doc, 1e-12)
 		if d.Jaccard() != 1 || len(d.PrefixesAppeared)+len(d.PrefixesVanished)+len(d.ActivityShifts) != 0 {
 			t.Errorf("seed %d: diff against re-imported map not empty", seed)
 		}
-	}
-}
-
-func TestDiffMapsEndToEnd(t *testing.T) {
-	// Two maps from discovery sweeps on different days of the same
-	// world: small churn, no large activity shifts.
-	w, m1 := buildFullMap(t, 31)
-	_ = w
-	m2 := m1 // same session; a second day would come from a new sweep
-	d := DiffMaps(m1, m2, 0.02)
-	if d.Jaccard() != 1 {
-		t.Errorf("same map diff jaccard %f", d.Jaccard())
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"itmap/internal/dnssim"
 	"itmap/internal/geo"
@@ -29,13 +28,13 @@ const (
 )
 
 // Coverage grades the freshness of a prefix's activity signal when the
-// sweep behind it ran against a faulty substrate.
+// sweep behind it ran against a faulty substrate. Only imported documents
+// carry grades: BuildMap does not fill the section yet.
 type Coverage uint8
 
-// Coverage grades. The zero value means the builder had no sweep stats —
-// the pre-fault behaviour — so fault-free maps carry no annotations.
+// Coverage grades.
 const (
-	// CoverageUnknown: no resilient sweep ran; nothing to grade.
+	// CoverageUnknown: nothing to grade.
 	CoverageUnknown Coverage = iota
 	// CoverageProbedOK: the sweep got a definitive answer this window.
 	CoverageProbedOK
@@ -86,70 +85,14 @@ func labelValue[E ~uint8](labels []string, text []byte, v *E) error {
 	return nil
 }
 
-// UsersComponent answers the map's first question: where are users, and
-// what are their relative activity levels?
-type UsersComponent struct {
-	// ActivePrefixes marks prefixes where cache probing found clients.
-	ActivePrefixes map[topology.PrefixID]bool
-	// PrefixHitRate is the cache-probing hit rate per prefix (where a
-	// hit-rate campaign ran).
-	PrefixHitRate map[topology.PrefixID]float64
-	// ASActivity is the combined relative-activity estimate per AS, in
-	// root-log-query-equivalent units.
-	ASActivity map[topology.ASN]float64
-	// Sources says which techniques contributed per AS.
-	Sources map[topology.ASN]ActivitySource
-	// Coverage grades each swept prefix's signal (empty without sweep
-	// stats — the map degrades gracefully instead of silently).
-	Coverage map[topology.PrefixID]Coverage
-	// ASConfidence is the fraction of an AS's swept prefixes that were
-	// probed-ok (1 everywhere on a clean substrate; only ASes with swept
-	// prefixes appear).
-	ASConfidence map[topology.ASN]float64
-}
-
-// MappingKey indexes the user→host mapping component.
-type MappingKey struct {
-	Domain   string
-	ClientAS topology.ASN
-}
-
-// Compare orders keys by domain then client AS, for deterministic
-// iteration over the mapping component.
-func (k MappingKey) Compare(o MappingKey) int {
-	if k.Domain != o.Domain {
-		return strings.Compare(k.Domain, o.Domain)
-	}
-	return int(k.ClientAS) - int(o.ClientAS)
-}
-
-// ServicesComponent answers the second question: where are services hosted,
-// and what is the mapping from users to hosts?
-type ServicesComponent struct {
-	// Scan is the TLS/SNI-scan view of serving infrastructure.
-	Scan *tlsscan.Scan
-	// Mapping is the measured client-AS→serving-prefix mapping per
-	// domain, from ECS queries.
-	Mapping map[MappingKey]topology.PrefixID
-}
-
-// RoutesComponent answers the third question: what routes are commonly used
-// between services and users?
-type RoutesComponent struct {
-	// Observed is the public-view topology (route collectors +
-	// traceroute campaigns).
-	Observed *topology.Topology
-	// Augmented adds predicted/measured extra links (cloud campaigns,
-	// peering recommendations).
-	Augmented *topology.Topology
-}
-
-// TrafficMap is the assembled Internet traffic map.
+// TrafficMap is the assembled Internet traffic map: the document it serves,
+// plus the two measured inputs the map-driven analyses read and the
+// document never carries — the topology (OutageImpact, CountryImpactOf) and
+// the TLS scan behind OutageImpact's fallbacks.
 type TrafficMap struct {
-	Top      *topology.Topology
-	Users    UsersComponent
-	Services ServicesComponent
-	Routes   RoutesComponent
+	MapDocument
+	Top  *topology.Topology
+	Scan *tlsscan.Scan
 }
 
 // BuildInputs carries every measurement output the map combines.
@@ -158,10 +101,6 @@ type BuildInputs struct {
 	// Discovery and HitRates come from cache probing.
 	Discovery *cacheprobe.Discovery
 	HitRates  *cacheprobe.HitRates
-	// Sweep carries the resilient prober's per-target bookkeeping; when
-	// set, the builder annotates coverage and per-AS confidence. Nil (the
-	// naive prober) leaves the map exactly as before.
-	Sweep *cacheprobe.SweepStats
 	// RootCrawl comes from root-log crawling.
 	RootCrawl *rootlogs.Crawl
 	// PublicResolverOwner is excluded from resolver-based attribution.
@@ -174,90 +113,49 @@ type BuildInputs struct {
 	PR   *dnssim.PublicResolver
 	// MapDomains are the ECS domains to build mappings for.
 	MapDomains []string
-	// Observed/Augmented route topologies.
-	Observed  *topology.Topology
-	Augmented *topology.Topology
 }
 
 // BuildMap combines the measurement outputs into a traffic map, including
 // the §3.1.3 technique combination: root-log activity (a volume proxy at AS
 // grain) calibrated against cache hit rates (finer coverage), so ASes seen
-// by either technique get a relative-activity estimate in common units.
+// by either technique get a relative-activity estimate in common units. The
+// map's document comes back normalized (see Normalize), as it is served.
 func BuildMap(in BuildInputs) *TrafficMap {
 	m := &TrafficMap{
-		Top: in.Top,
-		Users: UsersComponent{
-			ActivePrefixes: map[topology.PrefixID]bool{},
-			PrefixHitRate:  map[topology.PrefixID]float64{},
-			ASActivity:     map[topology.ASN]float64{},
-			Sources:        map[topology.ASN]ActivitySource{},
-			Coverage:       map[topology.PrefixID]Coverage{},
-			ASConfidence:   map[topology.ASN]float64{},
+		MapDocument: MapDocument{
+			Version:    mapDocVersion,
+			ASActivity: map[topology.ASN]float64{},
+			Sources:    map[topology.ASN]ActivitySource{},
 		},
-		Services: ServicesComponent{
-			Scan:    in.Scan,
-			Mapping: map[MappingKey]topology.PrefixID{},
-		},
-		Routes: RoutesComponent{Observed: in.Observed, Augmented: in.Augmented},
+		Top:  in.Top,
+		Scan: in.Scan,
 	}
 
 	// --- Users: cache probing ------------------------------------------
 	asHit := map[topology.ASN]float64{}
-	asHitN := map[topology.ASN]float64{}
-	// The two prefix-keyed maps are copies of campaign outputs: made at their
-	// final size, not grown to it.
 	if in.Discovery != nil {
-		m.Users.ActivePrefixes = make(map[topology.PrefixID]bool, len(in.Discovery.Found))
-		for p := range in.Discovery.Found {
-			m.Users.ActivePrefixes[p] = true
+		m.ActivePrefixes = order.Keys(in.Discovery.Found)
+		for _, p := range m.ActivePrefixes {
 			if asn, ok := in.Top.OwnerOf(p); ok {
-				m.Users.Sources[asn] |= FromCacheProbe
+				m.Sources[asn] |= FromCacheProbe
 			}
 		}
 	}
 	if in.HitRates != nil {
-		m.Users.PrefixHitRate = make(map[topology.PrefixID]float64, len(in.HitRates.ByPrefix))
+		m.PrefixHitRates = make(map[topology.PrefixID]float64, len(in.HitRates.ByPrefix))
 		// Sorted prefix order keeps the per-AS hit-rate folds bit-identical
 		// across runs; map order would shuffle the float associations.
 		for _, p := range order.Keys(in.HitRates.ByPrefix) {
 			hr := in.HitRates.ByPrefix[p]
-			m.Users.PrefixHitRate[p] = hr
+			if hr > 0 {
+				m.PrefixHitRates[p] = hr
+			}
 			if asn, ok := in.Top.OwnerOf(p); ok {
 				asHit[asn] += hr
-				asHitN[asn]++
 				if hr > 0 {
-					m.Users.Sources[asn] |= FromCacheProbe
+					m.Sources[asn] |= FromCacheProbe
 				}
 			}
-		}
-	}
-
-	// --- Users: coverage annotations -----------------------------------
-	// A sweep that fought a faulty substrate grades every cell it touched;
-	// downstream consumers can weight or discard gave-up/stale cells.
-	if in.Sweep != nil {
-		asOK := map[topology.ASN]float64{}
-		asN := map[topology.ASN]float64{}
-		for p, o := range in.Sweep.Outcome {
-			var c Coverage
-			switch o {
-			case cacheprobe.TargetProbedOK:
-				c = CoverageProbedOK
-			case cacheprobe.TargetGaveUp:
-				c = CoverageGaveUp
-			default:
-				c = CoverageStale
-			}
-			m.Users.Coverage[p] = c
-			if asn, ok := in.Top.OwnerOf(p); ok {
-				asN[asn]++
-				if c == CoverageProbedOK {
-					asOK[asn]++
-				}
-			}
-		}
-		for asn, n := range asN {
-			m.Users.ASConfidence[asn] = asOK[asn] / n
 		}
 	}
 
@@ -266,7 +164,7 @@ func BuildMap(in BuildInputs) *TrafficMap {
 	if in.RootCrawl != nil {
 		for asn, q := range in.RootCrawl.ClientASes(in.PublicResolverOwner) {
 			rootAct[asn] = q
-			m.Users.Sources[asn] |= FromRootLogs
+			m.Sources[asn] |= FromRootLogs
 		}
 	}
 
@@ -289,20 +187,35 @@ func BuildMap(in BuildInputs) *TrafficMap {
 	// provider; cache probing misses public-DNS opt-outs), so the
 	// combined estimate takes the larger of the two signals.
 	for asn, q := range rootAct {
-		m.Users.ASActivity[asn] = q
+		m.ASActivity[asn] = q
 	}
 	if calib > 0 {
 		for asn, h := range asHit {
-			if v := h * calib; h > 0 && v > m.Users.ASActivity[asn] {
-				m.Users.ASActivity[asn] = v
+			if v := h * calib; h > 0 && v > m.ASActivity[asn] {
+				m.ASActivity[asn] = v
 			}
+		}
+	}
+
+	// --- Services: serving infrastructure from the TLS scan --------------
+	if in.Scan != nil {
+		m.Servers = make([]ServerDocument, 0, len(in.Scan.Servers))
+		for _, s := range in.Scan.Servers {
+			m.Servers = append(m.Servers, ServerDocument{
+				Prefix:  s.Prefix,
+				HostAS:  uint32(s.HostAS),
+				OwnerAS: uint32(s.OwnerASN),
+				Org:     s.CertOrg,
+				City:    s.City.Name,
+				Country: s.City.Country,
+			})
 		}
 	}
 
 	// --- Services: user→host mapping via ECS ----------------------------
 	if in.Auth != nil && in.PR != nil {
 		for _, dom := range in.MapDomains {
-			for asn := range m.Users.Sources {
+			for _, asn := range order.Keys(m.Sources) {
 				a := in.Top.ASes[asn]
 				if a == nil || len(a.Prefixes) == 0 {
 					continue
@@ -316,19 +229,20 @@ func BuildMap(in BuildInputs) *TrafficMap {
 				if err != nil {
 					continue
 				}
-				m.Services.Mapping[MappingKey{Domain: dom, ClientAS: asn}] = ans.Prefix
+				m.Mappings = append(m.Mappings, MappingDocument{Domain: dom, ClientAS: uint32(asn), Serving: ans.Prefix})
 			}
 		}
 	}
+	m.Normalize()
 	return m
 }
 
 // ActivityShare returns an AS's share of the map's total estimated
 // activity.
-func (m *TrafficMap) ActivityShare(asn topology.ASN) float64 {
-	total := order.SumValues(m.Users.ASActivity)
+func (doc *MapDocument) ActivityShare(asn topology.ASN) float64 {
+	total := order.SumValues(doc.ASActivity)
 	if total == 0 {
 		return 0
 	}
-	return m.Users.ASActivity[asn] / total
+	return doc.ASActivity[asn] / total
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"itmap/internal/geo"
 	"itmap/internal/order"
@@ -45,15 +45,15 @@ func (m *TrafficMap) OutageImpact(asn topology.ASN) OutageReport {
 	rep.Country = a.Country
 	rep.ActivityShare = m.ActivityShare(asn)
 	for _, p := range a.Prefixes {
-		if m.Users.ActivePrefixes[p] {
+		if _, ok := slices.BinarySearch(m.ActivePrefixes, p); ok {
 			rep.ActivePrefixes++
 		}
 	}
 
 	// Servers inside the AS (from the TLS scan).
 	lostPrefixes := map[topology.PrefixID]bool{}
-	if m.Services.Scan != nil {
-		for _, srv := range m.Services.Scan.Servers {
+	if m.Scan != nil {
+		for _, srv := range m.Scan.Servers {
 			if srv.HostAS == asn {
 				rep.HostedServers++
 				lostPrefixes[srv.Prefix] = true
@@ -61,24 +61,19 @@ func (m *TrafficMap) OutageImpact(asn topology.ASN) OutageReport {
 		}
 	}
 
-	// Services whose measured mapping serves this AS, with fallbacks.
-	// Sorted keys matter beyond the sorted output slice: when a domain has
-	// several mapping entries, the first one seen picks the serving prefix
-	// handed to fallbackFor.
-	seen := map[string]bool{}
-	for _, key := range order.KeysFunc(m.Services.Mapping, MappingKey.Compare) {
-		if key.ClientAS != asn {
+	// Services whose measured mapping serves this AS, with fallbacks. The
+	// mappings are in canonical order, by domain then client AS, so the
+	// affected services come out sorted; should an imported document list
+	// a domain twice, its first entry picks the prefix fallbackFor avoids.
+	for _, mp := range m.Mappings {
+		if topology.ASN(mp.ClientAS) != asn || slices.Contains(rep.AffectedServices, mp.Domain) {
 			continue
 		}
-		if !seen[key.Domain] {
-			seen[key.Domain] = true
-			rep.AffectedServices = append(rep.AffectedServices, key.Domain)
-			if fb, ok := m.fallbackFor(key.Domain, asn, m.Services.Mapping[key], lostPrefixes); ok {
-				rep.Fallbacks[key.Domain] = fb
-			}
+		rep.AffectedServices = append(rep.AffectedServices, mp.Domain)
+		if fb, ok := m.fallbackFor(mp.Domain, asn, mp.Serving, lostPrefixes); ok {
+			rep.Fallbacks[mp.Domain] = fb
 		}
 	}
-	sort.Strings(rep.AffectedServices)
 	return rep
 }
 
@@ -86,13 +81,13 @@ func (m *TrafficMap) OutageImpact(asn topology.ASN) OutageReport {
 // using the map's own footprint knowledge (SNI scan results through the
 // measured mapping's owner).
 func (m *TrafficMap) fallbackFor(domain string, clientAS topology.ASN, current topology.PrefixID, lost map[topology.PrefixID]bool) (topology.PrefixID, bool) {
-	if m.Services.Scan == nil {
+	if m.Scan == nil {
 		return 0, false
 	}
 	// Identify the owner from the scan record of the current server.
 	var owner topology.ASN
 	found := false
-	for _, srv := range m.Services.Scan.Servers {
+	for _, srv := range m.Scan.Servers {
 		if srv.Prefix == current {
 			owner = srv.OwnerASN
 			found = true
@@ -106,7 +101,7 @@ func (m *TrafficMap) fallbackFor(domain string, clientAS topology.ASN, current t
 	best := topology.PrefixID(0)
 	bestDist := 0.0
 	ok := false
-	for _, srv := range m.Services.Scan.ByOwner[owner] {
+	for _, srv := range m.Scan.ByOwner[owner] {
 		if srv.Prefix == current || lost[srv.Prefix] || srv.HostAS == clientAS {
 			continue
 		}
@@ -132,8 +127,8 @@ type CountryImpact struct {
 func (m *TrafficMap) CountryImpactOf(code string) CountryImpact {
 	ci := CountryImpact{Country: code}
 	var total, mine float64
-	for _, asn := range order.Keys(m.Users.ASActivity) {
-		v := m.Users.ASActivity[asn]
+	for _, asn := range order.Keys(m.ASActivity) {
+		v := m.ASActivity[asn]
 		total += v
 		if a := m.Top.ASes[asn]; a != nil && a.Country == code {
 			mine += v

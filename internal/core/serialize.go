@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"slices"
 	"strings"
 
-	"itmap/internal/order"
 	"itmap/internal/topology"
 )
 
@@ -18,10 +16,11 @@ import (
 // uses and encourages others to use the Internet traffic map"), so the
 // export carries only measured estimates — never simulator ground truth.
 
-// MapDocument is the serialized form of a TrafficMap. Its keys and labels
-// are typed: how a /24, an ASN or a label is spelled is decided once, by
-// their text marshallers (topology.PrefixID, ActivitySource, Coverage) and
-// encoding/json's integer map keys, so every other layer handles values.
+// MapDocument is the traffic map as it is served; BuildMap fills it. Its
+// keys and labels are typed: how a /24, an ASN or a label is spelled is
+// decided once, by their text marshallers (topology.PrefixID,
+// ActivitySource, Coverage) and encoding/json's integer map keys, so every
+// other layer handles values.
 type MapDocument struct {
 	Version int `json:"version"`
 	// Users component.
@@ -29,9 +28,8 @@ type MapDocument struct {
 	PrefixHitRates map[topology.PrefixID]float64   `json:"prefix_hit_rates,omitempty"`
 	ASActivity     map[topology.ASN]float64        `json:"as_activity"`
 	Sources        map[topology.ASN]ActivitySource `json:"sources"`
-	// Coverage/ASConfidence only appear for maps built from a resilient
-	// sweep's stats — fault-free documents stay byte-identical to v1
-	// exports thanks to omitempty.
+	// Coverage/ASConfidence are carried for imported documents; BuildMap
+	// does not fill them yet, and omitempty keeps its exports free of them.
 	Coverage     map[topology.PrefixID]Coverage `json:"coverage,omitempty"`
 	ASConfidence map[topology.ASN]float64       `json:"as_confidence,omitempty"`
 	// Services component.
@@ -58,57 +56,12 @@ type MappingDocument struct {
 
 const mapDocVersion = 1
 
-// Document builds the serialized form of the map's measured components.
-// The result is already normalized (see Normalize), so exporting it is
-// deterministic.
-func (m *TrafficMap) Document() *MapDocument {
-	u := &m.Users
-	doc := &MapDocument{
-		Version:        mapDocVersion,
-		ActivePrefixes: order.Keys(u.ActivePrefixes),
-		PrefixHitRates: make(map[topology.PrefixID]float64, len(u.PrefixHitRate)),
-		ASActivity:     maps.Clone(u.ASActivity),
-		Sources:        maps.Clone(u.Sources),
-		Coverage:       maps.Clone(u.Coverage),
-		ASConfidence:   maps.Clone(u.ASConfidence),
-	}
-	for p, hr := range u.PrefixHitRate {
-		if hr > 0 {
-			doc.PrefixHitRates[p] = hr
-		}
-	}
-	if m.Services.Scan != nil {
-		doc.Servers = make([]ServerDocument, 0, len(m.Services.Scan.Servers))
-		for _, s := range m.Services.Scan.Servers {
-			doc.Servers = append(doc.Servers, ServerDocument{
-				Prefix:  s.Prefix,
-				HostAS:  uint32(s.HostAS),
-				OwnerAS: uint32(s.OwnerASN),
-				Org:     s.CertOrg,
-				City:    s.City.Name,
-				Country: s.City.Country,
-			})
-		}
-	}
-	for _, k := range order.KeysFunc(m.Services.Mapping, MappingKey.Compare) {
-		doc.Mappings = append(doc.Mappings, MappingDocument{
-			Domain:   k.Domain,
-			ClientAS: uint32(k.ClientAS),
-			Serving:  m.Services.Mapping[k],
-		})
-	}
-	doc.Normalize()
-	return doc
-}
-
-// Export writes the map's measured components as JSON.
-func (m *TrafficMap) Export(w io.Writer) error {
-	return m.Document().Export(w)
-}
+// Document returns the map's serialized form: its own document, not a copy.
+func (m *TrafficMap) Document() *MapDocument { return &m.MapDocument }
 
 // Normalize puts a document into its canonical form, so that two documents
 // with the same content export byte-identically no matter how they were
-// produced (built from a TrafficMap, imported from JSON, or decoded from
+// produced (built by BuildMap, imported from JSON, or decoded from
 // the binary codec): required maps are non-nil, optional maps
 // (Coverage/ASConfidence) are nil when empty — matching their omitempty
 // export — empty lists are nil, as the codec decodes them, so an empty

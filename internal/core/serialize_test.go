@@ -2,7 +2,8 @@ package core
 
 import (
 	"bytes"
-	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,23 +20,11 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.ActivePrefixes) != len(m.Users.ActivePrefixes) {
-		t.Errorf("active prefixes %d vs %d", len(doc.ActivePrefixes), len(m.Users.ActivePrefixes))
+	if len(doc.Servers) != len(m.Scan.Servers) {
+		t.Errorf("servers %d vs %d", len(doc.Servers), len(m.Scan.Servers))
 	}
-	if len(doc.Servers) != len(m.Services.Scan.Servers) {
-		t.Errorf("servers %d vs %d", len(doc.Servers), len(m.Services.Scan.Servers))
-	}
-	if len(doc.Mappings) != len(m.Services.Mapping) {
-		t.Errorf("mappings %d vs %d", len(doc.Mappings), len(m.Services.Mapping))
-	}
-
-	for _, p := range doc.ActivePrefixes {
-		if !m.Users.ActivePrefixes[p] {
-			t.Fatalf("active prefix %v after round trip is not in the map", p)
-		}
-	}
-	if !maps.Equal(doc.ASActivity, m.Users.ASActivity) || !maps.Equal(doc.Sources, m.Users.Sources) {
-		t.Fatal("activity or sources changed in the round trip")
+	if !reflect.DeepEqual(doc, m.Document()) {
+		t.Fatal("the document changed in the round trip")
 	}
 }
 
@@ -99,33 +88,35 @@ func TestImportCanonicalizesSpellings(t *testing.T) {
 	}
 }
 
-// TestExportImportExportByteIdentical pins the normalization contract:
-// export → import → re-export is byte-identical, including for maps whose
-// Coverage/ASConfidence are empty but non-nil (the shape BuildMap produces
-// without sweep stats — before Normalize, re-exporting an imported document
-// could disagree with the original on which empty sections appear).
+// TestExportImportExportByteIdentical pins the normalization contract on
+// BuildMap's output: its document is already canonical — Normalize changes
+// nothing, so handing it to the store is a no-op normalize — and export →
+// import → re-export is byte-identical.
 func TestExportImportExportByteIdentical(t *testing.T) {
-	_, m := buildFullMap(t, 24)
-	if m.Users.Coverage == nil || len(m.Users.Coverage) != 0 {
-		t.Fatalf("fixture should have empty-but-non-nil coverage, got %v", m.Users.Coverage)
-	}
-	if m.Users.ASConfidence == nil || len(m.Users.ASConfidence) != 0 {
-		t.Fatalf("fixture should have empty-but-non-nil confidence, got %v", m.Users.ASConfidence)
-	}
-	var first bytes.Buffer
-	if err := m.Export(&first); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := ImportDocument(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var second bytes.Buffer
-	if err := doc.Export(&second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("export→import→export changed bytes:\nfirst %d bytes, second %d bytes", first.Len(), second.Len())
+	for _, seed := range []int64{1, 7, 24} {
+		_, m := buildFullMap(t, seed)
+		// Normalize sorts the lists in place: the copy gets its own.
+		norm := m.MapDocument
+		norm.ActivePrefixes = slices.Clone(norm.ActivePrefixes)
+		norm.Servers = slices.Clone(norm.Servers)
+		norm.Mappings = slices.Clone(norm.Mappings)
+		if norm.Normalize(); !reflect.DeepEqual(&norm, m.Document()) {
+			t.Errorf("seed %d: BuildMap's document is not a Normalize fixed point", seed)
+		}
+		var first, second bytes.Buffer
+		if err := m.Export(&first); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := ImportDocument(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.Export(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Errorf("seed %d: export→import→export changed bytes: %d then %d", seed, first.Len(), second.Len())
+		}
 	}
 }
 

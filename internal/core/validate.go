@@ -1,9 +1,12 @@
 package core
 
 import (
+	"slices"
+
 	"itmap/internal/apnic"
 	"itmap/internal/order"
 	"itmap/internal/stats"
+	"itmap/internal/topology"
 	"itmap/internal/traffic"
 )
 
@@ -30,9 +33,9 @@ type UsersValidation struct {
 	ActivityRankCorr float64
 }
 
-// ValidateUsers scores the map's users component against the simulator's
-// ground-truth matrix and the published APNIC-like estimates.
-func ValidateUsers(m *TrafficMap, mx *traffic.Matrix, est *apnic.Estimates) UsersValidation {
+// ValidateUsers scores a map document's users component against the
+// simulator's ground-truth matrix and the published APNIC-like estimates.
+func ValidateUsers(doc *MapDocument, mx *traffic.Matrix, est *apnic.Estimates) UsersValidation {
 	var v UsersValidation
 
 	// Prefix-granularity traffic-weighted recall.
@@ -40,7 +43,7 @@ func ValidateUsers(m *TrafficMap, mx *traffic.Matrix, est *apnic.Estimates) User
 	for _, p := range order.Keys(mx.RefCDNByPrefix) {
 		b := mx.RefCDNByPrefix[p]
 		total += b
-		if m.Users.ActivePrefixes[p] {
+		if _, ok := slices.BinarySearch(doc.ActivePrefixes, p); ok {
 			found += b
 		}
 	}
@@ -53,7 +56,7 @@ func ValidateUsers(m *TrafficMap, mx *traffic.Matrix, est *apnic.Estimates) User
 	for _, asn := range order.Keys(mx.RefCDNByAS) {
 		b := mx.RefCDNByAS[asn]
 		asTotal += b
-		src := m.Users.Sources[asn]
+		src := doc.Sources[asn]
 		if src&FromRootLogs != 0 {
 			rootsFound += b
 		}
@@ -67,15 +70,14 @@ func ValidateUsers(m *TrafficMap, mx *traffic.Matrix, est *apnic.Estimates) User
 	}
 
 	// False discoveries: found prefixes that never contacted the CDN.
-	nFound, nFP := 0, 0
-	for p := range m.Users.ActivePrefixes {
-		nFound++
+	nFP := 0
+	for _, p := range doc.ActivePrefixes {
 		if mx.RefCDNByPrefix[p] == 0 {
 			nFP++
 		}
 	}
-	if nFound > 0 {
-		v.FalseDiscoveryFrac = float64(nFP) / float64(nFound)
+	if len(doc.ActivePrefixes) > 0 {
+		v.FalseDiscoveryFrac = float64(nFP) / float64(len(doc.ActivePrefixes))
 	}
 
 	// APNIC coverage: published users in identified ASes.
@@ -84,7 +86,7 @@ func ValidateUsers(m *TrafficMap, mx *traffic.Matrix, est *apnic.Estimates) User
 		for _, asn := range order.Keys(est.ByAS) {
 			u := est.ByAS[asn]
 			estTotal += u
-			if m.Users.Sources[asn]&FromCacheProbe != 0 {
+			if doc.Sources[asn]&FromCacheProbe != 0 {
 				estFound += u
 			}
 		}
@@ -96,12 +98,12 @@ func ValidateUsers(m *TrafficMap, mx *traffic.Matrix, est *apnic.Estimates) User
 	// Rank agreement of activity estimates with true client traffic. The
 	// pair order is pinned so Spearman's tie-breaking sees a stable input.
 	var xs, ys []float64
-	for _, asn := range order.Keys(m.Users.ASActivity) {
+	for _, asn := range order.Keys(doc.ASActivity) {
 		truth := mx.ClientASBytes[asn]
 		if truth == 0 {
 			continue
 		}
-		xs = append(xs, m.Users.ASActivity[asn])
+		xs = append(xs, doc.ASActivity[asn])
 		ys = append(ys, truth)
 	}
 	v.ActivityRankCorr = stats.Spearman(xs, ys)
@@ -117,23 +119,23 @@ type MappingValidation struct {
 	Agreement float64
 }
 
-// ValidateMapping compares the measured mapping against the traffic model's
-// actual assignments for ECS DNS services.
-func ValidateMapping(m *TrafficMap, tm *traffic.Model) MappingValidation {
+// ValidateMapping compares a map document's measured mapping against the
+// traffic model's actual assignments for ECS DNS services.
+func ValidateMapping(doc *MapDocument, tm *traffic.Model) MappingValidation {
 	var val MappingValidation
 	agree := 0
-	for key, measured := range m.Services.Mapping {
-		svc, ok := tm.Cat.ByDomain(key.Domain)
+	for _, mp := range doc.Mappings {
+		svc, ok := tm.Cat.ByDomain(mp.Domain)
 		if !ok {
 			continue
 		}
-		shares := tm.Assign(svc, key.ClientAS)
+		shares := tm.Assign(svc, topology.ASN(mp.ClientAS))
 		if len(shares) == 0 {
 			continue
 		}
 		val.Checked++
 		for _, ss := range shares {
-			if ss.Site.Prefix == measured {
+			if ss.Site.Prefix == mp.Serving {
 				agree++
 				break
 			}

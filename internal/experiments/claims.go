@@ -263,7 +263,7 @@ func (e *Env) RunE4() *Result {
 // reference CDN's server logs.
 func (e *Env) RunE5() *Result {
 	r := &Result{ID: "E5", Title: "Client discovery validated against reference-CDN logs"}
-	v := core.ValidateUsers(e.Map(), e.Matrix(), e.APNIC())
+	v := core.ValidateUsers(e.Map().Document(), e.Matrix(), e.APNIC())
 	r.Values = append(r.Values, Value{
 		Name:     "CDN traffic in prefixes found by cache probing",
 		Paper:    "95%",

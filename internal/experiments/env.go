@@ -234,7 +234,6 @@ func (e *Env) Map() *core.TrafficMap {
 	hr := e.HitRates()
 	crawl := e.Crawl()
 	scan := e.Scan()
-	obs := e.Observed()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.trafMap == nil {
@@ -252,7 +251,6 @@ func (e *Env) Map() *core.TrafficMap {
 			Auth:                e.W.Auth,
 			PR:                  e.W.PR,
 			MapDomains:          domains,
-			Observed:            obs,
 		})
 	}
 	return e.trafMap

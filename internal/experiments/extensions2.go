@@ -105,9 +105,9 @@ func (e *Env) RunE15() *Result {
 	// popularity ranks; absolute volume calibration uses the catalog's
 	// Zipf law).
 	mapRows := map[topology.ASN]float64{}
-	actTotal := order.SumValues(m.Users.ASActivity)
+	actTotal := order.SumValues(m.ASActivity)
 	bytesTotal := order.SumValues(trueRows)
-	for asn, act := range m.Users.ASActivity {
+	for asn, act := range m.ASActivity {
 		mapRows[asn] = act / actTotal * bytesTotal
 	}
 	mapCols := map[topology.ASN]float64{}

@@ -62,7 +62,7 @@ func (e *Env) RunE20() *Result {
 	}
 	var rows []row
 	for asn, b := range mx.ClientASBytes {
-		if m.Users.ASActivity[asn] > 0 {
+		if m.ASActivity[asn] > 0 {
 			rows = append(rows, row{asn, b})
 		}
 	}
@@ -77,8 +77,8 @@ func (e *Env) RunE20() *Result {
 		for i := 0; i < n && i < len(rows); i++ {
 			reports = append(reports, volreports.Contribute(mx, rows[i].asn, 0, 0.15, e.W.Cfg.Seed))
 		}
-		c := volreports.Calibrate(m.Users.ASActivity, reports)
-		return volreports.Evaluate(c, m.Users.ASActivity, mx)
+		c := volreports.Calibrate(m.ASActivity, reports)
+		return volreports.Evaluate(c, m.ASActivity, mx)
 	}
 	with3 := evalWith(3)
 	with10 := evalWith(10)

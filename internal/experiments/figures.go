@@ -21,7 +21,7 @@ func (e *Env) RunTable1() *Result {
 	hr := e.HitRates()
 	crawl := e.Crawl()
 	scan := e.Scan()
-	m := e.Map()
+	doc := e.Map().Document()
 
 	// Component 1a: finding prefixes with users.
 	userPrefixes := w.Users.UserPrefixes()
@@ -83,7 +83,7 @@ func (e *Env) RunTable1() *Result {
 	})
 
 	// Component 2b: mapping users to hosts.
-	val := core.ValidateMapping(m, w.Traffic)
+	val := core.ValidateMapping(doc, w.Traffic)
 	r.Values = append(r.Values, Value{
 		Name:  "mapping users to hosts (ECS probing)",
 		Paper: "monthly/daily, prefix grain, ECS services",

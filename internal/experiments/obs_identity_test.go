@@ -82,6 +82,10 @@ func TestObsDumpsByteIdentical(t *testing.T) {
 	if m1 == "" || t1 == "" {
 		t.Fatal("campaign produced empty dumps")
 	}
+	// Only a mesh build registers the fleet's families.
+	if fams := stableFamilies(m1, []string{"itm_mesh_"}); len(fams) != 0 {
+		t.Errorf("map-only campaign lists mesh families %v", fams)
+	}
 }
 
 // firstDiff renders the first differing region of two dumps, for a readable

@@ -299,7 +299,7 @@ func (e *Epoch) LinkLoad(a, b uint32) (float64, bool) {
 }
 
 // DiffDocument is the serializable epoch-to-epoch diff, derived via
-// core.DiffUsers over the two epochs' users components. All slices are
+// core.DiffMaps over the two epochs' users components. All slices are
 // sorted, so marshaling it is deterministic.
 type DiffDocument struct {
 	EpochA         int                 `json:"epoch_a"`
@@ -338,7 +338,7 @@ func (s *Store) Diff(a, b int, minShift float64) (*DiffDocument, error) {
 // diffEpochs compares two resolved epochs (the cacheable inner form: the
 // pair is immutable, so the result never changes).
 func diffEpochs(ea, eb *Epoch, minShift float64) *DiffDocument {
-	d := core.DiffUsers(ea.Doc.ActivePrefixes, eb.Doc.ActivePrefixes, ea.Doc.ASActivity, eb.Doc.ASActivity, minShift)
+	d := core.DiffMaps(ea.Doc, eb.Doc, minShift)
 	out := &DiffDocument{
 		EpochA:         ea.ID,
 		EpochB:         eb.ID,

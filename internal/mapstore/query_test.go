@@ -164,7 +164,7 @@ func TestLinkRouteServesMatrixLoads(t *testing.T) {
 	i2, _ := top.Index(2)
 	loads[links.IDBetween(i1, i2)] = 1234.5
 	s := NewStore()
-	if _, err := s.AppendMap(0, &core.TrafficMap{Top: top}, &traffic.Matrix{Links: links, LinkLoadDense: loads}); err != nil {
+	if _, err := s.AppendMap(0, &core.TrafficMap{MapDocument: core.MapDocument{Version: 1}, Top: top}, &traffic.Matrix{Links: links, LinkLoadDense: loads}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewHandler(s))

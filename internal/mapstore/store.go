@@ -193,7 +193,8 @@ func (s *Store) Latest() *Epoch {
 
 // AppendMap ingests a traffic map built by core.BuildMap, optionally with
 // the ground-truth matrix snapshot enabling link-load queries (the matrix's
-// link index must come from m.Top's dense AS index).
+// link index must come from m.Top's dense AS index). The map's document is
+// handed over; do not mutate it afterwards.
 //
 //itmlint:allow deadexport benchmark/_tracer, a module of its own the loader does not see, journals map-only epochs through it
 func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix) (*Epoch, error) {
@@ -201,8 +202,8 @@ func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx *traffic.Matri
 }
 
 // AppendMapMesh is AppendMap plus the epoch's user↔user mesh matrix, as
-// produced by a vantage campaign. The mesh is normalized; the caller must
-// not mutate it afterwards.
+// produced by a vantage campaign. The map's document and the mesh are
+// handed over; do not mutate them afterwards.
 func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix, mesh *core.MeshDocument) (*Epoch, error) {
 	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top, mesh: mesh})
 }

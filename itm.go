@@ -98,8 +98,8 @@ func NewSession(inet *Internet) *Session { return experiments.NewEnvFromWorld(in
 
 // BuildMap runs the full measurement pipeline and assembles the traffic
 // map: cache-probing discovery + hit rates (users component), root-log
-// crawling (activity), TLS/SNI scans (services component), ECS mapping
-// (users→hosts), and collector-derived route topology.
+// crawling (activity), TLS/SNI scans (services component) and ECS mapping
+// (users→hosts), in the document form it is published in.
 func BuildMap(inet *Internet) *TrafficMap {
 	return NewSession(inet).Map()
 }
@@ -108,7 +108,7 @@ func BuildMap(inet *Internet) *TrafficMap {
 // truth, reproducing the paper's §3.1.2 validation against CDN logs.
 func ValidateMap(inet *Internet, m *TrafficMap) UsersValidation {
 	session := NewSession(inet)
-	return core.ValidateUsers(m, session.Matrix(), session.APNIC())
+	return core.ValidateUsers(m.Document(), session.Matrix(), session.APNIC())
 }
 
 // RunAllExperiments reproduces every table, figure, and quantitative claim
@@ -137,7 +137,7 @@ func BuildWeightingReport(inet *Internet, mx *Matrix) WeightingReport {
 // DiffMaps compares two maps' users components: prefix churn and activity
 // shifts above minShift.
 func DiffMaps(before, after *TrafficMap, minShift float64) *MapDiff {
-	return core.DiffMaps(before, after, minShift)
+	return core.DiffMaps(before.Document(), after.Document(), minShift)
 }
 
 // CollectorFor returns the default route-collector vantage over inet (the

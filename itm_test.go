@@ -8,7 +8,7 @@ import (
 func TestFacadeEndToEnd(t *testing.T) {
 	inet := NewInternet(TinyConfig(1))
 	m := BuildMap(inet)
-	if len(m.Users.ASActivity) == 0 {
+	if len(m.ASActivity) == 0 {
 		t.Fatal("empty map")
 	}
 	v := ValidateMap(inet, m)
