@@ -30,10 +30,12 @@ lint:
 lint-selftest:
 	GO="$(GO)" sh scripts/lint-selftest.sh
 
-# Prove the mapstore reference model still catches what it was built to
-# catch: apply each scripts/model-mutants/*.patch (one planted bug each) to a
-# throwaway copy of the tree and require `go test ./internal/mapstore -run
-# Model` to fail on every one, and to pass on the tree unpatched.
+# Prove the reference models still catch what they were built to catch:
+# apply each scripts/model-mutants/*.patch (one planted bug each) to a
+# throwaway copy of the tree and require `go test -run Model` in the package
+# the patch names (the serving stack's model in internal/mapstore unless it
+# names the prober's, internal/measure/cacheprobe) to fail on every one, and
+# both to pass on the tree unpatched.
 model-selftest:
 	GO="$(GO)" sh scripts/model-selftest.sh
 

@@ -80,8 +80,7 @@ func TestV2AllowlistFrozen(t *testing.T) {
 // non-test file calls. Each entry is here for the reason its allow line
 // gives: test support that tests of *other* packages call, a name
 // benchmark/_tracer (its own module) calls, the one switch of a fault model
-// the stable exposition already lists, a campaign half the digest tests pin.
-// The set may shrink freely; growing it means new code nothing calls, which
+// the stable exposition already lists. The set may shrink freely; growing it means new code nothing calls, which
 // is a reviewed decision.
 func TestDeadExportAllowsFrozen(t *testing.T) {
 	if testing.Short() {
@@ -98,10 +97,9 @@ func TestDeadExportAllowsFrozen(t *testing.T) {
 		"internal/mapstore/wal/wal.go:Len":                true,
 		"internal/services/select.go:ServesSNI":           true,
 		"internal/topology/invariants.go:CheckInvariants": true,
-		// Called from outside the loaded module, or pinned by parent digests.
-		"internal/mapstore/store.go:AppendMap":                     true,
-		"internal/measure/cacheprobe/resilient.go:MeasureHitRates": true,
-		"internal/dnssim/roots.go:SetFaultPlan":                    true,
+		// Called from outside the loaded module, or a fault-model switch.
+		"internal/mapstore/store.go:AppendMap":  true,
+		"internal/dnssim/roots.go:SetFaultPlan": true,
 	}
 	l := testLoader(t)
 	pkgs, err := l.LoadAll()

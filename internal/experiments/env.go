@@ -111,7 +111,7 @@ func (e *Env) Discovery() *cacheprobe.Discovery {
 			domains = domains[:e.ProbeDomains]
 		}
 		pb := &cacheprobe.Prober{PR: e.W.PR, Domains: domains}
-		d, err := pb.DiscoverPrefixesParallel(e.W.Top, e.W.Top.AllPrefixes(), e.DiscoveryStart, e.DiscoveryRounds)
+		d, err := pb.DiscoverPrefixes(e.W.Top, e.W.Top.AllPrefixes(), e.DiscoveryStart, e.DiscoveryRounds)
 		if err != nil {
 			panic(err) // programming error: domains come from the catalog
 		}
@@ -134,7 +134,7 @@ func (e *Env) HitRates() *cacheprobe.HitRates {
 		// Figure 2 is ROADMAP item 4's job, not this method's.
 		domains := e.W.Cat.ECSDomains()
 		domain := domains[len(domains)/2]
-		hr, err := pb.MeasureHitRatesParallel(e.W.Top, e.W.Top.AllPrefixes(),
+		hr, err := pb.MeasureHitRates(e.W.Top, e.W.Top.AllPrefixes(),
 			domain, 0, e.HitRateInterval)
 		if err != nil {
 			panic(err)

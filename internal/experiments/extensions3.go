@@ -21,7 +21,7 @@ func (e *Env) RunE16() *Result {
 		domains = domains[:e.ProbeDomains]
 	}
 	pb := &cacheprobe.Prober{PR: w.PR, Domains: domains}
-	day2, err := pb.DiscoverPrefixesParallel(w.Top, w.Top.AllPrefixes(), 24, e.DiscoveryRounds)
+	day2, err := pb.DiscoverPrefixes(w.Top, w.Top.AllPrefixes(), 24, e.DiscoveryRounds)
 	if err != nil {
 		r.Values = append(r.Values, Value{Name: "second-day sweep", Paper: "n/a", Measured: err.Error(), Pass: false})
 		return r

@@ -49,7 +49,7 @@ func (e *Env) RunE21() *Result {
 	}
 	rateByAS := map[topology.ASN]float64{}
 	for _, domain := range domains {
-		hr, err := pb.MeasureHitRatesParallel(w.Top, smallPrefixes,
+		hr, err := pb.MeasureHitRates(w.Top, smallPrefixes,
 			domain, 0, 15*simtime.Minute)
 		if err != nil {
 			r.Values = append(r.Values, Value{Name: "campaign", Paper: "n/a", Measured: err.Error(), Pass: false})

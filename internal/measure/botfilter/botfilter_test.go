@@ -1,9 +1,11 @@
 package botfilter
 
 import (
+	"math"
 	"testing"
 
 	"itmap/internal/measure/cacheprobe"
+	"itmap/internal/simtime"
 	"itmap/internal/topology"
 	"itmap/internal/world"
 )
@@ -43,6 +45,47 @@ func TestClassifierSeparatesBotsFromPeople(t *testing.T) {
 	}
 	if ev.BotRecall < 0.6 {
 		t.Errorf("bot recall %.2f, want >= 0.6", ev.BotRecall)
+	}
+}
+
+// TestSamplesClearOfWindowEdges: every hourly profile the classifier reads
+// is the same when its samples move one ulp either way, so no verdict rests
+// on which side of a TTL window edge a sample's rounding fell. Samples from
+// midnight, as the classifier took them before, sit on the edges.
+func TestSamplesClearOfWindowEdges(t *testing.T) {
+	w := world.Build(world.Tiny(1))
+	pb := &cacheprobe.Prober{PR: w.PR}
+	c := NewClassifier(pb, w.Cat.ECSDomains()[:10])
+	moved := func(start simtime.Time, p topology.PrefixID, domain string) bool {
+		t.Helper()
+		var profiles [3]cacheprobe.HourlyProfile
+		for i, at := range []float64{math.Nextafter(float64(start), 0), float64(start), math.Nextafter(float64(start), 48)} {
+			hp, err := pb.MeasureHourlyProfile(w.Top, []topology.PrefixID{p}, domain, simtime.Time(at), c.Interval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles[i] = *hp
+		}
+		return profiles[0] != profiles[1] || profiles[2] != profiles[1]
+	}
+	fromMidnight := 0
+	for _, asn := range w.Top.ASesOfType(topology.Enterprise) {
+		for _, p := range w.Top.ASes[asn].Prefixes[:1] {
+			for _, domain := range c.Domains {
+				svc, _ := w.Cat.ByDomain(domain)
+				for day := 0; day < c.Days; day++ {
+					if moved(c.dayStart(day, svc.TTLSeconds), p, domain) {
+						t.Errorf("%v, %s, day %d: the profile moves with one ulp of clock", p, domain, day)
+					}
+					if moved(simtime.Time(24*day), p, domain) {
+						fromMidnight++
+					}
+				}
+			}
+		}
+	}
+	if fromMidnight == 0 {
+		t.Error("no profile sampled from midnight moved with one ulp: the check is vacuous")
 	}
 }
 

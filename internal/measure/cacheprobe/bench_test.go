@@ -1,6 +1,7 @@
 package cacheprobe
 
 import (
+	"runtime"
 	"testing"
 
 	"itmap/internal/simtime"
@@ -8,7 +9,7 @@ import (
 )
 
 // The campaign rows of the deterministic ledger (make bench → BENCH_serve.json):
-// serial sweeps, so allocations and probe counts do not depend on the
+// serial sweeps (one CPU), so allocations and probe counts do not depend on the
 // machine's core count, over benchPrefixes prefixes of a tiny world — above
 // that the result maps grow past the size where Go's map splitting depends
 // on the per-process hash seed and B/op stops repeating.
@@ -19,6 +20,7 @@ func BenchmarkMeasureHitRates(b *testing.B) {
 	pb := &Prober{PR: w.PR}
 	domains := w.Cat.ECSDomains()
 	prefixes := w.Top.AllPrefixes()[:benchPrefixes]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	probes := 0
@@ -36,6 +38,7 @@ func BenchmarkDiscoverPrefixes(b *testing.B) {
 	w := world.Build(world.Tiny(1))
 	pb := &Prober{PR: w.PR, Domains: w.Cat.ECSDomains()[:8]}
 	prefixes := w.Top.AllPrefixes()[:benchPrefixes]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	probes := 0

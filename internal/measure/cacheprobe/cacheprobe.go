@@ -14,6 +14,7 @@ import (
 
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
+	"itmap/internal/parallel"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 	"itmap/internal/users"
@@ -79,10 +80,37 @@ func (d *Discovery) merge(o *Discovery) {
 // prefix's home PoP for every domain at `rounds` times spread across one
 // simulated day starting at start. More rounds catch lower-activity
 // prefixes (more TTL windows sampled).
+//
+// Both naive sweeps cut the targets into one contiguous shard per CPU
+// (GOMAXPROCS). Probe outcomes are pure functions of (PoP, domain, prefix,
+// TTL window, fault plan), so results — and the error, if a shard hits one —
+// are the serial sweep's at any CPU count. A real campaign is bounded by
+// resolver rate limits instead.
 func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
-	if rounds < 1 {
-		rounds = 1
+	var d *Discovery
+	var err error
+	if n := parallel.Workers(0, len(prefixes)); n == 1 {
+		d, err = pb.discover(top, prefixes, start, rounds)
+	} else {
+		// Sized by its upper bound: a sweep finds most of what it probes.
+		d = newDiscovery(len(prefixes))
+		err = sweepShards(n, n, len(prefixes), d.merge, func(_, lo, hi int) (*Discovery, error) {
+			return pb.discover(top, prefixes[lo:hi], start, rounds)
+		})
 	}
+	if err != nil {
+		return nil, err
+	}
+	probeDatagrams.With("naive").Add(uint64(d.Probes))
+	probeFailed.With("naive").Add(uint64(d.Failed))
+	prefixesFound.Add(uint64(len(d.Found)))
+	return d, nil
+}
+
+// discover is DiscoverPrefixes over one shard of the targets, on one
+// goroutine: the sampling grid is the shard's own.
+func (pb *Prober) discover(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
+	rounds = max(rounds, 1)
 	d := newDiscovery(0)
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := roundsGrid(start, rounds)
@@ -120,9 +148,6 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 			d.ByPoP[pop.ID]++
 		}
 	}
-	probeDatagrams.With("naive").Add(uint64(d.Probes))
-	probeFailed.With("naive").Add(uint64(d.Failed))
-	prefixesFound.Add(uint64(len(d.Found)))
 	return d, nil
 }
 
@@ -223,12 +248,33 @@ func probesPerDay(interval simtime.Time) int {
 // (§3.1.3): prefixes with more active users populate caches more often, so
 // hit rate tracks relative activity.
 func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HitRates, error) {
+	var hr *HitRates
+	var err error
+	if n := parallel.Workers(0, len(prefixes)); n == 1 {
+		hr, err = pb.hitRates(top, prefixes, domain, start, interval)
+	} else {
+		// Shards cut the prefix list, so every prefix is measured by one of them.
+		hr = newHitRates(len(prefixes), 0)
+		err = sweepShards(n, n, len(prefixes), hr.merge, func(_, lo, hi int) (*HitRates, error) {
+			return pb.hitRates(top, prefixes[lo:hi], domain, start, interval)
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	probeDatagrams.With("naive").Add(uint64(hr.ProbesPerPrefix * len(hr.ByPrefix)))
+	probeFailed.With("naive").Add(uint64(hr.Failed))
+	return hr, nil
+}
+
+// hitRates is MeasureHitRates over one shard of the targets, on one
+// goroutine.
+func (pb *Prober) hitRates(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HitRates, error) {
 	if interval <= 0 {
 		interval = 5 * simtime.Minute
 	}
 	probesPer := probesPerDay(interval)
 	hr := newHitRates(len(prefixes), probesPer)
-	probes := 0
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := users.Every(start, interval, probesPer)
 	for _, p := range prefixes {
@@ -240,7 +286,6 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 		probe.Over(grid)
 		hits := 0
 		for r := 0; r < probesPer; r++ {
-			probes++
 			hit, err := probe.AtSlot(r, opts)
 			if err != nil {
 				if faults.IsTransient(err) {
@@ -259,7 +304,5 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 			hr.ByAS[asn] += float64(hits)
 		}
 	}
-	probeDatagrams.With("naive").Add(uint64(probes))
-	probeFailed.With("naive").Add(uint64(hr.Failed))
 	return hr, nil
 }

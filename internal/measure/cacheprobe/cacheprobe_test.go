@@ -162,25 +162,18 @@ func TestIntervalLongerThanDayStillProbesOnce(t *testing.T) {
 	domain := w.Cat.ECSDomains()[0]
 	prefixes := w.Top.AllPrefixes()[:300]
 	pb := &Prober{PR: w.PR}
-	rp := &ResilientProber{PR: w.PR, Shards: 4}
 	for _, interval := range []simtime.Time{25, 48, 1000} {
 		hr, err := pb.MeasureHitRates(w.Top, prefixes, domain, 0, interval)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rhr, _, err := rp.MeasureHitRates(w.Top, prefixes, domain, 0, interval)
-		if err != nil {
-			t.Fatal(err)
+		if hr.ProbesPerPrefix != 1 || len(hr.ByPrefix) != len(prefixes) {
+			t.Errorf("interval %v: %d probes per prefix over %d prefixes, want 1 over %d",
+				interval, hr.ProbesPerPrefix, len(hr.ByPrefix), len(prefixes))
 		}
-		for name, got := range map[string]*HitRates{"naive": hr, "resilient": rhr} {
-			if got.ProbesPerPrefix != 1 || len(got.ByPrefix) != len(prefixes) {
-				t.Errorf("%s interval %v: %d probes per prefix over %d prefixes, want 1 over %d",
-					name, interval, got.ProbesPerPrefix, len(got.ByPrefix), len(prefixes))
-			}
-			for p, rate := range got.ByPrefix {
-				if rate != 0 && rate != 1 {
-					t.Fatalf("%s interval %v: prefix %v hit rate %v from one probe", name, interval, p, rate)
-				}
+		for p, rate := range hr.ByPrefix {
+			if rate != 0 && rate != 1 {
+				t.Fatalf("interval %v: prefix %v hit rate %v from one probe", interval, p, rate)
 			}
 		}
 		hp, err := pb.MeasureHourlyProfile(w.Top, prefixes, domain, 0, interval)

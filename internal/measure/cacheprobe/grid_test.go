@@ -3,7 +3,6 @@ package cacheprobe
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -17,9 +16,10 @@ import (
 )
 
 // TestSweepsIdenticalAcrossWorkers: sampling grids and their diurnal tables
-// are per shard, so a sweep's HitRates, Discovery, Failed counts and stable
-// exposition are the same serial, fanned out over 1, 2 or 4 CPUs, and — for
-// the resilient prober — driven by 1, 2 or 4 workers, under a lossy plan.
+// are per shard, so a sweep's HitRates, Discovery, ledger, stable
+// exposition and span tree are the same serial and fanned out — the naive
+// sweeps over 2 or 4 CPUs, the resilient one by 2 or 4 workers — under a
+// lossy plan.
 func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
 	w := world.Build(world.Tiny(9))
 	w.PR.SetFaultPlan(faults.NewPlan(faults.Lossy(), 3))
@@ -28,92 +28,41 @@ func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
 	domains := w.Cat.ECSDomains()
 	mid := domains[len(domains)/2]
 
-	type result struct {
-		d          *Discovery
-		hr         *HitRates
-		dst, hst   *SweepStats
-		exposition string
-		answered   uint64 // itm_dns_probes_total
-	}
-	run := func(sweep func() result) result {
-		set := obs.NewSet()
-		defer obs.Swap(obs.Swap(set))
-		r := sweep()
-		r.exposition = set.Reg.StableExposition()
-		r.answered = answeredLookups(set)
-		return r
-	}
-	same := func(name string, got, want result) {
-		t.Helper()
-		if !reflect.DeepEqual(got.d, want.d) {
-			t.Errorf("%s: Discovery differs (failed %d vs %d)", name, got.d.Failed, want.d.Failed)
-		}
-		if !reflect.DeepEqual(got.hr, want.hr) {
-			t.Errorf("%s: HitRates differ (failed %d vs %d)", name, got.hr.Failed, want.hr.Failed)
-		}
-		if !reflect.DeepEqual(got.dst, want.dst) || !reflect.DeepEqual(got.hst, want.hst) {
-			t.Errorf("%s: sweep ledgers differ", name)
-		}
-		if got.exposition != want.exposition {
-			t.Errorf("%s: stable exposition differs\ngot:\n%s\nwant:\n%s", name, got.exposition, want.exposition)
-		}
-	}
-
 	pb := &Prober{PR: w.PR, Domains: domains[:6], Source: 0x5eed}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
+	naive := func(cpus int) sweepRun {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+		return observed(t, func(r *sweepRun) (err error) {
+			if r.d, err = pb.DiscoverPrefixes(w.Top, prefixes, 3, 4); err != nil {
+				return err
+			}
+			r.hr, err = pb.MeasureHitRates(w.Top, prefixes, mid, 0, 30*simtime.Minute)
+			return err
+		})
 	}
-	serial := run(func() (r result) {
-		var err error
-		r.d, err = pb.DiscoverPrefixes(w.Top, prefixes, 3, 4)
-		must(err)
-		r.hr, err = pb.MeasureHitRates(w.Top, prefixes, mid, 0, 30*simtime.Minute)
-		must(err)
-		return r
-	})
+	serial := naive(1)
 	if serial.d.Failed == 0 || serial.hr.Failed == 0 || len(serial.d.Found) == 0 {
 		t.Fatalf("lossy sweeps lost %d and %d probes, found %d prefixes: comparison is vacuous",
 			serial.d.Failed, serial.hr.Failed, len(serial.d.Found))
 	}
 	// Every probe the fault layer let through was answered, and every answer
 	// reached the process counter although probes publish once per prefix.
-	if want := uint64(serial.d.Probes - serial.d.Failed + serial.hr.ProbesPerPrefix*len(serial.hr.ByPrefix) - serial.hr.Failed); serial.answered != want {
+	want := serial.d.Probes - serial.d.Failed + serial.hr.ProbesPerPrefix*len(serial.hr.ByPrefix) - serial.hr.Failed
+	if serial.answered != uint64(want) {
 		t.Errorf("itm_dns_probes_total = %d after sweeps that got %d answers", serial.answered, want)
 	}
-	for _, cpus := range []int{1, 2, 4} {
-		prev := runtime.GOMAXPROCS(cpus)
-		got := run(func() (r result) {
-			var err error
-			r.d, err = pb.DiscoverPrefixesParallel(w.Top, prefixes, 3, 4)
-			must(err)
-			r.hr, err = pb.MeasureHitRatesParallel(w.Top, prefixes, mid, 0, 30*simtime.Minute)
-			must(err)
-			return r
-		})
-		runtime.GOMAXPROCS(prev)
-		same(fmt.Sprintf("parallel on %d CPUs", cpus), got, serial)
-	}
-
-	resilient := func(workers int) result {
-		return run(func() (r result) {
-			rp := hostileProber(w, workers)
-			var err error
-			r.d, r.dst, err = rp.DiscoverPrefixes(w.Top, prefixes, 3, 4)
-			must(err)
-			r.hr, r.hst, err = rp.MeasureHitRates(w.Top, prefixes[:500], mid, 0, 30*simtime.Minute)
-			must(err)
-			return r
+	resilient := func(workers int) sweepRun {
+		return observed(t, func(r *sweepRun) (err error) {
+			r.d, r.st, err = hostileProber(w, workers).DiscoverPrefixes(w.Top, prefixes, 3, 4)
+			return err
 		})
 	}
 	one := resilient(1)
-	if one.dst.Retries == 0 || one.hst.Retries == 0 {
-		t.Fatal("resilient sweeps never retried: comparison is vacuous")
+	if one.st.Retries == 0 {
+		t.Fatal("resilient sweep never retried: comparison is vacuous")
 	}
 	for _, workers := range []int{2, 4} {
-		same(fmt.Sprintf("resilient with %d workers", workers), resilient(workers), one)
+		naive(workers).mustEqual(t, fmt.Sprintf("naive on %d CPUs", workers), serial)
+		resilient(workers).mustEqual(t, fmt.Sprintf("resilient with %d workers", workers), one)
 	}
 }
 

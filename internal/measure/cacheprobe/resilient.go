@@ -10,7 +10,6 @@ import (
 	"itmap/internal/resilience"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
-	"itmap/internal/users"
 )
 
 // ResilientProber is the hardened cache-probing client: every probe is
@@ -182,8 +181,10 @@ var (
 
 // reportObs folds one merged sweep ledger into the process metrics
 // registry. It runs on the serial path after the shard merge, so every
-// total is a pure function of the sweep result.
-func (s *SweepStats) reportObs(sweep string) {
+// total is a pure function of the sweep result. The families keep their
+// sweep label, though discovery is the one resilient sweep left.
+func (s *SweepStats) reportObs() {
+	const sweep = "discover"
 	probeDatagrams.With("resilient").Add(uint64(s.Probes))
 	probeRetries.With(sweep).Add(uint64(s.Retries))
 	probeGiveUps.With(sweep).Add(uint64(s.GiveUps))
@@ -210,15 +211,15 @@ func (rp *ResilientProber) shards() int {
 }
 
 // shardState is one probing source's mutable world: its pacer, its per-PoP
-// breakers, its copy of the retry policy, the ledger it fills, and — once it
-// has probed its targets — how to fold its result into the sweep's.
+// breakers, its copy of the retry policy, and what it measured over its cut
+// of the targets — the discovery and the ledger.
 type shardState struct {
 	source   uint64
 	pacer    *resilience.Pacer
 	breakers map[int]*resilience.Breaker
 	retry    resilience.Retryer
+	d        *Discovery
 	st       *SweepStats
-	fold     func()
 }
 
 func (rp *ResilientProber) newShard(i int) *shardState {
@@ -236,6 +237,7 @@ func (rp *ResilientProber) newShard(i int) *shardState {
 		pacer:    resilience.NewPacer(rp.QPS, burst),
 		breakers: map[int]*resilience.Breaker{},
 		retry:    retry,
+		d:        newDiscovery(0),
 		st:       newSweepStats(),
 	}
 }
@@ -300,86 +302,40 @@ func (rp *ResilientProber) probe(ss *shardState, pop int, pp *dnssim.Probe, p to
 	return hit, true, sent
 }
 
-// sweep is the frame both resilient sweeps run in. The targets are cut across
-// rp.shards() sources; probeTargets runs one source over its cut — with its
-// own pacer, breakers, ledger and span under root — and returns how to fold
-// what it measured into the sweep's result, which happens here, serially and
-// in shard order. The merged ledger comes back already reported to the
-// metrics registry under kind.
-func (rp *ResilientProber) sweep(root *obs.Span, kind string, prefixes []topology.PrefixID, start simtime.Time,
-	probeTargets func(ss *shardState, targets []topology.PrefixID) (fold func())) (*SweepStats, error) {
-	stats := newSweepStats()
+// DiscoverPrefixes is the resilient DiscoverPrefixes: same discovery
+// semantics (a prefix is found on its first cache hit), plus retry,
+// breaker, and pacing behaviour, and a SweepStats ledger classifying every
+// target as probed-ok, gave-up, or skipped. The targets are cut across
+// rp.shards() sources, each with its own pacer, breakers, ledger and span;
+// the shards fold into the result here, serially and in shard order, and
+// the merged ledger is reported to the metrics registry.
+func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, *SweepStats, error) {
+	if rounds < 1 {
+		rounds = 1
+	}
+	n := rp.shards()
+	root := obs.StartSpan("cacheprobe.discover", start).
+		SetAttrInt("targets", int64(len(prefixes))).
+		SetAttrInt("shards", int64(n)).
+		SetAttrInt("rounds", int64(rounds))
+	out, stats := newDiscovery(0), newSweepStats()
 	// A probe that exhausts its retry budget is an outcome in the ledger, not
 	// an error, so today no shard fails.
-	err := sweepShards(rp.shards(), rp.Workers, len(prefixes), func(ss *shardState) {
-		ss.fold()
+	err := sweepShards(n, rp.Workers, len(prefixes), func(ss *shardState) {
+		out.merge(ss.d)
 		stats.merge(ss.st)
 	}, func(i, lo, hi int) (*shardState, error) {
 		sp := root.Child("shard", start).SetOrder(i).SetAttrInt("shard", int64(i))
 		ss := rp.newShard(i)
-		ss.fold = probeTargets(ss, prefixes[lo:hi])
+		rp.discover(ss, top, prefixes[lo:hi], start, rounds)
 		ss.st.countOpens(ss.breakers)
 		sp.SetAttrInt("datagrams", int64(ss.st.Probes)).End(start + 24)
 		return ss, nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	stats.reportObs(kind)
-	return stats, nil
-}
-
-// DiscoverPrefixes is the resilient DiscoverPrefixes: same discovery
-// semantics (a prefix is found on its first cache hit), plus retry,
-// breaker, and pacing behaviour, and a SweepStats ledger classifying every
-// target as probed-ok, gave-up, or skipped.
-func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, *SweepStats, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
-	root := obs.StartSpan("cacheprobe.discover", start).
-		SetAttrInt("targets", int64(len(prefixes))).
-		SetAttrInt("shards", int64(rp.shards())).
-		SetAttrInt("rounds", int64(rounds))
-	out := newDiscovery(0)
-	stats, err := rp.sweep(root, "discover", prefixes, start, func(ss *shardState, targets []topology.PrefixID) func() {
-		d := newDiscovery(0)
-		grid := roundsGrid(start, rounds)
-		for _, p := range targets {
-			pop := rp.PR.HomePoP(p)
-			if pop == nil {
-				continue
-			}
-			definitive := 0
-			attempts := 0
-		domains:
-			for _, dom := range rp.Domains {
-				pp := rp.PR.PrepareHome(pop, dom, p)
-				for r := 0; r < rounds; r++ {
-					hit, ok, att := rp.probe(ss, pop.ID, &pp, p, grid.Time(r))
-					attempts += att
-					if !ok {
-						continue
-					}
-					definitive++
-					d.Probes++
-					if hit {
-						d.Found[p] = true
-						if asn, ok := top.OwnerOf(p); ok {
-							d.FoundASes[asn] = true
-						}
-						d.ByPoP[pop.ID]++
-						break domains
-					}
-				}
-			}
-			ss.st.classify(p, definitive, attempts)
-		}
-		return func() { out.merge(d) }
-	})
-	if err != nil {
 		return nil, nil, err
 	}
+	stats.reportObs()
 	// Keep naive-Discovery units: Probes counts datagrams issued, Failed
 	// the ones faults ate. Shards accumulated definitive answers in
 	// d.Probes; the ledger has the datagram truth.
@@ -396,60 +352,37 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 	return out, stats, nil
 }
 
-// MeasureHitRates is the resilient hit-rate campaign: each probe slot is
-// retried to a definitive answer or budget exhaustion, and — unlike the
-// naive campaign, which keeps failures in its denominators — the rate uses
-// answered probes only, so faults cost precision, not bias.
-//
-//itmlint:allow deadexport the resilient half of the hit-rate campaign: E24 runs resilient discovery only, and TestCampaignDigestsMatchParent, the grid and the fault tests pin this sweep to the parent's bytes
-func (rp *ResilientProber) MeasureHitRates(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HitRates, *SweepStats, error) {
-	if interval <= 0 {
-		interval = 5 * simtime.Minute
-	}
-	probesPer := probesPerDay(interval)
-	root := obs.StartSpan("cacheprobe.hitrates", start).
-		SetAttrInt("targets", int64(len(prefixes))).
-		SetAttrInt("shards", int64(rp.shards())).
-		SetAttrInt("probes_per_prefix", int64(probesPer))
-	out := newHitRates(0, probesPer)
-	stats, err := rp.sweep(root, "hitrates", prefixes, start, func(ss *shardState, targets []topology.PrefixID) func() {
-		hr := newHitRates(0, probesPer)
-		grid := users.Every(start, interval, probesPer)
-		for _, p := range targets {
-			pop := rp.PR.HomePoP(p)
-			if pop == nil {
-				continue
-			}
-			pp := rp.PR.PrepareHome(pop, domain, p)
-			hits, answered, attempts := 0, 0, 0
-			for r := 0; r < probesPer; r++ {
+// discover runs one source over its cut of the targets.
+func (rp *ResilientProber) discover(ss *shardState, top *topology.Topology, targets []topology.PrefixID, start simtime.Time, rounds int) {
+	grid := roundsGrid(start, rounds)
+	for _, p := range targets {
+		pop := rp.PR.HomePoP(p)
+		if pop == nil {
+			continue
+		}
+		definitive := 0
+		attempts := 0
+	domains:
+		for _, dom := range rp.Domains {
+			pp := rp.PR.PrepareHome(pop, dom, p)
+			for r := 0; r < rounds; r++ {
 				hit, ok, att := rp.probe(ss, pop.ID, &pp, p, grid.Time(r))
 				attempts += att
 				if !ok {
 					continue
 				}
-				answered++
+				definitive++
+				ss.d.Probes++
 				if hit {
-					hits++
+					ss.d.Found[p] = true
+					if asn, ok := top.OwnerOf(p); ok {
+						ss.d.FoundASes[asn] = true
+					}
+					ss.d.ByPoP[pop.ID]++
+					break domains
 				}
 			}
-			ss.st.classify(p, answered, attempts)
-			if answered > 0 {
-				hr.ByPrefix[p] = float64(hits) / float64(answered)
-			} else {
-				hr.ByPrefix[p] = 0
-			}
-			hr.Failed += attempts - answered
-			if asn, ok := top.OwnerOf(p); ok {
-				hr.ByAS[asn] += float64(hits)
-			}
 		}
-		return func() { out.merge(hr) }
-	})
-	if err != nil {
-		return nil, nil, err
+		ss.st.classify(p, definitive, attempts)
 	}
-	history.Observe("sweep", "sweep-hitrates", start+24)
-	root.SetAttrInt("datagrams", int64(stats.Probes)).End(start + 24)
-	return out, stats, nil
 }

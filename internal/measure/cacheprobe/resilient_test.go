@@ -190,24 +190,3 @@ func TestResilientZeroFaultMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-// TestResilientHitRatesDeterministic covers the second sweep variant.
-func TestResilientHitRatesDeterministic(t *testing.T) {
-	w := world.Build(world.Tiny(8))
-	w.PR.SetFaultPlan(faults.NewPlan(faults.Lossy(), 13))
-	defer w.PR.SetFaultPlan(nil)
-	prefixes := w.Top.AllPrefixes()
-	dom := w.Cat.ECSDomains()[0]
-	run := func(workers int) (*HitRates, *SweepStats) {
-		hr, st, err := hostileProber(w, workers).MeasureHitRates(w.Top, prefixes[:60], dom, 0, simtime.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hr, st
-	}
-	hr1, st1 := run(1)
-	hr8, st8 := run(8)
-	if !reflect.DeepEqual(hr1, hr8) || !reflect.DeepEqual(st1, st8) {
-		t.Fatal("hit-rate sweep not deterministic across worker counts")
-	}
-}

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
+	"strings"
 	"testing"
 
-	"itmap/internal/faults"
 	"itmap/internal/obs"
-	"itmap/internal/resilience"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 	"itmap/internal/world"
@@ -20,9 +18,10 @@ import (
 type sweepRun struct {
 	d          *Discovery
 	hr         *HitRates
-	dst, hst   *SweepStats
+	st         *SweepStats
 	exposition string
 	traces     string
+	answered   uint64 // itm_dns_probes_total
 }
 
 // observed runs sweeps in an observability world of its own.
@@ -36,6 +35,7 @@ func observed(t *testing.T, sweeps func(r *sweepRun) error) sweepRun {
 		t.Fatal(err)
 	}
 	r.exposition = set.Reg.StableExposition()
+	r.answered = answeredLookups(set)
 	traces, err := set.Trc.ExportAll()
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func (got sweepRun) mustEqual(t *testing.T, name string, want sweepRun) {
 	if !reflect.DeepEqual(got.hr, want.hr) {
 		t.Errorf("%s: HitRates differ (failed %d vs %d)", name, got.hr.Failed, want.hr.Failed)
 	}
-	if !reflect.DeepEqual(got.dst, want.dst) || !reflect.DeepEqual(got.hst, want.hst) {
+	if !reflect.DeepEqual(got.st, want.st) {
 		t.Errorf("%s: sweep ledgers differ", name)
 	}
 	if got.exposition != want.exposition {
@@ -64,102 +64,22 @@ func (got sweepRun) mustEqual(t *testing.T, name string, want sweepRun) {
 	}
 }
 
-// TestSweepsMatchParentFanOuts drives the four sharded sweeps beside the
-// parent's hand-written ones (sweepref_test.go) — naive on 1, 2, 4 and 7
-// CPUs, resilient with 1, 2, 4 and 7 workers over 1 and 16 shards, fault-free
-// and under the hostile profile — and requires the same Discovery, HitRates
-// and SweepStats, the same metrics and the same span trees.
-func TestSweepsMatchParentFanOuts(t *testing.T) {
-	w := world.Build(world.Tiny(9))
-	prefixes := w.Top.AllPrefixes()[:3000]
-	domains := w.Cat.ECSDomains()
-	mid := domains[len(domains)/2]
-	pb := &Prober{PR: w.PR, Domains: domains[:6], Source: 0x5eed}
-
-	for _, profile := range []faults.Profile{faults.None(), faults.Hostile()} {
-		w.PR.SetFaultPlan(faults.NewPlan(profile, 3))
-		for _, n := range []int{1, 2, 4, 7} {
-			name := fmt.Sprintf("%s, naive on %d CPUs", profile.Name, n)
-			prev := runtime.GOMAXPROCS(n)
-			got := observed(t, func(r *sweepRun) (err error) {
-				if r.d, err = pb.DiscoverPrefixesParallel(w.Top, prefixes, 3, 4); err != nil {
-					return err
-				}
-				r.hr, err = pb.MeasureHitRatesParallel(w.Top, prefixes, mid, 0, 30*simtime.Minute)
-				return err
-			})
-			want := observed(t, func(r *sweepRun) (err error) {
-				if r.d, err = pb.refDiscoverPrefixesParallel(w.Top, prefixes, 3, 4); err != nil {
-					return err
-				}
-				r.hr, err = pb.refMeasureHitRatesParallel(w.Top, prefixes, mid, 0, 30*simtime.Minute)
-				return err
-			})
-			runtime.GOMAXPROCS(prev)
-			got.mustEqual(t, name, want)
-			if len(got.d.Found) == 0 || profile.Name == "hostile" && (got.d.Failed == 0 || got.hr.Failed == 0) {
-				t.Errorf("%s: found %d prefixes, lost %d and %d probes: comparison is vacuous", name, len(got.d.Found), got.d.Failed, got.hr.Failed)
-			}
-
-			for _, shards := range []int{1, 16} {
-				name := fmt.Sprintf("%s, resilient with %d workers over %d shards", profile.Name, n, shards)
-				rp := &ResilientProber{
-					PR: w.PR, Domains: domains[:4],
-					Retry: resilience.Retryer{Budget: 4, Backoff: resilience.Backoff{
-						Base: 5 * simtime.Minute, Factor: 3, Cap: 2 * simtime.Hour, Jitter: 0.5, Seed: 21,
-					}},
-					Breaker: resilience.BreakerConfig{FailThreshold: 5, Cooldown: 10 * simtime.Minute},
-					QPS:     25, Shards: shards, BaseSource: 0x900d, Workers: n,
-				}
-				got := observed(t, func(r *sweepRun) (err error) {
-					if r.d, r.dst, err = rp.DiscoverPrefixes(w.Top, prefixes, 3, 4); err != nil {
-						return err
-					}
-					r.hr, r.hst, err = rp.MeasureHitRates(w.Top, prefixes[:400], mid, 0, 30*simtime.Minute)
-					return err
-				})
-				if rp.Retry.Retryable != nil {
-					t.Errorf("%s: the sweep left a retry classifier on its receiver", name)
-				}
-				want := observed(t, func(r *sweepRun) (err error) {
-					if r.d, r.dst, err = rp.refDiscoverPrefixes(w.Top, prefixes, 3, 4); err != nil {
-						return err
-					}
-					r.hr, r.hst, err = rp.refMeasureHitRates(w.Top, prefixes[:400], mid, 0, 30*simtime.Minute)
-					return err
-				})
-				got.mustEqual(t, name, want)
-				if profile.Name == "hostile" && (got.dst.Retries == 0 || got.hst.Retries == 0 || got.dst.GiveUps+got.dst.Skips == 0) {
-					t.Errorf("%s: %d and %d retries, %d give-ups, %d skips: comparison is vacuous",
-						name, got.dst.Retries, got.hst.Retries, got.dst.GiveUps, got.dst.Skips)
-				}
-			}
-		}
-	}
-	w.PR.SetFaultPlan(nil)
-}
-
-// TestResilientSweepWithoutTargets: no target, no shard — empty results and
-// an empty ledger, as the parent returned.
+// TestResilientSweepWithoutTargets: no target, no shard — empty results, an
+// empty ledger and no shard span, as the model has it.
 func TestResilientSweepWithoutTargets(t *testing.T) {
 	w := world.Build(world.Tiny(9))
 	rp := hostileProber(w, 2)
-	domain := w.Cat.ECSDomains()[0]
 	got := observed(t, func(r *sweepRun) (err error) {
-		if r.d, r.dst, err = rp.DiscoverPrefixes(w.Top, nil, 0, 2); err != nil {
-			return err
-		}
-		r.hr, r.hst, err = rp.MeasureHitRates(w.Top, nil, domain, 0, simtime.Hour)
+		r.d, r.st, err = rp.DiscoverPrefixes(w.Top, nil, 0, 2)
 		return err
 	})
-	want := observed(t, func(r *sweepRun) (err error) {
-		if r.d, r.dst, err = rp.refDiscoverPrefixes(w.Top, nil, 0, 2); err != nil {
-			return err
-		}
-		r.hr, r.hst, err = rp.refMeasureHitRates(w.Top, nil, domain, 0, simtime.Hour)
-		return err
-	})
-	got.mustEqual(t, "no targets", want)
+	wantD, wantST := (&model{w: w}).resilient(rp, nil, 0, 2)
+	if !reflect.DeepEqual(got.d, wantD) || !reflect.DeepEqual(got.st, wantST) {
+		t.Errorf("no targets: got %+v and %+v", got.d, got.st)
+	}
+	if strings.Contains(got.traces, `"shard"`) {
+		t.Errorf("a sweep without targets traced a shard:\n%s", got.traces)
+	}
 }
 
 // TestSweepShardsReturnsTheSerialError: when shards fail, the error is the
