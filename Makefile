@@ -193,7 +193,8 @@ loadgen-smoke:
 # Crash smoke: boot a mesh-enabled itm-serve with a WAL, capture the served
 # surface of both layers (the epoch listing, a map as JSON and as ITMB, the
 # worst-pairs ranking and one pair's path and latency taken from it — bodies
-# and ETags), SIGKILL it, smash a torn tail onto the journal as a power cut
+# and ETags), require that epoch 0's ETag borrowed onto epoch 1's
+# /v1/latency/top gets a 200, not a 304, SIGKILL it, smash a torn tail onto the journal as a power cut
 # would, and verify the restarted server recovers from the journal alone —
 # no world rebuild, no mesh campaign, nothing re-encoded — and serves every
 # one of those bytes again. Then saturate the recovered server (1 slot, no
@@ -231,6 +232,10 @@ crash-smoke:
 	b=$$(sed -n 's/.*"b": \([0-9]*\).*/\1/p' crash-smoke/worst.json | head -1); \
 	test -n "$$a" && test -n "$$b" || { echo "crash-smoke: no ranked pair in /v1/latency/top"; exit 1; }; \
 	surface a; \
+	tag0=$$(curl -sf -D - -o /dev/null "$$base/v1/latency/top?epoch=0" | sed -n 's/^[Ee][Tt][Aa][Gg]: *//p' | tr -d '\r'); \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $$tag0" "$$base/v1/latency/top?epoch=1"); \
+	test -n "$$tag0" && test "$$code" = 200 || \
+		{ echo "crash-smoke: epoch 0's ETag $$tag0 answered $$code on /v1/latency/top?epoch=1, want 200"; exit 1; }; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
 	printf 'TORNTAIL' >> crash-smoke/wal/journal.itwl; \
 	crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/wal -mesh-agents 24 -max-inflight 1 -max-queue 0 2>crash-smoke/events2.log & \

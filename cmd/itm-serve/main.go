@@ -47,7 +47,7 @@
 // WAL is already attached; -mesh-agents 0 is that builder's "no mesh", and
 // -scale is whatever world.ForScale accepts. (The server still reaches the
 // campaign through internal/experiments because benchmark/_tracer mirrors
-// this boot by those names; ROADMAP item 5b retires the mirror first.)
+// this boot by those names; ROADMAP item 7b retires the mirror first.)
 package main
 
 import (

@@ -8,11 +8,11 @@ import (
 )
 
 // TestETagsWorkerCountStable is the validator half of the determinism
-// contract: ETags derive from each epoch's canonical ITMB encoding, so a
-// store built with 1 worker and one built with 4 must issue identical map
-// and mesh tags for every epoch. A client that cached against one replica
-// then revalidates correctly against any other. A mesh build gives every
-// epoch a mesh, a map-only build none.
+// contract: ETags derive from each epoch's record, its canonical ITMB
+// encodings, so a store built with 1 worker and one built with 4 must issue
+// identical tags for every epoch, map and mesh routes alike. A client that
+// cached against one replica then revalidates correctly against any other.
+// A mesh build gives every epoch a mesh, a map-only build none.
 func TestETagsWorkerCountStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four tiny-world epoch stores")
@@ -33,9 +33,9 @@ func TestETagsWorkerCountStable(t *testing.T) {
 			if e.ETag == "" {
 				t.Fatalf("epoch %d has no ETag", e.ID)
 			}
-			if e.ETag != four[i].ETag || e.MeshETag != four[i].MeshETag {
-				t.Errorf("agents %d, epoch %d: ETags differ by worker count: %q %q vs %q %q",
-					mesh.Agents, i, e.ETag, e.MeshETag, four[i].ETag, four[i].MeshETag)
+			if e.ETag != four[i].ETag {
+				t.Errorf("agents %d, epoch %d: ETags differ by worker count: %q vs %q",
+					mesh.Agents, i, e.ETag, four[i].ETag)
 			}
 			if (e.MeshDoc != nil) != (mesh.Agents > 0) {
 				t.Errorf("agents %d, epoch %d: mesh present = %v", mesh.Agents, i, e.MeshDoc != nil)

@@ -21,6 +21,7 @@ import (
 	"itmap/internal/simtime"
 	"itmap/internal/stats"
 	"itmap/internal/topology"
+	"itmap/internal/world"
 )
 
 // RunE10 implements the §3.1.3 open question: "deploy techniques to
@@ -164,6 +165,26 @@ func (e *Env) RunE12() *Result {
 	return r
 }
 
+// E13 probes three days, every five minutes, each day from its
+// cacheprobe.DayStart, clear of the TTL window edges.
+const (
+	e13Days     = 3
+	e13Interval = 5 * simtime.Minute
+)
+
+// e13Prefixes is the domain E13 probes and its targets: the office and
+// campus prefixes, grouped by country (= timezone).
+func e13Prefixes(w *world.World) (string, map[string][]topology.PrefixID) {
+	byCountry := map[string][]topology.PrefixID{}
+	for _, ty := range []topology.ASType{topology.Enterprise, topology.Academic} {
+		for _, asn := range w.Top.ASesOfType(ty) {
+			a := w.Top.ASes[asn]
+			byCountry[a.Country] = append(byCountry[a.Country], a.Prefixes...)
+		}
+	}
+	return w.Cat.ECSDomains()[0], byCountry
+}
+
 // RunE13 pushes the users component to Table 1's desired "Hourly" temporal
 // precision: per-hour cache hit rates recover each network's diurnal
 // activity curve, with the peak at the users' local evening.
@@ -174,15 +195,9 @@ func (e *Env) RunE13() *Result {
 	// clock (saturated hit rate, no curve); small office/campus prefixes
 	// sit in the informative mid-range where cache occupancy follows
 	// instantaneous demand. Probe those, grouped by country (= timezone).
-	domain := w.Cat.ECSDomains()[0]
+	domain, byCountry := e13Prefixes(w)
+	svc, _ := w.Cat.ByDomain(domain)
 	pb := &cacheprobe.Prober{PR: w.PR}
-	byCountry := map[string][]topology.PrefixID{}
-	for _, ty := range []topology.ASType{topology.Enterprise, topology.Academic} {
-		for _, asn := range w.Top.ASesOfType(ty) {
-			a := w.Top.ASes[asn]
-			byCountry[a.Country] = append(byCountry[a.Country], a.Prefixes...)
-		}
-	}
 	checked, close, diurnal := 0, 0, 0
 	for _, c := range geo.Countries() {
 		prefixes := byCountry[c.Code]
@@ -191,9 +206,9 @@ func (e *Env) RunE13() *Result {
 		}
 		hp := &cacheprobe.HourlyProfile{}
 		ok := true
-		for day := 0; day < 3; day++ {
+		for day := 0; day < e13Days; day++ {
 			d, err := pb.MeasureHourlyProfile(w.Top, prefixes, domain,
-				simtime.Time(24*day), 5*simtime.Minute)
+				cacheprobe.DayStart(day, e13Interval, svc.TTLSeconds), e13Interval)
 			if err != nil {
 				ok = false
 				break

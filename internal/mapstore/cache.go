@@ -117,24 +117,18 @@ var (
 // --- ETags ------------------------------------------------------------------
 
 // fingerprint is the FNV-1a hash backing the store's strong ETags. The
-// input is the epoch's canonical ITMB encoding, which is byte-identical
-// across runs and worker counts, so ETags are too.
+// input is the epoch's record, its canonical ITMB encodings, which is
+// byte-identical across runs and worker counts, so ETags are too.
 func fingerprint(b []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write(b)
 	return h.Sum64()
 }
 
-// epochETag derives the strong ETag for responses scoped to one epoch.
-func epochETag(id int, encoded []byte) string {
-	return `"itm-e` + strconv.Itoa(id) + `-` + strconv.FormatUint(fingerprint(encoded), 16) + `"`
-}
-
-// meshETag derives the strong ETag for mesh-scoped responses from the
-// canonical mesh encoding. A mesh shared with the previous epoch keeps that
-// epoch's tag, so id is the epoch the mesh first arrived in.
-func meshETag(id int, encoded []byte) string {
-	return `"itm-m` + strconv.Itoa(id) + `-` + strconv.FormatUint(fingerprint(encoded), 16) + `"`
+// epochETag derives the strong ETag for responses scoped to one epoch, from
+// its record: the map's routes and the mesh's alike.
+func epochETag(id int, record []byte) string {
+	return `"itm-e` + strconv.Itoa(id) + `-` + strconv.FormatUint(fingerprint(record), 16) + `"`
 }
 
 // storeETag derives the strong ETag for responses that span the store: it

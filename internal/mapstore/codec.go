@@ -163,23 +163,28 @@ func fieldOf[K ~uint32, V float64 | ~uint8](m func(*core.MapDocument) *map[K]V) 
 	}
 }
 
-// sectionOffsets records where each wire section starts in an encoded
-// document. Both codec directions walk the sections anyway and note the
-// offsets as they go; the store compares sections of consecutive epochs
-// through them (see shareSections).
-type sectionOffsets [wireSections]int
+// sectionOffsets records where each section of an epoch's record starts:
+// the map's wire sections, then wireMesh, where the map ends and the mesh
+// encoding behind it (if any) begins. Both codec directions walk the
+// sections anyway and note the offsets as they go; the store compares
+// sections of consecutive epochs through them (see shareSections).
+type sectionOffsets [wireSections + 1]int
 
-// span returns the bytes of wire section i of enc: from its offset to the
-// next section's, the last one running to the end of the document.
-func (o *sectionOffsets) span(enc []byte, i int) []byte {
-	end := len(enc)
-	if i+1 < wireSections {
+// wireMesh is a record's last span: the epoch's mesh encoding, empty for a
+// map-only epoch, whose record is its map encoding alone.
+const wireMesh = wireSections
+
+// span returns the bytes of section i of the record rec: from its offset to
+// the next section's, the mesh running to the end of the record.
+func (o *sectionOffsets) span(rec []byte, i int) []byte {
+	end := len(rec)
+	if i < wireMesh {
 		end = o[i+1]
 	}
-	return enc[o[i]:end]
+	return rec[o[i]:end]
 }
 
-// encoding is a document's canonical ITMB bytes with their section offsets.
+// encoding is an epoch record's canonical bytes with their section offsets.
 type encoding struct {
 	bytes []byte
 	off   sectionOffsets
@@ -217,6 +222,7 @@ var encPool = sync.Pool{New: func() any {
 // reset clears the scratch for reuse, keeping capacity.
 func (e *encoder) reset() {
 	e.buf = e.buf[:0]
+	e.off = sectionOffsets{}
 	e.err = nil
 	e.actives = e.actives[:0]
 	e.entries = e.entries[:0]
@@ -273,18 +279,41 @@ func (e *encoder) delta(prev *uint64, v uint64) {
 // encoding, so the output bytes are a pure function of the document's
 // content.
 func EncodeDocument(doc *core.MapDocument) ([]byte, error) {
-	enc, err := encodeDocument(doc)
-	return enc.bytes, err
+	if doc == nil {
+		return nil, fmt.Errorf("%w: nil document", ErrEncode)
+	}
+	rec, err := encodeRecord(doc, nil)
+	return rec.bytes, err
 }
 
-// encodeDocument is EncodeDocument keeping the section offsets.
-func encodeDocument(doc *core.MapDocument) (encoding, error) {
-	if doc == nil {
-		return encoding{}, fmt.Errorf("%w: nil document", ErrEncode)
-	}
+// encodeRecord writes an epoch's journal record into one pooled buffer: the
+// map document's ITMB encoding, then the mesh's when there is one (a nil doc
+// writes the mesh alone, for EncodeMeshDocument). The record is what the
+// store holds, hashes into the epoch's ETag and journals.
+func encodeRecord(doc *core.MapDocument, mesh *core.MeshDocument) (encoding, error) {
 	e := encPool.Get().(*encoder)
 	defer encPool.Put(e)
 	e.reset()
+	if doc != nil {
+		e.document(doc)
+	}
+	e.begin(wireMesh)
+	if mesh != nil {
+		e.mesh(mesh)
+	}
+	if e.err != nil {
+		return encoding{}, e.err
+	}
+	codecEncoded.Add(uint64(len(e.buf)))
+	// Exact-size clone: the pooled buffer stays with the encoder; callers
+	// retain only their own bytes.
+	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off}
+	copy(out.bytes, e.buf)
+	return out, nil
+}
+
+// document writes the map document's wire sections.
+func (e *encoder) document(doc *core.MapDocument) {
 	e.raw(Magic[:])
 	e.uvarint(CodecVersion)
 	if doc.Version < 0 {
@@ -384,15 +413,6 @@ func encodeDocument(doc *core.MapDocument) (encoding, error) {
 		e.uvarint(e.bounded("mapping serving prefix", uint64(m.Serving), maxPrefixID))
 	}
 	e.mappings = mappings
-	if e.err != nil {
-		return encoding{}, e.err
-	}
-	codecEncoded.Add(uint64(len(e.buf)))
-	// Exact-size clone: the pooled buffer stays with the encoder; callers
-	// retain only their own bytes.
-	out := encoding{bytes: make([]byte, len(e.buf)), off: e.off}
-	copy(out.bytes, e.buf)
-	return out, nil
 }
 
 // keyed writes one keyed section of doc: its entries staged in the pooled
@@ -569,7 +589,7 @@ func DecodeDocument(data []byte) (*core.MapDocument, error) {
 // returned encoding aliases data.
 func decodeDocument(data []byte) (*core.MapDocument, encoding, error) {
 	doc, enc := &core.MapDocument{}, encoding{bytes: data}
-	if err := decodeInto(doc, &enc, nil); err != nil {
+	if err := decodeInto(doc, &enc, false); err != nil {
 		return nil, encoding{}, err
 	}
 	return doc, enc, nil
@@ -577,11 +597,10 @@ func decodeDocument(data []byte) (*core.MapDocument, encoding, error) {
 
 // decodeInto decodes the map document enc.bytes starts with. The format
 // needs no length prefix: after the last mapping the decoder stands exactly
-// at the document's end. Bytes past that point are corruption unless the
-// caller asks for them (an epoch's journal record, see decodeEpochPayload):
-// with tail non-nil, enc.bytes is cut down to the document's own span and
-// *tail receives what follows it.
-func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
+// at the document's end, which it records as enc.off[wireMesh]. Bytes past
+// that point are corruption unless the caller decodes a whole record (see
+// decodeRecord), whose mesh they are.
+func decodeInto(doc *core.MapDocument, enc *encoding, record bool) error {
 	d := &decoder{buf: enc.bytes}
 	if err := d.header(CodecVersion); err != nil {
 		return err
@@ -753,9 +772,8 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 		prevDom, prevAS = dom, m.ClientAS
 	}
 
-	if tail != nil {
-		*tail, enc.bytes = enc.bytes[d.pos:], enc.bytes[:d.pos:d.pos]
-	} else if d.remaining() != 0 {
+	enc.off[wireMesh] = d.pos
+	if !record && d.remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
 	// An unreferenced table entry would vanish on re-encode, so the input
@@ -766,6 +784,6 @@ func decodeInto(doc *core.MapDocument, enc *encoding, tail *[]byte) error {
 			return fmt.Errorf("%w: unreferenced string table entry %d", ErrCorrupt, i)
 		}
 	}
-	codecDecoded.Add(uint64(len(enc.bytes)))
+	codecDecoded.Add(uint64(d.pos))
 	return nil
 }

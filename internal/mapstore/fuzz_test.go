@@ -59,7 +59,7 @@ func FuzzDecodeMapDocument(f *testing.F) {
 			}
 			return
 		}
-		re, err := encodeDocument(doc)
+		re, err := encodeRecord(doc, nil)
 		if err != nil {
 			t.Fatalf("accepted document fails to re-encode: %v", err)
 		}
@@ -122,9 +122,9 @@ func epochPayloadSeeds(t testing.TB) []struct {
 // bytes to it.
 func TestDecodeEpochPayloadSeeds(t *testing.T) {
 	for _, seed := range epochPayloadSeeds(t) {
-		in, err := decodeEpochPayload(seed.payload)
+		in, err := decodeRecord(seed.payload)
 		if !errors.Is(err, seed.want) {
-			t.Errorf("%s: decodeEpochPayload = %v, want %v", seed.name, err, seed.want)
+			t.Errorf("%s: decodeRecord = %v, want %v", seed.name, err, seed.want)
 		}
 		mapOnly := bytes.Equal(seed.payload, epochPayloadSeeds(t)[0].payload)
 		if err == nil && (in.mesh != nil) == mapOnly {
@@ -138,16 +138,16 @@ func TestDecodeEpochPayloadSeeds(t *testing.T) {
 
 // FuzzDecodeEpochPayload pins the trust boundary recovery crosses: whatever
 // a journal record's payload holds, decoding it never panics and fails only
-// with the codec's typed errors; and an accepted payload is exactly its two
-// adopted spans back to back — the map's, then the mesh's — each the
-// canonical encoding of the document decoded from it, so adopting them is
-// the same as re-encoding.
+// with the codec's typed errors; and an accepted payload is the canonical
+// record of the documents decoded from it — the map's encoding, then the
+// mesh's — with the same section offsets, so adopting it is the same as
+// re-encoding.
 func FuzzDecodeEpochPayload(f *testing.F) {
 	for _, seed := range epochPayloadSeeds(f) {
 		f.Add(seed.payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		in, err := decodeEpochPayload(data)
+		in, err := decodeRecord(data)
 		if err != nil {
 			if !errors.Is(err, ErrMagic) && !errors.Is(err, ErrVersion) &&
 				!errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
@@ -155,24 +155,15 @@ func FuzzDecodeEpochPayload(f *testing.F) {
 			}
 			return
 		}
-		if !bytes.Equal(slices.Concat(in.canon.bytes, in.meshCanon), data) {
-			t.Fatalf("adopted spans (%d + %d bytes) do not re-join to the %d payload bytes",
-				len(in.canon.bytes), len(in.meshCanon), len(data))
+		re, err := encodeRecord(in.doc, in.mesh)
+		if err != nil || !bytes.Equal(re.bytes, data) || re.off != in.rec.off {
+			t.Fatalf("payload is not the canonical record of its documents (%v)", err)
 		}
-		re, err := encodeDocument(in.doc)
-		if err != nil || !bytes.Equal(re.bytes, in.canon.bytes) || re.off != in.canon.off {
-			t.Fatalf("map span is not the canonical encoding of its document (%v)", err)
+		if (in.mesh != nil) != (len(in.rec.off.span(data, wireMesh)) > 0) {
+			t.Fatalf("mesh document present %v, mesh span %v", in.mesh != nil, in.rec.off)
 		}
-		if (in.mesh != nil) != (len(in.meshCanon) > 0) {
-			t.Fatalf("mesh document present %v, mesh span %d bytes", in.mesh != nil, len(in.meshCanon))
-		}
-		if in.mesh != nil {
-			if re, err := EncodeMeshDocument(in.mesh); err != nil || !bytes.Equal(re, in.meshCanon) {
-				t.Fatalf("mesh span is not the canonical encoding of its document (%v)", err)
-			}
-			if _, err := DecodeDocument(data); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("DecodeDocument on map‖mesh = %v, want trailing bytes refused", err)
-			}
+		if _, err := DecodeDocument(data); in.mesh != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeDocument on map‖mesh = %v, want trailing bytes refused", err)
 		}
 	})
 }

@@ -79,13 +79,13 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 			for _, en := range append(entries, bad) {
 				set(en)
 			}
-			if _, err := encodeDocument(doc); errClass(err) != "encode" {
+			if _, err := encodeRecord(doc, nil); errClass(err) != "encode" {
 				t.Errorf("%s, %s: error class %q, want encode", sec.name, name, errClass(err))
 			}
 		}
 
 		// Decode side: a valid document with this section's bytes replaced.
-		enc, err := encodeDocument(sampleDoc())
+		enc, err := encodeRecord(sampleDoc(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

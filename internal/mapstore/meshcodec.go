@@ -44,12 +44,15 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 	if doc == nil {
 		return nil, fmt.Errorf("%w: nil mesh document", ErrEncode)
 	}
+	rec, err := encodeRecord(nil, doc)
+	return rec.bytes, err
+}
+
+// mesh writes the mesh document's sections.
+func (e *encoder) mesh(doc *core.MeshDocument) {
 	if doc.Version < 0 || doc.Agents < 0 || doc.Rounds < 0 {
-		return nil, fmt.Errorf("%w: negative mesh header field", ErrEncode)
+		e.fail("negative mesh header field")
 	}
-	e := encPool.Get().(*encoder)
-	defer encPool.Put(e)
-	e.reset()
 	e.raw(Magic[:])
 	e.uvarint(MeshCodecVersion)
 	e.uvarint(uint64(doc.Version))
@@ -66,11 +69,11 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 	for i := range pairs {
 		p := &pairs[i]
 		if p.Lo == 0 || p.Lo >= p.Hi {
-			return nil, fmt.Errorf("%w: mesh pair (%d, %d) not canonical", ErrEncode, p.Lo, p.Hi)
+			e.fail("mesh pair (%d, %d) not canonical", p.Lo, p.Hi)
 		}
 		key := p.Key()
 		if i > 0 && key == prev {
-			return nil, fmt.Errorf("%w: duplicate mesh pair (%d, %d)", ErrEncode, p.Lo, p.Hi)
+			e.fail("duplicate mesh pair (%d, %d)", p.Lo, p.Hi)
 		}
 		e.delta(&prev, key)
 		var flags byte
@@ -79,7 +82,7 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 		}
 		e.byte(flags)
 		if p.Probes < 0 || p.Lost < 0 || p.Lost > p.Probes {
-			return nil, fmt.Errorf("%w: mesh pair (%d, %d) probe counts %d/%d", ErrEncode, p.Lo, p.Hi, p.Lost, p.Probes)
+			e.fail("mesh pair (%d, %d) probe counts %d/%d", p.Lo, p.Hi, p.Lost, p.Probes)
 		}
 		e.uvarint(uint64(p.Probes))
 		e.uvarint(uint64(p.Lost))
@@ -88,20 +91,13 @@ func EncodeMeshDocument(doc *core.MeshDocument) ([]byte, error) {
 		e.float("mesh max RTT", p.MaxRTT)
 		e.float("mesh confidence", p.Confidence)
 		if len(p.Path) > maxMeshPathLen {
-			return nil, fmt.Errorf("%w: mesh pair (%d, %d) path length %d", ErrEncode, p.Lo, p.Hi, len(p.Path))
+			e.fail("mesh pair (%d, %d) path length %d", p.Lo, p.Hi, len(p.Path))
 		}
 		e.uvarint(uint64(len(p.Path)))
 		for _, hop := range p.Path {
 			e.uvarint(uint64(hop))
 		}
 	}
-	if e.err != nil {
-		return nil, e.err
-	}
-	codecEncoded.Add(uint64(len(e.buf)))
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	return out, nil
 }
 
 // DecodeMeshDocument parses ITMB v2 bytes back into a mesh document. The

@@ -128,8 +128,8 @@ func TestMeshRoutesWrongMethodIs405(t *testing.T) {
 }
 
 // TestMeshRoutesCaching mirrors the PR 6 handler suite for the mesh routes:
-// miss → hit with byte-equal bodies, strong mesh ETag, If-None-Match → 304,
-// and stable negative lookups.
+// miss → hit with byte-equal bodies, the epoch's strong ETag, If-None-Match →
+// 304, and stable negative lookups.
 func TestMeshRoutesCaching(t *testing.T) {
 	s := meshStoreWith(t, 1)
 	srv := httptest.NewServer(NewHandler(s))
@@ -148,8 +148,8 @@ func TestMeshRoutesCaching(t *testing.T) {
 			t.Errorf("%s: cached body differs from streamed body", path)
 		}
 		etag := first.Header.Get("ETag")
-		if etag == "" || etag != s.Latest().MeshETag {
-			t.Errorf("%s: ETag %q, want mesh ETag %q", path, etag, s.Latest().MeshETag)
+		if etag == "" || etag != s.Latest().ETag {
+			t.Errorf("%s: ETag %q, want the epoch's ETag %q", path, etag, s.Latest().ETag)
 		}
 		cond, _ := meshGet(t, srv, path, etag)
 		if cond.StatusCode != http.StatusNotModified {
@@ -164,11 +164,6 @@ func TestMeshRoutesCaching(t *testing.T) {
 	if baked, _ := meshGet(t, srv, "/v1/latency/top", ""); baked.Header.Get("X-Cache") != "hit" {
 		t.Errorf("/v1/latency/top first request X-Cache %q, want prebaked hit", baked.Header.Get("X-Cache"))
 	}
-	// The mesh ETag is distinct from the map ETag: map-scoped validators
-	// must not revalidate mesh responses.
-	if s.Latest().MeshETag == s.Latest().ETag {
-		t.Error("mesh ETag equals map ETag")
-	}
 	// Negative pair lookups are stable: same 404, twice.
 	n1, b1 := meshGet(t, srv, "/v1/path/3000/9999", "")
 	n2, b2 := meshGet(t, srv, "/v1/path/3000/9999", "")
@@ -177,39 +172,36 @@ func TestMeshRoutesCaching(t *testing.T) {
 	}
 }
 
+// TestMeshStructuralSharing: an identical mesh shares the previous epoch's
+// document and ranking, while each epoch keeps its own ETag — the mesh
+// bodies name their epoch.
 func TestMeshStructuralSharing(t *testing.T) {
 	s := meshStoreWith(t, 3)
 	es := s.Snapshot()
-	if es[0].MeshShared {
-		t.Error("first epoch cannot share its mesh")
-	}
 	for _, e := range es[1:] {
-		if !e.MeshShared {
-			t.Errorf("epoch %d: identical mesh not shared", e.ID)
+		if e.MeshDoc != es[0].MeshDoc || &e.meshWorst[0] != &es[0].meshWorst[0] {
+			t.Errorf("epoch %d: identical mesh document or ranking not shared", e.ID)
 		}
-		if &e.MeshEncoded[0] != &es[0].MeshEncoded[0] {
-			t.Errorf("epoch %d: mesh bytes copied, not shared", e.ID)
-		}
-		if e.MeshETag != es[0].MeshETag {
-			t.Errorf("epoch %d: shared mesh changed ETag", e.ID)
+		if e.ETag == es[0].ETag {
+			t.Errorf("epoch %d: shares epoch 0's ETag %s", e.ID, e.ETag)
 		}
 	}
 	if got := es[0].Info().MeshPairs; got != 3 {
 		t.Errorf("Info.MeshPairs = %d, want 3", got)
 	}
-	// A changed mesh breaks sharing and re-tags.
+	// A changed mesh breaks sharing.
 	mesh := sampleMesh()
 	mesh.Pairs[0].Probes++
 	e, err := s.append(simtime.Time(3)*simtime.Day, ingest{doc: docAt(3), mesh: mesh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.MeshShared || e.MeshETag == es[0].MeshETag {
-		t.Errorf("changed mesh still shared: %+v", e.MeshETag)
+	if e.MeshDoc == es[0].MeshDoc {
+		t.Error("changed mesh still shared")
 	}
-	// Round trip through the codec: the served binary form decodes back to
+	// Round trip through the codec: the record's mesh span decodes back to
 	// the stored document.
-	dec, err := DecodeMeshDocument(e.MeshEncoded)
+	dec, err := DecodeMeshDocument(e.off.span(e.record, wireMesh))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,32 +101,25 @@ func refuse(status int, format string, args ...any) *refusal {
 
 // modelRoutes is the API. A route's checks run in order, so the list is its
 // error precedence, and the last check asks whether the URL names anything.
-//
-// A mesh route's validator names the mesh, which every epoch sharing it
-// shares, while its bodies carry the epoch: across an append that keeps the
-// mesh, the latest-epoch URL serves a new body under the old tag. That gap
-// is known, and closes when ETags are scoped per section; until then the
-// ledger tracks a mesh route's representation per answering epoch.
 var modelRoutes = []struct {
 	pattern string
 	checks  []check
 	render  func(m *model, q *modelReq) any // nil: status, type and a parsing body only
 	tagged  bool
-	mesh    bool
 }{
-	{"/healthz", nil, nil, false, false},
-	{"/v1/slo", nil, nil, false, false},
-	{"/v1/epochs", nil, (*model).epochsBody, true, false},
-	{"/v1/map/{epoch}", []check{mapEpoch, mapFormat}, (*model).mapBody, true, false},
-	{"/v1/top", []check{epochParam, kParam}, (*model).topBody, true, false},
-	{"/v1/as/{asn}", []check{asnParam, epochParam, kParam, asKnown}, (*model).asBody, true, false},
-	{"/v1/diff/{a}/{b}", []check{epochPair, minShiftParam, pairEpochs}, (*model).diffBody, true, false},
-	{"/v1/link/{a}/{b}", []check{asPair, epochParam, noLink}, nil, true, false},
-	{"/v1/path/{a}/{b}", []check{asPair, epochParam, hasMesh, pairKnown}, (*model).pathBody, true, true},
-	{"/v1/latency/{a}/{b}", []check{asPair, epochParam, hasMesh, pairKnown}, (*model).latencyBody, true, true},
-	{"/v1/latency/top", []check{epochParam, hasMesh, kParam}, (*model).meshTopBody, true, true},
-	{"/v1/obs/history", nil, nil, true, false},
-	{"/v1/obs/history/{family}", []check{familyKnown}, nil, true, false},
+	{"/healthz", nil, nil, false},
+	{"/v1/slo", nil, nil, false},
+	{"/v1/epochs", nil, (*model).epochsBody, true},
+	{"/v1/map/{epoch}", []check{mapEpoch, mapFormat}, (*model).mapBody, true},
+	{"/v1/top", []check{epochParam, kParam}, (*model).topBody, true},
+	{"/v1/as/{asn}", []check{asnParam, epochParam, kParam, asKnown}, (*model).asBody, true},
+	{"/v1/diff/{a}/{b}", []check{epochPair, minShiftParam, pairEpochs}, (*model).diffBody, true},
+	{"/v1/link/{a}/{b}", []check{asPair, epochParam, noLink}, nil, true},
+	{"/v1/path/{a}/{b}", []check{asPair, epochParam, hasMesh, pairKnown}, (*model).pathBody, true},
+	{"/v1/latency/{a}/{b}", []check{asPair, epochParam, hasMesh, pairKnown}, (*model).latencyBody, true},
+	{"/v1/latency/top", []check{epochParam, hasMesh, kParam}, (*model).meshTopBody, true},
+	{"/v1/obs/history", nil, nil, true},
+	{"/v1/obs/history/{family}", []check{familyKnown}, nil, true},
 }
 
 const textPlain = "text/plain; charset=utf-8"
@@ -152,9 +145,6 @@ func (m *model) answer(method, target string) answer {
 			}
 		}
 		a := answer{status: http.StatusOK, ctype: "application/json", tagged: rt.tagged, scope: target}
-		if rt.mesh {
-			a.scope += "@" + strconv.Itoa(q.e)
-		}
 		if rt.render == nil {
 			return a
 		}

@@ -64,6 +64,12 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) {
 			}
 		}
 	}
+	switch {
+	case shared&secMesh != 0:
+		e.meshWorst = prev.meshWorst
+	case e.MeshDoc != nil:
+		e.meshWorst = rankMeshPairs(e.MeshDoc)
+	}
 }
 
 // activityTotal sums an epoch's activity in the order its JSON lists the

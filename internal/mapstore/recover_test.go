@@ -265,15 +265,16 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 						o, _ := want.Epoch(i)
 						if i > 0 {
 							prev, _ := want.Epoch(i - 1)
-							sawFresh = sawFresh || o.MeshDoc != nil && !o.MeshShared
-							sawShared = sawShared || o.MeshShared
+							gotPrev, _ := got.Epoch(i - 1)
+							sawFresh = sawFresh || o.MeshDoc != nil && o.MeshDoc != prev.MeshDoc
+							sawShared = sawShared || o.MeshDoc != nil && o.MeshDoc == prev.MeshDoc
 							sawAbsent = sawAbsent || o.MeshDoc == nil && prev.MeshDoc != nil
+							if (e.MeshDoc == gotPrev.MeshDoc) != (o.MeshDoc == prev.MeshDoc) {
+								t.Errorf("%s: epoch %d shares its mesh %v, the writer's %v", name, i, e.MeshDoc == gotPrev.MeshDoc, o.MeshDoc == prev.MeshDoc)
+							}
 						}
-						if !bytes.Equal(e.Encoded, o.Encoded) {
-							t.Errorf("%s: epoch %d Encoded differs from the writer's", name, i)
-						}
-						if !bytes.HasPrefix(rec.Records[i].Payload, e.Encoded) {
-							t.Errorf("%s: epoch %d Encoded is not the head of the journaled payload", name, i)
+						if !bytes.Equal(e.record, o.record) || !bytes.Equal(e.record, rec.Records[i].Payload) || !bytes.Equal(e.Encoded, o.Encoded) {
+							t.Errorf("%s: epoch %d record is not the writer's and the journaled payload", name, i)
 						}
 						if e.ETag != o.ETag {
 							t.Errorf("%s: epoch %d ETag %s, the writer's %s", name, i, e.ETag, o.ETag)
@@ -284,14 +285,8 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 						if !reflect.DeepEqual(e.Doc, o.Doc) {
 							t.Errorf("%s: epoch %d document differs from the writer's", name, i)
 						}
-						if (e.MeshDoc != nil) != (meshes[i] != nil) || !bytes.HasSuffix(rec.Records[i].Payload, e.MeshEncoded) ||
-							len(e.Encoded)+len(e.MeshEncoded) != len(rec.Records[i].Payload) {
-							t.Errorf("%s: epoch %d mesh (%d bytes) is not the tail of the journaled payload", name, i, len(e.MeshEncoded))
-						}
-						if !bytes.Equal(e.MeshEncoded, o.MeshEncoded) || e.MeshETag != o.MeshETag || e.MeshShared != o.MeshShared ||
-							!reflect.DeepEqual(e.MeshDoc, o.MeshDoc) || !reflect.DeepEqual(e.meshWorst, o.meshWorst) {
-							t.Errorf("%s: epoch %d mesh differs from the writer's: ETag %s (writer %s), shared %v (%v)",
-								name, i, e.MeshETag, o.MeshETag, e.MeshShared, o.MeshShared)
+						if (e.MeshDoc != nil) != (meshes[i] != nil) || !reflect.DeepEqual(e.MeshDoc, o.MeshDoc) || !reflect.DeepEqual(e.meshWorst, o.meshWorst) {
+							t.Errorf("%s: epoch %d mesh differs from the writer's", name, i)
 						}
 					}
 					wantBodies := driveFixedRequests(t, want)
@@ -307,9 +302,11 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: append after recovery: %v", name, err)
 					}
-					if e.ID != len(docs) || w.Len() != len(docs)+1 || e.SharedSections != sectionCount || e.MeshShared != (meshes[last] != nil) {
+					recovered, _ := got.Epoch(last)
+					meshShared := e.MeshDoc != nil && e.MeshDoc == recovered.MeshDoc
+					if e.ID != len(docs) || w.Len() != len(docs)+1 || e.SharedSections != sectionCount || meshShared != (meshes[last] != nil) {
 						t.Errorf("%s: append after recovery: epoch %d, WAL %d records, %d shared sections, mesh shared %v",
-							name, e.ID, w.Len(), e.SharedSections, e.MeshShared)
+							name, e.ID, w.Len(), e.SharedSections, meshShared)
 					}
 				}
 			}
@@ -356,11 +353,11 @@ func shareSectionsMaps(doc, prev *core.MapDocument) uint {
 func encodedEpoch(t *testing.T, doc *core.MapDocument) *Epoch {
 	t.Helper()
 	doc.Normalize()
-	enc, err := encodeDocument(doc)
+	rec, err := encodeRecord(doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Epoch{Doc: doc, Encoded: enc.bytes, off: enc.off}
+	return &Epoch{Doc: doc, record: rec.bytes, off: rec.off}
 }
 
 // TestShareSectionsBytesMatchesMaps: comparing canonical byte spans reaches
@@ -557,8 +554,8 @@ func TestCrashInsideMeshRecordNeverTearsTheMeshOff(t *testing.T) {
 		t.Fatalf("reference run journaled %d epochs, want %d", len(sizes), n)
 	}
 	last, _ := ref.Epoch(n - 1)
-	if recordBytes := sizes[n-1] - sizes[n-2]; recordBytes <= len(last.Encoded)+len(last.MeshEncoded) {
-		t.Fatalf("last record is %d bytes, map %d + mesh %d: it does not hold both", recordBytes, len(last.Encoded), len(last.MeshEncoded))
+	if recordBytes := sizes[n-1] - sizes[n-2]; recordBytes <= len(last.record) || len(last.record) <= len(last.Encoded) {
+		t.Fatalf("last record is %d bytes, epoch record %d, map %d: it does not hold both", recordBytes, len(last.record), len(last.Encoded))
 	}
 
 	for cut := sizes[n-2]; cut <= sizes[n-1]; cut++ {
@@ -584,7 +581,7 @@ func TestCrashInsideMeshRecordNeverTearsTheMeshOff(t *testing.T) {
 		}
 		for i, e := range got.Snapshot() {
 			o, _ := ref.Epoch(i)
-			if !bytes.Equal(e.Encoded, o.Encoded) || e.MeshDoc == nil || !bytes.Equal(e.MeshEncoded, o.MeshEncoded) || e.MeshETag != o.MeshETag {
+			if !bytes.Equal(e.record, o.record) || e.MeshDoc == nil || e.ETag != o.ETag {
 				t.Fatalf("cut at byte %d: epoch %d came back without the mesh it was journaled with", cut, i)
 			}
 		}

@@ -488,8 +488,8 @@ func renderLink(q request) ([]byte, string, error) {
 }
 
 // resolveMeshPair is /v1/path and /v1/latency: two views of the same pair
-// lookup, keyed apart by kind. Both carry the mesh-scoped ETag and cache
-// with the epoch.
+// lookup, keyed apart by kind. Both carry the epoch's ETag and cache with
+// the epoch.
 func resolveMeshPair(kind string) resolver {
 	return func(v *epochList, r *http.Request) (q request, err error) {
 		if q.a, q.b, err = pathASPair(r); err != nil {
@@ -502,7 +502,7 @@ func resolveMeshPair(kind string) resolver {
 		if q.pair, ok = q.e.MeshDoc.PairAt(q.a, q.b); !ok {
 			return q, notFound("no mesh measurement for AS pair %d/%d in epoch %d", q.a, q.b, q.e.ID)
 		}
-		q.cache, q.key, q.etag = q.e.cache, meshPairKey(kind, q.a, q.b), q.e.MeshETag
+		q.cache, q.key, q.etag = q.e.cache, meshPairKey(kind, q.a, q.b), q.e.ETag
 		return q, nil
 	}
 }
@@ -558,7 +558,7 @@ func resolveMeshTop(v *epochList, r *http.Request) (q request, err error) {
 	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
 		return q, err
 	}
-	q.cache, q.key, q.etag = q.e.cache, meshTopKey(q.k), q.e.MeshETag
+	q.cache, q.key, q.etag = q.e.cache, meshTopKey(q.k), q.e.ETag
 	return q, nil
 }
 

@@ -30,34 +30,31 @@ type Epoch struct {
 	// epoch's are shared structurally (same backing arrays), so a stable
 	// infrastructure costs nothing per epoch.
 	Doc *core.MapDocument
-	// Encoded is the document in the ITMB binary format: what EncodeDocument
-	// produced at ingest, or, for an epoch recovered from the WAL, the
-	// journaled record payload itself (adopted, not re-encoded; it aliases
-	// the file image the WAL holds). The binary API route serves this slice
-	// directly — zero copies, zero re-encodes.
+	// Encoded is the document in the ITMB binary format, the map's span of
+	// the epoch's record. The binary API route serves this slice directly —
+	// zero copies, zero re-encodes.
 	Encoded []byte
-	// ETag is the strong entity tag for responses scoped to this epoch,
-	// derived from the canonical encoding (so it is byte-identical across
-	// runs and worker counts).
+	// ETag is the strong entity tag for every response scoped to this epoch,
+	// mesh routes included, derived from the record (so it is byte-identical
+	// across runs and worker counts).
 	ETag string
 	// SharedSections counts how many of the document's sections were
 	// reused from the previous epoch at ingest.
 	SharedSections int
 
-	// MeshDoc, when present, is the epoch's user↔user mesh matrix;
-	// MeshEncoded its canonical ITMB v2 encoding (journaled right behind
-	// Encoded, and like it adopted at recovery) and MeshETag the strong
-	// validator for mesh-scoped responses. MeshShared reports that the
-	// encoding was byte-equal to the previous epoch's, so document, bytes,
-	// tag, and indexes are all structurally shared with it.
-	MeshDoc     *core.MeshDocument
-	MeshEncoded []byte
-	MeshETag    string
-	MeshShared  bool
+	// MeshDoc, when present, is the epoch's user↔user mesh matrix: the
+	// previous epoch's, structurally shared, when the two encode alike.
+	MeshDoc *core.MeshDocument
 
-	// off locates the wire sections inside Encoded; the next append
-	// compares its own sections against them (see shareSections).
-	off sectionOffsets
+	// record is the epoch's journal record: the map's ITMB encoding, then
+	// the mesh's when there is one. It is what EncodeDocument and
+	// EncodeMeshDocument would produce back to back, or, for an epoch
+	// recovered from the WAL, the journaled payload itself (adopted, not
+	// re-encoded; it aliases the file image the WAL holds). off locates its
+	// sections; the next append compares its own sections against them (see
+	// shareSections).
+	record []byte
+	off    sectionOffsets
 
 	// mx optionally carries the ground-truth matrix snapshot whose dense
 	// views answer link-load queries, and top the topology whose dense AS
@@ -105,6 +102,9 @@ const (
 	secMappings   = 1 << (wireMappings - wireActives)
 
 	secAll = 1<<sectionCount - 1
+
+	// secMesh is the record's mesh span, shared past the document's sections.
+	secMesh = 1 << (wireMesh - wireActives)
 )
 
 // epochList is the store's immutable snapshot: a prefix-stable slice of
@@ -216,35 +216,34 @@ func (s *Store) Append(at simtime.Time, doc *core.MapDocument) (*Epoch, error) {
 }
 
 // ingest is what one append hands the store: the map document, optionally a
-// mesh document, and the ground-truth handles link-load queries read. canon
-// and meshCanon, when set, are the encodings doc and mesh were just strictly
-// decoded from (recovery). The decoders only accept the canonical encoding
-// of the document they return — a Normalize fixed point that re-encodes to
-// the same bytes — so the bytes in hand are adopted and neither step is
-// repeated. Every other caller leaves them unset.
+// mesh document, and the ground-truth handles link-load queries read. rec,
+// when set, is the record doc and mesh were just strictly decoded from
+// (recovery). The decoders only accept the canonical encoding of the
+// document they return — a Normalize fixed point that re-encodes to the same
+// bytes — so the record in hand is adopted and neither step is repeated.
+// Every other caller leaves it unset.
 type ingest struct {
-	doc       *core.MapDocument
-	canon     encoding
-	mesh      *core.MeshDocument
-	meshCanon []byte
-	mx        *traffic.Matrix
-	top       *topology.Topology
+	doc  *core.MapDocument
+	mesh *core.MeshDocument
+	rec  encoding
+	mx   *traffic.Matrix
+	top  *topology.Topology
 }
 
 // append is the one ingest path, and both layers take the same four steps
-// through it: normalize and encode unless the canonical bytes came along,
-// share with the previous epoch wherever canonical byte spans are equal,
-// derive ETag and query indexes for what is new, prebake.
+// through it: normalize and encode the record unless it came along, share
+// with the previous epoch wherever canonical byte spans are equal, derive
+// ETag and query indexes for what is new, prebake.
 func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
-	doc, mesh := in.doc, in.mesh
+	doc, mesh, rec := in.doc, in.mesh, in.rec
 	if doc == nil {
 		return nil, fmt.Errorf("mapstore: nil document")
 	}
-	if in.canon.bytes == nil {
+	if rec.bytes == nil {
 		doc.Normalize()
-	}
-	if mesh != nil && in.meshCanon == nil {
-		mesh.Normalize()
+		if mesh != nil {
+			mesh.Normalize()
+		}
 	}
 
 	s.mu.Lock()
@@ -260,21 +259,13 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 			return nil, fmt.Errorf("mapstore: epoch time %v does not advance past %v", at, prev.At)
 		}
 	}
-	canon := in.canon
-	if canon.bytes == nil {
+	if rec.bytes == nil {
 		var err error
-		if canon, err = encodeDocument(doc); err != nil {
+		if rec, err = encodeRecord(doc, mesh); err != nil {
 			return nil, err
 		}
 	}
-	e.Encoded, e.off, e.MeshEncoded = canon.bytes, canon.off, in.meshCanon
-	if mesh != nil && e.MeshEncoded == nil {
-		enc, err := EncodeMeshDocument(mesh)
-		if err != nil {
-			return nil, err
-		}
-		e.MeshEncoded = enc
-	}
+	e.record, e.off = rec.bytes, rec.off
 
 	// The encodings are pure functions of the documents, so equal bytes
 	// prove equal content: whatever matches the previous epoch keeps the
@@ -282,35 +273,23 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 	var shared uint
 	if prev != nil {
 		shared = shareSections(e, prev)
-		e.SharedSections = bits.OnesCount(shared)
-		if bytes.Equal(e.Encoded, prev.Encoded) {
+		e.SharedSections = bits.OnesCount(shared & secAll)
+		if bytes.Equal(e.record, prev.record) {
 			// Identical re-ingest: one copy of the bytes serves both epochs.
-			e.Encoded = prev.Encoded
+			e.record = prev.record
 		}
-		// The mesh is one section; its span is the whole encoding.
-		e.MeshShared = mesh != nil && bytes.Equal(e.MeshEncoded, prev.MeshEncoded)
 	}
-	e.ETag = epochETag(e.ID, e.Encoded)
+	end := e.off[wireMesh]
+	e.Encoded = e.record[:end:end]
+	e.ETag = epochETag(e.ID, e.record)
 	e.buildIndexes(prev, shared)
-	switch {
-	case e.MeshShared:
-		e.MeshDoc, e.MeshEncoded, e.MeshETag, e.meshWorst = prev.MeshDoc, prev.MeshEncoded, prev.MeshETag, prev.meshWorst
-	case mesh != nil:
-		e.MeshETag = meshETag(e.ID, e.MeshEncoded)
-		e.meshWorst = rankMeshPairs(mesh)
-	}
 
 	// Write-ahead point: everything that can fail has succeeded, nothing is
-	// visible yet. Journal + fsync the canonical bytes — the map's, with the
-	// mesh's right behind them in the same record (decodeEpochPayload is the
-	// way back) — and if that fails the epoch is not published, so the WAL
-	// never lags the served store.
+	// visible yet. Journal + fsync the record — map and mesh under one CRC
+	// (decodeRecord is the way back) — and if that fails the epoch is not
+	// published, so the WAL never lags the served store.
 	if s.wal != nil {
-		payload := e.Encoded
-		if mesh != nil {
-			payload = slices.Concat(e.Encoded, e.MeshEncoded)
-		}
-		if err := s.wal.Append(at, payload); err != nil {
+		if err := s.wal.Append(at, e.record); err != nil {
 			return nil, fmt.Errorf("mapstore: journal epoch %d: %w", e.ID, err)
 		}
 	}
@@ -327,7 +306,7 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 	next.epochs[len(old.epochs)] = e
 	s.cur.Store(next)
 
-	e.prebake(prev)
+	e.prebake(prev, shared)
 
 	sp := obs.StartSpan("mapstore.append", at).SetAttrInt("epoch", int64(e.ID))
 	sp.SetAttrInt("shared_sections", int64(e.SharedSections)).
@@ -340,11 +319,11 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 	}
 	epochBytes.Observe(float64(len(e.Encoded)))
 	switch {
-	case e.MeshShared:
+	case shared&secMesh != 0:
 		meshShared.Inc()
 	case mesh != nil:
 		meshEpochs.Inc()
-		meshSectionBytes.Observe(float64(len(e.MeshEncoded)))
+		meshSectionBytes.Observe(float64(len(e.off.span(e.record, wireMesh))))
 	}
 	// Telemetry history sample: one capture per append, taken here — a
 	// serial point under the ingest lock — so the sample sequence (and the
@@ -357,7 +336,7 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 // the default top-K ranking, the diff against the previous epoch, a fresh
 // mesh's worst pairs — through the routes' own renderers, so the very first
 // request after an append already hits cached bytes.
-func (e *Epoch) prebake(prev *Epoch) {
+func (e *Epoch) prebake(prev *Epoch, shared uint) {
 	bake := func(route string, render renderer, q request) {
 		entry, created, ok := e.cache.lookup(q.key)
 		if !ok || !created {
@@ -371,26 +350,26 @@ func (e *Epoch) prebake(prev *Epoch) {
 		bake("/v1/diff/{a}/{b}", renderDiff,
 			request{key: diffKey(prev.ID, e.ID, defaultMinShift), e: prev, to: e, minShift: defaultMinShift})
 	}
-	if e.MeshDoc != nil && !e.MeshShared {
+	if e.MeshDoc != nil && shared&secMesh == 0 {
 		bake("/v1/latency/top", renderMeshTop, request{key: meshTopKey(defaultTopK), e: e, k: defaultTopK})
 	}
 }
 
-// shareSections replaces the sections of e's document that are equal to
-// prev's with prev's backing arrays/maps, so consecutive epochs of a stable
-// map share storage. Returns the bitmask of shared sections; ingest uses it
-// to reuse the derived indexes whose inputs did not change.
+// shareSections replaces the sections of e's document and mesh that are
+// equal to prev's with prev's backing arrays/maps, so consecutive epochs of
+// a stable map share storage. Returns the bitmask of shared sections; ingest
+// uses it to reuse the derived indexes whose inputs did not change.
 //
-// Equality is defined on the canonical encoding. The actives and the keyed
-// sections hold nothing but sorted keys and payloads, and each has exactly
-// one canonical encoding, so two of them are equal iff their byte spans are.
+// Equality is defined on the record. The actives, the keyed sections and the
+// mesh hold nothing but sorted keys and payloads, and each has exactly one
+// canonical encoding, so two of them are equal iff their byte spans are.
 // Servers and mappings refer into the document's string table by index:
 // their spans mean nothing apart from the table, so they compare as
 // decoded values.
 func shareSections(e, prev *Epoch) uint {
 	doc, pdoc := e.Doc, prev.Doc
 	same := func(wire int) bool {
-		return bytes.Equal(e.off.span(e.Encoded, wire), prev.off.span(prev.Encoded, wire))
+		return bytes.Equal(e.off.span(e.record, wire), prev.off.span(prev.record, wire))
 	}
 	var shared uint
 	if same(wireActives) {
@@ -410,6 +389,10 @@ func shareSections(e, prev *Epoch) uint {
 	if slices.Equal(doc.Mappings, pdoc.Mappings) {
 		doc.Mappings = pdoc.Mappings
 		shared |= secMappings
+	}
+	if e.MeshDoc != nil && same(wireMesh) {
+		e.MeshDoc = prev.MeshDoc
+		shared |= secMesh
 	}
 	return shared
 }

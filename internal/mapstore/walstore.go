@@ -9,17 +9,17 @@ import (
 )
 
 // This file glues the store to its write-ahead log. The coupling is thin
-// because the WAL journals exactly the store's canonical epoch encodings
-// (map, then mesh when there is one), and recovery identity is by adoption:
-// the journaled spans become the recovered epoch's Encoded and MeshEncoded
-// and the source of its ETags. Those are the very bytes the pre-crash store
-// hashed, so recovered == pre-crash holds by construction rather than by
-// re-encoding at every boot. What remains to be guaranteed is that a span is
-// the canonical encoding of the document it decodes to, and that guarantee
-// is the decoders': they reject every non-canonical input
+// because the WAL journals exactly the store's epoch records (the map's
+// canonical encoding, then the mesh's when there is one), and recovery
+// identity is by adoption: the journaled payload becomes the recovered
+// epoch's record and the source of its ETag. Those are the very bytes the
+// pre-crash store hashed, so recovered == pre-crash holds by construction
+// rather than by re-encoding at every boot. What remains to be guaranteed is
+// that a record is the canonical encoding of the documents it decodes to,
+// and that guarantee is the decoders': they reject every non-canonical input
 // (FuzzDecodeMapDocument, FuzzDecodeMeshSections and FuzzDecodeEpochPayload
 // pin decode→re-encode byte-identity, TestRecoverStoreMatchesReencodeOracle
-// pins this path against the re-encoding one it replaced). Corruption on
+// pins this path against the store that wrote the journal). Corruption on
 // disk is the WAL's CRC-32C's to catch, before a payload ever gets here.
 
 // AttachWAL journals every future append through w. Append only returns
@@ -34,7 +34,7 @@ func (s *Store) AttachWAL(w *wal.WAL) {
 
 // RecoverStore rebuilds a store from what wal.Open replayed and attaches the
 // WAL so new appends journal after the recovered tail. The store retains
-// each record's Payload as that epoch's Encoded (and MeshEncoded).
+// each record's Payload as that epoch's record.
 func RecoverStore(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
 	return recoverStore(w, rec, 0)
 }
@@ -52,7 +52,7 @@ func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 	}
 	docs := make([]decoded, len(rec.Records))
 	parallel.ForEach(len(docs), workers, func(i int) {
-		docs[i].in, docs[i].err = decodeEpochPayload(rec.Records[i].Payload)
+		docs[i].in, docs[i].err = decodeRecord(rec.Records[i].Payload)
 	})
 	for i, r := range rec.Records {
 		d := &docs[i]
@@ -74,29 +74,26 @@ func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 	return s, nil
 }
 
-// decodeEpochPayload turns one journaled epoch back into the ingest value
-// append made it from: the map document and, when the epoch carried one, the
-// mesh document, each with the canonical bytes it was decoded from (aliasing
-// payload) for append to adopt. The record is the two encodings back to
-// back with nothing between them. Both start with the ITMB magic and their
-// own codec version, and the map decoder ends exactly where the map does, so
-// the split needs no framing — and a map-only epoch's record is its map
-// encoding alone, which is what every journal written before the mesh was
-// journaled holds. Whatever follows the map must be one whole canonical mesh
-// document: a second map, a torn mesh or trailing junk is a typed error.
-func decodeEpochPayload(payload []byte) (ingest, error) {
-	doc, enc := &core.MapDocument{}, encoding{bytes: payload}
-	var tail []byte
-	if err := decodeInto(doc, &enc, &tail); err != nil {
+// decodeRecord turns one journaled epoch back into the ingest value append
+// made it from: the map document, the mesh document when the epoch carried
+// one, and the record itself (aliasing payload) for append to adopt. The
+// record is the two encodings back to back with nothing between them. Both
+// start with the ITMB magic and their own codec version, and the map
+// decoder ends exactly where the map does, so the split needs no framing —
+// and a map-only epoch's record is its map encoding alone, which is what
+// every journal written before the mesh was journaled holds. Whatever
+// follows the map must be one whole canonical mesh document: a second map,
+// a torn mesh or trailing junk is a typed error.
+func decodeRecord(payload []byte) (ingest, error) {
+	in := ingest{doc: &core.MapDocument{}, rec: encoding{bytes: payload}}
+	if err := decodeInto(in.doc, &in.rec, true); err != nil {
 		return ingest{}, err
 	}
-	in := ingest{doc: doc, canon: enc}
-	if len(tail) > 0 {
-		mesh, err := DecodeMeshDocument(tail)
-		if err != nil {
+	if tail := in.rec.off.span(payload, wireMesh); len(tail) > 0 {
+		var err error
+		if in.mesh, err = DecodeMeshDocument(tail); err != nil {
 			return ingest{}, fmt.Errorf("mesh sections: %w", err)
 		}
-		in.mesh, in.meshCanon = mesh, tail
 	}
 	return in, nil
 }

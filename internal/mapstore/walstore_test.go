@@ -109,14 +109,16 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 	}
 	s1 := NewStore()
 	s1.AttachWAL(w1)
+	var prevMesh *core.MeshDocument
 	for d, mesh := range meshes {
 		e, err := s1.append(simtime.Time(d)*simtime.Day, ingest{doc: docAt(d), mesh: mesh})
 		if err != nil {
 			t.Fatalf("append day %d: %v", d, err)
 		}
-		if e.MeshShared != wantShared[d] || (e.MeshDoc != nil) != (mesh != nil) {
-			t.Fatalf("day %d: mesh shared %v, present %v", d, e.MeshShared, e.MeshDoc != nil)
+		if shared := e.MeshDoc != nil && e.MeshDoc == prevMesh; shared != wantShared[d] || (e.MeshDoc != nil) != (mesh != nil) {
+			t.Fatalf("day %d: mesh shared %v, present %v", d, shared, e.MeshDoc != nil)
 		}
+		prevMesh = e.MeshDoc
 	}
 	before := driveFixedRequests(t, s1)
 	stableBefore := stripWALLines(obs.Metrics().StableExposition())
@@ -158,13 +160,11 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 		if e.ETag != orig.ETag {
 			t.Errorf("epoch %d ETag %q != pre-crash %q", i, e.ETag, orig.ETag)
 		}
-		if !bytes.Equal(e.Encoded, orig.Encoded) {
-			t.Errorf("epoch %d canonical bytes diverged after recovery", i)
+		if !bytes.Equal(e.record, orig.record) || !reflect.DeepEqual(e.MeshDoc, orig.MeshDoc) {
+			t.Errorf("epoch %d record or mesh diverged after recovery: %d bytes (pre-crash %d)", i, len(e.record), len(orig.record))
 		}
-		if e.MeshETag != orig.MeshETag || e.MeshShared != orig.MeshShared || !bytes.Equal(e.MeshEncoded, orig.MeshEncoded) ||
-			(e.MeshEncoded == nil) != (orig.MeshEncoded == nil) || !reflect.DeepEqual(e.MeshDoc, orig.MeshDoc) {
-			t.Errorf("epoch %d mesh diverged after recovery: ETag %q (pre-crash %q), shared %v (%v), %d bytes (%d)",
-				i, e.MeshETag, orig.MeshETag, e.MeshShared, orig.MeshShared, len(e.MeshEncoded), len(orig.MeshEncoded))
+		if i > 0 && (e.MeshDoc != nil && e.MeshDoc == s2.Snapshot()[i-1].MeshDoc) != wantShared[i] {
+			t.Errorf("epoch %d mesh sharing diverged after recovery", i)
 		}
 	}
 	after := driveFixedRequests(t, s2)
@@ -189,8 +189,8 @@ func TestETagIdentityAcrossRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
-	if e.ID != 4 || w2.Len() != 5 || !e.MeshShared {
-		t.Fatalf("post-recovery append: epoch ID %d, WAL len %d, mesh shared %v; want 4, 5, true", e.ID, w2.Len(), e.MeshShared)
+	if shared := e.MeshDoc == s2.Snapshot()[3].MeshDoc; e.ID != 4 || w2.Len() != 5 || !shared {
+		t.Fatalf("post-recovery append: epoch ID %d, WAL len %d, mesh shared %v; want 4, 5, true", e.ID, w2.Len(), shared)
 	}
 }
 

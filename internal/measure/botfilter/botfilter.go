@@ -8,8 +8,6 @@
 package botfilter
 
 import (
-	"math"
-
 	"itmap/internal/geo"
 	"itmap/internal/measure/cacheprobe"
 	"itmap/internal/simtime"
@@ -97,7 +95,7 @@ func (c *Classifier) Classify(top *topology.Topology, p topology.PrefixID) (Verd
 		merged := &cacheprobe.HourlyProfile{}
 		for day := 0; day < max(c.Days, 1); day++ {
 			hp, err := c.Prober.MeasureHourlyProfile(top, []topology.PrefixID{p},
-				domain, c.dayStart(day, ttl), c.Interval)
+				domain, cacheprobe.DayStart(day, c.Interval, ttl), c.Interval)
 			if err != nil {
 				return Verdict{Prefix: p}, err
 			}
@@ -123,20 +121,6 @@ func (c *Classifier) Classify(top *topology.Topology, p topology.PrefixID) (Verd
 	v.NightRatio = troughRate / peakRate
 	v.Human = v.NightRatio < c.RatioThreshold
 	return v, nil
-}
-
-// dayStart is the first sample of the given day, half a window past its
-// midnight. The samples midnight + k·Interval meet a record's TTL windows
-// only at multiples of g = gcd(Interval, TTL), so a day that starts at
-// midnight puts samples on window edges, where one ulp of clock moves a
-// sample into the next window and redraws its cache occupancy. Starting g/2
-// in keeps every sample g/2 from an edge.
-func (c *Classifier) dayStart(day, ttlSeconds int) simtime.Time {
-	g := ttlSeconds
-	for b := int(math.Round(float64(c.Interval) * 3600)); b != 0; {
-		g, b = b, g%b
-	}
-	return simtime.Time(24*day) + simtime.Seconds(float64(g)/2)
 }
 
 // windowCounts sums hits and probes in the local-time window [fromH, toH).

@@ -74,7 +74,7 @@ func TestSamplesClearOfWindowEdges(t *testing.T) {
 			for _, domain := range c.Domains {
 				svc, _ := w.Cat.ByDomain(domain)
 				for day := 0; day < c.Days; day++ {
-					if moved(c.dayStart(day, svc.TTLSeconds), p, domain) {
+					if moved(cacheprobe.DayStart(day, c.Interval, svc.TTLSeconds), p, domain) {
 						t.Errorf("%v, %s, day %d: the profile moves with one ulp of clock", p, domain, day)
 					}
 					if moved(simtime.Time(24*day), p, domain) {

@@ -1,6 +1,8 @@
 package cacheprobe
 
 import (
+	"math"
+
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
 	"itmap/internal/simtime"
@@ -61,6 +63,20 @@ func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topolo
 		probe.Flush()
 	}
 	return hp, nil
+}
+
+// DayStart is the first sample of day's hourly profile at the given cadence,
+// half a window past the day's midnight. The samples midnight + k·interval
+// meet a record's TTL windows only at multiples of g = gcd(interval, TTL),
+// so a day that starts at midnight puts samples on window edges, where one
+// ulp of clock moves a sample into the next window and redraws its cache
+// occupancy. Starting g/2 in keeps every sample g/2 from an edge.
+func DayStart(day int, interval simtime.Time, ttlSeconds int) simtime.Time {
+	g := ttlSeconds
+	for b := int(math.Round(float64(interval) * 3600)); b != 0; {
+		g, b = b, g%b
+	}
+	return simtime.Time(24*day) + simtime.Seconds(float64(g)/2)
 }
 
 // samplesInDay counts the r ≥ 0 with r·interval < 24, the product as
