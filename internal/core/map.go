@@ -70,10 +70,15 @@ func (c Coverage) MarshalText() ([]byte, error)        { return labelText(covera
 func (c *Coverage) UnmarshalText(b []byte) error       { return labelValue(coverageLabels[:], b, c) }
 
 func labelText[E ~uint8](labels []string, v E) ([]byte, error) {
+	l, err := labelOf(labels, v)
+	return []byte(l), err
+}
+
+func labelOf[E ~uint8](labels []string, v E) (string, error) {
 	if int(v) >= len(labels) {
-		return nil, fmt.Errorf("core: %T %d has no label", v, v)
+		return "", fmt.Errorf("core: %T %d has no label", v, v)
 	}
-	return []byte(labels[v]), nil
+	return labels[v], nil
 }
 
 func labelValue[E ~uint8](labels []string, text []byte, v *E) error {

@@ -17,10 +17,10 @@ import (
 // export carries only measured estimates — never simulator ground truth.
 
 // MapDocument is the traffic map as it is served; BuildMap fills it. Its
-// keys and labels are typed: how a /24, an ASN or a label is spelled is
-// decided once, by their text marshallers (topology.PrefixID,
-// ActivitySource, Coverage) and encoding/json's integer map keys, so every
-// other layer handles values.
+// keys and labels are typed: how a /24, an ASN or a label is spelled, and the
+// order map keys are listed in, is decided once, by AppendJSON, so every
+// other layer handles values. encoding/json reads documents in (through the
+// text unmarshallers) and is AppendJSON's test reference.
 type MapDocument struct {
 	Version int `json:"version"`
 	// Users component.
@@ -131,14 +131,15 @@ func CompareMapping(a, b MappingDocument) int {
 	return cmp.Compare(a.ClientAS, b.ClientAS)
 }
 
-// Export writes the document as indented JSON, normalizing first. JSON map
-// keys are emitted in sorted order by encoding/json, so the bytes are a
-// pure function of the document's content.
+// Export writes the document as indented JSON, normalizing first: the bytes
+// AppendJSON gives, a pure function of the document's content.
 func (doc *MapDocument) Export(w io.Writer) error {
 	doc.Normalize()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	b, err := doc.AppendJSON(nil)
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
 }
 
 // ImportDocument parses a serialized map document. It is the document's

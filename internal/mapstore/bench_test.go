@@ -95,6 +95,20 @@ func BenchmarkDecodeDocument(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderMapJSON is a whole-map JSON fill: the /v1/map/{e} body a
+// first touch renders, cached afterwards. The collector is off while the
+// clock runs, as in BenchmarkRecoverStore, so allocs/op repeats exactly.
+func BenchmarkRenderMapJSON(b *testing.B) {
+	q := request{e: &Epoch{Doc: benchDoc(benchPrefixes)}}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := renderMap(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkStoreAppend(b *testing.B) {
 	doc := benchDoc(benchPrefixes)
 	b.ResetTimer()

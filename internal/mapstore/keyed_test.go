@@ -246,7 +246,9 @@ func FuzzEncodeMapDocument(f *testing.F) {
 
 // FuzzImportDocument pins the JSON trust boundary: whatever ImportDocument
 // accepts exports to JSON that imports back to a document exporting the same
-// bytes, and the store then appends it or refuses it as ErrEncode.
+// bytes, and the store then appends it or refuses it as ErrEncode. Both as
+// imported and as exported, AppendJSON writes the document as encoding/json
+// does.
 func FuzzImportDocument(f *testing.F) {
 	var sample bytes.Buffer
 	if err := sampleDoc().Export(&sample); err != nil {
@@ -260,6 +262,9 @@ func FuzzImportDocument(f *testing.F) {
 		`{"version": 1, "mappings": [{"domain": "a", "client_as": 1, "serving_prefix": "1.0.0.1/24"}]}`,
 		`{"version": 1, "sources": {"64500": "hearsay"}}`,
 		`{"version": 1, "coverage": {"1.0.0.0/24": "somewhat"}}`,
+		`{"version": 1, "active_prefixes": [], "prefix_hit_rates": {}, "coverage": {}, "as_confidence": {}, "servers": []}`,
+		`{"version": 1, "as_confidence": {"1": 1e-7, "2": 9.99e-7, "3": 1e-6, "4": 1e21, "5": 5e-324, "6": 1e20, "10": -0}}`,
+		`{"version": 1, "servers": [{"prefix": "1.0.100.0/24", "org": "<a&b>\"q\"\\", "city": "\t\u00e9\u2028\ud800", "country": "\u00ff"}]}`,
 	) {
 		f.Add([]byte(js))
 	}
@@ -268,10 +273,12 @@ func FuzzImportDocument(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkAppendJSON(t, "imported", doc)
 		var first, second bytes.Buffer
 		if err := doc.Export(&first); err != nil {
 			t.Fatalf("an imported document does not export: %v", err)
 		}
+		checkAppendJSON(t, "exported", doc)
 		again, err := core.ImportDocument(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("the export does not import: %v", err)
@@ -283,6 +290,16 @@ func FuzzImportDocument(f *testing.F) {
 			t.Fatalf("Append of an imported document = %v, want success or ErrEncode", err)
 		}
 	})
+}
+
+// checkAppendJSON requires AppendJSON to write doc as encoding/json does.
+func checkAppendJSON(t *testing.T, stage string, doc *core.MapDocument) {
+	t.Helper()
+	want, err := json.MarshalIndent(doc, "", "  ")
+	got, gotErr := doc.AppendJSON(nil)
+	if err != nil || gotErr != nil || !bytes.Equal(got, append(want, '\n')) {
+		t.Fatalf("%s: AppendJSON (%v) differs from encoding/json (%v):\n%s\nwant:\n%s\n", stage, gotErr, err, got, want)
+	}
 }
 
 // TestMeshDecodeRejectsWrappedPairKey: the mesh decoder reads its pair keys

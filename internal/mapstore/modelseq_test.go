@@ -314,14 +314,14 @@ func metric(key string) float64 {
 
 // --- documents ---------------------------------------------------------------
 
-// baseDoc is day zero: every section, ASNs whose string order is not their
-// numeric order, activity whose float sums depend on the order they are
-// taken in and two ASes tied on it, an AS known by a mapping alone and a
-// mapping no server answers.
+// baseDoc is day zero: every section, ASNs and prefixes whose string order
+// is not their numeric order, activity whose float sums depend on the order
+// they are taken in and two ASes tied on it, an AS known by a mapping alone
+// and a mapping no server answers.
 func baseDoc() *core.MapDocument {
 	doc, err := core.ImportDocument(strings.NewReader(`{"version": 1,
-		"active_prefixes": ["1.0.0.0/24", "1.0.2.0/24", "9.9.9.0/24", "203.0.113.0/24"],
-		"prefix_hit_rates": {"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07},
+		"active_prefixes": ["1.0.0.0/24", "1.0.2.0/24", "1.0.10.0/24", "9.9.9.0/24", "203.0.113.0/24"],
+		"prefix_hit_rates": {"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07, "1.0.10.0/24": 0.5},
 		"as_activity": {"700": 0.1, "3000": 123.5, "3001": 7.3, "3002": 7.3, "64500": 1e-3, "64501": 33.3},
 		"sources": {"700": "root-logs", "3000": "cache-probe", "64500": "cache-probe+root-logs"},
 		"servers": [
@@ -351,11 +351,27 @@ func baseMesh() *core.MeshDocument {
 
 var docASNs = []topology.ASN{700, 3000, 3001, 3002, 64500, 64501, 64502}
 
+// edgeFloats sit on both sides of the cut-offs where JSON numbers switch to
+// exponent form (1e-6 and 1e21). edgeStrings are what JSON escapes or
+// replaces, one a string, and every org, city and domain a day adds ends in
+// one: the plain spelling is day zero's. A served map then shows each.
+var (
+	edgeFloats  = []float64{1e-7, 9.99e-7, 1e-6, 1e21, 5e-324, 1e20}
+	edgeStrings = []string{"<", ">", "&", `"`, `\`, "\t", "é", "\u2028", "\xff"}
+)
+
 // nextDoc is the next day of prev: each section changes with some
 // probability, so consecutive epochs share anything from no section to all.
 func nextDoc(prev *core.MapDocument, rng *randx.Source) *core.MapDocument {
 	d := cloneDoc(prev)
 	asn := func() topology.ASN { return docASNs[rng.Intn(len(docASNs))] }
+	value := func() float64 {
+		if rng.Bool(0.3) {
+			return edgeFloats[rng.Intn(len(edgeFloats))]
+		}
+		return rng.Float64()
+	}
+	text := func(s string) string { return s + edgeStrings[rng.Intn(len(edgeStrings))] }
 	active := func() topology.PrefixID {
 		if len(d.ActivePrefixes) == 0 { // a respelled epoch may have none
 			return 1 << 16
@@ -372,7 +388,7 @@ func nextDoc(prev *core.MapDocument, rng *randx.Source) *core.MapDocument {
 		d.ActivePrefixes = slices.Delete(d.ActivePrefixes, i, i+1)
 	}
 	if rng.Bool(0.3) {
-		d.PrefixHitRates[active()] = rng.Float64()
+		d.PrefixHitRates[active()] = value()
 	}
 	if rng.Bool(0.4) {
 		d.ASActivity[asn()] = rng.Float64() * 1000
@@ -393,13 +409,13 @@ func nextDoc(prev *core.MapDocument, rng *randx.Source) *core.MapDocument {
 		if d.ASConfidence == nil {
 			d.ASConfidence = map[topology.ASN]float64{}
 		}
-		d.ASConfidence[asn()] = rng.Float64()
+		d.ASConfidence[asn()] = value()
 	}
 	if rng.Bool(0.25) {
-		d.Servers = append(d.Servers, core.ServerDocument{Prefix: active(), HostAS: uint32(asn()), OwnerAS: 64510, Org: "Org", City: "Oslo", Country: "NO"})
+		d.Servers = append(d.Servers, core.ServerDocument{Prefix: active(), HostAS: uint32(asn()), OwnerAS: 64510, Org: text("Org"), City: text("Oslo"), Country: "NO"})
 	}
 	if rng.Bool(0.25) {
-		m := core.MappingDocument{Domain: fmt.Sprintf("svc-%d.example", rng.Intn(4)), ClientAS: uint32(asn()), Serving: active()}
+		m := core.MappingDocument{Domain: text(fmt.Sprintf("svc-%d.example", rng.Intn(4))), ClientAS: uint32(asn()), Serving: active()}
 		if !slices.ContainsFunc(d.Mappings, func(o core.MappingDocument) bool { return o.Domain == m.Domain && o.ClientAS == m.ClientAS }) {
 			d.Mappings = append(d.Mappings, m)
 		}

@@ -1,10 +1,8 @@
 package mapstore
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"itmap/internal/core"
 	"itmap/internal/order"
@@ -73,15 +71,12 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) {
 }
 
 // activityTotal sums an epoch's activity in the order its JSON lists the
-// ASes — decimal strings compared as text, so 10 before 9 — the order the
-// total was summed in when the document was keyed by those strings. The
-// total's low bits reach every share /v1/top, /v1/as and the series serve.
+// ASes (topology.ASNsByText: 10 before 9), the order it was summed in when
+// the document was keyed by strings. The total's low bits reach every share
+// /v1/top, /v1/as and the series serve.
 func activityTotal(act map[topology.ASN]float64) float64 {
 	var total float64
-	for _, asn := range order.KeysFunc(act, func(a, b topology.ASN) int {
-		var x, y [10]byte
-		return bytes.Compare(strconv.AppendUint(x[:0], uint64(a), 10), strconv.AppendUint(y[:0], uint64(b), 10))
-	}) {
+	for _, asn := range topology.ASNsByText(act) {
 		total += act[asn]
 	}
 	return total

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 )
 
@@ -32,7 +33,10 @@ func (p PrefixID) Addr(host byte) netip.Addr {
 // String formats the prefix in CIDR notation, "a.b.c.0/24" — byte for byte
 // what netip.PrefixFrom(p.Addr(0), 24).String() gives, without the trip
 // through net/netip.
-func (p PrefixID) String() string { return string(p.appendCIDR()) }
+func (p PrefixID) String() string {
+	b, _ := (p & MaxPrefixID).AppendText(make([]byte, 0, 18))
+	return string(b)
+}
 
 // octets spells every octet value: a table lookup, where strconv would
 // divide for the ones above 99. Every map JSON render spells tens of
@@ -44,22 +48,48 @@ var octets = func() (t [256]string) {
 	return t
 }()
 
-func (p PrefixID) appendCIDR() []byte {
-	b := make([]byte, 0, len("255.255.255.0/24"))
+// octetRanks is each octet value's place among the 256 spellings sorted as
+// text: 0, 1, 10, 100, 101, …, 109, 11, 110, …, 99.
+var octetRanks = func() (t [256]uint64) {
+	byText := slices.Clone(octets[:])
+	slices.Sort(byText)
+	for rank, s := range byText {
+		v, _ := strconv.Atoi(s)
+		t[v] = uint64(rank)
+	}
+	return t
+}()
+
+// PrefixesByText returns m's keys in the order JSON lists them, their
+// spellings' text order: "1.0.100.0/24" before "1.0.79.0/24". A '.' sorts
+// below every digit, so each key sorts as its octets' ranks, its ID below.
+func PrefixesByText[V any](m map[PrefixID]V) []PrefixID {
+	keys := make([]uint64, 0, len(m))
+	for p := range m {
+		keys = append(keys, (octetRanks[p>>16&0xff]<<16|octetRanks[p>>8&0xff]<<8|octetRanks[p&0xff])<<32|uint64(p))
+	}
+	slices.Sort(keys)
+	ps := make([]PrefixID, len(keys))
+	for i, k := range keys {
+		ps[i] = PrefixID(k)
+	}
+	return ps
+}
+
+// AppendText appends how JSON spells a prefix, as a value and as a map key:
+// String's bytes. An ID wider than 24 bits names no /24 and has no spelling.
+func (p PrefixID) AppendText(b []byte) ([]byte, error) {
+	if p > MaxPrefixID {
+		return b, fmt.Errorf("topology: prefix ID %#x is wider than 24 bits", uint32(p))
+	}
 	b = append(append(b, octets[p>>16&0xff]...), '.')
 	b = append(append(b, octets[p>>8&0xff]...), '.')
 	b = append(b, octets[p&0xff]...)
-	return append(b, ".0/24"...)
+	return append(b, ".0/24"...), nil
 }
 
-// MarshalText is how JSON spells a prefix, as a value and as a map key:
-// String's bytes. An ID wider than 24 bits names no /24 and has no spelling.
-func (p PrefixID) MarshalText() ([]byte, error) {
-	if p > MaxPrefixID {
-		return nil, fmt.Errorf("topology: prefix ID %#x is wider than 24 bits", uint32(p))
-	}
-	return p.appendCIDR(), nil
-}
+// MarshalText is AppendText into a new slice.
+func (p PrefixID) MarshalText() ([]byte, error) { return p.AppendText(make([]byte, 0, 18)) }
 
 // UnmarshalText parses a /24 in CIDR notation back to its ID. It is the one
 // parser of a prefix's spelling, so a document's prefixes are parsed once,

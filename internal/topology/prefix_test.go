@@ -3,10 +3,14 @@ package topology_test
 import (
 	"net/netip"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"itmap/internal/geo"
+	"itmap/internal/order"
+	"itmap/internal/randx"
 	"itmap/internal/topology"
 	"itmap/internal/world"
 )
@@ -97,6 +101,36 @@ func TestPrefixStringMatchesNetip(t *testing.T) {
 		if got, want := id.String(), netip.PrefixFrom(id.Addr(0), 24).String(); got != want {
 			t.Errorf("PrefixID(%#x).String() = %q, netip says %q", id, got, want)
 		}
+	}
+}
+
+// TestKeysByTextSortAsSpellings: PrefixesByText lists prefixes as sorting
+// their spellings does, over every octet value in each place and hashed IDs
+// between, and ASNsByText does the same for ASNs of every digit count.
+func TestKeysByTextSortAsSpellings(t *testing.T) {
+	prefixes := map[topology.PrefixID]bool{}
+	for v := topology.PrefixID(0); v < 256; v++ {
+		prefixes[v], prefixes[v<<8|7], prefixes[v<<16|1<<8|100] = true, true, true
+	}
+	for i := uint64(0); i < 20000; i++ {
+		prefixes[topology.PrefixID(randx.Hash64(1, i))&topology.MaxPrefixID] = true
+	}
+	want := order.KeysFunc(prefixes, func(a, b topology.PrefixID) int { return strings.Compare(a.String(), b.String()) })
+	if got := topology.PrefixesByText(prefixes); !slices.Equal(got, want) {
+		t.Error("PrefixesByText differs from the spellings' order")
+	}
+
+	asns := map[topology.ASN]bool{}
+	for _, a := range []topology.ASN{0, 1, 9, 10, 19, 2, 99, 100, 700, 3000, 3001, 64500, 429496729, 4294967290, 4294967295} {
+		asns[a] = true
+	}
+	for i := uint64(0); i < 5000; i++ {
+		asns[topology.ASN(randx.Hash64(2, i)>>(32+i%32))] = true
+	}
+	spelled := func(a topology.ASN) string { return strconv.FormatUint(uint64(a), 10) }
+	wantASNs := order.KeysFunc(asns, func(a, b topology.ASN) int { return strings.Compare(spelled(a), spelled(b)) })
+	if got := topology.ASNsByText(asns); !slices.Equal(got, wantASNs) {
+		t.Error("ASNsByText differs from the spellings' order")
 	}
 }
 

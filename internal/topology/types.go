@@ -8,9 +8,11 @@
 package topology
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"itmap/internal/geo"
 	"itmap/internal/order"
@@ -18,6 +20,15 @@ import (
 
 // ASN identifies an autonomous system.
 type ASN uint32
+
+// ASNsByText returns m's keys in the order JSON lists them, their decimal
+// spellings' text order: 3000 before 700.
+func ASNsByText[V any](m map[ASN]V) []ASN {
+	return order.KeysFunc(m, func(a, b ASN) int {
+		var x, y [10]byte
+		return bytes.Compare(strconv.AppendUint(x[:0], uint64(a), 10), strconv.AppendUint(y[:0], uint64(b), 10))
+	})
+}
 
 // ASType classifies an AS by its business role.
 type ASType uint8
