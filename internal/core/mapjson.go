@@ -13,43 +13,91 @@ import (
 // AppendJSON appends the document's JSON to b: byte for byte what
 // json.MarshalIndent(doc, "", "  ") gives, and a newline. It is the one
 // writer of a document's JSON, behind /v1/map/{e} and Export; encoding/json
-// is its test reference. Indents are spelled out, map keys are listed as
-// their spellings sort (topology.PrefixesByText, topology.ASNsByText). A
-// prefix wider than 24 bits, a label outside its enum or a non-finite float
-// is an error, as it is for encoding/json, and b comes back as it was.
+// is its test reference. It writes each JSONField in turn with
+// AppendJSONField. A prefix wider than 24 bits, a label outside its enum or a
+// non-finite float is an error, as it is for encoding/json, and b comes back
+// as it was.
 func (doc *MapDocument) AppendJSON(b []byte) ([]byte, error) {
+	out := b
+	for f := range JSONFields {
+		var err error
+		if out, err = doc.AppendJSONField(out, f); err != nil {
+			return b, err
+		}
+	}
+	return out, nil
+}
+
+// JSONField is one top-level field of a document's JSON, in the order
+// AppendJSON writes them: the head (the opening brace and the version), the
+// document's eight sections, and the tail (the closing brace and the
+// newline).
+type JSONField int
+
+const (
+	JSONHead JSONField = iota
+	JSONActivePrefixes
+	JSONHitRates
+	JSONActivity
+	JSONSources
+	JSONCoverage
+	JSONConfidence
+	JSONServers
+	JSONMappings
+	JSONTail
+	JSONFields
+)
+
+// AppendJSONField appends field f of the document's JSON to b, separator and
+// all, so the fields AppendJSON lists are its bytes end to end; an optional
+// map that is empty writes nothing. Indents are spelled out, map keys are
+// listed as their spellings sort (topology.PrefixesByText,
+// topology.ASNsByText). On an error b comes back as it was.
+func (doc *MapDocument) AppendJSONField(b []byte, f JSONField) ([]byte, error) {
 	w, ps, ss, ms := &jsonWriter{b: b}, doc.ActivePrefixes, doc.Servers, doc.Mappings
-	w.raw("{\n  \"version\": ").int(int64(doc.Version))
-	w.key("active_prefixes").each(ps == nil, "[]", len(ps), func(i int) { w.prefix(ps[i]) })
-	if hr := doc.PrefixHitRates; len(hr) > 0 {
-		keyed(w.key("prefix_hit_rates"), hr, topology.PrefixesByText(hr), w.prefix, w.float)
+	switch f {
+	case JSONHead:
+		w.raw("{\n  \"version\": ").int(int64(doc.Version))
+	case JSONActivePrefixes:
+		w.key("active_prefixes").each(ps == nil, "[]", len(ps), func(i int) { w.prefix(ps[i]) })
+	case JSONHitRates:
+		if hr := doc.PrefixHitRates; len(hr) > 0 {
+			keyed(w.key("prefix_hit_rates"), hr, topology.PrefixesByText(hr), w.prefix, w.float)
+		}
+	case JSONActivity:
+		keyed(w.key("as_activity"), doc.ASActivity, topology.ASNsByText(doc.ASActivity), w.asn, w.float)
+	case JSONSources:
+		source := func(s ActivitySource) { w.quote(labelOf(sourceLabels[:], s)) }
+		keyed(w.key("sources"), doc.Sources, topology.ASNsByText(doc.Sources), w.asn, source)
+	case JSONCoverage:
+		if cov := doc.Coverage; len(cov) > 0 {
+			coverage := func(c Coverage) { w.quote(labelOf(coverageLabels[:], c)) }
+			keyed(w.key("coverage"), cov, topology.PrefixesByText(cov), w.prefix, coverage)
+		}
+	case JSONConfidence:
+		if conf := doc.ASConfidence; len(conf) > 0 {
+			keyed(w.key("as_confidence"), conf, topology.ASNsByText(conf), w.asn, w.float)
+		}
+	case JSONServers:
+		w.key("servers").each(ss == nil, "[]", len(ss), func(i int) {
+			w.raw("{\n      \"prefix\": ").prefix(ss[i].Prefix)
+			w.raw(",\n      \"host_as\": ").int(int64(ss[i].HostAS))
+			w.raw(",\n      \"owner_as\": ").int(int64(ss[i].OwnerAS))
+			w.raw(",\n      \"org\": ").string(ss[i].Org)
+			w.raw(",\n      \"city\": ").string(ss[i].City)
+			w.raw(",\n      \"country\": ").string(ss[i].Country)
+			w.raw("\n    }")
+		})
+	case JSONMappings:
+		w.key("mappings").each(ms == nil, "[]", len(ms), func(i int) {
+			w.raw("{\n      \"domain\": ").string(ms[i].Domain)
+			w.raw(",\n      \"client_as\": ").int(int64(ms[i].ClientAS))
+			w.raw(",\n      \"serving_prefix\": ").prefix(ms[i].Serving)
+			w.raw("\n    }")
+		})
+	case JSONTail:
+		w.raw("\n}\n")
 	}
-	keyed(w.key("as_activity"), doc.ASActivity, topology.ASNsByText(doc.ASActivity), w.asn, w.float)
-	source := func(s ActivitySource) { w.quote(labelOf(sourceLabels[:], s)) }
-	keyed(w.key("sources"), doc.Sources, topology.ASNsByText(doc.Sources), w.asn, source)
-	if cov := doc.Coverage; len(cov) > 0 {
-		coverage := func(c Coverage) { w.quote(labelOf(coverageLabels[:], c)) }
-		keyed(w.key("coverage"), cov, topology.PrefixesByText(cov), w.prefix, coverage)
-	}
-	if conf := doc.ASConfidence; len(conf) > 0 {
-		keyed(w.key("as_confidence"), conf, topology.ASNsByText(conf), w.asn, w.float)
-	}
-	w.key("servers").each(ss == nil, "[]", len(ss), func(i int) {
-		w.raw("{\n      \"prefix\": ").prefix(ss[i].Prefix)
-		w.raw(",\n      \"host_as\": ").int(int64(ss[i].HostAS))
-		w.raw(",\n      \"owner_as\": ").int(int64(ss[i].OwnerAS))
-		w.raw(",\n      \"org\": ").string(ss[i].Org)
-		w.raw(",\n      \"city\": ").string(ss[i].City)
-		w.raw(",\n      \"country\": ").string(ss[i].Country)
-		w.raw("\n    }")
-	})
-	w.key("mappings").each(ms == nil, "[]", len(ms), func(i int) {
-		w.raw("{\n      \"domain\": ").string(ms[i].Domain)
-		w.raw(",\n      \"client_as\": ").int(int64(ms[i].ClientAS))
-		w.raw(",\n      \"serving_prefix\": ").prefix(ms[i].Serving)
-		w.raw("\n    }")
-	})
-	w.raw("\n}\n")
 	if w.err != nil {
 		return b, w.err
 	}

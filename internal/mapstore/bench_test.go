@@ -109,6 +109,46 @@ func BenchmarkRenderMapJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkRenderMapJSONShared is the whole-map fill of an epoch that shares
+// its hit rates, and nothing else, with the previous epoch, already rendered:
+// it copies the hit rates and renders every other field, as each day after
+// the first does in a campaign that reuses one hit-rate scan. Before each
+// fill the epoch's own slots are emptied again, so every fill is a first.
+func BenchmarkRenderMapJSONShared(b *testing.B) {
+	next := benchDoc(benchPrefixes)
+	next.ActivePrefixes = append(next.ActivePrefixes, prefix("10.0.0.0/24")+benchPrefixes)
+	next.ASActivity[64500]++
+	next.Sources[64500] = core.FromRootLogs
+	next.Servers[0].City = "paris"
+	next.Mappings[0].Domain = "svc-9.example"
+	s := NewStore()
+	for day, doc := range []*core.MapDocument{benchDoc(benchPrefixes), next} {
+		if _, err := s.Append(simtime.Time(day)*simtime.Day, doc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	prev, e := s.Snapshot()[0], s.Snapshot()[1]
+	if e.SharedSections != 3 || e.frags[core.JSONHitRates] != prev.frags[core.JSONHitRates] {
+		b.Fatalf("the epoch shares %d sections, want the hit rates and the two empty optional ones", e.SharedSections)
+	}
+	if _, _, err := renderMap(request{e: prev}); err != nil {
+		b.Fatal(err)
+	}
+	q := request{e: e}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for f, frag := range e.frags {
+			if frag != nil && frag != prev.frags[f] {
+				frag.Store(nil)
+			}
+		}
+		if _, _, err := renderMap(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkStoreAppend(b *testing.B) {
 	doc := benchDoc(benchPrefixes)
 	b.ResetTimer()

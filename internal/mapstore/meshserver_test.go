@@ -137,7 +137,7 @@ func TestMeshRoutesCaching(t *testing.T) {
 
 	// top uses a non-default k: the default-k ranking is prebaked at append
 	// time, so its first request is already a hit (checked below).
-	for _, path := range []string{"/v1/path/3000/3001", "/v1/latency/3000/3001", "/v1/latency/top?k=3"} {
+	for _, path := range []string{"/v1/path/3000/3001", "/v1/latency/3000/3001", "/v1/latency/top?k=1"} {
 		first, a := meshGet(t, srv, path, "")
 		second, b := meshGet(t, srv, path, "")
 		if first.Header.Get("X-Cache") != "miss" || second.Header.Get("X-Cache") != "hit" {

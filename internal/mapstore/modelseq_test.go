@@ -253,8 +253,9 @@ func (r *runner) check(want answer, got *httptest.ResponseRecorder, cur string) 
 }
 
 // burstTargets are the URLs a burst spreads over: fills, hits and 404s,
-// every one behind the valve.
-var burstTargets = []string{"/v1/top", "/v1/as/3000", "/v1/epochs", "/v1/map/0", "/v1/latency/top", "/v1/as/9999", "/v1/diff/0/1"}
+// every one behind the valve, and two consecutive epochs' maps, which fill
+// the JSON fragment slots the epochs share.
+var burstTargets = []string{"/v1/top", "/v1/as/3000", "/v1/epochs", "/v1/map/0", "/v1/map/1", "/v1/latency/top", "/v1/as/9999", "/v1/diff/0/1"}
 
 // burst asks for each of its URLs once, so a disagreement on them fails the
 // same way on every run, then fires n GETs at once through an admission

@@ -189,15 +189,17 @@ const (
 )
 
 // Cache keys are normalized query shapes, so "?k=10", "?k=10&epoch=2" on
-// epoch 2, and the bare default all collapse to one entry per epoch.
-func topKey(k int) string { return "top?k=" + strconv.Itoa(k) }
+// epoch 2, and the bare default all collapse to one entry per epoch. A
+// ranking's k keys clamped to the n entries it has, as firstK cuts it: every
+// k past either end answers the same body, so no run of them fills the cache.
+func topKey(k, n int) string { return "top?k=" + strconv.Itoa(min(max(k, 0), n)) }
 
 func diffKey(a, b int, minShift float64) string {
 	return "diff?a=" + strconv.Itoa(a) + "&b=" + strconv.Itoa(b) +
 		"&min_shift=" + strconv.FormatFloat(minShift, 'g', -1, 64)
 }
 
-func meshTopKey(k int) string { return "latency/top?k=" + strconv.Itoa(k) }
+func meshTopKey(k, n int) string { return "latency/top?k=" + strconv.Itoa(min(max(k, 0), n)) }
 
 func meshPairKey(kind string, a, b uint32) string {
 	return kind + "?pair=" + strconv.FormatUint(core.MeshKey(a, b), 16)
@@ -377,12 +379,36 @@ func resolveMap(v *epochList, r *http.Request) (request, error) {
 
 // renderMap writes the body with core's JSON writer into one buffer sized up
 // front: entries at a few bytes over their mean width in -scale small maps.
+// A field whose slot (Epoch.frags) holds bytes is copied; once the whole body
+// has rendered, each empty slot gets its field's view of the body, which the
+// cache keeps for good. Racing fills of a shared slot render equal bytes.
 func renderMap(q request) ([]byte, string, error) {
-	d := q.e.Doc
+	e, d := q.e, q.e.Doc
 	size := 256 + 22*len(d.ActivePrefixes) + 28*(len(d.PrefixHitRates)+len(d.Coverage)) +
 		34*(len(d.ASActivity)+len(d.Sources)+len(d.ASConfidence)) + 180*len(d.Servers) + 128*len(d.Mappings)
-	b, err := d.AppendJSON(make([]byte, 0, size))
-	return b, "application/json", err
+	b := make([]byte, 0, size)
+	var start [core.JSONFields + 1]int
+	for f := range core.JSONFields {
+		start[f] = len(b)
+		if frag := e.frags[f]; frag != nil {
+			if held := frag.Load(); held != nil {
+				b = append(b, *held...)
+				continue
+			}
+		}
+		var err error
+		if b, err = d.AppendJSONField(b, f); err != nil {
+			return nil, "", err
+		}
+	}
+	start[core.JSONFields] = len(b)
+	for f, frag := range e.frags {
+		if frag != nil && frag.Load() == nil {
+			view := b[start[f]:start[f+1]:start[f+1]]
+			frag.CompareAndSwap(nil, &view)
+		}
+	}
+	return b, "application/json", nil
 }
 
 func resolveTop(v *epochList, r *http.Request) (q request, err error) {
@@ -392,7 +418,7 @@ func resolveTop(v *epochList, r *http.Request) (q request, err error) {
 	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
 		return q, err
 	}
-	q.cache, q.key, q.etag = q.e.cache, topKey(q.k), q.e.ETag
+	q.cache, q.key, q.etag = q.e.cache, topKey(q.k, len(q.e.ranked)), q.e.ETag
 	return q, nil
 }
 
@@ -421,8 +447,12 @@ func resolveAS(v *epochList, r *http.Request) (q request, err error) {
 	}
 	// The response spans the whole store (the longitudinal series), so it
 	// caches on the snapshot, keyed by the fully-resolved query shape, and
-	// carries the store ETag — one append invalidates it wholesale.
+	// carries the store ETag — one append invalidates it wholesale. A k
+	// past either end lists all n services (ASView), so it keys as n.
 	q.v, q.cache, q.etag = v, v.cache, v.etag
+	if n := len(q.e.mappingsBy[q.a]); q.k < 0 || q.k > n {
+		q.k = n
+	}
 	q.key = "as?asn=" + strconv.FormatUint(uint64(q.a), 10) +
 		"&epoch=" + strconv.Itoa(q.e.ID) + "&k=" + strconv.Itoa(q.k)
 	return q, nil
@@ -566,7 +596,7 @@ func resolveMeshTop(v *epochList, r *http.Request) (q request, err error) {
 	if q.k, err = intParam(r, "k", defaultTopK); err != nil {
 		return q, err
 	}
-	q.cache, q.key, q.etag = q.e.cache, meshTopKey(q.k), q.e.ETag
+	q.cache, q.key, q.etag = q.e.cache, meshTopKey(q.k, len(q.e.meshWorst)), q.e.ETag
 	return q, nil
 }
 

@@ -75,6 +75,11 @@ type Epoch struct {
 	// cache holds encoded response bodies scoped to this epoch. Epochs are
 	// immutable, so entries never invalidate; appends leave them untouched.
 	cache *responseCache
+	// frags holds, per JSON field a section backs, the field's bytes once a
+	// whole-map fill has rendered them (see renderMap): the epoch's own slot,
+	// or the previous epoch's, adopted with a shared section.
+	frags [core.JSONFields]*atomic.Pointer[[]byte]
+	slots [core.JSONFields]atomic.Pointer[[]byte]
 }
 
 // ASRank is one AS's position in an epoch's activity ranking.
@@ -106,6 +111,11 @@ const (
 	// secMesh is the record's mesh span, shared past the document's sections.
 	secMesh = 1 << (wireMesh - wireActives)
 )
+
+// fieldSection is the section each core.JSONField of the map renders, in
+// field order, none for head and tail: a field's bytes are the previous
+// epoch's exactly when its section is shared.
+var fieldSection = [core.JSONFields]uint{0, secActives, secHitRates, secActivity, secSources, secCoverage, secConfidence, secServers, secMappings, 0}
 
 // epochList is the store's immutable snapshot: a prefix-stable slice of
 // epochs. Append publishes a fresh list; readers keep using the one they
@@ -279,6 +289,14 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 			e.record = prev.record
 		}
 	}
+	for f, sec := range fieldSection {
+		switch {
+		case shared&sec != 0:
+			e.frags[f] = prev.frags[f]
+		case sec != 0:
+			e.frags[f] = &e.slots[f]
+		}
+	}
 	end := e.off[wireMesh]
 	e.Encoded = e.record[:end:end]
 	e.ETag = epochETag(e.ID, e.record)
@@ -345,13 +363,13 @@ func (e *Epoch) prebake(prev *Epoch, shared uint) {
 		entry.fill(route, render, q)
 		cachePrebaked.Inc()
 	}
-	bake("/v1/top", renderTop, request{key: topKey(defaultTopK), e: e, k: defaultTopK})
+	bake("/v1/top", renderTop, request{key: topKey(defaultTopK, len(e.ranked)), e: e, k: defaultTopK})
 	if prev != nil {
 		bake("/v1/diff/{a}/{b}", renderDiff,
 			request{key: diffKey(prev.ID, e.ID, defaultMinShift), e: prev, to: e, minShift: defaultMinShift})
 	}
 	if e.MeshDoc != nil && shared&secMesh == 0 {
-		bake("/v1/latency/top", renderMeshTop, request{key: meshTopKey(defaultTopK), e: e, k: defaultTopK})
+		bake("/v1/latency/top", renderMeshTop, request{key: meshTopKey(defaultTopK, len(e.meshWorst)), e: e, k: defaultTopK})
 	}
 }
 
