@@ -67,16 +67,18 @@ cover:
 
 # Deterministic performance counters for the serving layer (codec, store,
 # WAL recovery, queries) plus the matrix/BGP hot paths and the cache-probing
-# campaigns. Fixed -benchtime keeps iteration counts reproducible; itm-bench
-# drops wall-clock metrics (those live in benchmark/), so the committed
-# BENCH_serve.json only changes when allocation behavior, probe counts or
-# the codec's output actually change.
+# campaigns, then itm-bench's seeded in-process sections (campaign, loadgen,
+# overload, mesh and SLO counters), which it always writes. Fixed -benchtime
+# keeps iteration counts reproducible; itm-bench drops wall-clock metrics
+# (those live in benchmark/), so the committed BENCH_serve.json only changes
+# when allocation behavior, probe counts or the codec's output actually
+# change.
 bench:
 	@{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 8x ./internal/mapstore/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkBuildMatrix$$|BenchmarkBuildMatrixSerial$$|BenchmarkComputeAll$$' -benchmem -benchtime 4x . && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkMeasureHitRates$$|BenchmarkDiscoverPrefixes$$' -benchmem -benchtime 4x ./internal/measure/cacheprobe/ ; } \
 	| tee bench_serve.out
-	$(GO) run ./cmd/itm-bench -campaign -loadgen -overload -mesh -slo -o BENCH_serve.json < bench_serve.out
+	$(GO) run ./cmd/itm-bench -o BENCH_serve.json < bench_serve.out
 	@rm -f bench_serve.out
 
 # benchmark/ is a module of its own, outside `go build ./...`: vet it, run

@@ -5,35 +5,25 @@
 // encoded_bytes) are pure functions of the code and the fixed -benchtime,
 // so CI can diff the file against the committed baseline.
 //
-// With -campaign it additionally runs a tiny seeded measurement campaign
-// in-process against a fresh observability set and distills the stable
-// (non-volatile) metric families — probe outcomes, shard counts, sections
-// shared — into a "Campaign/obs" entry. Those counters are pure functions
-// of (seed, campaign shape), so they diff cleanly across machines too.
+// It then runs five seeded in-process sections, each against a fresh
+// observability set, and always writes all of them. Each is a pure function
+// of its seeds, so it diffs cleanly across machines too:
 //
-// With -loadgen it also replays a seeded itm-loadgen mix in-process against
-// a freshly built store and records the client-side deterministic ledger
-// ("Loadgen/counters") plus the server-side response-cache families
-// ("Loadgen/obs", the itm_cache_* counters). Wall-clock figures are not
-// this file's business: they are measured by benchmark/ (BENCHMARK.json).
+//   - "Campaign/obs": a tiny campaign's stable (non-volatile) metric
+//     families — probe outcomes, shard counts, sections shared.
+//   - "Loadgen/counters", "Loadgen/obs": a seeded loadgen replay's client
+//     ledger plus the server's itm_cache_* families.
+//   - "Overload/obs": the phased admission-control scenario
+//     (mapstore.OverloadScenario), whose split is exact — admitted ==
+//     capacity + queue, shed == extra — independent of scheduling.
+//   - "Mesh/counters", "Mesh/obs": a mesh-enabled store and the user↔user
+//     mix replayed against /v1/path + /v1/latency.
+//   - "SLO/obs": the consumer mix replayed through the admission valve
+//     itm-serve mounts, and the SLO engine's burn-rate judgment — the
+//     regression trip-wire for "fast and reliable under load".
 //
-// With -mesh it builds a mesh-enabled store (vantage fleet campaigns per
-// epoch), replays the user↔user mesh mix against /v1/path + /v1/latency,
-// and records the client ledger ("Mesh/counters") plus the stable mesh and
-// cache families ("Mesh/obs").
-//
-// With -overload it drives the phased admission-control scenario
-// (mapstore.OverloadScenario) against a fresh obs set and records the
-// shed/admit ledger plus the itm_admission_* families ("Overload/obs").
-// The phased orchestration makes the counts exact — admitted ==
-// capacity + queue, shed == extra — independent of scheduling, so they
-// diff cleanly.
-//
-// With -slo it builds a mesh-enabled store, replays the consumer mix through
-// the admission valve itm-serve puts in front of it, and records the SLO
-// engine's burn-rate judgment ("SLO/obs"): per-objective
-// status ordinals, max burn rates, and per-window SLI/bad/total — the
-// regression trip-wire for "fast and reliable under load".
+// Wall-clock figures are not this file's business: they are measured by
+// benchmark/ (BENCHMARK.json).
 //
 // Every in-process section builds its store through one helper (buildStore
 // → experiments.BuildEpochStore, the path itm-serve boots through) and reads
@@ -41,7 +31,7 @@
 //
 // Usage:
 //
-//	go test -bench ... -benchmem -benchtime 8x ./... | itm-bench -o BENCH_serve.json
+//	go test -bench ... -benchmem -benchtime 8x ./... | itm-bench [-o BENCH_serve.json]
 package main
 
 import (
@@ -72,6 +62,14 @@ var benchHeader = map[string]string{
 	"_2": "is a pure function of (code, seeds, -benchtime): allocation counts, campaign/serving/SLO",
 	"_3": "counters, client ledgers. CI regenerates the file and diffs it against this baseline.",
 }
+
+// The in-process sections' seeds (world and plan).
+const (
+	campaignSeed = 42
+	loadgenSeed  = 7
+	meshSeed     = 9
+	sloSeed      = 11
+)
 
 // swapFresh isolates one in-process scenario: a fresh observability set and
 // a fresh telemetry history ring, restored on return, so sections never
@@ -195,12 +193,12 @@ func loadgenCounters(seed int64) (client, server map[string]float64, err error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 2000, Workers: 4},
+	c, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 2000, Workers: 4},
 		loadgen.HandlerDoer{Handler: mapstore.NewHandler(st)})
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.Counters.Flat(), obsCounters("itm_cache_"), nil
+	return c.Flat(), obsCounters("itm_cache_"), nil
 }
 
 // meshCounters builds a mesh-enabled store in-process, replays the mesh
@@ -214,12 +212,12 @@ func meshCounters(seed int64) (client, server map[string]float64, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 1000, Workers: 4, Mix: "mesh"},
+	c, err := loadgen.Run(loadgen.Config{Seed: seed, Requests: 1000, Workers: 4, Mix: "mesh"},
 		loadgen.HandlerDoer{Handler: mapstore.NewHandler(st)})
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.Counters.Flat(), obsCounters("itm_mesh_", "itm_mapstore_mesh_", "itm_cache_"), nil
+	return c.Flat(), obsCounters("itm_mesh_", "itm_mapstore_mesh_", "itm_cache_"), nil
 }
 
 // overloadCounters runs the deterministic overload scenario against a
@@ -290,17 +288,34 @@ func sloCounters(seed int64) (map[string]float64, error) {
 	return vals, nil
 }
 
+// addSections runs every in-process section into results.
+func addSections(results map[string]any) error {
+	vals, err := campaignCounters(campaignSeed)
+	if err != nil {
+		return err
+	}
+	results["Campaign/obs"] = vals
+	client, server, err := loadgenCounters(loadgenSeed)
+	if err != nil {
+		return err
+	}
+	results["Loadgen/counters"] = client
+	results["Loadgen/obs"] = server
+	results["Overload/obs"] = overloadCounters()
+	if client, server, err = meshCounters(meshSeed); err != nil {
+		return err
+	}
+	results["Mesh/counters"] = client
+	results["Mesh/obs"] = server
+	if vals, err = sloCounters(sloSeed); err != nil {
+		return err
+	}
+	results["SLO/obs"] = vals
+	return nil
+}
+
 func main() {
 	outPath := flag.String("o", "BENCH_serve.json", "output file")
-	campaign := flag.Bool("campaign", false, "also run a tiny seeded campaign and record its stable obs counters")
-	campaignSeed := flag.Int64("campaign-seed", 42, "seed for the -campaign run")
-	loadgenRun := flag.Bool("loadgen", false, "also replay a seeded itm-loadgen mix and record its deterministic counters")
-	loadgenSeed := flag.Int64("loadgen-seed", 7, "seed for the -loadgen replay (world and plan)")
-	overloadRun := flag.Bool("overload", false, "also run the deterministic admission-control overload scenario")
-	meshRun := flag.Bool("mesh", false, "also build a mesh-enabled store, replay the mesh mix, and record its deterministic counters")
-	meshSeed := flag.Int64("mesh-seed", 9, "seed for the -mesh run (world and plan)")
-	sloRun := flag.Bool("slo", false, "also evaluate the serving SLOs over a seeded campaign and record the burn-rate judgment")
-	sloSeed := flag.Int64("slo-seed", 11, "seed for the -slo run (world and plan)")
 	flag.Parse()
 
 	parsed, err := parse(bufio.NewScanner(os.Stdin))
@@ -312,45 +327,8 @@ func main() {
 	for k, v := range parsed {
 		results[k] = v
 	}
-	if *campaign {
-		vals, err := campaignCounters(*campaignSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itm-bench:", err)
-			os.Exit(1)
-		}
-		results["Campaign/obs"] = vals
-	}
-	if *loadgenRun {
-		client, server, err := loadgenCounters(*loadgenSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itm-bench:", err)
-			os.Exit(1)
-		}
-		results["Loadgen/counters"] = client
-		results["Loadgen/obs"] = server
-	}
-	if *overloadRun {
-		results["Overload/obs"] = overloadCounters()
-	}
-	if *meshRun {
-		client, server, err := meshCounters(*meshSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itm-bench:", err)
-			os.Exit(1)
-		}
-		results["Mesh/counters"] = client
-		results["Mesh/obs"] = server
-	}
-	if *sloRun {
-		vals, err := sloCounters(*sloSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itm-bench:", err)
-			os.Exit(1)
-		}
-		results["SLO/obs"] = vals
-	}
-	if len(results) == 0 {
-		fmt.Fprintln(os.Stderr, "itm-bench: no benchmark lines on stdin")
+	if err := addSections(results); err != nil {
+		fmt.Fprintln(os.Stderr, "itm-bench:", err)
 		os.Exit(1)
 	}
 	results["0_header"] = benchHeader

@@ -34,7 +34,7 @@
 //	itm-serve [-addr :8411] [-scale tiny|small|default] [-seed N]
 //	          [-epochs N] [-workers N] [-snapshot map.json] [-pprof]
 //	          [-wal DIR] [-max-inflight N] [-max-queue N]
-//	          [-mesh-agents N] [-mesh-rounds N] [-mesh-profile NAME]
+//	          [-mesh-agents N] [-mesh-profile NAME]
 //
 // With -mesh-agents > 0 each simulated day also runs a vantage-fleet mesh
 // campaign (agents seeded into eyeball ASes probing each other) and the
@@ -43,11 +43,11 @@
 // store serves them byte-identically too.
 //
 // The campaign is experiments.BuildEpochStore — the one campaign→store path,
-// also behind itm-loadgen -self, itm-bench and E25 — run into a store whose
-// WAL is already attached; -mesh-agents 0 is that builder's "no mesh", and
-// -scale is whatever world.ForScale accepts. (The server still reaches the
-// campaign through internal/experiments because benchmark/_tracer mirrors
-// this boot by those names; ROADMAP item 7b retires the mirror first.)
+// also behind itm-bench and E25 — run into a store whose WAL is already
+// attached; -mesh-agents 0 is that builder's "no mesh", and -scale is
+// whatever world.ForScale accepts. (The server still reaches the campaign
+// through internal/experiments because benchmark/_tracer mirrors this boot
+// by those names; ROADMAP item 7b retires the mirror first.)
 package main
 
 import (
@@ -70,6 +70,9 @@ import (
 	"itmap/internal/world"
 )
 
+// meshRounds is how many rounds each epoch's mesh campaign runs.
+const meshRounds = 2
+
 var epochsLoaded = obs.NewGauge("itm_serve_epochs_loaded", "Epochs available in the serving store.")
 
 // options carries every flag; one struct keeps run()'s signature sane.
@@ -85,7 +88,6 @@ type options struct {
 	maxInflight int
 	maxQueue    int
 	meshAgents  int
-	meshRounds  int
 	meshProfile string
 }
 
@@ -102,7 +104,6 @@ func main() {
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "admission: concurrent request slots (0 = default)")
 	flag.IntVar(&o.maxQueue, "max-queue", -1, "admission: wait-queue capacity (-1 = default, 0 = shed immediately when slots are full)")
 	flag.IntVar(&o.meshAgents, "mesh-agents", 0, "vantage fleet size for per-epoch mesh campaigns (0 = no mesh)")
-	flag.IntVar(&o.meshRounds, "mesh-rounds", 2, "mesh campaign rounds per epoch")
 	flag.StringVar(&o.meshProfile, "mesh-profile", "none", "fault preset the mesh fleet probes under")
 	flag.Parse()
 
@@ -143,10 +144,10 @@ func fillStore(st *mapstore.Store, o options) error {
 	}
 	obs.Event(obs.Info, "serve.building", "scale", o.scale, "seed", o.seed, "epochs", o.epochs)
 	if o.meshAgents > 0 {
-		obs.Event(obs.Info, "serve.mesh", "agents", o.meshAgents, "rounds", o.meshRounds, "profile", o.meshProfile)
+		obs.Event(obs.Info, "serve.mesh", "agents", o.meshAgents, "rounds", meshRounds, "profile", o.meshProfile)
 	}
 	return experiments.BuildEpochStore(st, world.Build(cfg), o.epochs, o.workers,
-		experiments.MeshSpec{Agents: o.meshAgents, Rounds: o.meshRounds, Profile: prof})
+		experiments.MeshSpec{Agents: o.meshAgents, Rounds: meshRounds, Profile: prof})
 }
 
 // openStore assembles the serving store. With -wal and a non-empty journal

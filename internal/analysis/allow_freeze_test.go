@@ -97,9 +97,8 @@ func TestDeadExportAllowsFrozen(t *testing.T) {
 		"internal/mapstore/wal/wal.go:Len":                true,
 		"internal/services/select.go:ServesSNI":           true,
 		"internal/topology/invariants.go:CheckInvariants": true,
-		// Called from outside the loaded module, or a fault-model switch.
-		"internal/mapstore/store.go:AppendMap":  true,
-		"internal/dnssim/roots.go:SetFaultPlan": true,
+		// Called from outside the loaded module.
+		"internal/mapstore/store.go:AppendMap": true,
 	}
 	l := testLoader(t)
 	pkgs, err := l.LoadAll()

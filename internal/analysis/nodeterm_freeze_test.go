@@ -8,13 +8,11 @@ import (
 )
 
 // TestNodetermAllowlistFrozen pins the nodeterm path exemptions to the two
-// seeded substrates. Any other wall-clock use — the observability layer's
-// HTTP duration bridge, itm-loadgen's latency measurement — must carry a
-// justified line-level //itmlint:allow, never a new package exemption: line
-// allows are visible at the call site and go stale loudly, path exemptions
-// silently cover a whole package forever. In particular, internal/loadgen
-// stays OFF this list even though it times every request: its wall-clock
-// reads feed only the Perf ledger, never the deterministic counters.
+// seeded substrates. Any other wall-clock use — such as the observability
+// layer's HTTP duration bridge — must carry a justified line-level
+// //itmlint:allow, never a new package exemption: line allows are visible at
+// the call site and go stale loudly, path exemptions silently cover a whole
+// package forever.
 func TestNodetermAllowlistFrozen(t *testing.T) {
 	want := map[string]bool{
 		"internal/simtime": true,
@@ -31,14 +29,15 @@ func TestNodetermAllowlistFrozen(t *testing.T) {
 }
 
 // TestObsV2PackagesHoldNoClockExemptions pins the obs v2 determinism
-// surfaces — the telemetry history ring and the SLO engine — fully inside
-// the no-wall-clock contract: neither package may appear on the nodeterm
-// path allowlist, and neither may carry even a line-level
-// //itmlint:allow nodeterm. Their whole value is that history samples and
-// burn-rate reports are byte-identical across runs; one smuggled clock read
-// would quietly void that.
+// surfaces — the telemetry history ring and the SLO engine — and the load
+// replayer fully inside the no-wall-clock contract: none of these packages
+// may appear on the nodeterm path allowlist, and none may carry even a
+// line-level //itmlint:allow nodeterm. Their whole value is that history
+// samples, burn-rate reports and replay counters are byte-identical across
+// runs; one smuggled clock read would quietly void that. Wall-clock serving
+// performance is measured by benchmark/, outside the module.
 func TestObsV2PackagesHoldNoClockExemptions(t *testing.T) {
-	frozen := []string{"internal/obs/history", "internal/obs/slo"}
+	frozen := []string{"internal/obs/history", "internal/obs/slo", "internal/loadgen"}
 	for _, pkg := range frozen {
 		if nodetermAllowedPkgs[pkg] {
 			t.Errorf("%s must never join nodetermAllowedPkgs", pkg)
@@ -59,7 +58,7 @@ func TestObsV2PackagesHoldNoClockExemptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			if strings.Contains(string(src), "itmlint:allow nodeterm") {
-				t.Errorf("%s/%s carries a nodeterm allow; the obs v2 packages must stay clock-free",
+				t.Errorf("%s/%s carries a nodeterm allow; these packages must stay clock-free",
 					pkg, e.Name())
 			}
 		}

@@ -3,7 +3,6 @@ package dnssim
 import (
 	"sort"
 
-	"itmap/internal/faults"
 	"itmap/internal/topology"
 )
 
@@ -41,16 +40,7 @@ type ChromiumSource interface {
 // RootSystem is the 13-letter root with per-letter anonymization policy.
 type RootSystem struct {
 	Letters []RootLetter
-
-	faults *faults.Plan
 }
-
-// SetFaultPlan wires a fault schedule into the log pipeline: letters the
-// plan marks down for a day publish nothing that day. Nil restores
-// fault-free behaviour exactly.
-//
-//itmlint:allow deadexport the one switch for the root-letter outage model (faults.Plan.LetterDown, rootlogs LettersDown), whose counter family the stable exposition lists; no campaign flips it yet
-func (rs *RootSystem) SetFaultPlan(pl *faults.Plan) { rs.faults = pl }
 
 // NewRootSystem builds the root system; anonFrac of the 13 letters (rounded)
 // publish only anonymized logs.
@@ -75,9 +65,7 @@ func NewRootSystem(anonFrac float64) *RootSystem {
 // DayLogs returns the per-letter logs for a day. Chromium queries have
 // random labels, so they never hit resolver caches and spread uniformly
 // across the 13 letters. Anonymized letters return entries with the
-// resolver identity zeroed out. Letters the fault plan marks down for the
-// day are absent from the map entirely — the crawl sees a missing pipeline,
-// not an empty one.
+// resolver identity zeroed out.
 func (rs *RootSystem) DayLogs(day int, src ChromiumSource) map[byte][]RootLogEntry {
 	entries := src.ChromiumRootQueries(day)
 	sort.Slice(entries, func(i, j int) bool {
@@ -85,9 +73,6 @@ func (rs *RootSystem) DayLogs(day int, src ChromiumSource) map[byte][]RootLogEnt
 	})
 	out := map[byte][]RootLogEntry{}
 	for _, l := range rs.Letters {
-		if rs.faults.LetterDown(l.Letter, day) {
-			continue
-		}
 		logs := make([]RootLogEntry, 0, len(entries))
 		for _, e := range entries {
 			share := e

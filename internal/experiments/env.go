@@ -23,6 +23,16 @@ import (
 	"itmap/internal/world"
 )
 
+// The measurement campaigns' fixed shape.
+const (
+	// probeDomains caps the domain list for discovery sweeps.
+	probeDomains = 8
+	// discoveryRounds is how many times per day discovery re-probes.
+	discoveryRounds = 4
+	// hitRateInterval is the Figure 2 probing cadence.
+	hitRateInterval = 15 * simtime.Minute
+)
+
 // Env shares the expensive artifacts (world, matrix, measurement campaigns)
 // across experiment runners. Everything is built lazily and cached.
 type Env struct {
@@ -50,18 +60,12 @@ type Env struct {
 	//itm:guardedby mu
 	trafMap *core.TrafficMap
 
-	// ProbeDomains caps the domain list for discovery sweeps.
-	ProbeDomains int
 	// DiscoveryStart is the simulated time the discovery sweep begins
 	// (shift by 24h increments for day-over-day comparisons).
 	DiscoveryStart simtime.Time
-	// DiscoveryRounds is how many times per day discovery re-probes.
-	DiscoveryRounds int
 	// CrawlDayIndex selects which simulated day the root-log crawl
 	// covers (shift together with DiscoveryStart for multi-epoch runs).
 	CrawlDayIndex int
-	// HitRateInterval is the Figure 2 probing cadence.
-	HitRateInterval simtime.Time
 	// MatrixWorkers bounds the goroutines building the ground-truth
 	// matrix (0 = one per CPU). The result is identical either way —
 	// the shard-and-merge build is deterministic across worker counts —
@@ -73,12 +77,7 @@ type Env struct {
 // NewEnvFromWorld wraps an existing world (e.g. one the caller also probes
 // directly) in an experiment environment.
 func NewEnvFromWorld(w *world.World) *Env {
-	return &Env{
-		W:               w,
-		ProbeDomains:    8,
-		DiscoveryRounds: 4,
-		HitRateInterval: 15 * simtime.Minute,
-	}
+	return &Env{W: w}
 }
 
 // Matrix returns the ground-truth traffic matrix.
@@ -107,11 +106,11 @@ func (e *Env) Discovery() *cacheprobe.Discovery {
 	defer e.mu.Unlock()
 	if e.discovery == nil {
 		domains := e.W.Cat.ECSDomains()
-		if len(domains) > e.ProbeDomains {
-			domains = domains[:e.ProbeDomains]
+		if len(domains) > probeDomains {
+			domains = domains[:probeDomains]
 		}
 		pb := &cacheprobe.Prober{PR: e.W.PR, Domains: domains}
-		d, err := pb.DiscoverPrefixes(e.W.Top, e.W.Top.AllPrefixes(), e.DiscoveryStart, e.DiscoveryRounds)
+		d, err := pb.DiscoverPrefixes(e.W.Top, e.W.Top.AllPrefixes(), e.DiscoveryStart, discoveryRounds)
 		if err != nil {
 			panic(err) // programming error: domains come from the catalog
 		}
@@ -135,7 +134,7 @@ func (e *Env) HitRates() *cacheprobe.HitRates {
 		domains := e.W.Cat.ECSDomains()
 		domain := domains[len(domains)/2]
 		hr, err := pb.MeasureHitRates(e.W.Top, e.W.Top.AllPrefixes(),
-			domain, 0, e.HitRateInterval)
+			domain, 0, hitRateInterval)
 		if err != nil {
 			panic(err)
 		}

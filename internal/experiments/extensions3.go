@@ -17,11 +17,11 @@ func (e *Env) RunE16() *Result {
 	w := e.W
 	day1 := e.Discovery()
 	domains := w.Cat.ECSDomains()
-	if len(domains) > e.ProbeDomains {
-		domains = domains[:e.ProbeDomains]
+	if len(domains) > probeDomains {
+		domains = domains[:probeDomains]
 	}
 	pb := &cacheprobe.Prober{PR: w.PR, Domains: domains}
-	day2, err := pb.DiscoverPrefixes(w.Top, w.Top.AllPrefixes(), 24, e.DiscoveryRounds)
+	day2, err := pb.DiscoverPrefixes(w.Top, w.Top.AllPrefixes(), 24, discoveryRounds)
 	if err != nil {
 		r.Values = append(r.Values, Value{Name: "second-day sweep", Paper: "n/a", Measured: err.Error(), Pass: false})
 		return r

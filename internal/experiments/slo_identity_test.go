@@ -74,7 +74,7 @@ func runServeStack(t *testing.T, seed int64, buildWorkers, lgWorkers int) serveD
 		sloBody:     sloBody,
 		httpTrace:   string(spans),
 		metrics:     obs.Metrics().StableExposition(),
-		traced:      res.Counters.Traced,
+		traced:      res.Traced,
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package faults is the simulator's deterministic fault-injection layer.
 // The paper's techniques run against a hostile substrate — public resolvers
 // throttle and SERVFAIL single sources (§3.1.2), routers rate-limit ICMP
-// (§3.3.2), PoPs and root letters flap — yet a simulated probe that always
-// succeeds hides the measurement error the map inherits from that substrate.
-// A Plan injects those failures as pure functions of (seed, identity, time):
-// per-PoP packet loss, SERVFAIL rates, per-source throttling with temporary
-// ban windows, transient PoP and root-letter outages, and per-router ICMP
-// rate limiting. Because every decision is a hash — never a shared mutable
-// RNG stream — outcomes are identical across runs and across worker counts,
-// and retries (which carry a fresh attempt number) re-roll honestly.
+// (§3.3.2), PoPs flap — yet a simulated probe that always succeeds hides the
+// measurement error the map inherits from that substrate. A Plan injects
+// those failures as pure functions of (seed, identity, time): per-PoP packet
+// loss, SERVFAIL rates, per-source throttling with temporary ban windows,
+// transient PoP outages, and per-router ICMP rate limiting. Because every
+// decision is a hash — never a shared mutable RNG stream — outcomes are
+// identical across runs and across worker counts, and retries (which carry a
+// fresh attempt number) re-roll honestly.
 package faults
 
 import (
@@ -48,7 +48,7 @@ const (
 	tagBanOff
 	tagPoPOutage
 	tagPoPStart
-	tagLetter
+	_ // retired stream; kept so tagICMP's value never moves
 	tagICMP
 )
 
@@ -84,15 +84,14 @@ func timeBits(t simtime.Time) uint64 { return math.Float64bits(float64(t)) }
 
 // The fault layer's families.
 var (
-	injected      = obs.NewCounter("itm_faults_injected_total", "Faults injected into probe traffic, by kind.", "kind")
-	rolls         = obs.NewCounter("itm_faults_rolls_total", "Probe-fault evaluations against an enabled plan.")
-	icmpDrops     = obs.NewCounter("itm_faults_icmp_drops_total", "Traceroute replies eaten by router ICMP rate limiting.")
-	letterOutages = obs.NewCounter("itm_faults_letter_outages_total", "Root-letter log outage days drawn.")
+	injected  = obs.NewCounter("itm_faults_injected_total", "Faults injected into probe traffic, by kind.", "kind")
+	rolls     = obs.NewCounter("itm_faults_rolls_total", "Probe-fault evaluations against an enabled plan.")
+	icmpDrops = obs.NewCounter("itm_faults_icmp_drops_total", "Traceroute replies eaten by router ICMP rate limiting.")
 )
 
 // RegisterMetrics declares the fault-layer families so a fault-free process
 // (itm-serve never injects) still exposes their HELP/TYPE headers.
-func RegisterMetrics() { obs.Declare(injected, rolls, icmpDrops, letterOutages) }
+func RegisterMetrics() { obs.Declare(injected, rolls, icmpDrops) }
 
 func countInjected(kind string) { injected.With(kind).Inc() }
 
@@ -142,19 +141,6 @@ func (pl *Plan) SourceBanned(source uint64, t simtime.Time) bool {
 		}
 	}
 	return false
-}
-
-// LetterDown reports whether a root letter's log pipeline is out for the
-// whole day — the transient analogue of permanent anonymization.
-func (pl *Plan) LetterDown(letter byte, day int) bool {
-	if !pl.Enabled() || pl.prof.LetterOutageProb <= 0 {
-		return false
-	}
-	down := randx.HashBool(pl.prof.LetterOutageProb, pl.seed, tagLetter, uint64(letter), uint64(day))
-	if down {
-		letterOutages.Inc()
-	}
-	return down
 }
 
 // ICMPDropped reports whether a router's ICMP rate limiter ate the

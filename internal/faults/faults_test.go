@@ -18,8 +18,7 @@ func TestNilAndZeroPlansInjectNothing(t *testing.T) {
 			if err := pl.ProbeFault(3, 7, 11, 0, tm); err != nil {
 				t.Fatalf("inert plan injected %v", err)
 			}
-			if pl.PoPDown(0, tm) || pl.SourceBanned(9, tm) ||
-				pl.LetterDown('a', hour) || pl.ICMPDropped(1, 2, 0, tm) {
+			if pl.PoPDown(0, tm) || pl.SourceBanned(9, tm) || pl.ICMPDropped(1, 2, 0, tm) {
 				t.Fatal("inert plan injected a fault")
 			}
 		}

@@ -25,10 +25,6 @@ type Profile struct {
 	PoPOutageProb     float64
 	PoPOutageDuration simtime.Time
 
-	// LetterOutageProb is the per-root-letter, per-day probability the
-	// letter's log pipeline publishes nothing.
-	LetterOutageProb float64
-
 	// ICMPDropProb is the per-hop probability a router's ICMP rate
 	// limiter drops the TTL-exceeded reply to a traceroute probe.
 	ICMPDropProb float64
@@ -49,7 +45,6 @@ func Calm() Profile {
 		BanDuration:       10 * simtime.Minute,
 		PoPOutageProb:     0.02,
 		PoPOutageDuration: 20 * simtime.Minute,
-		LetterOutageProb:  0.01,
 		ICMPDropProb:      0.03,
 	}
 }
@@ -66,7 +61,6 @@ func Lossy() Profile {
 		BanDuration:       45 * simtime.Minute,
 		PoPOutageProb:     0.15,
 		PoPOutageDuration: 90 * simtime.Minute,
-		LetterOutageProb:  0.08,
 		ICMPDropProb:      0.15,
 	}
 }
@@ -84,7 +78,6 @@ func Hostile() Profile {
 		BanDuration:       90 * simtime.Minute,
 		PoPOutageProb:     0.50,
 		PoPOutageDuration: 3 * simtime.Hour,
-		LetterOutageProb:  0.25,
 		ICMPDropProb:      0.35,
 	}
 }

@@ -1,9 +1,8 @@
 // Package loadgen replays a seeded, deterministic query mix against the
-// map store's HTTP API and keeps two ledgers: a deterministic counter set
-// (requests by route, statuses, cache outcomes, body bytes) that is a pure
-// function of (store content, seed, request count) — byte-identical across
-// runs and worker counts — and a wall-clock performance summary (QPS,
-// p50/p99 latency) that is not and is reported separately.
+// map store's HTTP API and keeps one ledger: a counter set (requests by
+// route, statuses, cache outcomes, body bytes) that is a pure function of
+// (store content, seed, request count) — byte-identical across runs and
+// worker counts. Wall-clock performance is measured by benchmark/, not here.
 //
 // Determinism across worker counts comes from key-affinity sharding: the
 // plan is generated once from the seed, then every request for a given URL
@@ -20,10 +19,8 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"itmap/internal/obs"
 	"itmap/internal/order"
@@ -36,6 +33,20 @@ type Doer interface {
 	Do(*http.Request) (*http.Response, error)
 }
 
+// The replay's fixed shape.
+const (
+	// zipfAlpha is the zipf exponent for AS popularity: a few hot ASes
+	// absorb most /v1/as traffic, like real consumers would.
+	zipfAlpha = 1.1
+	// asPool caps how many top-ranked ASes (mesh mix: worst pairs) the
+	// zipf draws from, clamped to the store's ranking.
+	asPool = 64
+	// revalidateProb is the probability a revisit to an already-seen URL
+	// carries If-None-Match; the rest re-fetch the body, so the replay
+	// exercises both the 304 path and the warm cache path.
+	revalidateProb = 0.8
+)
+
 // Config shapes one replay.
 type Config struct {
 	// Base is the URL prefix requests are issued against (e.g.
@@ -47,16 +58,6 @@ type Config struct {
 	Requests int
 	// Workers is the closed-loop concurrency (default 1).
 	Workers int
-	// Alpha is the zipf exponent for AS popularity (default 1.1): a few
-	// hot ASes absorb most /v1/as traffic, like real consumers would.
-	Alpha float64
-	// ASPool caps how many top-ranked ASes the zipf draws from
-	// (default 64, clamped to the store's ranking).
-	ASPool int
-	// Revalidate is the probability a revisit to an already-seen URL
-	// carries If-None-Match (default 0.8); the rest re-fetch the body, so
-	// the replay exercises both the 304 path and the warm cache path.
-	Revalidate float64
 	// Mix selects the request profile: "map" (default) replays the
 	// consumer mix over the map routes; "mesh" replays a user↔user mix
 	// over /v1/path, /v1/latency, and /v1/latency/top, drawing AS pairs
@@ -67,15 +68,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 1.1
-	}
-	if c.ASPool <= 0 {
-		c.ASPool = 64
-	}
-	if c.Revalidate == 0 {
-		c.Revalidate = 0.8
 	}
 	if c.Mix == "" {
 		c.Mix = "map"
@@ -178,21 +170,6 @@ func (c *Counters) MarshalSorted() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// Perf is the wall-clock summary. Machine-dependent by nature; never folded
-// into deterministic artifacts.
-type Perf struct {
-	Seconds float64 `json:"seconds"`
-	QPS     float64 `json:"qps"`
-	P50ms   float64 `json:"p50_ms"`
-	P99ms   float64 `json:"p99_ms"`
-}
-
-// Result bundles one replay's two ledgers.
-type Result struct {
-	Counters *Counters `json:"counters"`
-	Perf     Perf      `json:"perf"`
-}
-
 // request is one planned probe: a URL, whether a revisit should revalidate
 // (send If-None-Match) instead of re-fetching the body, and the W3C
 // traceparent the request propagates.
@@ -231,7 +208,7 @@ type storeShape struct {
 // discover bootstraps the store shape from the API itself: the epoch
 // listing for the epoch count, the latest top-K ranking for the AS pool,
 // and (mesh mix only) the worst-latency ranking for the pair pool.
-func discover(d Doer, base string, pool int, mix string) (storeShape, error) {
+func discover(d Doer, base, mix string) (storeShape, error) {
 	var sh storeShape
 	var listing struct {
 		Epochs []struct {
@@ -250,7 +227,7 @@ func discover(d Doer, base string, pool int, mix string) (storeShape, error) {
 			ASN uint32 `json:"asn"`
 		} `json:"top"`
 	}
-	if err := getJSON(d, base+"/v1/top?k="+strconv.Itoa(pool), &top); err != nil {
+	if err := getJSON(d, base+"/v1/top?k="+strconv.Itoa(asPool), &top); err != nil {
 		return sh, err
 	}
 	for _, r := range top.Top {
@@ -266,7 +243,7 @@ func discover(d Doer, base string, pool int, mix string) (storeShape, error) {
 				B uint32 `json:"b"`
 			} `json:"top"`
 		}
-		if err := getJSON(d, base+"/v1/latency/top?k="+strconv.Itoa(pool), &worst); err != nil {
+		if err := getJSON(d, base+"/v1/latency/top?k="+strconv.Itoa(asPool), &worst); err != nil {
 			return sh, err
 		}
 		for _, r := range worst.Top {
@@ -314,7 +291,7 @@ func plan(cfg Config, sh storeShape) []request {
 // per-AS views dominate, full map fetches (some binary) and diffs fill in.
 func planMap(cfg Config, sh storeShape) []request {
 	src := randx.New(cfg.Seed)
-	zipf := randx.NewZipf(len(sh.ASes), cfg.Alpha)
+	zipf := randx.NewZipf(len(sh.ASes), zipfAlpha)
 	topKs := []int{10, 10, 10, 5, 20}
 	reqs := make([]request, 0, cfg.Requests)
 	for len(reqs) < cfg.Requests {
@@ -343,7 +320,7 @@ func planMap(cfg Config, sh storeShape) []request {
 			a := src.Intn(sh.Epochs - 1)
 			r.url = "/v1/diff/" + strconv.Itoa(a) + "/" + strconv.Itoa(a+1)
 		}
-		r.revalidate = src.Bool(cfg.Revalidate)
+		r.revalidate = src.Bool(revalidateProb)
 		reqs = append(reqs, r)
 	}
 	return reqs
@@ -356,7 +333,7 @@ func planMap(cfg Config, sh storeShape) []request {
 // server's canonicalization.
 func planMesh(cfg Config, sh storeShape) []request {
 	src := randx.New(cfg.Seed)
-	zipf := randx.NewZipf(len(sh.Pairs), cfg.Alpha)
+	zipf := randx.NewZipf(len(sh.Pairs), zipfAlpha)
 	topKs := []int{10, 10, 5, 20}
 	reqs := make([]request, 0, cfg.Requests)
 	for len(reqs) < cfg.Requests {
@@ -380,7 +357,7 @@ func planMesh(cfg Config, sh storeShape) []request {
 			r.route = "/v1/latency/top"
 			r.url = "/v1/latency/top?k=" + strconv.Itoa(topKs[src.Intn(len(topKs))])
 		}
-		r.revalidate = src.Bool(cfg.Revalidate)
+		r.revalidate = src.Bool(revalidateProb)
 		reqs = append(reqs, r)
 	}
 	return reqs
@@ -394,9 +371,9 @@ func shardOf(url string, workers int) int {
 	return int(h.Sum32() % uint32(workers))
 }
 
-// Run replays the configured mix and returns both ledgers. Any transport
+// Run replays the configured mix and returns its counters. Any transport
 // error aborts the replay.
-func Run(cfg Config, d Doer) (*Result, error) {
+func Run(cfg Config, d Doer) (*Counters, error) {
 	cfg.fill()
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("loadgen: Requests must be positive")
@@ -404,7 +381,7 @@ func Run(cfg Config, d Doer) (*Result, error) {
 	if cfg.Mix != "map" && cfg.Mix != "mesh" {
 		return nil, fmt.Errorf("loadgen: unknown mix %q", cfg.Mix)
 	}
-	sh, err := discover(d, cfg.Base, cfg.ASPool, cfg.Mix)
+	sh, err := discover(d, cfg.Base, cfg.Mix)
 	if err != nil {
 		return nil, err
 	}
@@ -417,53 +394,36 @@ func Run(cfg Config, d Doer) (*Result, error) {
 	}
 
 	counters := make([]*Counters, cfg.Workers)
-	lats := make([][]time.Duration, cfg.Workers)
 	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
-	//itmlint:allow nodeterm loadgen measures real serving wall time (Perf ledger only)
-	start := time.Now()
 	for w := range shards {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			counters[w], lats[w], errs[w] = runWorker(cfg.Base, d, shards[w])
+			counters[w], errs[w] = runWorker(cfg.Base, d, shards[w])
 		}(w)
 	}
 	wg.Wait()
-	//itmlint:allow nodeterm loadgen measures real serving wall time (Perf ledger only)
-	elapsed := time.Since(start)
 
-	res := &Result{Counters: newCounters()}
-	var all []time.Duration
+	total := newCounters()
 	for w := range shards {
 		if errs[w] != nil {
 			return nil, errs[w]
 		}
-		res.Counters.merge(counters[w])
-		all = append(all, lats[w]...)
+		total.merge(counters[w])
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	res.Perf.Seconds = elapsed.Seconds()
-	if res.Perf.Seconds > 0 {
-		res.Perf.QPS = float64(len(reqs)) / res.Perf.Seconds
-	}
-	if len(all) > 0 {
-		res.Perf.P50ms = float64(all[len(all)/2].Microseconds()) / 1e3
-		res.Perf.P99ms = float64(all[len(all)*99/100].Microseconds()) / 1e3
-	}
-	return res, nil
+	return total, nil
 }
 
 // runWorker drives one shard's closed loop, tracking per-URL ETags so
 // revisits can revalidate.
-func runWorker(base string, d Doer, reqs []request) (*Counters, []time.Duration, error) {
+func runWorker(base string, d Doer, reqs []request) (*Counters, error) {
 	c := newCounters()
-	lats := make([]time.Duration, 0, len(reqs))
 	etags := map[string]string{}
 	for _, r := range reqs {
 		req, err := http.NewRequest(http.MethodGet, base+r.url, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		seen := etags[r.url]
 		if r.revalidate && seen != "" {
@@ -473,19 +433,15 @@ func runWorker(base string, d Doer, reqs []request) (*Counters, []time.Duration,
 			req.Header.Set("traceparent", r.traceparent)
 			c.Traced++
 		}
-		//itmlint:allow nodeterm loadgen measures real serving wall time (Perf ledger only)
-		t0 := time.Now()
 		resp, err := d.Do(req)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		body, err := io.ReadAll(resp.Body)
 		_ = resp.Body.Close()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		//itmlint:allow nodeterm loadgen measures real serving wall time (Perf ledger only)
-		lats = append(lats, time.Since(t0))
 
 		c.Requests[r.route]++
 		c.Status[strconv.Itoa(resp.StatusCode)]++
@@ -504,8 +460,8 @@ func runWorker(base string, d Doer, reqs []request) (*Counters, []time.Duration,
 		case http.StatusNotModified:
 			c.NotModified++
 		default:
-			return nil, nil, fmt.Errorf("loadgen: GET %s: status %d: %s", r.url, resp.StatusCode, body)
+			return nil, fmt.Errorf("loadgen: GET %s: status %d: %s", r.url, resp.StatusCode, body)
 		}
 	}
-	return c, lats, nil
+	return c, nil
 }

@@ -34,7 +34,7 @@ func replay(t *testing.T, seed int64, workers int) *Counters {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return res.Counters
+	return res
 }
 
 func TestSameSeedSameCounters(t *testing.T) {
@@ -131,7 +131,7 @@ func meshReplay(t *testing.T, seed int64, workers int) *Counters {
 	if err != nil {
 		t.Fatalf("Run(mesh): %v", err)
 	}
-	return res.Counters
+	return res
 }
 
 // TestMeshMixWorkerInvariance: the mesh mix obeys the same determinism

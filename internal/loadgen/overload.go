@@ -51,7 +51,7 @@ func RunOverload(cfg OverloadConfig, d Doer) (*OverloadCounters, error) {
 	}
 	pcfg := Config{Base: cfg.Base, Seed: cfg.Seed, Requests: cfg.Requests}
 	pcfg.fill()
-	sh, err := discover(d, cfg.Base, pcfg.ASPool, pcfg.Mix)
+	sh, err := discover(d, cfg.Base, pcfg.Mix)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@ import (
 
 // HandlerDoer adapts an http.Handler into a Doer, so a replay can run
 // in-process against the exact handler stack itm-serve mounts — no
-// sockets, no ports, deterministic teardown. Used by -self mode and the
-// loadgen smoke test.
+// sockets, no ports, deterministic teardown. Used by itm-bench and the
+// tests.
 type HandlerDoer struct {
 	Handler http.Handler
 }

@@ -2,7 +2,6 @@ package mapstore
 
 import (
 	"net/http"
-	"strconv"
 	"sync"
 
 	"itmap/internal/obs"
@@ -21,15 +20,14 @@ import (
 //     microseconds, so under pressure cached reads drain before cold fills.
 //
 // The valve holds no clocks. Waiters are bounded by queue *capacity*, not
-// wall-time deadlines, and the Retry-After hint is a fixed configured
-// value — so shed counts are a pure function of arrival order, which is
-// what lets the overload tests assert exact, worker-count-invariant
-// numbers (see OverloadScenario). A queued request still abandons its slot
-// if the client disconnects (request context cancellation).
+// wall-time deadlines, and the Retry-After hint is a constant — so shed
+// counts are a pure function of arrival order, which is what lets the
+// overload tests assert exact, worker-count-invariant numbers (see
+// OverloadScenario). A queued request still abandons its slot if the client
+// disconnects (request context cancellation).
 type Admission struct {
 	maxInFlight int
 	maxQueue    int
-	retryAfter  string // prebaked header value, seconds
 
 	mu sync.Mutex
 	//itm:guardedby mu
@@ -65,18 +63,17 @@ type AdmissionConfig struct {
 	// starts. 0 disables queueing — shed the moment every slot is busy;
 	// negative takes the default.
 	MaxQueue int
-	// RetryAfterSeconds is the fixed backoff hint shed responses carry
-	// (<= 0 takes the default).
-	RetryAfterSeconds int
 }
 
 // Defaults for AdmissionConfig: sized so a tiny-world smoke never sheds
 // but a deliberate burst (loadgen -overload) reliably does.
 const (
-	DefaultMaxInFlight       = 64
-	DefaultMaxQueue          = 256
-	DefaultRetryAfterSeconds = 1
+	DefaultMaxInFlight = 64
+	DefaultMaxQueue    = 256
 )
+
+// retryAfter is the fixed backoff hint, in seconds, shed responses carry.
+const retryAfter = "1"
 
 // The valve's families; NewAdmission declares them.
 var (
@@ -98,14 +95,10 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.MaxQueue < 0 {
 		cfg.MaxQueue = DefaultMaxQueue
 	}
-	if cfg.RetryAfterSeconds <= 0 {
-		cfg.RetryAfterSeconds = DefaultRetryAfterSeconds
-	}
 	obs.Declare(admissionAdmitted, admissionQueued, admissionShed, admissionBypass, admissionInflight)
 	return &Admission{
 		maxInFlight: cfg.MaxInFlight,
 		maxQueue:    cfg.MaxQueue,
-		retryAfter:  strconv.Itoa(cfg.RetryAfterSeconds),
 	}
 }
 
@@ -129,8 +122,8 @@ func (a *Admission) Wrap(next http.Handler) http.Handler {
 		switch a.acquire(lane, r.Context().Done()) {
 		case decisionShed:
 			admissionShed.Inc()
-			w.Header().Set("Retry-After", a.retryAfter)
-			writeErr(w, http.StatusServiceUnavailable, "overloaded: retry after %ss", a.retryAfter)
+			w.Header().Set("Retry-After", retryAfter)
+			writeErr(w, http.StatusServiceUnavailable, "overloaded: retry after %ss", retryAfter)
 			return
 		case decisionAbandoned:
 			// Client gone; nothing to write, nothing held.

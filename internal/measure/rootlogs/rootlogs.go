@@ -23,9 +23,6 @@ type Crawl struct {
 	ActivityByResolverPrefix map[topology.PrefixID]float64
 	// LettersUsed is how many of the 13 letters contributed.
 	LettersUsed int
-	// LettersDown counts letters whose log pipeline was out for the day
-	// (transient outages injected by a fault plan).
-	LettersDown int
 	// HiddenQueries counts queries visible only as anonymized records.
 	HiddenQueries float64
 }
@@ -39,13 +36,7 @@ func CrawlDay(rs *dnssim.RootSystem, src dnssim.ChromiumSource, day int) *Crawl 
 		ActivityByResolverPrefix: map[topology.PrefixID]float64{},
 	}
 	for _, l := range rs.Letters {
-		entries, ok := logs[l.Letter]
-		if !ok {
-			// The letter published nothing today (transient outage);
-			// the crawl simply has one fewer source.
-			c.LettersDown++
-			continue
-		}
+		entries := logs[l.Letter]
 		if l.Anonymized {
 			for _, e := range entries {
 				c.HiddenQueries += e.Queries

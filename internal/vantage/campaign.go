@@ -26,6 +26,28 @@ import (
 // contract traffic.BuildMatrixWorkers holds.
 const meshShards = 32
 
+// The campaign's fixed shape.
+const (
+	// roundInterval separates consecutive rounds.
+	roundInterval = simtime.Hour
+	// targetsPerAgent is how many peer agents each agent probes per round.
+	// Targets are drawn per (agent, round) from the identity hash, so the
+	// pair schedule is a pure function of the seed.
+	targetsPerAgent = 4
+	// pingsPerPair is the RTT probe count per measured pair.
+	pingsPerPair = 4
+	// retryBudget bounds traceroute attempts per pair, including the first.
+	retryBudget = 3
+	// agentQPS is each agent's token-bucket pacing budget in probes per
+	// simulated second; agentBurst is the pacer's bucket size.
+	agentQPS   = 2
+	agentBurst = 8
+	// roundBudget caps probe sends (traceroute attempts + pings) per agent
+	// per round; pairs whose worst case does not fit are skipped
+	// deterministically.
+	roundBudget = 64
+)
+
 // Config shapes one mesh campaign.
 type Config struct {
 	// Agents is the fleet size (default 64).
@@ -34,26 +56,6 @@ type Config struct {
 	Rounds int
 	// Start is the simulated time of round 0.
 	Start simtime.Time
-	// Interval separates consecutive rounds (default 1 simulated hour).
-	Interval simtime.Time
-	// TargetsPerAgent is how many peer agents each agent probes per round
-	// (default 4). Targets are drawn per (agent, round) from the identity
-	// hash, so the pair schedule is a pure function of the seed.
-	TargetsPerAgent int
-	// PingsPerPair is the RTT probe count per measured pair (default 4).
-	PingsPerPair int
-	// RetryBudget bounds traceroute attempts per pair, including the
-	// first (default 3).
-	RetryBudget int
-	// QPS is each agent's token-bucket pacing budget in probes per
-	// simulated second (default 2; <= 0 disables pacing).
-	QPS float64
-	// Burst is the pacer's bucket size (default 8).
-	Burst int
-	// RoundBudget caps probe sends (traceroute attempts + pings) per
-	// agent per round; pairs whose worst case does not fit are skipped
-	// deterministically (default 64).
-	RoundBudget int
 	// Workers bounds the goroutines running shards (0 = one per CPU).
 	// Results are identical for every setting.
 	Workers int
@@ -69,27 +71,6 @@ func (c *Config) fill() {
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 2
-	}
-	if c.Interval <= 0 {
-		c.Interval = simtime.Hour
-	}
-	if c.TargetsPerAgent <= 0 {
-		c.TargetsPerAgent = 4
-	}
-	if c.PingsPerPair <= 0 {
-		c.PingsPerPair = 4
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
-	}
-	if c.QPS == 0 {
-		c.QPS = 2
-	}
-	if c.Burst <= 0 {
-		c.Burst = 8
-	}
-	if c.RoundBudget <= 0 {
-		c.RoundBudget = 64
 	}
 }
 
@@ -278,12 +259,12 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 	for id := 0; id < n; id++ {
 		s := id % meshShards
 		shards[s].agents = append(shards[s].agents, id)
-		shards[s].pacers[id] = resilience.NewPacer(c.cfg.QPS, c.cfg.Burst)
+		shards[s].pacers[id] = resilience.NewPacer(agentQPS, agentBurst)
 	}
 	meshAgents.Add(uint64(n))
 
 	for r := 0; r < c.cfg.Rounds; r++ {
-		at := c.cfg.Start + simtime.Time(r)*c.cfg.Interval
+		at := c.cfg.Start + simtime.Time(r)*roundInterval
 		root := obs.StartSpan("vantage.mesh_round", at).
 			SetAttrInt("round", int64(r)).SetAttrInt("agents", int64(n)).
 			SetAttrInt("shards", meshShards)
@@ -373,7 +354,7 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 	// point after the shard fold, so the capture is deterministic.
 	end := c.cfg.Start
 	if c.cfg.Rounds > 0 {
-		end += simtime.Time(c.cfg.Rounds-1) * c.cfg.Interval
+		end += simtime.Time(c.cfg.Rounds-1) * roundInterval
 	}
 	history.Observe("mesh", "mesh-"+doc.Profile, end)
 	return doc, st
@@ -385,10 +366,10 @@ func (c *Campaign) runAgentRound(sh *shardState, id, round int, at simtime.Time)
 	meshScheduled.Inc()
 	agent := &c.fleet.Agents[id]
 	n := len(c.fleet.Agents)
-	budget := c.cfg.RoundBudget
+	budget := roundBudget
 	// Worst case per pair: every traceroute attempt plus every ping.
-	pairCost := c.cfg.RetryBudget + c.cfg.PingsPerPair
-	for j := 0; j < c.cfg.TargetsPerAgent && n > 1; j++ {
+	pairCost := retryBudget + pingsPerPair
+	for j := 0; j < targetsPerAgent && n > 1; j++ {
 		pick := int(randx.Hash64(c.fleet.Seed, tagTarget, uint64(id), uint64(round), uint64(j)) % uint64(n-1))
 		if pick >= id {
 			pick++
@@ -429,7 +410,7 @@ func (c *Campaign) measurePair(sh *shardState, agent, target *Agent, round int, 
 	// Path: the canonical direction lo→hi (measurable from either side, as
 	// with Reverse Traceroute), re-measured with backoff while holed.
 	retry := resilience.Retryer{
-		Budget:    c.cfg.RetryBudget,
+		Budget:    retryBudget,
 		Backoff:   resilience.Backoff{Seed: c.fleet.Seed, Jitter: 0.5},
 		Retryable: faults.IsTransient,
 	}
@@ -470,7 +451,7 @@ func (c *Campaign) measurePair(sh *shardState, agent, target *Agent, round int, 
 	pop := int(key % 61)
 	source := randx.Hash64(c.fleet.Seed, tagAgent, uint64(agent.ID))
 	t := out.End
-	for i := 0; i < c.cfg.PingsPerPair; i++ {
+	for i := 0; i < pingsPerPair; i++ {
 		t = pacer.Next(t)
 		spent++
 		sh.stats.Pings++
