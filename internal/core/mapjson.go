@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 
+	"itmap/internal/order"
 	"itmap/internal/topology"
 )
 
@@ -104,12 +105,13 @@ func (doc *MapDocument) AppendJSONField(b []byte, f JSONField) ([]byte, error) {
 	return w.b, nil
 }
 
-// keyed writes a map, nil as null, in the order of keys: key writes one.
-func keyed[K comparable, V any](w *jsonWriter, m map[K]V, keys []K, key func(K), value func(V)) {
-	w.each(m == nil, "{}", len(keys), func(i int) {
-		key(keys[i])
+// keyed writes a map, nil as null, as its entries listed in order: key
+// writes one's key, value its value.
+func keyed[K comparable, V any](w *jsonWriter, m map[K]V, entries []order.Entry[K, V], key func(K), value func(V)) {
+	w.each(m == nil, "{}", len(entries), func(i int) {
+		key(entries[i].Key)
 		w.raw(": ")
-		value(m[keys[i]])
+		value(entries[i].Value)
 	})
 }
 
@@ -167,8 +169,14 @@ func (w *jsonWriter) quote(text string, err error) {
 }
 
 // float is encoding/json's format: the shortest decimal that reads back, in
-// exponent form below 1e-6 and from 1e21 on, with e-07 written e-7.
+// exponent form below 1e-6 and from 1e21 on, with e-07 written e-7. A whole
+// number below 1e15, and so below 2^53, is its own shortest decimal and is
+// written as an integer; that is most hit rates, which are 1.
 func (w *jsonWriter) float(f float64) {
+	if 0 <= f && f < 1e15 && !math.Signbit(f) && f == math.Trunc(f) {
+		w.int(int64(f))
+		return
+	}
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		w.err = cmp.Or(w.err, fmt.Errorf("core: unsupported value %v", f))
 		return

@@ -77,7 +77,9 @@ func TestAppendJSONShapes(t *testing.T) {
 // cut-offs, and strings it escapes, spelled as it spells them.
 func TestAppendJSONValues(t *testing.T) {
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1e-7, 9.99e-7, 1e-6, -1e-6, 1.5e-10, 5e-324,
-		math.SmallestNonzeroFloat64, 1e20, 999999999999999999999, 1e21, -1e21, 1.2345e300, math.MaxFloat64, 1 << 53, 123456789012}
+		math.SmallestNonzeroFloat64, 1e20, 999999999999999999999, 1e21, -1e21, 1.2345e300, math.MaxFloat64, 1 << 53, 123456789012,
+		// Around the integral fast path's edges.
+		2, -2, 1e15 - 1, 1e15, 1e15 + 1, 1<<53 + 2, -(1 << 53)}
 	doc := &MapDocument{ASActivity: map[topology.ASN]float64{}, PrefixHitRates: map[topology.PrefixID]float64{}}
 	for i, f := range floats {
 		doc.ASActivity[topology.ASN(i)] = f

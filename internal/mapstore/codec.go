@@ -6,7 +6,6 @@
 package mapstore
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"sync"
 
 	"itmap/internal/core"
+	"itmap/internal/order"
 	"itmap/internal/topology"
 )
 
@@ -122,42 +122,29 @@ var keyedSections = [...]keyedSection{
 		field:    fieldOf(func(d *core.MapDocument) *map[topology.ASN]float64 { return &d.ASConfidence })},
 }
 
-// keyedEntry is one (key, payload) pair of a keyed section: a float, or a
-// label's enum value held as one.
-type keyedEntry struct {
-	key uint32
-	v   float64
-}
-
-func compareKeyedEntry(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) }
-
 // keyedField is one keyed document map seen as entries, whatever its key
-// and value types: the three things the codec and the store do with it.
+// and value types: the three things the codec and the store do with it. An
+// entry's payload is a float, or a label's enum value held as one.
 type keyedField struct {
-	// stage appends the document's entries to dst, sorted by key.
-	stage func(doc *core.MapDocument, dst []keyedEntry) []keyedEntry
+	// stage returns the document's entries in s, each payload ranked by its
+	// key, in key order.
+	stage func(doc *core.MapDocument, s *order.Scratch[float64]) []order.Ranked[float64]
 	// fill gives the document a fresh map for n entries and returns the
 	// setter that adds one.
-	fill func(doc *core.MapDocument, n int) func(keyedEntry)
+	fill func(doc *core.MapDocument, n int) func(key uint32, v float64)
 	// share points the document's map at prev's.
 	share func(doc, prev *core.MapDocument)
 }
 
 func fieldOf[K ~uint32, V float64 | ~uint8](m func(*core.MapDocument) *map[K]V) keyedField {
 	return keyedField{
-		stage: func(doc *core.MapDocument, dst []keyedEntry) []keyedEntry {
-			src := *m(doc)
-			dst = slices.Grow(dst, len(src))
-			for k, v := range src {
-				dst = append(dst, keyedEntry{uint32(k), float64(v)})
-			}
-			slices.SortFunc(dst, compareKeyedEntry)
-			return dst
+		stage: func(doc *core.MapDocument, s *order.Scratch[float64]) []order.Ranked[float64] {
+			return order.SortByRank(s, *m(doc), func(k K, v V) (float64, uint64) { return float64(v), uint64(k) })
 		},
-		fill: func(doc *core.MapDocument, n int) func(keyedEntry) {
+		fill: func(doc *core.MapDocument, n int) func(uint32, float64) {
 			dst := make(map[K]V, n)
 			*m(doc) = dst
-			return func(en keyedEntry) { dst[K(en.key)] = V(en.v) }
+			return func(key uint32, v float64) { dst[K(key)] = V(v) }
 		},
 		share: func(doc, prev *core.MapDocument) { *m(doc) = *m(prev) },
 	}
@@ -200,11 +187,11 @@ type encoder struct {
 	err error
 
 	// Reusable scratch (pooled): sort staging for the actives and every
-	// keyed section plus the interned string table. Encoding a steady stream
-	// of epochs allocates only the exact-size output slice it returns once
-	// the pool is warm.
+	// keyed section (the radix sort's two buffers) plus the interned string
+	// table. Encoding a steady stream of epochs allocates only the
+	// exact-size output slice it returns once the pool is warm.
 	actives  []topology.PrefixID
-	entries  []keyedEntry
+	entries  order.Scratch[float64]
 	servers  []core.ServerDocument
 	mappings []core.MappingDocument
 	table    []string
@@ -225,7 +212,6 @@ func (e *encoder) reset() {
 	e.off = sectionOffsets{}
 	e.err = nil
 	e.actives = e.actives[:0]
-	e.entries = e.entries[:0]
 	e.servers = e.servers[:0]
 	e.mappings = e.mappings[:0]
 	e.table = e.table[:0]
@@ -419,16 +405,15 @@ func (e *encoder) document(doc *core.MapDocument) {
 // scratch, sorted by key and delta-encoded. A map holds each key once, so
 // the keys ascend strictly, as the decoder requires.
 func (e *encoder) keyed(sec *keyedSection, doc *core.MapDocument) {
-	entries := sec.field.stage(doc, e.entries[:0])
-	e.entries = entries
+	entries := sec.field.stage(doc, &e.entries)
 	e.uvarint(uint64(len(entries)))
 	var prev uint64
 	for _, en := range entries {
-		e.delta(&prev, e.bounded(sec.key, uint64(en.key), sec.maxKey))
+		e.delta(&prev, e.bounded(sec.key, en.Rank, sec.maxKey))
 		if sec.codes == 0 {
-			e.float(sec.value, en.v)
+			e.float(sec.value, en.Value)
 		} else {
-			e.byte(byte(e.bounded(sec.value, uint64(en.v), uint64(sec.codes-1))))
+			e.byte(byte(e.bounded(sec.value, uint64(en.Value), uint64(sec.codes-1))))
 		}
 	}
 }
@@ -674,14 +659,14 @@ func decodeInto(doc *core.MapDocument, enc *encoding, record bool) error {
 		if n, err = d.count(sec.name, minEntry); err != nil {
 			return err
 		}
-		var set func(keyedEntry)
+		var set func(uint32, float64)
 		if n > 0 || !sec.optional {
 			set = sec.field.fill(doc, n)
 		}
 		err = d.deltaSeq(sec.key, n, sec.maxKey, func(k uint64) error {
 			v, err := d.payload(sec)
 			if err == nil {
-				set(keyedEntry{uint32(k), v})
+				set(uint32(k), v)
 			}
 			return err
 		})

@@ -11,6 +11,7 @@ import (
 	"itmap/internal/core"
 	"itmap/internal/mapstore/wal"
 	"itmap/internal/obs"
+	"itmap/internal/order"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 )
@@ -65,19 +66,20 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		sec := &keyedSections[i]
 
 		// Encode side: what the document maps can hold and the wire cannot.
-		unencodable := map[string]keyedEntry{"code out of range": {key: 1, v: float64(sec.codes)}}
+		type pair = order.Ranked[float64] // a payload ranked by its key
+		unencodable := map[string]pair{"code out of range": {Rank: 1, Value: float64(sec.codes)}}
 		if sec.codes == 0 {
-			unencodable = map[string]keyedEntry{"NaN": {key: 1, v: math.NaN()}, "+Inf": {key: 1, v: math.Inf(1)}, "-Inf": {key: 1, v: math.Inf(-1)}}
+			unencodable = map[string]pair{"NaN": {Rank: 1, Value: math.NaN()}, "+Inf": {Rank: 1, Value: math.Inf(1)}, "-Inf": {Rank: 1, Value: math.Inf(-1)}}
 		}
 		if sec.maxKey == maxPrefixID {
-			unencodable["key out of range"] = keyedEntry{key: uint32(maxPrefixID + 1)}
+			unencodable["key out of range"] = pair{Rank: maxPrefixID + 1}
 		}
 		for name, bad := range unencodable {
 			doc := sampleDoc()
-			entries := sec.field.stage(doc, nil)
+			entries := sec.field.stage(doc, new(order.Scratch[float64]))
 			set := sec.field.fill(doc, len(entries)+1)
 			for _, en := range append(entries, bad) {
-				set(en)
+				set(uint32(en.Rank), en.Value)
 			}
 			if _, err := encodeRecord(doc, nil); errClass(err) != "encode" {
 				t.Errorf("%s, %s: error class %q, want encode", sec.name, name, errClass(err))

@@ -353,11 +353,13 @@ func baseMesh() *core.MeshDocument {
 var docASNs = []topology.ASN{700, 3000, 3001, 3002, 64500, 64501, 64502}
 
 // edgeFloats sit on both sides of the cut-offs where JSON numbers switch to
-// exponent form (1e-6 and 1e21). edgeStrings are what JSON escapes or
-// replaces, one a string, and every org, city and domain a day adds ends in
-// one: the plain spelling is day zero's. A served map then shows each.
+// exponent form (1e-6 and 1e21) and where whole numbers stop being written
+// as integers (1e15), with both zeros and the 1 most hit rates hold.
+// edgeStrings are what JSON escapes or replaces, one a string, and every
+// org, city and domain a day adds ends in one: the plain spelling is day
+// zero's. A served map then shows each.
 var (
-	edgeFloats  = []float64{1e-7, 9.99e-7, 1e-6, 1e21, 5e-324, 1e20}
+	edgeFloats  = []float64{1e-7, 9.99e-7, 1e-6, 1e21, 5e-324, 1e20, 0, math.Copysign(0, -1), 1, 1e15, 1 << 53}
 	edgeStrings = []string{"<", ">", "&", `"`, `\`, "\t", "é", "\u2028", "\xff"}
 )
 

@@ -76,8 +76,8 @@ func (e *Epoch) buildIndexes(prev *Epoch, shared uint) {
 // /v1/top, /v1/as and the series serve.
 func activityTotal(act map[topology.ASN]float64) float64 {
 	var total float64
-	for _, asn := range topology.ASNsByText(act) {
-		total += act[asn]
+	for _, en := range topology.ASNsByText(act) {
+		total += en.Value
 	}
 	return total
 }

@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"slices"
 	"strconv"
+
+	"itmap/internal/order"
 )
 
 // PrefixID identifies one /24 of IPv4 address space: the top 24 bits of the
@@ -60,20 +62,17 @@ var octetRanks = func() (t [256]uint64) {
 	return t
 }()
 
-// PrefixesByText returns m's keys in the order JSON lists them, their
-// spellings' text order: "1.0.100.0/24" before "1.0.79.0/24". A '.' sorts
-// below every digit, so each key sorts as its octets' ranks, its ID below.
-func PrefixesByText[V any](m map[PrefixID]V) []PrefixID {
-	keys := make([]uint64, 0, len(m))
-	for p := range m {
-		keys = append(keys, (octetRanks[p>>16&0xff]<<16|octetRanks[p>>8&0xff]<<8|octetRanks[p&0xff])<<32|uint64(p))
-	}
-	slices.Sort(keys)
-	ps := make([]PrefixID, len(keys))
-	for i, k := range keys {
-		ps[i] = PrefixID(k)
-	}
-	return ps
+// PrefixesByText returns m's entries in the order JSON lists their keys,
+// the spellings' text order: "1.0.100.0/24" before "1.0.79.0/24".
+func PrefixesByText[V any](m map[PrefixID]V) []order.Entry[PrefixID, V] {
+	return order.ByRank(m, prefixTextRank)
+}
+
+// prefixTextRank ranks a prefix as its spelling sorts. A '.' sorts below
+// every digit, so a spelling sorts as its octets' ranks; a wide ID's top byte
+// sits above them, which keeps the rank injective.
+func prefixTextRank(p PrefixID) uint64 {
+	return uint64(p>>24)<<24 | octetRanks[p>>16&0xff]<<16 | octetRanks[p>>8&0xff]<<8 | octetRanks[p&0xff]
 }
 
 // AppendText appends how JSON spells a prefix, as a value and as a map key:

@@ -115,7 +115,7 @@ func TestKeysByTextSortAsSpellings(t *testing.T) {
 	for i := uint64(0); i < 20000; i++ {
 		prefixes[topology.PrefixID(randx.Hash64(1, i))&topology.MaxPrefixID] = true
 	}
-	want := order.KeysFunc(prefixes, func(a, b topology.PrefixID) int { return strings.Compare(a.String(), b.String()) })
+	want := entriesOf(prefixes, func(a, b topology.PrefixID) int { return strings.Compare(a.String(), b.String()) })
 	if got := topology.PrefixesByText(prefixes); !slices.Equal(got, want) {
 		t.Error("PrefixesByText differs from the spellings' order")
 	}
@@ -128,10 +128,19 @@ func TestKeysByTextSortAsSpellings(t *testing.T) {
 		asns[topology.ASN(randx.Hash64(2, i)>>(32+i%32))] = true
 	}
 	spelled := func(a topology.ASN) string { return strconv.FormatUint(uint64(a), 10) }
-	wantASNs := order.KeysFunc(asns, func(a, b topology.ASN) int { return strings.Compare(spelled(a), spelled(b)) })
+	wantASNs := entriesOf(asns, func(a, b topology.ASN) int { return strings.Compare(spelled(a), spelled(b)) })
 	if got := topology.ASNsByText(asns); !slices.Equal(got, wantASNs) {
 		t.Error("ASNsByText differs from the spellings' order")
 	}
+}
+
+// entriesOf lists m's entries in the order compare gives their keys.
+func entriesOf[K comparable, V any](m map[K]V, compare func(a, b K) int) []order.Entry[K, V] {
+	var es []order.Entry[K, V]
+	for _, k := range order.KeysFunc(m, compare) {
+		es = append(es, order.Entry[K, V]{Key: k, Value: m[k]})
+	}
+	return es
 }
 
 // TestParsePrefixRejectsOutOfRangeOctets: an octet above 255 is refused, not

@@ -8,11 +8,9 @@
 package topology
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"itmap/internal/geo"
 	"itmap/internal/order"
@@ -21,13 +19,23 @@ import (
 // ASN identifies an autonomous system.
 type ASN uint32
 
-// ASNsByText returns m's keys in the order JSON lists them, their decimal
-// spellings' text order: 3000 before 700.
-func ASNsByText[V any](m map[ASN]V) []ASN {
-	return order.KeysFunc(m, func(a, b ASN) int {
-		var x, y [10]byte
-		return bytes.Compare(strconv.AppendUint(x[:0], uint64(a), 10), strconv.AppendUint(y[:0], uint64(b), 10))
-	})
+// ASNsByText returns m's entries in the order JSON lists their keys, the
+// decimal spellings' text order: 3000 before 700.
+func ASNsByText[V any](m map[ASN]V) []order.Entry[ASN, V] {
+	return order.ByRank(m, asnTextRank)
+}
+
+// asnTextRank ranks an ASN as its spelling sorts: each digit plus one, four
+// bits each from bit 36 down, so a digit past the end of a shorter spelling
+// is a 0 below every digit and a shorter spelling sorts first.
+func asnTextRank(a ASN) uint64 {
+	var r uint64
+	for v := uint32(a); ; v /= 10 {
+		r = r>>4 | uint64(v%10+1)<<36
+		if v < 10 {
+			return r
+		}
+	}
 }
 
 // ASType classifies an AS by its business role.
