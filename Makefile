@@ -126,7 +126,9 @@ serve-smoke:
 
 # Observability smoke: run a real 2-epoch campaign under itm-serve, then
 # check the operational surface — /metrics exposes a broad family set,
-# traces export well-formed span trees, and wrong-method hits are 405.
+# traces export well-formed span trees, the boot builds no matrix and the
+# first /v1/link (any pair, a 404 too) builds it into the link-loads trace,
+# and wrong-method hits are 405.
 obs-smoke:
 	@rm -rf obs-smoke && mkdir -p obs-smoke
 	$(GO) build -o obs-smoke/itm-serve ./cmd/itm-serve
@@ -144,15 +146,20 @@ obs-smoke:
 	grep -q '^itm_mapstore_epochs_total 2' obs-smoke/metrics.txt; \
 	curl -sf http://127.0.0.1:8412/v1/traces | grep -q '"epoch-0"'; \
 	curl -sf http://127.0.0.1:8412/v1/trace/epoch-0 > obs-smoke/trace.json; \
-	grep -q '"name": "traffic.build_matrix"' obs-smoke/trace.json; \
+	if grep -q '"name": "traffic.build_matrix"' obs-smoke/trace.json; then echo "obs-smoke: the boot built the matrix into epoch-0"; exit 1; fi; \
 	grep -q '"name": "mapstore.append"' obs-smoke/trace.json; \
+	grep -q '^# TYPE itm_traffic_matrix_builds_total counter' obs-smoke/metrics.txt; \
+	if grep -q '^itm_traffic_matrix_builds_total' obs-smoke/metrics.txt; then echo "obs-smoke: the boot built the matrix"; exit 1; fi; \
+	curl -s -o /dev/null http://127.0.0.1:8412/v1/link/1/2; \
+	curl -sf http://127.0.0.1:8412/v1/trace/link-loads | grep -q '"name": "traffic.build_matrix"'; \
+	curl -sf http://127.0.0.1:8412/metrics | grep -q '^itm_traffic_matrix_builds_total 1'; \
 	grep -q '^# TYPE itm_cache_hits_total counter' obs-smoke/metrics.txt; \
 	grep -q '^# TYPE itm_cache_not_modified_total counter' obs-smoke/metrics.txt; \
 	grep -q '^itm_cache_prebaked_total 3' obs-smoke/metrics.txt; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST http://127.0.0.1:8412/v1/top); \
 	test "$$code" = 405 || { echo "obs-smoke: POST /v1/top gave $$code, want 405"; exit 1; }; \
 	grep -q 'event=serve.listening' obs-smoke/events.log; \
-	echo "obs-smoke: OK (metrics families + cache families + trace export + 405 + structured events)"
+	echo "obs-smoke: OK (metrics families + cache families + trace export + matrix on first /v1/link + 405 + structured events)"
 	@rm -rf obs-smoke
 
 # Loadgen smoke: serve a tiny snapshot, replay a short deterministic mix

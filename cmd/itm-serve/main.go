@@ -9,7 +9,8 @@
 //	GET /v1/top?epoch=&k=         top-K ASes by activity
 //	GET /v1/as/{asn}?epoch=&k=    per-AS view + activity series
 //	GET /v1/diff/{a}/{b}          epoch-to-epoch diff
-//	GET /v1/link/{a}/{b}?epoch=   ground-truth link load (simulation mode)
+//	GET /v1/link/{a}/{b}?epoch=   ground-truth link load (simulation mode;
+//	                              the first request builds the matrix)
 //	GET /v1/path/{a}/{b}?epoch=   user↔user AS path (-mesh-agents > 0)
 //	GET /v1/latency/{a}/{b}?epoch= user↔user RTT summary (-mesh-agents > 0)
 //	GET /v1/latency/top?epoch=&k= worst mesh pairs by mean RTT
@@ -45,9 +46,12 @@
 // The campaign is experiments.BuildEpochStore — the one campaign→store path,
 // also behind itm-bench and E25 — run into a store whose WAL is already
 // attached; -mesh-agents 0 is that builder's "no mesh", and -scale is
-// whatever world.ForScale accepts. (The server still reaches the campaign
-// through internal/experiments because benchmark/_tracer mirrors this boot
-// by those names; ROADMAP item 7b retires the mirror first.)
+// whatever world.ForScale accepts. The boot does not build the ground-truth
+// traffic matrix: /v1/link builds it on its first request, once, with
+// -workers goroutines, and records the build in the trace "link-loads".
+// (The server still reaches the campaign through internal/experiments
+// because benchmark/_tracer mirrors this boot by those names; ROADMAP item
+// 7b retires the mirror first.)
 package main
 
 import (

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"itmap/internal/faults"
@@ -12,17 +16,24 @@ import (
 	"itmap/internal/world"
 )
 
-// runObsCampaign runs a mini measurement campaign — a 2-epoch store build
-// plus a faulted resilient discovery sweep — against a fresh observability
-// set and returns the stable metrics dump and the trace export.
+// runObsCampaign runs a mini measurement campaign — a 2-epoch store build,
+// one link-load query (which builds the matrix into the "link-loads"
+// trace) and a faulted resilient discovery sweep — against a fresh
+// observability set and returns the stable metrics dump and the trace
+// export.
 func runObsCampaign(t *testing.T, workers int) (string, string) {
 	t.Helper()
 	prev := obs.Swap(obs.NewSet())
 	defer obs.Swap(prev)
 
 	w := world.Build(world.Tiny(7))
-	if err := BuildEpochStore(mapstore.NewStore(), w, 2, workers, MeshSpec{}); err != nil {
+	st := mapstore.NewStore()
+	if err := BuildEpochStore(st, w, 2, workers, MeshSpec{}); err != nil {
 		t.Fatal(err)
+	}
+	link := w.Top.Links()[0]
+	if _, ok := st.Latest().LinkLoad(uint32(link.A), uint32(link.B)); !ok {
+		t.Fatalf("no link load for %d-%d", link.A, link.B)
 	}
 
 	prof, ok := faults.ByName("lossy")
@@ -82,6 +93,11 @@ func TestObsDumpsByteIdentical(t *testing.T) {
 	if m1 == "" || t1 == "" {
 		t.Fatal("campaign produced empty dumps")
 	}
+	// The matrix build is part of the comparison: its sharded span tree and
+	// its itm_traffic_* values.
+	if !strings.Contains(t1, "traffic.build_matrix") || !strings.Contains(m1, "\nitm_traffic_matrix_shards_total ") {
+		t.Error("campaign dumps lack the matrix build")
+	}
 	// Only a mesh build registers the fleet's families.
 	if fams := stableFamilies(m1, []string{"itm_mesh_"}); len(fams) != 0 {
 		t.Errorf("map-only campaign lists mesh families %v", fams)
@@ -99,4 +115,73 @@ func firstDiff(a, b string) string {
 	lo := max(0, i-120)
 	end := func(s string) int { return min(len(s), i+120) }
 	return "…" + a[lo:end(a)] + "…\nvs\n…" + b[lo:end(b)] + "…"
+}
+
+// TestLinkBuildLeavesEpochTraces: BuildEpochStore builds no matrix; the
+// first /v1/link builds it once, records its spans in the "link-loads"
+// trace, and leaves every epoch's trace byte-equal. The matrix families are
+// declared before the build and counted by it.
+func TestLinkBuildLeavesEpochTraces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign runs a full tiny-world build")
+	}
+	prev := obs.Swap(obs.NewSet())
+	defer obs.Swap(prev)
+
+	w := world.Build(world.Tiny(7))
+	st := mapstore.NewStore()
+	if err := BuildEpochStore(st, w, 3, 0, MeshSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	traces := func() []string {
+		var out []string
+		for d := 0; d < 3; d++ {
+			tr, ok := obs.Tracing().Lookup("epoch-" + strconv.Itoa(d))
+			if !ok {
+				t.Fatalf("no trace epoch-%d", d)
+			}
+			b, err := tr.ExportJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		return out
+	}
+	const builds = "\nitm_traffic_matrix_builds_total "
+	before := traces()
+	m := obs.Metrics().StableExposition()
+	if !strings.Contains(m, "# TYPE itm_traffic_matrix_builds_total counter") || strings.Contains(m, builds) {
+		t.Fatalf("after boot, want the matrix families declared and no build counted:\n%s", m)
+	}
+
+	h := mapstore.NewHandler(st)
+	link := w.Top.Links()[0]
+	target := "/v1/link/" + strconv.Itoa(int(link.A)) + "/" + strconv.Itoa(int(link.B))
+	for range 2 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", target, rec.Code, rec.Body.String())
+		}
+	}
+
+	for d, after := range traces() {
+		if after != before[d] {
+			t.Errorf("epoch-%d trace moved under /v1/link:\n%s", d, firstDiff(before[d], after))
+		}
+		if strings.Contains(after, "traffic.build_matrix") {
+			t.Errorf("epoch-%d trace carries the matrix build", d)
+		}
+	}
+	tr, ok := obs.Tracing().Lookup("link-loads")
+	if !ok {
+		t.Fatal("no link-loads trace")
+	}
+	if b, err := tr.ExportJSON(); err != nil || !strings.Contains(string(b), "traffic.build_matrix") {
+		t.Errorf("link-loads trace lacks the matrix build (err %v):\n%s", err, b)
+	}
+	if m := obs.Metrics().StableExposition(); !strings.Contains(m, builds+"1\n") {
+		t.Errorf("two link queries, want one matrix build counted:\n%s", m)
+	}
 }

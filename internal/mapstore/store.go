@@ -56,11 +56,12 @@ type Epoch struct {
 	record []byte
 	off    sectionOffsets
 
-	// mx optionally carries the ground-truth matrix snapshot whose dense
-	// views answer link-load queries, and top the topology whose dense AS
-	// index mx's link index is aligned with. Both nil for stores fed from
-	// serialized documents only.
-	mx  *traffic.Matrix
+	// mx optionally carries the source of the ground-truth matrix whose
+	// dense views answer link-load queries, and top the topology whose
+	// dense AS index the matrix's link index is aligned with. Both nil for
+	// stores fed from serialized documents only. The store never asks mx
+	// for the matrix itself: only a link-load query does.
+	mx  LinkSource
 	top *topology.Topology
 
 	// Derived query indexes, built once at ingest; per-AS facts are read
@@ -201,20 +202,27 @@ func (s *Store) Latest() *Epoch {
 	return es[len(es)-1]
 }
 
+// LinkSource hands over the ground-truth traffic matrix link-load queries
+// read. A built *traffic.Matrix is its own source; a source that builds on
+// demand (experiments.Env) builds on the first link-load query, once, and
+// every later call returns that matrix. A nil matrix means "no matrix".
+type LinkSource interface{ Matrix() *traffic.Matrix }
+
 // AppendMap ingests a traffic map built by core.BuildMap, optionally with
-// the ground-truth matrix snapshot enabling link-load queries (the matrix's
-// link index must come from m.Top's dense AS index). The map's document is
-// handed over; do not mutate it afterwards.
+// the source of the ground-truth matrix enabling link-load queries (the
+// matrix's link index must come from m.Top's dense AS index). The store
+// asks mx for the matrix only when a link-load query needs it. The map's
+// document is handed over; do not mutate it afterwards.
 //
 //itmlint:allow deadexport benchmark/_tracer, a module of its own the loader does not see, journals map-only epochs through it
-func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix) (*Epoch, error) {
+func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx LinkSource) (*Epoch, error) {
 	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top})
 }
 
 // AppendMapMesh is AppendMap plus the epoch's user↔user mesh matrix, as
 // produced by a vantage campaign. The map's document and the mesh are
 // handed over; do not mutate them afterwards.
-func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, mx *traffic.Matrix, mesh *core.MeshDocument) (*Epoch, error) {
+func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, mx LinkSource, mesh *core.MeshDocument) (*Epoch, error) {
 	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top, mesh: mesh})
 }
 
@@ -236,7 +244,7 @@ type ingest struct {
 	doc  *core.MapDocument
 	mesh *core.MeshDocument
 	rec  encoding
-	mx   *traffic.Matrix
+	mx   LinkSource
 	top  *topology.Topology
 }
 

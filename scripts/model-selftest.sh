@@ -37,5 +37,5 @@ for p in "$REPO_ROOT"/scripts/model-mutants/*.patch; do
 	echo "model-selftest: $name caught: $(grep -m1 -e '--- FAIL' "$TMP/out.txt")"
 	n=$((n + 1))
 done
-[ "$n" -eq 18 ] || { echo "model-selftest: expected 18 mutants, found $n" >&2; exit 1; }
+[ "$n" -eq 19 ] || { echo "model-selftest: expected 19 mutants, found $n" >&2; exit 1; }
 echo "model-selftest: all $n mutants caught"
