@@ -34,8 +34,10 @@ lint-selftest:
 # apply each scripts/model-mutants/*.patch (one planted bug each) to a
 # throwaway copy of the tree and require `go test -run Model` in the package
 # the patch names (the serving stack's model in internal/mapstore unless it
-# names the prober's, internal/measure/cacheprobe) to fail on every one, and
-# both to pass on the tree unpatched.
+# names another: the prober's in internal/measure/cacheprobe, the epoch
+# campaign's counter timeline in internal/experiments, the occupancy
+# decision's in internal/dnssim) to fail on every one, and all four to pass
+# on the tree unpatched.
 model-selftest:
 	GO="$(GO)" sh scripts/model-selftest.sh
 
@@ -76,7 +78,7 @@ cover:
 bench:
 	@{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 8x ./internal/mapstore/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkBuildMatrix$$|BenchmarkBuildMatrixSerial$$|BenchmarkComputeAll$$' -benchmem -benchtime 4x . && \
-	   $(GO) test -run '^$$' -bench 'BenchmarkMeasureHitRates$$|BenchmarkDiscoverPrefixes$$' -benchmem -benchtime 4x ./internal/measure/cacheprobe/ ; } \
+	   $(GO) test -run '^$$' -bench 'BenchmarkMeasureHitRates$$|BenchmarkDiscoverPrefixes$$|BenchmarkDiscoverDays$$' -benchmem -benchtime 4x ./internal/measure/cacheprobe/ ; } \
 	| tee bench_serve.out
 	$(GO) run ./cmd/itm-bench -o BENCH_serve.json < bench_serve.out
 	@rm -f bench_serve.out

@@ -43,12 +43,36 @@ type PoP struct {
 }
 
 // RateSource supplies client DNS query rates. The traffic model implements
-// it; dnssim stays independent of demand modelling.
+// it; dnssim stays independent of demand modelling. A rate is resolved in
+// three parts: what no domain and no instant changes (Clients, once per
+// /24), what no instant changes (QueryRate, once per ⟨domain, /24⟩), and
+// the instant (QueryRate.At, or a sampling grid).
 type RateSource interface {
-	// QueryRate resolves everything about the rate at which clients in the
-	// /24 scope query the public resolver for domain that does not depend
-	// on time; QueryRate.At then prices one instant.
-	QueryRate(domain string, scope topology.PrefixID) QueryRate
+	// Clients resolves the per-prefix half of the rates at which clients in
+	// the /24 scope query the public resolver.
+	Clients(scope topology.PrefixID) Clients
+	// QueryRate finishes c for one ECS-scoped service: its time-invariant
+	// half.
+	QueryRate(svc *services.Service, c Clients) QueryRate
+}
+
+// Clients is the per-prefix half of every ⟨domain, scope⟩ client query
+// rate: what the rate source knows of a /24's clients before it is told the
+// domain. The zero value (Share 0) is a scope whose clients never reach the
+// public resolver.
+type Clients struct {
+	// Scope is the /24.
+	Scope topology.PrefixID
+	// Share is the fraction of the scope's DNS queries that go to the
+	// public resolver.
+	Share float64
+	// Usage is the chance the scope's population uses a given service at
+	// all.
+	Usage float64
+	// Flat marks a source with no diurnal cycle (automation never sleeps).
+	Flat bool
+	// Activity is the scope's population curve.
+	Activity users.Activity
 }
 
 // QueryRate is the time-invariant half of one ⟨domain, scope⟩ client query
@@ -151,6 +175,30 @@ var (
 	popsGauge = obs.NewGauge("itm_dns_pops", "Public-resolver points of presence.")
 )
 
+// Lookups tallies cache-occupancy lookups: answered (hit or clean miss) and
+// hits among them. A sweep counts its probes into one (Probe.AtSlot) and
+// adds it to the process counters once (Publish).
+type Lookups struct {
+	Answered, Hits uint64
+}
+
+// Add folds o into l.
+func (l *Lookups) Add(o Lookups) {
+	l.Answered += o.Answered
+	l.Hits += o.Hits
+}
+
+// Publish adds the tally to itm_dns_probes_total and
+// itm_dns_cache_hits_total.
+func (l Lookups) Publish() {
+	if l.Answered > 0 {
+		probesAnswered.Add(l.Answered)
+	}
+	if l.Hits > 0 {
+		probeHits.Add(l.Hits)
+	}
+}
+
 // NewPublicResolver places PoPs at every region hub and in every country
 // with more than 60M Internet users present in the world.
 func NewPublicResolver(top *topology.Topology, cat *services.Catalog, owner topology.ASN, seed int64) *PublicResolver {
@@ -219,7 +267,7 @@ func (pr *PublicResolver) Catalog() *services.Catalog { return pr.cat }
 // is, so it is memoized per city coordinate: a world's prefixes sit in a few
 // dozen cities, and the PoP list is fixed at construction. Safe for
 // concurrent use, and lock-free once a city is known: probing campaigns fan
-// out across goroutines and ask once per prefix (then PrepareHome).
+// out across goroutines and ask once per prefix (Target).
 func (pr *PublicResolver) HomePoP(p topology.PrefixID) *PoP {
 	city, ok := pr.top.PrefixCity[p]
 	if !ok {
@@ -273,12 +321,13 @@ type ProbeOpts struct {
 // does not depend on time already resolved: the record's TTL, whether the
 // PoP is the prefix's home, the fault-layer key, the draw's hash folded over
 // every input but the TTL window, and the client query rate's time-invariant
-// half. The rule has three tiers: what is constant per ⟨domain, prefix⟩
-// belongs in Prepare; what is constant per ⟨timezone, instant⟩ belongs on
-// the campaign's users.Grid (Over, then AtSlot); what is constant per city
-// is memoized behind HomePoP and services.Catalog.NearestSiteTo. At pays
-// only for what moves with both prefix and time. A Probe is a snapshot:
-// Prepare again after SetRateSource or SetFaultPlan.
+// half. The rule has four tiers: what is constant per prefix belongs on the
+// sweep's Target; what is constant per ⟨domain, prefix⟩ belongs in Prepare;
+// what is constant per ⟨timezone, instant⟩ belongs on the campaign's
+// users.Grid (Over, then AtSlot); what is constant per city is memoized
+// behind HomePoP and services.Catalog.NearestSiteTo. At pays only for what
+// moves with both prefix and time. A Probe is a snapshot: Prepare again
+// after SetRateSource or SetFaultPlan.
 type Probe struct {
 	faults *faults.Plan
 	pop    int
@@ -298,9 +347,28 @@ type Probe struct {
 	grid    *users.Grid
 	steady  float64
 	factors []float64
+}
 
-	// Lookups answered and hits found since the last Flush.
-	nAnswered, nHits uint64
+// Target is one ECS /24 resolved for a sweep: its home PoP and the
+// per-prefix half of its clients' query rates. A sweep resolves each target
+// prefix once and prepares a probe of it per domain (PrepareHome), however
+// many domains and days it asks.
+type Target struct {
+	Prefix topology.PrefixID
+	// Home is the prefix's home PoP (HomePoP): nil for a prefix the
+	// topology places nowhere, which a sweep skips.
+	Home *PoP
+
+	clients Clients
+}
+
+// Target resolves ecs for a sweep.
+func (pr *PublicResolver) Target(ecs topology.PrefixID) Target {
+	t := Target{Prefix: ecs, Home: pr.HomePoP(ecs)}
+	if t.Home != nil && pr.rates != nil {
+		t.clients = pr.rates.Clients(ecs)
+	}
+	return t
 }
 
 // Prepare resolves the time-invariant half of probing domain with the given
@@ -312,18 +380,18 @@ type Probe struct {
 // (no rate source, unknown PoP, NXDOMAIN, a domain without per-prefix ECS
 // scoping) is reported by every At.
 func (pr *PublicResolver) Prepare(popID int, domain string, ecs topology.PrefixID) Probe {
-	return pr.prepare(popID, pr.HomePoP(ecs), domain, ecs)
+	t := pr.Target(ecs)
+	return pr.prepare(popID, &t, domain)
 }
 
-// PrepareHome is Prepare(home.ID, domain, ecs) for a caller that already
-// holds home = pr.HomePoP(ecs), not nil: a sweep resolves each prefix's home
-// once and prepares a probe of it per domain.
-func (pr *PublicResolver) PrepareHome(home *PoP, domain string, ecs topology.PrefixID) Probe {
-	return pr.prepare(home.ID, home, domain, ecs)
+// PrepareHome is Prepare(t.Home.ID, domain, t.Prefix) for a target with a
+// home (t.Home not nil).
+func (pr *PublicResolver) PrepareHome(t *Target, domain string) Probe {
+	return pr.prepare(t.Home.ID, t, domain)
 }
 
-// prepare is Prepare given ecs's home PoP (nil for a prefix placed nowhere).
-func (pr *PublicResolver) prepare(popID int, home *PoP, domain string, ecs topology.PrefixID) Probe {
+// prepare is Prepare given the resolved target.
+func (pr *PublicResolver) prepare(popID int, t *Target, domain string) Probe {
 	p := Probe{faults: pr.faults, pop: popID}
 	if pr.rates == nil {
 		p.early = fmt.Errorf("dnssim: no rate source wired")
@@ -334,7 +402,7 @@ func (pr *PublicResolver) prepare(popID int, home *PoP, domain string, ecs topol
 		p.early = fmt.Errorf("dnssim: unknown PoP %d", popID)
 	}
 	domHash := hashString(domain)
-	p.key = randx.Hash64(domHash, uint64(ecs))
+	p.key = randx.Hash64(domHash, uint64(t.Prefix))
 	svc, ok := pr.cat.ByDomain(domain)
 	if !ok {
 		p.late = fmt.Errorf("dnssim: NXDOMAIN %s", domain)
@@ -345,20 +413,20 @@ func (pr *PublicResolver) prepare(popID int, home *PoP, domain string, ecs topol
 		return p
 	}
 	// The entry exists only at the clients' home PoP.
-	if home == nil || home.ID != popID {
+	if t.Home == nil || t.Home.ID != popID {
 		return p
 	}
 	p.home = true
-	p.draw = randx.Hash64(pr.seed, 0xcac4e, uint64(popID), domHash, uint64(ecs))
+	p.draw = randx.Hash64(pr.seed, 0xcac4e, uint64(popID), domHash, uint64(t.Prefix))
 	p.ttl = simtime.Seconds(float64(svc.TTLSeconds))
-	p.rate = pr.rates.QueryRate(domain, ecs)
+	p.rate = pr.rates.QueryRate(svc, t.clients)
 	return p
 }
 
 // At issues the probe at time t. With a fault plan set it can return the
 // typed transient errors faults.ErrTimeout, faults.ErrServfail, and
 // faults.ErrThrottled instead of answering; opt identifies the datagram to
-// the fault layer.
+// the fault layer. The lookup reaches the process counters at once.
 func (p *Probe) At(t simtime.Time, opt ProbeOpts) (bool, error) {
 	if err := p.undelivered(t, opt); err != nil {
 		return false, err
@@ -378,14 +446,14 @@ func (p *Probe) Over(g *users.Grid) {
 
 // AtSlot is At(g.Time(r), opt) for the grid g given to Over — the same
 // fault roll, the same decision, the same answer — with the diurnal factor
-// read from the grid instead of recomputed, and the two lookup counters
-// left to Flush.
-func (p *Probe) AtSlot(r int, opt ProbeOpts) (bool, error) {
+// read from the grid instead of recomputed, and the lookup counted into n
+// instead of the process counters: the sweep publishes its tally once.
+func (p *Probe) AtSlot(r int, opt ProbeOpts, n *Lookups) (bool, error) {
 	t := p.grid.Time(r)
 	if err := p.undelivered(t, opt); err != nil {
 		return false, err
 	}
-	return p.occupied(t, p.slotDiurnal(r))
+	return p.occupied(t, p.slotDiurnal(r), n)
 }
 
 // slotDiurnal is p.rate.diurnal(p.grid.Time(r)), off the grid.
@@ -394,21 +462,6 @@ func (p *Probe) slotDiurnal(r int) float64 {
 		return p.steady
 	}
 	return p.rate.swing(p.rate.Activity.Users * p.factors[r])
-}
-
-// Flush adds the lookups answered since the last Flush to the process
-// counters. At flushes as it answers; AtSlot leaves it to the
-// sweep, which calls Flush when it is done with the probe — one Add per
-// swept prefix instead of two per probe.
-func (p *Probe) Flush() {
-	if p.nAnswered > 0 {
-		probesAnswered.Add(p.nAnswered)
-		p.nAnswered = 0
-	}
-	if p.nHits > 0 {
-		probeHits.Add(p.nHits)
-		p.nHits = 0
-	}
 }
 
 // undelivered reports why the probe sent at t gets no answer from the cache:
@@ -437,12 +490,14 @@ func faultKind(err error) string {
 	return "other"
 }
 
-// lookup is the fault-free cache-occupancy check at an arbitrary instant.
-// The wire front end calls it directly: it evaluates faults itself, with
-// per-datagram entropy, before consulting the cache.
+// lookup is the fault-free cache-occupancy check at an arbitrary instant,
+// published as it answers. The wire front end calls it directly: it
+// evaluates faults itself, with per-datagram entropy, before consulting the
+// cache.
 func (p *Probe) lookup(t simtime.Time) (bool, error) {
-	hit, err := p.occupied(t, p.rate.diurnal(t))
-	p.Flush()
+	var n Lookups
+	hit, err := p.occupied(t, p.rate.diurnal(t), &n)
+	n.Publish()
 	return hit, err
 }
 
@@ -450,17 +505,17 @@ func (p *Probe) lookup(t simtime.Time) (bool, error) {
 // miss: is the entry cached at t, given the client rate's diurnal multiplier
 // at t? An entry exists only at the home PoP of a prefix-scoped record; there
 // it is present with probability 1 − exp(−rate·TTL), drawn once per TTL
-// window.
-func (p *Probe) occupied(t simtime.Time, diurnal float64) (bool, error) {
+// window (occupiedDraw). An answer is counted into n.
+func (p *Probe) occupied(t simtime.Time, diurnal float64, n *Lookups) (bool, error) {
 	if !p.home || p.late != nil {
 		return false, p.late
 	}
 	x := p.rate.PerHour * diurnal * float64(p.ttl)
 	window := uint64(math.Floor(float64(t / p.ttl)))
-	hit := randx.Unit(randx.Fold(p.draw, window)) < 1-math.Exp(-x)
-	p.nAnswered++
+	hit := occupiedDraw(randx.Unit(randx.Fold(p.draw, window)), x)
+	n.Answered++
 	if hit {
-		p.nHits++
+		n.Hits++
 	}
 	return hit, nil
 }

@@ -26,8 +26,10 @@ type constRate struct {
 	rates map[string]map[topology.PrefixID]float64
 }
 
-func (c *constRate) QueryRate(domain string, scope topology.PrefixID) QueryRate {
-	return QueryRate{PerHour: c.rates[domain][scope], Flat: true}
+func (c *constRate) Clients(scope topology.PrefixID) Clients { return Clients{Scope: scope} }
+
+func (c *constRate) QueryRate(svc *services.Service, cl Clients) QueryRate {
+	return QueryRate{PerHour: c.rates[svc.Domain][cl.Scope], Flat: true}
 }
 
 func ecsDomain(t *testing.T, cat *services.Catalog) *services.Service {

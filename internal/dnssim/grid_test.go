@@ -19,12 +19,12 @@ import (
 // no country at all, so its curve runs on UTC.
 type zonelessRate struct{ diurnalRate }
 
-func (z zonelessRate) QueryRate(domain string, scope topology.PrefixID) QueryRate {
-	q := z.diurnalRate.QueryRate(domain, scope)
+func (z zonelessRate) Clients(scope topology.PrefixID) Clients {
+	c := z.diurnalRate.Clients(scope)
 	if scope%7 == 0 {
-		q.Activity = users.Activity{Users: q.Activity.Users}
+		c.Activity = users.Activity{Users: c.Activity.Users}
 	}
-	return q
+	return c
 }
 
 // testGrids are the shapes the campaigns sample on: the hit-rate day, an
@@ -91,10 +91,11 @@ func TestGridProbeMatchesReference(t *testing.T) {
 				}
 				probe := pr.Prepare(pop, domain, p)
 				probe.Over(c.grid)
+				var n Lookups
 				for r := 0; r < c.grid.Len(); r++ {
-					out = append(out, outcome(probe.AtSlot(r, opt)))
+					out = append(out, outcome(probe.AtSlot(r, opt, &n)))
 				}
-				probe.Flush()
+				n.Publish()
 			}
 			return out, set.Reg.StableExposition()
 		}
@@ -220,10 +221,10 @@ func scanHomePoP(top *topology.Topology, pr *PublicResolver, p topology.PrefixID
 	return best
 }
 
-// TestPrepareHomeMatchesPrepare: a sweep that resolves a prefix's home once
+// TestPrepareHomeMatchesPrepare: a sweep that resolves a prefix's target once
 // and hands it to PrepareHome gets, for every prefix and every kind of domain,
-// the probe Prepare builds by resolving the home itself — with the home taken
-// from the scan oracle, so a wrong memo cannot agree with itself.
+// the probe Prepare builds by resolving the target itself — with the home
+// taken from the scan oracle, so a wrong memo cannot agree with itself.
 func TestPrepareHomeMatchesPrepare(t *testing.T) {
 	top, cat, pr := setup(t, 5)
 	pr.SetRateSource(diurnalRate{users.Build(top, users.DefaultConfig(), randx.New(11))})
@@ -242,7 +243,8 @@ func TestPrepareHomeMatchesPrepare(t *testing.T) {
 			if (i+j)%5 != 0 { // every prefix, every domain, a fifth of the cross product
 				continue
 			}
-			got, want := pr.PrepareHome(home, dom, p), pr.Prepare(home.ID, dom, p)
+			target := Target{Prefix: p, Home: home, clients: pr.rates.Clients(p)}
+			got, want := pr.PrepareHome(&target, dom), pr.Prepare(home.ID, dom, p)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %v: PrepareHome %+v, Prepare %+v", dom, p, got, want)
 			}

@@ -20,11 +20,15 @@ type diurnalRate struct {
 	um *users.Model
 }
 
-func (d diurnalRate) QueryRate(domain string, scope topology.PrefixID) QueryRate {
-	h := hashString(domain)
+func (d diurnalRate) Clients(scope topology.PrefixID) Clients {
+	return Clients{Scope: scope, Activity: d.um.Activity(scope)}
+}
+
+func (d diurnalRate) QueryRate(svc *services.Service, c Clients) QueryRate {
+	h, scope := hashString(svc.Domain), c.Scope
 	q := QueryRate{
 		Flat:     randx.HashBool(0.1, 1, h, uint64(scope)),
-		Activity: d.um.Activity(scope),
+		Activity: c.Activity,
 	}
 	if !randx.HashBool(1.0/3, 2, h, uint64(scope)) {
 		q.PerHour = 40 * randx.HashFloat(3, h, uint64(scope))
@@ -74,7 +78,8 @@ func referenceProbe(pr *PublicResolver, popID int, domain string, ecs topology.P
 		return false, nil
 	}
 	ttl := simtime.Seconds(float64(svc.TTLSeconds))
-	q := pr.rates.QueryRate(domain, ecs)
+	c := pr.rates.Clients(ecs)
+	q := pr.rates.QueryRate(svc, c)
 	rate := q.PerHour * referenceDiurnal(q, t)
 	p := 1 - math.Exp(-rate*float64(ttl))
 	window := uint64(math.Floor(float64(t / ttl)))

@@ -60,6 +60,14 @@ type Env struct {
 	//itm:guardedby mu
 	trafMap *core.TrafficMap
 
+	// days is the discovery sweep this environment's day belongs to, run
+	// once for all of its days (EpochEnvs); nil until Discovery makes a
+	// one-day sweep of DiscoveryStart.
+	//itm:guardedby mu
+	days *discoverySweep
+	// day is this environment's index into days.
+	day int
+
 	// DiscoveryStart is the simulated time the discovery sweep begins
 	// (shift by 24h increments for day-over-day comparisons).
 	DiscoveryStart simtime.Time
@@ -100,23 +108,49 @@ func (e *Env) APNIC() *apnic.Estimates {
 	return e.est
 }
 
-// Discovery returns the cache-probing discovery sweep.
+// Discovery returns the cache-probing discovery sweep of the day that
+// begins at DiscoveryStart. Its counters reach the process registry when it
+// first returns, whether the sweep ran for this day alone or for every day
+// of EpochEnvs at once.
 func (e *Env) Discovery() *cacheprobe.Discovery {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.discovery == nil {
-		domains := e.W.Cat.ECSDomains()
+		if e.days == nil {
+			e.days = &discoverySweep{w: e.W, starts: []simtime.Time{e.DiscoveryStart}}
+		}
+		e.discovery = e.days.day(e.day)
+		e.discovery.Publish()
+	}
+	return e.discovery
+}
+
+// discoverySweep is one discovery sweep over several days, run when the
+// first of its days is asked for; it publishes no counters (Env.Discovery
+// publishes each day's).
+type discoverySweep struct {
+	w      *world.World
+	starts []simtime.Time
+
+	once sync.Once
+	days []*cacheprobe.Discovery
+}
+
+// day returns day d's discovery, running the sweep first if no day has.
+func (s *discoverySweep) day(d int) *cacheprobe.Discovery {
+	s.once.Do(func() {
+		domains := s.w.Cat.ECSDomains()
 		if len(domains) > probeDomains {
 			domains = domains[:probeDomains]
 		}
-		pb := &cacheprobe.Prober{PR: e.W.PR, Domains: domains}
-		d, err := pb.DiscoverPrefixes(e.W.Top, e.W.Top.AllPrefixes(), e.DiscoveryStart, discoveryRounds)
+		pb := &cacheprobe.Prober{PR: s.w.PR, Domains: domains}
+		days, err := pb.DiscoverDays(s.w.Top, s.w.Top.AllPrefixes(), s.starts, discoveryRounds)
 		if err != nil {
 			panic(err) // programming error: domains come from the catalog
 		}
-		e.discovery = d
-	}
-	return e.discovery
+		s.days = days
+	})
+	return s.days[d]
 }
 
 // HitRates returns the Figure 2 hit-rate campaign.

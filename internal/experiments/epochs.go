@@ -18,23 +18,26 @@ import (
 // are time-invariant (TLS scan, hit rates, collector view, observed
 // topology) are computed once on day 0 and shared, mirroring how a real
 // operator would reuse an Internet-wide scan across daily map refreshes.
+//
+// The days' discovery sweeps are one sweep (cacheprobe.DiscoverDays), run
+// when the first day's Discovery is asked for: each ⟨prefix, domain⟩ probe
+// is prepared once for every day. Day d's result is the one a sweep of day
+// d alone gives, and its counters reach the process registry when
+// envs[d].Discovery() first returns, so /metrics and the telemetry history
+// move day by day as they would with a sweep a day.
 func EpochEnvs(w *world.World, days, workers int) []*Env {
 	if days < 1 {
 		days = 1
 	}
+	sweep := &discoverySweep{w: w, starts: make([]simtime.Time, days)}
 	envs := make([]*Env, days)
-	base := NewEnvFromWorld(w)
-	base.MatrixWorkers = workers
-	envs[0] = base
-	if days == 1 {
-		return envs
-	}
-	for d := 1; d < days; d++ {
-		e := NewEnvFromWorld(w)
-		e.MatrixWorkers = workers
-		e.DiscoveryStart = simtime.Time(d) * simtime.Day
-		e.CrawlDayIndex = d
-		e.shareInvariants(base)
+	for d := range envs {
+		e := &Env{W: w, MatrixWorkers: workers, DiscoveryStart: simtime.Time(d) * simtime.Day, CrawlDayIndex: d,
+			days: sweep, day: d}
+		sweep.starts[d] = e.DiscoveryStart
+		if d > 0 {
+			e.shareInvariants(envs[0])
+		}
 		envs[d] = e
 	}
 	return envs

@@ -172,10 +172,11 @@ func RegionHub(r Region) City {
 	return best.Capital
 }
 
-// LocalHourAt returns the local hour-of-day (0..24, fractional) in a country
-// at the given simulated UTC hour.
-func LocalHourAt(c Country, utcHour float64) float64 {
-	h := math.Mod(utcHour+c.UTCOffsetHours, 24)
+// LocalHourAt returns the local hour-of-day (0..24, fractional) at the given
+// simulated UTC hour in a timezone utcOffsetHours ahead of UTC (a country's
+// UTCOffsetHours).
+func LocalHourAt(utcOffsetHours, utcHour float64) float64 {
+	h := math.Mod(utcHour+utcOffsetHours, 24)
 	if h < 0 {
 		h += 24
 	}

@@ -109,16 +109,16 @@ func TestRegionHub(t *testing.T) {
 
 func TestLocalHourAt(t *testing.T) {
 	jp, _ := CountryByCode("JP") // UTC+9
-	if h := LocalHourAt(jp, 0); math.Abs(h-9) > 1e-9 {
+	if h := LocalHourAt(jp.UTCOffsetHours, 0); math.Abs(h-9) > 1e-9 {
 		t.Errorf("JP local hour at UTC 0 = %f, want 9", h)
 	}
 	us, _ := CountryByCode("US") // UTC-5
-	if h := LocalHourAt(us, 3); math.Abs(h-22) > 1e-9 {
+	if h := LocalHourAt(us.UTCOffsetHours, 3); math.Abs(h-22) > 1e-9 {
 		t.Errorf("US local hour at UTC 3 = %f, want 22", h)
 	}
 	// Always in [0, 24).
 	for utc := -30.0; utc < 60; utc += 1.3 {
-		h := LocalHourAt(jp, utc)
+		h := LocalHourAt(jp.UTCOffsetHours, utc)
 		if h < 0 || h >= 24 {
 			t.Fatalf("local hour %f out of range", h)
 		}

@@ -51,3 +51,27 @@ func BenchmarkDiscoverPrefixes(b *testing.B) {
 	}
 	b.ReportMetric(float64(probes), "probes/op")
 }
+
+// BenchmarkDiscoverDays is BenchmarkDiscoverPrefixes over three consecutive
+// days in one pass, the epoch campaign's shape.
+func BenchmarkDiscoverDays(b *testing.B) {
+	w := world.Build(world.Tiny(1))
+	pb := &Prober{PR: w.PR, Domains: w.Cat.ECSDomains()[:8]}
+	prefixes := w.Top.AllPrefixes()[:benchPrefixes]
+	starts := []simtime.Time{0, simtime.Day, 2 * simtime.Day}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	probes := 0
+	for i := 0; i < b.N; i++ {
+		days, err := pb.DiscoverDays(w.Top, prefixes, starts, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		probes = 0
+		for _, d := range days {
+			probes += d.Probes
+		}
+	}
+	b.ReportMetric(float64(probes), "probes/op")
+}

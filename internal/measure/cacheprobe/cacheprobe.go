@@ -4,6 +4,16 @@
 // A cache hit for ⟨domain, prefix⟩ means a client in that prefix queried the
 // domain within the record's TTL — a binary activity signal that, sampled
 // over a day, becomes a relative-activity estimate (§3.1.3, Figure 2).
+//
+// One preparation for every day: the paper re-sweeps every /24 daily, and
+// most of a sweep does not change from one day to the next. A sweep
+// resolves each target prefix once (dnssim.Target: home PoP, the clients'
+// per-prefix rate half) and prepares each ⟨prefix, domain⟩ probe once;
+// DiscoverDays then asks that probe on every day's rounds, so a campaign of
+// n days prepares what one day does. Each day's result, counters included,
+// is the one a sweep of that day alone gives; the caller publishes a day's
+// counters when it takes the day up (Discovery.Publish). The occupancy
+// decision itself is exact and mostly exp-free (see dnssim's occupiedDraw).
 package cacheprobe
 
 import (
@@ -50,6 +60,10 @@ type Discovery struct {
 	// Failed counts probes lost to transient faults (always 0 without a
 	// fault plan).
 	Failed int
+
+	// lookups is the naive sweep's tally of cache lookups, for Publish.
+	// The resilient sweep's probes publish their own.
+	lookups dnssim.Lookups
 }
 
 // newDiscovery returns an empty discovery sized for found prefixes.
@@ -74,81 +88,161 @@ func (d *Discovery) merge(o *Discovery) {
 	}
 	d.Probes += o.Probes
 	d.Failed += o.Failed
+	d.lookups.Add(o.lookups)
+}
+
+// Publish adds a naive sweep's totals to the process counters: probe
+// datagrams, probes lost, prefixes found and the resolver's cache lookups.
+// DiscoverPrefixes publishes its own day; a caller of DiscoverDays publishes
+// each day once, when it takes the day up.
+func (d *Discovery) Publish() {
+	probeDatagrams.With("naive").Add(uint64(d.Probes))
+	probeFailed.With("naive").Add(uint64(d.Failed))
+	prefixesFound.Add(uint64(len(d.Found)))
+	d.lookups.Publish()
 }
 
 // DiscoverPrefixes sweeps all given prefixes: for each prefix it probes the
 // prefix's home PoP for every domain at `rounds` times spread across one
 // simulated day starting at start. More rounds catch lower-activity
-// prefixes (more TTL windows sampled).
+// prefixes (more TTL windows sampled). It is DiscoverDays over that one day,
+// with the day's counters published.
+func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
+	days, err := pb.DiscoverDays(top, prefixes, []simtime.Time{start}, rounds)
+	if err != nil {
+		return nil, err
+	}
+	days[0].Publish()
+	return days[0], nil
+}
+
+// DiscoverDays runs the discovery sweep of several days in one pass: day d
+// samples the day that begins at starts[d], and its Discovery is, field for
+// field, DiscoverPrefixes(top, prefixes, starts[d], rounds)'s. A sweep that
+// fails on any day returns the error of the earliest such day. What does
+// not change from day to day is paid once: each prefix is resolved once
+// (dnssim.Target), each ⟨prefix, domain⟩ probe is prepared once, and it is
+// then asked on each day's rounds, for every day that has not found the
+// prefix yet. It publishes nothing: the caller publishes each day's
+// counters (Discovery.Publish) when it takes that day up, so the process
+// counters move day by day, as a sweep a day would move them.
 //
 // Both naive sweeps cut the targets into one contiguous shard per CPU
 // (GOMAXPROCS). Probe outcomes are pure functions of (PoP, domain, prefix,
 // TTL window, fault plan), so results — and the error, if a shard hits one —
 // are the serial sweep's at any CPU count. A real campaign is bounded by
 // resolver rate limits instead.
-func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
-	var d *Discovery
-	var err error
+func (pb *Prober) DiscoverDays(top *topology.Topology, prefixes []topology.PrefixID, starts []simtime.Time, rounds int) ([]*Discovery, error) {
+	var sw *daySweep
 	if n := parallel.Workers(0, len(prefixes)); n == 1 {
-		d, err = pb.discover(top, prefixes, start, rounds)
+		sw = pb.discover(top, prefixes, starts, rounds)
 	} else {
 		// Sized by its upper bound: a sweep finds most of what it probes.
-		d = newDiscovery(len(prefixes))
-		err = sweepShards(n, n, len(prefixes), d.merge, func(_, lo, hi int) (*Discovery, error) {
-			return pb.discover(top, prefixes[lo:hi], start, rounds)
+		sw = newDaySweep(len(starts), len(prefixes))
+		// A day's error is part of its shard's result, so no shard fails.
+		err := sweepShards(n, n, len(prefixes), sw.merge, func(_, lo, hi int) (*daySweep, error) {
+			return pb.discover(top, prefixes[lo:hi], starts, rounds), nil
 		})
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err != nil {
-		return nil, err
+	for _, err := range sw.errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	probeDatagrams.With("naive").Add(uint64(d.Probes))
-	probeFailed.With("naive").Add(uint64(d.Failed))
-	prefixesFound.Add(uint64(len(d.Found)))
-	return d, nil
+	return sw.days, nil
 }
 
-// discover is DiscoverPrefixes over one shard of the targets, on one
-// goroutine: the sampling grid is the shard's own.
-func (pb *Prober) discover(top *topology.Topology, prefixes []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
+// daySweep is a discovery over several days: each day's result, and the
+// error that stopped the day, if one did.
+type daySweep struct {
+	days []*Discovery
+	errs []error
+}
+
+func newDaySweep(days, found int) *daySweep {
+	sw := &daySweep{days: make([]*Discovery, days), errs: make([]error, days)}
+	for d := range sw.days {
+		sw.days[d] = newDiscovery(found)
+	}
+	return sw
+}
+
+// merge folds o, the sweep of a later disjoint cut of the targets, into sw:
+// a day keeps the first cut's error, as a serial sweep stops at it.
+func (sw *daySweep) merge(o *daySweep) {
+	for d, day := range sw.days {
+		if sw.errs[d] == nil {
+			sw.errs[d] = o.errs[d]
+		}
+		day.merge(o.days[d])
+	}
+}
+
+// discover is DiscoverDays over one shard of the targets, on one goroutine:
+// the sampling grid — every day's rounds, day d's round r at slot
+// d·rounds+r — is the shard's own. A day stops at its first permanent error.
+func (pb *Prober) discover(top *topology.Topology, prefixes []topology.PrefixID, starts []simtime.Time, rounds int) *daySweep {
 	rounds = max(rounds, 1)
-	d := newDiscovery(0)
+	sw := newDaySweep(len(starts), 0)
 	opts := dnssim.ProbeOpts{Source: pb.Source}
-	grid := roundsGrid(start, rounds)
+	grid := roundsGrid(starts, rounds)
+	found := make([]bool, len(starts))
 	for _, p := range prefixes {
-		pop := pb.PR.HomePoP(p)
-		if pop == nil {
+		t := pb.PR.Target(p)
+		if t.Home == nil {
 			continue
 		}
-		found := false
-		for _, dom := range pb.Domains {
-			probe := pb.PR.PrepareHome(pop, dom, p)
-			probe.Over(grid)
-			for r := 0; r < rounds && !found; r++ {
-				hit, err := probe.AtSlot(r, opts)
-				d.Probes++
-				if err != nil {
-					if faults.IsTransient(err) {
-						d.Failed++
-						continue
-					}
-					return nil, err
-				}
-				found = hit
+		open := 0 // days still looking for p
+		for d := range found {
+			found[d] = false
+			if sw.errs[d] == nil {
+				open++
 			}
-			probe.Flush()
-			if found {
+		}
+		for _, dom := range pb.Domains {
+			if open == 0 {
 				break
 			}
-		}
-		if found {
-			d.Found[p] = true
-			if asn, ok := top.OwnerOf(p); ok {
-				d.FoundASes[asn] = true
+			probe := pb.PR.PrepareHome(&t, dom)
+			probe.Over(grid)
+			for d, day := range sw.days {
+				if found[d] || sw.errs[d] != nil {
+					continue
+				}
+				for r := d * rounds; r < (d+1)*rounds; r++ {
+					hit, err := probe.AtSlot(r, opts, &day.lookups)
+					day.Probes++
+					if err != nil {
+						if faults.IsTransient(err) {
+							day.Failed++
+							continue
+						}
+						sw.errs[d] = err
+						open--
+						break
+					}
+					if hit {
+						found[d] = true
+						open--
+						break
+					}
+				}
 			}
-			d.ByPoP[pop.ID]++
+		}
+		for d, day := range sw.days {
+			if found[d] {
+				day.Found[p] = true
+				if asn, ok := top.OwnerOf(p); ok {
+					day.FoundASes[asn] = true
+				}
+				day.ByPoP[t.Home.ID]++
+			}
 		}
 	}
-	return d, nil
+	return sw
 }
 
 // PoPCount is one bar of Figure 1a.
@@ -186,6 +280,9 @@ type HitRates struct {
 	ByAS map[topology.ASN]float64
 	// Probes per prefix issued.
 	ProbesPerPrefix int
+
+	// lookups is the campaign's tally of cache lookups, published with it.
+	lookups dnssim.Lookups
 }
 
 // newHitRates returns an empty campaign result sized for prefixes targets.
@@ -202,6 +299,7 @@ func newHitRates(prefixes, probesPer int) *HitRates {
 func (hr *HitRates) merge(o *HitRates) {
 	hr.ProbesPerPrefix = o.ProbesPerPrefix
 	hr.Failed += o.Failed
+	hr.lookups.Add(o.lookups)
 	maps.Copy(hr.ByPrefix, o.ByPrefix)
 	for asn, v := range o.ByAS {
 		hr.ByAS[asn] += v
@@ -226,12 +324,15 @@ func RateFromHitRate(hitRate float64, probes int, ttlSeconds int) float64 {
 	return -mathLog(1-hitRate) / ttlHours
 }
 
-// roundsGrid is the discovery sweep's sampling grid: rounds instants spread
-// evenly across the day that begins at start.
-func roundsGrid(start simtime.Time, rounds int) *users.Grid {
-	times := make([]simtime.Time, rounds)
-	for r := range times {
-		times[r] = start + simtime.Time(24*float64(r)/float64(rounds))
+// roundsGrid is the discovery sweep's sampling grid: for each day, rounds
+// instants spread evenly across the day that begins at its start, day d's
+// round r at slot d·rounds+r.
+func roundsGrid(starts []simtime.Time, rounds int) *users.Grid {
+	times := make([]simtime.Time, 0, len(starts)*rounds)
+	for _, start := range starts {
+		for r := 0; r < rounds; r++ {
+			times = append(times, start+simtime.Time(24*float64(r)/float64(rounds)))
+		}
 	}
 	return users.NewGrid(times)
 }
@@ -264,6 +365,7 @@ func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.Pr
 	}
 	probeDatagrams.With("naive").Add(uint64(hr.ProbesPerPrefix * len(hr.ByPrefix)))
 	probeFailed.With("naive").Add(uint64(hr.Failed))
+	hr.lookups.Publish()
 	return hr, nil
 }
 
@@ -278,15 +380,15 @@ func (pb *Prober) hitRates(top *topology.Topology, prefixes []topology.PrefixID,
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := users.Every(start, interval, probesPer)
 	for _, p := range prefixes {
-		pop := pb.PR.HomePoP(p)
-		if pop == nil {
+		t := pb.PR.Target(p)
+		if t.Home == nil {
 			continue
 		}
-		probe := pb.PR.PrepareHome(pop, domain, p)
+		probe := pb.PR.PrepareHome(&t, domain)
 		probe.Over(grid)
 		hits := 0
 		for r := 0; r < probesPer; r++ {
-			hit, err := probe.AtSlot(r, opts)
+			hit, err := probe.AtSlot(r, opts, &hr.lookups)
 			if err != nil {
 				if faults.IsTransient(err) {
 					hr.Failed++
@@ -298,7 +400,6 @@ func (pb *Prober) hitRates(top *topology.Topology, prefixes []topology.PrefixID,
 				hits++
 			}
 		}
-		probe.Flush()
 		hr.ByPrefix[p] = float64(hits) / float64(probesPer)
 		if asn, ok := top.OwnerOf(p); ok {
 			hr.ByAS[asn] += float64(hits)

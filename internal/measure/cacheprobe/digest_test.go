@@ -26,9 +26,12 @@ import (
 // before 00:30 of the next day, and let samples drift across hour boundaries
 // (TestHourlyProfileHasNoStrayProbe). The resilient digest was re-taken,
 // from the same code, over the resilient discovery alone when the resilient
-// hit-rate sweep was deleted. The other three are the parent's.
+// hit-rate sweep was deleted. The other three are the parent's. The
+// multi-day digest was taken from the commit before discovery swept several
+// days in one pass, over three single-day sweeps one after the other.
 const (
 	wantDiscoveryDigest = "b57bb234a844830a53fd94a8f99a18b4698da63f7c10a568c84e8d1efcbc1a33"
+	wantDaysDigest      = "7bc8973870e94e2a80d049081431fb6841af8b5afa2c5fced7e47ce785d63a2a"
 	wantHitRatesDigest  = "078ec3a4da13531a11129b2739b957a68afd0e00a5d02376189f1c01626a216f"
 	wantHourlyDigest    = "6d5d4fc53d76a50ff7eec5c98ab545728d7d43acc1c3a6dbe90daf7d45f4471b"
 	wantLossyDigest     = "4264cb7aa89ef24cc6eb7c02726af0a29a734b8c8b5aed04b1fa9bb2a610955c"
@@ -118,6 +121,17 @@ func TestCampaignDigestsMatchParent(t *testing.T) {
 	if len(d.Found) == 0 || len(d.Found) == len(prefixes) {
 		t.Errorf("discovery found %d of %d prefixes: digest is vacuous", len(d.Found), len(prefixes))
 	}
+
+	// The same sweep on three consecutive days, in one pass.
+	days, err := pb.DiscoverDays(w.Top, prefixes, []simtime.Time{3, 27, 51}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h = sha256.New()
+	for _, d := range days {
+		digestDiscovery(h, d)
+	}
+	check("multi-day discovery", sum(h), wantDaysDigest)
 
 	hr, err := pb.MeasureHitRates(w.Top, prefixes, mid, 0, 15*simtime.Minute)
 	if err != nil {

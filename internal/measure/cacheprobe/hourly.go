@@ -37,15 +37,16 @@ func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topolo
 	hp := &HourlyProfile{}
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := users.Every(start, interval, samplesInDay(interval))
+	var lookups dnssim.Lookups
 	for _, p := range prefixes {
-		pop := pb.PR.HomePoP(p)
-		if pop == nil {
+		t := pb.PR.Target(p)
+		if t.Home == nil {
 			continue
 		}
-		probe := pb.PR.PrepareHome(pop, domain, p)
+		probe := pb.PR.PrepareHome(&t, domain)
 		probe.Over(grid)
 		for r := 0; r < grid.Len(); r++ {
-			hit, err := probe.AtSlot(r, opts)
+			hit, err := probe.AtSlot(r, opts, &lookups)
 			h := int(grid.UTCHour(r))
 			if err != nil {
 				if faults.IsTransient(err) {
@@ -60,8 +61,8 @@ func (pb *Prober) MeasureHourlyProfile(top *topology.Topology, prefixes []topolo
 				hp.Hits[h]++
 			}
 		}
-		probe.Flush()
 	}
+	lookups.Publish()
 	return hp, nil
 }
 

@@ -14,7 +14,8 @@ package cacheprobe
 // goroutine and on several over seeded cases — every fault preset and seeded
 // random fault profiles — and requires each to equal the model on
 // Discovery, HitRates and SweepStats, per-target outcomes and attempts
-// included. A failing case shrinks to one line, the form the repros under
+// included. The naive multi-day discovery must equal one model discovery
+// per day, day by day, over one, two and three consecutive days. A failing case shrinks to one line, the form the repros under
 // testdata/model/ are committed in; TestModelRepros replays them.
 
 import (
@@ -102,7 +103,8 @@ type modelSource struct {
 type model struct{ w *world.World }
 
 // discover is the naive DiscoverPrefixes: every domain at every round
-// instant until the prefix's first hit.
+// instant until the prefix's first hit. Every probe the cache answers is
+// one lookup, and a hit one hit.
 func (m *model) discover(domains []string, source uint64, targets []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
 	rounds = max(rounds, 1)
 	d := newDiscovery(0)
@@ -117,6 +119,7 @@ func (m *model) discover(domains []string, source uint64, targets []topology.Pre
 			for r := 0; r < rounds; r++ {
 				hit, err := probe.At(start+simtime.Time(24*float64(r)/float64(rounds)), dnssim.ProbeOpts{Source: source})
 				d.Probes++
+				countLookup(&d.lookups, hit, err)
 				switch {
 				case err != nil && !ruleFor(err).retry:
 					return nil, err
@@ -130,6 +133,16 @@ func (m *model) discover(domains []string, source uint64, targets []topology.Pre
 		}
 	}
 	return d, nil
+}
+
+// countLookup tallies one probe into l: answered unless lost or refused.
+func countLookup(l *dnssim.Lookups, hit bool, err error) {
+	if err == nil {
+		l.Answered++
+		if hit {
+			l.Hits++
+		}
+	}
 }
 
 func (m *model) found(d *Discovery, p topology.PrefixID, pop int) {
@@ -157,6 +170,7 @@ func (m *model) hitRates(source uint64, targets []topology.PrefixID, domain stri
 		hits := 0
 		for r := 0; r < n; r++ {
 			hit, err := probe.At(start+simtime.Time(float64(r))*interval, dnssim.ProbeOpts{Source: source})
+			countLookup(&hr.lookups, hit, err)
 			switch {
 			case err != nil && !ruleFor(err).retry:
 				return nil, err
@@ -420,7 +434,14 @@ func (c sweepCase) run(seen map[string]int) error {
 	}
 	const source = 0x5eed
 	m := &model{w: w}
-	wantD, wantDErr := m.discover(domains, source, targets, simtime.Time(c.Start), c.Rounds)
+	// Discovery on consecutive days from the case's start: day 0 is the
+	// single-day sweep's.
+	starts := []simtime.Time{simtime.Time(c.Start), simtime.Time(c.Start) + 24, simtime.Time(c.Start) + 48}
+	wantDays, wantDayErrs := make([]*Discovery, len(starts)), make([]error, len(starts))
+	for d, start := range starts {
+		wantDays[d], wantDayErrs[d] = m.discover(domains, source, targets, start, c.Rounds)
+	}
+	wantD, wantDErr := wantDays[0], wantDayErrs[0]
 	wantHR, wantHRErr := m.hitRates(source, targets, ecs[len(ecs)/2], 0, simtime.Time(c.Interval))
 	rp := &ResilientProber{
 		PR: w.PR, Domains: domains,
@@ -438,6 +459,12 @@ func (c sweepCase) run(seen map[string]int) error {
 		d, err := pb.DiscoverPrefixes(w.Top, targets, simtime.Time(c.Start), c.Rounds)
 		if diff := differ(d, err, wantD, wantDErr); diff != "" {
 			return fmt.Errorf("naive discovery on %d CPUs: %s", workers, diff)
+		}
+		for n := 1; n <= len(starts); n++ {
+			days, err := pb.DiscoverDays(w.Top, targets, starts[:n], c.Rounds)
+			if diff := differDays(days, err, wantDays[:n], wantDayErrs[:n]); diff != "" {
+				return fmt.Errorf("naive discovery of %d days on %d CPUs: %s", n, workers, diff)
+			}
 		}
 		hr, err := pb.MeasureHitRates(w.Top, targets, ecs[len(ecs)/2], 0, simtime.Time(c.Interval))
 		if diff := differ(hr, err, wantHR, wantHRErr); diff != "" {
@@ -462,6 +489,9 @@ func (c sweepCase) run(seen map[string]int) error {
 		if wantDErr != nil {
 			seen["naive-stopped"]++
 		}
+		if wantDayErrs[0] == nil && wantDayErrs[2] != nil {
+			seen["later-day-stopped"]++
+		}
 	}
 	return nil
 }
@@ -474,6 +504,35 @@ func differ[T any](got *T, err error, want *T, wantErr error) string {
 		return fmt.Sprintf("error %v, the model's %v", err, wantErr)
 	case !reflect.DeepEqual(got, want):
 		return fmt.Sprintf("got %s, the model %s", summary(got), summary(want))
+	}
+	return ""
+}
+
+// differDays names how a multi-day discovery differs from the model's
+// discoveries of its days, or returns "": its error is the earliest failing
+// day's, and without one every day equals the model's.
+func differDays(got []*Discovery, err error, want []*Discovery, wantErrs []error) string {
+	var wantErr error
+	for _, e := range wantErrs {
+		if e != nil {
+			wantErr = e
+			break
+		}
+	}
+	switch {
+	case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+		return fmt.Sprintf("error %v, the model's %v", err, wantErr)
+	case err != nil && got != nil:
+		return fmt.Sprintf("%d days beside the error", len(got))
+	case err != nil:
+		return ""
+	case len(got) != len(want):
+		return fmt.Sprintf("%d days, the model %d", len(got), len(want))
+	}
+	for d := range want {
+		if diff := differ(got[d], nil, want[d], nil); diff != "" {
+			return fmt.Sprintf("day %d: %s", d, diff)
+		}
 	}
 	return ""
 }
@@ -560,7 +619,7 @@ func TestModelSweeps(t *testing.T) {
 	}
 	t.Logf("exercised: %v", seen)
 	// The cases are only worth their number if they reach every rule.
-	for _, k := range []string{"found", "naive-lost", "naive-stopped", "retries", "give-ups", "skips", "opens", "recloses", "pacer-waits"} {
+	for _, k := range []string{"found", "naive-lost", "naive-stopped", "later-day-stopped", "retries", "give-ups", "skips", "opens", "recloses", "pacer-waits"} {
 		if seen[k] == 0 {
 			t.Errorf("no case reached %q: %v", k, seen)
 		}

@@ -354,19 +354,19 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 
 // discover runs one source over its cut of the targets.
 func (rp *ResilientProber) discover(ss *shardState, top *topology.Topology, targets []topology.PrefixID, start simtime.Time, rounds int) {
-	grid := roundsGrid(start, rounds)
+	grid := roundsGrid([]simtime.Time{start}, rounds)
 	for _, p := range targets {
-		pop := rp.PR.HomePoP(p)
-		if pop == nil {
+		t := rp.PR.Target(p)
+		if t.Home == nil {
 			continue
 		}
 		definitive := 0
 		attempts := 0
 	domains:
 		for _, dom := range rp.Domains {
-			pp := rp.PR.PrepareHome(pop, dom, p)
+			pp := rp.PR.PrepareHome(&t, dom)
 			for r := 0; r < rounds; r++ {
-				hit, ok, att := rp.probe(ss, pop.ID, &pp, p, grid.Time(r))
+				hit, ok, att := rp.probe(ss, t.Home.ID, &pp, p, grid.Time(r))
 				attempts += att
 				if !ok {
 					continue
@@ -378,7 +378,7 @@ func (rp *ResilientProber) discover(ss *shardState, top *topology.Topology, targ
 					if asn, ok := top.OwnerOf(p); ok {
 						ss.d.FoundASes[asn] = true
 					}
-					ss.d.ByPoP[pop.ID]++
+					ss.d.ByPoP[t.Home.ID]++
 					break domains
 				}
 			}

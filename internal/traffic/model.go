@@ -89,8 +89,8 @@ func New(top *topology.Topology, um *users.Model, cat *services.Catalog,
 
 // demand is the per-prefix half of the demand law: what QueriesPerDay needs
 // that does not depend on the service. The matrix build resolves it once per
-// prefix and finishes it once per service; the cache-occupancy law is split
-// the same way (dnssim.Prepare / Probe.At).
+// prefix and finishes it once per service; the client query rate is split
+// the same way (Clients / QueryRate).
 type demand struct {
 	prefix topology.PrefixID
 	users  float64
@@ -103,7 +103,11 @@ type demand struct {
 }
 
 func (m *Model) demand(p topology.PrefixID) demand {
-	u := m.Users.UsersIn(p)
+	return prefixDemand(p, m.Users.UsersIn(p))
+}
+
+// prefixDemand is the demand of prefix p, home to u users.
+func prefixDemand(p topology.PrefixID, u float64) demand {
 	return demand{prefix: p, users: u, usage: 1 - math.Exp(-u/300)}
 }
 
@@ -159,26 +163,39 @@ func (m *Model) UsesPublicResolver(p topology.PrefixID) bool {
 	return !randx.HashBool(PublicDNSOptOutProb, m.seed, 0x90d5, uint64(p))
 }
 
-// QueryRate implements dnssim.RateSource: the time-invariant half of the
-// rate at which clients in scope that use the public resolver query domain.
-// Bot prefixes are flat: automation does not sleep.
-func (m *Model) QueryRate(domain string, scope topology.PrefixID) dnssim.QueryRate {
-	svc, ok := m.Cat.ByDomain(domain)
-	if !ok {
-		return dnssim.QueryRate{}
-	}
+// Clients implements dnssim.RateSource: the per-prefix half of the rates at
+// which clients in scope that use the public resolver query any domain —
+// where the prefix is, whether it uses the public resolver and how much of
+// its DNS goes there, its demand's per-prefix half, whether it is a bot farm
+// (automation does not sleep) and its activity curve. A sweep resolves it
+// once per prefix and finishes it per domain (QueryRate).
+func (m *Model) Clients(scope topology.PrefixID) dnssim.Clients {
 	city, ok := m.Top.PrefixCity[scope]
-	if !ok {
-		return dnssim.QueryRate{}
+	if !ok || !m.UsesPublicResolver(scope) {
+		return dnssim.Clients{Scope: scope}
 	}
-	if !m.UsesPublicResolver(scope) {
-		return dnssim.QueryRate{}
-	}
-	share := m.PR.AdoptionShare(city.Country)
-	return dnssim.QueryRate{
-		PerHour:  m.QueriesPerDay(scope, svc) / 24 * share,
+	act := m.Users.Activity(scope)
+	return dnssim.Clients{
+		Scope:    scope,
+		Share:    m.PR.AdoptionShare(city.Country),
+		Usage:    prefixDemand(scope, act.Users).usage,
 		Flat:     m.IsBotPrefix(scope),
-		Activity: m.Users.Activity(scope),
+		Activity: act,
+	}
+}
+
+// QueryRate implements dnssim.RateSource: the time-invariant half of the
+// rate at which c's clients query svc, the demand law finished for one
+// service (queriesPerDay) and scaled to the public resolver's share.
+func (m *Model) QueryRate(svc *services.Service, c dnssim.Clients) dnssim.QueryRate {
+	if c.Share == 0 {
+		return dnssim.QueryRate{}
+	}
+	d := demand{prefix: c.Scope, users: c.Activity.Users, usage: c.Usage}
+	return dnssim.QueryRate{
+		PerHour:  m.queriesPerDay(d, svc, m.Cat.Popularity.Weight(svc.Rank)) / 24 * c.Share,
+		Flat:     c.Flat,
+		Activity: c.Activity,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"itmap/internal/dnssim"
 	"itmap/internal/geo"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
@@ -41,17 +42,20 @@ func referenceDiurnal(m *Model, p topology.PrefixID, t simtime.Time) float64 {
 	}
 	a := u * users.DiurnalFactor(t.UTCHour())
 	if c, err := geo.CountryByCode(m.Top.PrefixCity[p].Country); err == nil {
-		a = u * users.DiurnalFactor(geo.LocalHourAt(c, t.UTCHour()))
+		a = u * users.DiurnalFactor(geo.LocalHourAt(c.UTCOffsetHours, t.UTCHour()))
 	}
 	return a / u / 0.65
 }
 
 // TestPreparedQueryRateMatchesReference sweeps every prefix of a tiny world
-// against every ECS domain and against a day of 15-minute slots. The domain
-// reaches the rate only through its time-invariant half and the slot only
-// through the prefix's activity curve, so the two axes are swept one at a
-// time (every domain at a rotating slot, every slot on a rotating domain)
-// instead of as an 80M-evaluation cross product.
+// against every ECS domain and against a day of 15-minute slots, resolving
+// each prefix's clients once and finishing them per domain, as a sweep does.
+// The domain reaches the rate only through its time-invariant half and the
+// slot only through the prefix's activity curve, so the two axes are swept
+// one at a time (every domain at a rotating slot, every slot on a rotating
+// domain) instead of as an 80M-evaluation cross product. An unknown domain
+// never reaches the rate source (dnssim answers NXDOMAIN first): its rate
+// is 0.
 func TestPreparedQueryRateMatchesReference(t *testing.T) {
 	m := setup(t, 9)
 	domains := append(m.Cat.ECSDomains(), "nxdomain.example")
@@ -59,9 +63,13 @@ func TestPreparedQueryRateMatchesReference(t *testing.T) {
 		return simtime.Time(float64(slot%96)) * 15 * simtime.Minute
 	}
 	var bots, idle, optedOut, live int
-	check := func(dom string, p topology.PrefixID, at simtime.Time) {
+	check := func(dom string, c dnssim.Clients, at simtime.Time) {
 		t.Helper()
-		got, want := m.QueryRate(dom, p).At(at), referenceQueryRate(m, dom, p, at)
+		p, got := c.Scope, 0.0
+		if svc, ok := m.Cat.ByDomain(dom); ok {
+			got = m.QueryRate(svc, c).At(at)
+		}
+		want := referenceQueryRate(m, dom, p, at)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s %v at %v: prepared rate %v (%016x), reference %v (%016x)",
 				dom, p, at, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -79,11 +87,12 @@ func TestPreparedQueryRateMatchesReference(t *testing.T) {
 		case !m.UsesPublicResolver(p):
 			optedOut++
 		}
+		c := m.Clients(p)
 		for j, dom := range domains {
-			check(dom, p, slotTime(i+j))
+			check(dom, c, slotTime(i+j))
 		}
 		for slot := 0; slot < 96; slot++ {
-			check(domains[i%len(domains)], p, slotTime(slot))
+			check(domains[i%len(domains)], c, slotTime(slot))
 		}
 	}
 	if bots == 0 || idle == 0 || optedOut == 0 || live == 0 {

@@ -83,7 +83,8 @@ func TestQueryRateDiurnal(t *testing.T) {
 	// Rate integrates to roughly daily count × adoption share.
 	city := m.Top.PrefixCity[p]
 	want := m.QueriesPerDay(p, svc) * m.PR.AdoptionShare(city.Country)
-	rate := m.QueryRate(svc.Domain, p)
+	c := m.Clients(p)
+	rate := m.QueryRate(svc, c)
 	got := 0.0
 	const step = 0.25
 	for tm := simtime.Time(0); tm < 24; tm += step {

@@ -1,6 +1,9 @@
 package users
 
-import "itmap/internal/simtime"
+import (
+	"itmap/internal/geo"
+	"itmap/internal/simtime"
+)
 
 // Grid is a campaign's sampling grid: a fixed list of instants, plus the
 // DiurnalFactor of every ⟨timezone, instant⟩, evaluated at most once. A
@@ -16,10 +19,19 @@ type Grid struct {
 	rows  map[zone][]float64
 }
 
-// zone is the part of an Activity that phases its curve.
+// zone is the part of an Activity that phases its curve: the UTC offset of
+// the prefix's country, or, when the country is unknown, UTC itself.
 type zone struct {
-	local  bool
+	local  bool // country resolved; otherwise the curve runs on UTC
 	offset float64
+}
+
+// localHour phases a UTC hour-of-day by the zone.
+func (z zone) localHour(utcHour float64) float64 {
+	if z.local {
+		return geo.LocalHourAt(z.offset, utcHour)
+	}
+	return utcHour
 }
 
 // NewGrid returns the grid of the given instants.
@@ -60,14 +72,13 @@ func (a Activity) Factors(g *Grid) []float64 {
 	if a.Users == 0 {
 		return nil
 	}
-	z := zone{local: a.local, offset: a.country.UTCOffsetHours}
-	row, ok := g.rows[z]
+	row, ok := g.rows[a.zone]
 	if !ok {
 		row = make([]float64, len(g.utc))
 		for r, h := range g.utc {
 			row[r] = DiurnalFactor(a.localHour(h))
 		}
-		g.rows[z] = row
+		g.rows[a.zone] = row
 	}
 	return row
 }

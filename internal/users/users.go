@@ -123,14 +123,15 @@ func DiurnalFactor(localHour float64) float64 {
 const DiurnalMean = 0.65
 
 // Activity is the time-invariant half of one prefix's activity curve: its
-// population and the country whose timezone phases it. Campaigns that sample
-// a prefix at many times resolve it once and call At per sample.
+// population and the timezone that phases it. Campaigns that sample a prefix
+// at many times resolve it once and call At per sample. It keeps the
+// country's UTC offset, not the country: a probe copies its Activity, and
+// the offset is all the curve reads.
 type Activity struct {
 	// Users is the prefix's population.
 	Users float64
 
-	country geo.Country
-	local   bool // country resolved; otherwise the curve runs on UTC
+	zone
 }
 
 // Activity resolves a prefix's population and timezone.
@@ -140,7 +141,7 @@ func (m *Model) Activity(p topology.PrefixID) Activity {
 		return Activity{}
 	}
 	c, err := geo.CountryByCode(m.top.PrefixCity[p].Country)
-	return Activity{Users: u, country: c, local: err == nil}
+	return Activity{Users: u, zone: zone{local: err == nil, offset: c.UTCOffsetHours}}
 }
 
 // At returns the instantaneous activity level (active users) at simulated
@@ -150,12 +151,4 @@ func (a Activity) At(t simtime.Time) float64 {
 		return 0
 	}
 	return a.Users * DiurnalFactor(a.localHour(t.UTCHour()))
-}
-
-// localHour phases a UTC hour-of-day by the prefix's timezone.
-func (a Activity) localHour(utcHour float64) float64 {
-	if a.local {
-		return geo.LocalHourAt(a.country, utcHour)
-	}
-	return utcHour
 }

@@ -130,7 +130,7 @@ func atBeforeGrids(a Activity, t simtime.Time) float64 {
 	}
 	h := t.UTCHour()
 	if a.local {
-		h = geo.LocalHourAt(a.country, h)
+		h = geo.LocalHourAt(a.offset, h)
 	}
 	return a.Users * DiurnalFactor(h)
 }
@@ -157,7 +157,7 @@ func TestGridFactorsMatchAt(t *testing.T) {
 			if (row == nil) != (a.Users == 0) {
 				t.Fatalf("Factors of a population of %v: row %v", a.Users, row)
 			}
-			zones[zone{a.local, a.country.UTCOffsetHours}] = true
+			zones[a.zone] = true
 			for r := 0; r < g.Len(); r++ {
 				at := g.Time(r)
 				want := math.Float64bits(atBeforeGrids(a, at))

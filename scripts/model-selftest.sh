@@ -6,7 +6,9 @@
 # plants one bug a model once caught — and requires `go test <pkg> -run Model`
 # to fail on every one of them and to pass on the tree as it is. <pkg> is the
 # patch's `Model:` header line: ./internal/mapstore (the serving-stack model)
-# when there is none, ./internal/measure/cacheprobe for the prober model.
+# when there is none, ./internal/measure/cacheprobe for the prober model,
+# ./internal/experiments for the epoch campaign's counter timeline and
+# ./internal/dnssim for the occupancy decision.
 set -u
 
 GO="${GO:-go}"
@@ -20,7 +22,7 @@ cd "$TMP"
 
 run() { "$GO" test -count=1 "$1" -run Model >"$TMP/out.txt" 2>&1; }
 
-for pkg in ./internal/mapstore ./internal/measure/cacheprobe; do
+for pkg in ./internal/mapstore ./internal/measure/cacheprobe ./internal/experiments ./internal/dnssim; do
 	run $pkg || { cat "$TMP/out.txt" >&2; echo "model-selftest: the unpatched tree fails the model in $pkg" >&2; exit 1; }
 done
 
@@ -37,5 +39,5 @@ for p in "$REPO_ROOT"/scripts/model-mutants/*.patch; do
 	echo "model-selftest: $name caught: $(grep -m1 -e '--- FAIL' "$TMP/out.txt")"
 	n=$((n + 1))
 done
-[ "$n" -eq 19 ] || { echo "model-selftest: expected 19 mutants, found $n" >&2; exit 1; }
+[ "$n" -eq 21 ] || { echo "model-selftest: expected 21 mutants, found $n" >&2; exit 1; }
 echo "model-selftest: all $n mutants caught"
