@@ -68,9 +68,10 @@ cover:
 		{ echo "coverage $$total% below floor $(COVER_FLOOR)%"; exit 1; }
 
 # Deterministic performance counters for the serving layer (codec, store,
-# WAL recovery, queries) plus the matrix/BGP hot paths and the cache-probing
-# campaigns, then itm-bench's seeded in-process sections (campaign, loadgen,
-# overload, mesh and SLO counters), which it always writes. Fixed -benchtime
+# WAL recovery, queries) plus the matrix/BGP hot paths, the cache-probing
+# campaigns and a 16-day campaign's maps, then itm-bench's seeded in-process
+# sections (campaign, loadgen, overload, mesh and SLO counters), which it
+# always writes. Fixed -benchtime
 # keeps iteration counts reproducible; itm-bench drops wall-clock metrics
 # (those live in benchmark/), so the committed BENCH_serve.json only changes
 # when allocation behavior, probe counts or the codec's output actually
@@ -78,7 +79,8 @@ cover:
 bench:
 	@{ $(GO) test -run '^$$' -bench . -benchmem -benchtime 8x ./internal/mapstore/ && \
 	   $(GO) test -run '^$$' -bench 'BenchmarkBuildMatrix$$|BenchmarkBuildMatrixSerial$$|BenchmarkComputeAll$$' -benchmem -benchtime 4x . && \
-	   $(GO) test -run '^$$' -bench 'BenchmarkMeasureHitRates$$|BenchmarkDiscoverPrefixes$$|BenchmarkDiscoverDays$$' -benchmem -benchtime 4x ./internal/measure/cacheprobe/ ; } \
+	   $(GO) test -run '^$$' -bench 'BenchmarkMeasureHitRates$$|BenchmarkDiscoverPrefixes$$|BenchmarkDiscoverDays$$' -benchmem -benchtime 4x ./internal/measure/cacheprobe/ && \
+	   $(GO) test -run '^$$' -bench 'BenchmarkEpochMaps$$' -benchmem -benchtime 4x ./internal/experiments/ ; } \
 	| tee bench_serve.out
 	$(GO) run ./cmd/itm-bench -o BENCH_serve.json < bench_serve.out
 	@rm -f bench_serve.out

@@ -33,7 +33,7 @@ func buildFullMap(t testing.TB, seed int64) (*world.World, *TrafficMap) {
 	m := BuildMap(BuildInputs{
 		Top:                 w.Top,
 		Discovery:           disc,
-		HitRates:            hr,
+		HitRates:            FoldHitRates(w.Top, hr),
 		RootCrawl:           crawl,
 		PublicResolverOwner: w.PR.Owner,
 		Scan:                scan,

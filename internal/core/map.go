@@ -103,9 +103,11 @@ type TrafficMap struct {
 // BuildInputs carries every measurement output the map combines.
 type BuildInputs struct {
 	Top *topology.Topology
-	// Discovery and HitRates come from cache probing.
+	// Discovery and HitRates come from cache probing. The days of a
+	// campaign share one hit-rate campaign, so their maps take it folded
+	// once (FoldHitRates).
 	Discovery *cacheprobe.Discovery
-	HitRates  *cacheprobe.HitRates
+	HitRates  *HitRateFold
 	// RootCrawl comes from root-log crawling.
 	RootCrawl *rootlogs.Crawl
 	// PublicResolverOwner is excluded from resolver-based attribution.
@@ -118,6 +120,45 @@ type BuildInputs struct {
 	PR   *dnssim.PublicResolver
 	// MapDomains are the ECS domains to build mappings for.
 	MapDomains []string
+}
+
+// HitRateFold is what a map takes from a hit-rate campaign, folded once:
+// the PrefixHitRates section (every rate above zero), each AS's sum of its
+// prefixes' rates, and the ASes a rate above zero marks FromCacheProbe.
+// The days of a campaign share one hit-rate campaign and so one fold; every
+// day's map holds the fold's section, which nothing writes once
+// FoldHitRates returns.
+type HitRateFold struct {
+	rates  map[topology.PrefixID]float64
+	asHit  map[topology.ASN]float64
+	probed []topology.ASN
+}
+
+// FoldHitRates folds hr for the maps of top. A nil campaign folds to nil.
+func FoldHitRates(top *topology.Topology, hr *cacheprobe.HitRates) *HitRateFold {
+	if hr == nil {
+		return nil
+	}
+	f := &HitRateFold{rates: make(map[topology.PrefixID]float64, len(hr.ByPrefix)), asHit: map[topology.ASN]float64{}}
+	// Sorted prefix order keeps the per-AS hit-rate folds bit-identical
+	// across runs; map order would shuffle the float associations.
+	for _, p := range order.Keys(hr.ByPrefix) {
+		rate := hr.ByPrefix[p]
+		if rate > 0 {
+			f.rates[p] = rate
+		}
+		if asn, ok := top.OwnerOf(p); ok {
+			f.asHit[asn] += rate
+		}
+	}
+	// Rates are never negative, so an AS's sum is above zero exactly when
+	// one of its rates is.
+	for _, asn := range order.Keys(f.asHit) {
+		if f.asHit[asn] > 0 {
+			f.probed = append(f.probed, asn)
+		}
+	}
+	return f
 }
 
 // BuildMap combines the measurement outputs into a traffic map, including
@@ -137,30 +178,19 @@ func BuildMap(in BuildInputs) *TrafficMap {
 	}
 
 	// --- Users: cache probing ------------------------------------------
-	asHit := map[topology.ASN]float64{}
 	if in.Discovery != nil {
-		m.ActivePrefixes = order.Keys(in.Discovery.Found)
+		m.ActivePrefixes = in.Discovery.Found
 		for _, p := range m.ActivePrefixes {
 			if asn, ok := in.Top.OwnerOf(p); ok {
 				m.Sources[asn] |= FromCacheProbe
 			}
 		}
 	}
+	var asHit map[topology.ASN]float64
 	if in.HitRates != nil {
-		m.PrefixHitRates = make(map[topology.PrefixID]float64, len(in.HitRates.ByPrefix))
-		// Sorted prefix order keeps the per-AS hit-rate folds bit-identical
-		// across runs; map order would shuffle the float associations.
-		for _, p := range order.Keys(in.HitRates.ByPrefix) {
-			hr := in.HitRates.ByPrefix[p]
-			if hr > 0 {
-				m.PrefixHitRates[p] = hr
-			}
-			if asn, ok := in.Top.OwnerOf(p); ok {
-				asHit[asn] += hr
-				if hr > 0 {
-					m.Sources[asn] |= FromCacheProbe
-				}
-			}
+		m.PrefixHitRates, asHit = in.HitRates.rates, in.HitRates.asHit
+		for _, asn := range in.HitRates.probed {
+			m.Sources[asn] |= FromCacheProbe
 		}
 	}
 

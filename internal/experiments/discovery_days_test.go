@@ -82,3 +82,43 @@ func TestModelDiscoveryCountersMoveDayByDay(t *testing.T) {
 		}
 	}
 }
+
+// TestModelEpochMapsListTheirOwnDay: every epoch's map lists as its active
+// prefixes exactly what a lone sweep of its own day finds, though the days
+// share one discovery sweep and one hit-rate fold, and every day's map holds
+// the campaign's hit rates.
+func TestModelEpochMapsListTheirOwnDay(t *testing.T) {
+	w := world.Build(world.Tiny(5))
+	const days = 3
+	pb := &cacheprobe.Prober{PR: w.PR, Domains: w.Cat.ECSDomains()[:probeDomains]}
+	defer obs.Swap(obs.Swap(obs.NewSet()))
+	envs := EpochEnvs(w, days, 0)
+	hr := envs[0].HitRates()
+	differs := false
+	for d, e := range envs {
+		lone, err := pb.DiscoverPrefixes(w.Top, w.Top.AllPrefixes(), simtime.Time(d)*simtime.Day, discoveryRounds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Map().ActivePrefixes
+		if !slices.Equal(got, lone.Found) {
+			t.Errorf("day %d's map lists %d active prefixes, a lone sweep of the day finds %d", d, len(got), len(lone.Found))
+		}
+		if !slices.IsSorted(got) {
+			t.Errorf("day %d's active prefixes are not sorted", d)
+		}
+		differs = differs || !slices.Equal(got, envs[0].Map().ActivePrefixes)
+		rates := e.Map().PrefixHitRates
+		for p, v := range hr.ByPrefix {
+			if r, ok := rates[p]; v > 0 && (!ok || r != v) || v == 0 && ok {
+				t.Fatalf("day %d's map holds hit rate %v for %v, the campaign %v", d, r, p, v)
+			}
+		}
+		if len(rates) == 0 {
+			t.Fatalf("day %d's map holds no hit rates: the check is vacuous", d)
+		}
+	}
+	if !differs {
+		t.Error("every day finds the same prefixes: the check is vacuous")
+	}
+}

@@ -48,6 +48,8 @@ type Env struct {
 	//itm:guardedby mu
 	hitRates *cacheprobe.HitRates
 	//itm:guardedby mu
+	hitFold *core.HitRateFold
+	//itm:guardedby mu
 	crawl *rootlogs.Crawl
 	//itm:guardedby mu
 	scan *tlsscan.Scan
@@ -164,7 +166,7 @@ func (e *Env) HitRates() *cacheprobe.HitRates {
 		// paper's Figure 2 range (0-8%): at -scale small the campaign
 		// measures a mean hit rate of 0.886, non-zero on 33 384 of
 		// 37 424 prefixes (PR 20). Calibrating the rate law against
-		// Figure 2 is ROADMAP item 4's job, not this method's.
+		// Figure 2 is ROADMAP item 8's job, not this method's.
 		domains := e.W.Cat.ECSDomains()
 		domain := domains[len(domains)/2]
 		hr, err := pb.MeasureHitRates(e.W.Top, e.W.Top.AllPrefixes(),
@@ -175,6 +177,18 @@ func (e *Env) HitRates() *cacheprobe.HitRates {
 		e.hitRates = hr
 	}
 	return e.hitRates
+}
+
+// hitRateFold returns the hit-rate campaign folded for the map (see
+// core.HitRateFold), which every day of EpochEnvs shares.
+func (e *Env) hitRateFold() *core.HitRateFold {
+	hr := e.HitRates()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.hitFold == nil {
+		e.hitFold = core.FoldHitRates(e.W.Top, hr)
+	}
+	return e.hitFold
 }
 
 // Crawl returns the root-log crawl.
@@ -242,13 +256,14 @@ func (e *Env) Observed() *topology.Topology {
 }
 
 // shareInvariants copies the time-invariant campaign artifacts (TLS scan,
-// hit rates, collector view, observed topology) from base, computing them
-// there first if needed. Later-day epoch environments call this instead of
-// re-running Internet-wide sweeps; the artifacts are immutable once built,
-// so sharing the pointers is safe.
+// hit rates and their fold, collector view, observed topology) from base,
+// computing them there first if needed. Later-day epoch environments call
+// this instead of re-running Internet-wide sweeps; the artifacts are
+// immutable once built, so sharing the pointers is safe.
 func (e *Env) shareInvariants(base *Env) {
 	scan := base.Scan()
 	hr := base.HitRates()
+	fold := base.hitRateFold()
 	col := base.Collector()
 	links := base.ObservedLinks()
 	obs := base.Observed()
@@ -256,6 +271,7 @@ func (e *Env) shareInvariants(base *Env) {
 	defer e.mu.Unlock()
 	e.scan = scan
 	e.hitRates = hr
+	e.hitFold = fold
 	e.collector = col
 	e.obsLinks = links
 	e.observed = obs
@@ -264,7 +280,7 @@ func (e *Env) shareInvariants(base *Env) {
 // Map returns the fully assembled traffic map.
 func (e *Env) Map() *core.TrafficMap {
 	disc := e.Discovery()
-	hr := e.HitRates()
+	fold := e.hitRateFold()
 	crawl := e.Crawl()
 	scan := e.Scan()
 	e.mu.Lock()
@@ -277,7 +293,7 @@ func (e *Env) Map() *core.TrafficMap {
 		e.trafMap = core.BuildMap(core.BuildInputs{
 			Top:                 e.W.Top,
 			Discovery:           disc,
-			HitRates:            hr,
+			HitRates:            fold,
 			RootCrawl:           crawl,
 			PublicResolverOwner: e.W.PR.Owner,
 			Scan:                scan,

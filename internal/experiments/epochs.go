@@ -18,6 +18,10 @@ import (
 // are time-invariant (TLS scan, hit rates, collector view, observed
 // topology) are computed once on day 0 and shared, mirroring how a real
 // operator would reuse an Internet-wide scan across daily map refreshes.
+// So is what the maps take from the hit rates: the campaign is folded once
+// (core.FoldHitRates) and every day's map holds that one fold's section, so
+// a day's core.BuildMap does only the day's own work — its found list,
+// which the sweep returns sorted, its crawl and its mappings.
 //
 // The days' discovery sweeps are one sweep (cacheprobe.DiscoverDays), run
 // when the first day's Discovery is asked for: each ⟨prefix, domain⟩ probe

@@ -27,18 +27,13 @@ func (e *Env) RunE16() *Result {
 		return r
 	}
 
-	inter, union := 0, 0
-	for p := range day1.Found {
-		union++
-		if day2.Found[p] {
+	inter := 0
+	for _, p := range day1.Found {
+		if day2.Has(p) {
 			inter++
 		}
 	}
-	for p := range day2.Found {
-		if !day1.Found[p] {
-			union++
-		}
-	}
+	union := len(day1.Found) + len(day2.Found) - inter
 	jaccard := 0.0
 	if union > 0 {
 		jaccard = float64(inter) / float64(union)
@@ -51,12 +46,13 @@ func (e *Env) RunE16() *Result {
 	mx := e.Matrix()
 	var everFound, stable float64
 	for _, p := range order.Keys(mx.RefCDNByPrefix) {
-		if !day1.Found[p] && !day2.Found[p] {
+		on1, on2 := day1.Has(p), day2.Has(p)
+		if !on1 && !on2 {
 			continue
 		}
 		b := mx.RefCDNByPrefix[p]
 		everFound += b
-		if day1.Found[p] && day2.Found[p] {
+		if on1 && on2 {
 			stable += b
 		}
 	}

@@ -27,7 +27,7 @@ func (e *Env) RunTable1() *Result {
 	userPrefixes := w.Users.UserPrefixes()
 	foundUser := 0
 	for _, p := range userPrefixes {
-		if disc.Found[p] {
+		if disc.Has(p) {
 			foundUser++
 		}
 	}

@@ -309,7 +309,7 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 // body encodes once per generation.
 func (h *handler) resolveHistory(*epochList, *http.Request) (request, error) {
 	snap := history.Default().Snapshot()
-	return request{cache: h.historyCache(snap), key: "history", etag: snap.ETag, snap: snap}, nil
+	return request{cache: h.historyCache(snap), key: "history", etag: snap.ETag(), snap: snap}, nil
 }
 
 // resolveHistoryFamily serves one family's values across the retained

@@ -18,6 +18,7 @@ package cacheprobe
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -48,9 +49,13 @@ type Prober struct {
 }
 
 // Discovery is the result of a prefix-discovery sweep (Figure 1a/1b input).
+// Found is an ascending list: the naive sweeps take ascending targets, cut
+// them into shards in order and join the shards' lists by concatenation,
+// and the resilient sweep sorts its list once. A map's active prefixes are
+// the list itself (core.BuildMap); Has asks it by binary search.
 type Discovery struct {
-	// Found marks prefixes with at least one cache hit.
-	Found map[topology.PrefixID]bool
+	// Found lists, ascending, the prefixes with at least one cache hit.
+	Found []topology.PrefixID
 	// FoundASes marks ASes owning at least one found prefix.
 	FoundASes map[topology.ASN]bool
 	// ByPoP counts discovered prefixes per probed PoP (Figure 1a).
@@ -69,17 +74,22 @@ type Discovery struct {
 // newDiscovery returns an empty discovery sized for found prefixes.
 func newDiscovery(found int) *Discovery {
 	return &Discovery{
-		Found:     make(map[topology.PrefixID]bool, found),
+		Found:     make([]topology.PrefixID, 0, found),
 		FoundASes: map[topology.ASN]bool{},
 		ByPoP:     map[int]int{},
 	}
 }
 
-// merge folds o, the discovery of a disjoint cut of the targets, into d.
+// Has reports whether the sweep found p.
+func (d *Discovery) Has(p topology.PrefixID) bool {
+	_, ok := slices.BinarySearch(d.Found, p)
+	return ok
+}
+
+// merge folds o, the discovery of the cut of the targets that follows d's,
+// into d.
 func (d *Discovery) merge(o *Discovery) {
-	for p := range o.Found {
-		d.Found[p] = true
-	}
+	d.Found = append(d.Found, o.Found...)
 	for asn := range o.FoundASes {
 		d.FoundASes[asn] = true
 	}
@@ -102,7 +112,8 @@ func (d *Discovery) Publish() {
 	d.lookups.Publish()
 }
 
-// DiscoverPrefixes sweeps all given prefixes: for each prefix it probes the
+// DiscoverPrefixes sweeps the given prefixes, which must ascend strictly (as
+// Topology.AllPrefixes lists them): for each prefix it probes the
 // prefix's home PoP for every domain at `rounds` times spread across one
 // simulated day starting at start. More rounds catch lower-activity
 // prefixes (more TTL windows sampled). It is DiscoverDays over that one day,
@@ -127,12 +138,19 @@ func (pb *Prober) DiscoverPrefixes(top *topology.Topology, prefixes []topology.P
 // counters (Discovery.Publish) when it takes that day up, so the process
 // counters move day by day, as a sweep a day would move them.
 //
-// Both naive sweeps cut the targets into one contiguous shard per CPU
-// (GOMAXPROCS). Probe outcomes are pure functions of (PoP, domain, prefix,
-// TTL window, fault plan), so results — and the error, if a shard hits one —
-// are the serial sweep's at any CPU count. A real campaign is bounded by
+// The targets must ascend strictly, as Topology.AllPrefixes lists them; a
+// day's Found then ascends too, for free. Both naive sweeps cut the targets
+// into one contiguous shard per CPU (GOMAXPROCS). Probe outcomes are pure
+// functions of (PoP, domain, prefix, TTL window, fault plan), so results —
+// and the error, if a shard hits one — are the serial sweep's at any CPU
+// count. A real campaign is bounded by
 // resolver rate limits instead.
 func (pb *Prober) DiscoverDays(top *topology.Topology, prefixes []topology.PrefixID, starts []simtime.Time, rounds int) ([]*Discovery, error) {
+	for i := 1; i < len(prefixes); i++ {
+		if prefixes[i] <= prefixes[i-1] {
+			return nil, fmt.Errorf("cacheprobe: targets not strictly ascending at %d (%v after %v)", i, prefixes[i], prefixes[i-1])
+		}
+	}
 	var sw *daySweep
 	if n := parallel.Workers(0, len(prefixes)); n == 1 {
 		sw = pb.discover(top, prefixes, starts, rounds)
@@ -170,8 +188,8 @@ func newDaySweep(days, found int) *daySweep {
 	return sw
 }
 
-// merge folds o, the sweep of a later disjoint cut of the targets, into sw:
-// a day keeps the first cut's error, as a serial sweep stops at it.
+// merge folds o, the sweep of the cut of the targets that follows sw's, into
+// sw: a day keeps the first cut's error, as a serial sweep stops at it.
 func (sw *daySweep) merge(o *daySweep) {
 	for d, day := range sw.days {
 		if sw.errs[d] == nil {
@@ -186,7 +204,8 @@ func (sw *daySweep) merge(o *daySweep) {
 // d·rounds+r — is the shard's own. A day stops at its first permanent error.
 func (pb *Prober) discover(top *topology.Topology, prefixes []topology.PrefixID, starts []simtime.Time, rounds int) *daySweep {
 	rounds = max(rounds, 1)
-	sw := newDaySweep(len(starts), 0)
+	// Sized by its upper bound: a sweep finds most of what it probes.
+	sw := newDaySweep(len(starts), len(prefixes))
 	opts := dnssim.ProbeOpts{Source: pb.Source}
 	grid := roundsGrid(starts, rounds)
 	found := make([]bool, len(starts))
@@ -234,7 +253,7 @@ func (pb *Prober) discover(top *topology.Topology, prefixes []topology.PrefixID,
 		}
 		for d, day := range sw.days {
 			if found[d] {
-				day.Found[p] = true
+				day.Found = append(day.Found, p)
 				if asn, ok := top.OwnerOf(p); ok {
 					day.FoundASes[asn] = true
 				}

@@ -27,7 +27,7 @@ func TestDiscoveryFindsBusyPrefixesOnly(t *testing.T) {
 		t.Fatal("nothing discovered")
 	}
 	// Infrastructure prefixes (no users → no queries) never hit.
-	for p := range d.Found {
+	for _, p := range d.Found {
 		if w.Users.UsersIn(p) == 0 {
 			t.Errorf("userless prefix %v discovered", p)
 		}
@@ -42,7 +42,7 @@ func TestDiscoveryFindsBusyPrefixesOnly(t *testing.T) {
 			continue
 		}
 		for _, p := range a.Prefixes {
-			if w.Users.UsersIn(p) <= 20000 || d.Found[p] {
+			if w.Users.UsersIn(p) <= 20000 || d.Has(p) {
 				continue
 			}
 			if w.Traffic.UsesPublicResolver(p) {
@@ -67,7 +67,7 @@ func TestDiscoveryTrafficWeightedRecallHigh(t *testing.T) {
 	var total, found float64
 	for p, b := range mx.RefCDNByPrefix {
 		total += b
-		if d.Found[p] {
+		if d.Has(p) {
 			found += b
 		}
 	}
@@ -214,3 +214,17 @@ func TestRateFromHitRateInversion(t *testing.T) {
 }
 
 func mathExp(x float64) float64 { return math.Exp(x) }
+
+// TestDiscoveryRefusesUnorderedTargets: a naive sweep lists what it finds in
+// target order, so targets out of order or repeated are refused rather than
+// turned into a Found that does not ascend.
+func TestDiscoveryRefusesUnorderedTargets(t *testing.T) {
+	w := world.Build(world.Tiny(1))
+	pb := &Prober{PR: w.PR, Domains: w.Cat.ECSDomains()[:1]}
+	all := w.Top.AllPrefixes()
+	for _, targets := range [][]topology.PrefixID{{all[1], all[0]}, {all[0], all[2], all[2]}} {
+		if d, err := pb.DiscoverPrefixes(w.Top, targets, 0, 1); err == nil {
+			t.Errorf("targets %v: found %v, want an error", targets, d.Found)
+		}
+	}
+}

@@ -39,11 +39,6 @@ const (
 )
 
 func digestDiscovery(h hash.Hash, d *Discovery) {
-	found := make([]topology.PrefixID, 0, len(d.Found))
-	for p := range d.Found {
-		found = append(found, p)
-	}
-	sort.Slice(found, func(i, j int) bool { return found[i] < found[j] })
 	ases := make([]topology.ASN, 0, len(d.FoundASes))
 	for a := range d.FoundASes {
 		ases = append(ases, a)
@@ -54,7 +49,7 @@ func digestDiscovery(h hash.Hash, d *Discovery) {
 		pops = append(pops, p)
 	}
 	sort.Ints(pops)
-	fmt.Fprintf(h, "discovery probes=%d failed=%d found=%v ases=%v\n", d.Probes, d.Failed, found, ases)
+	fmt.Fprintf(h, "discovery probes=%d failed=%d found=%v ases=%v\n", d.Probes, d.Failed, d.Found, ases)
 	for _, p := range pops {
 		fmt.Fprintf(h, "pop %d=%d\n", p, d.ByPoP[p])
 	}

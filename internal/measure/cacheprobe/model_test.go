@@ -14,7 +14,7 @@ package cacheprobe
 // goroutine and on several over seeded cases — every fault preset and seeded
 // random fault profiles — and requires each to equal the model on
 // Discovery, HitRates and SweepStats, per-target outcomes and attempts
-// included. The naive multi-day discovery must equal one model discovery
+// included; a discovery's Found is the sorted list of what it found. The naive multi-day discovery must equal one model discovery
 // per day, day by day, over one, two and three consecutive days. A failing case shrinks to one line, the form the repros under
 // testdata/model/ are committed in; TestModelRepros replays them.
 
@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,7 +105,7 @@ type model struct{ w *world.World }
 
 // discover is the naive DiscoverPrefixes: every domain at every round
 // instant until the prefix's first hit. Every probe the cache answers is
-// one lookup, and a hit one hit.
+// one lookup, and a hit one hit. Found comes back sorted.
 func (m *model) discover(domains []string, source uint64, targets []topology.PrefixID, start simtime.Time, rounds int) (*Discovery, error) {
 	rounds = max(rounds, 1)
 	d := newDiscovery(0)
@@ -132,6 +133,7 @@ func (m *model) discover(domains []string, source uint64, targets []topology.Pre
 			}
 		}
 	}
+	slices.Sort(d.Found)
 	return d, nil
 }
 
@@ -146,7 +148,7 @@ func countLookup(l *dnssim.Lookups, hit bool, err error) {
 }
 
 func (m *model) found(d *Discovery, p topology.PrefixID, pop int) {
-	d.Found[p] = true
+	d.Found = append(d.Found, p)
 	if asn, ok := m.w.Top.OwnerOf(p); ok {
 		d.FoundASes[asn] = true
 	}
@@ -242,6 +244,7 @@ func (m *model) resilient(rp *ResilientProber, targets []topology.PrefixID, star
 		}
 	}
 	d.Probes, d.Failed = st.Probes, st.Probes-answered
+	slices.Sort(d.Found)
 	return d, st
 }
 
@@ -542,8 +545,8 @@ func differDays(got []*Discovery, err error, want []*Discovery, wantErrs []error
 func summary(r any) string {
 	switch r := r.(type) {
 	case *Discovery:
-		return fmt.Sprintf("%d found over %d ASes and %d PoPs, %d probes, %d failed",
-			len(r.Found), len(r.FoundASes), len(r.ByPoP), r.Probes, r.Failed)
+		return fmt.Sprintf("%d found (sorted %v) over %d ASes and %d PoPs, %d probes, %d failed",
+			len(r.Found), slices.IsSorted(r.Found), len(r.FoundASes), len(r.ByPoP), r.Probes, r.Failed)
 	case *HitRates:
 		return fmt.Sprintf("%d rates summing to %v over %d ASes, %d per prefix, %d failed",
 			len(r.ByPrefix), order.SumValues(r.ByPrefix), len(r.ByAS), r.ProbesPerPrefix, r.Failed)

@@ -2,6 +2,7 @@ package cacheprobe
 
 import (
 	"errors"
+	"slices"
 
 	"itmap/internal/dnssim"
 	"itmap/internal/faults"
@@ -342,6 +343,9 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 	answered := out.Probes
 	out.Probes = stats.Probes
 	out.Failed = stats.Probes - answered
+	// The shards joined their lists in target order; one sort makes Found
+	// ascend whatever order the targets came in.
+	slices.Sort(out.Found)
 	prefixesFound.Add(uint64(len(out.Found)))
 	// Fleet-health history sample: the sweep just folded its per-agent
 	// ledgers on this serial path, so the capture is deterministic.
@@ -374,7 +378,7 @@ func (rp *ResilientProber) discover(ss *shardState, top *topology.Topology, targ
 				definitive++
 				ss.d.Probes++
 				if hit {
-					ss.d.Found[p] = true
+					ss.d.Found = append(ss.d.Found, p)
 					if asn, ok := top.OwnerOf(p); ok {
 						ss.d.FoundASes[asn] = true
 					}

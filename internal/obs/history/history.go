@@ -55,8 +55,18 @@ type Sample struct {
 type Snapshot struct {
 	Gen     int       // samples ever recorded
 	Dropped int       // samples aged out of the ring
-	ETag    string    // strong validator over the retained content
 	Samples []*Sample // oldest first; samples are immutable once recorded
+
+	// etag is the strong validator over the retained content, hashed when
+	// first read: a campaign records many snapshots that nothing reads.
+	etagOnce sync.Once
+	etag     string
+}
+
+// ETag returns the snapshot's strong validator over the retained content.
+func (s *Snapshot) ETag() string {
+	s.etagOnce.Do(func() { s.etag = etagFor(s.Gen, s.Samples) })
+	return s.etag
 }
 
 // Ring is the bounded sample store. Records serialize on the mutex;
@@ -82,7 +92,7 @@ func NewRing(capacity int) *Ring {
 		capacity = DefaultCap
 	}
 	r := &Ring{capacity: capacity}
-	r.snap.Store(&Snapshot{ETag: etagFor(0, nil)})
+	r.snap.Store(&Snapshot{})
 	return r
 }
 
@@ -104,10 +114,8 @@ func (r *Ring) Record(source, label string, at simtime.Time, reg *obs.Registry) 
 		evicted = true
 	}
 	r.samples = append(r.samples, s)
-	snap := &Snapshot{Gen: r.gen, Dropped: r.dropped,
-		Samples: append([]*Sample(nil), r.samples...)}
-	snap.ETag = etagFor(snap.Gen, snap.Samples)
-	r.snap.Store(snap)
+	r.snap.Store(&Snapshot{Gen: r.gen, Dropped: r.dropped,
+		Samples: append([]*Sample(nil), r.samples...)})
 	r.mu.Unlock()
 	// Counted after the capture: sample N carries the totals as of N-1, so
 	// the sample never depends on its own bookkeeping.
@@ -212,7 +220,7 @@ func (s *Snapshot) MarshalBody() ([]byte, error) {
 		samples = []*Sample{}
 	}
 	b, err := json.MarshalIndent(listingBody{
-		ETag: s.ETag, Generation: s.Gen, Dropped: s.Dropped, Samples: samples}, "", "  ")
+		ETag: s.ETag(), Generation: s.Gen, Dropped: s.Dropped, Samples: samples}, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +271,7 @@ func (s *Snapshot) MarshalFamilyBody(family string) ([]byte, bool, error) {
 // plus the family name — distinct families never share a validator.
 func (s *Snapshot) FamilyETag(family string) string {
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(s.ETag))
+	_, _ = h.Write([]byte(s.ETag()))
 	_, _ = h.Write([]byte{0xff})
 	_, _ = h.Write([]byte(family))
 	return `"itm-hf` + strconv.Itoa(s.Gen) + `-` + strconv.FormatUint(h.Sum64(), 16) + `"`

@@ -3,6 +3,7 @@ package history
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"itmap/internal/obs"
@@ -97,17 +98,66 @@ func TestSnapshotImmutableUnderLaterRecords(t *testing.T) {
 func TestETagChangesWithContent(t *testing.T) {
 	ring := NewRing(8)
 	reg := testReg(1)
-	empty := ring.Snapshot().ETag
+	empty := ring.Snapshot().ETag()
 	ring.Record("epoch", "a", 1, reg)
-	one := ring.Snapshot().ETag
+	one := ring.Snapshot().ETag()
 	ring.Record("epoch", "b", 2, reg)
-	two := ring.Snapshot().ETag
+	two := ring.Snapshot().ETag()
 	if empty == one || one == two {
 		t.Fatalf("ETags must churn with content: %q %q %q", empty, one, two)
 	}
 	for _, tag := range []string{empty, one, two} {
 		if !strings.HasPrefix(tag, `"itm-h`) || !strings.HasSuffix(tag, `"`) {
 			t.Fatalf("malformed ETag %q", tag)
+		}
+	}
+}
+
+// A snapshot hashes its tag when first asked: read after later Records and
+// evictions, it is the tag of its own content, the one a read right after
+// its Record gives, and the validator the ring has always served.
+func TestETagReadLateIsTheSnapshotsOwn(t *testing.T) {
+	eager, late := NewRing(2), NewRing(2)
+	var tags []string
+	var held []*Snapshot
+	for i := 1; i <= 5; i++ {
+		eager.Record("epoch", "e", simtime.Time(i), testReg(uint64(i)))
+		tags = append(tags, eager.Snapshot().ETag())
+		late.Record("epoch", "e", simtime.Time(i), testReg(uint64(i)))
+		held = append(held, late.Snapshot())
+	}
+	for i, snap := range held {
+		if got := snap.ETag(); got != tags[i] {
+			t.Errorf("snapshot %d read late: %s, read at once: %s", i, got, tags[i])
+		}
+	}
+	const want = `"itm-h5-def025ad6e79d906"`
+	if tags[4] != want {
+		t.Errorf("ring tag %s, want %s", tags[4], want)
+	}
+}
+
+// Handlers read a published snapshot's tag from many goroutines at once; the
+// first reads race to hash it and all of them get the one tag.
+func TestETagFirstReadsConcurrent(t *testing.T) {
+	ring := NewRing(4)
+	for i := 1; i <= 3; i++ {
+		ring.Record("epoch", "e", simtime.Time(i), testReg(uint64(i)))
+	}
+	snap := ring.Snapshot()
+	tags := make([]string, 8)
+	var wg sync.WaitGroup
+	for g := range tags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tags[g] = snap.ETag()
+		}()
+	}
+	wg.Wait()
+	for g, tag := range tags {
+		if tag != etagFor(snap.Gen, snap.Samples) {
+			t.Errorf("reader %d got %s, want %s", g, tag, etagFor(snap.Gen, snap.Samples))
 		}
 	}
 }
@@ -125,7 +175,7 @@ func TestRingDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, snap.ETag
+		return b, snap.ETag()
 	}
 	b1, e1 := run()
 	b2, e2 := run()
@@ -157,7 +207,7 @@ func TestMarshalBodyShape(t *testing.T) {
 	if err := json.Unmarshal(b, &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.ETag != snap.ETag || body.Generation != 1 || len(body.Samples) != 1 {
+	if body.ETag != snap.ETag() || body.Generation != 1 || len(body.Samples) != 1 {
 		t.Fatalf("body = %+v", body)
 	}
 	if body.Samples[0].Label != "mesh-consumer" {
