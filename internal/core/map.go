@@ -27,67 +27,36 @@ const (
 	FromRootLogs
 )
 
-// Coverage grades the freshness of a prefix's activity signal when the
-// sweep behind it ran against a faulty substrate. Only imported documents
-// carry grades: BuildMap does not fill the section yet.
-type Coverage uint8
+// The labels a document spells ActivitySource values with, indexed by
+// value. The ITMB codec carries the value itself, so this is the one place a
+// label is named.
+var sourceLabels = [...]string{"unknown", "cache-probe", "root-logs", "cache-probe+root-logs"}
 
-// Coverage grades.
-const (
-	// CoverageUnknown: nothing to grade.
-	CoverageUnknown Coverage = iota
-	// CoverageProbedOK: the sweep got a definitive answer this window.
-	CoverageProbedOK
-	// CoverageGaveUp: every probe died on the retry budget; the cell's
-	// signal is absence-of-evidence, not evidence-of-absence.
-	CoverageGaveUp
-	// CoverageStale: the PoP's breaker kept the target unprobed; any
-	// value shown is carried over, not measured.
-	CoverageStale
-)
+// ActivitySources counts the enum's values: every value below it has a
+// label, and none at or above it does.
+const ActivitySources = len(sourceLabels)
 
-// The labels a document spells ActivitySource and Coverage values with,
-// indexed by value. The ITMB codec carries the value itself, so these are
-// the one place a label is named.
-var (
-	sourceLabels   = [...]string{"unknown", "cache-probe", "root-logs", "cache-probe+root-logs"}
-	coverageLabels = [...]string{"unknown", "probed-ok", "gave-up", "stale"}
-)
-
-// ActivitySources and Coverages count each enum's values: every value below
-// the count has a label, and none at or above it does.
-const (
-	ActivitySources = len(sourceLabels)
-	Coverages       = len(coverageLabels)
-)
-
-// MarshalText and UnmarshalText spell the enums as their labels, and
-// nothing else: a value without a label, or a label no value has, is an
-// error.
-func (s ActivitySource) MarshalText() ([]byte, error)  { return labelText(sourceLabels[:], s) }
-func (s *ActivitySource) UnmarshalText(b []byte) error { return labelValue(sourceLabels[:], b, s) }
-func (c Coverage) MarshalText() ([]byte, error)        { return labelText(coverageLabels[:], c) }
-func (c *Coverage) UnmarshalText(b []byte) error       { return labelValue(coverageLabels[:], b, c) }
-
-func labelText[E ~uint8](labels []string, v E) ([]byte, error) {
-	l, err := labelOf(labels, v)
+// MarshalText and UnmarshalText spell the enum as its labels, and nothing
+// else: a value without a label, or a label no value has, is an error.
+func (s ActivitySource) MarshalText() ([]byte, error) {
+	l, err := s.label()
 	return []byte(l), err
 }
 
-func labelOf[E ~uint8](labels []string, v E) (string, error) {
-	if int(v) >= len(labels) {
-		return "", fmt.Errorf("core: %T %d has no label", v, v)
+func (s *ActivitySource) UnmarshalText(b []byte) error {
+	i := slices.Index(sourceLabels[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("core: unknown %T label %q", *s, b)
 	}
-	return labels[v], nil
+	*s = ActivitySource(i)
+	return nil
 }
 
-func labelValue[E ~uint8](labels []string, text []byte, v *E) error {
-	i := slices.Index(labels, string(text))
-	if i < 0 {
-		return fmt.Errorf("core: unknown %T label %q", *v, text)
+func (s ActivitySource) label() (string, error) {
+	if int(s) >= len(sourceLabels) {
+		return "", fmt.Errorf("core: %T %d has no label", s, s)
 	}
-	*v = E(i)
-	return nil
+	return sourceLabels[s], nil
 }
 
 // TrafficMap is the assembled Internet traffic map: the document it serves,

@@ -15,9 +15,9 @@ import (
 // json.MarshalIndent(doc, "", "  ") gives, and a newline. It is the one
 // writer of a document's JSON, behind /v1/map/{e} and Export; encoding/json
 // is its test reference. It writes each JSONField in turn with
-// AppendJSONField. A prefix wider than 24 bits, a label outside its enum or a
-// non-finite float is an error, as it is for encoding/json, and b comes back
-// as it was.
+// AppendJSONField. A prefix wider than 24 bits, a source value without a
+// label or a non-finite float is an error, as it is for encoding/json, and b
+// comes back as it was.
 func (doc *MapDocument) AppendJSON(b []byte) ([]byte, error) {
 	out := b
 	for f := range JSONFields {
@@ -31,7 +31,7 @@ func (doc *MapDocument) AppendJSON(b []byte) ([]byte, error) {
 
 // JSONField is one top-level field of a document's JSON, in the order
 // AppendJSON writes them: the head (the opening brace and the version), the
-// document's eight sections, and the tail (the closing brace and the
+// document's six sections, and the tail (the closing brace and the
 // newline).
 type JSONField int
 
@@ -41,8 +41,6 @@ const (
 	JSONHitRates
 	JSONActivity
 	JSONSources
-	JSONCoverage
-	JSONConfidence
 	JSONServers
 	JSONMappings
 	JSONTail
@@ -50,9 +48,9 @@ const (
 )
 
 // AppendJSONField appends field f of the document's JSON to b, separator and
-// all, so the fields AppendJSON lists are its bytes end to end; an optional
-// map that is empty writes nothing. Indents are spelled out, map keys are
-// listed as their spellings sort (topology.PrefixesByText,
+// all, so the fields AppendJSON lists are its bytes end to end; empty hit
+// rates write nothing, as omitempty has it. Indents are spelled out, map
+// keys are listed as their spellings sort (topology.PrefixesByText,
 // topology.ASNsByText). On an error b comes back as it was.
 func (doc *MapDocument) AppendJSONField(b []byte, f JSONField) ([]byte, error) {
 	w, ps, ss, ms := &jsonWriter{b: b}, doc.ActivePrefixes, doc.Servers, doc.Mappings
@@ -68,17 +66,8 @@ func (doc *MapDocument) AppendJSONField(b []byte, f JSONField) ([]byte, error) {
 	case JSONActivity:
 		keyed(w.key("as_activity"), doc.ASActivity, topology.ASNsByText(doc.ASActivity), w.asn, w.float)
 	case JSONSources:
-		source := func(s ActivitySource) { w.quote(labelOf(sourceLabels[:], s)) }
+		source := func(s ActivitySource) { w.quote(s.label()) }
 		keyed(w.key("sources"), doc.Sources, topology.ASNsByText(doc.Sources), w.asn, source)
-	case JSONCoverage:
-		if cov := doc.Coverage; len(cov) > 0 {
-			coverage := func(c Coverage) { w.quote(labelOf(coverageLabels[:], c)) }
-			keyed(w.key("coverage"), cov, topology.PrefixesByText(cov), w.prefix, coverage)
-		}
-	case JSONConfidence:
-		if conf := doc.ASConfidence; len(conf) > 0 {
-			keyed(w.key("as_confidence"), conf, topology.ASNsByText(conf), w.asn, w.float)
-		}
 	case JSONServers:
 		w.key("servers").each(ss == nil, "[]", len(ss), func(i int) {
 			w.raw("{\n      \"prefix\": ").prefix(ss[i].Prefix)

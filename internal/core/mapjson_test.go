@@ -45,16 +45,8 @@ func TestAppendJSONShapes(t *testing.T) {
 		"negative version":         {Version: -3},
 		"empty lists":              {ActivePrefixes: []topology.PrefixID{}, Servers: []ServerDocument{}, Mappings: []MappingDocument{}},
 		"empty required maps":      {ASActivity: map[topology.ASN]float64{}, Sources: map[topology.ASN]ActivitySource{}},
-		"empty optional maps": {
-			PrefixHitRates: map[topology.PrefixID]float64{},
-			Coverage:       map[topology.PrefixID]Coverage{},
-			ASConfidence:   map[topology.ASN]float64{},
-		},
-		"filled optional maps": {
-			PrefixHitRates: map[topology.PrefixID]float64{p1: 0.5, p2: 1},
-			Coverage:       map[topology.PrefixID]Coverage{p1: CoverageStale, p2: CoverageUnknown},
-			ASConfidence:   map[topology.ASN]float64{700: 0.25, 3000: 1},
-		},
+		"empty hit rates":          {PrefixHitRates: map[topology.PrefixID]float64{}},
+		"filled hit rates":         {PrefixHitRates: map[topology.PrefixID]float64{p1: 0.5, p2: 1}},
 		"key order": normalized(&MapDocument{
 			Version:        1,
 			ActivePrefixes: []topology.PrefixID{p1, p2, 0, topology.MaxPrefixID},
@@ -109,14 +101,12 @@ func TestAppendJSONRefusesWhatEncodingJSONRefuses(t *testing.T) {
 	for name, doc := range map[string]*MapDocument{
 		"wide active":       {ActivePrefixes: []topology.PrefixID{1, wide}},
 		"wide hit-rate key": {PrefixHitRates: map[topology.PrefixID]float64{1: 1, wide: 1}},
-		"wide coverage key": {Coverage: map[topology.PrefixID]Coverage{wide: CoverageStale}},
 		"wide server":       {Servers: []ServerDocument{{Prefix: wide}}},
 		"wide mapping":      {Mappings: []MappingDocument{{Serving: wide}}},
 		"source label":      {Sources: map[topology.ASN]ActivitySource{1: ActivitySource(ActivitySources)}},
-		"coverage label":    {Coverage: map[topology.PrefixID]Coverage{1: Coverage(Coverages)}},
 		"NaN activity":      {ASActivity: map[topology.ASN]float64{1: math.NaN()}},
 		"+Inf hit rate":     {PrefixHitRates: map[topology.PrefixID]float64{1: math.Inf(1)}},
-		"-Inf confidence":   {ASConfidence: map[topology.ASN]float64{1: math.Inf(-1)}},
+		"-Inf activity":     {ASActivity: map[topology.ASN]float64{1: math.Inf(-1)}},
 	} {
 		if _, err := marshalReference(doc); err == nil {
 			t.Fatalf("%s: encoding/json accepts the document", name)

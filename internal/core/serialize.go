@@ -28,10 +28,6 @@ type MapDocument struct {
 	PrefixHitRates map[topology.PrefixID]float64   `json:"prefix_hit_rates,omitempty"`
 	ASActivity     map[topology.ASN]float64        `json:"as_activity"`
 	Sources        map[topology.ASN]ActivitySource `json:"sources"`
-	// Coverage/ASConfidence are carried for imported documents; BuildMap
-	// does not fill them yet, and omitempty keeps its exports free of them.
-	Coverage     map[topology.PrefixID]Coverage `json:"coverage,omitempty"`
-	ASConfidence map[topology.ASN]float64       `json:"as_confidence,omitempty"`
 	// Services component.
 	Servers  []ServerDocument  `json:"servers"`
 	Mappings []MappingDocument `json:"mappings"`
@@ -62,11 +58,10 @@ func (m *TrafficMap) Document() *MapDocument { return &m.MapDocument }
 // Normalize puts a document into its canonical form, so that two documents
 // with the same content export byte-identically no matter how they were
 // produced (built by BuildMap, imported from JSON, or decoded from
-// the binary codec): required maps are non-nil, optional maps
-// (Coverage/ASConfidence) are nil when empty — matching their omitempty
-// export — empty lists are nil, as the codec decodes them, so an empty
-// list exports as null before a crash and after it, and lists are sorted
-// (prefixes by ID, servers by CompareServer, mappings by CompareMapping).
+// the binary codec): maps are non-nil, empty lists are nil, as the codec
+// decodes them, so an empty list exports as null before a crash and after
+// it, and lists are sorted (prefixes by ID, servers by CompareServer,
+// mappings by CompareMapping).
 func (doc *MapDocument) Normalize() {
 	if doc.PrefixHitRates == nil {
 		doc.PrefixHitRates = map[topology.PrefixID]float64{}
@@ -76,12 +71,6 @@ func (doc *MapDocument) Normalize() {
 	}
 	if doc.Sources == nil {
 		doc.Sources = map[topology.ASN]ActivitySource{}
-	}
-	if len(doc.Coverage) == 0 {
-		doc.Coverage = nil
-	}
-	if len(doc.ASConfidence) == 0 {
-		doc.ASConfidence = nil
 	}
 	doc.ActivePrefixes = nilIfEmpty(doc.ActivePrefixes)
 	doc.Servers = nilIfEmpty(doc.Servers)
@@ -146,7 +135,9 @@ func (doc *MapDocument) Export(w io.Writer) error {
 // JSON trust boundary: a malformed prefix, ASN or label is refused here, and
 // a key spelled with leading zeros ("064500", "01.0.0.0/24") is read as the
 // key it names, so two spellings of one key are one key, the last one
-// listed winning, as with any key JSON repeats.
+// listed winning, as with any key JSON repeats. A field MapDocument does not
+// define is ignored, whatever it holds: so are the per-prefix grades and
+// per-AS confidences older exports could carry.
 func ImportDocument(r io.Reader) (*MapDocument, error) {
 	var doc MapDocument
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {

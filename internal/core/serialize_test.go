@@ -61,16 +61,21 @@ func TestImportRejectsBadInput(t *testing.T) {
 		"activity: empty ASN":          `{"version": 1, "as_activity": {"": 1}}`,
 		"sources: bad ASN":             `{"version": 1, "sources": {"-1": "root-logs"}}`,
 		"sources: unknown label":       `{"version": 1, "sources": {"64500": "hearsay"}}`,
-		"coverage: bad prefix":         `{"version": 1, "coverage": {"1.0.0.1/24": "stale"}}`,
-		"coverage: unknown label":      `{"version": 1, "coverage": {"1.0.0.0/24": "somewhat"}}`,
-		"confidence: bad ASN":          `{"version": 1, "as_confidence": {"64500 ": 1}}`,
-		"confidence: ASN over 32 bits": `{"version": 1, "as_confidence": {"99999999999": 1}}`,
 		"servers: bad prefix":          `{"version": 1, "servers": [{"prefix": "9.9.9.9"}]}`,
 		"mappings: bad serving prefix": `{"version": 1, "mappings": [{"domain": "a", "client_as": 1, "serving_prefix": "nowhere"}]}`,
 	} {
 		if _, err := ImportDocument(strings.NewReader(js)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// The retired coverage and as_confidence keys are ignored, as any key
+	// the document does not define, however malformed their contents.
+	const plain = `{"version": 1, "as_activity": {"7": 1}`
+	retired, err := ImportDocument(strings.NewReader(plain + `, "coverage": {"1.0.0.1/24": "stale", "1.0.0.0/24": "somewhat"},
+		"as_confidence": {"64500 ": 1, "99999999999": 1}}`))
+	want, wantErr := ImportDocument(strings.NewReader(plain + "}"))
+	if err != nil || wantErr != nil || !reflect.DeepEqual(retired, want) {
+		t.Errorf("a document with the retired keys imports as %+v (%v), without them as %+v (%v)", retired, err, want, wantErr)
 	}
 }
 
@@ -121,14 +126,12 @@ func TestExportImportExportByteIdentical(t *testing.T) {
 }
 
 // TestNormalizeCanonicalizesDocuments covers the normalization rules
-// directly: empty optional maps go nil, required maps come up non-nil, and
-// slices sort numerically by prefix (not lexically).
+// directly: maps come up non-nil, and slices sort numerically by prefix (not
+// lexically).
 func TestNormalizeCanonicalizesDocuments(t *testing.T) {
 	doc := &MapDocument{
 		Version:        1,
 		ActivePrefixes: []topology.PrefixID{10 << 16, 2 << 16},
-		Coverage:       map[topology.PrefixID]Coverage{},
-		ASConfidence:   map[topology.ASN]float64{},
 		Servers: []ServerDocument{
 			{Prefix: 9<<16 | 9<<8 | 9, HostAS: 2},
 			{Prefix: 1<<16 | 1<<8 | 1, HostAS: 1},
@@ -140,11 +143,8 @@ func TestNormalizeCanonicalizesDocuments(t *testing.T) {
 		},
 	}
 	doc.Normalize()
-	if doc.Coverage != nil || doc.ASConfidence != nil {
-		t.Error("empty optional maps should normalize to nil")
-	}
 	if doc.PrefixHitRates == nil || doc.ASActivity == nil || doc.Sources == nil {
-		t.Error("required maps should normalize to non-nil")
+		t.Error("maps should normalize to non-nil")
 	}
 	if doc.ActivePrefixes[0] != 2<<16 {
 		t.Errorf("prefixes not numerically sorted: %v", doc.ActivePrefixes)

@@ -129,7 +129,7 @@ func BenchmarkRenderMapJSONShared(b *testing.B) {
 	}
 	prev, e := s.Snapshot()[0], s.Snapshot()[1]
 	if e.SharedSections != 3 || e.frags[core.JSONHitRates] != prev.frags[core.JSONHitRates] {
-		b.Fatalf("the epoch shares %d sections, want the hit rates and the two empty optional ones", e.SharedSections)
+		b.Fatalf("the epoch shares %d sections, want the hit rates and the two retired ones", e.SharedSections)
 	}
 	if _, _, err := renderMap(request{e: prev}); err != nil {
 		b.Fatal(err)

@@ -27,8 +27,9 @@ import (
 //	actives   count | delta-encoded sorted prefix IDs (first absolute,
 //	          then strictly positive deltas)
 //	keyed ×5  count | count × (key delta | payload)   one per keyedSections
-//	          row, in wire order: hit rates, activity, sources, coverage,
-//	          confidence; sorted by key (a /24 prefix ID or an ASN), payload
+//	          row, in wire order: hit rates, activity, sources, and the
+//	          retired grades and confidence (written empty, read and
+//	          dropped); sorted by key (a /24 prefix ID or an ASN), payload
 //	          a float or one code byte, the label enum's value
 //	servers   count | count × (prefix | host AS | owner AS |
 //	          org ref | city ref | country ref)      sorted by field tuple
@@ -38,7 +39,8 @@ import (
 // Every section is sorted and every string interned through one sorted
 // table, so the encoding of a document is a pure function of its content,
 // and the decoder accepts nothing but that encoding: decode followed by
-// re-encode is byte-identical. The store relies on it to compare sections
+// re-encode is byte-identical, but for entries in a retired section
+// (encoding.retiredEntries). The store relies on it to compare sections
 // of consecutive epochs by their bytes and to adopt journaled bytes at
 // recovery without re-encoding them; E25 relies on it for cross-worker
 // parity.
@@ -77,8 +79,8 @@ const (
 	wireHitRates
 	wireActivity
 	wireSources
-	wireCoverage
-	wireConfidence
+	wireRetiredGrades
+	wireRetiredConfidence
 	wireServers
 	wireMappings
 
@@ -98,8 +100,8 @@ type keyedSection struct {
 	maxKey uint64
 	// codes is a label section's number of labels, 0 for a float section.
 	codes int
-	// optional sections decode to a nil map when empty.
-	optional bool
+	// retired sections have no field: written empty, read and dropped.
+	retired bool
 	// field reaches the document map the section reads and fills.
 	field keyedField
 }
@@ -114,12 +116,11 @@ var keyedSections = [...]keyedSection{
 	{wire: wireSources, name: "sources", key: "source ASN", value: "source code", maxKey: math.MaxUint32,
 		codes: core.ActivitySources,
 		field: fieldOf(func(d *core.MapDocument) *map[topology.ASN]core.ActivitySource { return &d.Sources })},
-	{wire: wireCoverage, name: "coverage", key: "coverage prefix", value: "coverage code", maxKey: maxPrefixID,
-		codes: core.Coverages, optional: true,
-		field: fieldOf(func(d *core.MapDocument) *map[topology.PrefixID]core.Coverage { return &d.Coverage })},
-	{wire: wireConfidence, name: "AS confidence", key: "confidence ASN", value: "confidence value", maxKey: math.MaxUint32,
-		optional: true,
-		field:    fieldOf(func(d *core.MapDocument) *map[topology.ASN]float64 { return &d.ASConfidence })},
+	// Per-prefix grades (unknown/probed-ok/gave-up/stale), per-AS confidence.
+	{wire: wireRetiredGrades, name: "coverage", key: "coverage prefix", value: "coverage code", maxKey: maxPrefixID,
+		codes: 4, retired: true},
+	{wire: wireRetiredConfidence, name: "AS confidence", key: "confidence ASN", value: "confidence value", maxKey: math.MaxUint32,
+		retired: true},
 }
 
 // keyedField is one keyed document map seen as entries, whatever its key
@@ -175,6 +176,13 @@ func (o *sectionOffsets) span(rec []byte, i int) []byte {
 type encoding struct {
 	bytes []byte
 	off   sectionOffsets
+}
+
+// retiredEntries reports whether decoded bytes hold entries the decoder
+// dropped: the two retired sections, adjacent, are more than their zero
+// counts. Such bytes are not the encoding of what they decode to.
+func (enc *encoding) retiredEntries() bool {
+	return enc.off[wireServers]-enc.off[wireRetiredGrades] > 2
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -405,6 +413,10 @@ func (e *encoder) document(doc *core.MapDocument) {
 // scratch, sorted by key and delta-encoded. A map holds each key once, so
 // the keys ascend strictly, as the decoder requires.
 func (e *encoder) keyed(sec *keyedSection, doc *core.MapDocument) {
+	if sec.retired {
+		e.uvarint(0)
+		return
+	}
 	entries := sec.field.stage(doc, &e.entries)
 	e.uvarint(uint64(len(entries)))
 	var prev uint64
@@ -561,10 +573,10 @@ func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) 
 }
 
 // DecodeDocument parses ITMB bytes back into a map document. The result is
-// canonical (sorted sections, nil empty optional maps): re-encoding it
-// reproduces the input bytes exactly and Normalize leaves it unchanged.
-// Corrupted, truncated, or oversized inputs return a typed error; decoding
-// never panics. The input is not retained.
+// canonical (sorted sections): re-encoding it reproduces the input bytes
+// exactly, but for a retired section's entries, and Normalize leaves it
+// unchanged. Corrupted, truncated, or oversized inputs return a typed
+// error; decoding never panics. The input is not retained.
 func DecodeDocument(data []byte) (*core.MapDocument, error) {
 	doc, _, err := decodeDocument(data)
 	return doc, err
@@ -659,8 +671,8 @@ func decodeInto(doc *core.MapDocument, enc *encoding, record bool) error {
 		if n, err = d.count(sec.name, minEntry); err != nil {
 			return err
 		}
-		var set func(uint32, float64)
-		if n > 0 || !sec.optional {
+		set := func(uint32, float64) {}
+		if !sec.retired {
 			set = sec.field.fill(doc, n)
 		}
 		err = d.deltaSeq(sec.key, n, sec.maxKey, func(k uint64) error {

@@ -2,13 +2,16 @@ package mapstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"itmap/internal/core"
+	"itmap/internal/randx"
 	"itmap/internal/topology"
 )
 
@@ -37,8 +40,6 @@ func sampleDoc() *core.MapDocument {
 		"prefix_hit_rates": {"1.0.0.0/24": 0.031, "1.0.2.0/24": 0.07},
 		"as_activity": {"64500": 123.5, "64501": 7, "65000": 0.25},
 		"sources": {"64500": "cache-probe", "64501": "root-logs", "65000": "cache-probe+root-logs"},
-		"coverage": {"1.0.0.0/24": "probed-ok", "1.0.2.0/24": "stale"},
-		"as_confidence": {"64500": 1, "64501": 0.5},
 		"servers": [
 			{"prefix": "9.9.9.0/24", "host_as": 64500, "owner_as": 64510, "org": "HyperGiant", "city": "Paris", "country": "FR"},
 			{"prefix": "9.9.8.0/24", "host_as": 64501, "owner_as": 64510, "org": "HyperGiant", "city": "Lagos", "country": "NG"}],
@@ -100,9 +101,6 @@ func TestCodecEmptyDocument(t *testing.T) {
 	if got.Version != 1 || len(got.ActivePrefixes) != 0 || len(got.Servers) != 0 {
 		t.Errorf("empty document mangled: %+v", got)
 	}
-	if got.Coverage != nil || got.ASConfidence != nil {
-		t.Error("empty optional sections should decode to nil maps")
-	}
 	re, err := EncodeDocument(got)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +117,6 @@ func TestCodecRejectsUnencodableDocuments(t *testing.T) {
 		{Version: 1, ActivePrefixes: []topology.PrefixID{1 << 16, 1 << 16}},
 		{Version: 1, ASActivity: map[topology.ASN]float64{1: math.NaN()}},
 		{Version: 1, Sources: map[topology.ASN]core.ActivitySource{64500: core.ActivitySource(core.ActivitySources)}},
-		{Version: 1, Coverage: map[topology.PrefixID]core.Coverage{1 << 16: core.Coverage(core.Coverages)}},
 		{Version: -1},
 		{Version: 1, Mappings: []core.MappingDocument{
 			{Domain: "a", ClientAS: 1, Serving: 1 << 16},
@@ -169,6 +166,91 @@ func TestCodecDecodeRejectsBadInput(t *testing.T) {
 	if _, err := DecodeDocument(huge); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("oversized count: %v", err)
 	}
+	// A retired section's entries are held to the rules of the section it
+	// was: strictly ascending keys within their range, a code the old enum
+	// had, a finite float. The decoder drops them only once they pass.
+	rec, err := encodeRecord(sampleDoc(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := func(c byte) func(int) []byte { return func(int) []byte { return []byte{c} } }
+	grades, conf := keyedSpan([]uint64{1 << 16, 2 << 16}, code(3)), keyedSpan([]uint64{64500}, float(0.5))
+	for name, spans := range map[string][2][]byte{
+		"grade keys unsorted":       {keyedSpan([]uint64{2 << 16, 1 << 16}, code(1)), conf},
+		"grade keys duplicate":      {keyedSpan([]uint64{1 << 16, 1 << 16}, code(1)), conf},
+		"grade code 4":              {keyedSpan([]uint64{1 << 16}, code(4)), conf},
+		"grade key above 2^24-1":    {keyedSpan([]uint64{maxPrefixID + 1}, code(1)), conf},
+		"confidence keys unsorted":  {grades, keyedSpan([]uint64{64501, 64500}, float(1))},
+		"confidence keys duplicate": {grades, keyedSpan([]uint64{64500, 64500}, float(1))},
+		"confidence NaN":            {grades, keyedSpan([]uint64{64500}, float(math.NaN()))},
+		"confidence +Inf":           {grades, keyedSpan([]uint64{64500}, float(math.Inf(1)))},
+		"confidence ASN above 2^32": {grades, keyedSpan([]uint64{math.MaxUint32 + 1}, float(1))},
+	} {
+		if _, err := DecodeDocument(withRetired(rec, spans[0], spans[1])); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+	got, err := DecodeDocument(withRetired(rec, grades, conf))
+	if want, _ := DecodeDocument(rec.bytes); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("well-formed retired entries: %v, or they did not drop", err)
+	}
+}
+
+// keyedSpan is a keyed wire section holding keys in the order given, each
+// written as its distance from the one before and followed by its payload.
+func keyedSpan(keys []uint64, payload func(i int) []byte) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(keys)))
+	var prev uint64
+	for i, k := range keys {
+		b = append(binary.AppendUvarint(b, k-prev), payload(i)...)
+		prev = k
+	}
+	return b
+}
+
+// float is a float payload, the same for every entry.
+func float(f float64) func(int) []byte {
+	return func(int) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
+}
+
+// withRetired is rec with its retired sections replaced by the spans grades
+// and conf. The later section is spliced first, so the earlier one's
+// offsets still hold.
+func withRetired(rec encoding, grades, conf []byte) []byte {
+	b := slices.Concat(rec.bytes[:rec.off[wireRetiredConfidence]], conf, rec.bytes[rec.off[wireRetiredConfidence+1]:])
+	return slices.Concat(b[:rec.off[wireRetiredGrades]], grades, b[rec.off[wireRetiredGrades+1]:])
+}
+
+// retiredSpans draws what a journal written before the retirement could
+// hold in the two sections: one to four grades and as many confidences,
+// on ascending keys.
+func retiredSpans(rng *randx.Source) (grades, conf []byte) {
+	keys := func(step int) []uint64 {
+		ks, k := make([]uint64, 1+rng.Intn(4)), uint64(1<<16)
+		for i := range ks {
+			k += 1 + uint64(rng.Intn(step))
+			ks[i] = k
+		}
+		return ks
+	}
+	grades = keyedSpan(keys(1<<12), func(int) []byte { return []byte{byte(rng.Intn(4))} })
+	conf = keyedSpan(keys(1<<20), func(int) []byte { return float(rng.Float64())(0) })
+	return grades, conf
+}
+
+// cutRetired is what the encoder writes for the documents decoded from dec:
+// dec's bytes and offsets with each retired section cut to its zero count.
+func cutRetired(dec encoding) encoding {
+	out := encoding{bytes: slices.Clone(dec.bytes[:dec.off[0]])}
+	for i := range dec.off {
+		span := dec.off.span(dec.bytes, i)
+		if i == wireRetiredGrades || i == wireRetiredConfidence {
+			span = []byte{0}
+		}
+		out.off[i] = len(out.bytes)
+		out.bytes = append(out.bytes, span...)
+	}
+	return out
 }
 
 func TestCodecSmallerThanJSON(t *testing.T) {

@@ -99,24 +99,25 @@ func TestFragmentABA(t *testing.T) {
 	}
 }
 
-// TestFragmentOptionalSection: coverage appears, then disappears again. An
-// absent coverage renders nothing, and an empty fragment is copied as such.
+// TestFragmentOptionalSection: hit rates appear, then disappear again.
+// Absent hit rates render nothing (the field is omitempty), and an empty
+// fragment is copied as such.
 func TestFragmentOptionalSection(t *testing.T) {
 	without := func() *core.MapDocument {
 		d := sampleDoc()
-		d.Coverage = nil
+		d.PrefixHitRates = nil
 		return d
 	}
 	es := appendDocs(t, without(), sampleDoc(), without(), without())
 	for _, e := range es {
 		fillMap(t, e)
 	}
-	cov := func(i int) any { return es[i].frags[core.JSONCoverage] }
-	if cov(0) == cov(1) || cov(1) == cov(2) || cov(2) != cov(3) {
-		t.Errorf("coverage slots %p %p %p %p: want a new slot at each change and one after", cov(0), cov(1), cov(2), cov(3))
+	hr := func(i int) any { return es[i].frags[core.JSONHitRates] }
+	if hr(0) == hr(1) || hr(1) == hr(2) || hr(2) != hr(3) {
+		t.Errorf("hit-rate slots %p %p %p %p: want a new slot at each change and one after", hr(0), hr(1), hr(2), hr(3))
 	}
-	if p := es[3].frags[core.JSONCoverage].Load(); p == nil || len(*p) != 0 {
-		t.Error("an absent coverage published anything but an empty fragment")
+	if p := es[3].frags[core.JSONHitRates].Load(); p == nil || len(*p) != 0 {
+		t.Error("absent hit rates published anything but an empty fragment")
 	}
 }
 

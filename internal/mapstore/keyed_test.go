@@ -17,18 +17,22 @@ import (
 )
 
 // TestKeyedSectionsWellFormed: the table is the wire format's middle — its
-// rows are in wire order and cover wireHitRates..wireConfidence exactly once
-// — and every row bounds its keys as a /24 or an ASN and reaches its field.
+// rows are in wire order and cover wireHitRates..wireRetiredConfidence
+// exactly once — and every row bounds its keys as a /24 or an ASN and
+// reaches its field, unless it is retired and has none.
 func TestKeyedSectionsWellFormed(t *testing.T) {
-	if len(keyedSections) != wireConfidence-wireHitRates+1 {
-		t.Fatalf("%d rows for wire sections %d..%d", len(keyedSections), wireHitRates, wireConfidence)
+	if len(keyedSections) != wireRetiredConfidence-wireHitRates+1 {
+		t.Fatalf("%d rows for wire sections %d..%d", len(keyedSections), wireHitRates, wireRetiredConfidence)
 	}
 	for i, sec := range keyedSections {
+		if sec.retired != (sec.wire >= wireRetiredGrades) {
+			t.Errorf("row %s: retired %v; retiredEntries reads the last two rows as the retired ones", sec.name, sec.retired)
+		}
 		if sec.wire != wireHitRates+i {
 			t.Errorf("row %d (%s) has wire index %d, want %d: rows must follow wire order", i, sec.name, sec.wire, wireHitRates+i)
 		}
-		if sec.maxKey != maxPrefixID && sec.maxKey != math.MaxUint32 || sec.field.stage == nil {
-			t.Errorf("row %s: key bound %d, field set %v", sec.name, sec.maxKey, sec.field.stage != nil)
+		if sec.maxKey != maxPrefixID && sec.maxKey != math.MaxUint32 || (sec.field.stage == nil) != sec.retired {
+			t.Errorf("row %s: key bound %d, field set %v, retired %v", sec.name, sec.maxKey, sec.field.stage != nil, sec.retired)
 		}
 		if sec.name == "" || sec.key == "" || sec.value == "" {
 			t.Errorf("row %d lacks an error context", i)
@@ -60,7 +64,8 @@ func errClass(err error) string {
 // cannot hold — and requires the typed error class: an unencodable document
 // is ErrEncode; a cut is ErrTruncated, unless the section's count already
 // promises more entries than the bytes left can hold, which is ErrCorrupt;
-// every other malformation is ErrCorrupt.
+// every other malformation is ErrCorrupt. A retired section has no document
+// map to encode from, and its decode side is the same as any other's.
 func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 	for i := range keyedSections {
 		sec := &keyedSections[i]
@@ -73,6 +78,9 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		}
 		if sec.maxKey == maxPrefixID {
 			unencodable["key out of range"] = pair{Rank: maxPrefixID + 1}
+		}
+		if sec.retired {
+			unencodable = nil // no document map holds them
 		}
 		for name, bad := range unencodable {
 			doc := sampleDoc()
@@ -146,12 +154,10 @@ func TestAppendStillRejectsMalformedKeys(t *testing.T) {
 		"duplicate mapping key":    func(d *core.MapDocument, _ *core.MeshDocument) { d.Mappings = append(d.Mappings, d.Mappings[0]) },
 		"active prefix too wide":   func(d *core.MapDocument, _ *core.MeshDocument) { d.ActivePrefixes = append(d.ActivePrefixes, wide) },
 		"hit-rate key too wide":    func(d *core.MapDocument, _ *core.MeshDocument) { d.PrefixHitRates[wide] = 0.5 },
-		"coverage key too wide":    func(d *core.MapDocument, _ *core.MeshDocument) { d.Coverage[wide] = core.CoverageStale },
 		"server prefix too wide":   func(d *core.MapDocument, _ *core.MeshDocument) { d.Servers[0].Prefix = wide },
 		"serving prefix too wide":  func(d *core.MapDocument, _ *core.MeshDocument) { d.Mappings[0].Serving = wide },
 		"NaN activity":             func(d *core.MapDocument, _ *core.MeshDocument) { d.ASActivity[64500] = math.NaN() },
 		"-Inf hit rate":            func(d *core.MapDocument, _ *core.MeshDocument) { d.PrefixHitRates[1<<16] = math.Inf(-1) },
-		"+Inf confidence":          func(d *core.MapDocument, _ *core.MeshDocument) { d.ASConfidence[64500] = math.Inf(1) },
 		"NaN mesh RTT":             func(_ *core.MapDocument, m *core.MeshDocument) { m.Pairs[0].MeanRTT = math.NaN() },
 		"+Inf mesh confidence":     func(_ *core.MapDocument, m *core.MeshDocument) { m.Pairs[0].Confidence = math.Inf(1) },
 		"negative version":         func(d *core.MapDocument, _ *core.MeshDocument) { d.Version = -1 },
@@ -199,7 +205,8 @@ func TestAppendStillRejectsMalformedKeys(t *testing.T) {
 }
 
 // collidingJSON spells a key of each keyed section twice, canonically and
-// with leading zeros: one key to the importer, the last spelling winning.
+// with leading zeros: one key to the importer, the last spelling winning —
+// but for the retired sections' keys, which the importer ignores.
 var collidingJSON = []string{
 	`{"version": 1, "prefix_hit_rates": {"1.0.0.0/24": 0.5, "01.0.0.0/24": 0.25}}`,
 	`{"version": 1, "as_activity": {"64500": 1, "064500": 2}}`,

@@ -51,11 +51,12 @@ func (m *model) publish(at simtime.Time, doc *core.MapDocument, mesh *core.MeshD
 	}
 	e := modelEpoch{at: at, doc: doc, mesh: mesh, enc: enc}
 	if n := len(m.epochs); n > 0 {
+		// The two retired sections are empty in every epoch, so always equal.
+		e.shared = 2
 		p := m.epochs[n-1].doc
 		for _, same := range []bool{
 			slices.Equal(p.ActivePrefixes, doc.ActivePrefixes), maps.Equal(p.PrefixHitRates, doc.PrefixHitRates),
 			maps.Equal(p.ASActivity, doc.ASActivity), maps.Equal(p.Sources, doc.Sources),
-			maps.Equal(p.Coverage, doc.Coverage), maps.Equal(p.ASConfidence, doc.ASConfidence),
 			slices.Equal(p.Servers, doc.Servers), slices.Equal(p.Mappings, doc.Mappings),
 		} {
 			if same {
@@ -504,9 +505,6 @@ func (m *model) asBody(q *modelReq) any {
 	view := obj{{"asn", q.a}, {"epoch", q.e}, {"activity", act[q.a]}, {"share", share(act[q.a], total)}}
 	if src, ok := doc.Sources[topology.ASN(q.a)]; ok {
 		view = append(view, field{"source", src})
-	}
-	if c, ok := doc.ASConfidence[topology.ASN(q.a)]; ok {
-		view = append(view, field{"confidence", c})
 	}
 	all := services(doc, q.a)
 	if listed := all; len(all) > 0 && q.k != 0 {

@@ -203,7 +203,6 @@ type ASView struct {
 	Activity      float64              `json:"activity"`
 	Share         float64              `json:"share"`
 	Source        *core.ActivitySource `json:"source,omitempty"`
-	Confidence    *float64             `json:"confidence,omitempty"`
 	Services      []ServiceMapping     `json:"services,omitempty"`
 	TotalServices int                  `json:"total_services"`
 }
@@ -230,9 +229,6 @@ func (e *Epoch) ASView(asn uint32, k int) (ASView, bool) {
 	}
 	if src, ok := e.Doc.Sources[a]; ok {
 		v.Source = &src
-	}
-	if c, ok := e.Doc.ASConfidence[a]; ok {
-		v.Confidence = &c
 	}
 	svcs := make([]ServiceMapping, 0, len(idxs))
 	for _, i := range idxs {

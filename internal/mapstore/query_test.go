@@ -56,9 +56,6 @@ func TestASView(t *testing.T) {
 	if v.Activity != 123.5 || v.Source == nil || *v.Source != core.FromCacheProbe {
 		t.Errorf("view %+v", v)
 	}
-	if v.Confidence == nil || *v.Confidence != 1 {
-		t.Errorf("confidence %+v", v.Confidence)
-	}
 	// 64500 maps two domains; both serving prefixes resolve to scan
 	// servers, and ranking is by host popularity then domain.
 	if v.TotalServices != 2 || len(v.Services) != 2 {

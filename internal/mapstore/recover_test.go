@@ -8,9 +8,12 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"itmap/internal/core"
@@ -30,19 +33,19 @@ func cloneDoc(d *core.MapDocument) *core.MapDocument {
 	c.PrefixHitRates = maps.Clone(d.PrefixHitRates)
 	c.ASActivity = maps.Clone(d.ASActivity)
 	c.Sources = maps.Clone(d.Sources)
-	c.Coverage = maps.Clone(d.Coverage)
-	c.ASConfidence = maps.Clone(d.ASConfidence)
 	c.Servers = slices.Clone(d.Servers)
 	c.Mappings = slices.Clone(d.Mappings)
 	return &c
 }
 
 // seededDocs returns n consecutive days of a small map. From one day to the
-// next a seed-chosen subset of the eight sections changes — sometimes none,
-// an identical re-ingest — so consecutive epochs share anything from no
-// section to all of them. A new server may bring an org that sorts ahead of
-// every other string, which renumbers the whole string table: the mappings
-// section then differs in bytes while its values stay equal.
+// next a seed-chosen subset of the document's six sections changes —
+// sometimes none, an identical re-ingest — so consecutive epochs share
+// anything from no section to all of them. A new server may bring an org
+// that sorts ahead of every other string, which renumbers the whole string
+// table: the mappings section then differs in bytes while its values stay
+// equal. The changes the two retired sections once drew are drawn still, and
+// dropped, so each seed draws the days it always has.
 func seededDocs(seed int64, n int) []*core.MapDocument {
 	rng := randx.New(seed)
 	cur := benchDoc(300)
@@ -63,17 +66,13 @@ func seededDocs(seed int64, n int) []*core.MapDocument {
 		if rng.Bool(0.4) {
 			cur.Sources[asn()] = core.ActivitySource(rng.Intn(core.ActivitySources))
 		}
-		if rng.Bool(0.4) {
-			if cur.Coverage == nil {
-				cur.Coverage = map[topology.PrefixID]core.Coverage{}
-			}
-			cur.Coverage[prefix()] = core.Coverage(rng.Intn(core.Coverages))
+		if rng.Bool(0.4) { // a grade: a prefix and one of four codes
+			prefix()
+			rng.Intn(4)
 		}
-		if rng.Bool(0.4) {
-			if cur.ASConfidence == nil {
-				cur.ASConfidence = map[topology.ASN]float64{}
-			}
-			cur.ASConfidence[asn()] = rng.Float64()
+		if rng.Bool(0.4) { // a confidence
+			asn()
+			rng.Float64()
 		}
 		if rng.Bool(0.4) {
 			org := "org-0"
@@ -317,11 +316,16 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 	}
 }
 
+// secRetired are the retired sections' bits: no document holds anything
+// there, so any two documents are equal in them.
+const secRetired = 1<<(wireRetiredGrades-wireActives) | 1<<(wireRetiredConfidence-wireActives)
+
 // shareSectionsMaps is the sharing rule as it stood when sections were
 // compared as decoded values, kept verbatim (minus the aliasing, which the
-// comparison does not need) as the oracle for the byte-span rule.
+// comparison does not need, and the retired sections, always equal) as the
+// oracle for the byte-span rule.
 func shareSectionsMaps(doc, prev *core.MapDocument) uint {
-	var shared uint
+	shared := uint(secRetired)
 	if slices.Equal(doc.ActivePrefixes, prev.ActivePrefixes) {
 		shared |= secActives
 	}
@@ -333,12 +337,6 @@ func shareSectionsMaps(doc, prev *core.MapDocument) uint {
 	}
 	if maps.Equal(doc.Sources, prev.Sources) {
 		shared |= secSources
-	}
-	if maps.Equal(doc.Coverage, prev.Coverage) {
-		shared |= secCoverage
-	}
-	if maps.Equal(doc.ASConfidence, prev.ASConfidence) {
-		shared |= secConfidence
 	}
 	if slices.Equal(doc.Servers, prev.Servers) {
 		shared |= secServers
@@ -380,8 +378,8 @@ func TestShareSectionsBytesMatchesMaps(t *testing.T) {
 			sawCopied |= ^got & secAll
 		}
 	}
-	if sawShared != secAll || sawCopied != secAll {
-		t.Errorf("seeded days too tame: sections seen shared %08b, seen copied %08b, want all of both", sawShared, sawCopied)
+	if sawShared != secAll || sawCopied != secAll&^secRetired {
+		t.Errorf("seeded days too tame: sections seen shared %08b, seen copied %08b, want all, and all but the retired", sawShared, sawCopied)
 	}
 
 	withActivity := func(v float64) *core.MapDocument {
@@ -401,15 +399,18 @@ func TestShareSectionsBytesMatchesMaps(t *testing.T) {
 // journal a map-only store leaves is, byte for byte, the journal older
 // commits left for the same documents with compaction off — so every such
 // journal is a journal in the current format, and the same test recovers
-// one. Digests recorded from commit 7d2d025 with compaction off.
+// one — once the grades and confidences those documents held are gone.
+// Digests of the journals commit 7d2d025 wrote with compaction off, each
+// record's two retired sections then cut to their zero count and the
+// records framed again.
 func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
 	for _, tc := range []struct {
 		seed    int64
 		journal string
 	}{
-		{1, "f67f6cb974bd9fb638c459f65ee1e1ecd4d340959c68e503bea8da1eacdecb1f"},
-		{7, "10e32787933bc62f42ec240d03348b7f60da785f6c3b739d2402c9bd8c9b978d"},
+		{1, "4a2aba9fdb41addb6cafda76503eb17dabccff22197b963ce8c6ef5acf571843"},
+		{7, "4d05ecda965b14ebd6e1b68fc80d19744afd1896d8f499a7afd0d5524ac91eca"},
 	} {
 		_, mem := journalDocs(t, seededDocs(tc.seed, 6), nil)
 		data, err := mem.ReadFile("wal/journal.itwl")
@@ -417,7 +418,7 @@ func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.journal {
-			t.Errorf("seed %d: journal.itwl (%d bytes) has SHA-256 %s, the parent commit's has %s", tc.seed, len(data), got, tc.journal)
+			t.Errorf("seed %d: journal.itwl (%d bytes) has SHA-256 %s, the older commit's, cut, has %s", tc.seed, len(data), got, tc.journal)
 		}
 		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 		if err != nil {
@@ -436,11 +437,14 @@ func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 // TestLegacyWALDirectoryRecovers replays the WAL directory an older binary
 // left: testdata/legacy-wal is seed 1's six epochs as commit 7d2d025 wrote
 // them compacting every 4 epochs — four in snapshot.itwl, two in
-// journal.itwl. The directory recovers the epochs a journal-only store
-// writes for the same documents, whose journal is the snapshot's records
-// followed by the journal's; so does the directory a compaction crash left,
-// whose journal still re-holds records the snapshot covers; and appending
-// after recovery never touches the snapshot.
+// journal.itwl — when the documents still held the grades and confidences
+// since retired, which epochs 2 to 5 do. With each retired section cut to
+// its zero count, its records are a journal-only store's for the same
+// documents, the snapshot's followed by the journal's. The directory
+// recovers that store's epochs, re-encoding the four that held retired
+// entries; so does the directory a compaction crash left, whose journal
+// still re-holds records the snapshot covers; and appending after recovery
+// never touches the snapshot.
 func TestLegacyWALDirectoryRecovers(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
 	legacy := map[string][]byte{}
@@ -466,8 +470,23 @@ func TestLegacyWALDirectoryRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.EqualFunc(walRecords(t, journal), slices.Concat(snapRecs, journalRecs), bytes.Equal) {
-		t.Fatal("a journal-only store's records are not the legacy snapshot's followed by the legacy journal's")
+	legacyRecs, wantRecs := scanRecords(t, walFile(slices.Concat(snapRecs, journalRecs)...)), scanRecords(t, journal)
+	var held []int
+	for i, r := range legacyRecs {
+		dec := encoding{bytes: r.Payload}
+		if err := decodeInto(&core.MapDocument{}, &dec, true); err != nil {
+			t.Fatalf("legacy record %d: %v", i, err)
+		}
+		if dec.retiredEntries() {
+			held = append(held, i)
+		}
+		r.Payload = cutRetired(dec).bytes
+		if i >= len(wantRecs) || !reflect.DeepEqual(r, wantRecs[i]) {
+			t.Fatalf("legacy record %d, its retired sections emptied, is not a journal-only store's record", i)
+		}
+	}
+	if len(legacyRecs) != len(wantRecs) || !slices.Equal(held, []int{2, 3, 4, 5}) {
+		t.Fatalf("%d legacy records, %d written; records %v hold retired entries, want 2 to 5", len(legacyRecs), len(wantRecs), held)
 	}
 
 	for _, dir := range []struct {
@@ -496,6 +515,17 @@ func TestLegacyWALDirectoryRecovers(t *testing.T) {
 			if !bytes.Equal(e.Encoded, o.Encoded) || e.ETag != o.ETag {
 				t.Errorf("%s: epoch %d differs from the journal-only store's: ETag %s, want %s", dir.name, i, e.ETag, o.ETag)
 			}
+			if reencoded := !bytes.Equal(e.record, legacyRecs[i].Payload); reencoded != slices.Contains(held, i) {
+				t.Errorf("%s: epoch %d re-encoded %v; only those holding retired entries are", dir.name, i, reencoded)
+			}
+		}
+		h := NewHandler(got)
+		for _, i := range held {
+			resp := httptest.NewRecorder()
+			h.ServeHTTP(resp, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/map/%d", i), nil))
+			if m := resp.Body.String(); resp.Code != http.StatusOK || strings.Contains(m, `"coverage"`) || strings.Contains(m, `"as_confidence"`) {
+				t.Errorf("%s: /v1/map/%d answers %d with the retired keys: %.200q", dir.name, i, resp.Code, m)
+			}
 		}
 		if _, err := got.Append(6*simtime.Day, seededDocs(1, 7)[6]); err != nil {
 			t.Fatalf("%s: append after recovery: %v", dir.name, err)
@@ -507,6 +537,16 @@ func TestLegacyWALDirectoryRecovers(t *testing.T) {
 			t.Errorf("%s: reopening after the append: %v", dir.name, err)
 		}
 	}
+}
+
+// scanRecords parses a whole WAL file image into its records.
+func scanRecords(t *testing.T, data []byte) []wal.Record {
+	t.Helper()
+	recs, valid, err := wal.ScanRecords(data)
+	if err != nil || valid != len(data) {
+		t.Fatalf("not a whole WAL file: %d of %d bytes scan, %v", valid, len(data), err)
+	}
+	return recs
 }
 
 // TestCrashInsideMeshRecordNeverTearsTheMeshOff sweeps a power cut across

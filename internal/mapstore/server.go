@@ -384,8 +384,8 @@ func resolveMap(v *epochList, r *http.Request) (request, error) {
 // cache keeps for good. Racing fills of a shared slot render equal bytes.
 func renderMap(q request) ([]byte, string, error) {
 	e, d := q.e, q.e.Doc
-	size := 256 + 22*len(d.ActivePrefixes) + 28*(len(d.PrefixHitRates)+len(d.Coverage)) +
-		34*(len(d.ASActivity)+len(d.Sources)+len(d.ASConfidence)) + 180*len(d.Servers) + 128*len(d.Mappings)
+	size := 256 + 22*len(d.ActivePrefixes) + 28*len(d.PrefixHitRates) +
+		34*(len(d.ASActivity)+len(d.Sources)) + 180*len(d.Servers) + 128*len(d.Mappings)
 	b := make([]byte, 0, size)
 	var start [core.JSONFields + 1]int
 	for f := range core.JSONFields {

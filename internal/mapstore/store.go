@@ -96,16 +96,14 @@ const sectionCount = wireSections - 1
 
 // Section bits name the shareable sections — bit = wire index past the
 // string table — so ingest can reuse exactly the derived indexes whose inputs
-// an append left untouched.
+// an append left untouched. secAll holds the two retired sections too.
 const (
-	secActives    = 1 << (wireActives - wireActives)
-	secHitRates   = 1 << (wireHitRates - wireActives)
-	secActivity   = 1 << (wireActivity - wireActives)
-	secSources    = 1 << (wireSources - wireActives)
-	secCoverage   = 1 << (wireCoverage - wireActives)
-	secConfidence = 1 << (wireConfidence - wireActives)
-	secServers    = 1 << (wireServers - wireActives)
-	secMappings   = 1 << (wireMappings - wireActives)
+	secActives  = 1 << (wireActives - wireActives)
+	secHitRates = 1 << (wireHitRates - wireActives)
+	secActivity = 1 << (wireActivity - wireActives)
+	secSources  = 1 << (wireSources - wireActives)
+	secServers  = 1 << (wireServers - wireActives)
+	secMappings = 1 << (wireMappings - wireActives)
 
 	secAll = 1<<sectionCount - 1
 
@@ -116,7 +114,7 @@ const (
 // fieldSection is the section each core.JSONField of the map renders, in
 // field order, none for head and tail: a field's bytes are the previous
 // epoch's exactly when its section is shared.
-var fieldSection = [core.JSONFields]uint{0, secActives, secHitRates, secActivity, secSources, secCoverage, secConfidence, secServers, secMappings, 0}
+var fieldSection = [core.JSONFields]uint{0, secActives, secHitRates, secActivity, secSources, secServers, secMappings, 0}
 
 // epochList is the store's immutable snapshot: a prefix-stable slice of
 // epochs. Append publishes a fresh list; readers keep using the one they
@@ -404,7 +402,9 @@ func shareSections(e, prev *Epoch) uint {
 	}
 	for i := range keyedSections {
 		if sec := &keyedSections[i]; same(sec.wire) {
-			sec.field.share(doc, pdoc)
+			if !sec.retired {
+				sec.field.share(doc, pdoc)
+			}
 			shared |= 1 << (sec.wire - wireActives)
 		}
 	}

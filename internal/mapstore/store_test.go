@@ -68,8 +68,8 @@ func TestStoreStructuralSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Servers, mappings, hit rates, sources, coverage, and confidence are
-	// unchanged day-over-day; actives and activity changed.
+	// Servers, mappings, hit rates, sources and the two retired sections
+	// are unchanged day-over-day; actives and activity changed.
 	if e1.SharedSections != sectionCount-2 {
 		t.Errorf("shared %d sections, want %d", e1.SharedSections, sectionCount-2)
 	}

@@ -83,7 +83,8 @@ func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 // and a map-only epoch's record is its map encoding alone, which is what
 // every journal written before the mesh was journaled holds. Whatever
 // follows the map must be one whole canonical mesh document: a second map,
-// a torn mesh or trailing junk is a typed error.
+// a torn mesh or trailing junk is a typed error. A record holding retired
+// entries is not adopted: append encodes the documents afresh.
 func decodeRecord(payload []byte) (ingest, error) {
 	in := ingest{doc: &core.MapDocument{}, rec: encoding{bytes: payload}}
 	if err := decodeInto(in.doc, &in.rec, true); err != nil {
@@ -94,6 +95,9 @@ func decodeRecord(payload []byte) (ingest, error) {
 		if in.mesh, err = DecodeMeshDocument(tail); err != nil {
 			return ingest{}, fmt.Errorf("mesh sections: %w", err)
 		}
+	}
+	if in.rec.retiredEntries() {
+		in.rec = encoding{}
 	}
 	return in, nil
 }
