@@ -288,12 +288,8 @@ func runDiff(inet *itm.Internet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	day0 := itm.NewSession(inet)
-	day1 := itm.NewSession(inet)
-	day1.DiscoveryStart = 24
-	before := day0.Map()
-	after := day1.Map()
-	d := itm.DiffMaps(before, after, *minShift)
+	days := itm.NewDailySessions(inet, 2)
+	d := itm.DiffMaps(days[0].Map(), days[1].Map(), *minShift)
 	fmt.Printf("day-over-day map diff:\n")
 	fmt.Printf("  stable /24s:    %d (Jaccard %.3f)\n", d.StablePrefixes, d.Jaccard())
 	fmt.Printf("  appeared /24s:  %d\n", len(d.PrefixesAppeared))

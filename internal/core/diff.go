@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"itmap/internal/order"
@@ -89,7 +90,7 @@ func DiffMaps(before, after *MapDocument, minShift float64) *MapDiff {
 		}
 	}
 	sort.Slice(d.ActivityShifts, func(i, j int) bool {
-		di, dj := abs(d.ActivityShifts[i].Delta()), abs(d.ActivityShifts[j].Delta())
+		di, dj := math.Abs(d.ActivityShifts[i].Delta()), math.Abs(d.ActivityShifts[j].Delta())
 		if di != dj {
 			return di > dj
 		}
@@ -105,11 +106,4 @@ func (d *MapDiff) Jaccard() float64 {
 		return 1
 	}
 	return float64(d.StablePrefixes) / float64(union)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"itmap/internal/topology"
@@ -81,7 +82,7 @@ func TestDiffMapsDisjoint(t *testing.T) {
 		t.Fatalf("shifts %+v", d.ActivityShifts)
 	}
 	for _, s := range d.ActivityShifts {
-		if abs(s.Delta()) != 1 {
+		if math.Abs(s.Delta()) != 1 {
 			t.Errorf("shift %+v, want full share move", s)
 		}
 	}

@@ -7,9 +7,9 @@ import (
 	"itmap/internal/world"
 )
 
-// BenchmarkEpochMaps is the map half of a 16-day boot: every campaign and
-// the invariants the days share run before the timer, and each op builds
-// every day's map again (Env.Map), as a boot builds each of them once. Its
+// BenchmarkEpochMaps is the map half of a 16-day boot: every campaign the
+// days share and each day's own run before the timer, and each op builds
+// every day's map again (buildMap), as a boot builds each of them once. Its
 // allocations are a row of the deterministic ledger (make bench →
 // BENCH_serve.json).
 func BenchmarkEpochMaps(b *testing.B) {
@@ -23,10 +23,7 @@ func BenchmarkEpochMaps(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range envs {
-			e.mu.Lock()
-			e.trafMap = nil
-			e.mu.Unlock()
-			e.Map()
+			e.buildMap()
 		}
 	}
 }

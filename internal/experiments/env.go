@@ -33,274 +33,177 @@ const (
 	hitRateInterval = 15 * simtime.Minute
 )
 
-// Env shares the expensive artifacts (world, matrix, measurement campaigns)
-// across experiment runners. Everything is built lazily and cached.
+// campaign is what every day of a world's measurement shares: each
+// artifact is computed when first asked for, once, and is immutable
+// afterwards. The discovery sweep is the one that knows the days: it runs
+// all of them at once and publishes no counters (Env.Discovery publishes
+// its own day's).
+type campaign struct {
+	matrix    matrixSource
+	apnic     func() *apnic.Estimates
+	discovery func() []*cacheprobe.Discovery
+	hitRates  func() *cacheprobe.HitRates
+	hitFold   func() *core.HitRateFold
+	scan      func() *tlsscan.Scan
+	collector func() *bgp.Collector
+	obsLinks  func() map[topology.LinkKey]bool
+	observed  func() *topology.Topology
+}
+
+// matrixSource is a mapstore.LinkSource that builds the ground-truth
+// matrix when first asked for it.
+type matrixSource func() *traffic.Matrix
+
+// Matrix returns the matrix, building it on the first call.
+func (m matrixSource) Matrix() *traffic.Matrix { return m() }
+
+// Env is one day of a campaign over W: the artifacts the days share, plus
+// the day's own discovery result, root-log crawl and map. Day d's discovery
+// sweep starts at d·24h and its crawl covers day d. Every artifact is built
+// when first asked for, once; an Env is safe for concurrent use.
 type Env struct {
 	W *world.World
 
-	mu sync.Mutex
-	//itm:guardedby mu
-	mx *traffic.Matrix
-	//itm:guardedby mu
-	est *apnic.Estimates
-	//itm:guardedby mu
-	discovery *cacheprobe.Discovery
-	//itm:guardedby mu
-	hitRates *cacheprobe.HitRates
-	//itm:guardedby mu
-	hitFold *core.HitRateFold
-	//itm:guardedby mu
-	crawl *rootlogs.Crawl
-	//itm:guardedby mu
-	scan *tlsscan.Scan
-	//itm:guardedby mu
-	collector *bgp.Collector
-	//itm:guardedby mu
-	obsLinks map[topology.LinkKey]bool
-	//itm:guardedby mu
-	observed *topology.Topology
-	//itm:guardedby mu
-	trafMap *core.TrafficMap
+	c     *campaign
+	start simtime.Time
 
-	// days is the discovery sweep this environment's day belongs to, run
-	// once for all of its days (EpochEnvs); nil until Discovery makes a
-	// one-day sweep of DiscoveryStart.
-	//itm:guardedby mu
-	days *discoverySweep
-	// day is this environment's index into days.
-	day int
-
-	// DiscoveryStart is the simulated time the discovery sweep begins
-	// (shift by 24h increments for day-over-day comparisons).
-	DiscoveryStart simtime.Time
-	// CrawlDayIndex selects which simulated day the root-log crawl
-	// covers (shift together with DiscoveryStart for multi-epoch runs).
-	CrawlDayIndex int
-	// MatrixWorkers bounds the goroutines building the ground-truth
-	// matrix (0 = one per CPU). The result is identical either way —
-	// the shard-and-merge build is deterministic across worker counts —
-	// so this only trades wall clock for CPU when experiments share a
-	// machine.
-	MatrixWorkers int
+	discovery func() *cacheprobe.Discovery
+	crawl     func() *rootlogs.Crawl
+	trafMap   func() *core.TrafficMap
 }
 
 // NewEnvFromWorld wraps an existing world (e.g. one the caller also probes
-// directly) in an experiment environment.
+// directly) in an experiment environment: day 0 of a one-day campaign.
 func NewEnvFromWorld(w *world.World) *Env {
-	return &Env{W: w}
+	return EpochEnvs(w, 1, 0)[0]
 }
 
-// Matrix returns the ground-truth traffic matrix.
-func (e *Env) Matrix() *traffic.Matrix {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mx == nil {
-		e.mx = e.W.Traffic.BuildMatrixWorkers(e.MatrixWorkers)
+// newCampaign prepares the shared campaigns of days days over w; workers
+// bounds the goroutines building the ground-truth matrix (0 = one per CPU),
+// whose result is the same for every count.
+func newCampaign(w *world.World, days, workers int) *campaign {
+	c := &campaign{
+		matrix: sync.OnceValue(func() *traffic.Matrix { return w.Traffic.BuildMatrixWorkers(workers) }),
+		apnic: sync.OnceValue(func() *apnic.Estimates {
+			return apnic.Estimate(w.Top, w.Users, apnic.DefaultConfig(), randx.New(w.Cfg.Seed+101))
+		}),
+		discovery: sync.OnceValue(func() []*cacheprobe.Discovery {
+			domains := w.Cat.ECSDomains()
+			if len(domains) > probeDomains {
+				domains = domains[:probeDomains]
+			}
+			starts := make([]simtime.Time, days)
+			for d := range starts {
+				starts[d] = simtime.Time(d) * simtime.Day
+			}
+			pb := &cacheprobe.Prober{PR: w.PR, Domains: domains}
+			found, err := pb.DiscoverDays(w.Top, w.Top.AllPrefixes(), starts, discoveryRounds)
+			if err != nil {
+				panic(err) // programming error: domains come from the catalog
+			}
+			return found
+		}),
+		hitRates: sync.OnceValue(func() *cacheprobe.HitRates {
+			// A mid-popularity domain, because the very top domains are
+			// nearly always cached for any large ISP. It does not reach
+			// the paper's Figure 2 range (0-8%): at -scale small the
+			// campaign measures a mean hit rate of 0.886, non-zero on
+			// 33 384 of 37 424 prefixes. Calibrating the rate law against
+			// Figure 2 is ROADMAP item 8's job, not this campaign's.
+			pb := &cacheprobe.Prober{PR: w.PR}
+			domains := w.Cat.ECSDomains()
+			domain := domains[len(domains)/2]
+			hr, err := pb.MeasureHitRates(w.Top, w.Top.AllPrefixes(),
+				domain, 0, hitRateInterval)
+			if err != nil {
+				panic(err)
+			}
+			return hr
+		}),
+		scan: sync.OnceValue(func() *tlsscan.Scan { return tlsscan.ScanAll(w.Top, w.Cat, w.Top.AllPrefixes()) }),
+		collector: sync.OnceValue(func() *bgp.Collector {
+			return &bgp.Collector{Peers: bgp.DefaultCollectorPeers(w.Top, randx.New(w.Cfg.Seed+202))}
+		}),
 	}
-	return e.mx
-}
-
-// APNIC returns the published user estimates.
-func (e *Env) APNIC() *apnic.Estimates {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.est == nil {
-		e.est = apnic.Estimate(e.W.Top, e.W.Users, apnic.DefaultConfig(), randx.New(e.W.Cfg.Seed+101))
-	}
-	return e.est
-}
-
-// Discovery returns the cache-probing discovery sweep of the day that
-// begins at DiscoveryStart. Its counters reach the process registry when it
-// first returns, whether the sweep ran for this day alone or for every day
-// of EpochEnvs at once.
-func (e *Env) Discovery() *cacheprobe.Discovery {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.discovery == nil {
-		if e.days == nil {
-			e.days = &discoverySweep{w: e.W, starts: []simtime.Time{e.DiscoveryStart}}
-		}
-		e.discovery = e.days.day(e.day)
-		e.discovery.Publish()
-	}
-	return e.discovery
-}
-
-// discoverySweep is one discovery sweep over several days, run when the
-// first of its days is asked for; it publishes no counters (Env.Discovery
-// publishes each day's).
-type discoverySweep struct {
-	w      *world.World
-	starts []simtime.Time
-
-	once sync.Once
-	days []*cacheprobe.Discovery
-}
-
-// day returns day d's discovery, running the sweep first if no day has.
-func (s *discoverySweep) day(d int) *cacheprobe.Discovery {
-	s.once.Do(func() {
-		domains := s.w.Cat.ECSDomains()
-		if len(domains) > probeDomains {
-			domains = domains[:probeDomains]
-		}
-		pb := &cacheprobe.Prober{PR: s.w.PR, Domains: domains}
-		days, err := pb.DiscoverDays(s.w.Top, s.w.Top.AllPrefixes(), s.starts, discoveryRounds)
-		if err != nil {
-			panic(err) // programming error: domains come from the catalog
-		}
-		s.days = days
-	})
-	return s.days[d]
-}
-
-// HitRates returns the Figure 2 hit-rate campaign.
-func (e *Env) HitRates() *cacheprobe.HitRates {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.hitRates == nil {
-		pb := &cacheprobe.Prober{PR: e.W.PR}
-		// A mid-popularity domain, because the very top domains are
-		// nearly always cached for any large ISP. It does not reach the
-		// paper's Figure 2 range (0-8%): at -scale small the campaign
-		// measures a mean hit rate of 0.886, non-zero on 33 384 of
-		// 37 424 prefixes (PR 20). Calibrating the rate law against
-		// Figure 2 is ROADMAP item 8's job, not this method's.
-		domains := e.W.Cat.ECSDomains()
-		domain := domains[len(domains)/2]
-		hr, err := pb.MeasureHitRates(e.W.Top, e.W.Top.AllPrefixes(),
-			domain, 0, hitRateInterval)
-		if err != nil {
-			panic(err)
-		}
-		e.hitRates = hr
-	}
-	return e.hitRates
-}
-
-// hitRateFold returns the hit-rate campaign folded for the map (see
-// core.HitRateFold), which every day of EpochEnvs shares.
-func (e *Env) hitRateFold() *core.HitRateFold {
-	hr := e.HitRates()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.hitFold == nil {
-		e.hitFold = core.FoldHitRates(e.W.Top, hr)
-	}
-	return e.hitFold
-}
-
-// Crawl returns the root-log crawl.
-func (e *Env) Crawl() *rootlogs.Crawl {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crawl == nil {
-		e.crawl = rootlogs.CrawlDay(e.W.Roots, e.W.Traffic, e.CrawlDayIndex)
-	}
-	return e.crawl
-}
-
-// Scan returns the Internet-wide TLS scan.
-func (e *Env) Scan() *tlsscan.Scan {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.scan == nil {
-		e.scan = tlsscan.ScanAll(e.W.Top, e.W.Cat, e.W.Top.AllPrefixes())
-	}
-	return e.scan
-}
-
-// Collector returns the route-collector vantage.
-func (e *Env) Collector() *bgp.Collector {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.collector == nil {
-		e.collector = &bgp.Collector{
-			Peers: bgp.DefaultCollectorPeers(e.W.Top, randx.New(e.W.Cfg.Seed+202)),
-		}
-	}
-	return e.collector
-}
-
-// ObservedLinks returns the links visible to the collectors, derived the
-// way a researcher derives them: the collector exports an MRT TABLE_DUMP_V2
-// file, and the link set is parsed back out of those bytes.
-func (e *Env) ObservedLinks() map[topology.LinkKey]bool {
-	col := e.Collector()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.obsLinks == nil {
+	c.hitFold = sync.OnceValue(func() *core.HitRateFold { return core.FoldHitRates(w.Top, c.hitRates()) })
+	c.obsLinks = sync.OnceValue(func() map[topology.LinkKey]bool {
 		var buf bytes.Buffer
-		if err := col.ExportMRT(&buf, e.W.Paths, 0); err != nil {
+		if err := c.collector().ExportMRT(&buf, w.Paths, 0); err != nil {
 			panic(err) // collector peers come from the topology
 		}
 		dump, err := mrt.Read(&buf)
 		if err != nil {
 			panic(err) // we just wrote these bytes
 		}
-		e.obsLinks = bgp.ObservedLinksFromDump(dump)
-	}
-	return e.obsLinks
+		return bgp.ObservedLinksFromDump(dump)
+	})
+	c.observed = sync.OnceValue(func() *topology.Topology { return w.Top.SubgraphWithLinks(c.obsLinks()) })
+	return c
 }
+
+// newEnv is day d of campaign c over w.
+func newEnv(w *world.World, c *campaign, d int) *Env {
+	e := &Env{W: w, c: c, start: simtime.Time(d) * simtime.Day}
+	e.discovery = sync.OnceValue(func() *cacheprobe.Discovery {
+		disc := c.discovery()[d]
+		disc.Publish()
+		return disc
+	})
+	e.crawl = sync.OnceValue(func() *rootlogs.Crawl { return rootlogs.CrawlDay(w.Roots, w.Traffic, d) })
+	e.trafMap = sync.OnceValue(e.buildMap)
+	return e
+}
+
+// Matrix returns the ground-truth traffic matrix.
+func (e *Env) Matrix() *traffic.Matrix { return e.c.matrix() }
+
+// APNIC returns the published user estimates.
+func (e *Env) APNIC() *apnic.Estimates { return e.c.apnic() }
+
+// Discovery returns the day's cache-probing discovery sweep. Its counters
+// reach the process registry when it first returns, although the campaign
+// swept every day at once.
+func (e *Env) Discovery() *cacheprobe.Discovery { return e.discovery() }
+
+// HitRates returns the Figure 2 hit-rate campaign.
+func (e *Env) HitRates() *cacheprobe.HitRates { return e.c.hitRates() }
+
+// Crawl returns the day's root-log crawl.
+func (e *Env) Crawl() *rootlogs.Crawl { return e.crawl() }
+
+// Scan returns the Internet-wide TLS scan.
+func (e *Env) Scan() *tlsscan.Scan { return e.c.scan() }
+
+// Collector returns the route-collector vantage.
+func (e *Env) Collector() *bgp.Collector { return e.c.collector() }
+
+// ObservedLinks returns the links visible to the collectors, derived the
+// way a researcher derives them: the collector exports an MRT TABLE_DUMP_V2
+// file, and the link set is parsed back out of those bytes.
+func (e *Env) ObservedLinks() map[topology.LinkKey]bool { return e.c.obsLinks() }
 
 // Observed returns the public-view topology.
-func (e *Env) Observed() *topology.Topology {
-	links := e.ObservedLinks()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.observed == nil {
-		e.observed = e.W.Top.SubgraphWithLinks(links)
-	}
-	return e.observed
-}
-
-// shareInvariants copies the time-invariant campaign artifacts (TLS scan,
-// hit rates and their fold, collector view, observed topology) from base,
-// computing them there first if needed. Later-day epoch environments call
-// this instead of re-running Internet-wide sweeps; the artifacts are
-// immutable once built, so sharing the pointers is safe.
-func (e *Env) shareInvariants(base *Env) {
-	scan := base.Scan()
-	hr := base.HitRates()
-	fold := base.hitRateFold()
-	col := base.Collector()
-	links := base.ObservedLinks()
-	obs := base.Observed()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scan = scan
-	e.hitRates = hr
-	e.hitFold = fold
-	e.collector = col
-	e.obsLinks = links
-	e.observed = obs
-}
+func (e *Env) Observed() *topology.Topology { return e.c.observed() }
 
 // Map returns the fully assembled traffic map.
-func (e *Env) Map() *core.TrafficMap {
-	disc := e.Discovery()
-	fold := e.hitRateFold()
-	crawl := e.Crawl()
-	scan := e.Scan()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.trafMap == nil {
-		domains := e.W.Cat.ECSDomains()
-		if len(domains) > 5 {
-			domains = domains[:5]
-		}
-		e.trafMap = core.BuildMap(core.BuildInputs{
-			Top:                 e.W.Top,
-			Discovery:           disc,
-			HitRates:            fold,
-			RootCrawl:           crawl,
-			PublicResolverOwner: e.W.PR.Owner,
-			Scan:                scan,
-			Auth:                e.W.Auth,
-			PR:                  e.W.PR,
-			MapDomains:          domains,
-		})
+func (e *Env) Map() *core.TrafficMap { return e.trafMap() }
+
+// buildMap assembles the day's map from its discovery and crawl and the
+// campaign's hit-rate fold and scan.
+func (e *Env) buildMap() *core.TrafficMap {
+	domains := e.W.Cat.ECSDomains()
+	if len(domains) > 5 {
+		domains = domains[:5]
 	}
-	return e.trafMap
+	return core.BuildMap(core.BuildInputs{
+		Top:                 e.W.Top,
+		Discovery:           e.Discovery(),
+		HitRates:            e.c.hitFold(),
+		RootCrawl:           e.Crawl(),
+		PublicResolverOwner: e.W.PR.Owner,
+		Scan:                e.Scan(),
+		Auth:                e.W.Auth,
+		PR:                  e.W.PR,
+		MapDomains:          domains,
+	})
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"itmap/internal/core"
 	"itmap/internal/dnssim"
@@ -183,14 +184,7 @@ func (e *Env) RunE22() *Result {
 		Name:     "vantage-instrumented estimate of the same",
 		Paper:    "'validating this intuition via instrumentation from available vantage points'",
 		Measured: fmt.Sprintf("%s from %d vantage networks (truth %s)", pct(estimate), len(vps), pct(truth)),
-		Pass:     estimate > 0.8 && abs64(estimate-truth) < 0.15,
+		Pass:     estimate > 0.8 && math.Abs(estimate-truth) < 0.15,
 	})
 	return r
-}
-
-func abs64(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -29,7 +29,7 @@ func (e *Env) RunE24() *Result {
 	w.PR.SetFaultPlan(nil)
 	defer w.PR.SetFaultPlan(nil)
 	basePB := &cacheprobe.Prober{PR: w.PR, Domains: domains, Source: 0x5eed}
-	base, err := basePB.DiscoverPrefixes(w.Top, prefixes, e.DiscoveryStart, rounds)
+	base, err := basePB.DiscoverPrefixes(w.Top, prefixes, e.start, rounds)
 	if err != nil || len(base.Found) == 0 {
 		r.Values = append(r.Values, Value{Name: "baseline", Paper: "n/a", Measured: fmt.Sprintf("no fault-free coverage (%v)", err), Pass: false})
 		return r
@@ -40,7 +40,7 @@ func (e *Env) RunE24() *Result {
 		w.PR.SetFaultPlan(plan)
 
 		naivePB := &cacheprobe.Prober{PR: w.PR, Domains: domains, Source: 0x5eed}
-		nd, err := naivePB.DiscoverPrefixes(w.Top, prefixes, e.DiscoveryStart, rounds)
+		nd, err := naivePB.DiscoverPrefixes(w.Top, prefixes, e.start, rounds)
 		if err != nil {
 			r.Values = append(r.Values, Value{Name: prof.Name, Paper: "n/a", Measured: err.Error(), Pass: false})
 			return r
@@ -67,7 +67,7 @@ func (e *Env) RunE24() *Result {
 			Burst:      4,
 			BaseSource: 0x7e50,
 		}
-		rd, stats, err := rp.DiscoverPrefixes(w.Top, prefixes, e.DiscoveryStart, rounds)
+		rd, stats, err := rp.DiscoverPrefixes(w.Top, prefixes, e.start, rounds)
 		if err != nil {
 			r.Values = append(r.Values, Value{Name: prof.Name, Paper: "n/a", Measured: err.Error(), Pass: false})
 			return r

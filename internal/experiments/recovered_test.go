@@ -41,7 +41,8 @@ func TestClaimsHoldOnRecoveredDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	served := NewEnvFromWorld(w)
-	served.trafMap = &core.TrafficMap{MapDocument: *recovered.Latest().Doc, Top: w.Top, Scan: served.Scan()}
+	tm := &core.TrafficMap{MapDocument: *recovered.Latest().Doc, Top: w.Top, Scan: served.Scan()}
+	served.trafMap = func() *core.TrafficMap { return tm }
 	for _, run := range []func(*Env) *Result{(*Env).RunTable1, (*Env).RunE5, (*Env).RunE15, (*Env).RunE20} {
 		if got, want := run(served), run(built); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s on the recovered document:\n%s\nin process:\n%s", want.ID, Format([]*Result{got}), Format([]*Result{want}))

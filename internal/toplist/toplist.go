@@ -8,6 +8,7 @@
 package toplist
 
 import (
+	"math"
 	"sort"
 
 	"itmap/internal/order"
@@ -151,7 +152,7 @@ func ShareError(proxy, truth map[string]float64) float64 {
 	seen := map[string]bool{}
 	total := 0.0
 	for _, d := range order.Keys(proxy) {
-		total += abs(proxy[d] - truth[d])
+		total += math.Abs(proxy[d] - truth[d])
 		seen[d] = true
 	}
 	for _, d := range order.Keys(truth) {
@@ -160,11 +161,4 @@ func ShareError(proxy, truth map[string]float64) float64 {
 		}
 	}
 	return total / 2
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

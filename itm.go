@@ -21,6 +21,11 @@
 //	report := tmap.OutageImpact(asn)       // §2.1 use case
 //	results := session.RunAll()            // regenerate the paper's tables & figures
 //
+// A session is one day of a measurement campaign. NewDailySessions
+// prepares consecutive days of one campaign: each probes caches and crawls
+// root logs on its own day and shares the campaign's TLS scan, hit rates
+// and collector view, so DiffMaps on two of them shows day-over-day churn.
+//
 // The heavy lifting lives in internal packages: internal/topology and
 // internal/bgp (the synthetic Internet and its routing), internal/services,
 // internal/dnssim, internal/traffic and internal/users (services, DNS and
@@ -95,6 +100,14 @@ func NewInternet(cfg Config) *Internet { return world.Build(cfg) }
 // results (cache-probing sweeps, root-log crawls, TLS scans, collector
 // feeds) are computed lazily and cached.
 func NewSession(inet *Internet) *Session { return experiments.NewEnvFromWorld(inet) }
+
+// NewDailySessions prepares one session per simulated day of a single
+// campaign: day d probes caches from d·24h and crawls day d's root logs,
+// and every day shares the campaign's scan, hit rates and collector view.
+// Diffing consecutive days' maps shows the map's day-over-day churn.
+func NewDailySessions(inet *Internet, days int) []*Session {
+	return experiments.EpochEnvs(inet, days, 0)
+}
 
 // BuildMap runs the full measurement pipeline and assembles the traffic
 // map: cache-probing discovery + hit rates (users component), root-log

@@ -1,6 +1,7 @@
 package itm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,22 @@ func TestFacadeSessionCaching(t *testing.T) {
 	s := NewSession(inet)
 	if s.Map() != s.Map() {
 		t.Error("session does not cache the map")
+	}
+}
+
+// TestDailySessionsShareOneCampaign: the days of NewDailySessions share one
+// TLS scan, yet each maps its own day: the root-log crawl of day 1 moves
+// the activity shares.
+func TestDailySessionsShareOneCampaign(t *testing.T) {
+	days := NewDailySessions(NewInternet(TinyConfig(42)), 2)
+	if len(days) != 2 {
+		t.Fatalf("%d sessions for 2 days", len(days))
+	}
+	if days[0].Scan() != days[1].Scan() {
+		t.Error("the days run two TLS scans")
+	}
+	if reflect.DeepEqual(days[0].Map().ASActivity, days[1].Map().ASActivity) {
+		t.Error("day 1's map holds day 0's activity shares")
 	}
 }
 
