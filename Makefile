@@ -130,8 +130,8 @@ serve-smoke:
 
 # Observability smoke: run a real 2-epoch campaign under itm-serve, then
 # check the operational surface — /metrics exposes a broad family set,
-# traces export well-formed span trees, the boot builds no matrix and the
-# first /v1/link (any pair, a 404 too) builds it into the link-loads trace,
+# traces export well-formed span trees, the server has no ground-truth
+# route (/v1/link is a 404), no link-loads trace and no itm_traffic_ line,
 # and wrong-method hits are 405.
 obs-smoke:
 	@rm -rf obs-smoke && mkdir -p obs-smoke
@@ -152,18 +152,17 @@ obs-smoke:
 	curl -sf http://127.0.0.1:8412/v1/trace/epoch-0 > obs-smoke/trace.json; \
 	if grep -q '"name": "traffic.build_matrix"' obs-smoke/trace.json; then echo "obs-smoke: the boot built the matrix into epoch-0"; exit 1; fi; \
 	grep -q '"name": "mapstore.append"' obs-smoke/trace.json; \
-	grep -q '^# TYPE itm_traffic_matrix_builds_total counter' obs-smoke/metrics.txt; \
-	if grep -q '^itm_traffic_matrix_builds_total' obs-smoke/metrics.txt; then echo "obs-smoke: the boot built the matrix"; exit 1; fi; \
-	curl -s -o /dev/null http://127.0.0.1:8412/v1/link/1/2; \
-	curl -sf http://127.0.0.1:8412/v1/trace/link-loads | grep -q '"name": "traffic.build_matrix"'; \
-	curl -sf http://127.0.0.1:8412/metrics | grep -q '^itm_traffic_matrix_builds_total 1'; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' http://127.0.0.1:8412/v1/link/1/2); \
+	test "$$code" = 404 || { echo "obs-smoke: GET /v1/link/1/2 gave $$code, want 404"; exit 1; }; \
+	if curl -sf http://127.0.0.1:8412/v1/traces | grep -q '"link-loads"'; then echo "obs-smoke: /v1/traces lists link-loads"; exit 1; fi; \
+	if curl -sf http://127.0.0.1:8412/metrics | grep -q 'itm_traffic_'; then echo "obs-smoke: /metrics carries itm_traffic_ lines"; exit 1; fi; \
 	grep -q '^# TYPE itm_cache_hits_total counter' obs-smoke/metrics.txt; \
 	grep -q '^# TYPE itm_cache_not_modified_total counter' obs-smoke/metrics.txt; \
 	grep -q '^itm_cache_prebaked_total 3' obs-smoke/metrics.txt; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST http://127.0.0.1:8412/v1/top); \
 	test "$$code" = 405 || { echo "obs-smoke: POST /v1/top gave $$code, want 405"; exit 1; }; \
 	grep -q 'event=serve.listening' obs-smoke/events.log; \
-	echo "obs-smoke: OK (metrics families + cache families + trace export + matrix on first /v1/link + 405 + structured events)"
+	echo "obs-smoke: OK (metrics families + cache families + trace export + no ground-truth route, trace or family + 405 + structured events)"
 	@rm -rf obs-smoke
 
 # Loadgen smoke: serve a tiny snapshot, replay a short deterministic mix
@@ -345,8 +344,8 @@ mesh-smoke:
 	echo "mesh-smoke: OK (worker-invariant mesh bytes + AS$$a<->AS$$b path/latency + 304 revalidation)"
 	@rm -rf mesh-smoke
 
-# SLO smoke: boot a mesh-enabled multi-epoch itm-serve twice (matrix workers
-# 1 then 4) and assert the telemetry history body is byte-identical — the
+# SLO smoke: boot a mesh-enabled multi-epoch itm-serve twice (mesh fleet
+# workers 1 then 4) and assert the telemetry history body is byte-identical — the
 # obs v2 determinism contract, end to end over HTTP. Then replay a seeded
 # loadgen mix against the workers-4 server and check the judgment surface:
 # /v1/slo reports every objective met, /healthz carries per-objective

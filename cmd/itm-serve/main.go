@@ -9,8 +9,6 @@
 //	GET /v1/top?epoch=&k=         top-K ASes by activity
 //	GET /v1/as/{asn}?epoch=&k=    per-AS view + activity series
 //	GET /v1/diff/{a}/{b}          epoch-to-epoch diff
-//	GET /v1/link/{a}/{b}?epoch=   ground-truth link load (simulation mode;
-//	                              the first request builds the matrix)
 //	GET /v1/path/{a}/{b}?epoch=   user↔user AS path (-mesh-agents > 0)
 //	GET /v1/latency/{a}/{b}?epoch= user↔user RTT summary (-mesh-agents > 0)
 //	GET /v1/latency/top?epoch=&k= worst mesh pairs by mean RTT
@@ -46,12 +44,12 @@
 // The campaign is experiments.BuildEpochStore — the one campaign→store path,
 // also behind itm-bench and E25 — run into a store whose WAL is already
 // attached; -mesh-agents 0 is that builder's "no mesh", and -scale is
-// whatever world.ForScale accepts. The boot does not build the ground-truth
-// traffic matrix: /v1/link builds it on its first request, once, with
-// -workers goroutines, and records the build in the trace "link-loads".
-// (The server still reaches the campaign through internal/experiments
-// because benchmark/_tracer mirrors this boot by those names; ROADMAP item
-// 7b retires the mirror first.)
+// whatever world.ForScale accepts. Every byte served is measured: the
+// simulator's ground-truth traffic matrix only validates maps (in
+// itm-experiments), and the server never builds it. -workers bounds the
+// mesh fleet's goroutines. (The server still reaches the campaign through
+// internal/experiments because benchmark/_tracer mirrors this boot by those
+// names; ROADMAP item 7b retires the mirror first.)
 package main
 
 import (
@@ -101,7 +99,7 @@ func main() {
 	flag.StringVar(&o.scale, "scale", "tiny", "world scale: tiny, small, or default")
 	flag.Int64Var(&o.seed, "seed", 42, "world seed")
 	flag.IntVar(&o.epochs, "epochs", 3, "simulated days to measure (one epoch per day)")
-	flag.IntVar(&o.workers, "workers", 0, "matrix build workers (0 = one per CPU)")
+	flag.IntVar(&o.workers, "workers", 0, "mesh fleet workers (0 = one per CPU)")
 	flag.StringVar(&o.snapshot, "snapshot", "", "serve this exported map JSON instead of simulating")
 	flag.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.walDir, "wal", "", "journal epochs under this directory; replay it on boot instead of rebuilding")

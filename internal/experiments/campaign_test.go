@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"itmap/internal/bgp"
 	"itmap/internal/mapstore"
@@ -121,6 +123,35 @@ func TestModelBootSkipsCollectorView(t *testing.T) {
 	if views == 0 {
 		t.Fatal("asking for the observed topology counted nothing: the check is vacuous")
 	}
+}
+
+// TestEpochStoreHoldsNoWorld: the store BuildEpochStore fills keeps only
+// what was measured — no epoch references the world, its topology or its
+// traffic model — so the world is collected while the store lives on.
+func TestEpochStoreHoldsNoWorld(t *testing.T) {
+	defer obs.Swap(obs.Swap(obs.NewSet()))
+	defer history.Swap(history.Swap(history.NewRing(0)))
+	st := mapstore.NewStore()
+	collected := make(chan struct{})
+	func() {
+		w := world.Build(world.Tiny(5))
+		runtime.SetFinalizer(w, func(*world.World) { close(collected) })
+		if err := BuildEpochStore(st, w, 2, 0, MeshSpec{Agents: 24, Rounds: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-collected:
+			if st.Len() != 2 || st.Latest().MeshDoc == nil {
+				t.Fatalf("store holds %d epochs, want 2 with a mesh", st.Len())
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the world outlives BuildEpochStore: the store still references it")
 }
 
 // TestDaysAskedConcurrently: goroutines asking every day for its map and

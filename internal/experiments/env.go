@@ -39,7 +39,7 @@ const (
 // all of them at once and publishes no counters (Env.Discovery publishes
 // its own day's).
 type campaign struct {
-	matrix    matrixSource
+	matrix    func() *traffic.Matrix
 	apnic     func() *apnic.Estimates
 	discovery func() []*cacheprobe.Discovery
 	hitRates  func() *cacheprobe.HitRates
@@ -49,13 +49,6 @@ type campaign struct {
 	obsLinks  func() map[topology.LinkKey]bool
 	observed  func() *topology.Topology
 }
-
-// matrixSource is a mapstore.LinkSource that builds the ground-truth
-// matrix when first asked for it.
-type matrixSource func() *traffic.Matrix
-
-// Matrix returns the matrix, building it on the first call.
-func (m matrixSource) Matrix() *traffic.Matrix { return m() }
 
 // Env is one day of a campaign over W: the artifacts the days share, plus
 // the day's own discovery result, root-log crawl and map. Day d's discovery
@@ -80,7 +73,8 @@ func NewEnvFromWorld(w *world.World) *Env {
 
 // newCampaign prepares the shared campaigns of days days over w; workers
 // bounds the goroutines building the ground-truth matrix (0 = one per CPU),
-// whose result is the same for every count.
+// whose result is the same for every count. Only the experiments ask for
+// the matrix: no store holds it.
 func newCampaign(w *world.World, days, workers int) *campaign {
 	c := &campaign{
 		matrix: sync.OnceValue(func() *traffic.Matrix { return w.Traffic.BuildMatrixWorkers(workers) }),

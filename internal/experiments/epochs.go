@@ -6,7 +6,6 @@ import (
 	"itmap/internal/core"
 	"itmap/internal/mapstore"
 	obspkg "itmap/internal/obs"
-	"itmap/internal/traffic"
 	"itmap/internal/vantage"
 	"itmap/internal/world"
 )
@@ -40,23 +39,17 @@ func EpochEnvs(w *world.World, days, workers int) []*Env {
 }
 
 // BuildEpochStore runs a multi-day measurement campaign over w and ingests
-// each day's assembled map into st. Every epoch's source of the
-// ground-truth matrix is the campaign's, which holds only w and workers
-// until it builds the matrix, so link-load queries resolve and the rest of
-// the campaign is garbage once the loop ends; the boot never computes the
-// collector view. Nothing on this path builds the matrix:
-// /v1/link builds it on its first request, once (Env.Matrix), and every
-// epoch reads that one matrix. Its families are declared here, header
-// only, and the trace "link-loads" is activated last, so the build records
-// its spans there and never in an epoch's trace; anything the caller runs
-// afterwards records into link-loads too. The store is the caller's so it
-// can be configured first — itm-serve attaches the write-ahead log before
-// the first append, making the initial build durable too. With
-// mesh.Agents > 0 day d's vantage fleet sweep starts at d·24h and its mesh
-// matrix is ingested with that day's map, so /v1/path and /v1/latency
-// resolve on every epoch. workers bounds the parallelism of the matrix
-// build and the fleet; the resulting store (epoch and mesh bytes, ETags,
-// diffs, rankings, link loads) is identical for every setting.
+// each day's assembled map into st. The store keeps only what was measured:
+// the campaign and the world are garbage once the loop ends, and nothing on
+// this path builds the ground-truth matrix or computes the collector view. The trace "default" is activated last, so spans the
+// caller records afterwards never land in an epoch's trace. The store is
+// the caller's so it can be configured first — itm-serve attaches the
+// write-ahead log before the first append, making the initial build durable
+// too. With mesh.Agents > 0 day d's vantage fleet sweep starts at d·24h and
+// its mesh matrix is ingested with that day's map, so /v1/path and
+// /v1/latency resolve on every epoch. workers bounds the mesh fleet's
+// goroutines; the resulting store (epoch and mesh bytes, ETags, diffs,
+// rankings) is identical for every setting.
 func BuildEpochStore(st *mapstore.Store, w *world.World, days, workers int, mesh MeshSpec) error {
 	return ingestDays(st, EpochEnvs(w, days, workers), workers, mesh)
 }
@@ -83,11 +76,10 @@ func ingestDays(st *mapstore.Store, envs []*Env, workers int, mesh MeshSpec) err
 		if mesh.Agents > 0 {
 			md, _ = RunMeshCampaign(e.W, mesh, e.start, workers)
 		}
-		if _, err := st.AppendMapMesh(e.start, e.Map(), e.c.matrix, md); err != nil {
+		if _, err := st.AppendMapMesh(e.start, e.Map(), nil, md); err != nil {
 			return err
 		}
 	}
-	traffic.DeclareMetrics()
-	obspkg.ActivateTrace("link-loads")
+	obspkg.ActivateTrace("default")
 	return nil
 }

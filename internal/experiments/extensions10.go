@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"itmap/internal/mapstore"
+	"itmap/internal/topology"
 )
 
 // RunE25 exercises the serving layer end to end: a three-day measurement
@@ -20,8 +21,9 @@ import (
 func (e *Env) RunE25() *Result {
 	r := &Result{ID: "E25", Title: "Epoch-versioned map store over a multi-day campaign"}
 	const days = 3
+	envs1 := EpochEnvs(e.W, days, 1)
 	st := mapstore.NewStore()
-	if err := BuildEpochStore(st, e.W, days, 1, MeshSpec{}); err != nil {
+	if err := ingestDays(st, envs1, 1, MeshSpec{}); err != nil {
 		r.Values = append(r.Values, Value{Name: "campaign", Paper: "n/a", Measured: err.Error(), Pass: false})
 		return r
 	}
@@ -105,10 +107,11 @@ func (e *Env) RunE25() *Result {
 	})
 
 	// Worker invariance: rebuilding the whole campaign with a different
-	// matrix parallelism must reproduce every epoch's encoded bytes, the
-	// serialized diff, and the matrix-backed link loads exactly.
+	// parallelism must reproduce every epoch's encoded bytes, the
+	// serialized diff, and the campaign's ground-truth link loads exactly.
+	envs4 := EpochEnvs(e.W, days, 4)
 	st4 := mapstore.NewStore()
-	if err := BuildEpochStore(st4, e.W, days, 4, MeshSpec{}); err != nil {
+	if err := ingestDays(st4, envs4, 4, MeshSpec{}); err != nil {
 		r.Values = append(r.Values, Value{Name: "workers=4 campaign", Paper: "n/a", Measured: err.Error(), Pass: false})
 		return r
 	}
@@ -128,18 +131,19 @@ func (e *Env) RunE25() *Result {
 		parity = parity && bytes.Equal(j1, j4)
 	}
 	// Link loads come straight from the worker-sharded matrix build — the
-	// part -workers actually touches — so sample real topology links.
+	// part -workers actually touches — so sample real topology links in
+	// each campaign's own matrix.
+	mx1, mx4 := envs1[0].Matrix(), envs4[0].Matrix()
 	links := 0
 	for i, li := range e.W.Top.Links() {
 		if i >= 32 {
 			break
 		}
-		v1, ok1 := st.Latest().LinkLoad(uint32(li.A), uint32(li.B))
-		v4, ok4 := st4.Latest().LinkLoad(uint32(li.A), uint32(li.B))
-		if ok1 != ok4 || v1 != v4 {
+		k := topology.MakeLinkKey(li.A, li.B)
+		if mx1.LinkLoad[k] != mx4.LinkLoad[k] {
 			parity = false
 		}
-		if ok1 && v1 > 0 {
+		if mx1.LinkLoad[k] > 0 {
 			links++
 		}
 	}

@@ -18,17 +18,16 @@ func (e *Env) RunE19() *Result {
 	// Average churn over several consecutive day pairs: a single pair of
 	// 60-service lists quantizes churn in steps of 1/k.
 	const pairs = 4
+	days := []int{1, 2, 3, 4, 5}
+	panel := toplist.Generate(tm, toplist.PanelProvider, days, 0)
+	resolver := toplist.Generate(tm, toplist.ResolverProvider, days, 0)
 	var panelDeep, panelTop, resolverDeep float64
-	for day := 1; day <= pairs; day++ {
-		p1 := toplist.Generate(tm, toplist.PanelProvider, day, 0)
-		p2 := toplist.Generate(tm, toplist.PanelProvider, day+1, 0)
-		q1 := toplist.Generate(tm, toplist.ResolverProvider, day, 0)
-		q2 := toplist.Generate(tm, toplist.ResolverProvider, day+1, 0)
-		panelDeep += toplist.TopKChurn(p1, p2, 30) / pairs
-		panelTop += toplist.TopKChurn(p1, p2, 5) / pairs
-		resolverDeep += toplist.TopKChurn(q1, q2, 30) / pairs
+	for d := 0; d < pairs; d++ {
+		panelDeep += toplist.TopKChurn(panel[d], panel[d+1], 30) / pairs
+		panelTop += toplist.TopKChurn(panel[d], panel[d+1], 5) / pairs
+		resolverDeep += toplist.TopKChurn(resolver[d], resolver[d+1], 30) / pairs
 	}
-	r1 := toplist.Generate(tm, toplist.ResolverProvider, 1, 0)
+	r1 := resolver[0]
 	r.Values = append(r.Values, Value{
 		Name:     "day-over-day churn grows with list depth",
 		Paper:    "[54]: top lists are unstable, especially deeper ranks",

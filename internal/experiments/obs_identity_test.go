@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,9 +15,9 @@ import (
 )
 
 // runObsCampaign runs a mini measurement campaign — a 2-epoch store build,
-// one link-load query (which builds the matrix into the "link-loads"
-// trace) and a faulted resilient discovery sweep — against a fresh
-// observability set and returns the stable metrics dump and the trace
+// the ground-truth matrix the experiments read (built after the store, into
+// the "default" trace) and a faulted resilient discovery sweep — against a
+// fresh observability set and returns the stable metrics dump and the trace
 // export.
 func runObsCampaign(t *testing.T, workers int) (string, string) {
 	t.Helper()
@@ -27,14 +25,11 @@ func runObsCampaign(t *testing.T, workers int) (string, string) {
 	defer obs.Swap(prev)
 
 	w := world.Build(world.Tiny(7))
-	st := mapstore.NewStore()
-	if err := BuildEpochStore(st, w, 2, workers, MeshSpec{}); err != nil {
+	envs := EpochEnvs(w, 2, workers)
+	if err := ingestDays(mapstore.NewStore(), envs, workers, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
-	link := w.Top.Links()[0]
-	if _, ok := st.Latest().LinkLoad(uint32(link.A), uint32(link.B)); !ok {
-		t.Fatalf("no link load for %d-%d", link.A, link.B)
-	}
+	envs[0].Matrix()
 
 	prof, ok := faults.ByName("lossy")
 	if !ok {
@@ -117,10 +112,10 @@ func firstDiff(a, b string) string {
 	return "…" + a[lo:end(a)] + "…\nvs\n…" + b[lo:end(b)] + "…"
 }
 
-// TestLinkBuildLeavesEpochTraces: BuildEpochStore builds no matrix; the
-// first /v1/link builds it once, records its spans in the "link-loads"
-// trace, and leaves every epoch's trace byte-equal. The matrix families are
-// declared before the build and counted by it.
+// TestLinkBuildLeavesEpochTraces: BuildEpochStore builds no matrix and
+// declares none of its families, and a matrix built afterwards
+// (Env.Matrix, as the experiments ask for it) records its spans in the
+// "default" trace, leaving every epoch's trace byte-equal.
 func TestLinkBuildLeavesEpochTraces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign runs a full tiny-world build")
@@ -129,8 +124,8 @@ func TestLinkBuildLeavesEpochTraces(t *testing.T) {
 	defer obs.Swap(prev)
 
 	w := world.Build(world.Tiny(7))
-	st := mapstore.NewStore()
-	if err := BuildEpochStore(st, w, 3, 0, MeshSpec{}); err != nil {
+	envs := EpochEnvs(w, 3, 0)
+	if err := ingestDays(mapstore.NewStore(), envs, 0, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	traces := func() []string {
@@ -148,40 +143,30 @@ func TestLinkBuildLeavesEpochTraces(t *testing.T) {
 		}
 		return out
 	}
-	const builds = "\nitm_traffic_matrix_builds_total "
 	before := traces()
-	m := obs.Metrics().StableExposition()
-	if !strings.Contains(m, "# TYPE itm_traffic_matrix_builds_total counter") || strings.Contains(m, builds) {
-		t.Fatalf("after boot, want the matrix families declared and no build counted:\n%s", m)
+	if m := obs.Metrics().StableExposition(); strings.Contains(m, "itm_traffic_") {
+		t.Fatalf("after boot, want no matrix family:\n%s", m)
 	}
 
-	h := mapstore.NewHandler(st)
-	link := w.Top.Links()[0]
-	target := "/v1/link/" + strconv.Itoa(int(link.A)) + "/" + strconv.Itoa(int(link.B))
-	for range 2 {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s = %d: %s", target, rec.Code, rec.Body.String())
-		}
-	}
+	envs[0].Matrix()
+	envs[2].Matrix()
 
 	for d, after := range traces() {
 		if after != before[d] {
-			t.Errorf("epoch-%d trace moved under /v1/link:\n%s", d, firstDiff(before[d], after))
+			t.Errorf("epoch-%d trace moved under the matrix build:\n%s", d, firstDiff(before[d], after))
 		}
 		if strings.Contains(after, "traffic.build_matrix") {
 			t.Errorf("epoch-%d trace carries the matrix build", d)
 		}
 	}
-	tr, ok := obs.Tracing().Lookup("link-loads")
+	tr, ok := obs.Tracing().Lookup("default")
 	if !ok {
-		t.Fatal("no link-loads trace")
+		t.Fatal("no default trace")
 	}
 	if b, err := tr.ExportJSON(); err != nil || !strings.Contains(string(b), "traffic.build_matrix") {
-		t.Errorf("link-loads trace lacks the matrix build (err %v):\n%s", err, b)
+		t.Errorf("default trace lacks the matrix build (err %v):\n%s", err, b)
 	}
-	if m := obs.Metrics().StableExposition(); !strings.Contains(m, builds+"1\n") {
-		t.Errorf("two link queries, want one matrix build counted:\n%s", m)
+	if m := obs.Metrics().StableExposition(); !strings.Contains(m, "\nitm_traffic_matrix_builds_total 1\n") {
+		t.Errorf("two days asked, want one matrix build counted:\n%s", m)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"itmap/internal/mapstore"
 	"itmap/internal/obs"
 	"itmap/internal/obs/history"
-	"itmap/internal/traffic"
 	"itmap/internal/vantage"
 	"itmap/internal/world"
 )
@@ -60,9 +58,6 @@ func runServeStack(t *testing.T, seed int64, buildWorkers, lgWorkers int) serveD
 		}
 		return rec.Body.String(), rec.Header().Get("ETag")
 	}
-	// loadgen never asks /v1/link, the one route that builds the matrix.
-	link := w.Top.Links()[0]
-	get("/v1/link/" + strconv.Itoa(int(link.A)) + "/" + strconv.Itoa(int(link.B)))
 	histBody, histETag := get("/v1/obs/history")
 	sloBody, _ := get("/v1/slo")
 
@@ -199,16 +194,17 @@ func stableFamilies(exposition string, prefixes []string) []string {
 // TestServingFamiliesDeclaredUpFront is the exposition audit: every stable
 // family the serving stack can emit under traffic must already be declared
 // (HELP/TYPE present) by the declare-only construction path — NewStore plus
-// the vantage campaign registration and the matrix families a store handed
-// a link source declares — so scrapers see the full schema before the
-// first request, and a new family cannot ship undeclared.
+// the vantage campaign registration — so scrapers see the full schema
+// before the first request, and a new family cannot ship undeclared. The
+// server builds no ground-truth matrix, so no itm_traffic_ family is among
+// them.
 func TestServingFamiliesDeclaredUpFront(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a mesh campaign and a loadgen replay")
 	}
 	prefixes := []string{
 		"itm_mapstore_", "itm_codec_", "itm_cache_", "itm_admission_",
-		"itm_mesh_", "itm_http_", "itm_trace_", "itm_history_", "itm_traffic_",
+		"itm_mesh_", "itm_http_", "itm_trace_", "itm_history_",
 	}
 
 	// Declare-only: construct the serving pieces, serve nothing.
@@ -217,17 +213,19 @@ func TestServingFamiliesDeclaredUpFront(t *testing.T) {
 	mapstore.NewHandler(mapstore.NewStore())
 	mapstore.NewAdmission(mapstore.AdmissionConfig{})
 	vantage.RegisterMetrics()
-	traffic.DeclareMetrics()
 	declared := stableFamilies(obs.Metrics().StableExposition(), prefixes)
 	obs.Swap(prevObs)
 	history.Swap(prevRing)
 
-	// Full traffic: mesh campaign build + loadgen replay + one /v1/link.
+	// Full traffic: mesh campaign build + loadgen replay.
 	d := runServeStack(t, 17, 0, 2)
 	emitted := stableFamilies(d.metrics, prefixes)
 
 	if len(emitted) == 0 {
 		t.Fatal("traffic run emitted no audited families")
+	}
+	if fams := stableFamilies(d.metrics, []string{"itm_traffic_"}); len(fams) != 0 {
+		t.Errorf("traffic run emitted matrix families %v", fams)
 	}
 	have := map[string]bool{}
 	for _, f := range declared {

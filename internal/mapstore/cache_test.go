@@ -165,7 +165,6 @@ func TestETagSemantics(t *testing.T) {
 	asTag := getFull(t, srv, "/v1/as/64500", "").Header.Get("ETag")
 	for _, c := range []struct{ path, inm string }{
 		{"/v1/as/4294967295", "*"},
-		{"/v1/link/1/2", "*"},
 		{"/v1/obs/history/itm_nope", "*"},
 		{"/v1/as/4294967295", asTag},
 	} {

@@ -1,8 +1,8 @@
 // Package mapstore is the serving layer over the toolkit's traffic maps:
 // a compact deterministic binary codec for core.MapDocument, an in-memory
 // epoch-versioned store with copy-on-write ingestion (readers never block
-// writers), and a query engine (top-K activity, per-AS views, link loads,
-// epoch-to-epoch diffs) that cmd/itm-serve exposes over HTTP.
+// writers), and a query engine (top-K activity, per-AS views, mesh paths
+// and latencies, epoch-to-epoch diffs) that cmd/itm-serve exposes over HTTP.
 package mapstore
 
 import (

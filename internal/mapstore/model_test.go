@@ -115,7 +115,6 @@ var modelRoutes = []struct {
 	{"/v1/top", []check{epochParam, kParam}, (*model).topBody, true},
 	{"/v1/as/{asn}", []check{asnParam, epochParam, kParam, asKnown}, (*model).asBody, true},
 	{"/v1/diff/{a}/{b}", []check{epochPair, minShiftParam, pairEpochs}, (*model).diffBody, true},
-	{"/v1/link/{a}/{b}", []check{asPair, epochParam, noLink}, nil, true},
 	{"/v1/path/{a}/{b}", []check{asPair, epochParam, hasMesh, pairKnown}, (*model).pathBody, true},
 	{"/v1/latency/{a}/{b}", []check{asPair, epochParam, hasMesh, pairKnown}, (*model).latencyBody, true},
 	{"/v1/latency/top", []check{epochParam, hasMesh, kParam}, (*model).meshTopBody, true},
@@ -312,12 +311,6 @@ func asKnown(m *model, q *modelReq) *refusal {
 		return nil
 	}
 	return refuse(http.StatusNotFound, "AS %d not in epoch %d", q.a, q.e)
-}
-
-// noLink: link loads come from a ground-truth matrix, which documents do not
-// carry, so every /v1/link of a document-fed store is a 404.
-func noLink(_ *model, q *modelReq) *refusal {
-	return refuse(http.StatusNotFound, "no link load for %d-%d in epoch %d", q.a, q.b, q.e)
 }
 
 func hasMesh(m *model, q *modelReq) *refusal {

@@ -577,7 +577,7 @@ func cloneMesh(m *core.MeshDocument) *core.MeshDocument {
 // history family; each query parameter is drawn too, or left out.
 var urlShapes = []string{
 	"/healthz", "/v1/epochs", "/v1/map/{e}?format", "/v1/top?epoch&k", "/v1/as/{a}?epoch&k",
-	"/v1/diff/{e}/{e}?min_shift", "/v1/link/{a}/{a}?epoch", "/v1/path/{a}/{a}?epoch",
+	"/v1/diff/{e}/{e}?min_shift", "/v1/path/{a}/{a}?epoch",
 	"/v1/latency/{a}/{a}?epoch", "/v1/latency/top?epoch&k", "/v1/obs/history",
 	"/v1/obs/history/{f}", "/v1/slo", "/v1/nope",
 }

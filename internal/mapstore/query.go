@@ -277,29 +277,6 @@ func seriesIn(es []*Epoch, asn uint32) []EpochValue {
 	return out
 }
 
-// LinkLoad returns the epoch's ground-truth daily bytes over the a–b
-// inter-AS link, read off the matrix's dense views (BuildMatrixWorkers always
-// sets them, and AppendMap* the topology they are indexed by). It is the one
-// reader of the epoch's LinkSource, so the first call may build the matrix.
-// ok is false when the epoch carries no matrix or the link is unknown.
-func (e *Epoch) LinkLoad(a, b uint32) (float64, bool) {
-	if e.mx == nil {
-		return 0, false
-	}
-	mx := e.mx.Matrix()
-	if mx == nil {
-		return 0, false
-	}
-	ia, oka := e.top.Index(topology.ASN(a))
-	ib, okb := e.top.Index(topology.ASN(b))
-	if oka && okb {
-		if id := mx.Links.IDBetween(ia, ib); id >= 0 {
-			return mx.LinkLoadDense[id], true
-		}
-	}
-	return 0, false
-}
-
 // DiffDocument is the serializable epoch-to-epoch diff, derived via
 // core.DiffMaps over the two epochs' users components. All slices are
 // sorted, so marshaling it is deterministic.

@@ -1,15 +1,10 @@
 package mapstore
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"itmap/internal/core"
 	"itmap/internal/simtime"
-	"itmap/internal/topology"
-	"itmap/internal/traffic"
 )
 
 func storeWith(t *testing.T, days int) *Store {
@@ -141,49 +136,5 @@ func TestStoreDiff(t *testing.T) {
 
 	if _, err := s.Diff(0, 9, 0.1); err == nil {
 		t.Error("diff against missing epoch succeeded")
-	}
-}
-
-// TestLinkRouteServesMatrixLoads: with a matrix attached, /v1/link answers
-// an adjacent pair, in the order it was asked, from the dense link loads,
-// revalidates it, and 404s a pair that is no link under any validator.
-func TestLinkRouteServesMatrixLoads(t *testing.T) {
-	top := topology.NewTopology()
-	for _, asn := range []topology.ASN{1, 2, 3} {
-		top.AddAS(&topology.AS{ASN: asn, Type: topology.Transit, Country: "US"})
-	}
-	top.AddLink(1, 2, topology.RelPeer, topology.PrivatePeering, 0)
-	top.AddLink(3, 2, topology.RelProvider, topology.TransitLink, 0)
-	top.Freeze()
-	links := top.LinkIndex()
-	loads := make([]float64, links.NumLinks())
-	i1, _ := top.Index(1)
-	i2, _ := top.Index(2)
-	loads[links.IDBetween(i1, i2)] = 1234.5
-	s := NewStore()
-	if _, err := s.AppendMap(0, &core.TrafficMap{MapDocument: core.MapDocument{Version: 1}, Top: top}, &traffic.Matrix{Links: links, LinkLoadDense: loads}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHandler(s))
-	defer srv.Close()
-	resp := getFull(t, srv, "/v1/link/2/1", "")
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || string(body) != "{\n  \"epoch\": 0,\n  \"a\": 2,\n  \"b\": 1,\n  \"daily_bytes\": 1234.5\n}\n" {
-		t.Errorf("GET /v1/link/2/1: %d %q", resp.StatusCode, body)
-	}
-	if code := getFull(t, srv, "/v1/link/2/1", "*").StatusCode; code != http.StatusNotModified {
-		t.Errorf("GET /v1/link/2/1 with If-None-Match *: %d, want 304", code)
-	}
-	for _, inm := range []string{"", "*"} {
-		if code := getFull(t, srv, "/v1/link/1/3", inm).StatusCode; code != http.StatusNotFound {
-			t.Errorf("GET /v1/link/1/3 (no such link) with If-None-Match %q: %d, want 404", inm, code)
-		}
-	}
-}
-
-func TestLinkLoadWithoutMatrix(t *testing.T) {
-	s := storeWith(t, 1)
-	if _, ok := s.Latest().LinkLoad(1, 2); ok {
-		t.Error("link load resolved without a matrix snapshot")
 	}
 }

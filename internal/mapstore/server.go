@@ -23,7 +23,6 @@ import (
 //	GET /v1/top?epoch=&k=         top-K ASes by activity
 //	GET /v1/as/{asn}?epoch=&k=    per-AS view + longitudinal series
 //	GET /v1/diff/{a}/{b}?min_shift=  epoch-to-epoch diff
-//	GET /v1/link/{a}/{b}?epoch=   ground-truth link load (if ingested)
 //	GET /v1/path/{a}/{b}?epoch=   user↔user observed AS path (if meshed)
 //	GET /v1/latency/{a}/{b}?epoch= user↔user RTT summary (if meshed)
 //	GET /v1/latency/top?epoch=&k= worst mesh pairs by mean RTT
@@ -64,7 +63,6 @@ func NewHandler(s *Store) http.Handler {
 		{"GET /v1/top", resolveTop, renderTop},
 		{"GET /v1/as/{asn}", resolveAS, renderAS},
 		{"GET /v1/diff/{a}/{b}", resolveDiff, renderDiff},
-		{"GET /v1/link/{a}/{b}", resolveLink, renderLink},
 		{"GET /v1/path/{a}/{b}", resolveMeshPair("path"), renderMeshPath},
 		{"GET /v1/latency/{a}/{b}", resolveMeshPair("latency"), renderMeshLatency},
 		{"GET /v1/latency/top", resolveMeshTop, renderMeshTop},
@@ -498,31 +496,6 @@ func resolveDiff(v *epochList, r *http.Request) (request, error) {
 
 func renderDiff(q request) ([]byte, string, error) {
 	return jsonBody(diffEpochs(q.e, q.to, q.minShift))
-}
-
-func resolveLink(v *epochList, r *http.Request) (q request, err error) {
-	if q.a, q.b, err = pathASPair(r); err != nil {
-		return q, err
-	}
-	if q.e, err = epochIn(v, r); err != nil {
-		return q, err
-	}
-	if _, ok := q.e.LinkLoad(q.a, q.b); !ok {
-		return q, notFound("no link load for %d-%d in epoch %d", q.a, q.b, q.e.ID)
-	}
-	q.cache, q.etag = q.e.cache, q.e.ETag
-	q.key = "link?a=" + strconv.FormatUint(uint64(q.a), 10) + "&b=" + strconv.FormatUint(uint64(q.b), 10)
-	return q, nil
-}
-
-func renderLink(q request) ([]byte, string, error) {
-	load, _ := q.e.LinkLoad(q.a, q.b)
-	return jsonBody(struct {
-		Epoch      int     `json:"epoch"`
-		A          uint32  `json:"a"`
-		B          uint32  `json:"b"`
-		DailyBytes float64 `json:"daily_bytes"`
-	}{Epoch: q.e.ID, A: q.a, B: q.b, DailyBytes: load})
 }
 
 // resolveMeshPair is /v1/path and /v1/latency: two views of the same pair

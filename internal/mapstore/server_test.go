@@ -139,7 +139,6 @@ func TestServerErrors(t *testing.T) {
 		"/v1/diff/0/9":           http.StatusNotFound,
 		"/v1/diff/a/b":           http.StatusBadRequest,
 		"/v1/diff/0/0?min_shift": http.StatusOK,
-		"/v1/link/1/2":           http.StatusNotFound,
 		"/v1/nope":               http.StatusNotFound,
 	} {
 		code, body := get(t, srv, path)

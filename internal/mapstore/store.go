@@ -15,7 +15,6 @@ import (
 	"itmap/internal/obs/history"
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
-	"itmap/internal/traffic"
 )
 
 // Epoch is one immutable version of the traffic map: a measurement sweep's
@@ -55,14 +54,6 @@ type Epoch struct {
 	// shareSections).
 	record []byte
 	off    sectionOffsets
-
-	// mx optionally carries the source of the ground-truth matrix whose
-	// dense views answer link-load queries, and top the topology whose
-	// dense AS index the matrix's link index is aligned with. Both nil for
-	// stores fed from serialized documents only. The store never asks mx
-	// for the matrix itself: only a link-load query does.
-	mx  LinkSource
-	top *topology.Topology
 
 	// Derived query indexes, built once at ingest; per-AS facts are read
 	// off Doc's own maps.
@@ -192,6 +183,8 @@ func (s *Store) Snapshot() []*Epoch { return s.cur.Load().epochs }
 func (s *Store) Epoch(id int) (*Epoch, bool) { return epochAt(s.Snapshot(), id) }
 
 // Latest returns the newest epoch, or nil for an empty store.
+//
+//itmlint:allow deadexport benchmark/_tracer, a module of its own the loader does not see, picks its request targets from the newest epoch through it
 func (s *Store) Latest() *Epoch {
 	es := s.Snapshot()
 	if len(es) == 0 {
@@ -200,28 +193,21 @@ func (s *Store) Latest() *Epoch {
 	return es[len(es)-1]
 }
 
-// LinkSource hands over the ground-truth traffic matrix link-load queries
-// read. A built *traffic.Matrix is its own source; a source that builds on
-// demand (experiments.Env) builds on the first link-load query, once, and
-// every later call returns that matrix. A nil matrix means "no matrix".
-type LinkSource interface{ Matrix() *traffic.Matrix }
-
-// AppendMap ingests a traffic map built by core.BuildMap, optionally with
-// the source of the ground-truth matrix enabling link-load queries (the
-// matrix's link index must come from m.Top's dense AS index). The store
-// asks mx for the matrix only when a link-load query needs it. The map's
-// document is handed over; do not mutate it afterwards.
+// AppendMap ingests a traffic map built by core.BuildMap. The third
+// argument is ignored: kept for benchmark/_tracer; ROADMAP item 7b deletes
+// it. The map's document is handed over; do not mutate it afterwards.
 //
 //itmlint:allow deadexport benchmark/_tracer, a module of its own the loader does not see, journals map-only epochs through it
-func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, mx LinkSource) (*Epoch, error) {
-	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top})
+func (s *Store) AppendMap(at simtime.Time, m *core.TrafficMap, _ any) (*Epoch, error) {
+	return s.append(at, ingest{doc: m.Document()})
 }
 
 // AppendMapMesh is AppendMap plus the epoch's user↔user mesh matrix, as
-// produced by a vantage campaign. The map's document and the mesh are
-// handed over; do not mutate them afterwards.
-func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, mx LinkSource, mesh *core.MeshDocument) (*Epoch, error) {
-	return s.append(at, ingest{doc: m.Document(), mx: mx, top: m.Top, mesh: mesh})
+// produced by a vantage campaign; its third argument is ignored the same
+// way. The map's document and the mesh are handed over; do not mutate them
+// afterwards.
+func (s *Store) AppendMapMesh(at simtime.Time, m *core.TrafficMap, _ any, mesh *core.MeshDocument) (*Epoch, error) {
+	return s.append(at, ingest{doc: m.Document(), mesh: mesh})
 }
 
 // Append ingests a serialized map document (e.g. an imported JSON export or
@@ -231,19 +217,16 @@ func (s *Store) Append(at simtime.Time, doc *core.MapDocument) (*Epoch, error) {
 	return s.append(at, ingest{doc: doc})
 }
 
-// ingest is what one append hands the store: the map document, optionally a
-// mesh document, and the ground-truth handles link-load queries read. rec,
-// when set, is the record doc and mesh were just strictly decoded from
-// (recovery). The decoders only accept the canonical encoding of the
-// document they return — a Normalize fixed point that re-encodes to the same
-// bytes — so the record in hand is adopted and neither step is repeated.
-// Every other caller leaves it unset.
+// ingest is what one append hands the store: the map document and
+// optionally a mesh document. rec, when set, is the record doc and mesh
+// were just strictly decoded from (recovery). The decoders only accept the
+// canonical encoding of the document they return — a Normalize fixed point
+// that re-encodes to the same bytes — so the record in hand is adopted and
+// neither step is repeated. Every other caller leaves it unset.
 type ingest struct {
 	doc  *core.MapDocument
 	mesh *core.MeshDocument
 	rec  encoding
-	mx   LinkSource
-	top  *topology.Topology
 }
 
 // append is the one ingest path, and both layers take the same four steps
@@ -265,7 +248,7 @@ func (s *Store) append(at simtime.Time, in ingest) (*Epoch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
-	e := &Epoch{ID: len(old.epochs), At: at, Doc: doc, MeshDoc: mesh, mx: in.mx, top: in.top, cache: newResponseCache()}
+	e := &Epoch{ID: len(old.epochs), At: at, Doc: doc, MeshDoc: mesh, cache: newResponseCache()}
 	var prev *Epoch
 	if len(old.epochs) > 0 {
 		// Epoch times must advance strictly: a sweep re-ingested at the

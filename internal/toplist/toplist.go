@@ -38,14 +38,15 @@ type List struct {
 	Domains []string
 }
 
-// Generate builds the provider's list for a day. Noise is deterministic per
-// (provider, day, service).
-func Generate(tm *traffic.Model, provider Provider, day int, depth int) *List {
+// Generate builds the provider's list for each of days. Noise is
+// deterministic per (provider, day, service); the daily query volume it
+// scales is the same on every day, so it is summed once for all of them.
+func Generate(tm *traffic.Model, provider Provider, days []int, depth int) []*List {
 	type scored struct {
-		domain string
+		svc    *services.Service
 		volume float64
 	}
-	var rows []scored
+	var base []scored
 	sigma := 0.10
 	if provider == PanelProvider {
 		sigma = 0.35
@@ -56,32 +57,40 @@ func Generate(tm *traffic.Model, provider Provider, day int, depth int) *List {
 			// services are under-represented.
 			continue
 		}
-		// Daily query volume across all prefixes, sampled with
-		// provider noise.
+		// Daily query volume across all prefixes.
 		volume := 0.0
 		for _, asn := range tm.Top.ASNs() {
 			for _, p := range tm.Top.ASes[asn].Prefixes {
 				volume += tm.QueriesPerDay(p, svc)
 			}
 		}
-		noise := randx.HashLognormal(0, sigma,
-			uint64(day), providerSeed(provider), uint64(svc.ID))
-		rows = append(rows, scored{svc.Domain, volume * noise})
+		base = append(base, scored{svc, volume})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].volume != rows[j].volume {
-			return rows[i].volume > rows[j].volume
+	lists := make([]*List, len(days))
+	for i, day := range days {
+		// The day's volumes, sampled with provider noise.
+		rows := make([]scored, len(base))
+		for j, b := range base {
+			noise := randx.HashLognormal(0, sigma,
+				uint64(day), providerSeed(provider), uint64(b.svc.ID))
+			rows[j] = scored{b.svc, b.volume * noise}
 		}
-		return rows[i].domain < rows[j].domain
-	})
-	if depth > 0 && len(rows) > depth {
-		rows = rows[:depth]
+		sort.Slice(rows, func(i, j int) bool {
+			if rows[i].volume != rows[j].volume {
+				return rows[i].volume > rows[j].volume
+			}
+			return rows[i].svc.Domain < rows[j].svc.Domain
+		})
+		if depth > 0 && len(rows) > depth {
+			rows = rows[:depth]
+		}
+		l := &List{Provider: provider, Day: day}
+		for _, r := range rows {
+			l.Domains = append(l.Domains, r.svc.Domain)
+		}
+		lists[i] = l
 	}
-	l := &List{Provider: provider, Day: day}
-	for _, r := range rows {
-		l.Domains = append(l.Domains, r.domain)
-	}
-	return l
+	return lists
 }
 
 func providerSeed(p Provider) uint64 {

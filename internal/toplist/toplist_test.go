@@ -16,7 +16,7 @@ func rank(l *List, domain string) int {
 func TestListsRankPopularFirst(t *testing.T) {
 	w := world.Build(world.Tiny(1))
 	for _, provider := range []Provider{PanelProvider, ResolverProvider} {
-		l := Generate(w.Traffic, provider, 0, 0)
+		l := Generate(w.Traffic, provider, []int{0}, 0)[0]
 		if len(l.Domains) < 20 {
 			t.Fatalf("%s list too short: %d", provider, len(l.Domains))
 		}
@@ -33,13 +33,13 @@ func TestListsRankPopularFirst(t *testing.T) {
 
 func TestPanelExcludesAnycast(t *testing.T) {
 	w := world.Build(world.Tiny(2))
-	l := Generate(w.Traffic, PanelProvider, 0, 0)
+	l := Generate(w.Traffic, PanelProvider, []int{0}, 0)[0]
 	for _, svc := range w.Cat.Services {
 		if svc.Kind.String() == "anycast" && rank(l, svc.Domain) != 0 {
 			t.Errorf("panel list includes anycast service %s", svc.Domain)
 		}
 	}
-	lr := Generate(w.Traffic, ResolverProvider, 0, 0)
+	lr := Generate(w.Traffic, ResolverProvider, []int{0}, 0)[0]
 	found := false
 	for _, svc := range w.Cat.Services {
 		if svc.Kind.String() == "anycast" && rank(lr, svc.Domain) != 0 {
@@ -53,10 +53,9 @@ func TestPanelExcludesAnycast(t *testing.T) {
 
 func TestChurnGrowsWithDepthAndNoise(t *testing.T) {
 	w := world.Build(world.Tiny(3))
-	p1 := Generate(w.Traffic, PanelProvider, 1, 0)
-	p2 := Generate(w.Traffic, PanelProvider, 2, 0)
-	r1 := Generate(w.Traffic, ResolverProvider, 1, 0)
-	r2 := Generate(w.Traffic, ResolverProvider, 2, 0)
+	p := Generate(w.Traffic, PanelProvider, []int{1, 2}, 0)
+	r := Generate(w.Traffic, ResolverProvider, []int{1, 2}, 0)
+	p1, p2, r1, r2 := p[0], p[1], r[0], r[1]
 	// The [54] finding: deeper ranks churn more, and panel-style lists
 	// churn more than resolver-style lists.
 	churnTop5 := TopKChurn(p1, p2, 5)
@@ -68,7 +67,7 @@ func TestChurnGrowsWithDepthAndNoise(t *testing.T) {
 		t.Errorf("resolver list churns more than panel list")
 	}
 	// Same-day lists are identical.
-	if TopKChurn(p1, Generate(w.Traffic, PanelProvider, 1, 0), 30) != 0 {
+	if TopKChurn(p1, Generate(w.Traffic, PanelProvider, []int{1}, 0)[0], 30) != 0 {
 		t.Error("same-day list not deterministic")
 	}
 }
@@ -77,7 +76,7 @@ func TestRankWeightingMisestimatesTraffic(t *testing.T) {
 	w := world.Build(world.Tiny(4))
 	mx := w.Traffic.BuildMatrix()
 	truth := TrueByteShares(w.Traffic, mx)
-	l := Generate(w.Traffic, ResolverProvider, 0, 0)
+	l := Generate(w.Traffic, ResolverProvider, []int{0}, 0)[0]
 	err := ShareError(l.WeightBy(), truth)
 	// The paper's point: rank position is a poor stand-in for traffic.
 	// 1/rank weighting should be visibly wrong (video services carry
@@ -104,7 +103,7 @@ func TestShareError(t *testing.T) {
 
 func TestDepthCap(t *testing.T) {
 	w := world.Build(world.Tiny(5))
-	l := Generate(w.Traffic, ResolverProvider, 0, 10)
+	l := Generate(w.Traffic, ResolverProvider, []int{0}, 10)[0]
 	if len(l.Domains) != 10 {
 		t.Errorf("depth cap ignored: %d", len(l.Domains))
 	}

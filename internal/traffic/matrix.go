@@ -62,10 +62,6 @@ type Matrix struct {
 	Links *topology.LinkIndex
 }
 
-// Matrix returns m: a built matrix is its own source wherever one is asked
-// for (mapstore.LinkSource).
-func (m *Matrix) Matrix() *Matrix { return m }
-
 // matrixShards is the number of client-AS shards the build fans out. It is
 // a fixed constant — NOT tied to GOMAXPROCS — so the shard boundaries and
 // the left-to-right merge order (and therefore every floating-point sum)
@@ -152,11 +148,6 @@ var (
 	lastMatrixBytes = obs.NewGauge("itm_traffic_total_bytes",
 		"Daily traffic volume of the most recently built matrix, in bytes.")
 )
-
-// DeclareMetrics registers the matrix build's families, header only. Call it
-// where a build may happen while serving (where a store is handed a source
-// that builds on demand), so /metrics lists them before the first build.
-func DeclareMetrics() { obs.Declare(buildsTotal, shardsTotal, flowsTotal, lastMatrixBytes) }
 
 // buildMatrix is the shard layout and the merge, over any accumulator: the
 // oracle test runs the pre-split accumulator through these same shards.

@@ -9,11 +9,12 @@
 #
 #   scripts/boot-identity.sh <parent-ref>      (or: make boot-identity PARENT=<ref>)
 #
-# Captured per seed: /metrics (first, before any other request), /v1/epochs,
-# every /v1/map/{e} as JSON and as ITMB, /v1/top and /v1/latency/top per
-# epoch, adjacent /v1/diff, /v1/as for the 64 most active ASes, /v1/path and
-# /v1/latency for the 64 worst mesh pairs, and one /v1/link taken from the
-# first of those paths. Offline: the parent tree comes from `git archive`
+# Captured per seed: /metrics (first, before any other request), /v1/traces,
+# /v1/obs/history, /v1/epochs, every /v1/map/{e} as JSON and as ITMB,
+# /v1/trace/epoch-{e}, /v1/top and /v1/latency/top per epoch, adjacent
+# /v1/diff, /v1/as for the 64 most active ASes, and /v1/path and /v1/latency
+# for the 64 worst mesh pairs. /v1/slo is left out: its body moves with every
+# request. Offline: the parent tree comes from `git archive`
 # (which, unlike `git worktree add`, registers nothing in .git and so leaves
 # nothing behind), and both builds use only the module itself. Everything
 # lives under a mktemp directory removed on exit; set KEEP=1 to keep it.
@@ -63,12 +64,15 @@ capture() {
     sleep 0.2
   done
   curl -sf "$base/metrics" | grep -v 'itm_http_' >"$out/metrics.txt"
+  fetch traces.json /v1/traces
+  fetch history.json /v1/obs/history
   fetch epochs.json /v1/epochs
   epochs=$(numbers "$out/epochs.json" id)
   prev=
   for e in $epochs; do
     fetch "map-$e.json" "/v1/map/$e"
     fetch "map-$e.itmb" "/v1/map/$e?format=binary"
+    fetch "trace-epoch-$e.json" "/v1/trace/epoch-$e"
     fetch "top-$e.json" "/v1/top?epoch=$e&k=64"
     fetch "latency-top-$e.json" "/v1/latency/top?epoch=$e&k=64"
     [ -z "$prev" ] || fetch "diff-$prev-$e.json" "/v1/diff/$prev/$e"
@@ -82,10 +86,6 @@ capture() {
       fetch "path-$a-$b.json" "/v1/path/$a/$b"
       fetch "latency-$a-$b.json" "/v1/latency/$a/$b"
     done
-  # One link: the first two hops of the first complete-looking path.
-  first=$(ls "$out"/path-*.json | head -1)
-  hops=$(sed -n 's/^ *\([0-9][0-9]*\),*$/\1/p' "$first" | head -2 | tr '\n' '/')
-  fetch link.json "/v1/link/${hops%/}"
   rm -f "$out/.headers"
   kill "$pid"
   wait "$pid" 2>/dev/null || true
