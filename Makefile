@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-selftest model-selftest loc test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md csv examples clean
+.PHONY: all build vet lint lint-selftest model-selftest loc test race cover bench bench-build boot-identity bench-all serve-smoke obs-smoke loadgen-smoke crash-smoke mesh-smoke slo-smoke experiments experiments-md experiments-check seed-panel csv examples clean
 
 all: build vet lint lint-selftest test crash-smoke
 
@@ -394,6 +394,21 @@ experiments:
 # Rebuild EXPERIMENTS.md's body (prepend the hand-written preamble yourself).
 experiments-md:
 	$(GO) run ./cmd/itm-experiments -scale default -seed 42 -markdown
+
+# EXPERIMENTS.md cannot drift: regenerate the report's body and diff it
+# against the committed file from its first "### " heading to the end. A row
+# that FAILs prints a different body, so it fails the check too.
+experiments-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/itm-experiments -scale default -seed 42 -markdown > "$$tmp/body.md" || true; \
+	sed -n '/^### /,$$p' EXPERIMENTS.md | diff -u - "$$tmp/body.md" || \
+		{ echo "experiments-check: EXPERIMENTS.md differs from the report; regenerate its body with make experiments-md"; exit 1; }; \
+	echo "experiments-check: OK (EXPERIMENTS.md is what -scale default -seed 42 prints)"
+
+# Which rows FAIL at which seeds: the whole report at -scale small seeds
+# 1-12 and -scale default seeds 1-8. Informational: it gates nothing.
+seed-panel:
+	GO="$(GO)" sh scripts/seed-panel.sh
 
 # Figure series as CSV for plotting.
 csv:

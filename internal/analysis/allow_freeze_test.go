@@ -98,8 +98,10 @@ func TestDeadExportAllowsFrozen(t *testing.T) {
 		"internal/services/select.go:ServesSNI":           true,
 		"internal/topology/invariants.go:CheckInvariants": true,
 		// Called from outside the loaded module.
-		"internal/mapstore/store.go:AppendMap": true,
-		"internal/mapstore/store.go:Latest":    true,
+		"internal/mapstore/store.go:AppendMap":      true,
+		"internal/mapstore/store.go:Latest":         true,
+		"internal/mapstore/codec.go:EncodeDocument": true,
+		"internal/mapstore/codec.go:DecodeDocument": true,
 	}
 	l := testLoader(t)
 	pkgs, err := l.LoadAll()

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -43,8 +45,10 @@ func TestModelEpochEnvsRunNothing(t *testing.T) {
 }
 
 // TestModelDaysShareOneCampaign: every day of EpochEnvs holds day 0's scan
-// and hit rates, and building every day's map sends the hit-rate
-// campaign's probes once and each day's discovery probes once.
+// and hit rates, building every day's map sends the hit-rate campaign's
+// probes once and each day's discovery probes once, and the store the days
+// fill shares each section equal to the previous day's — the hit-rate
+// section, the campaign's one fold, on every day.
 func TestModelDaysShareOneCampaign(t *testing.T) {
 	w := world.Build(world.Tiny(5))
 	set := obs.NewSet()
@@ -66,6 +70,35 @@ func TestModelDaysShareOneCampaign(t *testing.T) {
 	}
 	if got := discoveryCounters(set)[naiveDatagrams]; got != want {
 		t.Errorf("%d days' maps sent %v naive datagrams, one hit-rate campaign and %d discoveries %v", days, got, days, want)
+	}
+
+	st := mapstore.NewStore()
+	if err := ingestDays(st, envs, 0, MeshSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	eps := st.Snapshot()
+	for d := 1; d < len(eps); d++ {
+		cur, prev := eps[d].Doc, eps[d-1].Doc
+		sameHits := maps.Equal(cur.PrefixHitRates, prev.PrefixHitRates)
+		if !sameHits {
+			t.Errorf("day %d's hit-rate section differs from day %d's", d, d-1)
+		}
+		equal := 2 // the retired sections, empty every day
+		for _, same := range []bool{
+			sameHits,
+			slices.Equal(cur.ActivePrefixes, prev.ActivePrefixes),
+			maps.Equal(cur.ASActivity, prev.ASActivity),
+			maps.Equal(cur.Sources, prev.Sources),
+			slices.Equal(cur.Servers, prev.Servers),
+			slices.Equal(cur.Mappings, prev.Mappings),
+		} {
+			if same {
+				equal++
+			}
+		}
+		if eps[d].SharedSections != equal {
+			t.Errorf("day %d shares %d sections with day %d, %d are equal", d, eps[d].SharedSections, d-1, equal)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 // Package experiments reproduces every table, figure, and in-text
 // quantitative claim of the paper's evaluation: Table 1, Figures 1a, 1b
-// and 2, plus the claims catalogued as E1–E9 in DESIGN.md. Each runner
-// returns a structured Result carrying paper-reported values next to
-// measured ones so EXPERIMENTS.md can be regenerated mechanically.
+// and 2, the in-text claims E1–E9, and the paper's proposals and
+// related-work baselines E10–E26, catalogued in DESIGN.md §3 and in
+// Catalogue (catalogue.go). Each runner returns a structured Result
+// carrying paper-reported values next to measured ones so EXPERIMENTS.md
+// can be regenerated mechanically.
 package experiments
 
 import (

@@ -1,108 +1,20 @@
 package experiments
 
+// Figures 1 and 2: prefixes per PoP (F1a), per-country user coverage and
+// server locations (F1b), hit rate vs subscribers (F2), and the off-net
+// rollout behind Figure 1b's server map (E18).
+
 import (
 	"fmt"
 	"sort"
 
-	"itmap/internal/core"
 	"itmap/internal/geo"
+	"itmap/internal/measure/tlsscan"
 	"itmap/internal/order"
+	"itmap/internal/services"
 	"itmap/internal/stats"
 	"itmap/internal/topology"
 )
-
-// RunTable1 reproduces Table 1: for each ITM component, the precision and
-// coverage achieved by the current techniques, next to the paper's desired
-// granularities.
-func (e *Env) RunTable1() *Result {
-	r := &Result{ID: "T1", Title: "ITM components: desired vs achieved precision & coverage"}
-	w := e.W
-	disc := e.Discovery()
-	hr := e.HitRates()
-	crawl := e.Crawl()
-	scan := e.Scan()
-	doc := e.Map().Document()
-
-	// Component 1a: finding prefixes with users.
-	userPrefixes := w.Users.UserPrefixes()
-	foundUser := 0
-	for _, p := range userPrefixes {
-		if disc.Has(p) {
-			foundUser++
-		}
-	}
-	userASes := map[topology.ASN]bool{}
-	for _, asn := range w.Top.ASNs() {
-		if w.Users.ASUsers(asn) > 0 {
-			userASes[asn] = true
-		}
-	}
-	foundASes := 0
-	for asn := range disc.FoundASes {
-		if userASes[asn] {
-			foundASes++
-		}
-	}
-	r.Values = append(r.Values, Value{
-		Name:  "finding prefixes with users (network coverage)",
-		Paper: "50K of 65K ASes, 6.6M of 8.8M /24s",
-		Measured: fmt.Sprintf("%d of %d user ASes, %d of %d user /24s",
-			foundASes, len(userASes), foundUser, len(userPrefixes)),
-		Pass: float64(foundUser) > 0.5*float64(len(userPrefixes)),
-	})
-	r.Values = append(r.Values, Value{
-		Name:     "finding prefixes with users (precision)",
-		Paper:    "/24 prefix, weekly",
-		Measured: "/24 prefix, per-TTL-window (sub-daily)",
-		Pass:     true,
-	})
-
-	// Component 1b: relative activity.
-	withRate := 0
-	for _, v := range hr.ByPrefix {
-		if v > 0 {
-			withRate++
-		}
-	}
-	r.Values = append(r.Values, Value{
-		Name:  "estimating relative activity",
-		Paper: "now: yearly, AS grain, 40K ASes",
-		Measured: fmt.Sprintf("hit-rate for %d /24s (hourly-capable), root-log volume for %d ASes",
-			withRate, len(crawl.ActivityByResolverAS)),
-		Pass: withRate > 0 && len(crawl.ActivityByResolverAS) > 0,
-	})
-
-	// Component 2a: mapping services.
-	ref := w.Cat.ReferenceCDN
-	r.Values = append(r.Values, Value{
-		Name:  "mapping services (TLS scans)",
-		Paper: "monthly, server-owner grain",
-		Measured: fmt.Sprintf("%d serving prefixes, %d owners, reference CDN in %d cities / %d off-net hosts",
-			len(scan.Servers), len(scan.ByOwner), len(scan.Locations(ref)), len(scan.OffNetHosts(ref))),
-		Pass: len(scan.Servers) > 0 && len(scan.OffNetHosts(ref)) > 0,
-	})
-
-	// Component 2b: mapping users to hosts.
-	val := core.ValidateMapping(doc, w.Traffic)
-	r.Values = append(r.Values, Value{
-		Name:  "mapping users to hosts (ECS probing)",
-		Paper: "monthly/daily, prefix grain, ECS services",
-		Measured: fmt.Sprintf("%d (domain, client-AS) pairs, %.0f%% agree with ground truth",
-			val.Checked, val.Agreement*100),
-		Pass: val.Checked > 0 && val.Agreement > 0.8,
-	})
-
-	// Component 3: routes.
-	pp := e.pathPrediction()
-	r.Values = append(r.Values, Value{
-		Name:  "routes between users and services",
-		Paper: "desired daily at <city,AS>; now N/A",
-		Measured: fmt.Sprintf("public view predicts %.0f%% of VP→root paths; giant-link visibility %.0f%%→%.0f%% with cloud campaigns",
-			pp.publicCorrect*100, (1-pp.giantInvisible)*100, pp.augmentedGiantVisible*100),
-		Pass: pp.augmentedGiantVisible > 1-pp.giantInvisible,
-	})
-	return r
-}
 
 // RunFigure1a reproduces Figure 1a: prefixes discovered per public-resolver
 // PoP by cache probing.
@@ -294,4 +206,66 @@ func (e *Env) RunFigure2() *Result {
 	}
 	r.Series = append(r.Series, fr)
 	return r
+}
+
+// RunE18 reconstructs the off-net rollout longitudinally: yearly TLS scans
+// of the same address space show hypergiant caches spreading through
+// eyeball networks, biggest hosts first — the "seven years in the life of
+// hypergiants' off-nets" result [25] behind Figure 1b's server map.
+func (e *Env) RunE18() *Result {
+	r := &Result{ID: "E18", Title: "Off-net footprint growth from yearly TLS scans"}
+	w := e.W
+	owner := w.Cat.ReferenceCDN
+	prefixes := w.Top.AllPrefixes()
+
+	s := Series{Name: fmt.Sprintf("%s off-net host networks by year", w.Top.ASes[owner].Name)}
+	prev := -1
+	monotone := true
+	var first, last int
+	var firstMedian, lastMedian float64
+	for year := services.FirstOffNetYear; year <= services.LastOffNetYear; year++ {
+		scan := tlsscan.ScanAtYear(w.Top, w.Cat, prefixes, year)
+		hosts := scan.OffNetHosts(owner)
+		n := len(hosts)
+		s.Labels = append(s.Labels, fmt.Sprintf("%d", year))
+		s.Values = append(s.Values, float64(n))
+		if prev >= 0 && n < prev {
+			monotone = false
+		}
+		prev = n
+		if year == services.FirstOffNetYear {
+			first = n
+			firstMedian = medianHostSubs(e, hosts)
+		}
+		if year == services.LastOffNetYear {
+			last = n
+			lastMedian = medianHostSubs(e, hosts)
+		}
+	}
+	r.Series = append(r.Series, s)
+	r.Values = append(r.Values, Value{
+		Name:     "off-net hosts grow monotonically over the window",
+		Paper:    "[25]: off-net footprints grew substantially over seven years",
+		Measured: fmt.Sprintf("%d (%d) → %d (%d) host networks", first, services.FirstOffNetYear, last, services.LastOffNetYear),
+		Pass:     monotone && last >= 3*max(first, 1),
+	})
+	r.Values = append(r.Values, Value{
+		Name:     "rollout reaches smaller hosts over time",
+		Paper:    "[25]: expansion beyond the largest eyeballs",
+		Measured: fmt.Sprintf("median host size %.0fk → %.0fk subscribers", firstMedian, lastMedian),
+		Pass:     last <= first || lastMedian <= firstMedian,
+	})
+	return r
+}
+
+func medianHostSubs(e *Env, hosts []topology.ASN) float64 {
+	if len(hosts) == 0 {
+		return 0
+	}
+	subs := make([]float64, 0, len(hosts))
+	for _, h := range hosts {
+		subs = append(subs, e.W.Top.ASes[h].SubscribersK)
+	}
+	sort.Float64s(subs)
+	return subs[len(subs)/2]
 }

@@ -23,7 +23,7 @@ import (
 // Like the map codec, every section is sorted and every integer minimal,
 // so the encoding is a pure function of the document: decode followed by
 // re-encode is byte-identical, which epoch-level structural sharing and
-// the E26 worker-parity check rely on.
+// WAL recovery rely on.
 
 // MeshCodecVersion is the ITMB wire version carrying mesh sections.
 const MeshCodecVersion = 2

@@ -14,6 +14,7 @@ import (
 	"itmap/internal/order"
 	"itmap/internal/randx"
 	"itmap/internal/services"
+	"itmap/internal/topology"
 	"itmap/internal/traffic"
 )
 
@@ -46,25 +47,28 @@ func Generate(tm *traffic.Model, provider Provider, days []int, depth int) []*Li
 		svc    *services.Service
 		volume float64
 	}
-	var base []scored
 	sigma := 0.10
 	if provider == PanelProvider {
 		sigma = 0.35
 	}
+	var svcs []*services.Service
 	for _, svc := range tm.Cat.Services {
 		if provider == PanelProvider && svc.Kind == services.Anycast {
 			// Panels observe page loads; infrastructure anycast
 			// services are under-represented.
 			continue
 		}
-		// Daily query volume across all prefixes.
-		volume := 0.0
-		for _, asn := range tm.Top.ASNs() {
-			for _, p := range tm.Top.ASes[asn].Prefixes {
-				volume += tm.QueriesPerDay(p, svc)
-			}
-		}
-		base = append(base, scored{svc, volume})
+		svcs = append(svcs, svc)
+	}
+	// Daily query volume across all prefixes, by ascending ASN and prefix.
+	var prefixes []topology.PrefixID
+	for _, asn := range tm.Top.ASNs() {
+		prefixes = append(prefixes, tm.Top.ASes[asn].Prefixes...)
+	}
+	volumes := tm.QueriesPerDay(prefixes, svcs)
+	base := make([]scored, len(svcs))
+	for i, svc := range svcs {
+		base[i] = scored{svc, volumes[i]}
 	}
 	lists := make([]*List, len(days))
 	for i, day := range days {

@@ -299,7 +299,7 @@ func TestQueriesPerDayMatchesReference(t *testing.T) {
 			bots++
 		}
 		for _, svc := range m.Cat.Services {
-			q := m.QueriesPerDay(p, svc)
+			q := pairQueries(m, p, svc)
 			sameBits(t, "QueriesPerDay", q, referenceQueriesPerDay(m, p, svc))
 			sameBits(t, "daily bytes", q*svc.BytesPerQuery, referenceDailyBytes(m, p, svc))
 			if q > 0 {

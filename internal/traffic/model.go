@@ -125,13 +125,24 @@ func (m *Model) queriesPerDay(d demand, svc *services.Service, weight float64) f
 		randx.HashLognormal(0, 0.5, m.seed, 0xaff, uint64(d.prefix), uint64(svc.ID))
 }
 
-// QueriesPerDay returns the prefix's daily DNS-visible interactions with a
-// service: users × QueriesPerUserPerDay × the service's Zipf weight × the
-// pair's affinity jitter. Callers pricing one prefix against many services
-// go through demand and queriesPerDay instead of paying the per-prefix half
-// per pair.
-func (m *Model) QueriesPerDay(p topology.PrefixID, svc *services.Service) float64 {
-	return m.queriesPerDay(m.demand(p), svc, m.Cat.Popularity.Weight(svc.Rank))
+// QueriesPerDay returns each service's daily DNS-visible interactions with
+// the prefixes ps, out[i] for svcs[i]: per ⟨prefix, service⟩, users ×
+// QueriesPerUserPerDay × the service's Zipf weight × the pair's affinity
+// jitter, added up in the order of ps. Each prefix's demand and each
+// service's weight are resolved once.
+func (m *Model) QueriesPerDay(ps []topology.PrefixID, svcs []*services.Service) []float64 {
+	weights := make([]float64, len(svcs))
+	for i, svc := range svcs {
+		weights[i] = m.Cat.Popularity.Weight(svc.Rank)
+	}
+	out := make([]float64, len(svcs))
+	for _, p := range ps {
+		d := m.demand(p)
+		for i, svc := range svcs {
+			out[i] += m.queriesPerDay(d, svc, weights[i])
+		}
+	}
+	return out
 }
 
 // BotFarmProb is the chance an enterprise prefix hosts automation

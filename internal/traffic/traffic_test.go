@@ -32,12 +32,17 @@ func setupScale(t testing.TB, cfg topology.GenConfig, seed int64) *Model {
 	return New(top, um, cat, ap, pr, seed)
 }
 
+// pairQueries is QueriesPerDay for one ⟨prefix, service⟩.
+func pairQueries(m *Model, p topology.PrefixID, svc *services.Service) float64 {
+	return m.QueriesPerDay([]topology.PrefixID{p}, []*services.Service{svc})[0]
+}
+
 func TestDemandPure(t *testing.T) {
 	m := setup(t, 1)
 	p := m.Users.UserPrefixes()[0]
 	svc := m.Cat.Services[0]
-	a := m.QueriesPerDay(p, svc)
-	b := m.QueriesPerDay(p, svc)
+	a := pairQueries(m, p, svc)
+	b := pairQueries(m, p, svc)
 	if a != b {
 		t.Fatal("QueriesPerDay not pure")
 	}
@@ -49,13 +54,8 @@ func TestDemandPure(t *testing.T) {
 func TestDemandScalesWithUsersAndRank(t *testing.T) {
 	m := setup(t, 2)
 	// Aggregate demand across many prefixes to wash out jitter.
-	top1, top20 := 0.0, 0.0
-	s1 := m.Cat.Services[0]
-	s20 := m.Cat.Services[19]
-	for _, p := range m.Users.UserPrefixes() {
-		top1 += m.QueriesPerDay(p, s1)
-		top20 += m.QueriesPerDay(p, s20)
-	}
+	q := m.QueriesPerDay(m.Users.UserPrefixes(), []*services.Service{m.Cat.Services[0], m.Cat.Services[19]})
+	top1, top20 := q[0], q[1]
 	if top1 <= top20 {
 		t.Errorf("rank-1 queries (%.0f) should exceed rank-20 (%.0f)", top1, top20)
 	}
@@ -75,14 +75,14 @@ func TestQueryRateDiurnal(t *testing.T) {
 	// Pick a busy prefix.
 	var p topology.PrefixID
 	for _, cand := range m.Users.UserPrefixes() {
-		if m.QueriesPerDay(cand, svc) > 0 {
+		if pairQueries(m, cand, svc) > 0 {
 			p = cand
 			break
 		}
 	}
 	// Rate integrates to roughly daily count × adoption share.
 	city := m.Top.PrefixCity[p]
-	want := m.QueriesPerDay(p, svc) * m.PR.AdoptionShare(city.Country)
+	want := pairQueries(m, p, svc) * m.PR.AdoptionShare(city.Country)
 	c := m.Clients(p)
 	rate := m.QueryRate(svc, c)
 	got := 0.0
@@ -236,7 +236,7 @@ func TestUsageDropoutCreatesZeroDemand(t *testing.T) {
 	for _, asn := range m.Top.ASesOfType(topology.Enterprise) {
 		p := m.Top.ASes[asn].Prefixes[0]
 		for _, svc := range m.Cat.Services {
-			if m.Users.UsersIn(p) > 0 && m.QueriesPerDay(p, svc) == 0 {
+			if m.Users.UsersIn(p) > 0 && pairQueries(m, p, svc) == 0 {
 				skipped = true
 				break
 			}
