@@ -215,10 +215,11 @@ loadgen-smoke:
 # exactly on a record boundary. Last, the snapshot leg: serve a committed
 # snapshot whose keys carry leading zeros and whose lists are empty, SIGKILL
 # it, recover, and require the same map, top-K and per-AS bytes and ETags
-# before and after. And the legacy leg: boot on a copy of the WAL directory
-# an older binary left (internal/mapstore/testdata/legacy-wal, a compacted
-# snapshot.itwl beside journal.itwl), SIGTERM, reboot, and require all six
-# epochs both times and the snapshot byte-unchanged.
+# before and after. And the refusal leg: plant a snapshot.itwl, the file an
+# older, compacting binary left (here a copy of the first leg's journal,
+# which an older binary would have replayed), in a fresh WAL directory, and
+# require the server to exit non-zero with a serve.exit event naming it,
+# never listen, and leave the file byte-unchanged.
 crash-smoke:
 	@rm -rf crash-smoke && mkdir -p crash-smoke/a crash-smoke/b
 	$(GO) build -o crash-smoke/itm-serve ./cmd/itm-serve
@@ -294,19 +295,16 @@ crash-smoke:
 			{ echo "crash-smoke: snapshot leg: $$f or its ETag diverged after recovery"; exit 1; }; \
 	done; \
 	kill $$pid; wait $$pid 2>/dev/null || true; \
-	cp -r internal/mapstore/testdata/legacy-wal crash-smoke/legacy-wal; \
-	for boot in 6 7; do \
-		crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/legacy-wal 2>crash-smoke/events$$boot.log & \
-		pid=$$!; \
-		for i in $$(seq 1 150); do curl -sf $$base/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-		grep -q 'event=serve.recovered .* epochs=6 truncated_tail_bytes=0' crash-smoke/events$$boot.log || \
-			{ echo "crash-smoke: legacy leg: boot $$boot did not recover 6 epochs cleanly"; exit 1; }; \
-		kill $$pid; \
-		wait $$pid || { echo "crash-smoke: legacy leg: itm-serve did not drain cleanly on SIGTERM"; exit 1; }; \
-	done; \
-	cmp -s internal/mapstore/testdata/legacy-wal/snapshot.itwl crash-smoke/legacy-wal/snapshot.itwl || \
-		{ echo "crash-smoke: legacy leg: snapshot.itwl changed"; exit 1; }; \
-	echo "crash-smoke: OK (torn-tail recovery identity, map and mesh AS$$a<->AS$$b + overload shed=$$shed + record-boundary shutdown + respelled snapshot + legacy snapshot)"
+	mkdir crash-smoke/old-wal; \
+	cp crash-smoke/wal/journal.itwl crash-smoke/old-wal/snapshot.itwl; \
+	if timeout 60 crash-smoke/itm-serve -addr 127.0.0.1:8414 -wal crash-smoke/old-wal 2>crash-smoke/events6.log; then \
+		echo "crash-smoke: refusal leg: itm-serve exited 0 beside a snapshot.itwl"; exit 1; fi; \
+	grep -q 'event=serve.exit .*snapshot.itwl' crash-smoke/events6.log || \
+		{ echo "crash-smoke: refusal leg: no serve.exit naming snapshot.itwl"; cat crash-smoke/events6.log; exit 1; }; \
+	! grep -q 'event=serve.listening' crash-smoke/events6.log || { echo "crash-smoke: refusal leg: itm-serve listened"; exit 1; }; \
+	cmp -s crash-smoke/wal/journal.itwl crash-smoke/old-wal/snapshot.itwl || \
+		{ echo "crash-smoke: refusal leg: snapshot.itwl changed"; exit 1; }; \
+	echo "crash-smoke: OK (torn-tail recovery identity, map and mesh AS$$a<->AS$$b + overload shed=$$shed + record-boundary shutdown + respelled snapshot + snapshot.itwl refused)"
 	@rm -rf crash-smoke
 
 # Mesh smoke: prove the vantage-fleet mesh is worker-count-invariant at the

@@ -22,8 +22,9 @@
 // With -wal DIR every ingested epoch is journaled (fsync-on-append) to
 // DIR/journal.itwl before it is served, and a restart replays the journal
 // instead of rebuilding the world — including after a SIGKILL mid-append,
-// whose torn record is truncated on recovery. A snapshot.itwl an older
-// binary compacted into is replayed first and never written. All
+// whose torn record is truncated on recovery. A DIR holding the
+// snapshot.itwl an older binary compacted into, or a journal in an older
+// codec version, is refused: the server exits without serving. All
 // non-operator routes pass through an admission valve (bounded concurrency
 // + bounded wait queue) that sheds with 503 + Retry-After when saturated;
 // SIGTERM drains in-flight requests before the WAL is closed.

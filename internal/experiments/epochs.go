@@ -41,15 +41,16 @@ func EpochEnvs(w *world.World, days, workers int) []*Env {
 // BuildEpochStore runs a multi-day measurement campaign over w and ingests
 // each day's assembled map into st. The store keeps only what was measured:
 // the campaign and the world are garbage once the loop ends, and nothing on
-// this path builds the ground-truth matrix or computes the collector view. The trace "default" is activated last, so spans the
-// caller records afterwards never land in an epoch's trace. The store is
-// the caller's so it can be configured first — itm-serve attaches the
-// write-ahead log before the first append, making the initial build durable
-// too. With mesh.Agents > 0 day d's vantage fleet sweep starts at d·24h and
-// its mesh matrix is ingested with that day's map, so /v1/path and
-// /v1/latency resolve on every epoch. workers bounds the mesh fleet's
-// goroutines; the resulting store (epoch and mesh bytes, ETags, diffs,
-// rankings) is identical for every setting.
+// this path builds the ground-truth matrix or computes the collector view.
+// The trace "default" is activated last, so spans the caller records
+// afterwards never land in an epoch's trace. The store is the caller's so
+// it can be configured first — itm-serve attaches the write-ahead log
+// before the first append, making the initial build durable too. With
+// mesh.Agents > 0 day d's vantage fleet sweep starts at d·24h and its mesh
+// matrix is ingested with that day's map, so /v1/path and /v1/latency
+// resolve on every epoch. workers bounds the mesh fleet's goroutines; the
+// resulting store (epoch and mesh bytes, ETags, diffs, rankings) is
+// identical for every setting.
 func BuildEpochStore(st *mapstore.Store, w *world.World, days, workers int, mesh MeshSpec) error {
 	return ingestDays(st, EpochEnvs(w, days, workers), workers, mesh)
 }

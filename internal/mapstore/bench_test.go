@@ -128,8 +128,8 @@ func BenchmarkRenderMapJSONShared(b *testing.B) {
 		}
 	}
 	prev, e := s.Snapshot()[0], s.Snapshot()[1]
-	if e.SharedSections != 3 || e.frags[core.JSONHitRates] != prev.frags[core.JSONHitRates] {
-		b.Fatalf("the epoch shares %d sections, want the hit rates and the two retired ones", e.SharedSections)
+	if e.SharedSections != 1 || e.frags[core.JSONHitRates] != prev.frags[core.JSONHitRates] {
+		b.Fatalf("the epoch shares %d sections, want the hit rates alone", e.SharedSections)
 	}
 	if _, _, err := renderMap(request{e: prev}); err != nil {
 		b.Fatal(err)

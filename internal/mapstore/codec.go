@@ -22,15 +22,14 @@ import (
 // Wire format (all integers are unsigned varints unless noted; floats are
 // 8-byte little-endian IEEE 754 bit patterns):
 //
-//	header    magic "ITMB" | codec version (1) | document version
+//	header    magic "ITMB" | codec version (3) | document version
 //	strings   count | count × (len | raw bytes)      sorted unique strings
 //	actives   count | delta-encoded sorted prefix IDs (first absolute,
 //	          then strictly positive deltas)
-//	keyed ×5  count | count × (key delta | payload)   one per keyedSections
-//	          row, in wire order: hit rates, activity, sources, and the
-//	          retired grades and confidence (written empty, read and
-//	          dropped); sorted by key (a /24 prefix ID or an ASN), payload
-//	          a float or one code byte, the label enum's value
+//	keyed ×3  count | count × (key delta | payload)   one per keyedSections
+//	          row, in wire order: hit rates, activity, sources; sorted by
+//	          key (a /24 prefix ID or an ASN), payload a float or one code
+//	          byte, the label enum's value
 //	servers   count | count × (prefix | host AS | owner AS |
 //	          org ref | city ref | country ref)      sorted by field tuple
 //	mappings  count | count × (domain ref | client AS | serving prefix)
@@ -39,16 +38,21 @@ import (
 // Every section is sorted and every string interned through one sorted
 // table, so the encoding of a document is a pure function of its content,
 // and the decoder accepts nothing but that encoding: decode followed by
-// re-encode is byte-identical, but for entries in a retired section
-// (encoding.retiredEntries). The store relies on it to compare sections
+// re-encode is byte-identical. The store relies on it to compare sections
 // of consecutive epochs by their bytes and to adopt journaled bytes at
 // recovery without re-encoding them.
+//
+// There is one format per version. A change to the wire format bumps
+// CodecVersion, and bytes written in an older format are refused with
+// ErrVersion, never read.
 
 // Magic identifies an encoded map document.
 var Magic = [4]byte{'I', 'T', 'M', 'B'}
 
 // CodecVersion is the wire-format version this package reads and writes.
-const CodecVersion = 1
+// 2 is MeshCodecVersion: the mesh codec shares the magic and is told apart
+// by this number.
+const CodecVersion = 3
 
 // Typed decode errors. Decoding never panics: corrupted, truncated, or
 // oversized inputs surface one of these (possibly wrapped with section
@@ -78,8 +82,6 @@ const (
 	wireHitRates
 	wireActivity
 	wireSources
-	wireRetiredGrades
-	wireRetiredConfidence
 	wireServers
 	wireMappings
 
@@ -99,8 +101,6 @@ type keyedSection struct {
 	maxKey uint64
 	// codes is a label section's number of labels, 0 for a float section.
 	codes int
-	// retired sections have no field: written empty, read and dropped.
-	retired bool
 	// field reaches the document map the section reads and fills.
 	field keyedField
 }
@@ -115,11 +115,6 @@ var keyedSections = [...]keyedSection{
 	{wire: wireSources, name: "sources", key: "source ASN", value: "source code", maxKey: math.MaxUint32,
 		codes: core.ActivitySources,
 		field: fieldOf(func(d *core.MapDocument) *map[topology.ASN]core.ActivitySource { return &d.Sources })},
-	// Per-prefix grades (unknown/probed-ok/gave-up/stale), per-AS confidence.
-	{wire: wireRetiredGrades, name: "coverage", key: "coverage prefix", value: "coverage code", maxKey: maxPrefixID,
-		codes: 4, retired: true},
-	{wire: wireRetiredConfidence, name: "AS confidence", key: "confidence ASN", value: "confidence value", maxKey: math.MaxUint32,
-		retired: true},
 }
 
 // keyedField is one keyed document map seen as entries, whatever its key
@@ -175,13 +170,6 @@ func (o *sectionOffsets) span(rec []byte, i int) []byte {
 type encoding struct {
 	bytes []byte
 	off   sectionOffsets
-}
-
-// retiredEntries reports whether decoded bytes hold entries the decoder
-// dropped: the two retired sections, adjacent, are more than their zero
-// counts. Such bytes are not the encoding of what they decode to.
-func (enc *encoding) retiredEntries() bool {
-	return enc.off[wireServers]-enc.off[wireRetiredGrades] > 2
 }
 
 // --- encoding ---------------------------------------------------------------
@@ -414,10 +402,6 @@ func (e *encoder) document(doc *core.MapDocument) {
 // scratch, sorted by key and delta-encoded. A map holds each key once, so
 // the keys ascend strictly, as the decoder requires.
 func (e *encoder) keyed(sec *keyedSection, doc *core.MapDocument) {
-	if sec.retired {
-		e.uvarint(0)
-		return
-	}
 	entries := sec.field.stage(doc, &e.entries)
 	e.uvarint(uint64(len(entries)))
 	var prev uint64
@@ -575,9 +559,9 @@ func (d *decoder) deltaSeq(what string, n int, max uint64, visit func(v uint64) 
 
 // DecodeDocument parses ITMB bytes back into a map document. The result is
 // canonical (sorted sections): re-encoding it reproduces the input bytes
-// exactly, but for a retired section's entries, and Normalize leaves it
-// unchanged. Corrupted, truncated, or oversized inputs return a typed
-// error; decoding never panics. The input is not retained.
+// exactly, and Normalize leaves it unchanged. Corrupted, truncated, or
+// oversized inputs return a typed error; decoding never panics. The input
+// is not retained.
 //
 //itmlint:allow deadexport benchmark/_tracer, a module of its own the loader does not see, times the map decode stage through it
 func DecodeDocument(data []byte) (*core.MapDocument, error) {
@@ -674,10 +658,7 @@ func decodeInto(doc *core.MapDocument, enc *encoding, record bool) error {
 		if n, err = d.count(sec.name, minEntry); err != nil {
 			return err
 		}
-		set := func(uint32, float64) {}
-		if !sec.retired {
-			set = sec.field.fill(doc, n)
-		}
+		set := sec.field.fill(doc, n)
 		err = d.deltaSeq(sec.key, n, sec.maxKey, func(k uint64) error {
 			v, err := d.payload(sec)
 			if err == nil {

@@ -2,7 +2,6 @@ package mapstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"itmap/internal/core"
-	"itmap/internal/randx"
 	"itmap/internal/topology"
 )
 
@@ -131,21 +129,33 @@ func TestCodecRejectsUnencodableDocuments(t *testing.T) {
 }
 
 func TestCodecDecodeRejectsBadInput(t *testing.T) {
-	enc, err := EncodeDocument(sampleDoc())
+	rec, err := encodeRecord(sampleDoc(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := DecodeDocument(nil); !errors.Is(err, ErrTruncated) {
-		t.Errorf("nil input: %v", err)
-	}
-	if _, err := DecodeDocument([]byte("JSON")); !errors.Is(err, ErrMagic) {
-		t.Errorf("bad magic: %v", err)
-	}
+	enc := rec.bytes
 	wrongVersion := append([]byte(nil), enc...)
 	wrongVersion[4] = 99 // codec version varint
-	if _, err := DecodeDocument(wrongVersion); !errors.Is(err, ErrVersion) {
-		t.Errorf("bad version: %v", err)
+	// An oversized section count must be rejected before allocation.
+	huge := append([]byte(nil), Magic[:]...)
+	huge = append(huge, CodecVersion, 1)              // codec + doc version
+	huge = append(huge, 0)                            // empty string table
+	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // absurd active count
+	for _, tc := range []struct {
+		name  string
+		input []byte
+		want  error
+	}{
+		{"nil input", nil, ErrTruncated},
+		{"bad magic", []byte("JSON"), ErrMagic},
+		{"bad version", wrongVersion, ErrVersion},
+		{"version 1 map", versionOne(rec), ErrVersion},
+		{"trailing byte", append(slices.Clone(enc), 0xff), ErrCorrupt},
+		{"oversized count", huge, ErrCorrupt},
+	} {
+		if _, err := DecodeDocument(tc.input); !errors.Is(err, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+		}
 	}
 	// Every proper truncation point must fail cleanly (never panic, never
 	// succeed: the format has no self-delimiting tail).
@@ -154,103 +164,15 @@ func TestCodecDecodeRejectsBadInput(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", i)
 		}
 	}
-	// Trailing garbage is rejected.
-	if _, err := DecodeDocument(append(append([]byte(nil), enc...), 0xff)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("trailing byte: %v", err)
-	}
-	// An oversized section count must be rejected before allocation.
-	huge := append([]byte(nil), Magic[:]...)
-	huge = append(huge, 1, 1)                         // codec + doc version
-	huge = append(huge, 0)                            // empty string table
-	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // absurd active count
-	if _, err := DecodeDocument(huge); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("oversized count: %v", err)
-	}
-	// A retired section's entries are held to the rules of the section it
-	// was: strictly ascending keys within their range, a code the old enum
-	// had, a finite float. The decoder drops them only once they pass.
-	rec, err := encodeRecord(sampleDoc(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code := func(c byte) func(int) []byte { return func(int) []byte { return []byte{c} } }
-	grades, conf := keyedSpan([]uint64{1 << 16, 2 << 16}, code(3)), keyedSpan([]uint64{64500}, float(0.5))
-	for name, spans := range map[string][2][]byte{
-		"grade keys unsorted":       {keyedSpan([]uint64{2 << 16, 1 << 16}, code(1)), conf},
-		"grade keys duplicate":      {keyedSpan([]uint64{1 << 16, 1 << 16}, code(1)), conf},
-		"grade code 4":              {keyedSpan([]uint64{1 << 16}, code(4)), conf},
-		"grade key above 2^24-1":    {keyedSpan([]uint64{maxPrefixID + 1}, code(1)), conf},
-		"confidence keys unsorted":  {grades, keyedSpan([]uint64{64501, 64500}, float(1))},
-		"confidence keys duplicate": {grades, keyedSpan([]uint64{64500, 64500}, float(1))},
-		"confidence NaN":            {grades, keyedSpan([]uint64{64500}, float(math.NaN()))},
-		"confidence +Inf":           {grades, keyedSpan([]uint64{64500}, float(math.Inf(1)))},
-		"confidence ASN above 2^32": {grades, keyedSpan([]uint64{math.MaxUint32 + 1}, float(1))},
-	} {
-		if _, err := DecodeDocument(withRetired(rec, spans[0], spans[1])); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: %v, want ErrCorrupt", name, err)
-		}
-	}
-	got, err := DecodeDocument(withRetired(rec, grades, conf))
-	if want, _ := DecodeDocument(rec.bytes); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("well-formed retired entries: %v, or they did not drop", err)
-	}
 }
 
-// keyedSpan is a keyed wire section holding keys in the order given, each
-// written as its distance from the one before and followed by its payload.
-func keyedSpan(keys []uint64, payload func(i int) []byte) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(keys)))
-	var prev uint64
-	for i, k := range keys {
-		b = append(binary.AppendUvarint(b, k-prev), payload(i)...)
-		prev = k
-	}
-	return b
-}
-
-// float is a float payload, the same for every entry.
-func float(f float64) func(int) []byte {
-	return func(int) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
-}
-
-// withRetired is rec with its retired sections replaced by the spans grades
-// and conf. The later section is spliced first, so the earlier one's
-// offsets still hold.
-func withRetired(rec encoding, grades, conf []byte) []byte {
-	b := slices.Concat(rec.bytes[:rec.off[wireRetiredConfidence]], conf, rec.bytes[rec.off[wireRetiredConfidence+1]:])
-	return slices.Concat(b[:rec.off[wireRetiredGrades]], grades, b[rec.off[wireRetiredGrades+1]:])
-}
-
-// retiredSpans draws what a journal written before the retirement could
-// hold in the two sections: one to four grades and as many confidences,
-// on ascending keys.
-func retiredSpans(rng *randx.Source) (grades, conf []byte) {
-	keys := func(step int) []uint64 {
-		ks, k := make([]uint64, 1+rng.Intn(4)), uint64(1<<16)
-		for i := range ks {
-			k += 1 + uint64(rng.Intn(step))
-			ks[i] = k
-		}
-		return ks
-	}
-	grades = keyedSpan(keys(1<<12), func(int) []byte { return []byte{byte(rng.Intn(4))} })
-	conf = keyedSpan(keys(1<<20), func(int) []byte { return float(rng.Float64())(0) })
-	return grades, conf
-}
-
-// cutRetired is what the encoder writes for the documents decoded from dec:
-// dec's bytes and offsets with each retired section cut to its zero count.
-func cutRetired(dec encoding) encoding {
-	out := encoding{bytes: slices.Clone(dec.bytes[:dec.off[0]])}
-	for i := range dec.off {
-		span := dec.off.span(dec.bytes, i)
-		if i == wireRetiredGrades || i == wireRetiredConfidence {
-			span = []byte{0}
-		}
-		out.off[i] = len(out.bytes)
-		out.bytes = append(out.bytes, span...)
-	}
-	return out
+// versionOne is rec's map as codec version 1 wrote it: version byte 1, and
+// the two keyed sections version 3 dropped, empty, ahead of the servers.
+func versionOne(rec encoding) []byte {
+	servers, end := rec.off[wireServers], rec.off[wireMesh]
+	v1 := slices.Concat(rec.bytes[:servers], []byte{0, 0}, rec.bytes[servers:end])
+	v1[len(Magic)] = 1
+	return v1
 }
 
 func TestCodecSmallerThanJSON(t *testing.T) {

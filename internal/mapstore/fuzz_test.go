@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"slices"
-	"strings"
 	"testing"
 
 	"itmap/internal/core"
-	"itmap/internal/randx"
 )
 
 // corruptions returns the wire-level mutations real fuzzers find first:
@@ -27,18 +25,16 @@ func corruptions(enc []byte) [][]byte {
 	flipped[len(Magic)+2] ^= 0x40 // string-table count
 	out = append(out, flipped)
 	huge := append([]byte(nil), Magic[:]...)
-	huge = append(huge, 1, 1, 0)
+	huge = append(huge, CodecVersion, 1, 0)
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0x7f) // absurd section count
 	return append(out, huge)
 }
 
 // FuzzDecodeMapDocument pins the codec's safety contract: arbitrary bytes
 // must never panic the decoder; anything it accepts must be the canonical
-// encoding of the document it returns, but for the entries of retired
-// sections — re-encoding reproduces the input byte-for-byte with each
-// retired section cut to its zero count, with the offsets that leaves, and
-// the input's offsets ascend and partition it. Recovery adopts accepted
-// bytes that hold no retired entries on the strength of this.
+// encoding of the document it returns — re-encoding reproduces the input
+// byte-for-byte, with the same offsets, and the offsets ascend and
+// partition it. Recovery adopts accepted bytes on the strength of this.
 func FuzzDecodeMapDocument(f *testing.F) {
 	rec, err := encodeRecord(sampleDoc(), nil)
 	if err != nil {
@@ -54,8 +50,7 @@ func FuzzDecodeMapDocument(f *testing.F) {
 	for _, c := range corruptions(full) {
 		f.Add(c)
 	}
-	grades, conf := retiredSpans(randx.New(1))
-	f.Add(withRetired(rec, grades, conf))
+	f.Add(versionOne(rec))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, dec, err := decodeDocument(data)
@@ -70,14 +65,13 @@ func FuzzDecodeMapDocument(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted document fails to re-encode: %v", err)
 		}
-		want := cutRetired(dec)
-		if !bytes.Equal(re.bytes, want.bytes) {
-			t.Fatalf("decode→re-encode is not the input with its retired sections emptied: %d vs %d bytes", len(re.bytes), len(want.bytes))
+		if !bytes.Equal(re.bytes, data) {
+			t.Fatalf("decode→re-encode not byte-identical: %d vs %d bytes", len(re.bytes), len(data))
 		}
-		if want.off != re.off {
-			t.Fatalf("decoder recorded section offsets %v (%v once emptied), encoder %v", dec.off, want.off, re.off)
+		if dec.off != re.off {
+			t.Fatalf("decoder recorded section offsets %v, encoder %v", dec.off, re.off)
 		}
-		// Header, then nine non-empty sections (each at least its count),
+		// Header, then seven non-empty sections (each at least its count),
 		// end to end: the offsets partition the input.
 		rebuilt := append([]byte(nil), data[:dec.off[0]]...)
 		for i := 0; i < wireSections; i++ {
@@ -105,8 +99,7 @@ func epochPayloadSeeds(t testing.TB) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapEnc, grades, conf := mapRec.bytes, keyedSpan([]uint64{1 << 16}, func(int) []byte { return []byte{2} }), keyedSpan([]uint64{7}, float(1))
-	badGrades := keyedSpan([]uint64{1 << 16}, func(int) []byte { return []byte{4} })
+	mapEnc := mapRec.bytes
 	meshEnc, err := EncodeMeshDocument(sampleMesh())
 	if err != nil {
 		t.Fatal(err)
@@ -123,24 +116,23 @@ func epochPayloadSeeds(t testing.TB) []struct {
 		{"mesh only", meshEnc, ErrVersion},
 		{"two maps", slices.Concat(mapEnc, mapEnc), ErrVersion},
 		{"map, then not ITMB", slices.Concat(mapEnc, []byte("junk")), ErrMagic},
-		{"map with retired entries, mesh", slices.Concat(withRetired(mapRec, grades, conf), meshEnc), nil},
-		{"map with a retired grade code 4, mesh", slices.Concat(withRetired(mapRec, badGrades, conf), meshEnc), ErrCorrupt},
+		{"version 1 map", versionOne(mapRec), ErrVersion},
+		{"version 1 map, mesh", slices.Concat(versionOne(mapRec), meshEnc), ErrVersion},
 	}
 }
 
 // TestDecodeEpochPayloadSeeds: each malformed shape is refused with the
-// typed error that names what is wrong with it, a record holding retired
-// entries comes without its record, to be encoded afresh, and the public
-// map decoder still takes nothing but a map — a journaled map‖mesh payload
-// is trailing bytes to it.
+// typed error that names what is wrong with it, an accepted one comes with
+// its record to adopt, and the public map decoder still takes nothing but a
+// map — a journaled map‖mesh payload is trailing bytes to it.
 func TestDecodeEpochPayloadSeeds(t *testing.T) {
 	for _, seed := range epochPayloadSeeds(t) {
 		in, err := decodeRecord(seed.payload)
 		if !errors.Is(err, seed.want) {
 			t.Errorf("%s: decodeRecord = %v, want %v", seed.name, err, seed.want)
 		}
-		if adopted := in.rec.bytes != nil; err == nil && adopted == strings.Contains(seed.name, "retired") {
-			t.Errorf("%s: record adopted = %v", seed.name, adopted)
+		if err == nil && !bytes.Equal(in.rec.bytes, seed.payload) {
+			t.Errorf("%s: record not adopted", seed.name)
 		}
 		mapOnly := bytes.Equal(seed.payload, epochPayloadSeeds(t)[0].payload)
 		if err == nil && (in.mesh != nil) == mapOnly {
@@ -156,10 +148,8 @@ func TestDecodeEpochPayloadSeeds(t *testing.T) {
 // a journal record's payload holds, decoding it never panics and fails only
 // with the codec's typed errors; and an accepted payload is the canonical
 // record of the documents decoded from it — the map's encoding, then the
-// mesh's — with the same section offsets, but for the entries of retired
-// sections: re-encoding reproduces it with each retired section cut to its
-// zero count. It is adopted exactly when it holds no such entries, so
-// adopting it is the same as re-encoding.
+// mesh's — with the same section offsets, so adopting it is the same as
+// re-encoding.
 func FuzzDecodeEpochPayload(f *testing.F) {
 	for _, seed := range epochPayloadSeeds(f) {
 		f.Add(seed.payload)
@@ -177,13 +167,12 @@ func FuzzDecodeEpochPayload(f *testing.F) {
 		if err := decodeInto(&core.MapDocument{}, &dec, true); err != nil {
 			t.Fatalf("decodeRecord accepts the payload, decodeInto refuses its map: %v", err)
 		}
-		want := cutRetired(dec)
 		re, err := encodeRecord(in.doc, in.mesh)
-		if err != nil || !bytes.Equal(re.bytes, want.bytes) || re.off != want.off {
-			t.Fatalf("payload with its retired sections emptied is not the canonical record of its documents (%v)", err)
+		if err != nil || !bytes.Equal(re.bytes, data) || re.off != dec.off {
+			t.Fatalf("payload is not the canonical record of its documents (%v)", err)
 		}
-		if adopted := in.rec.bytes != nil; adopted == dec.retiredEntries() || adopted && in.rec.off != dec.off {
-			t.Fatalf("record adopted %v, retired entries %v, offsets %v and %v", adopted, dec.retiredEntries(), in.rec.off, dec.off)
+		if !bytes.Equal(in.rec.bytes, data) || in.rec.off != dec.off {
+			t.Fatalf("record not adopted: offsets %v and %v", in.rec.off, dec.off)
 		}
 		if (in.mesh != nil) != (len(dec.off.span(data, wireMesh)) > 0) {
 			t.Fatalf("mesh document present %v, mesh span %v", in.mesh != nil, dec.off)

@@ -17,22 +17,18 @@ import (
 )
 
 // TestKeyedSectionsWellFormed: the table is the wire format's middle — its
-// rows are in wire order and cover wireHitRates..wireRetiredConfidence
-// exactly once — and every row bounds its keys as a /24 or an ASN and
-// reaches its field, unless it is retired and has none.
+// rows are in wire order and cover wireHitRates..wireSources exactly once —
+// and every row bounds its keys as a /24 or an ASN and reaches its field.
 func TestKeyedSectionsWellFormed(t *testing.T) {
-	if len(keyedSections) != wireRetiredConfidence-wireHitRates+1 {
-		t.Fatalf("%d rows for wire sections %d..%d", len(keyedSections), wireHitRates, wireRetiredConfidence)
+	if len(keyedSections) != wireSources-wireHitRates+1 {
+		t.Fatalf("%d rows for wire sections %d..%d", len(keyedSections), wireHitRates, wireSources)
 	}
 	for i, sec := range keyedSections {
-		if sec.retired != (sec.wire >= wireRetiredGrades) {
-			t.Errorf("row %s: retired %v; retiredEntries reads the last two rows as the retired ones", sec.name, sec.retired)
-		}
 		if sec.wire != wireHitRates+i {
 			t.Errorf("row %d (%s) has wire index %d, want %d: rows must follow wire order", i, sec.name, sec.wire, wireHitRates+i)
 		}
-		if sec.maxKey != maxPrefixID && sec.maxKey != math.MaxUint32 || (sec.field.stage == nil) != sec.retired {
-			t.Errorf("row %s: key bound %d, field set %v, retired %v", sec.name, sec.maxKey, sec.field.stage != nil, sec.retired)
+		if sec.maxKey != maxPrefixID && sec.maxKey != math.MaxUint32 || sec.field.stage == nil {
+			t.Errorf("row %s: key bound %d, field set %v", sec.name, sec.maxKey, sec.field.stage != nil)
 		}
 		if sec.name == "" || sec.key == "" || sec.value == "" {
 			t.Errorf("row %d lacks an error context", i)
@@ -64,8 +60,7 @@ func errClass(err error) string {
 // cannot hold — and requires the typed error class: an unencodable document
 // is ErrEncode; a cut is ErrTruncated, unless the section's count already
 // promises more entries than the bytes left can hold, which is ErrCorrupt;
-// every other malformation is ErrCorrupt. A retired section has no document
-// map to encode from, and its decode side is the same as any other's.
+// every other malformation is ErrCorrupt.
 func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 	for i := range keyedSections {
 		sec := &keyedSections[i]
@@ -78,9 +73,6 @@ func TestKeyedTableRejectsWhatParentRejected(t *testing.T) {
 		}
 		if sec.maxKey == maxPrefixID {
 			unencodable["key out of range"] = pair{Rank: maxPrefixID + 1}
-		}
-		if sec.retired {
-			unencodable = nil // no document map holds them
 		}
 		for name, bad := range unencodable {
 			doc := sampleDoc()
@@ -205,14 +197,11 @@ func TestAppendStillRejectsMalformedKeys(t *testing.T) {
 }
 
 // collidingJSON spells a key of each keyed section twice, canonically and
-// with leading zeros: one key to the importer, the last spelling winning —
-// but for the retired sections' keys, which the importer ignores.
+// with leading zeros: one key to the importer, the last spelling winning.
 var collidingJSON = []string{
 	`{"version": 1, "prefix_hit_rates": {"1.0.0.0/24": 0.5, "01.0.0.0/24": 0.25}}`,
 	`{"version": 1, "as_activity": {"64500": 1, "064500": 2}}`,
 	`{"version": 1, "sources": {"64500": "root-logs", "064500": "cache-probe"}}`,
-	`{"version": 1, "coverage": {"1.0.0.0/24": "stale", "1.00.0.0/24": "gave-up"}}`,
-	`{"version": 1, "as_confidence": {"7": 1, "07": 0.5}}`,
 }
 
 // FuzzEncodeMapDocument pins the other half of the codec's contract: whatever
@@ -220,7 +209,10 @@ var collidingJSON = []string{
 // decoder accepts, and decodes to a document that re-encodes to the same
 // bytes. Anything else the encoder must refuse as ErrEncode.
 func FuzzEncodeMapDocument(f *testing.F) {
-	for _, doc := range []*core.MapDocument{sampleDoc(), {Version: 1}, {Version: math.MaxInt32 + 1}} {
+	dupActive, dupMapping := sampleDoc(), sampleDoc()
+	dupActive.ActivePrefixes = append(dupActive.ActivePrefixes, dupActive.ActivePrefixes[0])
+	dupMapping.Mappings = append(dupMapping.Mappings, dupMapping.Mappings[0])
+	for _, doc := range []*core.MapDocument{sampleDoc(), {Version: 1}, {Version: math.MaxInt32 + 1}, dupActive, dupMapping} {
 		data, err := json.Marshal(doc)
 		if err != nil {
 			f.Fatal(err)
@@ -270,10 +262,12 @@ func FuzzImportDocument(f *testing.F) {
 		`{"version": 1, "active_prefixes": ["10.0.0.0/8"]}`,
 		`{"version": 1, "mappings": [{"domain": "a", "client_as": 1, "serving_prefix": "1.0.0.1/24"}]}`,
 		`{"version": 1, "sources": {"64500": "hearsay"}}`,
-		`{"version": 1, "coverage": {"1.0.0.0/24": "somewhat"}}`,
-		`{"version": 1, "active_prefixes": [], "prefix_hit_rates": {}, "coverage": {}, "as_confidence": {}, "servers": []}`,
-		`{"version": 1, "as_confidence": {"1": 1e-7, "2": 9.99e-7, "3": 1e-6, "4": 1e21, "5": 5e-324, "6": 1e20, "10": -0}}`,
+		`{"version": 1, "active_prefixes": [], "prefix_hit_rates": {}, "servers": []}`,
+		`{"version": 1, "as_activity": {"1": 1e-7, "2": 9.99e-7, "3": 1e-6, "4": 1e21, "5": 5e-324, "6": 1e20, "10": -0}}`,
 		`{"version": 1, "servers": [{"prefix": "1.0.100.0/24", "org": "<a&b>\"q\"\\", "city": "\t\u00e9\u2028\ud800", "country": "\u00ff"}]}`,
+		`{"version": 1, "active_prefixes": ["1.0.0.0/24", "1.0.0.0/24"]}`,
+		`{"version": 2147483648}`,
+		`{"version": 1, "unknown": {"1.0.0.0/24": "stale"}, "as_activity": {"64500": 1}}`,
 	) {
 		f.Add([]byte(js))
 	}

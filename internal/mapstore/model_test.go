@@ -51,8 +51,6 @@ func (m *model) publish(at simtime.Time, doc *core.MapDocument, mesh *core.MeshD
 	}
 	e := modelEpoch{at: at, doc: doc, mesh: mesh, enc: enc}
 	if n := len(m.epochs); n > 0 {
-		// The two retired sections are empty in every epoch, so always equal.
-		e.shared = 2
 		p := m.epochs[n-1].doc
 		for _, same := range []bool{
 			slices.Equal(p.ActivePrefixes, doc.ActivePrefixes), maps.Equal(p.PrefixHitRates, doc.PrefixHitRates),

@@ -7,10 +7,6 @@ package mapstore_test
 //	boot B              crash and reboot: reopen the WAL from what the disk
 //	                    holds, on a file system that dies after B more bytes
 //	                    (0: never), and RecoverStore
-//	legacy S            crash, journal the next day's map (drawn from seed
-//	                    S) as a writer from before the retired sections
-//	                    would have, with entries in them, and reboot: the
-//	                    epoch is the map alone
 //	map S | mesh S      append the next day's map (and mesh), drawn from seed S
 //	same                append the latest epoch again, mesh and all
 //	respell S           append the latest epoch with one field of its JSON
@@ -112,8 +108,6 @@ func (r *runner) do(op string) error {
 	switch f[0] {
 	case "boot":
 		return r.boot(r.fs.CrashImage(), num(1))
-	case "legacy":
-		return r.legacy(num(1))
 	case "map", "mesh", "same", "respell", "bad":
 		return r.append(f[0], num(1))
 	case "get":
@@ -140,35 +134,6 @@ func (r *runner) boot(disk *wal.MemFS, crash int64) error {
 	}
 	r.h = mapstore.NewHandler(r.store)
 	return nil
-}
-
-// legacy crashes the store, journals the next day's map on the disk it
-// left the way a writer from before the retired sections did, with entries
-// in them, and reboots on that disk. Recovery must drop the entries and
-// re-encode the record: the model's epoch is the map, and its bytes are
-// the codec's for it.
-func (r *runner) legacy(seed int64) error {
-	r.days++
-	at := simtime.Time(r.days) * simtime.Day
-	rng := randx.New(seed)
-	doc, _, _ := r.next("map", rng)
-	rec, err := mapstore.LegacyRecord(doc, rng)
-	if err != nil {
-		return err
-	}
-	disk := r.fs.CrashImage()
-	w, _, err := wal.Open(wal.Options{Dir: "wal", FS: disk})
-	if err != nil {
-		return fmt.Errorf("reopening the WAL: %w", err)
-	}
-	if err := w.Append(at, rec); err != nil {
-		return err
-	}
-	if err := r.m.publish(at, doc, nil); err != nil {
-		return err
-	}
-	r.seen["legacy"]++
-	return r.boot(disk, 0)
 }
 
 // append hands the store the op's documents. The model refuses bad ones, at
@@ -437,9 +402,10 @@ func nextDoc(prev *core.MapDocument, rng *randx.Source) *core.MapDocument {
 	if rng.Bool(0.3) {
 		d.Sources[asn()] = core.ActivitySource(rng.Intn(core.ActivitySources))
 	}
-	// The two retired sections' draws stay, so each seed draws the days it
-	// always has: a grade is drawn and dropped, and a confidence lands in
-	// the activity, so edge floats reach the writer as often as they did.
+	// Two draws once changed the grades and confidences codec version 1
+	// carried. They stay so that every seed and committed repro draws the
+	// days it always has: a grade is drawn and dropped, and a confidence
+	// lands in the activity, so edge floats reach the writer as often.
 	if rng.Bool(0.25) {
 		active()
 		rng.Intn(4)
@@ -627,7 +593,7 @@ func genOps(seed int64, n int) []string {
 			}
 			ops = append(ops, fmt.Sprintf("boot %d", crash))
 		case x < 0.27:
-			if kind := pick("map", "map", "mesh", "mesh", "mesh", "same", "respell", "bad", "legacy"); kind == "same" {
+			if kind := pick("map", "map", "mesh", "mesh", "mesh", "same", "respell", "bad"); kind == "same" {
 				ops = append(ops, kind)
 			} else {
 				ops = append(ops, fmt.Sprintf("%s %d", kind, rng.Intn(1<<16)))
@@ -690,7 +656,7 @@ func TestModelSequences(t *testing.T) {
 	}
 	t.Logf("outcomes: %v", seen)
 	// The sequences are only worth their length if they reach every outcome.
-	for _, k := range []string{"200", "304", "400", "404", "405", "refused", "crash", "legacy"} {
+	for _, k := range []string{"200", "304", "400", "404", "405", "refused", "crash"} {
 		if seen[k] == 0 {
 			t.Errorf("no sequence reached %q: %v", k, seen)
 		}

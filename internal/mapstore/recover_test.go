@@ -3,14 +3,10 @@ package mapstore
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
 	"math"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -44,8 +40,9 @@ func cloneDoc(d *core.MapDocument) *core.MapDocument {
 // anything from no section to all of them. A new server may bring an org
 // that sorts ahead of every other string, which renumbers the whole string
 // table: the mappings section then differs in bytes while its values stay
-// equal. The changes the two retired sections once drew are drawn still, and
-// dropped, so each seed draws the days it always has.
+// equal. Two draws change nothing: they once changed the grades and
+// confidences codec version 1 carried, and they stay so that each seed
+// draws the days it always has.
 func seededDocs(seed int64, n int) []*core.MapDocument {
 	rng := randx.New(seed)
 	cur := benchDoc(300)
@@ -125,47 +122,12 @@ func seededMeshes(seed int64, n int) []*core.MeshDocument {
 // journalShape is one way a 16-epoch WAL directory can look at boot.
 type journalShape struct {
 	name     string
-	legacy   int // epochs an older binary compacted into snapshot.itwl
 	tornTail []byte
 }
 
 var journalShapes = []journalShape{
 	{name: "journal only"},
-	{name: "legacy snapshot + journal", legacy: 6},
 	{name: "torn tail", tornTail: []byte{0xFF, 0xEE, 0xDD, 0x00, 0x10}},
-}
-
-// walRecords splits a whole WAL file image into its records, framing and all.
-func walRecords(t *testing.T, data []byte) [][]byte {
-	t.Helper()
-	recs, valid, err := wal.ScanRecords(data)
-	if err != nil || valid != len(data) {
-		t.Fatalf("not a whole WAL file: %d of %d bytes scan, %v", valid, len(data), err)
-	}
-	var out [][]byte
-	for off := len(wal.Magic) + 1; len(out) < len(recs); {
-		n := 8 + int(binary.LittleEndian.Uint32(data[off:]))
-		out = append(out, data[off:off+n])
-		off += n
-	}
-	return out
-}
-
-// walFile is the WAL file image holding records.
-func walFile(records ...[]byte) []byte {
-	return slices.Concat(append([][]byte{wal.Magic[:], {wal.FormatVersion}}, records...)...)
-}
-
-// plant writes a file into a WAL directory the way an older binary left it.
-func plant(t *testing.T, mem *wal.MemFS, name string, data []byte) {
-	t.Helper()
-	h, err := mem.Create("wal/" + name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Write(data); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // journalDocs appends docs (and day by day the meshes that are not nil)
@@ -192,22 +154,12 @@ func journalDocs(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocu
 	return s, mem
 }
 
-// openJournal journals docs and meshes, splits the shape's legacy epochs off
-// into a snapshot, smashes its torn tail onto the journal and reopens the
-// directory. It returns the store that wrote the journal along with what
-// reopening found.
+// openJournal journals docs and meshes, smashes the shape's torn tail onto
+// the journal and reopens the directory. It returns the store that wrote the
+// journal along with what reopening found.
 func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocument, shape journalShape) (*Store, *wal.WAL, *wal.Recovery) {
 	t.Helper()
 	s, mem := journalDocs(t, docs, meshes)
-	if shape.legacy > 0 {
-		journal, err := mem.ReadFile("wal/journal.itwl")
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := walRecords(t, journal)
-		plant(t, mem, "snapshot.itwl", walFile(recs[:shape.legacy]...))
-		plant(t, mem, "journal.itwl", walFile(recs[shape.legacy:]...))
-	}
 	if len(shape.tornTail) > 0 {
 		h, err := mem.OpenAppend("wal/journal.itwl")
 		if err != nil {
@@ -231,8 +183,7 @@ func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocu
 // TestRecoverStoreMatchesReencodeOracle pins recovery-by-adoption against the
 // store that wrote the journal — a truer reference than re-encoding what was
 // journaled, which could only show the codec agreeing with itself: over
-// seeded 16-epoch journals in every shape, map-only (what every journal
-// written before the mesh was journaled holds) and with a seeded mesh
+// seeded 16-epoch journals in every shape, map-only and with a seeded mesh
 // history, and with the decode-ahead on one worker and on four, the
 // recovered store has the writer's bytes, ETags, sharing, documents and
 // served bodies.
@@ -316,16 +267,11 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 	}
 }
 
-// secRetired are the retired sections' bits: no document holds anything
-// there, so any two documents are equal in them.
-const secRetired = 1<<(wireRetiredGrades-wireActives) | 1<<(wireRetiredConfidence-wireActives)
-
 // shareSectionsMaps is the sharing rule as it stood when sections were
 // compared as decoded values, kept verbatim (minus the aliasing, which the
-// comparison does not need, and the retired sections, always equal) as the
-// oracle for the byte-span rule.
+// comparison does not need) as the oracle for the byte-span rule.
 func shareSectionsMaps(doc, prev *core.MapDocument) uint {
-	shared := uint(secRetired)
+	var shared uint
 	if slices.Equal(doc.ActivePrefixes, prev.ActivePrefixes) {
 		shared |= secActives
 	}
@@ -378,8 +324,8 @@ func TestShareSectionsBytesMatchesMaps(t *testing.T) {
 			sawCopied |= ^got & secAll
 		}
 	}
-	if sawShared != secAll || sawCopied != secAll&^secRetired {
-		t.Errorf("seeded days too tame: sections seen shared %08b, seen copied %08b, want all, and all but the retired", sawShared, sawCopied)
+	if sawShared != secAll || sawCopied != secAll {
+		t.Errorf("seeded days too tame: sections seen shared %08b, seen copied %08b, want all", sawShared, sawCopied)
 	}
 
 	withActivity := func(v float64) *core.MapDocument {
@@ -394,23 +340,20 @@ func TestShareSectionsBytesMatchesMaps(t *testing.T) {
 	}
 }
 
-// TestMapOnlyJournalBytesMatchParent pins that journaling the mesh, and
-// dropping compaction, changed nothing for an epoch without a mesh: the
-// journal a map-only store leaves is, byte for byte, the journal older
-// commits left for the same documents with compaction off — so every such
-// journal is a journal in the current format, and the same test recovers
-// one — once the grades and confidences those documents held are gone.
-// Digests of the journals commit 7d2d025 wrote with compaction off, each
-// record's two retired sections then cut to their zero count and the
-// records framed again.
+// TestMapOnlyJournalBytesMatchParent is the golden of the journal format: the
+// journal a map-only store leaves for seeds 1 and 7's first six days, byte
+// for byte, and that journal recovers. Its digests move only with the
+// on-disk format, and a format change bumps CodecVersion (or
+// wal.FormatVersion), so that a journal an older binary wrote is refused
+// (TestVersionOneJournalRefused), never read as the new format.
 func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
 	for _, tc := range []struct {
 		seed    int64
 		journal string
 	}{
-		{1, "4a2aba9fdb41addb6cafda76503eb17dabccff22197b963ce8c6ef5acf571843"},
-		{7, "4d05ecda965b14ebd6e1b68fc80d19744afd1896d8f499a7afd0d5524ac91eca"},
+		{1, "80327f6698042cff16fb6a442b3710d87fceca540558d2690b8670c91570ba19"},
+		{7, "0c9578b17c69ab4a33110c4a1d2ffd253ce4b2d6cf8498a8aa9341eac283cd9d"},
 	} {
 		_, mem := journalDocs(t, seededDocs(tc.seed, 6), nil)
 		data, err := mem.ReadFile("wal/journal.itwl")
@@ -418,7 +361,7 @@ func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.journal {
-			t.Errorf("seed %d: journal.itwl (%d bytes) has SHA-256 %s, the older commit's, cut, has %s", tc.seed, len(data), got, tc.journal)
+			t.Errorf("seed %d: journal.itwl (%d bytes) has SHA-256 %s, the golden %s", tc.seed, len(data), got, tc.journal)
 		}
 		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
 		if err != nil {
@@ -426,7 +369,7 @@ func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 		}
 		got, err := RecoverStore(w, rec)
 		if err != nil {
-			t.Fatalf("seed %d: recovering the parent-format journal: %v", tc.seed, err)
+			t.Fatalf("seed %d: recovering the journal: %v", tc.seed, err)
 		}
 		if got.Len() != 6 || got.Latest().MeshDoc != nil {
 			t.Errorf("seed %d: recovered %d epochs", tc.seed, got.Len())
@@ -434,119 +377,30 @@ func TestMapOnlyJournalBytesMatchParent(t *testing.T) {
 	}
 }
 
-// TestLegacyWALDirectoryRecovers replays the WAL directory an older binary
-// left: testdata/legacy-wal is seed 1's six epochs as commit 7d2d025 wrote
-// them compacting every 4 epochs — four in snapshot.itwl, two in
-// journal.itwl — when the documents still held the grades and confidences
-// since retired, which epochs 2 to 5 do. With each retired section cut to
-// its zero count, its records are a journal-only store's for the same
-// documents, the snapshot's followed by the journal's. The directory
-// recovers that store's epochs, re-encoding the four that held retired
-// entries; so does the directory a compaction crash left, whose journal
-// still re-holds records the snapshot covers; and appending after recovery
-// never touches the snapshot.
-func TestLegacyWALDirectoryRecovers(t *testing.T) {
+// TestVersionOneJournalRefused: a journal whose record holds a map as codec
+// version 1 wrote it frames and checksums like any other, and recovery
+// refuses it by its version, naming the epoch, rather than read it.
+func TestVersionOneJournalRefused(t *testing.T) {
 	defer obs.Swap(obs.Swap(obs.NewSet()))
-	legacy := map[string][]byte{}
-	for name, digest := range map[string]string{
-		"snapshot.itwl": "2709edf15f78223ab097fbec9ea317ceb69c13a090c1abb5bfbffed72541b176",
-		"journal.itwl":  "2170bbd32c1777538977acb6140c8924a8909fc9e5fb776b29660a652e16bed5",
-	} {
-		data, err := os.ReadFile("testdata/legacy-wal/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != digest {
-			t.Fatalf("testdata/legacy-wal/%s has SHA-256 %s, not the %s commit 7d2d025 wrote", name, got, digest)
-		}
-		legacy[name] = data
-	}
-	snapRecs, journalRecs := walRecords(t, legacy["snapshot.itwl"]), walRecords(t, legacy["journal.itwl"])
-	if len(snapRecs) != 4 || len(journalRecs) != 2 {
-		t.Fatalf("legacy directory holds %d snapshot + %d journal records, want 4 + 2", len(snapRecs), len(journalRecs))
-	}
-	want, mem := journalDocs(t, seededDocs(1, 6), nil)
-	journal, err := mem.ReadFile("wal/journal.itwl")
+	rec, err := encodeRecord(sampleDoc(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyRecs, wantRecs := scanRecords(t, walFile(slices.Concat(snapRecs, journalRecs)...)), scanRecords(t, journal)
-	var held []int
-	for i, r := range legacyRecs {
-		dec := encoding{bytes: r.Payload}
-		if err := decodeInto(&core.MapDocument{}, &dec, true); err != nil {
-			t.Fatalf("legacy record %d: %v", i, err)
-		}
-		if dec.retiredEntries() {
-			held = append(held, i)
-		}
-		r.Payload = cutRetired(dec).bytes
-		if i >= len(wantRecs) || !reflect.DeepEqual(r, wantRecs[i]) {
-			t.Fatalf("legacy record %d, its retired sections emptied, is not a journal-only store's record", i)
-		}
+	mem := wal.NewMemFS()
+	w, _, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(legacyRecs) != len(wantRecs) || !slices.Equal(held, []int{2, 3, 4, 5}) {
-		t.Fatalf("%d legacy records, %d written; records %v hold retired entries, want 2 to 5", len(legacyRecs), len(wantRecs), held)
+	if err := w.Append(0, versionOne(rec)); err != nil {
+		t.Fatal(err)
 	}
-
-	for _, dir := range []struct {
-		name    string
-		journal []byte
-	}{
-		{"as compacted", legacy["journal.itwl"]},
-		{"stale tail", walFile(slices.Concat(snapRecs[2:], journalRecs)...)},
-	} {
-		mem := wal.NewMemFS()
-		plant(t, mem, "snapshot.itwl", legacy["snapshot.itwl"])
-		plant(t, mem, "journal.itwl", dir.journal)
-		w, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
-		if err != nil {
-			t.Fatalf("%s: %v", dir.name, err)
-		}
-		got, err := RecoverStore(w, rec)
-		if err != nil {
-			t.Fatalf("%s: %v", dir.name, err)
-		}
-		if got.Len() != want.Len() || rec.TruncatedBytes != 0 {
-			t.Fatalf("%s: recovered %d epochs (cut %d bytes), want %d", dir.name, got.Len(), rec.TruncatedBytes, want.Len())
-		}
-		for i, e := range got.Snapshot() {
-			o, _ := want.Epoch(i)
-			if !bytes.Equal(e.Encoded, o.Encoded) || e.ETag != o.ETag {
-				t.Errorf("%s: epoch %d differs from the journal-only store's: ETag %s, want %s", dir.name, i, e.ETag, o.ETag)
-			}
-			if reencoded := !bytes.Equal(e.record, legacyRecs[i].Payload); reencoded != slices.Contains(held, i) {
-				t.Errorf("%s: epoch %d re-encoded %v; only those holding retired entries are", dir.name, i, reencoded)
-			}
-		}
-		h := NewHandler(got)
-		for _, i := range held {
-			resp := httptest.NewRecorder()
-			h.ServeHTTP(resp, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/map/%d", i), nil))
-			if m := resp.Body.String(); resp.Code != http.StatusOK || strings.Contains(m, `"coverage"`) || strings.Contains(m, `"as_confidence"`) {
-				t.Errorf("%s: /v1/map/%d answers %d with the retired keys: %.200q", dir.name, i, resp.Code, m)
-			}
-		}
-		if _, err := got.Append(6*simtime.Day, seededDocs(1, 7)[6]); err != nil {
-			t.Fatalf("%s: append after recovery: %v", dir.name, err)
-		}
-		if snap, _ := mem.ReadFile("wal/snapshot.itwl"); !bytes.Equal(snap, legacy["snapshot.itwl"]) {
-			t.Errorf("%s: appending after recovery changed snapshot.itwl", dir.name)
-		}
-		if _, rec, err := wal.Open(wal.Options{Dir: "wal", FS: mem}); err != nil || len(rec.Records) != 7 {
-			t.Errorf("%s: reopening after the append: %v", dir.name, err)
-		}
+	w, replay, err := wal.Open(wal.Options{Dir: "wal", FS: mem})
+	if err != nil || len(replay.Records) != 1 {
+		t.Fatalf("the WAL does not replay the record: %v", err)
 	}
-}
-
-// scanRecords parses a whole WAL file image into its records.
-func scanRecords(t *testing.T, data []byte) []wal.Record {
-	t.Helper()
-	recs, valid, err := wal.ScanRecords(data)
-	if err != nil || valid != len(data) {
-		t.Fatalf("not a whole WAL file: %d of %d bytes scan, %v", valid, len(data), err)
+	if _, err := RecoverStore(w, replay); !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "epoch 0") {
+		t.Errorf("RecoverStore = %v, want ErrVersion naming epoch 0", err)
 	}
-	return recs
 }
 
 // TestCrashInsideMeshRecordNeverTearsTheMeshOff sweeps a power cut across

@@ -87,7 +87,7 @@ const sectionCount = wireSections - 1
 
 // Section bits name the shareable sections — bit = wire index past the
 // string table — so ingest can reuse exactly the derived indexes whose inputs
-// an append left untouched. secAll holds the two retired sections too.
+// an append left untouched.
 const (
 	secActives  = 1 << (wireActives - wireActives)
 	secHitRates = 1 << (wireHitRates - wireActives)
@@ -385,9 +385,7 @@ func shareSections(e, prev *Epoch) uint {
 	}
 	for i := range keyedSections {
 		if sec := &keyedSections[i]; same(sec.wire) {
-			if !sec.retired {
-				sec.field.share(doc, pdoc)
-			}
+			sec.field.share(doc, pdoc)
 			shared |= 1 << (sec.wire - wireActives)
 		}
 	}

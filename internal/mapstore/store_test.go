@@ -68,10 +68,10 @@ func TestStoreStructuralSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Servers, mappings, hit rates, sources and the two retired sections
-	// are unchanged day-over-day; actives and activity changed.
-	if e1.SharedSections != sectionCount-2 {
-		t.Errorf("shared %d sections, want %d", e1.SharedSections, sectionCount-2)
+	// Servers, mappings, hit rates and sources are unchanged day-over-day;
+	// actives and activity changed.
+	if e1.SharedSections != 4 {
+		t.Errorf("shared %d sections, want 4", e1.SharedSections)
 	}
 	e0, _ := s.Epoch(0)
 	if &e0.Doc.Servers[0] != &e1.Doc.Servers[0] {

@@ -2,29 +2,25 @@
 // of ITMB-encoded epochs with CRC-checksummed, length-prefixed records,
 // fsync-on-append, and torn-tail repair.
 //
-// On-disk layout (one directory):
+// On-disk layout: one directory holding journal.itwl, every epoch in ID
+// order. A directory that also holds a snapshot.itwl, which older binaries
+// compacted the journal's head into, is refused: this version does not read
+// it, and replaying the journal without it would drop acknowledged epochs.
 //
-//	journal.itwl    every epoch, in ID order; the only file ever written
-//	snapshot.itwl   left by older binaries, which compacted the journal's
-//	                head into it; replayed before the journal, never touched
-//
-// File format (both files):
+// File format:
 //
 //	header    magic "ITWL" | format version (1)
 //	record    u32 LE payload length | u32 LE CRC-32C of payload | payload
 //	payload   uvarint epoch ID | u64 LE simtime bits | epoch bytes (opaque here:
 //	          the ITMB map document, then the ITMB mesh document if any)
 //
-// Recovery replays the journal (after a legacy snapshot, if one exists). A
-// crash mid-append leaves a torn record at the journal's tail; replay
-// detects it (short header, short payload, or checksum mismatch at the cut)
-// and truncates the file back to the last whole record — every
-// fully-fsynced epoch survives, the torn one never existed. A checksum
+// Recovery replays the journal. A crash mid-append leaves a torn record at
+// its tail; replay detects it (short header, short payload, or checksum
+// mismatch at the cut) and truncates the file back to the last whole record
+// — every fully-fsynced epoch survives, the torn one never existed. A checksum
 // mismatch with bytes after the record's end is not a torn write, since
 // nothing is appended past an unacknowledged record: it is damage, and Open
-// refuses it rather than cut acknowledged epochs off. Journal records whose
-// epoch ID a legacy snapshot already covers are skipped (the tail an older
-// binary's compaction could crash before truncating).
+// refuses it rather than cut acknowledged epochs off.
 //
 // The payload bytes are exactly the store's canonical epoch encodings, so a
 // recovered store adopts them and serves byte-identical epochs and ETags
@@ -44,7 +40,7 @@ import (
 	"itmap/internal/simtime"
 )
 
-// Magic identifies a WAL file (snapshot or journal).
+// Magic identifies a WAL journal.
 var Magic = [4]byte{'I', 'T', 'W', 'L'}
 
 // FormatVersion is the file format this package reads and writes.
@@ -209,12 +205,12 @@ var (
 	ReplayedEpochs = obs.NewCounter("itm_wal_replayed_epochs_total", "Epochs rebuilt from the WAL at recovery.")
 )
 
-// Open replays the WAL under dir (a legacy snapshot, then the journal),
-// repairs a torn journal tail by truncating to the last whole record, and
-// returns the WAL ready for appends plus what it recovered. Damage that is
-// not a torn tail is fatal and leaves the files as they were: a legacy
-// snapshot that does not parse completely, a foreign journal, or a record
-// failing its checksum with bytes after it.
+// Open replays the journal under dir, repairs a torn tail by truncating to
+// the last whole record, and returns the WAL ready for appends plus what it
+// recovered. Damage that is not a torn tail is fatal and leaves the files as
+// they were: a foreign journal, or a record failing its checksum with bytes
+// after it. So is an older binary's snapshot.itwl in dir, refused with an
+// error wrapping fs.ErrExist.
 func Open(opts Options) (*WAL, *Recovery, error) {
 	obs.Declare(appendsTotal, appendBytes, repairs, ReplayedEpochs, truncatedBytes)
 	fsys := opts.FS
@@ -225,24 +221,14 @@ func Open(opts Options) (*WAL, *Recovery, error) {
 	if err := fsys.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	rec := &Recovery{}
-
-	// Legacy snapshot: must parse completely or not exist.
-	snapPath := path(opts.Dir, "snapshot.itwl")
-	if data, err := fsys.ReadFile(snapPath); err == nil {
-		recs, _, serr := ScanRecords(data)
-		if serr != nil {
-			return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snapPath, serr)
-		}
-		for i, r := range recs {
-			if r.ID != i {
-				return nil, nil, fmt.Errorf("wal: snapshot %s: epoch %d at position %d: %w", snapPath, r.ID, i, ErrBadRecord)
-			}
-		}
-		rec.Records = recs
-	} else if !errors.Is(err, fs.ErrNotExist) {
+	snap := path(opts.Dir, "snapshot.itwl")
+	switch _, err := fsys.ReadFile(snap); {
+	case err == nil:
+		return nil, nil, fmt.Errorf("wal: %s is an older binary's snapshot, which this version does not read: %w", snap, fs.ErrExist)
+	case !errors.Is(err, fs.ErrNotExist):
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
+	rec := &Recovery{}
 
 	// Journal: torn tails are expected crash artifacts — truncate and go on.
 	jdata, err := fsys.ReadFile(w.journalPath)
@@ -269,18 +255,13 @@ func Open(opts Options) (*WAL, *Recovery, error) {
 		truncatedBytes.Add(uint64(rec.TruncatedBytes))
 	}
 	w.journalSize = int64(valid)
-	for _, r := range jrecs {
-		if r.ID < len(rec.Records) {
-			// Stale tail of an older binary's compaction, covered by the snapshot.
-			continue
+	for i, r := range jrecs {
+		if r.ID != i {
+			return nil, nil, fmt.Errorf("wal: journal %s: epoch %d at position %d: %w", w.journalPath, r.ID, i, ErrBadRecord)
 		}
-		if r.ID != len(rec.Records) {
-			return nil, nil, fmt.Errorf("wal: journal %s: epoch %d after %d epochs: %w",
-				w.journalPath, r.ID, len(rec.Records), ErrBadRecord)
-		}
-		rec.Records = append(rec.Records, r)
 	}
-	w.nextID = len(rec.Records)
+	rec.Records = jrecs
+	w.nextID = len(jrecs)
 
 	if err := w.openJournal(); err != nil {
 		return nil, nil, err

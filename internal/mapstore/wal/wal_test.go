@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
+	"strings"
 	"testing"
 
 	"itmap/internal/obs"
@@ -218,33 +220,25 @@ func TestMidJournalCorruptionIsFatal(t *testing.T) {
 	}
 }
 
-// TestStaleJournalSkippedAfterCompactionCrash covers the directory an older
-// binary left when it crashed mid-compaction: the snapshot rename landed
-// but the journal truncate did not, so the journal still holds records the
-// snapshot already covers. Replay must skip them by epoch ID, append after
-// them, and never touch the snapshot.
-func TestStaleJournalSkippedAfterCompactionCrash(t *testing.T) {
+// TestSnapshotDirectoryRefused: a directory holding the snapshot.itwl an
+// older, compacting binary wrote is refused with fs.ErrExist, whatever the
+// snapshot holds, and neither file is touched. Replaying the journal alone
+// would drop the epochs the snapshot holds.
+func TestSnapshotDirectoryRefused(t *testing.T) {
 	defer obs.Swap(obs.NewSet())
 	journal, _ := journalOf(t, 5)
-	mem := NewMemFS()
-	plant(t, mem, "wal/snapshot.itwl", journal)
-	plant(t, mem, "wal/journal.itwl", journal)
-
-	w, rec, err := Open(Options{Dir: "wal", FS: mem})
-	if err != nil {
-		t.Fatalf("open with stale journal: %v", err)
-	}
-	wantRecords(t, rec.Records, 5)
-	if err := w.Append(simtime.Time(5), testPayload(5)); err != nil {
-		t.Fatalf("append after stale-tail recovery: %v", err)
-	}
-	_, rec2, err := Open(Options{Dir: "wal", FS: mem})
-	if err != nil {
-		t.Fatalf("final open: %v", err)
-	}
-	wantRecords(t, rec2.Records, 6)
-	if snap, _ := mem.ReadFile("wal/snapshot.itwl"); !bytes.Equal(snap, journal) {
-		t.Fatal("appending changed the legacy snapshot")
+	for _, snap := range [][]byte{journal, {}, []byte("not a WAL file")} {
+		mem := NewMemFS()
+		plant(t, mem, "wal/snapshot.itwl", snap)
+		plant(t, mem, "wal/journal.itwl", journal)
+		if _, _, err := Open(Options{Dir: "wal", FS: mem}); !errors.Is(err, fs.ErrExist) || !strings.Contains(err.Error(), "wal/snapshot.itwl") {
+			t.Errorf("Open beside a %d-byte snapshot = %v, want fs.ErrExist naming the file", len(snap), err)
+		}
+		gotSnap, _ := mem.ReadFile("wal/snapshot.itwl")
+		gotJournal, _ := mem.ReadFile("wal/journal.itwl")
+		if !bytes.Equal(gotSnap, snap) || !bytes.Equal(gotJournal, journal) {
+			t.Errorf("refused Open beside a %d-byte snapshot changed the files", len(snap))
+		}
 	}
 }
 
@@ -325,20 +319,6 @@ func TestCloseEndsOnRecordBoundary(t *testing.T) {
 		t.Fatalf("valid prefix %d != file size %d", valid, len(data))
 	}
 	wantRecords(t, recs, 3)
-}
-
-func TestCorruptSnapshotIsFatal(t *testing.T) {
-	defer obs.Swap(obs.NewSet())
-	// Flip a payload byte inside a legacy snapshot: checksum mismatch, and
-	// since snapshots were written atomically this is damage, not a crash
-	// artifact.
-	snap, _ := journalOf(t, 4)
-	snap[len(snap)-2] ^= 0xFF
-	mem := NewMemFS()
-	plant(t, mem, "wal/snapshot.itwl", snap)
-	if _, _, err := Open(Options{Dir: "wal", FS: mem}); !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("Open over corrupt snapshot = %v, want ErrBadChecksum", err)
-	}
 }
 
 func TestForeignJournalIsFatal(t *testing.T) {

@@ -80,11 +80,10 @@ func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 // record is the two encodings back to back with nothing between them. Both
 // start with the ITMB magic and their own codec version, and the map
 // decoder ends exactly where the map does, so the split needs no framing —
-// and a map-only epoch's record is its map encoding alone, which is what
-// every journal written before the mesh was journaled holds. Whatever
+// and a map-only epoch's record is its map encoding alone. Whatever
 // follows the map must be one whole canonical mesh document: a second map,
-// a torn mesh or trailing junk is a typed error. A record holding retired
-// entries is not adopted: append encodes the documents afresh.
+// a torn mesh or trailing junk is a typed error, and a map in an older
+// codec version is refused with ErrVersion.
 func decodeRecord(payload []byte) (ingest, error) {
 	in := ingest{doc: &core.MapDocument{}, rec: encoding{bytes: payload}}
 	if err := decodeInto(in.doc, &in.rec, true); err != nil {
@@ -95,9 +94,6 @@ func decodeRecord(payload []byte) (ingest, error) {
 		if in.mesh, err = DecodeMeshDocument(tail); err != nil {
 			return ingest{}, fmt.Errorf("mesh sections: %w", err)
 		}
-	}
-	if in.rec.retiredEntries() {
-		in.rec = encoding{}
 	}
 	return in, nil
 }
