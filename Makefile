@@ -307,8 +307,9 @@ crash-smoke:
 	echo "crash-smoke: OK (torn-tail recovery identity, map and mesh AS$$a<->AS$$b + overload shed=$$shed + record-boundary shutdown + respelled snapshot + snapshot.itwl refused)"
 	@rm -rf crash-smoke
 
-# Mesh smoke: prove the vantage-fleet mesh is worker-count-invariant at the
-# byte level (itm-mesh -workers 1 vs 4 → identical ITMB v2 sections), then
+# Mesh smoke: prove the vantage-fleet mesh is CPU-count-invariant at the
+# byte level (itm-mesh under GOMAXPROCS=1 vs 4 → identical ITMB v2
+# sections), then
 # boot a mesh-enabled itm-serve, discover the worst pair from
 # /v1/latency/top, and query both user↔user routes — stable bodies on
 # re-fetch, and a 304 when revalidating with the served ETag.
@@ -316,10 +317,10 @@ mesh-smoke:
 	@rm -rf mesh-smoke && mkdir -p mesh-smoke
 	$(GO) build -o mesh-smoke/itm-mesh ./cmd/itm-mesh
 	$(GO) build -o mesh-smoke/itm-serve ./cmd/itm-serve
-	mesh-smoke/itm-mesh -scale tiny -seed 42 -agents 24 -rounds 2 -profile lossy -workers 1 -o mesh-smoke/mesh-w1.itmb > /dev/null
-	mesh-smoke/itm-mesh -scale tiny -seed 42 -agents 24 -rounds 2 -profile lossy -workers 4 -o mesh-smoke/mesh-w4.itmb > /dev/null
-	@cmp -s mesh-smoke/mesh-w1.itmb mesh-smoke/mesh-w4.itmb || \
-		{ echo "mesh-smoke: mesh sections differ between workers 1 and 4"; exit 1; }
+	GOMAXPROCS=1 mesh-smoke/itm-mesh -scale tiny -seed 42 -agents 24 -rounds 2 -profile lossy -o mesh-smoke/mesh-p1.itmb > /dev/null
+	GOMAXPROCS=4 mesh-smoke/itm-mesh -scale tiny -seed 42 -agents 24 -rounds 2 -profile lossy -o mesh-smoke/mesh-p4.itmb > /dev/null
+	@cmp -s mesh-smoke/mesh-p1.itmb mesh-smoke/mesh-p4.itmb || \
+		{ echo "mesh-smoke: mesh sections differ between GOMAXPROCS 1 and 4"; exit 1; }
 	@set -e; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
 	mesh-smoke/itm-serve -addr 127.0.0.1:8415 -scale tiny -epochs 2 -mesh-agents 24 -mesh-profile calm 2>mesh-smoke/events.log & \
@@ -339,13 +340,14 @@ mesh-smoke:
 	code=$$(curl -s -o /dev/null -w '%{http_code}' -H "If-None-Match: $$etag" "http://127.0.0.1:8415/v1/path/$$a/$$b"); \
 	test "$$code" = 304 || { echo "mesh-smoke: revalidation gave $$code, want 304"; exit 1; }; \
 	kill $$pid; wait $$pid 2>/dev/null || true; \
-	echo "mesh-smoke: OK (worker-invariant mesh bytes + AS$$a<->AS$$b path/latency + 304 revalidation)"
+	echo "mesh-smoke: OK (CPU-count-invariant mesh bytes + AS$$a<->AS$$b path/latency + 304 revalidation)"
 	@rm -rf mesh-smoke
 
-# SLO smoke: boot a mesh-enabled multi-epoch itm-serve twice (mesh fleet
-# workers 1 then 4) and assert the telemetry history body is byte-identical — the
-# obs v2 determinism contract, end to end over HTTP. Then replay a seeded
-# loadgen mix against the workers-4 server and check the judgment surface:
+# SLO smoke: boot a mesh-enabled multi-epoch itm-serve twice (GOMAXPROCS=1
+# then 4) and assert the telemetry history body, /v1/epochs and epoch 2's
+# binary map are byte-identical — the obs v2 determinism contract, end to
+# end over HTTP. Then replay a seeded loadgen mix against the GOMAXPROCS=4
+# server and check the judgment surface:
 # /v1/slo reports every objective met, /healthz carries per-objective
 # statuses, and itm-top -once renders a full dashboard frame from the live
 # endpoints.
@@ -356,17 +358,20 @@ slo-smoke:
 	$(GO) build -o slo-smoke/itm-top ./cmd/itm-top
 	@set -e; \
 	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	slo-smoke/itm-serve -addr 127.0.0.1:8416 -scale tiny -epochs 3 -workers 1 -mesh-agents 24 -mesh-profile calm 2>slo-smoke/events1.log & \
-	pid=$$!; \
-	for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8416/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	curl -sf http://127.0.0.1:8416/v1/obs/history > slo-smoke/history-w1.json; \
-	kill $$pid; wait $$pid 2>/dev/null || true; \
-	slo-smoke/itm-serve -addr 127.0.0.1:8416 -scale tiny -epochs 3 -workers 4 -mesh-agents 24 -mesh-profile calm 2>slo-smoke/events2.log & \
-	pid=$$!; \
-	for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8416/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
-	curl -sf http://127.0.0.1:8416/v1/obs/history > slo-smoke/history-w4.json; \
-	cmp -s slo-smoke/history-w1.json slo-smoke/history-w4.json || \
-		{ echo "slo-smoke: history body differs between workers 1 and 4"; exit 1; }; \
+	for p in 1 4; do \
+		mkdir -p slo-smoke/p$$p; \
+		GOMAXPROCS=$$p slo-smoke/itm-serve -addr 127.0.0.1:8416 -scale tiny -epochs 3 -mesh-agents 24 -mesh-profile calm 2>slo-smoke/events$$p.log & \
+		pid=$$!; \
+		for i in $$(seq 1 150); do curl -sf http://127.0.0.1:8416/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
+		curl -sf http://127.0.0.1:8416/v1/obs/history > slo-smoke/p$$p/history.json; \
+		curl -sf http://127.0.0.1:8416/v1/epochs > slo-smoke/p$$p/epochs.json; \
+		curl -sf 'http://127.0.0.1:8416/v1/map/2?format=binary' > slo-smoke/p$$p/map-2.itmb; \
+		test $$p = 4 || { kill $$pid; wait $$pid 2>/dev/null || true; }; \
+	done; \
+	for f in history.json epochs.json map-2.itmb; do \
+		cmp -s slo-smoke/p1/$$f slo-smoke/p4/$$f || \
+			{ echo "slo-smoke: $$f differs between GOMAXPROCS 1 and 4"; exit 1; }; \
+	done; \
 	curl -sf http://127.0.0.1:8416/v1/obs/history/itm_mapstore_epochs_total | grep -q '"family": "itm_mapstore_epochs_total"'; \
 	slo-smoke/itm-loadgen -addr http://127.0.0.1:8416 -seed 7 -n 600 -workers 4 > slo-smoke/loadgen.txt; \
 	curl -sf http://127.0.0.1:8416/v1/slo > slo-smoke/slo.json; \
@@ -382,7 +387,7 @@ slo-smoke:
 	grep -q 'availability' slo-smoke/top.txt; \
 	grep -q 'Worst traces' slo-smoke/top.txt; \
 	kill $$pid; wait $$pid 2>/dev/null || true; \
-	echo "slo-smoke: OK (worker-invariant history + all objectives met + healthz SLO detail + itm-top frame)"
+	echo "slo-smoke: OK (CPU-count-invariant history, epochs and binary map + all objectives met + healthz SLO detail + itm-top frame)"
 	@rm -rf slo-smoke
 
 # Regenerate every table/figure at full scale (exit code reflects PASS/FAIL).

@@ -8,6 +8,7 @@ package itm
 // measurement sweeps themselves.
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -323,13 +324,15 @@ func BenchmarkBuildMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildMatrixSerial is BenchmarkBuildMatrix on one CPU.
 func BenchmarkBuildMatrixSerial(b *testing.B) {
 	s := sharedSession(b)
 	s.W.Traffic.BuildMatrix()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.W.Traffic.BuildMatrixWorkers(1)
+		s.W.Traffic.BuildMatrix()
 	}
 }
 

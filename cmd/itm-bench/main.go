@@ -143,7 +143,7 @@ func parse(lines *bufio.Scanner) (map[string]map[string]float64, error) {
 // store; meshAgents > 0 adds the per-epoch vantage fleet campaigns.
 func buildStore(seed int64, days, meshAgents int) (*mapstore.Store, error) {
 	st := mapstore.NewStore()
-	err := experiments.BuildEpochStore(st, world.Build(world.Tiny(seed)), days, 0,
+	err := experiments.BuildEpochStore(st, world.Build(world.Tiny(seed)), days,
 		experiments.MeshSpec{Agents: meshAgents, Rounds: 2})
 	return st, err
 }

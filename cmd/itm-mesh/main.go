@@ -5,12 +5,12 @@
 // written as ITMB v2 mesh sections with -o.
 //
 // The output is deterministic: the same scale, seed, agents, rounds, and
-// profile produce byte-identical mesh sections for every -workers setting.
+// profile produce byte-identical mesh sections at any GOMAXPROCS.
 //
 // Usage:
 //
 //	itm-mesh [-scale tiny|small|default] [-seed N] [-agents N] [-rounds N]
-//	         [-workers N] [-profile none|calm|lossy|hostile] [-o mesh.itmb]
+//	         [-profile none|calm|lossy|hostile] [-o mesh.itmb]
 package main
 
 import (
@@ -30,19 +30,18 @@ func main() {
 	seed := flag.Int64("seed", 42, "world seed")
 	agents := flag.Int("agents", 48, "vantage fleet size")
 	rounds := flag.Int("rounds", 2, "campaign rounds")
-	workers := flag.Int("workers", 0, "campaign workers (0 = one per CPU)")
 	profile := flag.String("profile", "none", "fault preset: none, calm, lossy, hostile")
 	out := flag.String("o", "", "write ITMB v2 mesh sections to this file")
 	top := flag.Int("top", 5, "worst pairs to print")
 	flag.Parse()
 
-	if err := run(*scale, *seed, *agents, *rounds, *workers, *profile, *out, *top); err != nil {
+	if err := run(*scale, *seed, *agents, *rounds, *profile, *out, *top); err != nil {
 		fmt.Fprintln(os.Stderr, "itm-mesh:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scale string, seed int64, agents, rounds, workers int, profile, out string, topK int) error {
+func run(scale string, seed int64, agents, rounds int, profile, out string, topK int) error {
 	cfg, err := world.ForScale(scale, seed)
 	if err != nil {
 		return err
@@ -55,7 +54,7 @@ func run(scale string, seed int64, agents, rounds, workers int, profile, out str
 	w := world.Build(cfg)
 	doc, stats := experiments.RunMeshCampaign(w, experiments.MeshSpec{
 		Agents: agents, Rounds: rounds, Profile: prof,
-	}, 0, workers)
+	}, 0, 0)
 
 	probes, lost, complete := 0, 0, 0
 	for i := range doc.Pairs {

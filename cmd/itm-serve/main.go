@@ -32,7 +32,7 @@
 // Usage:
 //
 //	itm-serve [-addr :8411] [-scale tiny|small|default] [-seed N]
-//	          [-epochs N] [-workers N] [-snapshot map.json] [-pprof]
+//	          [-epochs N] [-snapshot map.json] [-pprof]
 //	          [-wal DIR] [-max-inflight N] [-max-queue N]
 //	          [-mesh-agents N] [-mesh-profile NAME]
 //
@@ -47,8 +47,9 @@
 // attached; -mesh-agents 0 is that builder's "no mesh", and -scale is
 // whatever world.ForScale accepts. Every byte served is measured: the
 // simulator's ground-truth traffic matrix only validates maps (in
-// itm-experiments), and the server never builds it. -workers bounds the
-// mesh fleet's goroutines. (The server still reaches the campaign through
+// itm-experiments), and the server never builds it. Every sweep of the
+// boot fans out over GOMAXPROCS, and the store it fills is byte-identical
+// at any CPU count. (The server still reaches the campaign through
 // internal/experiments because benchmark/_tracer mirrors this boot by those
 // names; ROADMAP item 7b retires the mirror first.)
 package main
@@ -84,7 +85,6 @@ type options struct {
 	scale       string
 	seed        int64
 	epochs      int
-	workers     int
 	snapshot    string
 	pprofOn     bool
 	walDir      string
@@ -100,7 +100,6 @@ func main() {
 	flag.StringVar(&o.scale, "scale", "tiny", "world scale: tiny, small, or default")
 	flag.Int64Var(&o.seed, "seed", 42, "world seed")
 	flag.IntVar(&o.epochs, "epochs", 3, "simulated days to measure (one epoch per day)")
-	flag.IntVar(&o.workers, "workers", 0, "mesh fleet workers (0 = one per CPU)")
 	flag.StringVar(&o.snapshot, "snapshot", "", "serve this exported map JSON instead of simulating")
 	flag.BoolVar(&o.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/")
 	flag.StringVar(&o.walDir, "wal", "", "journal epochs under this directory; replay it on boot instead of rebuilding")
@@ -149,7 +148,7 @@ func fillStore(st *mapstore.Store, o options) error {
 	if o.meshAgents > 0 {
 		obs.Event(obs.Info, "serve.mesh", "agents", o.meshAgents, "rounds", meshRounds, "profile", o.meshProfile)
 	}
-	return experiments.BuildEpochStore(st, world.Build(cfg), o.epochs, o.workers,
+	return experiments.BuildEpochStore(st, world.Build(cfg), o.epochs,
 		experiments.MeshSpec{Agents: o.meshAgents, Rounds: meshRounds, Profile: prof})
 }
 

@@ -380,7 +380,7 @@ func ComputeAll(top *topology.Topology) *AllPaths {
 	sp := obs.StartSpan("bgp.compute_all", 0).SetAttrInt("origins", int64(len(asns)))
 	reuseBase := scratchReuses.Load()
 	ap := &AllPaths{top: top, ribs: make([]*RIB, len(asns))}
-	parallel.ForEach(len(asns), 0, func(i int) {
+	parallel.ForEach(len(asns), func(i int) {
 		ap.ribs[i] = ComputeRIB(top, asns[i])
 	})
 	scratchReused.Add(scratchReuses.Load() - reuseBase)

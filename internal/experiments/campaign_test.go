@@ -73,7 +73,7 @@ func TestModelDaysShareOneCampaign(t *testing.T) {
 	}
 
 	st := mapstore.NewStore()
-	if err := ingestDays(st, envs, 0, MeshSpec{}); err != nil {
+	if err := ingestDays(st, envs, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	eps := st.Snapshot()
@@ -113,7 +113,7 @@ func TestModelMeshSampleCountsHitRates(t *testing.T) {
 
 	defer obs.Swap(obs.Swap(obs.NewSet()))
 	defer history.Swap(history.Swap(history.NewRing(0)))
-	if err := BuildEpochStore(mapstore.NewStore(), w, 2, 0, MeshSpec{Agents: 24, Rounds: 2}); err != nil {
+	if err := BuildEpochStore(mapstore.NewStore(), w, 2, MeshSpec{Agents: 24, Rounds: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range history.Default().Snapshot().Samples {
@@ -146,7 +146,7 @@ func TestModelBootSkipsCollectorView(t *testing.T) {
 	c.collector = func() *bgp.Collector { views++; return collector() }
 	c.obsLinks = func() map[topology.LinkKey]bool { views++; return obsLinks() }
 	c.observed = func() *topology.Topology { views++; return observed() }
-	if err := ingestDays(mapstore.NewStore(), envs, 0, MeshSpec{}); err != nil {
+	if err := ingestDays(mapstore.NewStore(), envs, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	if views != 0 {
@@ -169,7 +169,7 @@ func TestEpochStoreHoldsNoWorld(t *testing.T) {
 	func() {
 		w := world.Build(world.Tiny(5))
 		runtime.SetFinalizer(w, func(*world.World) { close(collected) })
-		if err := BuildEpochStore(st, w, 2, 0, MeshSpec{Agents: 24, Rounds: 2}); err != nil {
+		if err := BuildEpochStore(st, w, 2, MeshSpec{Agents: 24, Rounds: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}()

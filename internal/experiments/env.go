@@ -73,13 +73,11 @@ func NewEnvFromWorld(w *world.World) *Env {
 	return EpochEnvs(w, 1, 0)[0]
 }
 
-// newCampaign prepares the shared campaigns of days days over w; workers
-// bounds the goroutines building the ground-truth matrix (0 = one per CPU),
-// whose result is the same for every count. Only the experiments ask for
-// the matrix: no store holds it.
-func newCampaign(w *world.World, days, workers int) *campaign {
+// newCampaign prepares the shared campaigns of days days over w. Only the
+// experiments ask for the ground-truth matrix: no store holds it.
+func newCampaign(w *world.World, days int) *campaign {
 	c := &campaign{
-		matrix: sync.OnceValue(func() *traffic.Matrix { return w.Traffic.BuildMatrixWorkers(workers) }),
+		matrix: sync.OnceValue(w.Traffic.BuildMatrix),
 		apnic: sync.OnceValue(func() *apnic.Estimates {
 			return apnic.Estimate(w.Top, w.Users, apnic.DefaultConfig(), randx.New(w.Cfg.Seed+101))
 		}),

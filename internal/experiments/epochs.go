@@ -25,12 +25,11 @@ import (
 // is prepared once for every day. Day d's result is the one a sweep of day
 // d alone gives, and its counters reach the process registry when
 // envs[d].Discovery() first returns, so /metrics and the telemetry history
-// move day by day as they would with a sweep a day. workers bounds the
-// goroutines building the matrix (0 = one per CPU); the matrix is the same
-// for every count.
-func EpochEnvs(w *world.World, days, workers int) []*Env {
+// move day by day as they would with a sweep a day. The third argument is
+// ignored: kept for benchmark/_tracer; ROADMAP item 7b deletes it.
+func EpochEnvs(w *world.World, days, _ int) []*Env {
 	days = max(days, 1)
-	c := newCampaign(w, days, workers)
+	c := newCampaign(w, days)
 	envs := make([]*Env, days)
 	for d := range envs {
 		envs[d] = newEnv(w, c, d)
@@ -48,15 +47,14 @@ func EpochEnvs(w *world.World, days, workers int) []*Env {
 // before the first append, making the initial build durable too. With
 // mesh.Agents > 0 day d's vantage fleet sweep starts at d·24h and its mesh
 // matrix is ingested with that day's map, so /v1/path and /v1/latency
-// resolve on every epoch. workers bounds the mesh fleet's goroutines; the
-// resulting store (epoch and mesh bytes, ETags, diffs, rankings) is
-// identical for every setting.
-func BuildEpochStore(st *mapstore.Store, w *world.World, days, workers int, mesh MeshSpec) error {
-	return ingestDays(st, EpochEnvs(w, days, workers), workers, mesh)
+// resolve on every epoch. The resulting store (epoch and mesh bytes, ETags,
+// diffs, rankings) is identical at any CPU count.
+func BuildEpochStore(st *mapstore.Store, w *world.World, days int, mesh MeshSpec) error {
+	return ingestDays(st, EpochEnvs(w, days, 0), mesh)
 }
 
 // ingestDays is BuildEpochStore over prepared days.
-func ingestDays(st *mapstore.Store, envs []*Env, workers int, mesh MeshSpec) error {
+func ingestDays(st *mapstore.Store, envs []*Env, mesh MeshSpec) error {
 	if mesh.Agents > 0 {
 		// Only a mesh build registers the fleet's families: a map-only
 		// boot's stable exposition does not list them.
@@ -75,7 +73,7 @@ func ingestDays(st *mapstore.Store, envs []*Env, workers int, mesh MeshSpec) err
 		obspkg.ActivateTrace("epoch-" + strconv.Itoa(d))
 		var md *core.MeshDocument
 		if mesh.Agents > 0 {
-			md, _ = RunMeshCampaign(e.W, mesh, e.start, workers)
+			md, _ = RunMeshCampaign(e.W, mesh, e.start, 0)
 		}
 		if _, err := st.AppendMapMesh(e.start, e.Map(), nil, md); err != nil {
 			return err

@@ -1,15 +1,24 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"itmap/internal/mapstore"
 	"itmap/internal/world"
 )
 
+// withCPUs runs fn with GOMAXPROCS set to cpus (0 leaves it as it is) and
+// restores it on return. Tests that call it must not call t.Parallel:
+// GOMAXPROCS is process-wide.
+func withCPUs(cpus int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+	fn()
+}
+
 // TestETagsWorkerCountStable is the validator half of the determinism
 // contract: ETags derive from each epoch's record, its canonical ITMB
-// encodings, so a store built with 1 worker and one built with 4 must issue
+// encodings, so a store built on 1 CPU and one built on 4 must issue
 // identical tags for every epoch, map and mesh routes alike. A client that
 // cached against one replica then revalidates correctly against any other.
 // A mesh build gives every epoch a mesh, a map-only build none.
@@ -17,10 +26,12 @@ func TestETagsWorkerCountStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four tiny-world epoch stores")
 	}
-	build := func(workers int, mesh MeshSpec) []*mapstore.Epoch {
+	build := func(cpus int, mesh MeshSpec) []*mapstore.Epoch {
 		s := mapstore.NewStore()
-		if err := BuildEpochStore(s, world.Build(world.Tiny(11)), 3, workers, mesh); err != nil {
-			t.Fatalf("BuildEpochStore(workers=%d): %v", workers, err)
+		var err error
+		withCPUs(cpus, func() { err = BuildEpochStore(s, world.Build(world.Tiny(11)), 3, mesh) })
+		if err != nil {
+			t.Fatalf("BuildEpochStore(GOMAXPROCS=%d): %v", cpus, err)
 		}
 		return s.Snapshot()
 	}
@@ -34,7 +45,7 @@ func TestETagsWorkerCountStable(t *testing.T) {
 				t.Fatalf("epoch %d has no ETag", e.ID)
 			}
 			if e.ETag != four[i].ETag {
-				t.Errorf("agents %d, epoch %d: ETags differ by worker count: %q vs %q",
+				t.Errorf("agents %d, epoch %d: ETags differ by CPU count: %q vs %q",
 					mesh.Agents, i, e.ETag, four[i].ETag)
 			}
 			if (e.MeshDoc != nil) != (mesh.Agents > 0) {

@@ -20,13 +20,14 @@ type MeshSpec struct {
 }
 
 // RunMeshCampaign runs one day's mesh campaign over w: the fleet is placed
-// from the world's seed, round 0 starts at the given time.
-func RunMeshCampaign(w *world.World, spec MeshSpec, start simtime.Time, workers int) (*core.MeshDocument, *vantage.Stats) {
+// from the world's seed, round 0 starts at the given time. The fourth
+// argument is ignored: kept for benchmark/_tracer; ROADMAP item 7b deletes
+// it.
+func RunMeshCampaign(w *world.World, spec MeshSpec, start simtime.Time, _ int) (*core.MeshDocument, *vantage.Stats) {
 	c := vantage.New(w.Top, w.Paths, w.Users, vantage.Config{
 		Agents:  spec.Agents,
 		Rounds:  spec.Rounds,
 		Start:   start,
-		Workers: workers,
 		Seed:    w.Cfg.Seed,
 		Profile: spec.Profile,
 	})

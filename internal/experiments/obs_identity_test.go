@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,16 +18,17 @@ import (
 // runObsCampaign runs a mini measurement campaign — a 2-epoch store build,
 // the ground-truth matrix the experiments read (built after the store, into
 // the "default" trace) and a faulted resilient discovery sweep — against a
-// fresh observability set and returns the stable metrics dump and the trace
-// export.
-func runObsCampaign(t *testing.T, workers int) (string, string) {
+// fresh observability set, all under GOMAXPROCS=cpus, and returns the stable
+// metrics dump and the trace export.
+func runObsCampaign(t *testing.T, cpus int) (string, string) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
 	prev := obs.Swap(obs.NewSet())
 	defer obs.Swap(prev)
 
 	w := world.Build(world.Tiny(7))
-	envs := EpochEnvs(w, 2, workers)
-	if err := ingestDays(mapstore.NewStore(), envs, workers, MeshSpec{}); err != nil {
+	envs := EpochEnvs(w, 2, 0)
+	if err := ingestDays(mapstore.NewStore(), envs, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	envs[0].Matrix()
@@ -48,7 +50,6 @@ func runObsCampaign(t *testing.T, workers int) (string, string) {
 		Breaker: resilience.BreakerConfig{FailThreshold: 3, Cooldown: simtime.Hour},
 		QPS:     50,
 		Shards:  4,
-		Workers: workers,
 	}
 	if _, _, err := rp.DiscoverPrefixes(w.Top, w.Top.AllPrefixes(), 0, 2); err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func runObsCampaign(t *testing.T, workers int) (string, string) {
 }
 
 // TestObsDumpsByteIdentical is the observability determinism contract: two
-// runs of the same seeded campaign — even at different worker counts, since
+// runs of the same seeded campaign — even at different CPU counts, since
 // shard counts are fixed — produce byte-identical stable metrics dumps and
 // trace exports.
 func TestObsDumpsByteIdentical(t *testing.T) {
@@ -80,10 +81,10 @@ func TestObsDumpsByteIdentical(t *testing.T) {
 	}
 	m4, t4 := runObsCampaign(t, 4)
 	if m1 != m4 {
-		t.Errorf("stable metrics dump depends on worker count:\n%s", firstDiff(m1, m4))
+		t.Errorf("stable metrics dump depends on CPU count:\n%s", firstDiff(m1, m4))
 	}
 	if t1 != t4 {
-		t.Errorf("trace export depends on worker count:\n%s", firstDiff(t1, t4))
+		t.Errorf("trace export depends on CPU count:\n%s", firstDiff(t1, t4))
 	}
 	if m1 == "" || t1 == "" {
 		t.Fatal("campaign produced empty dumps")
@@ -125,7 +126,7 @@ func TestLinkBuildLeavesEpochTraces(t *testing.T) {
 
 	w := world.Build(world.Tiny(7))
 	envs := EpochEnvs(w, 3, 0)
-	if err := ingestDays(mapstore.NewStore(), envs, 0, MeshSpec{}); err != nil {
+	if err := ingestDays(mapstore.NewStore(), envs, MeshSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	traces := func() []string {

@@ -27,10 +27,12 @@ type serveDump struct {
 	traced      uint64
 }
 
-// runServeStack builds a mesh-enabled 3-epoch store, replays the seeded
-// consumer mix against its handler with traceparent propagation, and
-// captures the serving surfaces — all against fresh obs + history state.
-func runServeStack(t *testing.T, seed int64, buildWorkers, lgWorkers int) serveDump {
+// runServeStack builds a mesh-enabled 3-epoch store under
+// GOMAXPROCS=buildCPUs (0 leaves it as it is), replays the seeded consumer
+// mix against its handler with traceparent propagation on lgWorkers
+// clients, and captures the serving surfaces — all against fresh obs +
+// history state.
+func runServeStack(t *testing.T, seed int64, buildCPUs, lgWorkers int) serveDump {
 	t.Helper()
 	prevObs := obs.Swap(obs.NewSet())
 	defer obs.Swap(prevObs)
@@ -39,8 +41,9 @@ func runServeStack(t *testing.T, seed int64, buildWorkers, lgWorkers int) serveD
 
 	st := mapstore.NewStore()
 	w := world.Build(world.Tiny(seed))
-	if err := BuildEpochStore(st, w, 3, buildWorkers,
-		MeshSpec{Agents: 48, Rounds: 2}); err != nil {
+	var err error
+	withCPUs(buildCPUs, func() { err = BuildEpochStore(st, w, 3, MeshSpec{Agents: 48, Rounds: 2}) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	h := mapstore.NewHandler(st)
@@ -82,8 +85,8 @@ func runServeStack(t *testing.T, seed int64, buildWorkers, lgWorkers int) serveD
 // TestServeSurfacesByteIdentical is the obs v2 determinism contract:
 // /v1/obs/history bodies and ETags, /v1/slo reports, the propagated "http"
 // trace, and the stable exposition (exemplars included) are byte-identical
-// across runs AND across worker counts — both the store build's and the
-// load generator's.
+// across runs AND across the store build's CPU count and the load
+// generator's worker count.
 func TestServeSurfacesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds mesh-enabled epoch stores and replays 600 requests")
@@ -104,11 +107,11 @@ func TestServeSurfacesByteIdentical(t *testing.T) {
 	check("http trace", d1.httpTrace, d2.httpTrace, "between identical runs")
 	check("stable metrics", d1.metrics, d2.metrics, "between identical runs")
 
-	check("history body", d1.historyBody, d4.historyBody, "by worker count")
-	check("history ETag", d1.historyETag, d4.historyETag, "by worker count")
-	check("slo body", d1.sloBody, d4.sloBody, "by worker count")
-	check("http trace", d1.httpTrace, d4.httpTrace, "by worker count")
-	check("stable metrics", d1.metrics, d4.metrics, "by worker count")
+	check("history body", d1.historyBody, d4.historyBody, "by CPU and worker count")
+	check("history ETag", d1.historyETag, d4.historyETag, "by CPU and worker count")
+	check("slo body", d1.sloBody, d4.sloBody, "by CPU and worker count")
+	check("http trace", d1.httpTrace, d4.httpTrace, "by CPU and worker count")
+	check("stable metrics", d1.metrics, d4.metrics, "by CPU and worker count")
 
 	if d1.traced != 600 {
 		t.Errorf("traced = %d, want every planned request to carry a traceparent", d1.traced)
@@ -137,7 +140,7 @@ func TestHistoryFamilyRouteConsistent(t *testing.T) {
 	defer history.Swap(prevRing)
 
 	st := mapstore.NewStore()
-	if err := BuildEpochStore(st, world.Build(world.Tiny(13)), 2, 0,
+	if err := BuildEpochStore(st, world.Build(world.Tiny(13)), 2,
 		MeshSpec{Agents: 32, Rounds: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -462,8 +462,8 @@ func (e *Env) RunE26() *Result {
 	hostProf, _ := faults.ByName("hostile")
 	spec := func(p faults.Profile) MeshSpec { return MeshSpec{Agents: 48, Rounds: 2, Profile: p} }
 
-	calm, calmStats := RunMeshCampaign(e.W, spec(calmProf), 0, 1)
-	host, hostStats := RunMeshCampaign(e.W, spec(hostProf), 0, 1)
+	calm, calmStats := RunMeshCampaign(e.W, spec(calmProf), 0, 0)
+	host, hostStats := RunMeshCampaign(e.W, spec(hostProf), 0, 0)
 
 	coverage := func(d *core.MeshDocument) (complete, loss float64) {
 		probes, lost, done := 0, 0, 0

@@ -21,7 +21,7 @@ func replayStore(t *testing.T) *mapstore.Store {
 func buildStore(t *testing.T, days int, mesh experiments.MeshSpec) *mapstore.Store {
 	t.Helper()
 	s := mapstore.NewStore()
-	if err := experiments.BuildEpochStore(s, world.Build(world.Tiny(7)), days, 0, mesh); err != nil {
+	if err := experiments.BuildEpochStore(s, world.Build(world.Tiny(7)), days, mesh); err != nil {
 		t.Fatalf("BuildEpochStore: %v", err)
 	}
 	return s

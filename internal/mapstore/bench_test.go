@@ -3,6 +3,7 @@ package mapstore
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -162,7 +163,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 // BenchmarkRecoverStore replays a journal of 16 consecutive-day epochs of
 // the bench world (the wal_recover workload's shape) from an in-memory
-// wal.FS. Decoding runs on one worker, and the collector is off while the
+// wal.FS. Decoding runs on one CPU, and the collector is off while the
 // clock runs (a collection empties the sync.Pools under fmt and the obs
 // history, which moves allocs/op by a handful — here across a rounding step
 // of the ledger), so allocs/op repeats exactly.
@@ -187,6 +188,7 @@ func BenchmarkRecoverStore(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -195,7 +197,7 @@ func BenchmarkRecoverStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		s, err := recoverStore(w, rec, 1)
+		s, err := RecoverStore(w, rec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -118,7 +118,7 @@ var (
 
 // fingerprint is the FNV-1a hash backing the store's strong ETags. The
 // input is the epoch's record, its canonical ITMB encodings, which is
-// byte-identical across runs and worker counts, so ETags are too.
+// byte-identical across runs and CPU counts, so ETags are too.
 func fingerprint(b []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write(b)

@@ -8,6 +8,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -20,6 +21,13 @@ import (
 	"itmap/internal/simtime"
 	"itmap/internal/topology"
 )
+
+// recoverAt is RecoverStore under GOMAXPROCS=cpus. Tests that call it must
+// not call t.Parallel: GOMAXPROCS is process-wide.
+func recoverAt(w *wal.WAL, rec *wal.Recovery, cpus int) (*Store, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+	return RecoverStore(w, rec)
+}
 
 // cloneDoc deep-copies a document, so a test can hand one copy to a store
 // (which aliases shared sections into it) and keep another pristine.
@@ -184,7 +192,7 @@ func openJournal(t *testing.T, docs []*core.MapDocument, meshes []*core.MeshDocu
 // store that wrote the journal — a truer reference than re-encoding what was
 // journaled, which could only show the codec agreeing with itself: over
 // seeded 16-epoch journals in every shape, map-only and with a seeded mesh
-// history, and with the decode-ahead on one worker and on four, the
+// history, and with the decode-ahead on one CPU and on four, the
 // recovered store has the writer's bytes, ETags, sharing, documents and
 // served bodies.
 func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
@@ -201,10 +209,10 @@ func TestRecoverStoreMatchesReencodeOracle(t *testing.T) {
 		for _, shape := range journalShapes {
 			for seed := int64(1); seed <= 3; seed++ {
 				docs, meshes := seededDocs(seed, 16), hist.meshes(seed)
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("%s, %s, seed %d, %d workers", hist.name, shape.name, seed, workers)
+				for _, cpus := range []int{1, 4} {
+					name := fmt.Sprintf("%s, %s, seed %d, GOMAXPROCS %d", hist.name, shape.name, seed, cpus)
 					want, w, rec := openJournal(t, docs, meshes, shape)
-					got, err := recoverStore(w, rec, workers)
+					got, err := recoverAt(w, rec, cpus)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}

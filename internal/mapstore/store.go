@@ -35,7 +35,7 @@ type Epoch struct {
 	Encoded []byte
 	// ETag is the strong entity tag for every response scoped to this epoch,
 	// mesh routes included, derived from the record (so it is byte-identical
-	// across runs and worker counts).
+	// across runs and CPU counts).
 	ETag string
 	// SharedSections counts how many of the document's sections were
 	// reused from the previous epoch at ingest.

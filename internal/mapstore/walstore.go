@@ -34,24 +34,18 @@ func (s *Store) AttachWAL(w *wal.WAL) {
 
 // RecoverStore rebuilds a store from what wal.Open replayed and attaches the
 // WAL so new appends journal after the recovered tail. The store retains
-// each record's Payload as that epoch's record.
+// each record's Payload as that epoch's record. Records are independent
+// until the serial share-and-publish step, so they are decoded ahead on one
+// goroutine per CPU and appended in order; the decoders are pure and their
+// one counter a commutative add, so the result is the same at any CPU count.
 func RecoverStore(w *wal.WAL, rec *wal.Recovery) (*Store, error) {
-	return recoverStore(w, rec, 0)
-}
-
-// recoverStore is RecoverStore with the decode worker count exposed (0 = one
-// per CPU). Records are independent until the serial share-and-publish step,
-// so they are decoded ahead on the worker pool and appended in order; the
-// decoders are pure and their one counter a commutative add, so the result
-// is the same at any worker count.
-func recoverStore(w *wal.WAL, rec *wal.Recovery, workers int) (*Store, error) {
 	s := NewStore()
 	type decoded struct {
 		in  ingest
 		err error
 	}
 	docs := make([]decoded, len(rec.Records))
-	parallel.ForEach(len(docs), workers, func(i int) {
+	parallel.ForEach(len(docs), func(i int) {
 		docs[i].in, docs[i].err = decodeRecord(rec.Records[i].Payload)
 	})
 	for i, r := range rec.Records {

@@ -152,13 +152,13 @@ func (pb *Prober) DiscoverDays(top *topology.Topology, prefixes []topology.Prefi
 		}
 	}
 	var sw *daySweep
-	if n := parallel.Workers(0, len(prefixes)); n == 1 {
+	if n := parallel.Workers(len(prefixes)); n == 1 {
 		sw = pb.discover(top, prefixes, starts, rounds)
 	} else {
 		// Sized by its upper bound: a sweep finds most of what it probes.
 		sw = newDaySweep(len(starts), len(prefixes))
 		// A day's error is part of its shard's result, so no shard fails.
-		err := sweepShards(n, n, len(prefixes), sw.merge, func(_, lo, hi int) (*daySweep, error) {
+		err := sweepShards(n, len(prefixes), sw.merge, func(_, lo, hi int) (*daySweep, error) {
 			return pb.discover(top, prefixes[lo:hi], starts, rounds), nil
 		})
 		if err != nil {
@@ -370,12 +370,12 @@ func probesPerDay(interval simtime.Time) int {
 func (pb *Prober) MeasureHitRates(top *topology.Topology, prefixes []topology.PrefixID, domain string, start simtime.Time, interval simtime.Time) (*HitRates, error) {
 	var hr *HitRates
 	var err error
-	if n := parallel.Workers(0, len(prefixes)); n == 1 {
+	if n := parallel.Workers(len(prefixes)); n == 1 {
 		hr, err = pb.hitRates(top, prefixes, domain, start, interval)
 	} else {
 		// Shards cut the prefix list, so every prefix is measured by one of them.
 		hr = newHitRates(len(prefixes), 0)
-		err = sweepShards(n, n, len(prefixes), hr.merge, func(_, lo, hi int) (*HitRates, error) {
+		err = sweepShards(n, len(prefixes), hr.merge, func(_, lo, hi int) (*HitRates, error) {
 			return pb.hitRates(top, prefixes[lo:hi], domain, start, interval)
 		})
 	}

@@ -17,9 +17,8 @@ import (
 
 // TestSweepsIdenticalAcrossWorkers: sampling grids and their diurnal tables
 // are per shard, so a sweep's HitRates, Discovery, ledger, stable
-// exposition and span tree are the same serial and fanned out — the naive
-// sweeps over 2 or 4 CPUs, the resilient one by 2 or 4 workers — under a
-// lossy plan.
+// exposition and span tree are the same serial and fanned out over 2 or 4
+// CPUs, naive and resilient alike, under a lossy plan.
 func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
 	w := world.Build(world.Tiny(9))
 	w.PR.SetFaultPlan(faults.NewPlan(faults.Lossy(), 3))
@@ -50,9 +49,10 @@ func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
 	if serial.answered != uint64(want) {
 		t.Errorf("itm_dns_probes_total = %d after sweeps that got %d answers", serial.answered, want)
 	}
-	resilient := func(workers int) sweepRun {
+	resilient := func(cpus int) sweepRun {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
 		return observed(t, func(r *sweepRun) (err error) {
-			r.d, r.st, err = hostileProber(w, workers).DiscoverPrefixes(w.Top, prefixes, 3, 4)
+			r.d, r.st, err = hostileProber(w).DiscoverPrefixes(w.Top, prefixes, 3, 4)
 			return err
 		})
 	}
@@ -60,9 +60,9 @@ func TestSweepsIdenticalAcrossWorkers(t *testing.T) {
 	if one.st.Retries == 0 {
 		t.Fatal("resilient sweep never retried: comparison is vacuous")
 	}
-	for _, workers := range []int{2, 4} {
-		naive(workers).mustEqual(t, fmt.Sprintf("naive on %d CPUs", workers), serial)
-		resilient(workers).mustEqual(t, fmt.Sprintf("resilient with %d workers", workers), one)
+	for _, cpus := range []int{2, 4} {
+		naive(cpus).mustEqual(t, fmt.Sprintf("naive on %d CPUs", cpus), serial)
+		resilient(cpus).mustEqual(t, fmt.Sprintf("resilient on %d CPUs", cpus), one)
 	}
 }
 

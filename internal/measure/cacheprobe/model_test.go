@@ -358,7 +358,7 @@ type sweepCase struct {
 	Rounds   int     // discovery rounds
 	Start    float64 // discovery start
 	Interval float64 // hit-rate cadence
-	Workers  int     // the CPUs (naive) and workers (resilient) checked beside 1
+	Workers  int     // the CPUs checked beside 1 (the repro token is still workers=)
 	// The resilient prober's shard count, bucket, retry budget and breaker.
 	Shards, Burst, Budget, Threshold int
 	QPS, Cooldown                    float64
@@ -457,29 +457,28 @@ func (c sweepCase) run(seen map[string]int) error {
 	wantRD, wantST := m.resilient(rp, targets, simtime.Time(c.Start), c.Rounds)
 	pb := &Prober{PR: w.PR, Domains: domains, Source: source}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, workers := range []int{1, c.Workers} {
-		runtime.GOMAXPROCS(workers)
+	for _, cpus := range []int{1, c.Workers} {
+		runtime.GOMAXPROCS(cpus)
 		d, err := pb.DiscoverPrefixes(w.Top, targets, simtime.Time(c.Start), c.Rounds)
 		if diff := differ(d, err, wantD, wantDErr); diff != "" {
-			return fmt.Errorf("naive discovery on %d CPUs: %s", workers, diff)
+			return fmt.Errorf("naive discovery on %d CPUs: %s", cpus, diff)
 		}
 		for n := 1; n <= len(starts); n++ {
 			days, err := pb.DiscoverDays(w.Top, targets, starts[:n], c.Rounds)
 			if diff := differDays(days, err, wantDays[:n], wantDayErrs[:n]); diff != "" {
-				return fmt.Errorf("naive discovery of %d days on %d CPUs: %s", n, workers, diff)
+				return fmt.Errorf("naive discovery of %d days on %d CPUs: %s", n, cpus, diff)
 			}
 		}
 		hr, err := pb.MeasureHitRates(w.Top, targets, ecs[len(ecs)/2], 0, simtime.Time(c.Interval))
 		if diff := differ(hr, err, wantHR, wantHRErr); diff != "" {
-			return fmt.Errorf("naive hit rates on %d CPUs: %s", workers, diff)
+			return fmt.Errorf("naive hit rates on %d CPUs: %s", cpus, diff)
 		}
-		rp.Workers = workers
 		rd, st, err := rp.DiscoverPrefixes(w.Top, targets, simtime.Time(c.Start), c.Rounds)
 		if diff := differ(rd, err, wantRD, nil); diff != "" {
-			return fmt.Errorf("resilient discovery with %d workers: %s", workers, diff)
+			return fmt.Errorf("resilient discovery on %d CPUs: %s", cpus, diff)
 		}
 		if diff := ledgerDiff(st, wantST); diff != "" {
-			return fmt.Errorf("resilient ledger with %d workers: %s", workers, diff)
+			return fmt.Errorf("resilient ledger on %d CPUs: %s", cpus, diff)
 		}
 	}
 	if seen != nil {

@@ -12,14 +12,14 @@ func shardRange(i, n, total int) (lo, hi int) {
 }
 
 // sweepShards is the one fan-out behind every sharded sweep: total targets
-// cut into n contiguous shards, sweep run over each non-empty one on up to
-// workers goroutines, the results handed to fold in shard order. Shards
+// cut into n contiguous shards, sweep run over each non-empty one on one
+// goroutine per CPU, the results handed to fold in shard order. Shards
 // follow target order, so the first failed shard holds the error a serial
 // sweep would have stopped at; that error is returned and nothing is folded.
-func sweepShards[T any](n, workers, total int, fold func(*T), sweep func(shard, lo, hi int) (*T, error)) error {
+func sweepShards[T any](n, total int, fold func(*T), sweep func(shard, lo, hi int) (*T, error)) error {
 	results := make([]*T, n)
 	errs := make([]error, n)
-	parallel.ForEach(n, workers, func(i int) {
+	parallel.ForEach(n, func(i int) {
 		if lo, hi := shardRange(i, n, total); lo < hi {
 			results[i], errs[i] = sweep(i, lo, hi)
 		}

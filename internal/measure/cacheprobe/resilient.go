@@ -42,13 +42,11 @@ type ResilientProber struct {
 	Burst int
 	// Shards is the number of independent probing sources (default 16).
 	// It is part of the campaign's identity: changing it changes probe
-	// timing and therefore outcomes; worker counts never do.
+	// timing and therefore outcomes; CPU counts never do.
 	Shards int
 	// BaseSource is the fault-layer identity of shard 0; shard s probes
 	// as BaseSource+s.
 	BaseSource uint64
-	// Workers bounds the goroutines driving shards (0 = one per CPU).
-	Workers int
 }
 
 // TargetOutcome classifies how a sweep left one target prefix.
@@ -322,7 +320,7 @@ func (rp *ResilientProber) DiscoverPrefixes(top *topology.Topology, prefixes []t
 	out, stats := newDiscovery(0), newSweepStats()
 	// A probe that exhausts its retry budget is an outcome in the ledger, not
 	// an error, so today no shard fails.
-	err := sweepShards(n, rp.Workers, len(prefixes), func(ss *shardState) {
+	err := sweepShards(n, len(prefixes), func(ss *shardState) {
 		out.merge(ss.d)
 		stats.merge(ss.st)
 	}, func(i, lo, hi int) (*shardState, error) {

@@ -3,6 +3,7 @@ package cacheprobe
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"itmap/internal/dnswire"
@@ -105,7 +106,7 @@ func TestZeroFaultWireBytesIdentical(t *testing.T) {
 	}
 }
 
-func hostileProber(w *world.World, workers int) *ResilientProber {
+func hostileProber(w *world.World) *ResilientProber {
 	return &ResilientProber{
 		PR:      w.PR,
 		Domains: w.Cat.ECSDomains()[:4],
@@ -118,12 +119,11 @@ func hostileProber(w *world.World, workers int) *ResilientProber {
 		},
 		QPS:        25,
 		BaseSource: 0x900d,
-		Workers:    workers,
 	}
 }
 
 // TestResilientSweepDeterministic: identical fault outcomes and sweep
-// ledgers across repeated runs and across worker counts.
+// ledgers across repeated runs and across CPU counts.
 func TestResilientSweepDeterministic(t *testing.T) {
 	w := world.Build(world.Tiny(6))
 	w.PR.SetFaultPlan(faults.NewPlan(faults.Hostile(), 77))
@@ -134,8 +134,9 @@ func TestResilientSweepDeterministic(t *testing.T) {
 		d  *Discovery
 		st *SweepStats
 	}
-	run := func(workers int) outcome {
-		d, st, err := hostileProber(w, workers).DiscoverPrefixes(w.Top, prefixes, 0, 2)
+	run := func(cpus int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+		d, st, err := hostileProber(w).DiscoverPrefixes(w.Top, prefixes, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,13 +146,13 @@ func TestResilientSweepDeterministic(t *testing.T) {
 	if base.st.Retries == 0 {
 		t.Fatal("hostile sweep never retried — plan not biting")
 	}
-	for _, workers := range []int{1, 2, 8} {
-		got := run(workers)
+	for _, cpus := range []int{1, 2, 8} {
+		got := run(cpus)
 		if !reflect.DeepEqual(base.d, got.d) {
-			t.Fatalf("workers=%d changed discovery output", workers)
+			t.Fatalf("GOMAXPROCS=%d changed discovery output", cpus)
 		}
 		if !reflect.DeepEqual(base.st, got.st) {
-			t.Fatalf("workers=%d changed sweep stats", workers)
+			t.Fatalf("GOMAXPROCS=%d changed sweep stats", cpus)
 		}
 	}
 }
@@ -168,7 +169,7 @@ func TestResilientZeroFaultMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := hostileProber(w, 0)
+	rp := hostileProber(w)
 	rp.QPS = 0 // pacing shifts probe times; disable for exact-time parity
 	rd, st, err := rp.DiscoverPrefixes(w.Top, prefixes, 0, 2)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,7 +69,7 @@ func (got sweepRun) mustEqual(t *testing.T, name string, want sweepRun) {
 // empty ledger and no shard span, as the model has it.
 func TestResilientSweepWithoutTargets(t *testing.T) {
 	w := world.Build(world.Tiny(9))
-	rp := hostileProber(w, 2)
+	rp := hostileProber(w)
 	got := observed(t, func(r *sweepRun) (err error) {
 		r.d, r.st, err = rp.DiscoverPrefixes(w.Top, nil, 0, 2)
 		return err
@@ -84,7 +85,7 @@ func TestResilientSweepWithoutTargets(t *testing.T) {
 
 // TestSweepShardsReturnsTheSerialError: when shards fail, the error is the
 // first failed shard's — the one a serial walk over the targets stops at —
-// whatever order the workers finished in, and nothing is folded; without a
+// whatever order the shards finished in, and nothing is folded; without a
 // failure every non-empty shard is folded once, in shard order.
 func TestSweepShardsReturnsTheSerialError(t *testing.T) {
 	const total = 1000
@@ -110,26 +111,29 @@ func TestSweepShardsReturnsTheSerialError(t *testing.T) {
 	} {
 		_, want := serial(tc.bad, 0, total)
 		for _, n := range []int{1, 3, 7, 16, 1500} {
-			for _, workers := range []int{1, 4} {
+			for _, cpus := range []int{1, 4} {
 				var folded []int
-				err := sweepShards(n, workers, total, func(s *[]int) { folded = append(folded, *s...) },
+				prev := runtime.GOMAXPROCS(cpus)
+				err := sweepShards(n, total, func(s *[]int) { folded = append(folded, *s...) },
 					func(_, lo, hi int) (*[]int, error) { return serial(tc.bad, lo, hi) })
+				runtime.GOMAXPROCS(prev)
 				switch {
 				case want == nil && err != nil, want != nil && (err == nil || err.Error() != want.Error()):
-					t.Errorf("%s, %d shards, %d workers: err = %v, the serial sweep's is %v", tc.name, n, workers, err, want)
+					t.Errorf("%s, %d shards, GOMAXPROCS %d: err = %v, the serial sweep's is %v", tc.name, n, cpus, err, want)
 				case want != nil && len(folded) != 0:
 					t.Errorf("%s, %d shards: %d targets folded beside an error", tc.name, n, len(folded))
 				case want == nil:
 					all, _ := serial(nil, 0, total)
 					if !reflect.DeepEqual(folded, *all) {
-						t.Errorf("%s, %d shards, %d workers: folded %d targets, out of order or incomplete", tc.name, n, workers, len(folded))
+						t.Errorf("%s, %d shards, GOMAXPROCS %d: folded %d targets, out of order or incomplete", tc.name, n, cpus, len(folded))
 					}
 				}
 			}
 		}
 	}
 	sentinel := errors.New("resolver gone")
-	err := sweepShards(4, 4, total, func(*Discovery) {}, func(shard, _, _ int) (*Discovery, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	err := sweepShards(4, total, func(*Discovery) {}, func(shard, _, _ int) (*Discovery, error) {
 		if shard >= 2 {
 			return nil, fmt.Errorf("shard %d: %w", shard, sentinel)
 		}

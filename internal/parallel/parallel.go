@@ -1,9 +1,9 @@
 // Package parallel provides the worker-pool primitive shared by the
 // simulator's sweep-style computations (the BGP origin sweep, the traffic
-// matrix shard build, measurement campaigns). Work items are claimed with a
-// single atomic counter instead of a channel: on large topologies the
-// per-item channel send/receive dominates small work items, while an
-// atomic fetch-add is a few nanoseconds and scales with core count.
+// matrix shard build, measurement campaigns, WAL recovery). Work items are
+// claimed with a single atomic counter instead of a channel: on large
+// topologies the per-item channel send/receive dominates small work items,
+// while an atomic fetch-add is a few nanoseconds and scales with core count.
 package parallel
 
 import (
@@ -12,14 +12,11 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalizes a requested worker count: values <= 0 mean "one per
-// available CPU", and the result never exceeds n (no idle goroutines when
-// there are fewer items than cores).
-func Workers(requested, n int) int {
-	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
+// Workers returns how many goroutines ForEach runs for n items: one per
+// available CPU (GOMAXPROCS, the only parallelism rule: no caller picks a
+// count), but never more than n and at least one.
+func Workers(n int) int {
+	w := runtime.GOMAXPROCS(0)
 	if w > n {
 		w = n
 	}
@@ -29,16 +26,16 @@ func Workers(requested, n int) int {
 	return w
 }
 
-// ForEach runs fn(i) for every i in [0, n) across workers goroutines
-// (Workers(workers, n) of them). Items are claimed via an atomic counter,
-// so callers pay no per-item synchronization beyond one fetch-add. fn must
-// be safe for concurrent invocation on distinct i; ForEach returns after
-// every item has completed.
-func ForEach(n, workers int, fn func(i int)) {
+// ForEach runs fn(i) for every i in [0, n) across Workers(n) goroutines.
+// Items are claimed via an atomic counter, so callers pay no per-item
+// synchronization beyond one fetch-add. fn must be safe for concurrent
+// invocation on distinct i, and callers keep their results the same at any
+// CPU count. ForEach returns after every item has completed.
+func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(workers, n)
+	w := Workers(n)
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)

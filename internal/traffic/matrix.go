@@ -65,7 +65,7 @@ type Matrix struct {
 // matrixShards is the number of client-AS shards the build fans out. It is
 // a fixed constant — NOT tied to GOMAXPROCS — so the shard boundaries and
 // the left-to-right merge order (and therefore every floating-point sum)
-// are identical no matter how many workers execute the shards.
+// are identical no matter how many CPUs execute the shards.
 const matrixShards = 32
 
 // shardAcc is one shard's private accumulator: dense slices indexed by the
@@ -120,18 +120,12 @@ func addSlice(dst, src []float64) {
 	}
 }
 
-// BuildMatrix materializes the ground truth for one average day, using one
-// worker per available CPU.
-func (m *Model) BuildMatrix() *Matrix { return m.BuildMatrixWorkers(0) }
-
-// BuildMatrixWorkers is BuildMatrix with an explicit worker count
-// (<= 0 means GOMAXPROCS). Client ASes are partitioned into matrixShards
-// contiguous dense-index ranges; workers claim shards, accumulate into
-// private dense partials, and the partials are merged in shard order — so
-// the result is byte-identical for a given seed regardless of worker count.
-func (m *Model) BuildMatrixWorkers(workers int) *Matrix {
-	return m.buildMatrix(workers, m.accumulateClientAS)
-}
+// BuildMatrix materializes the ground truth for one average day. Client
+// ASes are partitioned into matrixShards contiguous dense-index ranges; one
+// goroutine per CPU claims shards, accumulates into private dense partials,
+// and the partials are merged in shard order — so the result is
+// byte-identical for a given seed at any CPU count.
+func (m *Model) BuildMatrix() *Matrix { return m.buildMatrix(m.accumulateClientAS) }
 
 // accumulator adds one client AS's demand into a shard accumulator; see
 // accumulateClientAS, the only one outside the oracle test.
@@ -151,7 +145,7 @@ var (
 
 // buildMatrix is the shard layout and the merge, over any accumulator: the
 // oracle test runs the pre-split accumulator through these same shards.
-func (m *Model) buildMatrix(workers int, accumulate accumulator) *Matrix {
+func (m *Model) buildMatrix(accumulate accumulator) *Matrix {
 	top := m.Top
 	asns := top.ASNs()
 	li := top.LinkIndex() // built before fan-out; lazy build is not thread-safe
@@ -180,7 +174,7 @@ func (m *Model) buildMatrix(workers int, accumulate accumulator) *Matrix {
 	accs := make([]*shardAcc, shards)
 	if shards > 0 {
 		per := (n + shards - 1) / shards
-		parallel.ForEach(shards, workers, func(s int) {
+		parallel.ForEach(shards, func(s int) {
 			sp := root.Child("shard", 0).SetOrder(s).SetAttrInt("shard", int64(s))
 			lo, hi := s*per, (s+1)*per
 			if hi > n {

@@ -43,53 +43,57 @@ func sameASMap(t *testing.T, name string, a, b map[topology.ASN]float64) {
 	}
 }
 
+// withCPUs runs fn with GOMAXPROCS set to cpus and restores it on return.
+// Tests that call it must not call t.Parallel: GOMAXPROCS is process-wide.
+func withCPUs(cpus int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+	fn()
+}
+
+// buildAt is BuildMatrix under GOMAXPROCS=cpus.
+func buildAt(m *Model, cpus int) (mx *Matrix) {
+	withCPUs(cpus, func() { mx = m.BuildMatrix() })
+	return mx
+}
+
 // TestBuildMatrixDeterministicAcrossWorkers guards the shard-and-merge
-// pipeline: the matrix must be bit-identical whether it is built by one
-// worker or many (shard boundaries and merge order are fixed, so no
-// float is ever summed in a schedule-dependent order).
+// pipeline: the matrix must be bit-identical whether it is built on one
+// CPU or many (shard boundaries and merge order are fixed, so no float is
+// ever summed in a schedule-dependent order).
 func TestBuildMatrixDeterministicAcrossWorkers(t *testing.T) {
 	m := setup(t, 11)
-	serial := m.BuildMatrixWorkers(1)
-	wide := m.BuildMatrixWorkers(8)
-
-	// Also exercise the default (GOMAXPROCS-driven) entry point under a
-	// restricted scheduler, as a real single-core run would hit it.
-	old := runtime.GOMAXPROCS(1)
-	one := m.BuildMatrix()
-	runtime.GOMAXPROCS(old)
-
-	for _, mx := range []*Matrix{wide, one} {
-		if mx.TotalBytes != serial.TotalBytes {
-			t.Fatalf("TotalBytes differ: %v vs %v", mx.TotalBytes, serial.TotalBytes)
+	serial := buildAt(m, 1)
+	mx := buildAt(m, 8)
+	if mx.TotalBytes != serial.TotalBytes {
+		t.Fatalf("TotalBytes differ: %v vs %v", mx.TotalBytes, serial.TotalBytes)
+	}
+	if mx.TailBytes != serial.TailBytes {
+		t.Fatalf("TailBytes differ: %v vs %v", mx.TailBytes, serial.TailBytes)
+	}
+	for i, v := range serial.PerService {
+		if mx.PerService[i] != v {
+			t.Fatalf("PerService[%d]: %v vs %v", i, mx.PerService[i], v)
 		}
-		if mx.TailBytes != serial.TailBytes {
-			t.Fatalf("TailBytes differ: %v vs %v", mx.TailBytes, serial.TailBytes)
+	}
+	sameASMap(t, "ASLoad", serial.ASLoad, mx.ASLoad)
+	sameASMap(t, "PerOwner", serial.PerOwner, mx.PerOwner)
+	sameASMap(t, "ClientASBytes", serial.ClientASBytes, mx.ClientASBytes)
+	sameASMap(t, "RefCDNByAS", serial.RefCDNByAS, mx.RefCDNByAS)
+	if len(serial.LinkLoad) != len(mx.LinkLoad) {
+		t.Fatalf("LinkLoad sizes: %d vs %d", len(serial.LinkLoad), len(mx.LinkLoad))
+	}
+	for k, v := range serial.LinkLoad {
+		if mx.LinkLoad[k] != v {
+			t.Fatalf("LinkLoad[%v]: %v vs %v", k, mx.LinkLoad[k], v)
 		}
-		for i, v := range serial.PerService {
-			if mx.PerService[i] != v {
-				t.Fatalf("PerService[%d]: %v vs %v", i, mx.PerService[i], v)
-			}
-		}
-		sameASMap(t, "ASLoad", serial.ASLoad, mx.ASLoad)
-		sameASMap(t, "PerOwner", serial.PerOwner, mx.PerOwner)
-		sameASMap(t, "ClientASBytes", serial.ClientASBytes, mx.ClientASBytes)
-		sameASMap(t, "RefCDNByAS", serial.RefCDNByAS, mx.RefCDNByAS)
-		if len(serial.LinkLoad) != len(mx.LinkLoad) {
-			t.Fatalf("LinkLoad sizes: %d vs %d", len(serial.LinkLoad), len(mx.LinkLoad))
-		}
-		for k, v := range serial.LinkLoad {
-			if mx.LinkLoad[k] != v {
-				t.Fatalf("LinkLoad[%v]: %v vs %v", k, mx.LinkLoad[k], v)
-			}
-		}
-		fa, fb := canonFlows(serial.Flows), canonFlows(mx.Flows)
-		if len(fa) != len(fb) {
-			t.Fatalf("flow counts: %d vs %d", len(fa), len(fb))
-		}
-		for i := range fa {
-			if fa[i] != fb[i] {
-				t.Fatalf("flow %d differs: %+v vs %+v", i, fa[i], fb[i])
-			}
+	}
+	fa, fb := canonFlows(serial.Flows), canonFlows(mx.Flows)
+	if len(fa) != len(fb) {
+		t.Fatalf("flow counts: %d vs %d", len(fa), len(fb))
+	}
+	for i := range fa {
+		if fa[i] != fb[i] {
+			t.Fatalf("flow %d differs: %+v vs %+v", i, fa[i], fb[i])
 		}
 	}
 }
@@ -244,7 +248,7 @@ func sameBitsSlice(t *testing.T, name string, got, want []float64) {
 // TestBuildMatrixMatchesReference runs the pre-split accumulator through the
 // build's own shard layout and left-fold merge and requires the hoisted build
 // to reproduce every cell bit for bit and every flow exactly, in order, at
-// every worker count. (Mutations this catches: users·(120·weight) in place
+// every CPU count. (Mutations this catches: users·(120·weight) in place
 // of (users·120)·weight; summing an AS's prefixes in reverse.)
 func TestBuildMatrixMatchesReference(t *testing.T) {
 	scales := map[string]func(int64) topology.GenConfig{"tiny": topology.TinyGenConfig}
@@ -254,12 +258,13 @@ func TestBuildMatrixMatchesReference(t *testing.T) {
 	for name, cfg := range scales {
 		for _, seed := range []int64{1, 7} {
 			m := setupScale(t, cfg(seed), seed)
-			want := m.buildMatrix(1, m.referenceAccumulate)
+			var want *Matrix
+			withCPUs(1, func() { want = m.buildMatrix(m.referenceAccumulate) })
 			if want.TotalBytes == 0 || len(want.Flows) == 0 || len(want.RefCDNByPrefix) == 0 {
 				t.Fatalf("%s seed %d: empty reference matrix", name, seed)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got := m.BuildMatrixWorkers(workers)
+			for _, cpus := range []int{1, 2, 4} {
+				got := buildAt(m, cpus)
 				sameBits(t, "TotalBytes", got.TotalBytes, want.TotalBytes)
 				sameBits(t, "TailBytes", got.TailBytes, want.TailBytes)
 				sameBitsSlice(t, "PerService", got.PerService, want.PerService)
@@ -277,8 +282,8 @@ func TestBuildMatrixMatchesReference(t *testing.T) {
 				}
 				for i := range want.Flows {
 					if got.Flows[i] != want.Flows[i] {
-						t.Fatalf("%s seed %d workers %d: flow %d is %+v, reference %+v",
-							name, seed, workers, i, got.Flows[i], want.Flows[i])
+						t.Fatalf("%s seed %d GOMAXPROCS %d: flow %d is %+v, reference %+v",
+							name, seed, cpus, i, got.Flows[i], want.Flows[i])
 					}
 				}
 			}

@@ -20,10 +20,10 @@ import (
 )
 
 // meshShards is the fixed shard count for mesh campaigns. Agents are
-// assigned to shards by ID (never by worker count), each shard's probing
-// runs serially in agent order, and shard tallies merge in shard order —
-// so the MeshMatrix is byte-identical for any -workers setting, the same
-// contract traffic.BuildMatrixWorkers holds.
+// assigned to shards by ID (never by CPU count), each shard's probing runs
+// serially in agent order, and shard tallies merge in shard order — so the
+// MeshMatrix is byte-identical at any GOMAXPROCS, the same contract
+// traffic.BuildMatrix holds.
 const meshShards = 32
 
 // The campaign's fixed shape.
@@ -56,9 +56,6 @@ type Config struct {
 	Rounds int
 	// Start is the simulated time of round 0.
 	Start simtime.Time
-	// Workers bounds the goroutines running shards (0 = one per CPU).
-	// Results are identical for every setting.
-	Workers int
 	// Seed drives placement, schedules, faults, and jitter.
 	Seed int64
 	// Profile is the fault preset the campaign runs under (zero = none).
@@ -249,7 +246,7 @@ func pingOutcome(err error) string {
 
 // Run executes the campaign and returns the assembled mesh matrix plus the
 // ledger. The document (and therefore its canonical ITMB encoding) is a
-// pure function of (world, Config minus Workers).
+// pure function of (world, Config), whatever the CPU count.
 func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 	n := len(c.fleet.Agents)
 	shards := make([]*shardState, meshShards)
@@ -268,7 +265,7 @@ func (c *Campaign) Run() (*core.MeshDocument, *Stats) {
 		root := obs.StartSpan("vantage.mesh_round", at).
 			SetAttrInt("round", int64(r)).SetAttrInt("agents", int64(n)).
 			SetAttrInt("shards", meshShards)
-		parallel.ForEach(meshShards, c.cfg.Workers, func(s int) {
+		parallel.ForEach(meshShards, func(s int) {
 			sh := shards[s]
 			sp := root.Child("shard", at).SetOrder(s).SetAttrInt("shard", int64(s))
 			before := sh.stats.PairsMeasured

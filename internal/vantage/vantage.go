@@ -9,12 +9,12 @@
 //
 // Everything is deterministic. Agent identity is a seed: agent i draws its
 // placement from its own hash-derived randx fork, so the same agent lands
-// in the same prefix no matter how large the fleet or how many workers
-// run. The O(n²) mesh is sharded by agent ID into a fixed number of shards
-// (never by worker count); shards run on a bounded worker pool and their
+// in the same prefix no matter how large the fleet or how many CPUs run
+// it. The O(n²) mesh is sharded by agent ID into a fixed number of shards
+// (never by CPU count); shards run on one goroutine per CPU and their
 // tallies merge in shard order, so the MeshMatrix — and its canonical
-// encoding — is byte-identical across worker counts, like the traffic
-// matrix build it mirrors.
+// encoding — is byte-identical across CPU counts, like the traffic matrix
+// build it mirrors.
 package vantage
 
 import (

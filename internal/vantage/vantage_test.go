@@ -2,6 +2,7 @@ package vantage
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"itmap/internal/core"
@@ -60,7 +61,7 @@ func TestFleetPlacement(t *testing.T) {
 
 func TestCampaignDocumentShape(t *testing.T) {
 	w := tinyWorld(t, 5)
-	doc, _, _ := runMesh(t, w, Config{Agents: 24, Rounds: 2, Workers: 2, Seed: 5})
+	doc, _, _ := runMesh(t, w, Config{Agents: 24, Rounds: 2, Seed: 5})
 	if len(doc.Pairs) == 0 {
 		t.Fatal("campaign produced no pairs")
 	}
@@ -95,16 +96,20 @@ func TestCampaignDocumentShape(t *testing.T) {
 
 // TestCampaignDeterministic is the mesh determinism contract: same seed ⇒
 // byte-identical MeshMatrix and stable obs dump, across runs AND across
-// worker counts 1 vs 4.
+// GOMAXPROCS 1 vs 4. It must not call t.Parallel: GOMAXPROCS is
+// process-wide.
 func TestCampaignDeterministic(t *testing.T) {
 	w := tinyWorld(t, 9)
 	prof, _ := faults.ByName("lossy")
 	cfg := Config{Agents: 24, Rounds: 2, Seed: 9, Profile: prof}
+	runAt := func(cpus int) ([]byte, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cpus))
+		_, js, dump := runMesh(t, w, cfg)
+		return js, dump
+	}
 
-	c1 := cfg
-	c1.Workers = 1
-	_, js1a, obs1a := runMesh(t, w, c1)
-	_, js1b, obs1b := runMesh(t, w, c1)
+	js1a, obs1a := runAt(1)
+	js1b, obs1b := runAt(1)
 	if string(js1a) != string(js1b) {
 		t.Fatal("same-seed runs produced different mesh documents")
 	}
@@ -112,14 +117,12 @@ func TestCampaignDeterministic(t *testing.T) {
 		t.Fatal("same-seed runs produced different obs dumps")
 	}
 
-	c4 := cfg
-	c4.Workers = 4
-	_, js4, obs4 := runMesh(t, w, c4)
+	js4, obs4 := runAt(4)
 	if string(js1a) != string(js4) {
-		t.Fatal("mesh document depends on worker count")
+		t.Fatal("mesh document depends on CPU count")
 	}
 	if obs1a != obs4 {
-		t.Fatal("obs dump depends on worker count")
+		t.Fatal("obs dump depends on CPU count")
 	}
 }
 
